@@ -1,776 +1,22 @@
-//! Performance harness: the repo's perf trajectory across PRs.
+//! Operator tools over the pinned storm scenarios. Host-time measurement
+//! lives in `benchmark/` (see `BENCHMARK.json`); everything printed here is
+//! seeded and virtual-time, so the output is byte-identical across runs
+//! and machines.
 //!
-//! Five benchmarks, each reporting both wall-clock throughput (noisy,
-//! machine-dependent, recorded but never gated) and deterministic copy /
-//! allocation / virtual-time counters (identical on every machine, gated
-//! by `--smoke`):
-//!
-//! * **codec roundtrip** — encode + decode a 64 KiB `Store` request
-//!   through the out-of-band wire format; the payload must ride by
-//!   refcount, copying zero bytes.
-//! * **cache churn** — insert-evict storms against `venus::Cache` at
-//!   geometrically growing capacities; with the O(1) intrusive-list LRU
-//!   the per-op cost must stay flat as the cache grows (the old
-//!   `min_by_key` scan was linear in resident entries).
-//! * **40-client macro storm** — whole-file stores and cold fetches
-//!   through the full simulated system (Venus → RPC → server → volume),
-//!   metering payload bytes copied per operation. The pre-PR pipeline
-//!   copied each file ~7× per fetch and ~8× per store (see DESIGN.md §9
-//!   for the site-by-site audit); the zero-copy path leaves exactly one
-//!   copy, at the server's filesystem boundary.
-//! * **salvage vs journal length** — journal N one-KiB stores, crash,
-//!   and salvage. Reports the deterministic virtual salvage time from
-//!   the cost model (fixed pass cost + per-record replay + log scan at
-//!   disk bandwidth) and checks it stays linear in journal length, plus
-//!   ungated wall-clock for the in-memory replay itself.
-//! * **trace overhead** — the 40-client storm run twice, tracing off and
-//!   on, interleaved. The virtual clock must land on the *same
-//!   microsecond* either way (tracing is observation-only by
-//!   construction), and the best-run wall-clock ratio is gated at
-//!   ≤ 1.15 (above shared-machine noise, far below the ~2× a second
-//!   pipeline would cost): span recording and the §15 series sampler
-//!   ride the existing event pipeline, they do not add one.
-//!
-//! Modes:
-//! * default: run full-size benchmarks, write `BENCH_pr5.json`.
-//! * `--smoke`: run reduced sizes, validate the checked-in
-//!   `BENCH_pr5.json` schema, and fail on >20% regression of any
-//!   deterministic metric (copies per op, churn flatness, salvage
-//!   linearity), a nonzero tracing virtual-time delta, or a >15% tracing
-//!   wall overhead. Other wall-clock numbers are exempt — CI machines
-//!   differ.
 //! * `scenario [--full]`: run the four day-in-the-life storm scenarios
 //!   (see `itc_workload::scenario` and EXPERIMENTS.md E18) and print
 //!   each storm's attribution table plus the before/after tables for the
 //!   two shipped fixes (callback-break batching, reconnect backoff).
 //!   `--full` uses the experiment-sized variants instead of the CI sizes.
-//! * `scrub [--smoke]`: run the silent-corruption storm and report the
-//!   integrity subsystem's deterministic economics (scan throughput,
-//!   detection latency percentiles, repair/offline/reject counts).
-//!   Default writes `BENCH_pr9.json`; `--smoke` validates the checked-in
-//!   file and fails on any drift (the metrics are virtual-time exact).
 //! * `top`: the vice-top operator console (DESIGN.md §15) — render the
 //!   campus-at-a-glance table of the deterministic metrics time-series
 //!   over a pinned storm scenario (`--scenario callback_storm|
 //!   login_storm|corruption_storm`, default callback). `top --export
 //!   [DIR]` writes the series as JSONL (byte-identical across same-seed
 //!   runs); `top FILE.jsonl` re-renders an exported series offline with
-//!   no simulation; `top --bench` self-profiles the observer over all
-//!   three storms (phase wall-clock, allocation meter, events/sec) and
-//!   writes `BENCH_pr10.json`; `top --smoke` re-runs the same profile and
-//!   requires every virtual-time-deterministic field (series shape,
-//!   health verdicts) to match the checked-in file exactly.
+//!   no simulation.
 
-use itc_core::config::{CachePolicy, SystemConfig};
-use itc_core::disk::{Disk, JournalOp, SyncPolicy};
-use itc_core::protect::{AccessList, Rights};
-use itc_core::proto::payload::{bytes_copied, reset_bytes_copied};
-use itc_core::proto::{EntryKind, Payload, VStatus};
 use itc_core::system::ItcSystem;
-use itc_core::venus::cache::{Cache, EntryKind as CacheKind};
-use itc_core::volume::{Volume, VolumeId};
-use itc_sim::Costs;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-// ---------------------------------------------------------------------
-// Counting allocator: total bytes requested, total allocation calls.
-// ---------------------------------------------------------------------
-
-struct CountingAlloc;
-
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn alloc_snapshot() -> (u64, u64) {
-    (
-        ALLOC_BYTES.load(Ordering::Relaxed),
-        ALLOC_CALLS.load(Ordering::Relaxed),
-    )
-}
-
-// ---------------------------------------------------------------------
-// Audited copy counts of the pre-PR pipeline (DESIGN.md §9): how many
-// times one payload's bytes were duplicated end to end. The reduction
-// factors in the report divide these by the measured post-PR counts.
-// ---------------------------------------------------------------------
-
-const SEED_COPIES_PER_FETCH: f64 = 7.0;
-const SEED_COPIES_PER_STORE: f64 = 8.0;
-
-// ---------------------------------------------------------------------
-// Benchmarks
-// ---------------------------------------------------------------------
-
-struct CodecResult {
-    payload_bytes: usize,
-    iters: u64,
-    roundtrips_per_sec: f64,
-    bytes_copied_per_roundtrip: f64,
-    alloc_bytes_per_roundtrip: f64,
-}
-
-fn bench_codec(iters: u64) -> CodecResult {
-    use itc_core::proto::{decode_request, encode_request, ViceRequest};
-    let payload_bytes = 64 * 1024;
-    let req = ViceRequest::Store {
-        path: "/vice/usr/satya/doc/paper.tex".to_string(),
-        data: vec![0xaa; payload_bytes].into(),
-    };
-    reset_bytes_copied();
-    let (b0, _) = alloc_snapshot();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let msg = encode_request(&req);
-        let back = decode_request(&msg.head, msg.payload.clone()).expect("roundtrip");
-        std::hint::black_box(back);
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    let (b1, _) = alloc_snapshot();
-    CodecResult {
-        payload_bytes,
-        iters,
-        roundtrips_per_sec: iters as f64 / dt,
-        bytes_copied_per_roundtrip: bytes_copied() as f64 / iters as f64,
-        alloc_bytes_per_roundtrip: (b1 - b0) as f64 / iters as f64,
-    }
-}
-
-fn churn_status(path: &str) -> VStatus {
-    VStatus {
-        path: path.to_string(),
-        fid: 1,
-        kind: EntryKind::File,
-        size: 1024,
-        version: 1,
-        mtime: 0,
-        mode: 0o644,
-        owner: 0,
-        read_only: false,
-    }
-}
-
-struct ChurnResult {
-    capacities: Vec<usize>,
-    ns_per_op: Vec<f64>,
-    flatness_ratio: f64,
-    bytes_copied_per_insert: f64,
-}
-
-/// Insert-evict storm: every insert into a full cache evicts. With the
-/// O(1) LRU the per-op time must not grow with the resident count; the
-/// old scan was Θ(resident entries) per eviction.
-fn bench_cache_churn(capacities: &[usize], ops_per_cap: u64) -> ChurnResult {
-    let mut ns_per_op = Vec::new();
-    reset_bytes_copied();
-    let mut total_inserts = 0u64;
-    for &cap in capacities {
-        let mut cache = Cache::new(CachePolicy::CountLru(cap));
-        // Pre-fill to capacity so every measured insert evicts.
-        for i in 0..cap {
-            let p = format!("/vice/f{i}");
-            cache.insert(&p, vec![0u8; 256].into(), churn_status(&p), CacheKind::File);
-        }
-        // Pre-render paths so the measured loop times the cache, not format!.
-        let paths: Vec<String> = (0..ops_per_cap)
-            .map(|i| format!("/vice/g{}", i % (2 * cap as u64)))
-            .collect();
-        let t0 = Instant::now();
-        for p in &paths {
-            cache.insert(p, vec![0u8; 256].into(), churn_status(p), CacheKind::File);
-        }
-        let dt = t0.elapsed();
-        ns_per_op.push(dt.as_nanos() as f64 / ops_per_cap as f64);
-        total_inserts += ops_per_cap + cap as u64;
-    }
-    let min = ns_per_op.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = ns_per_op.iter().cloned().fold(0.0f64, f64::max);
-    ChurnResult {
-        capacities: capacities.to_vec(),
-        ns_per_op,
-        flatness_ratio: max / min,
-        bytes_copied_per_insert: bytes_copied() as f64 / total_inserts as f64,
-    }
-}
-
-struct StormResult {
-    clients: usize,
-    file_bytes: usize,
-    stores: u64,
-    fetches: u64,
-    copies_per_store: f64,
-    copies_per_fetch: f64,
-    copy_reduction_store: f64,
-    copy_reduction_fetch: f64,
-    ops_per_sec: f64,
-    alloc_bytes_per_op: f64,
-}
-
-/// Whole-file storm through the full simulated system: `clients`
-/// workstations each store one file, then every client cold-fetches
-/// `fetch_fanout` other clients' files. Copy counts are normalized to
-/// payload size, so 1.0 means "the file's bytes were duplicated once".
-fn bench_macro_storm(clients: usize, file_bytes: usize, fetch_fanout: usize) -> StormResult {
-    let clusters = 4u32;
-    let per = (clients as u32).div_ceil(clusters);
-    let mut sys = ItcSystem::build(SystemConfig::revised(clusters, per));
-    for ws in 0..clients {
-        let user = format!("user{ws:02}");
-        sys.add_user(&user, "pw").expect("add user");
-        sys.login(ws, &user, "pw").expect("login");
-    }
-    sys.mkdir_p(0, "/vice/usr/storm").expect("mkdir");
-
-    let body = vec![0x5au8; file_bytes];
-
-    // Stores.
-    reset_bytes_copied();
-    let (ab0, _) = alloc_snapshot();
-    let t0 = Instant::now();
-    for ws in 0..clients {
-        sys.store(ws, &format!("/vice/usr/storm/f{ws:02}"), body.clone())
-            .expect("store");
-    }
-    let store_copied = bytes_copied();
-    let stores = clients as u64;
-
-    // Cold cross-client fetches: each client reads files it has never
-    // cached (written by other workstations), forcing full transfers.
-    reset_bytes_copied();
-    let mut fetches = 0u64;
-    for ws in 0..clients {
-        for k in 1..=fetch_fanout {
-            let other = (ws + k) % clients;
-            let data = sys
-                .fetch(ws, &format!("/vice/usr/storm/f{other:02}"))
-                .expect("fetch");
-            assert_eq!(data.len(), file_bytes);
-            fetches += 1;
-        }
-    }
-    let fetch_copied = bytes_copied();
-    let dt = t0.elapsed().as_secs_f64();
-    let (ab1, _) = alloc_snapshot();
-
-    let copies_per_store = store_copied as f64 / (stores as f64 * file_bytes as f64);
-    let copies_per_fetch = fetch_copied as f64 / (fetches as f64 * file_bytes as f64);
-    StormResult {
-        clients,
-        file_bytes,
-        stores,
-        fetches,
-        copies_per_store,
-        copies_per_fetch,
-        copy_reduction_store: SEED_COPIES_PER_STORE / copies_per_store,
-        copy_reduction_fetch: SEED_COPIES_PER_FETCH / copies_per_fetch,
-        ops_per_sec: (stores + fetches) as f64 / dt,
-        alloc_bytes_per_op: (ab1 - ab0) as f64 / (stores + fetches) as f64,
-    }
-}
-
-struct SalvageResult {
-    journal_records: Vec<u64>,
-    journal_bytes: Vec<u64>,
-    salvage_virtual_ms: Vec<f64>,
-    replayed: Vec<u64>,
-    per_record_virtual_us: f64,
-    linearity_ratio: f64,
-    wall_us_per_record: Vec<f64>,
-}
-
-/// Salvage time vs journal length: journal `n` one-KiB stores for each n
-/// in `sizes`, force the log, crash with a clean (synced) tail, and run
-/// the salvager. The virtual time comes from the cost model the event
-/// pipeline charges (`Costs::salvage_time`), so it is bit-stable; the
-/// wall numbers time the in-memory replay and are recorded but not gated.
-fn bench_salvage(sizes: &[u64]) -> SalvageResult {
-    let costs = Costs::prototype_1985();
-    let mut journal_records = Vec::new();
-    let mut journal_bytes = Vec::new();
-    let mut salvage_virtual_ms = Vec::new();
-    let mut replayed = Vec::new();
-    let mut wall_us_per_record = Vec::new();
-
-    for &n in sizes {
-        let mut acl = AccessList::new();
-        acl.grant("bench", Rights::ALL);
-        let mut vol = Volume::new(VolumeId(1), "bench.salvage", "/vice/bench", acl);
-        let mut disk = Disk::new(SyncPolicy::WriteAhead);
-        disk.checkpoint(&vol);
-        for i in 0..n {
-            let op = JournalOp::Store {
-                path: format!("/f{i:05}"),
-                uid: 0,
-                mtime: i,
-                data: Payload::from_vec(vec![0xb5; 1024]),
-            };
-            let seq = disk.begin(vol.id(), op.clone());
-            let ok = op.apply(&mut vol).is_ok();
-            disk.commit(seq, ok);
-        }
-        disk.sync();
-        disk.crash_truncate(0);
-
-        let (records, bytes) = disk.salvage_work(VolumeId(1));
-        let virtual_time = costs.salvage_time(bytes, records);
-        let t0 = Instant::now();
-        let (_, report) = disk.salvage(VolumeId(1)).expect("checkpointed");
-        let wall = t0.elapsed();
-        assert!(report.is_clean(), "{report:?}");
-
-        journal_records.push(records);
-        journal_bytes.push(bytes);
-        salvage_virtual_ms.push(virtual_time.as_micros() as f64 / 1000.0);
-        replayed.push(report.replayed);
-        wall_us_per_record.push(wall.as_nanos() as f64 / 1000.0 / n as f64);
-    }
-
-    // Marginal virtual cost per record between the extremes; the fixed
-    // pass cost cancels out. Linearity compares the marginal cost over
-    // the lower half of the range against the whole range — exactly 1.0
-    // when salvage time is affine in journal length.
-    let k = sizes.len() - 1;
-    let slope = |i: usize, j: usize| -> f64 {
-        (salvage_virtual_ms[j] - salvage_virtual_ms[i]) * 1000.0
-            / (journal_records[j] - journal_records[i]) as f64
-    };
-    let per_record_virtual_us = slope(0, k);
-    let linearity_ratio = if k >= 2 {
-        slope(0, k / 2) / slope(0, k)
-    } else {
-        1.0
-    };
-    SalvageResult {
-        journal_records,
-        journal_bytes,
-        salvage_virtual_ms,
-        replayed,
-        per_record_virtual_us,
-        linearity_ratio,
-        wall_us_per_record,
-    }
-}
-
-struct TraceOverheadResult {
-    clients: usize,
-    file_bytes: usize,
-    ops: u64,
-    runs: usize,
-    wall_off_ms: Vec<f64>,
-    wall_on_ms: Vec<f64>,
-    wall_overhead_ratio: f64,
-    virtual_now_off_us: u64,
-    virtual_now_on_us: u64,
-    virtual_delta_us: u64,
-    traces_minted: u64,
-    spans_recorded: u64,
-    spans_per_op: f64,
-}
-
-/// One storm pass: every client stores a file, then cold-fetches
-/// `fetch_fanout` neighbours' files. Returns wall seconds, the final
-/// virtual clock, the tracer's counters, and the op count.
-fn trace_storm(
-    clients: usize,
-    file_bytes: usize,
-    fetch_fanout: usize,
-    tracing: bool,
-) -> (f64, u64, u64, u64, u64) {
-    let clusters = 4u32;
-    let per = (clients as u32).div_ceil(clusters);
-    let cfg = SystemConfig {
-        tracing,
-        ..SystemConfig::revised(clusters, per)
-    };
-    let mut sys = ItcSystem::build(cfg);
-    for ws in 0..clients {
-        let user = format!("user{ws:02}");
-        sys.add_user(&user, "pw").expect("add user");
-        sys.login(ws, &user, "pw").expect("login");
-    }
-    sys.mkdir_p(0, "/vice/usr/trace").expect("mkdir");
-    let body = vec![0x3cu8; file_bytes];
-
-    let t0 = Instant::now();
-    for ws in 0..clients {
-        sys.store(ws, &format!("/vice/usr/trace/f{ws:02}"), body.clone())
-            .expect("store");
-    }
-    let mut ops = clients as u64;
-    for ws in 0..clients {
-        for k in 1..=fetch_fanout {
-            let other = (ws + k) % clients;
-            sys.fetch(ws, &format!("/vice/usr/trace/f{other:02}"))
-                .expect("fetch");
-            ops += 1;
-        }
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let ts = sys.trace_stats();
-    (wall, sys.now().as_micros(), ts.traces, ts.spans, ops)
-}
-
-fn min_sample(samples: &[f64]) -> f64 {
-    samples.iter().cloned().fold(f64::INFINITY, f64::min)
-}
-
-/// The storm with tracing off and on, `runs` times each, interleaved so
-/// thermal and cache drift hit both sides equally. The virtual-time
-/// observables must be identical to the microsecond; the wall ratio
-/// compares the best run of each side — wall noise (preemption, thermal
-/// throttling) is strictly additive, so min-of-N estimates the true cost
-/// where a median of a handful of samples still carries the spikes.
-fn bench_trace_overhead(
-    clients: usize,
-    file_bytes: usize,
-    fetch_fanout: usize,
-    runs: usize,
-) -> TraceOverheadResult {
-    let mut wall_off_ms = Vec::new();
-    let mut wall_on_ms = Vec::new();
-    let mut off = (0.0, 0u64, 0u64, 0u64, 0u64);
-    let mut on = off;
-    for _ in 0..runs {
-        off = trace_storm(clients, file_bytes, fetch_fanout, false);
-        wall_off_ms.push(off.0 * 1000.0);
-        on = trace_storm(clients, file_bytes, fetch_fanout, true);
-        wall_on_ms.push(on.0 * 1000.0);
-    }
-    assert_eq!(off.4, on.4, "same workload both sides");
-    TraceOverheadResult {
-        clients,
-        file_bytes,
-        ops: on.4,
-        runs,
-        wall_overhead_ratio: min_sample(&wall_on_ms) / min_sample(&wall_off_ms),
-        wall_off_ms,
-        wall_on_ms,
-        virtual_now_off_us: off.1,
-        virtual_now_on_us: on.1,
-        virtual_delta_us: on.1.abs_diff(off.1),
-        traces_minted: on.2,
-        spans_recorded: on.3,
-        spans_per_op: on.3 as f64 / on.4 as f64,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hand-rolled JSON (the repo takes no dependencies).
-// ---------------------------------------------------------------------
-
-fn fnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn render_report(
-    codec: &CodecResult,
-    churn: &ChurnResult,
-    storm: &StormResult,
-    salvage: &SalvageResult,
-    trace: &TraceOverheadResult,
-) -> String {
-    let caps = churn
-        .capacities
-        .iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let ns = churn
-        .ns_per_op
-        .iter()
-        .map(|&n| fnum(n))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let ints = |v: &[u64]| {
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let floats = |v: &[f64]| v.iter().map(|&x| fnum(x)).collect::<Vec<_>>().join(", ");
-    format!(
-        r#"{{
-  "schema": "itc-bench/pr5/v1",
-  "micro_codec": {{
-    "payload_bytes": {},
-    "iters": {},
-    "roundtrips_per_sec": {},
-    "bytes_copied_per_roundtrip": {},
-    "alloc_bytes_per_roundtrip": {}
-  }},
-  "cache_churn": {{
-    "capacities": [{}],
-    "ns_per_op": [{}],
-    "flatness_ratio": {},
-    "bytes_copied_per_insert": {}
-  }},
-  "macro_storm": {{
-    "clients": {},
-    "file_bytes": {},
-    "stores": {},
-    "fetches": {},
-    "copies_per_store": {},
-    "copies_per_fetch": {},
-    "seed_copies_per_store": {},
-    "seed_copies_per_fetch": {},
-    "copy_reduction_store": {},
-    "copy_reduction_fetch": {},
-    "ops_per_sec": {},
-    "alloc_bytes_per_op": {}
-  }},
-  "salvage": {{
-    "journal_records": [{}],
-    "journal_bytes": [{}],
-    "salvage_virtual_ms": [{}],
-    "replayed": [{}],
-    "per_record_virtual_us": {},
-    "linearity_ratio": {},
-    "wall_us_per_record": [{}]
-  }},
-  "trace_overhead": {{
-    "clients": {},
-    "trace_file_bytes": {},
-    "ops": {},
-    "runs": {},
-    "wall_off_ms": [{}],
-    "wall_on_ms": [{}],
-    "wall_overhead_ratio": {},
-    "virtual_now_off_us": {},
-    "virtual_now_on_us": {},
-    "virtual_delta_us": {},
-    "traces_minted": {},
-    "spans_recorded": {},
-    "spans_per_op": {}
-  }}
-}}
-"#,
-        codec.payload_bytes,
-        codec.iters,
-        fnum(codec.roundtrips_per_sec),
-        fnum(codec.bytes_copied_per_roundtrip),
-        fnum(codec.alloc_bytes_per_roundtrip),
-        caps,
-        ns,
-        fnum(churn.flatness_ratio),
-        fnum(churn.bytes_copied_per_insert),
-        storm.clients,
-        storm.file_bytes,
-        storm.stores,
-        storm.fetches,
-        fnum(storm.copies_per_store),
-        fnum(storm.copies_per_fetch),
-        fnum(SEED_COPIES_PER_STORE),
-        fnum(SEED_COPIES_PER_FETCH),
-        fnum(storm.copy_reduction_store),
-        fnum(storm.copy_reduction_fetch),
-        fnum(storm.ops_per_sec),
-        fnum(storm.alloc_bytes_per_op),
-        ints(&salvage.journal_records),
-        ints(&salvage.journal_bytes),
-        floats(&salvage.salvage_virtual_ms),
-        ints(&salvage.replayed),
-        fnum(salvage.per_record_virtual_us),
-        fnum(salvage.linearity_ratio),
-        floats(&salvage.wall_us_per_record),
-        trace.clients,
-        trace.file_bytes,
-        trace.ops,
-        trace.runs,
-        floats(&trace.wall_off_ms),
-        floats(&trace.wall_on_ms),
-        fnum(trace.wall_overhead_ratio),
-        trace.virtual_now_off_us,
-        trace.virtual_now_on_us,
-        trace.virtual_delta_us,
-        trace.traces_minted,
-        trace.spans_recorded,
-        fnum(trace.spans_per_op),
-    )
-}
-
-/// Minimal extraction of `"key": <number>` from the baseline report.
-/// Keys in the schema are unique, so a flat scan is enough.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-// ---------------------------------------------------------------------
-// Smoke gate
-// ---------------------------------------------------------------------
-
-const SMOKE_TOLERANCE: f64 = 0.20;
-
-/// Deterministic metrics checked against the committed baseline. Copies
-/// per op and per-insert are bit-stable across machines; anything >20%
-/// over baseline is a regression (a new clone crept into the pipeline).
-fn smoke_gate(
-    baseline: &str,
-    codec: &CodecResult,
-    churn: &ChurnResult,
-    storm: &StormResult,
-    salvage: &SalvageResult,
-    trace: &TraceOverheadResult,
-) {
-    let mut failures = Vec::new();
-
-    for key in [
-        "payload_bytes",
-        "roundtrips_per_sec",
-        "bytes_copied_per_roundtrip",
-        "flatness_ratio",
-        "bytes_copied_per_insert",
-        "copies_per_store",
-        "copies_per_fetch",
-        "copy_reduction_store",
-        "copy_reduction_fetch",
-        "ops_per_sec",
-        "alloc_bytes_per_op",
-        "per_record_virtual_us",
-        "linearity_ratio",
-        "wall_overhead_ratio",
-        "virtual_delta_us",
-        "spans_per_op",
-    ] {
-        if json_number(baseline, key).is_none() {
-            failures.push(format!("baseline missing key \"{key}\""));
-        }
-    }
-
-    let mut gate = |name: &str, measured: f64| {
-        let Some(base) = json_number(baseline, name) else {
-            return; // already reported as a schema failure
-        };
-        // Copy counters gate on absolute-per-op regression; a zero
-        // baseline allows a small epsilon rather than a ratio.
-        let limit = if base == 0.0 {
-            0.01
-        } else {
-            base * (1.0 + SMOKE_TOLERANCE)
-        };
-        if measured > limit {
-            failures.push(format!(
-                "{name}: measured {measured:.4} vs baseline {base:.4} (limit {limit:.4})"
-            ));
-        }
-    };
-    gate(
-        "bytes_copied_per_roundtrip",
-        codec.bytes_copied_per_roundtrip,
-    );
-    gate("bytes_copied_per_insert", churn.bytes_copied_per_insert);
-    gate("copies_per_store", storm.copies_per_store);
-    gate("copies_per_fetch", storm.copies_per_fetch);
-
-    // O(1) eviction: per-op churn cost across a 64× capacity range must
-    // stay within a small constant factor. The old linear scan sat at
-    // two orders of magnitude here; 3× absorbs timer noise.
-    if churn.flatness_ratio > 3.0 {
-        failures.push(format!(
-            "cache churn is not flat: max/min ns-per-op ratio {:.2} (> 3.0) across capacities {:?}",
-            churn.flatness_ratio, churn.capacities
-        ));
-    }
-
-    // Salvage cost is charged in virtual time, so it is bit-deterministic:
-    // the per-record slope must match the baseline exactly (the smoke run
-    // uses smaller journals than the full run, but the slope is size-free),
-    // and the cost curve must stay affine in journal length.
-    if let Some(base) = json_number(baseline, "per_record_virtual_us") {
-        let measured = salvage.per_record_virtual_us;
-        if (measured - base).abs() > 1e-6 {
-            failures.push(format!(
-                "per_record_virtual_us drifted: measured {measured:.6} vs baseline {base:.6} \
-                 (virtual salvage cost must be bit-deterministic)"
-            ));
-        }
-    }
-    if (salvage.linearity_ratio - 1.0).abs() > 0.05 {
-        failures.push(format!(
-            "salvage cost is not linear in journal length: half-range/full-range slope ratio \
-             {:.4} (expected 1.0 ± 0.05)",
-            salvage.linearity_ratio
-        ));
-    }
-    for (i, &n) in salvage.journal_records.iter().enumerate() {
-        if salvage.replayed[i] != n {
-            failures.push(format!(
-                "salvage replayed {} of {} committed records at size index {i}",
-                salvage.replayed[i], n
-            ));
-        }
-    }
-
-    // Tracing is observation-only: the virtual clock must land on the
-    // same microsecond with the collector on or off, and the recorder's
-    // wall cost must vanish into the storm's noise floor.
-    if trace.virtual_delta_us != 0 {
-        failures.push(format!(
-            "tracing moved virtual time by {}us (off {}us, on {}us) — \
-             the tracer must be observation-only",
-            trace.virtual_delta_us, trace.virtual_now_off_us, trace.virtual_now_on_us
-        ));
-    }
-    // The binding invariant is virtual_delta_us == 0 above (bit-exact,
-    // machine-independent). This wall gate only has to catch an
-    // egregious regression — a second event pipeline would cost 1.5–2× —
-    // so its limit sits above the ±10% run-to-run noise that shared CI
-    // boxes show even on the best-of-N estimator.
-    if trace.wall_overhead_ratio > 1.15 {
-        failures.push(format!(
-            "tracing wall overhead {:.3}x exceeds 1.15x on the {}-client storm \
-             (off {:?}ms, on {:?}ms)",
-            trace.wall_overhead_ratio, trace.clients, trace.wall_off_ms, trace.wall_on_ms
-        ));
-    }
-    if trace.spans_recorded == 0 || trace.traces_minted == 0 {
-        failures.push("tracing-on storm recorded no spans".to_string());
-    }
-
-    if failures.is_empty() {
-        println!(
-            "smoke: OK (all deterministic metrics within {:.0}% of baseline)",
-            SMOKE_TOLERANCE * 100.0
-        );
-    } else {
-        eprintln!("smoke: FAILED");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-}
 
 // ---------------------------------------------------------------------
 // Storm scenarios (`bench scenario`)
@@ -874,194 +120,11 @@ fn run_scenarios(full: bool) {
 }
 
 // ---------------------------------------------------------------------
-// Scrub benchmark (`bench scrub`)
-// ---------------------------------------------------------------------
-
-/// Runs the corruption storm at a fixed size and reports the integrity
-/// subsystem's economics: scrubber scan throughput in virtual disk time,
-/// detection latency percentiles across the injected flips, and how each
-/// flip was resolved (repaired / offlined / rejected at salvage / caught
-/// at fetch). Every metric except `wall_ms` is virtual-time deterministic
-/// and bit-identical on every machine, so `scrub --smoke` re-runs the
-/// same configuration and requires the deterministic fields to match the
-/// checked-in `BENCH_pr9.json` exactly.
-fn run_scrub(smoke: bool) {
-    use itc_core::proto::ServerId;
-    use itc_workload::scenario::corruption_storm;
-    use itc_workload::CorruptionStormConfig;
-
-    let cfg = CorruptionStormConfig::small();
-    let t0 = Instant::now();
-    let (sys, _) = corruption_storm::run(&cfg).expect("scrub storm");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let counters = sys.integrity_counters();
-    let mut latencies: Vec<u64> = Vec::new();
-    let (mut passes, mut files_scanned, mut bytes_scanned, mut mismatches) =
-        (0u64, 0u64, 0u64, 0u64);
-    for s in 0..2u32 {
-        for ev in sys.server_corruption_log(ServerId(s)) {
-            if let Some(at) = ev.detected_at {
-                latencies.push(at.as_micros() - ev.injected_at.as_micros());
-            }
-        }
-        let st = sys.server_scrub_stats(ServerId(s));
-        passes += st.passes;
-        files_scanned += st.files_scanned;
-        bytes_scanned += st.bytes_scanned;
-        mismatches += st.mismatches_detected;
-    }
-    latencies.sort_unstable();
-    let pct = |p: f64| {
-        if latencies.is_empty() {
-            0
-        } else {
-            latencies[((latencies.len() - 1) as f64 * p).round() as usize]
-        }
-    };
-    let (p50, p90, max) = (pct(0.50), pct(0.90), pct(1.0));
-    let scrub_disk_us = sys.attribution().summary().scrub_disk.as_micros();
-    let throughput = if scrub_disk_us > 0 {
-        bytes_scanned as f64 / (scrub_disk_us as f64 / 1e6)
-    } else {
-        0.0
-    };
-
-    let report = format!(
-        r#"{{
-  "schema": "itc-bench/pr9/v1",
-  "scrub_storm": {{
-    "workstations": {},
-    "files": {},
-    "flips": {},
-    "injected": {},
-    "detected": {},
-    "latent": {},
-    "repaired": {},
-    "offlined": {},
-    "rejected_at_salvage": {},
-    "caught_at_fetch": {},
-    "scrub_passes": {},
-    "files_scanned": {},
-    "bytes_scanned": {},
-    "mismatches_detected": {},
-    "scrub_disk_virtual_us": {},
-    "scan_bytes_per_virtual_sec": {},
-    "detect_p50_us": {p50},
-    "detect_p90_us": {p90},
-    "detect_max_us": {max},
-    "wall_ms": {}
-  }}
-}}
-"#,
-        cfg.workstations,
-        cfg.files,
-        cfg.flips,
-        counters.injected,
-        counters.detected(),
-        counters.latent,
-        counters.repaired,
-        counters.offlined,
-        counters.rejected_at_salvage,
-        counters.caught_at_fetch,
-        passes,
-        files_scanned,
-        bytes_scanned,
-        mismatches,
-        scrub_disk_us,
-        fnum(throughput),
-        fnum(wall_ms),
-    );
-    println!("{report}");
-
-    if smoke {
-        let baseline = std::fs::read_to_string("BENCH_pr9.json").unwrap_or_else(|e| {
-            eprintln!("scrub smoke: cannot read checked-in BENCH_pr9.json: {e}");
-            std::process::exit(1);
-        });
-        if !baseline.contains("\"schema\": \"itc-bench/pr9/v1\"") {
-            eprintln!("scrub smoke: BENCH_pr9.json does not match schema itc-bench/pr9/v1");
-            std::process::exit(1);
-        }
-        let mut failures = Vec::new();
-        // All virtual: the measured value must equal the baseline exactly.
-        for (key, measured) in [
-            ("injected", counters.injected as f64),
-            ("detected", counters.detected() as f64),
-            ("latent", counters.latent as f64),
-            ("repaired", counters.repaired as f64),
-            ("offlined", counters.offlined as f64),
-            ("rejected_at_salvage", counters.rejected_at_salvage as f64),
-            ("caught_at_fetch", counters.caught_at_fetch as f64),
-            ("scrub_passes", passes as f64),
-            ("files_scanned", files_scanned as f64),
-            ("bytes_scanned", bytes_scanned as f64),
-            ("mismatches_detected", mismatches as f64),
-            ("scrub_disk_virtual_us", scrub_disk_us as f64),
-            ("detect_p50_us", p50 as f64),
-            ("detect_p90_us", p90 as f64),
-            ("detect_max_us", max as f64),
-        ] {
-            match json_number(&baseline, key) {
-                None => failures.push(format!("baseline missing key \"{key}\"")),
-                Some(base) if (base - measured).abs() > 1e-6 => failures.push(format!(
-                    "{key}: measured {measured} vs baseline {base} \
-                     (scrub metrics are virtual-time deterministic)"
-                )),
-                Some(_) => {}
-            }
-        }
-        if counters.latent != 0 {
-            failures.push(format!(
-                "latent corruptions survived the storm: {}",
-                counters.latent
-            ));
-        }
-        if failures.is_empty() {
-            println!("scrub smoke: OK (deterministic scrub metrics match baseline exactly)");
-        } else {
-            eprintln!("scrub smoke: FAILED");
-            for f in &failures {
-                eprintln!("  - {f}");
-            }
-            std::process::exit(1);
-        }
-    } else {
-        std::fs::write("BENCH_pr9.json", &report).expect("write BENCH_pr9.json");
-        println!("wrote BENCH_pr9.json");
-    }
-}
-
-// ---------------------------------------------------------------------
 // vice-top (`bench top`)
 // ---------------------------------------------------------------------
 
-/// The pinned storms `top --bench` profiles, in report order.
+/// The pinned storms `top` can render.
 const TOP_SCENARIOS: [&str; 3] = ["callback_storm", "login_storm", "corruption_storm"];
-
-/// One storm's pass through the observability layer: the deterministic
-/// series shape and health verdicts (`--smoke` pins these exactly — they
-/// are virtual-time observables) plus the self-profiler's wall-clock and
-/// allocation numbers (recorded, never gated; CI machines differ).
-struct TopOutcome {
-    name: &'static str,
-    clock_us: u64,
-    events_executed: u64,
-    calls: u64,
-    series_lines: u64,
-    server_buckets: u64,
-    volume_buckets: u64,
-    cluster_buckets: u64,
-    health_events: u64,
-    /// `rule:count` pairs sorted by rule label, or `none` — e.g.
-    /// `integrity_burn:2,retry_rate:1`.
-    health_by_rule: String,
-    run_wall_ms: f64,
-    run_alloc_mb: f64,
-    sample_wall_ms: f64,
-    sample_alloc_mb: f64,
-    events_per_sec: f64,
-}
 
 /// Runs one pinned storm with tracing (and thus the observer) enabled.
 fn top_scenario(name: &str) -> ItcSystem {
@@ -1092,120 +155,6 @@ fn top_scenario(name: &str) -> ItcSystem {
     }
 }
 
-/// Self-profiled observer pass: run the storm, then sample and reduce
-/// the merged time-series. The two phases are metered separately so the
-/// report shows what the observer itself costs on top of the storm.
-fn top_profile(name: &'static str) -> TopOutcome {
-    use itc_core::ObsLine;
-
-    let (ab0, _) = alloc_snapshot();
-    let t0 = Instant::now();
-    let sys = top_scenario(name);
-    let run_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (ab1, _) = alloc_snapshot();
-
-    let t1 = Instant::now();
-    let health = sys.health_events();
-    let lines = sys.obs_summary().lines(&health);
-    let sample_wall_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let (ab2, _) = alloc_snapshot();
-
-    let (mut sv, mut vol, mut cl, mut he) = (0u64, 0u64, 0u64, 0u64);
-    for l in &lines {
-        match l {
-            ObsLine::Server(_) => sv += 1,
-            ObsLine::Volume(_) => vol += 1,
-            ObsLine::Cluster(_) => cl += 1,
-            ObsLine::Health(_) => he += 1,
-        }
-    }
-    let mut by_rule: std::collections::BTreeMap<&'static str, u64> = Default::default();
-    for ev in &health {
-        *by_rule.entry(ev.rule.label()).or_default() += 1;
-    }
-    let health_by_rule = if by_rule.is_empty() {
-        "none".to_string()
-    } else {
-        by_rule
-            .iter()
-            .map(|(k, v)| format!("{k}:{v}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-
-    let es = sys.event_stats();
-    TopOutcome {
-        name,
-        clock_us: sys.now().as_micros(),
-        events_executed: es.executed,
-        calls: sys.metrics().total_calls(),
-        series_lines: lines.len() as u64,
-        server_buckets: sv,
-        volume_buckets: vol,
-        cluster_buckets: cl,
-        health_events: he,
-        health_by_rule,
-        run_wall_ms,
-        run_alloc_mb: (ab1 - ab0) as f64 / (1024.0 * 1024.0),
-        sample_wall_ms,
-        sample_alloc_mb: (ab2 - ab1) as f64 / (1024.0 * 1024.0),
-        events_per_sec: es.executed as f64 / (run_wall_ms / 1e3),
-    }
-}
-
-fn render_top_report(outcomes: &[TopOutcome]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "{\n  \"schema\": \"itc-bench/pr10/v1\",\n  \"observer\": {\n    \"scenarios\": [\n",
-    );
-    for (i, o) in outcomes.iter().enumerate() {
-        let comma = if i + 1 == outcomes.len() { "" } else { "," };
-        out.push_str(&format!(
-            "      {{\"name\": \"{}\", \"clock_us\": {}, \"events_executed\": {}, \
-             \"calls\": {}, \"series_lines\": {}, \"server_buckets\": {}, \
-             \"volume_buckets\": {}, \"cluster_buckets\": {}, \"health_events\": {}, \
-             \"health_by_rule\": \"{}\", \"run_wall_ms\": {}, \"run_alloc_mb\": {}, \
-             \"sample_wall_ms\": {}, \"sample_alloc_mb\": {}, \"events_per_sec\": {}}}{comma}\n",
-            o.name,
-            o.clock_us,
-            o.events_executed,
-            o.calls,
-            o.series_lines,
-            o.server_buckets,
-            o.volume_buckets,
-            o.cluster_buckets,
-            o.health_events,
-            o.health_by_rule,
-            fnum(o.run_wall_ms),
-            fnum(o.run_alloc_mb),
-            fnum(o.sample_wall_ms),
-            fnum(o.sample_alloc_mb),
-            fnum(o.events_per_sec),
-        ));
-    }
-    out.push_str("    ]\n  }\n}\n");
-    out
-}
-
-/// The slice of the baseline report describing one scenario (each
-/// scenario object is rendered on one line, so "up to the next name
-/// key" bounds it).
-fn scenario_block<'a>(text: &'a str, name: &str) -> Option<&'a str> {
-    let pat = format!("\"name\": \"{name}\"");
-    let at = text.find(&pat)?;
-    let rest = &text[at + pat.len()..];
-    let end = rest.find("\"name\": ").unwrap_or(rest.len());
-    Some(&rest[..end])
-}
-
-/// Minimal extraction of `"key": "value"` from hand-rolled JSON.
-fn json_str<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let at = text.find(&pat)? + pat.len();
-    let rest = &text[at..];
-    Some(&rest[..rest.find('"')?])
-}
-
 fn run_top(args: &[String]) {
     use itc_core::obs::{parse_obs_line, render_console};
 
@@ -1222,93 +171,6 @@ fn run_top(args: &[String]) {
             std::process::exit(1);
         }
         print!("{}", render_console(&lines));
-        return;
-    }
-
-    let smoke = args.iter().any(|a| a == "--smoke");
-    if smoke || args.iter().any(|a| a == "--bench") {
-        let outcomes: Vec<TopOutcome> = TOP_SCENARIOS.iter().map(|&n| top_profile(n)).collect();
-        let report = render_top_report(&outcomes);
-        print!("{report}");
-        if !smoke {
-            std::fs::write("BENCH_pr10.json", &report).expect("write BENCH_pr10.json");
-            println!("wrote BENCH_pr10.json");
-            return;
-        }
-
-        let baseline = std::fs::read_to_string("BENCH_pr10.json").unwrap_or_else(|e| {
-            eprintln!("top smoke: cannot read checked-in BENCH_pr10.json: {e}");
-            std::process::exit(1);
-        });
-        if !baseline.contains("\"schema\": \"itc-bench/pr10/v1\"") {
-            eprintln!("top smoke: BENCH_pr10.json does not match schema itc-bench/pr10/v1");
-            std::process::exit(1);
-        }
-        let mut failures = Vec::new();
-        for o in &outcomes {
-            let Some(block) = scenario_block(&baseline, o.name) else {
-                failures.push(format!("baseline missing scenario \"{}\"", o.name));
-                continue;
-            };
-            // All virtual-time observables: exact match required.
-            for (key, measured) in [
-                ("clock_us", o.clock_us),
-                ("events_executed", o.events_executed),
-                ("calls", o.calls),
-                ("series_lines", o.series_lines),
-                ("server_buckets", o.server_buckets),
-                ("volume_buckets", o.volume_buckets),
-                ("cluster_buckets", o.cluster_buckets),
-                ("health_events", o.health_events),
-            ] {
-                match json_number(block, key) {
-                    None => failures.push(format!("{}: baseline missing \"{key}\"", o.name)),
-                    Some(base) if (base - measured as f64).abs() > 1e-6 => failures.push(format!(
-                        "{}.{key}: measured {measured} vs baseline {base} \
-                             (series metrics are virtual-time deterministic)",
-                        o.name
-                    )),
-                    Some(_) => {}
-                }
-            }
-            match json_str(block, "health_by_rule") {
-                None => failures.push(format!("{}: baseline missing health_by_rule", o.name)),
-                Some(base) if base != o.health_by_rule => failures.push(format!(
-                    "{}.health_by_rule: measured \"{}\" vs baseline \"{base}\"",
-                    o.name, o.health_by_rule
-                )),
-                Some(_) => {}
-            }
-        }
-        // Baseline-independent verdicts: the scripted callback-storm
-        // brownout and the corruption-storm volume offlining must be
-        // flagged by the health engine.
-        let verdict = |name: &str| {
-            outcomes
-                .iter()
-                .find(|o| o.name == name)
-                .map(|o| o.health_by_rule.as_str())
-                .unwrap_or("")
-                .to_string()
-        };
-        if !verdict("callback_storm").contains("retry_rate") {
-            failures
-                .push("callback-storm brownout not flagged (no retry_rate health event)".into());
-        }
-        if !verdict("corruption_storm").contains("integrity_burn") {
-            failures.push(
-                "corruption-storm offlining not flagged (no integrity_burn health event)".into(),
-            );
-        }
-        if failures.is_empty() {
-            println!("top smoke: OK (deterministic series metrics match baseline exactly)");
-        } else {
-            eprintln!("top smoke: FAILED");
-            for f in &failures {
-                eprintln!("  - {f}");
-            }
-            std::process::exit(1);
-        }
         return;
     }
 
@@ -1341,56 +203,15 @@ fn run_top(args: &[String]) {
 }
 
 fn main() {
-    if std::env::args().nth(1).as_deref() == Some("top") {
-        let args: Vec<String> = std::env::args().skip(2).collect();
-        run_top(&args);
-        return;
-    }
-    if std::env::args().nth(1).as_deref() == Some("scenario") {
-        run_scenarios(std::env::args().any(|a| a == "--full"));
-        return;
-    }
-    if std::env::args().nth(1).as_deref() == Some("scrub") {
-        run_scrub(std::env::args().any(|a| a == "--smoke"));
-        return;
-    }
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
-    let (codec, churn, storm, salvage, trace) = if smoke {
-        (
-            bench_codec(200),
-            bench_cache_churn(&[256, 1024, 4096, 16384], 20_000),
-            bench_macro_storm(40, 64 * 1024, 2),
-            bench_salvage(&[16, 64, 256]),
-            bench_trace_overhead(40, 64 * 1024, 2, 5),
-        )
-    } else {
-        (
-            bench_codec(2_000),
-            bench_cache_churn(&[256, 1024, 4096, 16384], 200_000),
-            bench_macro_storm(40, 64 * 1024, 5),
-            bench_salvage(&[64, 256, 1024]),
-            bench_trace_overhead(40, 64 * 1024, 5, 5),
-        )
-    };
-
-    let report = render_report(&codec, &churn, &storm, &salvage, &trace);
-    println!("{report}");
-
-    if smoke {
-        let baseline = std::fs::read_to_string("BENCH_pr5.json").unwrap_or_else(|e| {
-            eprintln!("smoke: cannot read checked-in BENCH_pr5.json: {e}");
-            std::process::exit(1);
-        });
-        if json_number(&baseline, "payload_bytes").is_none()
-            || !baseline.contains("\"schema\": \"itc-bench/pr5/v1\"")
-        {
-            eprintln!("smoke: BENCH_pr5.json does not match schema itc-bench/pr5/v1");
-            std::process::exit(1);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
+        Some("top") => run_top(&args[1..]),
+        Some("scenario") => run_scenarios(args.iter().any(|a| a == "--full")),
+        _ => {
+            eprintln!(
+                "usage: bench scenario [--full] | bench top [--scenario S] [--export [DIR]] [FILE.jsonl]"
+            );
+            std::process::exit(2);
         }
-        smoke_gate(&baseline, &codec, &churn, &storm, &salvage, &trace);
-    } else {
-        std::fs::write("BENCH_pr5.json", &report).expect("write BENCH_pr5.json");
-        println!("wrote BENCH_pr5.json");
     }
 }

@@ -154,7 +154,7 @@ fn print_summary(sys: &ItcSystem) {
     println!();
 
     // How every injected flip was resolved, next to the latency tables —
-    // the same ledger `bench scrub` reports, aggregated across servers.
+    // aggregated across servers.
     let counters = sys.integrity_counters();
     let mut scrub = itc_core::disk::ScrubStats::default();
     for s in 0..sys.server_count() {

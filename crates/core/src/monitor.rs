@@ -73,14 +73,6 @@ impl TrafficMonitor {
         self.counts.values().sum()
     }
 
-    /// Calls recorded for a subtree from a given cluster.
-    pub fn calls_from(&self, subtree: &str, cluster: u32) -> u64 {
-        self.counts
-            .get(&(Arc::from(subtree), cluster))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Fraction of all observed calls that crossed clusters, given the
     /// custodian of each subtree (cluster id == server id in the standard
     /// topology).

@@ -57,11 +57,6 @@ impl Surrogate {
         id
     }
 
-    /// Number of attached PCs.
-    pub fn pc_count(&self) -> usize {
-        self.pcs.len()
-    }
-
     /// A PC's statistics.
     pub fn stats_of(&self, pc: PcId) -> Option<PcStats> {
         self.pcs
@@ -110,7 +105,6 @@ mod tests {
         let a = s.attach_pc();
         let b = s.attach_pc();
         assert_ne!(a, b);
-        assert_eq!(s.pc_count(), 2);
         s.record(a, 100, 2_000, SimTime::from_secs(1)).unwrap();
         s.record(a, 50, 0, SimTime::from_secs(2)).unwrap();
         let st = s.stats_of(a).unwrap();

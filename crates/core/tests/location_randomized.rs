@@ -1,7 +1,7 @@
 //! Deterministic randomized tests for the location database, ported from
-//! the proptest suite (now in `extras/proptest-suite`): longest-prefix
-//! lookup must agree with a naive reference scan, and mutations must
-//! behave. Driven by the in-tree seeded PRNG so the suite is hermetic.
+//! the former proptest suite: longest-prefix lookup must agree with a
+//! naive reference scan, and mutations must behave. Driven by the in-tree
+//! seeded PRNG so the suite is hermetic.
 
 use itc_core::location::LocationDb;
 use itc_core::proto::ServerId;

@@ -1,7 +1,7 @@
 //! Deterministic randomized tests for the protection machinery, ported
-//! from the proptest suite (now in `extras/proptest-suite`): CPS
-//! computation, ACL algebra, and the lock table against reference models.
-//! Driven by the in-tree seeded PRNG so the suite is hermetic.
+//! from the former proptest suite: CPS computation, ACL algebra, and the
+//! lock table against reference models. Driven by the in-tree seeded PRNG
+//! so the suite is hermetic.
 
 use itc_core::protect::{AccessList, ProtectionDomain, Rights};
 use itc_core::server::{LockKind, LockTable};

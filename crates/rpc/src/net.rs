@@ -65,16 +65,6 @@ impl Network {
             2
         }
     }
-
-    /// Number of clusters.
-    pub fn cluster_count(&self) -> u32 {
-        self.clusters
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> u32 {
-        self.node_cluster.len() as u32
-    }
 }
 
 #[cfg(test)]
@@ -93,8 +83,6 @@ mod tests {
         assert_eq!(net.hops(ws0, srv1), 2);
         assert_eq!(net.hops(srv1, ws0), 2);
         assert_eq!(net.hops(ws0, ws0), 0);
-        assert_eq!(net.cluster_count(), 2);
-        assert_eq!(net.node_count(), 3);
         assert_eq!(net.cluster_of(srv1), c1);
     }
 

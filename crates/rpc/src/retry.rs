@@ -33,17 +33,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: one attempt, the given timeout.
-    pub fn no_retry(timeout: SimTime) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            timeout,
-            base_backoff: SimTime::ZERO,
-            max_backoff: SimTime::ZERO,
-            jitter: 0.0,
-        }
-    }
-
     /// The default fault-tolerant policy: 4 attempts, exponential backoff
     /// from 1 s capped at 8 s, ±25% jitter.
     pub fn standard(timeout: SimTime) -> RetryPolicy {
@@ -143,14 +132,6 @@ mod tests {
                 "retry {retry}: {got} outside [{lo}, {hi}]"
             );
         }
-    }
-
-    #[test]
-    fn no_retry_policy_has_zero_backoff() {
-        let p = RetryPolicy::no_retry(SimTime::from_secs(15));
-        let mut rng = SimRng::seeded(5);
-        assert_eq!(p.max_attempts, 1);
-        assert_eq!(p.backoff(1, &mut rng), SimTime::ZERO);
     }
 
     #[test]

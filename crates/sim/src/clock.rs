@@ -182,12 +182,6 @@ impl Clock {
         self.now.fetch_max(t.0, Ordering::SeqCst);
     }
 
-    /// Advances the clock by `d` from its current value and returns the new
-    /// time.
-    pub fn advance_by(&self, d: SimTime) -> SimTime {
-        SimTime(self.now.fetch_add(d.0, Ordering::SeqCst) + d.0)
-    }
-
     /// Resets the clock to zero. Intended for reusing one topology across
     /// repeated experiment trials.
     pub fn reset(&self) {
@@ -239,8 +233,6 @@ mod tests {
         // Attempting to move backward is a no-op.
         c.advance_to(SimTime::from_secs(5));
         assert_eq!(c.now(), SimTime::from_secs(10));
-        let t = c.advance_by(SimTime::from_secs(1));
-        assert_eq!(t, SimTime::from_secs(11));
         c.reset();
         assert_eq!(c.now(), SimTime::ZERO);
     }

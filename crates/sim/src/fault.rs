@@ -15,12 +15,14 @@
 //!   scripted precisely via [`FaultPlan::inject_once`] (the FIFO of one-shot
 //!   faults is what the fault tests use to stage exact scenarios like "the
 //!   reply to the *next* Store to server 1 is lost").
-//! * **Server lifecycle** — has a crash or restart been scheduled at or
-//!   before the current virtual time? The *owner* of the servers polls
-//!   [`FaultPlan::due_crashes`] / [`FaultPlan::due_restarts`] and applies
-//!   the state changes; crashing a simulated Vice server loses its
-//!   in-memory state (callback promises, replay cache, locks) exactly as a
-//!   reboot of the real machine would.
+//! * **Server lifecycle** — when is a crash, restart or corruption
+//!   scheduled? The *owner* of the servers reads
+//!   [`FaultPlan::crash_schedule`] / [`FaultPlan::restart_schedule`] /
+//!   [`FaultPlan::corruption_schedule`] once at installation, enters the
+//!   events into its own calendar and applies the state changes when they
+//!   fire; crashing a simulated Vice server loses its in-memory state
+//!   (callback promises, replay cache, locks) exactly as a reboot of the
+//!   real machine would.
 //!
 //! The plan also keeps [`FaultStats`] so tests can assert exactly how many
 //! faults fired.
@@ -93,9 +95,8 @@ impl FaultStats {
 
 /// A deterministic plan of message faults and server crashes.
 ///
-/// Lifecycle schedules are kept sorted by `(at, server)` so the due-event
-/// queries drain from the front instead of rescanning (and re-sorting) the
-/// whole history on every poll.
+/// Lifecycle schedules are kept sorted by `(at, server)`, so they read
+/// back in firing order no matter how they were authored or merged.
 #[derive(Debug)]
 pub struct FaultPlan {
     rng: SimRng,
@@ -170,7 +171,7 @@ impl FaultPlan {
     }
 
     /// Schedules `server` to crash at virtual time `at`, losing all
-    /// in-memory state (the owner applies the crash via [`Self::due_crashes`]).
+    /// in-memory state (the owner reads it via [`Self::crash_schedule`]).
     pub fn schedule_crash(&mut self, server: u32, at: SimTime) {
         Self::insert_sorted(&mut self.crashes, server, at);
     }
@@ -188,69 +189,29 @@ impl FaultPlan {
         Self::insert_sorted(&mut self.corruptions, server, at);
     }
 
-    /// Crash events due at or before `now`, drained from the schedule.
-    pub fn due_crashes(&mut self, now: SimTime) -> Vec<u32> {
-        Self::drain_due(&mut self.crashes, now)
-    }
-
-    /// Restart events due at or before `now`, drained from the schedule.
-    pub fn due_restarts(&mut self, now: SimTime) -> Vec<u32> {
-        Self::drain_due(&mut self.restarts, now)
-    }
-
-    /// Every crash still scheduled, as `(server, at)` pairs in firing
-    /// order. An event-driven owner reads the whole schedule once at
-    /// installation and enters it into its own calendar instead of polling
-    /// [`Self::due_crashes`].
+    /// Every crash scheduled, as `(server, at)` pairs in firing order. The
+    /// owner reads the whole schedule once at installation and enters it
+    /// into its own calendar.
     pub fn crash_schedule(&self) -> Vec<(u32, SimTime)> {
         self.crashes.iter().map(|&(at, s)| (s, at)).collect()
     }
 
-    /// Every restart still scheduled, as `(server, at)` pairs in firing
+    /// Every restart scheduled, as `(server, at)` pairs in firing
     /// order.
     pub fn restart_schedule(&self) -> Vec<(u32, SimTime)> {
         self.restarts.iter().map(|&(at, s)| (s, at)).collect()
     }
 
-    /// Every corruption injection still scheduled, as `(server, at)` pairs
+    /// Every corruption injection scheduled, as `(server, at)` pairs
     /// in firing order.
     pub fn corruption_schedule(&self) -> Vec<(u32, SimTime)> {
         self.corruptions.iter().map(|&(at, s)| (s, at)).collect()
     }
 
-    /// Keeps a schedule sorted by `(at, server)` on insertion, so the due
-    /// queries can pop from the front.
+    /// Keeps a schedule sorted by `(at, server)` on insertion.
     fn insert_sorted(events: &mut VecDeque<(SimTime, u32)>, server: u32, at: SimTime) {
         let pos = events.partition_point(|&e| e <= (at, server));
         events.insert(pos, (at, server));
-    }
-
-    fn drain_due(events: &mut VecDeque<(SimTime, u32)>, now: SimTime) -> Vec<u32> {
-        let mut due = Vec::new();
-        while let Some(&(at, server)) = events.front() {
-            if at > now {
-                break;
-            }
-            events.pop_front();
-            due.push(server);
-        }
-        due
-    }
-
-    /// Whether the plan schedules any server crash. A crash bumps the
-    /// victim's epoch, which can invalidate cached state far from the
-    /// victim's own cluster, so parallel executors treat crash-bearing
-    /// plans as globally coupling.
-    pub fn has_crashes(&self) -> bool {
-        !self.crashes.is_empty()
-    }
-
-    /// Whether the plan schedules any silent corruption. Unlike crashes,
-    /// corruption events touch only the victim server's own durable state
-    /// and calendar, so a pure-corruption plan does **not** globally couple
-    /// a parallel run.
-    pub fn has_corruptions(&self) -> bool {
-        !self.corruptions.is_empty()
     }
 
     /// Whether the plan carries any fault that couples clusters beyond the
@@ -434,8 +395,8 @@ impl FaultPlan {
     ///
     /// * Lifecycle schedules are unioned element by element through the
     ///   same sorted insert the builder methods use, so the merged schedule
-    ///   drains in `(at, server)` order no matter which plan contributed
-    ///   which event — merge order cannot clobber drain order.
+    ///   fires in `(at, server)` order no matter which plan contributed
+    ///   which event — merge order cannot clobber firing order.
     /// * Scripted one-shot FIFOs are concatenated per server: `self`'s
     ///   staged faults fire before `other`'s for the same server.
     /// * A probabilistic knob set (non-zero) in `other` overrides `self`'s
@@ -492,12 +453,6 @@ impl FaultPlan {
     /// Counters of faults injected so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// The jitter source for retry backoff, forked from the plan's own
-    /// seeded stream so transport retries stay deterministic per plan.
-    pub fn fork_rng(&mut self) -> SimRng {
-        self.rng.fork()
     }
 }
 
@@ -564,21 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_events_fire_once_in_time_order() {
-        let mut p = FaultPlan::new(1);
-        p.schedule_crash(2, SimTime::from_secs(50));
-        p.schedule_crash(1, SimTime::from_secs(10));
-        p.schedule_restart(1, SimTime::from_secs(60));
-        assert!(p.due_crashes(SimTime::from_secs(5)).is_empty());
-        assert_eq!(p.due_crashes(SimTime::from_secs(55)), vec![1, 2]);
-        assert!(p.due_crashes(SimTime::from_secs(100)).is_empty());
-        assert!(p.due_restarts(SimTime::from_secs(59)).is_empty());
-        assert_eq!(p.due_restarts(SimTime::from_secs(60)), vec![1]);
-        assert!(p.due_restarts(SimTime::from_secs(61)).is_empty());
-    }
-
-    #[test]
-    fn schedules_stay_sorted_and_drain_from_the_front() {
+    fn schedules_stay_sorted_by_time_then_server() {
         let mut p = FaultPlan::new(1);
         // Inserted out of order, including a same-instant pair: the
         // schedule reads back sorted by (at, server) without a sort call.
@@ -595,18 +536,10 @@ mod tests {
                 (5, SimTime::from_secs(30)),
             ]
         );
-        // Partial drain takes only the due prefix; the rest stays queued.
-        assert_eq!(p.due_crashes(SimTime::from_secs(15)), vec![3, 9]);
-        assert_eq!(
-            p.crash_schedule(),
-            vec![(1, SimTime::from_secs(20)), (5, SimTime::from_secs(30))]
-        );
-        assert_eq!(p.due_crashes(SimTime::from_secs(100)), vec![1, 5]);
-        assert!(p.crash_schedule().is_empty());
     }
 
     #[test]
-    fn merged_plans_keep_sorted_drain_order() {
+    fn merged_plans_keep_sorted_firing_order() {
         // A crash/restart schedule authored in one plan and a delay plan
         // authored in another: merging must interleave the lifecycle events
         // into (at, server) order, exactly as if one plan had scheduled
@@ -637,8 +570,6 @@ mod tests {
             ]
         );
         assert_eq!(merged.restart_schedule(), vec![(0, SimTime::from_secs(70))]);
-        // Drains honor the merged order.
-        assert_eq!(merged.due_crashes(SimTime::from_secs(30)), vec![0, 1, 3]);
         // The scripted fault and the delay knob came across.
         assert_eq!(merged.reply_fault(1), MessageFault::Drop);
         assert_eq!(
@@ -653,7 +584,7 @@ mod tests {
     #[test]
     fn merge_is_order_independent_for_schedules() {
         // Building (A then merge B) and (B then merge A) must produce the
-        // same lifecycle drain order: sorted insertion, not append order,
+        // same lifecycle firing order: sorted insertion, not append order,
         // decides firing order.
         let build_a = |p: &mut FaultPlan| {
             p.schedule_crash(4, SimTime::from_secs(20));

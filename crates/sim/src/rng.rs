@@ -4,7 +4,7 @@
 //! the top of the run, so results are reproducible bit-for-bit. The
 //! generator itself is a self-contained xoshiro256** seeded through
 //! SplitMix64 — no external crates, so the whole suite builds and runs
-//! hermetically — and the distribution sampling (exponential, log-normal,
+//! hermetically — and the distribution sampling (exponential,
 //! bounded Pareto, geometric) is implemented here directly rather than
 //! pulling in `rand_distr`: the formulas are a few lines each and keeping
 //! them local makes the workload model self-contained and auditable.
@@ -112,18 +112,6 @@ impl SimRng {
     pub fn exponential(&mut self, mean: f64) -> f64 {
         let u = 1.0 - self.unit(); // (0, 1]: avoids ln(0)
         -mean * u.ln()
-    }
-
-    /// Standard normal via Box–Muller.
-    pub fn standard_normal(&mut self) -> f64 {
-        let u1 = 1.0 - self.unit();
-        let u2 = self.unit();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Log-normal with the given parameters of the underlying normal.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.standard_normal()).exp()
     }
 
     /// Bounded Pareto on `[lo, hi]` with shape `alpha` — the heavy-tailed

@@ -227,12 +227,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// The instant of the next live event, if any.
-    pub fn peek_at(&mut self) -> Option<SimTime> {
-        self.skim();
-        self.heap.peek().map(|k| k.at)
-    }
-
     /// The full ordering key of the next live event, if any. Exposed so an
     /// owner of several calendars (one per cluster) can merge-pop them in a
     /// deterministic total order.
@@ -251,15 +245,6 @@ impl<E> Scheduler<E> {
             }
         }
         None
-    }
-
-    /// Pops the next live event only if it is due at or before `limit`.
-    pub fn pop_due(&mut self, limit: SimTime) -> Option<Firing<E>> {
-        if self.peek_at()? <= limit {
-            self.pop()
-        } else {
-            None
-        }
     }
 
     /// Logically cancels event `id` in O(1): the payload is dropped now and
@@ -344,16 +329,6 @@ mod tests {
             run(8),
             "different seeds should shuffle same-instant ties"
         );
-    }
-
-    #[test]
-    fn pop_due_respects_the_limit() {
-        let mut s: Scheduler<&str> = Scheduler::seeded(1);
-        s.schedule(SimTime::from_secs(1), "early");
-        s.schedule(SimTime::from_secs(10), "late");
-        assert_eq!(s.pop_due(SimTime::from_secs(5)).unwrap().ev, "early");
-        assert!(s.pop_due(SimTime::from_secs(5)).is_none());
-        assert_eq!(s.len(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Statistics collected by experiments: counters, histograms, percentiles,
-//! running moments, and time-bucketed series.
+//! Statistics collected by experiments: counters, percentiles, running
+//! means, and time-bucketed series.
 
 use crate::clock::SimTime;
 use std::collections::BTreeMap;
@@ -95,67 +95,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// A histogram over `u64` values with caller-supplied bucket edges.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    edges: Vec<u64>,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram whose buckets are `(-inf, e0], (e0, e1], ...,
-    /// (eN, +inf)`. Edges must be strictly increasing.
-    pub fn with_edges(edges: &[u64]) -> Histogram {
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "histogram edges must be strictly increasing"
-        );
-        Histogram {
-            edges: edges.to_vec(),
-            counts: vec![0; edges.len() + 1],
-            total: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        let idx = self.edges.partition_point(|&e| e < value);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of observations at or below `edge` (must be one of the
-    /// configured edges).
-    pub fn cumulative_fraction_at(&self, edge: u64) -> f64 {
-        let pos = self
-            .edges
-            .iter()
-            .position(|&e| e == edge)
-            .expect("edge not configured");
-        if self.total == 0 {
-            return 0.0;
-        }
-        let below: u64 = self.counts[..=pos].iter().sum();
-        below as f64 / self.total as f64
-    }
-
-    /// Iterates `(upper_edge, count)`; the final bucket reports
-    /// `u64::MAX` as its edge.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.edges
-            .iter()
-            .copied()
-            .chain(std::iter::once(u64::MAX))
-            .zip(self.counts.iter().copied())
-    }
-}
-
 /// Exact percentiles over a retained sample set.
 #[derive(Debug, Default, Clone)]
 pub struct Percentiles {
@@ -217,13 +156,12 @@ impl Percentiles {
     }
 }
 
-/// Streaming mean/variance via Welford's algorithm — used where retaining
-/// every sample would be wasteful (per-operation latencies in long runs).
+/// Streaming count/mean/min/max — used where retaining every sample would
+/// be wasteful (per-operation latencies in long runs).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -234,7 +172,6 @@ impl RunningStats {
         RunningStats {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -245,7 +182,6 @@ impl RunningStats {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -258,15 +194,6 @@ impl RunningStats {
     /// Mean; zero when empty.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Population standard deviation; zero for fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
     }
 
     /// Smallest sample; `None` when empty.
@@ -344,27 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_cdf() {
-        let mut h = Histogram::with_edges(&[1_000, 10_000, 100_000]);
-        for v in [500, 1_000, 5_000, 50_000, 500_000] {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 5);
-        // <=1000: 2 of 5.
-        assert!((h.cumulative_fraction_at(1_000) - 0.4).abs() < 1e-12);
-        assert!((h.cumulative_fraction_at(100_000) - 0.8).abs() < 1e-12);
-        let buckets: Vec<_> = h.iter().collect();
-        assert_eq!(buckets[0], (1_000, 2));
-        assert_eq!(buckets[3], (u64::MAX, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_bad_edges() {
-        let _ = Histogram::with_edges(&[10, 10]);
-    }
-
-    #[test]
     fn percentiles_nearest_rank() {
         let mut p = Percentiles::new();
         assert!(p.percentile(50.0).is_none());
@@ -386,7 +292,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }

@@ -1,9 +1,8 @@
 //! Deterministic randomized tests for the file system substrate, ported
-//! from the proptest suite (which now lives in `extras/proptest-suite` and
-//! needs a registry): a seeded sequence of operations is applied both to
-//! the [`itc_unixfs::FileSystem`] and to a trivial model (a map from path
-//! to contents), and the two must agree. The seed is fixed, so the suite
-//! is hermetic and bit-reproducible.
+//! from the former proptest suite: a seeded sequence of operations is
+//! applied both to the [`itc_unixfs::FileSystem`] and to a trivial model
+//! (a map from path to contents), and the two must agree. The seed is
+//! fixed, so the suite is hermetic and bit-reproducible.
 
 use itc_unixfs::{FileSystem, FsError, Mode};
 use std::collections::BTreeMap;

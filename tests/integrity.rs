@@ -23,7 +23,7 @@ use itc_afs::core::system::ItcSystem;
 use itc_afs::core::volume::{Volume, VolumeId};
 use itc_afs::core::SystemConfig;
 use itc_afs::rpc::NodeId;
-use itc_afs::sim::{Costs, FaultPlan, SimRng, SimTime, TraversalMode, ValidationMode};
+use itc_afs::sim::{Costs, FaultPlan, Percentiles, SimRng, SimTime, TraversalMode, ValidationMode};
 use itc_workload::day::{run_day, run_day_drivers, run_day_on, DayConfig};
 use itc_workload::scenario::corruption_storm::{self, CorruptionStormConfig};
 
@@ -400,6 +400,44 @@ fn corruption_storm_leaves_zero_latent_corruptions() {
     assert!(s0.passes > 0 && s1.passes > 0);
     assert!(s0.mismatches_detected + s1.mismatches_detected > 0);
     assert!(report.anomaly_count("integrity_fault") > 0);
+
+    // The storm's integrity economics are virtual-time exact, so they are
+    // pinned literally: how each flip was resolved, what the scrubber
+    // scanned and what it cost in disk time, and the detection-latency
+    // percentiles across the injected flips.
+    assert_eq!((cfg.workstations, cfg.files, cfg.flips), (8, 16, 12));
+    assert_eq!(
+        (
+            counters.injected,
+            counters.detected(),
+            counters.latent,
+            counters.repaired,
+            counters.offlined,
+            counters.rejected_at_salvage,
+            counters.caught_at_fetch,
+        ),
+        (12, 12, 0, 1, 8, 3, 0)
+    );
+    assert_eq!(
+        (
+            s0.passes + s1.passes,
+            s0.files_scanned + s1.files_scanned,
+            s0.bytes_scanned + s1.bytes_scanned,
+            s0.mismatches_detected + s1.mismatches_detected,
+            sys.attribution().summary().scrub_disk.as_micros(),
+        ),
+        (86, 1088, 24_585_728, 267, 54_331_456)
+    );
+    let mut latency_us = Percentiles::new();
+    for ev in (0..2).flat_map(|s| sys.server_corruption_log(ServerId(s))) {
+        if let Some(at) = ev.detected_at {
+            latency_us.record((at.as_micros() - ev.injected_at.as_micros()) as f64);
+        }
+    }
+    assert_eq!(
+        [50.0, 90.0, 100.0].map(|p| latency_us.percentile(p)),
+        [25_000_000.0, 1_180_652_720.0, 1_230_652_720.0].map(Some)
+    );
 
     // No corrupt byte is ever served: every shared source file fetched
     // after the storm is either exactly the committed content or refused.

@@ -118,6 +118,70 @@ fn login_storm_cancelled_timer_churn_is_pinned() {
 }
 
 // ---------------------------------------------------------------------
+// The series shape of the three pinned storms
+// ---------------------------------------------------------------------
+
+/// Everything `bench top` can show about a pinned storm is a virtual-time
+/// observable, so its shape is pinned literally per storm: final clock,
+/// events executed, calls, the series' line count split into server /
+/// volume / cluster minute buckets (the remainder are health events), and
+/// the health verdicts counted per rule.
+#[test]
+fn storm_series_shapes_are_pinned() {
+    type Row = (&'static str, ItcSystem, [u64; 7], &'static str);
+    let rows: [Row; 3] = [
+        (
+            "callback_storm",
+            callback_storm::run(&CallbackStormConfig::small())
+                .unwrap()
+                .0,
+            [498_178_925, 3402, 636, 33, 9, 13, 9],
+            "retry_rate:1,tail_latency:1",
+        ),
+        (
+            "login_storm",
+            login_storm::run(&LoginStormConfig::small()).unwrap().0,
+            [242_800_595, 843, 160, 57, 4, 50, 3],
+            "",
+        ),
+        (
+            "corruption_storm",
+            corruption_storm::run(&CorruptionStormConfig::small())
+                .unwrap()
+                .0,
+            [1_391_899_973, 2305, 424, 82, 48, 16, 16],
+            "integrity_burn:2",
+        ),
+    ];
+    for (name, sys, shape, verdicts) in rows {
+        let health = sys.health_events();
+        let lines = sys.obs_summary().lines(&health);
+        let count = |pick: fn(&ObsLine) -> bool| lines.iter().filter(|l| pick(l)).count() as u64;
+        let measured = [
+            sys.now().as_micros(),
+            sys.event_stats().executed,
+            sys.metrics().total_calls(),
+            lines.len() as u64,
+            count(|l| matches!(l, ObsLine::Server(_))),
+            count(|l| matches!(l, ObsLine::Volume(_))),
+            count(|l| matches!(l, ObsLine::Cluster(_))),
+        ];
+        assert_eq!(measured, shape, "{name}: series shape drifted");
+        assert_eq!(
+            count(|l| matches!(l, ObsLine::Health(_))),
+            health.len() as u64
+        );
+
+        let mut by_rule = std::collections::BTreeMap::<&str, u64>::new();
+        for ev in &health {
+            *by_rule.entry(ev.rule.label()).or_default() += 1;
+        }
+        let by_rule: Vec<String> = by_rule.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+        assert_eq!(by_rule.join(","), verdicts, "{name}: health verdicts");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Series export: round-trips, disk, schedule-independence
 // ---------------------------------------------------------------------
 
@@ -145,7 +209,7 @@ fn series_export_round_trips_through_the_offline_renderer() {
     assert_eq!(render_console(&lines), live);
 
     // Export to disk and read back: same bytes (mirrors the anomaly-dump
-    // round-trip; CI also diffs two exports of separate processes).
+    // round-trip).
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_export");
     let path = sys.export_series(&dir).expect("export");
     assert_eq!(path.file_name().unwrap(), "series.jsonl");
@@ -154,8 +218,7 @@ fn series_export_round_trips_through_the_offline_renderer() {
 
 /// The observer must not see the parallel schedule: the full series
 /// export of the four-cluster login storm is byte-identical between the
-/// sequential and 4-worker runs (the same gate ci.sh drives through
-/// `pdes series`).
+/// sequential and 4-worker runs.
 #[test]
 fn series_export_is_schedule_independent() {
     let cfg = LoginStormConfig::parallel();

@@ -15,7 +15,7 @@ use itc_afs::core::protect::{AccessList, Rights};
 use itc_afs::core::proto::{Payload, ServerId};
 use itc_afs::core::system::ItcSystem;
 use itc_afs::core::volume::{Volume, VolumeId};
-use itc_afs::sim::{FaultPlan, SimTime, ValidationMode};
+use itc_afs::sim::{Costs, FaultPlan, SimTime, ValidationMode};
 
 const SHARED: &str = "/vice/usr/shared";
 
@@ -146,6 +146,44 @@ fn every_torn_cut_point_salvages_to_a_committed_prefix() {
              state is not the committed prefix"
         );
     }
+}
+
+/// Salvage cost against journal length, for 1 KiB stores: journal `n`
+/// records, force the log, crash with a clean tail, salvage. Every
+/// committed record is replayed, and the virtual time the event pipeline
+/// charges for the pass (`Costs::salvage_time` over `Disk::salvage_work`)
+/// is pinned at each length — the marginal cost is 7,156 µs per record
+/// (per-record replay CPU plus the record's bytes at disk bandwidth).
+#[test]
+fn salvage_replays_every_record_at_a_pinned_virtual_cost() {
+    let costs = Costs::prototype_1985();
+    let mut virtual_us = Vec::new();
+    for (n, journal_bytes) in [(64u64, 68_992u64), (256, 275_968), (1024, 1_103_872)] {
+        let mut disk = Disk::new(SyncPolicy::WriteAhead);
+        let mut vol = sweep_volume();
+        disk.checkpoint(&vol);
+        for i in 0..n {
+            let op = JournalOp::Store {
+                path: format!("/f{i:05}"),
+                uid: 0,
+                mtime: i,
+                data: Payload::from_vec(vec![0xb5; 1024]),
+            };
+            let seq = disk.begin(vol.id(), op.clone());
+            let ok = op.apply(&mut vol).is_ok();
+            disk.commit(seq, ok);
+        }
+        disk.sync();
+        disk.crash_truncate(0);
+
+        assert_eq!(disk.salvage_work(VolumeId(3)), (n, journal_bytes));
+        virtual_us.push(costs.salvage_time(journal_bytes, n).as_micros());
+        let (_, report) = disk.salvage(VolumeId(3)).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.replayed, n, "salvage must replay every record");
+    }
+    assert_eq!(virtual_us, [717_984, 2_091_936, 7_587_744]);
+    assert_eq!((virtual_us[2] - virtual_us[0]) / (1024 - 64), 7156);
 }
 
 // ----------------------------------------------------------------------

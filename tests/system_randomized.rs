@@ -1,10 +1,9 @@
-//! Deterministic randomized integration tests, ported from the proptest
-//! suite (now in `extras/proptest-suite`): seeded multi-workstation
-//! operation sequences against a flat model of expected shared-file
-//! contents. The system must agree with the model after every operation —
-//! regardless of validation mode, traversal mode, or which workstation
-//! performs each step. Driven by the in-tree seeded PRNG so the suite is
-//! hermetic and bit-reproducible.
+//! Deterministic randomized integration tests, ported from the former
+//! proptest suite: seeded multi-workstation operation sequences against a
+//! flat model of expected shared-file contents. The system must agree with
+//! the model after every operation — regardless of validation mode,
+//! traversal mode, or which workstation performs each step. Driven by the
+//! in-tree seeded PRNG so the suite is hermetic and bit-reproducible.
 
 use itc_afs::core::config::SystemConfig;
 use itc_afs::core::system::ItcSystem;

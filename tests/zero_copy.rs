@@ -1,6 +1,6 @@
 //! PR 3 zero-copy guarantees, enforced by counting.
 //!
-//! Two meters watch the warm-cache open path:
+//! Two meters watch the data path:
 //!
 //! * the payload copy counter (`proto::payload::bytes_copied`), which every
 //!   `Payload::from_slice` / `Payload::to_vec` and every deliberate
@@ -12,7 +12,8 @@
 //!
 //! A warm open-hit must register zero payload copies and allocate far less
 //! than one file's worth of bytes: the cached `Payload` is handed to the
-//! open handle by refcount bump.
+//! open handle by refcount bump. A cold store or fetch must register
+//! exactly one.
 
 use itc_afs::core::config::SystemConfig;
 use itc_afs::core::proto::payload::{bytes_copied, reset_bytes_copied};
@@ -102,6 +103,53 @@ fn warm_open_hit_copies_no_payload_bytes() {
     let h = sys.open_read(0, "/vice/usr/satya/big.dat").unwrap();
     assert_eq!(sys.read(0, h).unwrap(), body);
     sys.close(0, h).unwrap();
+}
+
+/// The cold paths copy each file exactly once, at the server's filesystem
+/// boundary: 40 workstations on 4 clusters each store one 64 KiB file,
+/// then every workstation cold-fetches five files other workstations
+/// wrote. The pre-PR 3 pipeline copied a file ~8× per store and ~7× per
+/// fetch (DESIGN.md §9 has the site-by-site audit).
+#[test]
+fn macro_storm_copies_each_file_once_per_store_and_per_fetch() {
+    const CLIENTS: usize = 40;
+    const FILE_BYTES: usize = 64 * 1024;
+    const FETCH_FANOUT: usize = 5;
+
+    let _window = METER.lock().unwrap();
+    let mut sys = ItcSystem::build(SystemConfig::revised(4, 10));
+    for ws in 0..CLIENTS {
+        let user = format!("user{ws:02}");
+        sys.add_user(&user, "pw").unwrap();
+        sys.login(ws, &user, "pw").unwrap();
+    }
+    sys.mkdir_p(0, "/vice/usr/storm").unwrap();
+    let body = vec![0x5au8; FILE_BYTES];
+
+    reset_bytes_copied();
+    for ws in 0..CLIENTS {
+        sys.store(ws, &format!("/vice/usr/storm/f{ws:02}"), body.clone())
+            .unwrap();
+    }
+    assert_eq!(
+        bytes_copied(),
+        (CLIENTS * FILE_BYTES) as u64,
+        "copies per store must be exactly 1.0"
+    );
+
+    reset_bytes_copied();
+    for ws in 0..CLIENTS {
+        for k in 1..=FETCH_FANOUT {
+            let other = (ws + k) % CLIENTS;
+            let data = sys.fetch(ws, &format!("/vice/usr/storm/f{other:02}"));
+            assert_eq!(data.unwrap().len(), FILE_BYTES);
+        }
+    }
+    assert_eq!(
+        bytes_copied(),
+        (CLIENTS * FETCH_FANOUT * FILE_BYTES) as u64,
+        "copies per cold fetch must be exactly 1.0"
+    );
 }
 
 /// Per-call statistics are on the hot path of every simulated RPC: once a
