@@ -21,6 +21,13 @@ cargo test -q --workspace --offline
 echo "== paper tables (full scale, byte-identical to results/full_tables.txt) =="
 cargo run -q -p itc-bench --release --offline --bin tables -- --full all | diff - results/full_tables.txt
 
+# The examples are the only callers of most facade-only workstation ops
+# (surrogate PCs, mobility, ACL edits, heterogeneous /bin).
+echo "== examples (each must exit 0) =="
+for ex in examples/*.rs; do
+    cargo run -q --release --offline --example "$(basename "$ex" .rs)" > /dev/null
+done
+
 # One test thread: the harness's allocator unit test reads process-wide
 # counters that its sibling tests move when they run beside it.
 echo "== benchmark (build, unit tests, smoke run against blessed fingerprints) =="

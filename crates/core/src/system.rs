@@ -5,17 +5,21 @@
 //!   chain of scheduler events (request departs → arrives → queues → is
 //!   served → reply departs → arrives), sharing one calendar with retry
 //!   timeouts, scheduled crashes, salvage passes, and callback deliveries;
-//! * `ops` — the workstation system-call surface (sessions, file
-//!   operations, surrogates);
+//! * `parallel` — [`parallel::WsOps`], the one implementation of the
+//!   workstation system-call surface, and `run_drivers`, the one scheduler
+//!   of workstation operations (sequential reference and conservative
+//!   parallel execution);
+//! * `ops` — the facade over that surface (sessions, file operations,
+//!   surrogates);
 //! * `admin` — operator actions (users, volumes, replication, fault
 //!   plans, monitoring, metrics).
 //!
 //! [`ItcSystem`] is the façade experiments and examples drive. Its
-//! file-operation methods mirror the workstation system-call layer: each
-//! takes a workstation id, runs the Venus logic (which may issue
-//! authenticated RPCs through the simulated network), advances virtual
-//! time, and afterwards delivers any callback breaks the touched server
-//! generated.
+//! file-operation methods forward to a whole-system [`parallel::WsOps`]
+//! view: each takes a workstation id, runs the Venus logic (which may
+//! issue authenticated RPCs through the simulated network), advances
+//! virtual time, and afterwards delivers any callback breaks the touched
+//! server generated.
 //!
 //! ## Time model
 //!
@@ -49,7 +53,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use self::topology::Topology;
-use self::transport::{EventCore, NetEvent, Parts, PendingBreak, SystemTransport};
+use self::transport::EventCore;
 
 /// Index of a workstation within the system.
 pub type WsId = usize;
@@ -193,8 +197,7 @@ impl ItcSystem {
 
     /// Advances a workstation's local time (think time).
     pub fn advance_ws(&mut self, ws: WsId, to: SimTime) {
-        self.clients[ws].advance_to(to);
-        self.clock.advance_to(to);
+        self.whole().advance_ws(ws, to);
     }
 
     /// Direct read access to a workstation's Venus (for metrics/tests).
@@ -219,108 +222,5 @@ impl ItcSystem {
             .iter()
             .map(|s| s.stats().calls_of(kind))
             .sum()
-    }
-
-    // ------------------------------------------------------------------
-    // Core plumbing shared by the operation layers
-    // ------------------------------------------------------------------
-
-    /// Splits the system into the transport (borrowing the topology, event
-    /// core, kernel, clock, monitor, and protection domain) and the Venus
-    /// instances — the borrow shape that lets one Venus drive the
-    /// transport while the others stay reachable for callback delivery.
-    pub(crate) fn split(&mut self) -> (SystemTransport<'_>, &mut Vec<Venus>) {
-        let ItcSystem {
-            topo,
-            clients,
-            clock,
-            kernel,
-            domain,
-            monitor,
-            core,
-            ..
-        } = self;
-        // The flag is identical across clusters; copied out so the
-        // transport never needs cluster 0 just to branch on it.
-        let tracing = core.clusters[0].trace.is_enabled();
-        (
-            SystemTransport {
-                servers: Parts::Whole(&mut topo.servers),
-                cores: Parts::Whole(&mut core.clusters),
-                net: &topo.network,
-                home: &topo.home,
-                server_nodes: &topo.server_nodes,
-                kernel,
-                clock,
-                monitor: monitor.as_mut(),
-                domain,
-                retry: core.retry,
-                plan_gen: core.plan_gen,
-                scrub_interval: core.scrub_interval,
-                scrub_gen: core.scrub_gen,
-                tracing,
-            },
-            clients,
-        )
-    }
-
-    /// Runs one workstation operation: flushes due deferred writes, applies
-    /// `f` with the event-driven transport, advances the global clock, and
-    /// delivers any callback breaks the exchange scheduled.
-    pub(crate) fn with_venus<R>(
-        &mut self,
-        ws: WsId,
-        f: impl FnOnce(&mut Venus, &mut SystemTransport<'_>) -> Result<R, VenusError>,
-    ) -> Result<R, SystemError> {
-        let result = {
-            let (mut transport, clients) = self.split();
-            let venus = &mut clients[ws];
-            // Deferred writes whose deadline has passed flush before the
-            // next operation proceeds.
-            venus
-                .flush_due(&mut transport)
-                .and_then(|_| f(venus, &mut transport))
-        };
-        self.clock.advance_to(self.clients[ws].now());
-        self.deliver_pending_breaks();
-        result.map_err(SystemError::Venus)
-    }
-
-    /// Applies every callback break the last exchange produced — both
-    /// those popped from the calendar mid-pump and those still queued —
-    /// to the target workstations' caches. Delivery is functional and
-    /// immediate: the network cost was charged when the break was
-    /// scheduled, but a lagging workstation's clock is not dragged
-    /// forward.
-    pub(crate) fn deliver_pending_breaks(&mut self) {
-        for cluster in &mut self.core.clusters {
-            let mut breaks = std::mem::take(&mut cluster.pending);
-            // Claim the still-queued BreakDeliver events by recorded id
-            // (O(1) tombstone each, counted as cancellations — they are
-            // being rerouted out of the calendar, not executed there).
-            // Ids that already fired mid-pump return `None` and were
-            // captured in `pending` above; sorting the claimed batch by
-            // (time, id) reproduces the order the calendar would have
-            // popped them in.
-            let mut claimed = Vec::new();
-            for id in std::mem::take(&mut cluster.break_ids) {
-                if let Some(f) = cluster.sched.take(id) {
-                    claimed.push((f.at, f.id, f.ev));
-                }
-            }
-            claimed.sort_by_key(|&(at, id, _)| (at, id));
-            for (_, _, ev) in claimed {
-                if let NetEvent::BreakDeliver { to_ws, paths } = ev {
-                    for path in paths {
-                        breaks.push(PendingBreak { to_ws, path });
-                    }
-                }
-            }
-            for b in breaks {
-                if let Some(&ws) = self.topo.node_to_ws.get(&b.to_ws) {
-                    self.clients[ws].on_callback_break(&b.path);
-                }
-            }
-        }
     }
 }

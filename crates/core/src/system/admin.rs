@@ -499,12 +499,9 @@ impl ItcSystem {
     }
 
     /// The jittered backoff workstation `ws` should wait before its next
-    /// probe of `server`: zero while the server is healthy, exponential
-    /// with seeded per-workstation jitter while it keeps failing. Scenario
-    /// drivers consult this between revalidation probes so a whole
-    /// cluster's clients do not re-arrive as one thundering herd.
+    /// probe of `server` (see `WsOps::reconnect_backoff`).
     pub fn reconnect_backoff(&mut self, ws: usize, server: ServerId) -> SimTime {
-        self.clients[ws].reconnect_backoff(server)
+        self.whole().reconnect_backoff(ws, server)
     }
 
     /// Consecutive failed exchanges workstation `ws` has had with `server`.
@@ -595,22 +592,14 @@ impl ItcSystem {
     /// observe server state directly.
     pub fn run_fault_schedule(&mut self) {
         let now = self.clock.now();
-        {
-            // One executor for lifecycle events: the transport's idle pump
-            // handles crashes (torn-write draw), restarts (salvager
-            // scheduling), and completed salvage passes identically
-            // whether fired here or before a call.
-            let (mut t, _) = self.split();
-            t.pump_idle(now);
-        }
-        // Callback breaks that matured during the pump, cluster by cluster.
-        for cluster in &mut self.core.clusters {
-            for b in std::mem::take(&mut cluster.pending) {
-                if let Some(&ws) = self.topo.node_to_ws.get(&b.to_ws) {
-                    self.clients[ws].on_callback_break(&b.path);
-                }
-            }
-        }
+        let mut ops = self.whole();
+        // One executor for lifecycle events: the transport's idle pump
+        // handles crashes (torn-write draw), restarts (salvager
+        // scheduling), and completed salvage passes identically
+        // whether fired here or before a call.
+        ops.transport.pump_idle(now);
+        // Callback breaks that matured during the pump.
+        ops.deliver_pending_breaks();
     }
 
     // ------------------------------------------------------------------

@@ -7,7 +7,6 @@ use crate::proto::{EntryKind, VStatus};
 use crate::surrogate::{PcId, Surrogate};
 use crate::system::{ItcSystem, SystemError, WsId};
 use crate::venus::{Space, VenusError};
-use itc_cryptbox::derive_key;
 
 impl ItcSystem {
     // ------------------------------------------------------------------
@@ -19,27 +18,7 @@ impl ItcSystem {
     /// Vice by establishing the first authenticated binding. A wrong
     /// password fails here, during the mutual handshake.
     pub fn login(&mut self, ws: WsId, user: &str, password: &str) -> Result<(), SystemError> {
-        let key = derive_key(password, user);
-        self.clients[ws].set_session(user, key);
-        // Establish (and thereby verify) the binding to the home server.
-        let node = self.topo.ws_nodes[ws];
-        let home = self.topo.home[&node];
-        let at = self.clients[ws].now();
-        let outcome = {
-            let (mut transport, _) = self.split();
-            transport.ensure_binding(node, user, key, home, at)
-        };
-        match outcome {
-            Ok(ready) => {
-                self.clients[ws].advance_to(ready);
-                self.clock.advance_to(ready);
-                Ok(())
-            }
-            Err(e) => {
-                self.clients[ws].clear_session();
-                Err(SystemError::AuthFailed(e))
-            }
-        }
+        self.whole().login(ws, user, password)
     }
 
     /// Ends the session at a workstation, flushing any deferred writes
@@ -49,7 +28,7 @@ impl ItcSystem {
         if self.clients[ws].dirty_count() > 0 {
             // Best effort: a failure here (e.g. quota) leaves the entries
             // dirty, exactly as a real Venus would.
-            let _ = self.with_venus(ws, |v, t| v.flush_all(t));
+            let _ = self.whole().flush_all(ws);
         }
         let node = self.topo.ws_nodes[ws];
         self.clients[ws].clear_session();
@@ -67,47 +46,42 @@ impl ItcSystem {
 
     /// Opens a file for reading; returns a handle.
     pub fn open_read(&mut self, ws: WsId, path: &str) -> Result<u64, SystemError> {
-        self.with_venus(ws, |v, t| v.open_read(t, path))
+        self.whole().open_read(ws, path)
     }
 
     /// Opens (creating) a file for writing; returns a handle.
     pub fn open_write(&mut self, ws: WsId, path: &str) -> Result<u64, SystemError> {
-        self.with_venus(ws, |v, t| v.open_write(t, path))
+        self.whole().open_write(ws, path)
     }
 
     /// Reads through a handle (no server traffic).
     pub fn read(&mut self, ws: WsId, handle: u64) -> Result<Vec<u8>, SystemError> {
-        self.clients[ws]
-            .read(handle)
-            .map(<[u8]>::to_vec)
-            .map_err(SystemError::Venus)
+        self.whole().read(ws, handle)
     }
 
     /// Writes through a handle (no server traffic until close).
     pub fn write(&mut self, ws: WsId, handle: u64, data: Vec<u8>) -> Result<(), SystemError> {
-        self.clients[ws]
-            .write(handle, data)
-            .map_err(SystemError::Venus)
+        self.whole().write(ws, handle, data)
     }
 
     /// Closes a handle, storing back to Vice if it was modified.
     pub fn close(&mut self, ws: WsId, handle: u64) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.close(t, handle))
+        self.whole().close(ws, handle)
     }
 
     /// Whole-file read convenience.
     pub fn fetch(&mut self, ws: WsId, path: &str) -> Result<Vec<u8>, SystemError> {
-        self.with_venus(ws, |v, t| v.fetch_file(t, path))
+        self.whole().fetch(ws, path)
     }
 
     /// Whole-file write convenience.
     pub fn store(&mut self, ws: WsId, path: &str, data: Vec<u8>) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.store_file(t, path, data))
+        self.whole().store(ws, path, data)
     }
 
     /// `stat(2)`.
     pub fn stat(&mut self, ws: WsId, path: &str) -> Result<VStatus, SystemError> {
-        self.with_venus(ws, |v, t| v.stat(t, path))
+        self.whole().stat(ws, path)
     }
 
     /// Directory listing.
@@ -116,12 +90,12 @@ impl ItcSystem {
         ws: WsId,
         path: &str,
     ) -> Result<Vec<(String, EntryKind)>, SystemError> {
-        self.with_venus(ws, |v, t| v.readdir(t, path))
+        self.whole().readdir(ws, path)
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.mkdir(t, path))
+        self.whole().mkdir(ws, path)
     }
 
     /// Creates a directory and any missing ancestors (client-driven: one
@@ -151,42 +125,44 @@ impl ItcSystem {
 
     /// Removes a file or symlink.
     pub fn unlink(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.unlink(t, path))
+        self.whole().unlink(ws, path)
     }
 
     /// Removes an empty directory.
     pub fn rmdir(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.rmdir(t, path))
+        self.whole().with_venus(ws, |v, t| v.rmdir(t, path))
     }
 
     /// Renames within one space.
     pub fn rename(&mut self, ws: WsId, from: &str, to: &str) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.rename(t, from, to))
+        self.whole().with_venus(ws, |v, t| v.rename(t, from, to))
     }
 
     /// Creates a symbolic link.
     pub fn symlink(&mut self, ws: WsId, path: &str, target: &str) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.symlink(t, path, target))
+        self.whole()
+            .with_venus(ws, |v, t| v.symlink(t, path, target))
     }
 
     /// Reads a directory's access list.
     pub fn get_acl(&mut self, ws: WsId, path: &str) -> Result<AccessList, SystemError> {
-        self.with_venus(ws, |v, t| v.get_acl(t, path))
+        self.whole().with_venus(ws, |v, t| v.get_acl(t, path))
     }
 
     /// Replaces a directory's access list (requires ADMINISTER rights).
     pub fn set_acl(&mut self, ws: WsId, path: &str, acl: AccessList) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.set_acl(t, path, acl))
+        self.whole().with_venus(ws, |v, t| v.set_acl(t, path, acl))
     }
 
     /// Acquires an advisory lock.
     pub fn lock(&mut self, ws: WsId, path: &str, exclusive: bool) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.lock(t, path, exclusive))
+        self.whole()
+            .with_venus(ws, |v, t| v.lock(t, path, exclusive))
     }
 
     /// Releases an advisory lock.
     pub fn unlock(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-        self.with_venus(ws, |v, t| v.unlock(t, path))
+        self.whole().with_venus(ws, |v, t| v.unlock(t, path))
     }
 
     /// Classifies a path at a workstation without performing any I/O
@@ -204,7 +180,7 @@ impl ItcSystem {
 
     /// Flushes all deferred writes at a workstation immediately.
     pub fn flush_workstation(&mut self, ws: WsId) -> Result<usize, SystemError> {
-        self.with_venus(ws, |v, t| v.flush_all(t))
+        self.whole().flush_all(ws)
     }
 
     /// Crashes a workstation: unflushed deferred writes are lost and the

@@ -1,5 +1,16 @@
-//! Conservative parallel execution of workstation workloads over the
-//! per-cluster calendars.
+//! The workstation op surface ([`WsOps`]) and the one scheduler of
+//! workstation ops ([`ItcSystem::run_drivers`]): the sequential reference
+//! schedule, and conservative parallel execution over the per-cluster
+//! calendars.
+//!
+//! ## One door
+//!
+//! Every workstation operation — an [`ItcSystem`] facade call, a scripted
+//! storm op, a day session's step — executes as a method of [`WsOps`], a
+//! view over the clusters in a mask. The facade and sequential runs build
+//! it over the whole system; a parallel worker builds it over exactly the
+//! shards its op claimed. There is no second implementation to keep in
+//! step.
 //!
 //! ## The model: op-atomic conservative PDES
 //!
@@ -43,6 +54,7 @@
 //!
 //! [`Clock`]: itc_sim::Clock
 
+use crate::proto::ServerId;
 use crate::server::Server;
 use crate::system::transport::{ClusterCore, NetEvent, Parts, PendingBreak, SystemTransport};
 use crate::system::{ItcSystem, SystemError, WsId};
@@ -126,71 +138,89 @@ pub trait WsDriver: Send {
     fn step(&mut self, ops: &mut WsOps<'_>) -> Result<(), SystemError>;
 }
 
-/// The masked operation surface a driver's op executes against: the
-/// transport (scoped to the op's clusters) plus the Venus instances of
-/// those clusters. Mirrors the [`ItcSystem`] system-call facade; touching
-/// anything outside the mask panics.
+/// The Venus instances an op may reach — the workstation-side twin of
+/// [`Parts`], with the same tripwire.
+enum Venuses<'a> {
+    /// Every workstation, indexed by workstation id (sequential execution).
+    Whole(&'a mut [Venus]),
+    /// Per-cluster slices of `per` workstations each, absent outside the
+    /// op's mask (parallel execution).
+    Split {
+        per: usize,
+        clusters: Vec<Option<&'a mut [Venus]>>,
+    },
+}
+
+impl Venuses<'_> {
+    fn get_mut(&mut self, ws: WsId) -> &mut Venus {
+        match self {
+            Venuses::Whole(all) => &mut all[ws],
+            Venuses::Split { per, clusters } => {
+                let cluster = ws / *per;
+                let slice = clusters[cluster].as_deref_mut().unwrap_or_else(|| {
+                    panic!("op touched cluster {cluster} outside its declared mask")
+                });
+                &mut slice[ws % *per]
+            }
+        }
+    }
+}
+
+/// The workstation operation surface (see "One door" in the module docs):
+/// the transport and the Venus instances of the clusters in its mask.
+/// Touching anything outside the mask panics.
 pub struct WsOps<'a> {
-    transport: SystemTransport<'a>,
-    /// Per-cluster Venus slices (each of length `ws_per_cluster`), absent
-    /// outside the mask.
-    venuses: Vec<Option<&'a mut [Venus]>>,
-    ws_per_cluster: usize,
+    pub(super) transport: SystemTransport<'a>,
+    venuses: Venuses<'a>,
     node_to_ws: &'a BTreeMap<NodeId, WsId>,
     ws_nodes: &'a [NodeId],
 }
 
 impl WsOps<'_> {
-    fn venus_mut(&mut self, ws: WsId) -> &mut Venus {
-        let cluster = ws / self.ws_per_cluster;
-        let slice = self.venuses[cluster]
-            .as_deref_mut()
-            .unwrap_or_else(|| panic!("op touched cluster {cluster} outside its declared mask"));
-        &mut slice[ws % self.ws_per_cluster]
-    }
-
-    /// Runs one workstation operation exactly as the sequential facade
-    /// does: flush due deferred writes, apply `f` with the event-driven
-    /// transport, advance the global clock, deliver scheduled callback
-    /// breaks.
+    /// Runs one workstation operation: flushes due deferred writes,
+    /// applies `f` with the event-driven transport, advances the global
+    /// clock, and delivers any callback breaks the exchange scheduled.
     pub(crate) fn with_venus<R>(
         &mut self,
         ws: WsId,
         f: impl FnOnce(&mut Venus, &mut SystemTransport<'_>) -> Result<R, VenusError>,
     ) -> Result<R, SystemError> {
-        let cluster = ws / self.ws_per_cluster;
-        let per = self.ws_per_cluster;
-        let transport = &mut self.transport;
-        let venus = &mut self.venuses[cluster]
-            .as_deref_mut()
-            .unwrap_or_else(|| panic!("op touched cluster {cluster} outside its declared mask"))
-            [ws % per];
-        let result = venus.flush_due(transport).and_then(|_| f(venus, transport));
+        let venus = self.venuses.get_mut(ws);
+        // Deferred writes whose deadline has passed flush before the
+        // next operation proceeds.
+        let result = venus
+            .flush_due(&mut self.transport)
+            .and_then(|_| f(venus, &mut self.transport));
         let now = venus.now();
         self.transport.clock.advance_to(now);
         self.deliver_pending_breaks();
         result.map_err(SystemError::Venus)
     }
 
-    /// Applies every callback break the last exchange produced to the
-    /// target workstations' caches — same semantics as the facade's
-    /// delivery, restricted to the op's mask (a break escaping the mask
-    /// trips the panic, as it would have been a cross-thread race).
-    fn deliver_pending_breaks(&mut self) {
+    /// Applies every callback break the last exchange produced — both
+    /// those popped from the calendar mid-pump and those still queued —
+    /// to the target workstations' caches. Delivery is functional and
+    /// immediate: the network cost was charged when the break was
+    /// scheduled, but a lagging workstation's clock is not dragged
+    /// forward. A break escaping the op's mask trips the panic (it would
+    /// have been a cross-thread race).
+    pub(super) fn deliver_pending_breaks(&mut self) {
         for cluster in 0..self.transport.cores.len() {
             if !self.transport.cores.has(cluster) {
                 continue;
             }
-            let (mut breaks, ids) = {
-                let cl = self.transport.cores.get_mut(cluster);
-                (
-                    std::mem::take(&mut cl.pending),
-                    std::mem::take(&mut cl.break_ids),
-                )
-            };
+            let cl = self.transport.cores.get_mut(cluster);
+            let mut breaks = std::mem::take(&mut cl.pending);
+            // Claim the still-queued BreakDeliver events by recorded id
+            // (O(1) tombstone each, counted as cancellations — they are
+            // being rerouted out of the calendar, not executed there).
+            // Ids that already fired mid-pump return `None` and were
+            // captured in `pending` above; sorting the claimed batch by
+            // (time, id) reproduces the order the calendar would have
+            // popped them in.
             let mut claimed = Vec::new();
-            for id in ids {
-                if let Some(f) = self.transport.cores.get_mut(cluster).sched.take(id) {
+            for id in std::mem::take(&mut cl.break_ids) {
+                if let Some(f) = cl.sched.take(id) {
                     claimed.push((f.at, f.id, f.ev));
                 }
             }
@@ -204,37 +234,38 @@ impl WsOps<'_> {
             }
             for b in breaks {
                 if let Some(&ws) = self.node_to_ws.get(&b.to_ws) {
-                    self.venus_mut(ws).on_callback_break(&b.path);
+                    self.venuses.get_mut(ws).on_callback_break(&b.path);
                 }
             }
         }
     }
 
     // ------------------------------------------------------------------
-    // The workstation system-call surface (mirrors the ItcSystem facade)
+    // The workstation system-call surface
     // ------------------------------------------------------------------
 
-    /// Logs `user` in at workstation `ws`, establishing (and verifying)
-    /// the authenticated binding to the home server — the driver-side
-    /// mirror of [`ItcSystem::login`]. Touches only the workstation's own
-    /// cluster.
+    /// Logs `user` in at workstation `ws`: derives the key from the
+    /// password exactly as the real Venus would and verifies it against
+    /// Vice by establishing the first authenticated binding to the home
+    /// server. A wrong password fails here, during the mutual handshake.
+    /// Touches only the workstation's own cluster.
     pub fn login(&mut self, ws: WsId, user: &str, password: &str) -> Result<(), SystemError> {
         let key = itc_cryptbox::derive_key(password, user);
         let node = self.ws_nodes[ws];
         let home = self.transport.home[&node];
-        let at = {
-            let venus = self.venus_mut(ws);
-            venus.set_session(user, key);
-            venus.now()
-        };
-        match self.transport.ensure_binding(node, user, key, home, at) {
+        let venus = self.venuses.get_mut(ws);
+        venus.set_session(user, key);
+        match self
+            .transport
+            .ensure_binding(node, user, key, home, venus.now())
+        {
             Ok(ready) => {
-                self.venus_mut(ws).advance_to(ready);
+                venus.advance_to(ready);
                 self.transport.clock.advance_to(ready);
                 Ok(())
             }
             Err(e) => {
-                self.venus_mut(ws).clear_session();
+                venus.clear_session();
                 Err(SystemError::AuthFailed(e))
             }
         }
@@ -242,13 +273,13 @@ impl WsOps<'_> {
 
     /// Advances a workstation's local time (think time).
     pub fn advance_ws(&mut self, ws: WsId, to: SimTime) {
-        self.venus_mut(ws).advance_to(to);
+        self.venuses.get_mut(ws).advance_to(to);
         self.transport.clock.advance_to(to);
     }
 
     /// A workstation's local virtual time.
     pub fn ws_time(&mut self, ws: WsId) -> SimTime {
-        self.venus_mut(ws).now()
+        self.venuses.get_mut(ws).now()
     }
 
     /// Whole-file read.
@@ -297,7 +328,8 @@ impl WsOps<'_> {
 
     /// Reads through a handle (no server traffic).
     pub fn read(&mut self, ws: WsId, handle: u64) -> Result<Vec<u8>, SystemError> {
-        self.venus_mut(ws)
+        self.venuses
+            .get_mut(ws)
             .read(handle)
             .map(<[u8]>::to_vec)
             .map_err(SystemError::Venus)
@@ -305,7 +337,8 @@ impl WsOps<'_> {
 
     /// Writes through a handle (no server traffic until close).
     pub fn write(&mut self, ws: WsId, handle: u64, data: Vec<u8>) -> Result<(), SystemError> {
-        self.venus_mut(ws)
+        self.venuses
+            .get_mut(ws)
             .write(handle, data)
             .map_err(SystemError::Venus)
     }
@@ -322,7 +355,16 @@ impl WsOps<'_> {
 
     /// Dirty (unflushed) files at a workstation.
     pub fn dirty_count(&mut self, ws: WsId) -> usize {
-        self.venus_mut(ws).dirty_count()
+        self.venuses.get_mut(ws).dirty_count()
+    }
+
+    /// The jittered backoff workstation `ws` should wait before its next
+    /// probe of `server`: zero while the server is healthy, exponential
+    /// with seeded per-workstation jitter while it keeps failing. Scenario
+    /// drivers consult this between revalidation probes so a whole
+    /// cluster's clients do not re-arrive as one thundering herd.
+    pub fn reconnect_backoff(&mut self, ws: WsId, server: ServerId) -> SimTime {
+        self.venuses.get_mut(ws).reconnect_backoff(server)
     }
 }
 
@@ -348,20 +390,26 @@ struct DriverSlot {
     scope: ClusterMask,
 }
 
+/// One cluster's share of the mutable world: the piece an op claims for
+/// each cluster in its mask.
+struct Shard {
+    server: Server,
+    core: ClusterCore,
+    venuses: Vec<Venus>,
+}
+
 /// Everything the workers share under one lock: the per-cluster shards
 /// (present while unclaimed) and the scheduling state.
 struct Pool {
-    servers: Vec<Option<Server>>,
-    cores: Vec<Option<ClusterCore>>,
-    venuses: Vec<Option<Vec<Venus>>>,
+    shards: Vec<Option<Shard>>,
     slots: Vec<DriverSlot>,
     executing_union: ClusterMask,
     ops: u64,
     error: Option<SystemError>,
-    /// Set when a worker panicked mid-op (its shards are gone for good);
-    /// the other workers drain out instead of waiting on the condvar
-    /// forever, and the panic propagates through the thread scope.
-    poisoned: bool,
+    /// The payload of a worker's mid-op panic (its shards are gone for
+    /// good); the other workers drain out instead of waiting on the
+    /// condvar forever, and the caller's thread resumes the panic.
+    poisoned: Option<Box<dyn std::any::Any + Send>>,
 }
 
 impl Pool {
@@ -436,55 +484,59 @@ impl ItcSystem {
         }
     }
 
+    /// The whole-mask view: every cluster, server and Venus behind one
+    /// [`WsOps`], for the facade's methods and sequential driver runs.
+    pub(super) fn whole(&mut self) -> WsOps<'_> {
+        let ItcSystem {
+            topo,
+            clients,
+            clock,
+            kernel,
+            domain,
+            monitor,
+            core,
+            ..
+        } = self;
+        // The flag is identical across clusters; copied out so the
+        // transport never needs cluster 0 just to branch on it.
+        let tracing = core.clusters[0].trace.is_enabled();
+        WsOps {
+            transport: SystemTransport {
+                servers: Parts::Whole(&mut topo.servers),
+                cores: Parts::Whole(&mut core.clusters),
+                net: &topo.network,
+                home: &topo.home,
+                server_nodes: &topo.server_nodes,
+                kernel,
+                clock,
+                monitor: monitor.as_mut(),
+                domain,
+                retry: core.retry,
+                plan_gen: core.plan_gen,
+                scrub_interval: core.scrub_interval,
+                scrub_gen: core.scrub_gen,
+                tracing,
+            },
+            venuses: Venuses::Whole(clients),
+            node_to_ws: &topo.node_to_ws,
+            ws_nodes: &topo.ws_nodes,
+        }
+    }
+
     fn run_drivers_sequential(
         &mut self,
         mut drivers: Vec<(WsId, Box<dyn WsDriver>)>,
     ) -> Result<u64, SystemError> {
-        let per = self.config.workstations_per_cluster as usize;
+        let mut ws_ops = self.whole();
         let mut ops = 0u64;
         // The reference schedule: globally minimal (due, ws) key each turn.
-        let next = |drivers: &Vec<(WsId, Box<dyn WsDriver>)>| {
-            drivers
-                .iter()
-                .enumerate()
-                .filter_map(|(i, (ws, d))| d.next_at().map(|at| (at, *ws, i)))
-                .min()
-                .map(|(_, _, i)| i)
-        };
-        while let Some(i) = next(&drivers) {
-            let ItcSystem {
-                topo,
-                clients,
-                clock,
-                kernel,
-                domain,
-                monitor,
-                core,
-                ..
-            } = &mut *self;
-            let tracing = core.clusters[0].trace.is_enabled();
-            let mut ws_ops = WsOps {
-                transport: SystemTransport {
-                    servers: Parts::Whole(&mut topo.servers),
-                    cores: Parts::Whole(&mut core.clusters),
-                    net: &topo.network,
-                    home: &topo.home,
-                    server_nodes: &topo.server_nodes,
-                    kernel,
-                    clock,
-                    monitor: monitor.as_mut(),
-                    domain,
-                    retry: core.retry,
-                    plan_gen: core.plan_gen,
-                    scrub_interval: core.scrub_interval,
-                    scrub_gen: core.scrub_gen,
-                    tracing,
-                },
-                venuses: clients.chunks_mut(per).map(Some).collect(),
-                ws_per_cluster: per,
-                node_to_ws: &topo.node_to_ws,
-                ws_nodes: &topo.ws_nodes,
-            };
+        while let Some(i) = drivers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (ws, d))| d.next_at().map(|at| (at, *ws, i)))
+            .min()
+            .map(|(_, _, i)| i)
+        {
             drivers[i].1.step(&mut ws_ops)?;
             ops += 1;
         }
@@ -506,22 +558,21 @@ impl ItcSystem {
         let tracing = self.core.clusters[0].trace.is_enabled();
 
         // Shard the mutable world: each cluster's server, event core, and
-        // Venus instances become independently claimable pieces.
-        let servers: Vec<Option<Server>> = std::mem::take(&mut self.topo.servers)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let cores: Vec<Option<ClusterCore>> = std::mem::take(&mut self.core.clusters)
-            .into_iter()
-            .map(Some)
-            .collect();
+        // Venus instances become one independently claimable piece.
         let mut clients = std::mem::take(&mut self.clients);
-        let mut venuses: Vec<Option<Vec<Venus>>> = Vec::with_capacity(n_clusters);
-        for _ in 0..n_clusters {
-            let rest = clients.split_off(per.min(clients.len()));
-            venuses.push(Some(clients));
-            clients = rest;
-        }
+        let shards = std::mem::take(&mut self.topo.servers)
+            .into_iter()
+            .zip(std::mem::take(&mut self.core.clusters))
+            .map(|(server, core)| {
+                let rest = clients.split_off(per.min(clients.len()));
+                let venuses = std::mem::replace(&mut clients, rest);
+                Some(Shard {
+                    server,
+                    core,
+                    venuses,
+                })
+            })
+            .collect();
         debug_assert!(clients.is_empty());
 
         let slots: Vec<DriverSlot> = drivers
@@ -542,14 +593,12 @@ impl ItcSystem {
             .collect();
 
         let pool = Mutex::new(Pool {
-            servers,
-            cores,
-            venuses,
+            shards,
             slots,
             executing_union: ClusterMask::EMPTY,
             ops: 0,
             error: None,
-            poisoned: false,
+            poisoned: None,
         });
         let work = Condvar::new();
 
@@ -572,7 +621,7 @@ impl ItcSystem {
                 scope.spawn(|| {
                     let mut guard = pool.lock().expect("pool lock");
                     loop {
-                        if guard.error.is_some() || guard.poisoned || !guard.live() {
+                        if guard.error.is_some() || guard.poisoned.is_some() || !guard.live() {
                             work.notify_all();
                             return;
                         }
@@ -590,35 +639,32 @@ impl ItcSystem {
                         let mut driver = guard.slots[i].driver.take().expect("picked slot pooled");
                         guard.slots[i].state = SlotState::Executing(at);
                         guard.executing_union = guard.executing_union.union(mask);
-                        let mut my_servers: Vec<Option<Server>> = (0..n_clusters)
-                            .map(|c| {
+                        let mut mine: Vec<Option<Shard>> = guard
+                            .shards
+                            .iter_mut()
+                            .enumerate()
+                            .map(|(c, s)| {
                                 mask.contains(c)
-                                    .then(|| guard.servers[c].take().expect("mask disjointness"))
-                            })
-                            .collect();
-                        let mut my_cores: Vec<Option<ClusterCore>> = (0..n_clusters)
-                            .map(|c| {
-                                mask.contains(c)
-                                    .then(|| guard.cores[c].take().expect("mask disjointness"))
-                            })
-                            .collect();
-                        let mut my_venuses: Vec<Option<Vec<Venus>>> = (0..n_clusters)
-                            .map(|c| {
-                                mask.contains(c)
-                                    .then(|| guard.venuses[c].take().expect("mask disjointness"))
+                                    .then(|| s.take().expect("mask disjointness"))
                             })
                             .collect();
                         drop(guard);
 
                         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            let (servers, (cores, clusters)): (Vec<_>, (Vec<_>, Vec<_>)) = mine
+                                .iter_mut()
+                                .map(|shard| match shard {
+                                    Some(sh) => (
+                                        Some(&mut sh.server),
+                                        (Some(&mut sh.core), Some(&mut sh.venuses[..])),
+                                    ),
+                                    None => (None, (None, None)),
+                                })
+                                .unzip();
                             let mut ws_ops = WsOps {
                                 transport: SystemTransport {
-                                    servers: Parts::Split(
-                                        my_servers.iter_mut().map(Option::as_mut).collect(),
-                                    ),
-                                    cores: Parts::Split(
-                                        my_cores.iter_mut().map(Option::as_mut).collect(),
-                                    ),
+                                    servers: Parts::Split(servers),
+                                    cores: Parts::Split(cores),
                                     net,
                                     home,
                                     server_nodes,
@@ -632,11 +678,7 @@ impl ItcSystem {
                                     scrub_gen,
                                     tracing,
                                 },
-                                venuses: my_venuses
-                                    .iter_mut()
-                                    .map(|v| v.as_mut().map(Vec::as_mut_slice))
-                                    .collect(),
-                                ws_per_cluster: per,
+                                venuses: Venuses::Split { per, clusters },
                                 node_to_ws,
                                 ws_nodes,
                             };
@@ -647,13 +689,12 @@ impl ItcSystem {
                             Err(payload) => {
                                 // A panicking op (most likely the mask
                                 // tripwire) leaves its shards unusable;
-                                // wake everyone so they drain out, then
-                                // let the scope propagate the panic.
+                                // wake everyone so they drain out, and
+                                // keep the payload for the caller.
                                 let mut guard = pool.lock().expect("pool lock");
-                                guard.poisoned = true;
+                                guard.poisoned.get_or_insert(payload);
                                 work.notify_all();
-                                drop(guard);
-                                std::panic::resume_unwind(payload);
+                                return;
                             }
                         };
                         // The driver's next key/mask, computed while the
@@ -661,19 +702,9 @@ impl ItcSystem {
                         let next = driver.next_at().map(|at| (at, driver.next_mask()));
 
                         guard = pool.lock().expect("pool lock");
-                        for (c, s) in my_servers.iter_mut().enumerate() {
-                            if let Some(s) = s.take() {
-                                guard.servers[c] = Some(s);
-                            }
-                        }
-                        for (c, s) in my_cores.iter_mut().enumerate() {
-                            if let Some(s) = s.take() {
-                                guard.cores[c] = Some(s);
-                            }
-                        }
-                        for (c, s) in my_venuses.iter_mut().enumerate() {
-                            if let Some(s) = s.take() {
-                                guard.venuses[c] = Some(s);
+                        for (slot, shard) in guard.shards.iter_mut().zip(mine) {
+                            if shard.is_some() {
+                                *slot = shard;
                             }
                         }
                         guard.executing_union = ClusterMask(guard.executing_union.0 & !mask.0);
@@ -699,23 +730,17 @@ impl ItcSystem {
             }
         });
 
-        // Reassemble the system from the shards.
         let pool = pool.into_inner().expect("workers exited");
-        self.topo.servers = pool
-            .servers
-            .into_iter()
-            .map(|s| s.expect("worker returned its shard"))
-            .collect();
-        self.core.clusters = pool
-            .cores
-            .into_iter()
-            .map(|s| s.expect("worker returned its shard"))
-            .collect();
-        self.clients = pool
-            .venuses
-            .into_iter()
-            .flat_map(|v| v.expect("worker returned its shard"))
-            .collect();
+        if let Some(payload) = pool.poisoned {
+            std::panic::resume_unwind(payload);
+        }
+        // Reassemble the system from the shards.
+        for shard in pool.shards {
+            let shard = shard.expect("worker returned its shard");
+            self.topo.servers.push(shard.server);
+            self.core.clusters.push(shard.core);
+            self.clients.extend(shard.venuses);
+        }
         match pool.error {
             Some(e) => Err(e),
             None => Ok(pool.ops),

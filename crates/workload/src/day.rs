@@ -84,9 +84,7 @@ pub fn run_day(
 
 /// Provisions the day's population on a fresh system: shared system
 /// binaries, one user per workstation (round-robin across clusters), and
-/// the optional read-only replication of the system subtree. Shared by
-/// the sequential loop and the driver-based runners; the provisioning
-/// sequence (and its RNG draws) is identical in both.
+/// the optional read-only replication of the system subtree.
 fn provision_day(sys: &mut ItcSystem, day: &DayConfig) -> Result<Vec<UserSession>, SystemError> {
     let mut rng = SimRng::seeded(day.seed);
     let sizes = FileSizeModel::cmu_1984();
@@ -112,12 +110,10 @@ fn provision_day(sys: &mut ItcSystem, day: &DayConfig) -> Result<Vec<UserSession
 
     // One user per workstation, round-robin across clusters.
     let ws_count = sys.workstation_count();
-    let clusters = sys.server_count() as u32;
     let per_cluster = sys.config().workstations_per_cluster;
     let mut sessions = Vec::with_capacity(ws_count);
     for ws in 0..ws_count {
         let cluster = (ws as u32) / per_cluster;
-        let _ = clusters;
         let name = format!("user{ws:03}");
         let cfg = if ws < day.intense_users {
             UserConfig::intense(&name, cluster)
@@ -136,34 +132,26 @@ fn provision_day(sys: &mut ItcSystem, day: &DayConfig) -> Result<Vec<UserSession
     Ok(sessions)
 }
 
-/// Runs the day on an existing (freshly built) system.
-pub fn run_day_on(sys: &mut ItcSystem, day: &DayConfig) -> Result<DayReport, SystemError> {
-    let mut sessions = provision_day(sys, day)?;
-
-    // Interleave all sessions by next-operation time.
-    let mut ops = 0u64;
-    while let Some(idx) = sessions
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.next_at <= day.duration)
-        .min_by_key(|(_, s)| s.next_at)
-        .map(|(i, _)| i)
-    {
-        let t = sessions[idx].next_at;
-        let rate = if t >= day.surge.0 && t < day.surge.1 {
-            day.surge_multiplier
-        } else {
-            1.0
-        };
-        match sessions[idx].step(sys, rate) {
-            Ok(_) => ops += 1,
-            // Tolerate benign races (e.g. lock conflicts); abort on
-            // structural failures.
-            Err(SystemError::Venus(_)) => ops += 1,
-            Err(e) => return Err(e),
-        }
-    }
-
+/// Runs the provisioned sessions as one [`SessionDriver`] per workstation;
+/// `masks` declares each session's `(home, shared)` op footprints.
+fn drive_sessions(
+    sys: &mut ItcSystem,
+    day: &DayConfig,
+    sessions: Vec<UserSession>,
+    masks: impl Fn(&UserSession) -> (ClusterMask, ClusterMask),
+    mode: RunMode,
+) -> Result<DayReport, SystemError> {
+    let drivers = sessions
+        .into_iter()
+        .map(|s| {
+            let (home, shared) = masks(&s);
+            (
+                s.workstation(),
+                Box::new(SessionDriver::new(s, day, home, shared)) as Box<dyn WsDriver>,
+            )
+        })
+        .collect();
+    let ops = sys.run_drivers(drivers, mode)?;
     Ok(DayReport {
         metrics: sys.metrics(),
         ops,
@@ -171,10 +159,18 @@ pub fn run_day_on(sys: &mut ItcSystem, day: &DayConfig) -> Result<DayReport, Sys
     })
 }
 
-/// Runs the day through the PDES driver engine, sequentially or in
-/// parallel — `RunMode::Parallel(n)` produces the bit-identical timeline
-/// on `n` worker threads. Provisioning is the sequential prologue; the
-/// day itself becomes one [`SessionDriver`] per workstation.
+/// Runs the day on an existing (freshly built) system, on the sequential
+/// reference schedule. No op claims a footprint narrower than the whole
+/// system, so nothing here depends on where a custodian hint points.
+pub fn run_day_on(sys: &mut ItcSystem, day: &DayConfig) -> Result<DayReport, SystemError> {
+    let sessions = provision_day(sys, day)?;
+    let all = ClusterMask::all(sys.server_count());
+    drive_sessions(sys, day, sessions, |_| (all, all), RunMode::Sequential)
+}
+
+/// Runs the day with per-cluster op masks, sequentially or in parallel —
+/// `RunMode::Parallel(n)` produces the bit-identical timeline on `n`
+/// worker threads. Provisioning is the sequential prologue.
 ///
 /// Masking: a user's ops are confined to their home cluster, except
 /// shared-subtree reads, which add cluster 0 (the system custodian) —
@@ -195,39 +191,22 @@ pub fn run_day_drivers(
     for s in &sessions {
         s.warm_home_hint(sys)?;
     }
-    let n_clusters = sys.server_count();
-    let all = ClusterMask::all(n_clusters);
+    let all = ClusterMask::all(sys.server_count());
     // Only cluster-coupling faults (message faults, crashes, restarts)
     // force full masks; a corruption-only plan and the scrubber are both
     // cluster-local, so those runs keep narrow masks and stay parallel.
     let serialized = sys.faults_couple_clusters();
-    let drivers = sessions
-        .into_iter()
-        .map(|s| {
-            let ws = s.workstation();
-            let home = ClusterMask::of(s.home_cluster() as usize);
-            let shared = if day.replicate_binaries {
-                home
-            } else {
-                home.union(ClusterMask::of(0))
-            };
-            let (home, shared) = if serialized {
-                (all, all)
-            } else {
-                (home, shared)
-            };
-            (
-                ws,
-                Box::new(SessionDriver::new(s, day, home, shared)) as Box<dyn WsDriver>,
-            )
-        })
-        .collect();
-    let ops = sys.run_drivers(drivers, mode)?;
-    Ok(DayReport {
-        metrics: sys.metrics(),
-        ops,
-        duration: day.duration,
-    })
+    let masks = |s: &UserSession| {
+        let home = ClusterMask::of(s.home_cluster() as usize);
+        if serialized {
+            (all, all)
+        } else if day.replicate_binaries {
+            (home, home)
+        } else {
+            (home, home.union(ClusterMask::of(0)))
+        }
+    };
+    drive_sessions(sys, day, sessions, masks, mode)
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 //!
 //! Two layers live here:
 //!
-//! * [`WsCalls`] — the workstation call surface abstracted over its two
-//!   implementations: the sequential [`ItcSystem`] facade and the masked
-//!   parallel [`WsOps`] view. [`crate::user::UserSession::step`] is
-//!   generic over it, so one session model drives both executors.
+//! * [`WsCalls`] — the calls a session makes, as a trait over [`WsOps`]
+//!   (and the [`ItcSystem`] facade that forwards to it), so a caller can
+//!   interpose on them: [`crate::user::UserSession::step`] is generic over
+//!   it, and the benchmark wraps `WsOps` to time each call.
 //! * [`SessionDriver`] / [`ScriptDriver`] — [`WsDriver`] implementations
 //!   wrapping a synthetic user session (the day workload) and a scripted
 //!   operation queue (the storm scenarios). Each declares the cluster
@@ -23,7 +23,7 @@
 //! sequential run.
 
 use crate::day::DayConfig;
-use crate::scenario::OpCounts;
+use crate::scenario::{OpCounts, SharedCounts};
 use crate::user::{OpKind, UserSession};
 use itc_core::proto::{EntryKind, VStatus};
 use itc_core::system::parallel::{ClusterMask, WsDriver, WsOps};
@@ -33,9 +33,8 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// The workstation system-call surface a workload op executes against.
-/// Implemented by the sequential [`ItcSystem`] facade and by the masked
-/// parallel [`WsOps`] view; both route through the same Venus and event
-/// pipeline, so a session behaves identically on either.
+/// Implemented by [`WsOps`] and by the [`ItcSystem`] facade, which
+/// forwards to a whole-system `WsOps`.
 pub trait WsCalls {
     /// Advances a workstation's local time (think time).
     fn advance_ws(&mut self, ws: WsId, to: SimTime);
@@ -113,8 +112,9 @@ forward_ws_calls!(WsOps<'_>);
 
 /// A [`UserSession`] as a schedulable driver: one op per
 /// [`UserSession::next_at`] tick until the day ends, with the day's surge
-/// window applied and Venus-level failures tolerated exactly as the
-/// sequential day loop tolerates them.
+/// window applied. Venus-level failures (benign races such as lock
+/// conflicts) are tolerated and still count as ops; structural failures
+/// abort the run.
 pub struct SessionDriver {
     session: UserSession,
     end: SimTime,
@@ -180,7 +180,7 @@ impl WsDriver for SessionDriver {
         let result = self.session.step(ops, rate);
         // Failed ops leave `next_at` unchanged and the think-time draw
         // unconsumed; re-planning immediately redraws a fresh op at the
-        // same instant — the sequential day loop's retry behavior.
+        // same instant (real users retry).
         self.session.plan_next();
         match result {
             Ok(_) | Err(SystemError::Venus(_)) => Ok(()),
@@ -193,17 +193,16 @@ impl WsDriver for SessionDriver {
 pub type ScriptOp = Box<dyn FnMut(&mut WsOps<'_>) -> Result<(), SystemError> + Send>;
 
 /// A scripted per-workstation operation queue as a driver, keyed by the
-/// workstation's local clock — the driver equivalent of the storm
-/// scenarios' `drive_in_time_order` rule (earliest clock next, ties to
-/// the lowest workstation). Operation outcomes fold into a shared
-/// [`OpCounts`]; the fold is commutative, so the parallel schedule
-/// reaches the same totals.
+/// workstation's local clock, so `run_drivers` gives the storm scenarios
+/// their interleaving rule: earliest clock next, ties to the lowest
+/// workstation. Operation outcomes fold into a shared [`OpCounts`]; the
+/// fold is commutative, so the parallel schedule reaches the same totals.
 pub struct ScriptDriver {
     ws: WsId,
     ops: VecDeque<(ClusterMask, ScriptOp)>,
     next_at: SimTime,
     scope: ClusterMask,
-    counts: Arc<Mutex<OpCounts>>,
+    counts: SharedCounts,
 }
 
 impl ScriptDriver {

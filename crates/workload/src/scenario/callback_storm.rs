@@ -14,11 +14,11 @@
 //! reader's refetch, so every run freezes a `timed_out` anomaly dump with
 //! the storm in its ring.
 
-use super::{drive_in_time_order, OpCounts, OpQueue, ScenarioReport};
+use super::{run_scripts, scripts, ScenarioReport, SharedCounts};
+use itc_core::system::parallel::{ClusterMask, RunMode};
 use itc_core::system::{ItcSystem, SystemError};
 use itc_core::SystemConfig;
 use itc_sim::{FaultPlan, ScriptedFault, SimRng, SimTime};
-use std::collections::VecDeque;
 
 /// Parameters of the callback-break storm.
 #[derive(Debug, Clone)]
@@ -96,18 +96,15 @@ pub fn run(cfg: &CallbackStormConfig) -> Result<(ItcSystem, ScenarioReport), Sys
         let offset = SimTime::from_micros(rng.range(0, SimTime::from_secs(120).as_micros()));
         sys.advance_ws(ws, offset);
     }
-    let mut warm: Vec<OpQueue> = (0..n).map(|_| VecDeque::new()).collect();
-    for (ws, q) in warm.iter_mut().enumerate().skip(1) {
+    let all = ClusterMask::all(1);
+    let counts = SharedCounts::default();
+    let mut warm = scripts(&sys, &counts);
+    for (ws, d) in warm.iter_mut().enumerate().skip(1) {
         let name = format!("u{ws:03}");
-        q.push_back(Box::new(move |sys: &mut ItcSystem| {
-            sys.login(ws, &name, &format!("pw-{name}"))
-        }));
-        q.push_back(Box::new(move |sys: &mut ItcSystem| {
-            sys.fetch(ws, shared).map(|_| ())
-        }));
+        d.push(all, move |ops| ops.login(ws, &name, &format!("pw-{name}")));
+        d.push(all, move |ops| ops.fetch(ws, shared).map(drop));
     }
-    let mut counts = OpCounts::default();
-    drive_in_time_order(&mut sys, &mut warm, &mut counts)?;
+    run_scripts(&mut sys, warm, RunMode::Sequential)?;
 
     // Storm rounds: the writer rewrites the file — breaking every reader's
     // promises — and the whole readership re-fetches within seconds.
@@ -119,7 +116,8 @@ pub fn run(cfg: &CallbackStormConfig) -> Result<(ItcSystem, ScenarioReport), Sys
         if sys.ws_time(0) < base {
             sys.advance_ws(0, base);
         }
-        counts.record(sys.store(0, shared, vec![round as u8 + 1; cfg.shared_bytes]))?;
+        let rewrite = sys.store(0, shared, vec![round as u8 + 1; cfg.shared_bytes]);
+        counts.lock().expect("counts lock").record(rewrite)?;
 
         if round == 1 {
             // Mid-storm network brownout: a scripted burst swallows all
@@ -142,15 +140,13 @@ pub fn run(cfg: &CallbackStormConfig) -> Result<(ItcSystem, ScenarioReport), Sys
                 sys.advance_ws(ws, at);
             }
         }
-        let mut refetch: Vec<OpQueue> = (0..n).map(|_| VecDeque::new()).collect();
-        for (ws, q) in refetch.iter_mut().enumerate().skip(1) {
-            q.push_back(Box::new(move |sys: &mut ItcSystem| {
-                sys.fetch(ws, shared).map(|_| ())
-            }));
+        let mut refetch = scripts(&sys, &counts);
+        for (ws, d) in refetch.iter_mut().enumerate().skip(1) {
+            d.push(all, move |ops| ops.fetch(ws, shared).map(drop));
         }
-        drive_in_time_order(&mut sys, &mut refetch, &mut counts)?;
+        run_scripts(&mut sys, refetch, RunMode::Sequential)?;
     }
 
-    let report = ScenarioReport::collect("callback_storm", cfg.seed, &sys, counts);
+    let report = ScenarioReport::collect("callback_storm", cfg.seed, &sys, &counts);
     Ok((sys, report))
 }

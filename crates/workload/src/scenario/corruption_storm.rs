@@ -21,13 +21,13 @@
 //! also exercises the narrow-mask path: a parallel run of the same
 //! workload stays parallel.
 
-use super::{OpCounts, OpQueue, ScenarioReport};
+use super::{run_scripts, scripts, ScenarioReport, SharedCounts};
 use itc_core::protect::{AccessList, Rights};
 use itc_core::proto::ServerId;
+use itc_core::system::parallel::{ClusterMask, RunMode};
 use itc_core::system::{ItcSystem, SystemError};
 use itc_core::SystemConfig;
 use itc_sim::{FaultPlan, SimRng, SimTime};
-use std::collections::VecDeque;
 
 /// Parameters of the corruption storm.
 #[derive(Debug, Clone)]
@@ -104,22 +104,17 @@ pub fn run(cfg: &CorruptionStormConfig) -> Result<(ItcSystem, ScenarioReport), S
         let offset = SimTime::from_micros(rng.range(0, SimTime::from_secs(60).as_micros()));
         sys.advance_ws(ws, offset);
     }
-    let mut warm: Vec<OpQueue> = Vec::with_capacity(n);
-    for ws in 0..n {
+    let all = ClusterMask::all(2);
+    let counts = SharedCounts::default();
+    let mut warm = scripts(&sys, &counts);
+    for (ws, d) in warm.iter_mut().enumerate() {
         let name = format!("u{ws:03}");
         sys.add_user(&name, &format!("pw-{name}"))?;
-        let mut q: OpQueue = VecDeque::new();
-        q.push_back(Box::new(move |sys: &mut ItcSystem| {
-            sys.login(ws, &name, &format!("pw-{name}"))
-        }));
+        d.push(all, move |ops| ops.login(ws, &name, &format!("pw-{name}")));
         let path = format!("/vice/proj/src/f{:03}.c", ws as u32 % cfg.files);
-        q.push_back(Box::new(move |sys: &mut ItcSystem| {
-            sys.fetch(ws, &path).map(|_| ())
-        }));
-        warm.push(q);
+        d.push(all, move |ops| ops.fetch(ws, &path).map(drop));
     }
-    let mut counts = OpCounts::default();
-    super::drive_in_time_order(&mut sys, &mut warm, &mut counts)?;
+    run_scripts(&mut sys, warm, RunMode::Sequential)?;
 
     // The corruption-only plan: flips alternate servers across the window.
     // No crashes, no message faults — the plan couples no clusters.
@@ -142,10 +137,9 @@ pub fn run(cfg: &CorruptionStormConfig) -> Result<(ItcSystem, ScenarioReport), S
     // with stores into their own scratch files (the stores keep journal
     // bytes in the flippable extent). Volume-offline failures are storm
     // casualties, not aborts.
-    let mut storm: Vec<OpQueue> = Vec::with_capacity(n);
+    let mut storm = scripts(&sys, &counts);
     let rounds = 6u32;
-    for ws in 0..n {
-        let mut q: OpQueue = VecDeque::new();
+    for (ws, d) in storm.iter_mut().enumerate() {
         for r in 0..rounds {
             let gap = SimTime::from_micros(rng.range(
                 cfg.window.as_micros() / (2 * rounds as u64),
@@ -156,18 +150,17 @@ pub fn run(cfg: &CorruptionStormConfig) -> Result<(ItcSystem, ScenarioReport), S
                 rng.range(0, cfg.files as u64) as u32
             );
             let store_path = format!("/vice/proj/tmp/w{ws:03}-r{r}.o");
-            q.push_back(Box::new(move |sys: &mut ItcSystem| {
-                let at = sys.ws_time(ws) + gap;
-                sys.advance_ws(ws, at);
-                sys.fetch(ws, &fetch_path).map(|_| ())
-            }));
-            q.push_back(Box::new(move |sys: &mut ItcSystem| {
-                sys.store(ws, &store_path, vec![b'o'; 4_000])
-            }));
+            d.push(all, move |ops| {
+                let at = ops.ws_time(ws) + gap;
+                ops.advance_ws(ws, at);
+                ops.fetch(ws, &fetch_path).map(drop)
+            });
+            d.push(all, move |ops| {
+                ops.store(ws, &store_path, vec![b'o'; 4_000])
+            });
         }
-        storm.push(q);
     }
-    super::drive_in_time_order(&mut sys, &mut storm, &mut counts)?;
+    run_scripts(&mut sys, storm, RunMode::Sequential)?;
 
     // Drain: let the scrubber finish enough rotations to visit every
     // volume on both servers after the last flip.
@@ -186,6 +179,6 @@ pub fn run(cfg: &CorruptionStormConfig) -> Result<(ItcSystem, ScenarioReport), S
         sys.restart_server(ServerId(s));
     }
 
-    let report = ScenarioReport::collect("corruption_storm", cfg.seed, &sys, counts);
+    let report = ScenarioReport::collect("corruption_storm", cfg.seed, &sys, &counts);
     Ok((sys, report))
 }

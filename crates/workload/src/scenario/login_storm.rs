@@ -9,14 +9,11 @@
 //! queueing (not by retries), and the flight recorder freezing at least
 //! one `utilization_peak` dump for the saturated minute.
 
-use super::{drive_in_time_order, OpCounts, OpQueue, ScenarioReport};
-use crate::driver::ScriptDriver;
-use itc_core::system::parallel::{ClusterMask, RunMode, WsDriver, WsOps};
+use super::{run_scripts, scripts, ScenarioReport, SharedCounts};
+use itc_core::system::parallel::{ClusterMask, RunMode};
 use itc_core::system::{ItcSystem, SystemError};
 use itc_core::SystemConfig;
 use itc_sim::{SimRng, SimTime};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// Parameters of the login storm.
 #[derive(Debug, Clone)]
@@ -75,9 +72,20 @@ impl LoginStormConfig {
     }
 }
 
-/// Runs the login storm; returns the system (for further inspection) and
-/// the deterministic report.
+/// Runs the login storm on the sequential reference schedule; returns the
+/// system (for further inspection) and the deterministic report.
 pub fn run(cfg: &LoginStormConfig) -> Result<(ItcSystem, ScenarioReport), SystemError> {
+    run_mode(cfg, RunMode::Sequential)
+}
+
+/// The login storm under either executor, with a bit-identical report.
+/// Every op of workstation `ws` — the login handshake and the profile
+/// fetches — touches only `ws`'s own cluster, so the per-cluster masks are
+/// singletons and clusters storm concurrently under `Parallel(n)`.
+pub fn run_mode(
+    cfg: &LoginStormConfig,
+    mode: RunMode,
+) -> Result<(ItcSystem, ScenarioReport), SystemError> {
     let mut sc = SystemConfig::prototype(cfg.clusters, cfg.ws_per_cluster);
     sc.tracing = true;
     sc.seed = cfg.seed;
@@ -109,91 +117,20 @@ pub fn run(cfg: &LoginStormConfig) -> Result<(ItcSystem, ScenarioReport), System
         sys.advance_ws(ws, cfg.start + offset);
     }
 
-    let mut queues: Vec<OpQueue> = Vec::with_capacity(n);
-    for ws in 0..n {
+    let counts = SharedCounts::default();
+    let mut storm = scripts(&sys, &counts);
+    for (ws, d) in storm.iter_mut().enumerate() {
         let name = format!("u{ws:03}");
-        let mut q: OpQueue = VecDeque::new();
+        let mask = ClusterMask::of(ws / per_cluster);
         let user = name.clone();
-        q.push_back(Box::new(move |sys: &mut ItcSystem| {
-            sys.login(ws, &user, &format!("pw-{user}"))
-        }));
+        d.push(mask, move |ops| ops.login(ws, &user, &format!("pw-{user}")));
         for f in 0..cfg.profile_files {
             let path = format!("/vice/usr/{name}/profile{f}");
-            q.push_back(Box::new(move |sys: &mut ItcSystem| {
-                sys.fetch(ws, &path).map(|_| ())
-            }));
-        }
-        queues.push(q);
-    }
-
-    let mut counts = OpCounts::default();
-    drive_in_time_order(&mut sys, &mut queues, &mut counts)?;
-
-    let report = ScenarioReport::collect("login_storm", cfg.seed, &sys, counts);
-    Ok((sys, report))
-}
-
-/// The login storm as PDES drivers: same provisioning and arrival draws
-/// as [`run`], but the storm itself goes through
-/// [`ItcSystem::run_drivers`] so it can execute sequentially or in
-/// parallel with a bit-identical report. Every op of workstation `ws` —
-/// the login handshake and the profile fetches — touches only `ws`'s own
-/// cluster, so the per-cluster masks are singletons and clusters storm
-/// concurrently.
-pub fn run_mode(
-    cfg: &LoginStormConfig,
-    mode: RunMode,
-) -> Result<(ItcSystem, ScenarioReport), SystemError> {
-    let mut sc = SystemConfig::prototype(cfg.clusters, cfg.ws_per_cluster);
-    sc.tracing = true;
-    sc.seed = cfg.seed;
-    let mut sys = ItcSystem::build(sc);
-
-    let n = (cfg.clusters * cfg.ws_per_cluster) as usize;
-    let per_cluster = cfg.ws_per_cluster as usize;
-
-    for ws in 0..n {
-        let name = format!("u{ws:03}");
-        let cluster = (ws / per_cluster) as u32;
-        sys.add_user(&name, &format!("pw-{name}"))?;
-        sys.create_user_volume(&name, cluster)?;
-        for f in 0..cfg.profile_files {
-            sys.admin_install_file(
-                &format!("/vice/usr/{name}/profile{f}"),
-                vec![b'p'; cfg.profile_bytes],
-            )?;
+            d.push(mask, move |ops| ops.fetch(ws, &path).map(drop));
         }
     }
+    run_scripts(&mut sys, storm, mode)?;
 
-    let mut rng = SimRng::seeded(cfg.seed);
-    for ws in 0..n {
-        let offset = SimTime::from_micros(rng.range(0, cfg.window.as_micros()));
-        sys.advance_ws(ws, cfg.start + offset);
-    }
-
-    let counts = Arc::new(Mutex::new(OpCounts::default()));
-    let drivers = (0..n)
-        .map(|ws| {
-            let name = format!("u{ws:03}");
-            let cluster = ws / per_cluster;
-            let mask = ClusterMask::of(cluster);
-            let mut d = ScriptDriver::new(ws, sys.ws_time(ws), Arc::clone(&counts));
-            let user = name.clone();
-            d.push(mask, move |ops: &mut WsOps<'_>| {
-                ops.login(ws, &user, &format!("pw-{user}"))
-            });
-            for f in 0..cfg.profile_files {
-                let path = format!("/vice/usr/{name}/profile{f}");
-                d.push(mask, move |ops: &mut WsOps<'_>| {
-                    ops.fetch(ws, &path).map(|_| ())
-                });
-            }
-            (ws, Box::new(d) as Box<dyn WsDriver>)
-        })
-        .collect();
-    sys.run_drivers(drivers, mode)?;
-
-    let counts = *counts.lock().expect("counts lock");
-    let report = ScenarioReport::collect("login_storm", cfg.seed, &sys, counts);
+    let report = ScenarioReport::collect("login_storm", cfg.seed, &sys, &counts);
     Ok((sys, report))
 }

@@ -16,8 +16,9 @@
 //!   from [`itc_sim::SimRng`] streams seeded from the scenario config's `seed`.
 //!   Same seed, same binary ⇒ bit-identical virtual timeline, identical
 //!   attribution tables, identical flight-recorder dumps.
-//! * Scenarios interleave clients by **virtual time** (always executing
-//!   the earliest-clock workstation next), never by host iteration order;
+//! * Scenarios interleave clients by **virtual time** (scripts run
+//!   through `ItcSystem::run_drivers`, which always executes the
+//!   earliest-clock workstation next), never by host iteration order;
 //!   holder sets and schedules inside the core are sorted, so no
 //!   `HashMap`/`HashSet` iteration order can leak into the calendar.
 //! * Reports quantify outcomes only through virtual-time observables
@@ -40,10 +41,12 @@ pub use login_storm::LoginStormConfig;
 pub use release_push::ReleasePushConfig;
 pub use thundering_herd::ThunderingHerdConfig;
 
+use crate::driver::ScriptDriver;
 use itc_core::proto::{ServerId, ViceError};
+use itc_core::system::parallel::{RunMode, WsDriver};
 use itc_core::system::{ItcSystem, SystemError};
 use itc_core::venus::VenusError;
-use itc_sim::SimTime;
+use std::sync::{Arc, Mutex};
 
 /// How a failed scenario operation failed, at the level the user would
 /// experience it. RPC-internal retries that eventually succeeded do not
@@ -213,7 +216,7 @@ impl ScenarioReport {
     /// Assembles the report from a finished system. Percentiles cover the
     /// retained breakdown ring (the most recent 4096 traced calls), which
     /// every small scenario fits inside.
-    pub fn collect(name: &'static str, seed: u64, sys: &ItcSystem, counts: OpCounts) -> Self {
+    pub fn collect(name: &'static str, seed: u64, sys: &ItcSystem, counts: &SharedCounts) -> Self {
         let call_stats = sys.call_stats();
         let mut totals: Vec<f64> = Vec::new();
         let mut max_queue_cpu_s = 0.0f64;
@@ -258,7 +261,7 @@ impl ScenarioReport {
         ScenarioReport {
             name,
             seed,
-            counts,
+            counts: *counts.lock().expect("counts lock"),
             calls: sys.metrics().total_calls(),
             attempts: call_stats.attempts,
             retries: call_stats.retries,
@@ -316,33 +319,21 @@ impl ScenarioReport {
             self.queue_high_water,
             self.finished_us,
         ));
-        for r in &self.servers {
-            out.push_str(&format!(
-                "{{\"server\":{},\"calls\":{},\"queueing_us\":{},\"service_us\":{},\
-                 \"network_us\":{},\"wasted_us\":{},\"p50_us\":{},\"p90_us\":{}}}\n",
-                r.key,
-                r.calls,
-                r.queueing_us,
-                r.service_us,
-                r.network_us,
-                r.wasted_us,
-                r.p50_us,
-                r.p90_us
-            ));
-        }
-        for r in &self.volumes {
-            out.push_str(&format!(
-                "{{\"volume\":{},\"calls\":{},\"queueing_us\":{},\"service_us\":{},\
-                 \"network_us\":{},\"wasted_us\":{},\"p50_us\":{},\"p90_us\":{}}}\n",
-                r.key,
-                r.calls,
-                r.queueing_us,
-                r.service_us,
-                r.network_us,
-                r.wasted_us,
-                r.p50_us,
-                r.p90_us
-            ));
+        for (key, rows) in [("server", &self.servers), ("volume", &self.volumes)] {
+            for r in rows {
+                out.push_str(&format!(
+                    "{{\"{key}\":{},\"calls\":{},\"queueing_us\":{},\"service_us\":{},\
+                     \"network_us\":{},\"wasted_us\":{},\"p50_us\":{},\"p90_us\":{}}}\n",
+                    r.key,
+                    r.calls,
+                    r.queueing_us,
+                    r.service_us,
+                    r.network_us,
+                    r.wasted_us,
+                    r.p50_us,
+                    r.p90_us
+                ));
+            }
         }
         for (label, n) in &self.anomalies {
             out.push_str(&format!("{{\"anomaly\":\"{label}\",\"count\":{n}}}\n"));
@@ -405,40 +396,32 @@ impl ScenarioReport {
     }
 }
 
-/// One scripted workstation operation: a boxed closure over the system.
-pub(crate) type Op = Box<dyn FnMut(&mut ItcSystem) -> Result<(), SystemError>>;
+/// Operation outcomes shared between a storm and the scripts it runs.
+pub type SharedCounts = Arc<Mutex<OpCounts>>;
 
-/// One workstation's queue of scripted operations.
-pub(crate) type OpQueue = std::collections::VecDeque<Op>;
+/// One empty script per workstation, each due at its workstation's
+/// current clock.
+pub(crate) fn scripts(sys: &ItcSystem, counts: &SharedCounts) -> Vec<ScriptDriver> {
+    (0..sys.workstation_count())
+        .map(|ws| ScriptDriver::new(ws, sys.ws_time(ws), Arc::clone(counts)))
+        .collect()
+}
 
-/// Runs `ops` per-workstation operation queues in virtual-time order:
-/// always the workstation with the earliest local clock executes its next
-/// operation. This is the interleaving rule every storm uses — it models
+/// Runs one storm phase — script `ws` is workstation `ws`'s operation
+/// queue — through [`ItcSystem::run_drivers`], the interleaving rule every
+/// storm uses: the workstation with the earliest local clock executes its
+/// next operation, ties to the lower workstation index. It models
 /// independent machines contending for the same servers, and it is
-/// deterministic because clocks are virtual and ties break on the lower
-/// workstation index.
-pub(crate) fn drive_in_time_order<F>(
+/// deterministic because clocks are virtual.
+pub(crate) fn run_scripts(
     sys: &mut ItcSystem,
-    queues: &mut [std::collections::VecDeque<F>],
-    counts: &mut OpCounts,
-) -> Result<(), SystemError>
-where
-    F: FnMut(&mut ItcSystem) -> Result<(), SystemError>,
-{
-    loop {
-        let mut pick: Option<(usize, SimTime)> = None;
-        for (ws, q) in queues.iter().enumerate() {
-            if q.is_empty() {
-                continue;
-            }
-            let t = sys.ws_time(ws);
-            if pick.map(|(_, best)| t < best).unwrap_or(true) {
-                pick = Some((ws, t));
-            }
-        }
-        let Some((ws, _)) = pick else { break };
-        let mut op = queues[ws].pop_front().expect("picked non-empty");
-        counts.record(op(sys))?;
-    }
-    Ok(())
+    scripts: Vec<ScriptDriver>,
+    mode: RunMode,
+) -> Result<(), SystemError> {
+    let drivers = scripts
+        .into_iter()
+        .enumerate()
+        .map(|(ws, d)| (ws, Box::new(d) as Box<dyn WsDriver>))
+        .collect();
+    sys.run_drivers(drivers, mode).map(drop)
 }

@@ -11,12 +11,12 @@
 //! replica servers, and the saturated minute freezes a `utilization_peak`
 //! dump.
 
-use super::{drive_in_time_order, OpCounts, OpQueue, ScenarioReport};
+use super::{run_scripts, scripts, ScenarioReport, SharedCounts};
 use itc_core::proto::ServerId;
+use itc_core::system::parallel::{ClusterMask, RunMode};
 use itc_core::system::{ItcSystem, SystemError};
 use itc_core::SystemConfig;
 use itc_sim::{SimRng, SimTime};
-use std::collections::VecDeque;
 
 /// Parameters of the release push.
 #[derive(Debug, Clone)]
@@ -87,23 +87,18 @@ pub fn run(cfg: &ReleasePushConfig) -> Result<(ItcSystem, ScenarioReport), Syste
         let offset = SimTime::from_micros(rng.range(0, SimTime::from_secs(120).as_micros()));
         sys.advance_ws(ws, offset);
     }
-    let mut warm: Vec<OpQueue> = Vec::with_capacity(n);
-    for ws in 0..n {
+    let all = ClusterMask::all(cfg.clusters as usize);
+    let counts = SharedCounts::default();
+    let mut warm = scripts(&sys, &counts);
+    for (ws, d) in warm.iter_mut().enumerate() {
         let name = format!("u{ws:03}");
-        let mut q: OpQueue = VecDeque::new();
-        q.push_back(Box::new(move |sys: &mut ItcSystem| {
-            sys.login(ws, &name, &format!("pw-{name}"))
-        }));
+        d.push(all, move |ops| ops.login(ws, &name, &format!("pw-{name}")));
         for i in 0..cfg.binaries {
             let path = bin_path(i);
-            q.push_back(Box::new(move |sys: &mut ItcSystem| {
-                sys.fetch(ws, &path).map(|_| ())
-            }));
+            d.push(all, move |ops| ops.fetch(ws, &path).map(drop));
         }
-        warm.push(q);
     }
-    let mut counts = OpCounts::default();
-    drive_in_time_order(&mut sys, &mut warm, &mut counts)?;
+    run_scripts(&mut sys, warm, RunMode::Sequential)?;
 
     // The push: new build into the writable master, then re-clone to the
     // replicas. Administrative, so it costs server disk, not client calls.
@@ -128,19 +123,15 @@ pub fn run(cfg: &ReleasePushConfig) -> Result<(ItcSystem, ScenarioReport), Syste
             sys.advance_ws(ws, at);
         }
     }
-    let mut storm: Vec<OpQueue> = Vec::with_capacity(n);
-    for ws in 0..n {
-        let mut q: OpQueue = VecDeque::new();
+    let mut storm = scripts(&sys, &counts);
+    for (ws, d) in storm.iter_mut().enumerate() {
         for i in 0..cfg.binaries {
             let path = bin_path(i);
-            q.push_back(Box::new(move |sys: &mut ItcSystem| {
-                sys.fetch(ws, &path).map(|_| ())
-            }));
+            d.push(all, move |ops| ops.fetch(ws, &path).map(drop));
         }
-        storm.push(q);
     }
-    drive_in_time_order(&mut sys, &mut storm, &mut counts)?;
+    run_scripts(&mut sys, storm, RunMode::Sequential)?;
 
-    let report = ScenarioReport::collect("release_push", cfg.seed, &sys, counts);
+    let report = ScenarioReport::collect("release_push", cfg.seed, &sys, &counts);
     Ok((sys, report))
 }

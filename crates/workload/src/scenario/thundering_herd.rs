@@ -17,13 +17,14 @@
 //! show failed probes (and the wasted-time attribution component)
 //! collapse.
 
-use super::{OpCounts, OpQueue, ScenarioReport};
+use super::{run_scripts, scripts, ScenarioReport, SharedCounts};
 use itc_core::protect::{AccessList, Rights};
 use itc_core::proto::ServerId;
-use itc_core::system::{ItcSystem, SystemError};
+use itc_core::system::parallel::{ClusterMask, RunMode, WsDriver, WsOps};
+use itc_core::system::{ItcSystem, SystemError, WsId};
 use itc_core::SystemConfig;
 use itc_sim::{FaultPlan, SimRng, SimTime};
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Parameters of the thundering herd.
 #[derive(Debug, Clone)]
@@ -104,22 +105,17 @@ pub fn run(cfg: &ThunderingHerdConfig) -> Result<(ItcSystem, ScenarioReport), Sy
         let offset = SimTime::from_micros(rng.range(0, SimTime::from_secs(120).as_micros()));
         sys.advance_ws(ws, offset);
     }
-    let mut warm: Vec<OpQueue> = Vec::with_capacity(n);
-    for ws in 0..n {
+    let all = ClusterMask::all(1);
+    let counts = SharedCounts::default();
+    let mut warm = scripts(&sys, &counts);
+    for (ws, d) in warm.iter_mut().enumerate() {
         let name = format!("u{ws:03}");
         sys.add_user(&name, &format!("pw-{name}"))?;
-        let mut q: OpQueue = VecDeque::new();
-        q.push_back(Box::new(move |sys: &mut ItcSystem| {
-            sys.login(ws, &name, &format!("pw-{name}"))
-        }));
+        d.push(all, move |ops| ops.login(ws, &name, &format!("pw-{name}")));
         let warm_path = format!("/vice/proj/warm/w{ws:03}.txt");
-        q.push_back(Box::new(move |sys: &mut ItcSystem| {
-            sys.fetch(ws, &warm_path).map(|_| ())
-        }));
-        warm.push(q);
+        d.push(all, move |ops| ops.fetch(ws, &warm_path).map(drop));
     }
-    let mut counts = OpCounts::default();
-    super::drive_in_time_order(&mut sys, &mut warm, &mut counts)?;
+    run_scripts(&mut sys, warm, RunMode::Sequential)?;
 
     // The outage schedule and the lossy network are authored as separate
     // plans and merged — the composition the scenario DSL leans on.
@@ -139,52 +135,77 @@ pub fn run(cfg: &ThunderingHerdConfig) -> Result<(ItcSystem, ScenarioReport), Sy
     sys.install_faults(plan);
 
     // Probe phase: everyone wants the release notes, starting moments
-    // after the crash. A failed probe reschedules after either the fixed
-    // one-second cycle or the jittered exponential backoff; success moves
-    // straight to revalidating the (now suspect) warm file.
-    let probe_path = "/vice/proj/shared/release.txt";
+    // after the crash.
     let deadline = t_restart + SimTime::from_secs(900);
-    let mut next_at: Vec<SimTime> = (0..n)
-        .map(|_| t_crash + SimTime::from_micros(rng.range(0, 10_000_000)))
+    let probers = (0..n)
+        .map(|ws| {
+            let prober = Prober {
+                ws,
+                next_at: Some(t_crash + SimTime::from_micros(rng.range(0, 10_000_000))),
+                deadline,
+                use_backoff: cfg.use_backoff,
+                counts: Arc::clone(&counts),
+            };
+            (ws, Box::new(prober) as Box<dyn WsDriver>)
+        })
         .collect();
-    let mut done = vec![false; n];
-    loop {
-        let mut pick: Option<(usize, SimTime)> = None;
-        for ws in 0..n {
-            if done[ws] {
-                continue;
-            }
-            if pick.map(|(_, best)| next_at[ws] < best).unwrap_or(true) {
-                pick = Some((ws, next_at[ws]));
-            }
+    sys.run_drivers(probers, RunMode::Sequential)?;
+
+    let report = ScenarioReport::collect("thundering_herd", cfg.seed, &sys, &counts);
+    Ok((sys, report))
+}
+
+/// One client's probe cycle: fetch the release notes; a failed probe
+/// reschedules after either the fixed one-second cycle or the jittered
+/// exponential backoff, success moves straight to revalidating the (now
+/// suspect) warm file and ends the cycle. Probes past the deadline are
+/// never issued.
+struct Prober {
+    ws: WsId,
+    /// When the next probe is due; `None` once the client has recovered.
+    next_at: Option<SimTime>,
+    deadline: SimTime,
+    use_backoff: bool,
+    counts: SharedCounts,
+}
+
+impl WsDriver for Prober {
+    fn scope(&self) -> ClusterMask {
+        ClusterMask::all(1)
+    }
+
+    fn next_at(&self) -> Option<SimTime> {
+        self.next_at.filter(|&at| at <= self.deadline)
+    }
+
+    fn next_mask(&self) -> ClusterMask {
+        ClusterMask::all(1)
+    }
+
+    fn step(&mut self, ops: &mut WsOps<'_>) -> Result<(), SystemError> {
+        let ws = self.ws;
+        let at = self.next_at.expect("stepped while a probe is due");
+        if ops.ws_time(ws) < at {
+            ops.advance_ws(ws, at);
         }
-        let Some((ws, at)) = pick else { break };
-        if at > deadline {
-            break;
-        }
-        if sys.ws_time(ws) < at {
-            sys.advance_ws(ws, at);
-        }
-        let probe = sys.fetch(ws, probe_path).map(|_| ());
+        let probe = ops.fetch(ws, "/vice/proj/shared/release.txt").map(drop);
         let ok = probe.is_ok();
-        counts.record(probe)?;
+        self.counts.lock().expect("counts lock").record(probe)?;
         if ok {
             // Revalidation: the epoch bump marked cached entries suspect;
             // re-open the warm file (and re-acquire its promise).
-            let warm_path = format!("/vice/proj/warm/w{ws:03}.txt");
-            counts.record(sys.fetch(ws, &warm_path).map(|_| ()))?;
-            done[ws] = true;
+            let warm = ops.fetch(ws, &format!("/vice/proj/warm/w{ws:03}.txt"));
+            self.counts.lock().expect("counts lock").record(warm)?;
+            self.next_at = None;
         } else {
-            let gap = if cfg.use_backoff {
-                let b = sys.reconnect_backoff(ws, server);
+            let gap = if self.use_backoff {
+                let b = ops.reconnect_backoff(ws, ServerId(0));
                 b.max(SimTime::from_secs(1))
             } else {
                 SimTime::from_secs(1)
             };
-            next_at[ws] = sys.ws_time(ws) + gap;
+            self.next_at = Some(ops.ws_time(ws) + gap);
         }
+        Ok(())
     }
-
-    let report = ScenarioReport::collect("thundering_herd", cfg.seed, &sys, counts);
-    Ok((sys, report))
 }

@@ -161,11 +161,12 @@ impl UserSession {
     /// home-volume custodian hint. Without it, a shared-subtree read can
     /// cache a covering "/vice" hint first, and the next own-volume store
     /// would bounce off the shared custodian (NotCustodian) — correct, but
-    /// a cluster the op's PDES mask must not touch. Only the driver-based
-    /// runners need this; the sequential [`run_day`] loop is golden-pinned
-    /// without it.
+    /// a cluster the op's PDES mask must not touch. Only runs with
+    /// per-cluster masks ([`run_day_drivers`]) need this; [`run_day`]
+    /// declares all-cluster masks and is golden-pinned without it.
     ///
     /// [`run_day`]: crate::day::run_day
+    /// [`run_day_drivers`]: crate::day::run_day_drivers
     pub fn warm_home_hint(&self, sys: &mut ItcSystem) -> Result<(), SystemError> {
         let _ = sys.stat(self.ws, &format!("/vice/usr/{}/src", self.cfg.name))?;
         Ok(())
@@ -236,8 +237,8 @@ impl UserSession {
     /// `rate_multiplier` times faster than the configured base rate.
     /// Errors from permission or concurrency races are tolerated (real
     /// users retry); provisioning errors propagate. Generic over the call
-    /// surface so the same session runs against the [`ItcSystem`] facade
-    /// or a masked parallel [`itc_core::system::parallel::WsOps`] view.
+    /// surface ([`itc_core::system::parallel::WsOps`], the [`ItcSystem`]
+    /// facade over it, or a wrapper that observes each call).
     pub fn step<S: WsCalls>(
         &mut self,
         sys: &mut S,

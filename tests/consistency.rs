@@ -115,6 +115,32 @@ fn deletion_propagates_to_other_caches() {
 }
 
 #[test]
+fn rename_breaks_the_other_cache_too() {
+    // `rename` exists only on the `ItcSystem` facade, not on the driver
+    // op surface: its callback breaks must reach ws1 through the same
+    // delivery as a store's.
+    let mut sys = two_users(ValidationMode::Callback);
+    sys.store(0, "/vice/usr/shared/old", b"v1".to_vec())
+        .unwrap();
+    let _ = sys.fetch(1, "/vice/usr/shared/old").unwrap();
+    let calls = sys.metrics().total_calls();
+    assert_eq!(sys.fetch(1, "/vice/usr/shared/old").unwrap(), b"v1");
+    assert_eq!(sys.metrics().total_calls(), calls, "promise-protected");
+
+    sys.rename(0, "/vice/usr/shared/old", "/vice/usr/shared/new")
+        .unwrap();
+    // The break arrived: ws1's next open goes back to Vice, which no
+    // longer knows the old name.
+    let calls = sys.metrics().total_calls();
+    assert!(sys.fetch(1, "/vice/usr/shared/old").is_err());
+    assert!(
+        sys.metrics().total_calls() > calls,
+        "stale copy served from cache"
+    );
+    assert_eq!(sys.fetch(1, "/vice/usr/shared/new").unwrap(), b"v1");
+}
+
+#[test]
 fn version_counters_strictly_increase_across_writers() {
     let mut sys = two_users(ValidationMode::CheckOnOpen);
     sys.store(0, "/vice/usr/shared/f", b"1".to_vec()).unwrap();

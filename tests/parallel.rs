@@ -282,3 +282,63 @@ fn login_storm_parallel_matches_sequential_jsonl() {
     assert_eq!(seq.counts.failed, 0, "the storm queues but does not fail");
     assert!(seq.counts.ops > 0);
 }
+
+/// A script that under-declares its footprint: workstation 0 (cluster 0)
+/// declares cluster 0 for a fetch whose custodian is cluster 1. A second
+/// cluster-0 script queues behind it, so under `Parallel(2)` one worker is
+/// parked on the pool's condvar when the other trips.
+fn under_declared_fetch(mode: RunMode) -> OpCounts {
+    let mut sys = ItcSystem::build(SystemConfig::prototype(2, 2));
+    let mut acl = AccessList::new();
+    acl.grant("anyuser", Rights::READ_ONLY);
+    sys.create_volume("far", "/vice/far", ServerId(1), acl)
+        .expect("volume");
+    sys.admin_install_file("/vice/far/f", vec![7; 4_000])
+        .expect("install");
+    let counts = Arc::new(Mutex::new(OpCounts::default()));
+    let drivers = (0..2)
+        .map(|ws| {
+            let user = format!("m{ws}");
+            sys.add_user(&user, "pw").expect("user");
+            sys.login(ws, &user, "pw").expect("login");
+            let mut d = ScriptDriver::new(ws, sys.ws_time(ws), Arc::clone(&counts));
+            d.push(ClusterMask::of(0), move |ops| {
+                ops.fetch(ws, "/vice/far/f").map(|_| ())
+            });
+            (ws, Box::new(d) as Box<dyn WsDriver>)
+        })
+        .collect();
+    sys.run_drivers(drivers, mode).expect("script runs");
+    let counts = *counts.lock().unwrap();
+    counts
+}
+
+#[test]
+fn op_outside_its_mask_trips_and_the_parallel_run_terminates() {
+    // The sequential reference holds every cluster: no tripwire.
+    let seq = under_declared_fetch(RunMode::Sequential);
+    assert_eq!((seq.ops, seq.failed), (2, 0));
+
+    // In parallel the promise is enforced — and a worker dying mid-op must
+    // not leave its siblings waiting forever, so the run goes on a watched
+    // thread.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| under_declared_fetch(RunMode::Parallel(2)));
+        let _ = tx.send(outcome.map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        }));
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(Err(msg)) => assert!(
+            msg.contains("outside its declared mask"),
+            "wrong panic: {msg}"
+        ),
+        Ok(Ok(counts)) => panic!("under-declared op ran to completion: {counts:?}"),
+        Err(_) => panic!("poisoned pool hung instead of draining"),
+    }
+}
