@@ -6,6 +6,14 @@ set -eu
 echo "== rustfmt =="
 cargo fmt --check
 
+# Every exported line is declared once, on the record spine: no format!
+# object template and no substring field scanner may grow back beside it.
+echo "== record spine (no hand-rolled JSON outside crates/sim/src/record.rs) =="
+if grep -rnF -e '{{\"' -e 'span_field_' crates/*/src | grep -v '^crates/sim/src/record\.rs:'; then
+    echo "ci.sh: hand-rolled JSON object template or span_field_ scanner" >&2
+    exit 1
+fi
+
 echo "== clippy (offline, deny warnings) =="
 cargo clippy --workspace --offline -- -D warnings
 

@@ -14,7 +14,7 @@
 //!   login_storm|corruption_storm`, default callback). `top --export
 //!   [DIR]` writes the series as JSONL (byte-identical across same-seed
 //!   runs); `top FILE.jsonl` re-renders an exported series offline with
-//!   no simulation.
+//!   no simulation, and exits 1 naming the first line it cannot parse.
 
 use itc_core::system::ItcSystem;
 
@@ -84,8 +84,10 @@ fn run_scenarios(full: bool) {
         herd_fixed.table()
     );
 
-    let queueing =
-        |r: &ScenarioReport| r.servers.iter().map(|row| row.queueing_us).sum::<u64>() as f64 / 1e6;
+    let queueing = |r: &ScenarioReport| {
+        let us: u64 = r.servers.iter().map(|row| row.queueing.as_micros()).sum();
+        us as f64 / 1e6
+    };
     println!("-- before/after: the two shipped fixes");
     println!("| fix                      | metric               |   before |    after |");
     println!("|--------------------------|----------------------|----------|----------|");
@@ -165,7 +167,16 @@ fn run_top(args: &[String]) {
             eprintln!("bench top: {path}: {e}");
             std::process::exit(1);
         });
-        let lines: Vec<itc_core::ObsLine> = text.lines().filter_map(parse_obs_line).collect();
+        let lines: Vec<itc_core::ObsLine> = text
+            .lines()
+            .enumerate()
+            .map(|(i, line)| {
+                parse_obs_line(line).unwrap_or_else(|| {
+                    eprintln!("bench top: {path}:{}: unparseable record", i + 1);
+                    std::process::exit(1);
+                })
+            })
+            .collect();
         if lines.is_empty() {
             eprintln!("bench top: {path}: no series lines parsed");
             std::process::exit(1);

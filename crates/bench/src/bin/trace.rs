@@ -23,8 +23,7 @@ use itc_core::config::SystemConfig;
 use itc_core::proto::ServerId;
 use itc_core::system::ItcSystem;
 use itc_core::trace::{
-    parse_span_line, render_attribution_table, render_integrity_ledger, render_span_tree,
-    span_field_str, span_field_u64,
+    parse_dump, render_attribution_table, render_integrity_ledger, render_span_tree,
 };
 use itc_sim::{FaultPlan, SimTime, Span, TraceId};
 
@@ -86,36 +85,32 @@ fn demo_scenario(seed: u64) -> ItcSystem {
 
 /// Re-renders an exported dump file: header summary, then the span tree
 /// of the implicated trace (or of all frozen spans when the dump is not
-/// tied to one call, e.g. a utilization peak).
+/// tied to one call, e.g. a utilization peak). A file that is not, line
+/// for line, what `--export` writes is an error naming the first bad line.
 fn render_dump_file(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| format!("{path}: empty file"))?;
-    let reason = span_field_str(header, "reason").ok_or_else(|| format!("{path}: no header"))?;
-    let spans: Vec<Span> = lines.filter_map(parse_span_line).collect();
-    let trace = TraceId(span_field_u64(header, "trace").unwrap_or(0));
+    let d = parse_dump(&text).map_err(|line| format!("{path}:{line}: unparseable record"))?;
 
-    let mut out = String::new();
-    out.push_str(&format!(
+    let mut out = format!(
         "anomaly {}: {} at t={}s",
-        span_field_u64(header, "dump").unwrap_or(0),
-        reason,
-        span_field_u64(header, "at_us").unwrap_or(0) / 1_000_000,
-    ));
-    if let Some(s) = span_field_u64(header, "server") {
+        d.index,
+        d.reason,
+        d.at.as_micros() / 1_000_000,
+    );
+    if let Some(s) = d.server {
         out.push_str(&format!(" server={s}"));
     }
-    if let Some(v) = span_field_u64(header, "volume") {
+    if let Some(v) = d.volume {
         out.push_str(&format!(" volume={v}"));
     }
-    out.push_str(&format!(" ({} frozen spans)\n\n", spans.len()));
+    out.push_str(&format!(" ({} frozen spans)\n\n", d.spans.len()));
 
-    let focus: Vec<&Span> = if trace.is_traced() {
-        spans.iter().filter(|s| s.trace == trace).collect()
+    let focus: Vec<&Span> = if d.trace.is_traced() {
+        d.spans.iter().filter(|s| s.trace == d.trace).collect()
     } else {
-        spans.iter().collect()
+        d.spans.iter().collect()
     };
-    out.push_str(&render_span_tree(trace, &focus));
+    out.push_str(&render_span_tree(d.trace, &focus));
     Ok(out)
 }
 

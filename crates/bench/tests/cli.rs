@@ -54,6 +54,21 @@ fn bench_top_export_re_renders_to_the_live_console() {
         let file = dir.join("series.jsonl");
         assert_eq!(wrote, format!("wrote {}\n", file.display()));
         assert_eq!(stdout_of(BENCH, &["top", file.to_str().unwrap()]), live);
+
+        // A truncated export is an error naming the damaged line, not a
+        // shorter console.
+        let text = std::fs::read_to_string(&file).unwrap();
+        let cut = dir.join("cut.jsonl");
+        std::fs::write(&cut, &text[..text.len() - 9]).unwrap();
+        let out = run(BENCH, &["top", cut.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let expected = format!(
+            "{}:{}: unparseable record",
+            cut.display(),
+            text.lines().count()
+        );
+        assert!(String::from_utf8_lossy(&out.stderr).contains(&expected));
     }
 }
 
@@ -80,9 +95,32 @@ fn trace_export_writes_dumps_that_trace_re_renders() {
         dumps.len(),
         dir.display()
     )));
-    for dump in dumps {
+    for dump in &dumps {
         let rendered = stdout_of(TRACE, &[dump]);
         assert!(rendered.starts_with("anomaly "), "{dump}: {rendered}");
         assert!(rendered.contains("frozen spans)"), "{dump}: {rendered}");
+    }
+
+    // Damage is an error naming the line, never "anomaly 0 at t=0s" or a
+    // shorter span tree: a header without its `reason`, a cut last line.
+    let text = std::fs::read_to_string(dumps[0]).unwrap();
+    let reason = text.find("\"reason\"").unwrap();
+    let comma = reason + text[reason..].find(',').unwrap();
+    let spans = text.lines().count();
+    for (name, damaged, line) in [
+        (
+            "no-reason.jsonl",
+            format!("{}{}", &text[..reason], &text[comma + 1..]),
+            1,
+        ),
+        ("cut.jsonl", text[..text.len() - 9].to_string(), spans),
+    ] {
+        let file = dir.join(name);
+        std::fs::write(&file, damaged).unwrap();
+        let out = run(TRACE, &[file.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let expected = format!("{}:{line}: unparseable record", file.display());
+        assert!(String::from_utf8_lossy(&out.stderr).contains(&expected));
     }
 }

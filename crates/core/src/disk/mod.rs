@@ -126,11 +126,6 @@ impl Disk {
         self.checkpoints.remove(&vid.0);
     }
 
-    /// True when the disk holds a checkpoint for `vid`.
-    pub fn has_volume(&self, vid: VolumeId) -> bool {
-        self.checkpoints.contains_key(&vid.0)
-    }
-
     /// Appends an intent record for `op` against `vid`. Returns the
     /// sequence number to pass to [`Self::commit`].
     pub fn begin(&mut self, vid: VolumeId, op: JournalOp) -> u64 {

@@ -23,15 +23,17 @@
 //! * The **health engine**: a declarative table of windowed burn-rate
 //!   rules ([`HealthRule`]) evaluated per bucket as samples arrive. A
 //!   rule fires once per breach episode (when its consecutive-bucket
-//!   window fills) and emits a typed [`HealthEvent`] into the flight
-//!   recorder, deduplicated on `(rule, server, bucket)`.
-//! * The flat, line-oriented export form: [`ObsLine`], with a fixed-order
-//!   JSONL renderer ([`render_obs_line`]), its exact inverse
-//!   ([`parse_obs_line`], built on the [`crate::trace`] field scanners),
-//!   and the `vice-top` console renderer ([`render_console`]) shared by
-//!   the live `bench top` path and the offline re-renderer.
+//!   window fills) and logs a typed [`HealthEvent`] in the core that
+//!   decided it, deduplicated on `(rule, server, bucket)`.
+//! * The flat, line-oriented export form: [`ObsLine`], one field
+//!   declaration per kind on the record spine ([`itc_sim::record`])
+//!   behind [`render_obs_line`] and its exact inverse
+//!   [`parse_obs_line`], and the `vice-top` console renderer
+//!   ([`render_console`]) shared by the live `bench top` path and the
+//!   offline re-renderer.
 
-use crate::trace::{span_field_str, span_field_u64, CallBreakdown};
+use crate::trace::CallBreakdown;
+use itc_sim::record::{Field, Reader, Writer};
 use itc_sim::resource::BUCKET_WIDTH;
 use itc_sim::{EventStats, HealthEvent, HealthRuleKind, Percentiles, SimTime};
 use std::collections::BTreeMap;
@@ -267,10 +269,13 @@ pub struct ObsCore {
     /// when the bucket advances and folded in at merge time.
     engine_pending: Option<(u64, EventStats)>,
     rules: Vec<HealthRule>,
-    /// Breach runs per `(rule-tag, server, sub-tag)` — sub-tag separates
+    /// Breach runs per `(rule, server, sub-tag)` — sub-tag separates
     /// CPU from disk for the utilization rule — as `(last breached
     /// bucket, consecutive length)`.
-    runs: BTreeMap<(u8, u32, u8), (u64, u32)>,
+    runs: BTreeMap<(HealthRuleKind, u32, u8), (u64, u32)>,
+    /// The events the rules fired, in detection order, one per `(rule,
+    /// server, bucket)`.
+    health: Vec<HealthEvent>,
     /// Last active latency bucket per server; crossing it closes the
     /// previous bucket for tail-latency evaluation.
     tail_cursor: BTreeMap<u32, u64>,
@@ -292,13 +297,9 @@ impl ObsCore {
             engine_pending: None,
             rules: default_rules().to_vec(),
             runs: BTreeMap::new(),
+            health: Vec::new(),
             tail_cursor: BTreeMap::new(),
         }
-    }
-
-    /// The active rule table.
-    pub fn rules(&self) -> &[HealthRule] {
-        &self.rules
     }
 
     fn threshold_of(&self, kind: HealthRuleKind) -> Option<u64> {
@@ -308,9 +309,15 @@ impl ObsCore {
             .map(|r| r.threshold)
     }
 
+    /// The events this core's rules have fired, in detection order.
+    pub fn health_events(&self) -> &[HealthEvent] {
+        &self.health
+    }
+
     /// Advances the breach run of `(kind, server, subtag)` with a breach
-    /// observed at `bucket`; returns the typed event exactly when the
-    /// run's length reaches the rule's window.
+    /// observed at `bucket`; logs the typed event exactly when the run's
+    /// length reaches the rule's window, once per `(rule, server, bucket)`
+    /// (CPU and disk can fill the utilization window in the same minute).
     #[allow(clippy::too_many_arguments)]
     fn breach(
         &mut self,
@@ -321,32 +328,37 @@ impl ObsCore {
         bucket: u64,
         value: u64,
         at: SimTime,
-    ) -> Option<HealthEvent> {
-        let rule = self.rules.iter().copied().find(|r| r.kind == kind)?;
-        let key = (kind.tag(), server, subtag);
+    ) {
+        let Some(rule) = self.rules.iter().copied().find(|r| r.kind == kind) else {
+            return;
+        };
+        let key = (kind, server, subtag);
         let (last, run) = self.runs.get(&key).copied().unwrap_or((0, 0));
         let next = if run == 0 {
             1
         } else if bucket <= last {
             // Same bucket re-confirmed, or a previous-bucket probe arriving
             // after the run already moved on: already counted.
-            return None;
+            return;
         } else if bucket == last + 1 {
             run + 1
         } else {
             1
         };
         self.runs.insert(key, (bucket, next));
-        (next == rule.window).then_some(HealthEvent {
-            rule: kind,
-            server,
-            volume,
-            bucket,
-            at,
-            value,
-            threshold: rule.threshold,
-            window: rule.window,
-        })
+        let logged = |e: &HealthEvent| (e.rule, e.server, e.bucket) == (kind, server, bucket);
+        if next == rule.window && !self.health.iter().any(logged) {
+            self.health.push(HealthEvent {
+                rule: kind,
+                server,
+                volume,
+                bucket,
+                at,
+                value,
+                threshold: rule.threshold,
+                window: rule.window,
+            });
+        }
     }
 
     /// Samples a request-queue depth observed at arrival.
@@ -370,26 +382,25 @@ impl ObsCore {
         bucket: u64,
         pct: u8,
         at: SimTime,
-    ) -> Option<HealthEvent> {
+    ) {
         let p = self.servers.entry(server).or_default().point(bucket);
         if resource_tag == 0 {
             p.cpu_pct = p.cpu_pct.max(u64::from(pct));
         } else {
             p.disk_pct = p.disk_pct.max(u64::from(pct));
         }
-        let thr = self.threshold_of(HealthRuleKind::SustainedUtilization)?;
-        if u64::from(pct) < thr {
-            return None;
+        let thr = self.threshold_of(HealthRuleKind::SustainedUtilization);
+        if thr.is_some_and(|thr| u64::from(pct) >= thr) {
+            self.breach(
+                HealthRuleKind::SustainedUtilization,
+                resource_tag,
+                server,
+                None,
+                bucket,
+                u64::from(pct),
+                at,
+            );
         }
-        self.breach(
-            HealthRuleKind::SustainedUtilization,
-            resource_tag,
-            server,
-            None,
-            bucket,
-            u64::from(pct),
-            at,
-        )
     }
 
     /// Samples the cluster calendar's cumulative [`EventStats`]. Called
@@ -413,7 +424,7 @@ impl ObsCore {
 
     /// Folds one completed call in and evaluates tail latency for the
     /// bucket the call's server just moved past.
-    pub fn on_complete(&mut self, b: &CallBreakdown) -> Option<HealthEvent> {
+    pub fn on_complete(&mut self, b: &CallBreakdown) {
         let bucket = bucket_of(b.finished);
         let total_us = b.total().as_micros();
         let wasted_us = b.wasted().as_micros();
@@ -431,62 +442,53 @@ impl ObsCore {
         self.engine.point(bucket).calls += 1;
 
         let closed = match self.tail_cursor.get(&b.server).copied() {
-            None => {
-                self.tail_cursor.insert(b.server, bucket);
-                return None;
-            }
-            Some(c) if bucket <= c => return None,
-            Some(c) => c,
+            Some(c) if bucket <= c => return,
+            c => c,
         };
         self.tail_cursor.insert(b.server, bucket);
+        let Some(closed) = closed else {
+            return;
+        };
         let p99 = self
             .servers
             .get_mut(&b.server)
             .and_then(|s| s.points.get_mut(&closed))
             .and_then(|p| p.latency.percentile(99.0))
             .unwrap_or(0.0) as u64;
-        let thr = self.threshold_of(HealthRuleKind::TailLatency)?;
-        if p99 <= thr {
-            return None;
+        let thr = self.threshold_of(HealthRuleKind::TailLatency);
+        if thr.is_some_and(|thr| p99 > thr) {
+            self.breach(
+                HealthRuleKind::TailLatency,
+                0,
+                b.server,
+                None,
+                closed,
+                p99,
+                b.finished,
+            );
         }
-        self.breach(
-            HealthRuleKind::TailLatency,
-            0,
-            b.server,
-            None,
-            closed,
-            p99,
-            b.finished,
-        )
     }
 
     /// Counts one genuine retransmission-timer expiry against `server`
     /// and feeds the retry-rate rule.
-    pub fn on_timeout(
-        &mut self,
-        server: u32,
-        volume: Option<u32>,
-        at: SimTime,
-    ) -> Option<HealthEvent> {
+    pub fn on_timeout(&mut self, server: u32, volume: Option<u32>, at: SimTime) {
         let bucket = bucket_of(at);
         let p = self.servers.entry(server).or_default().point(bucket);
         p.timeouts += 1;
         let count = p.timeouts;
-        let thr = self.threshold_of(HealthRuleKind::RetryRate)?;
-        if count != thr {
-            // Fire exactly at the crossing; later expiries in the same
-            // bucket are the same episode.
-            return None;
+        // Fire exactly at the crossing; later expiries in the same bucket
+        // are the same episode.
+        if self.threshold_of(HealthRuleKind::RetryRate) == Some(count) {
+            self.breach(
+                HealthRuleKind::RetryRate,
+                0,
+                server,
+                volume,
+                bucket,
+                count,
+                at,
+            );
         }
-        self.breach(
-            HealthRuleKind::RetryRate,
-            0,
-            server,
-            volume,
-            bucket,
-            count,
-            at,
-        )
     }
 
     /// Samples the scrubber's cumulative progress counters after a pass.
@@ -505,24 +507,23 @@ impl ObsCore {
         at: SimTime,
         offlined: u64,
         rejected: u64,
-    ) -> Option<HealthEvent> {
+    ) {
         let bucket = bucket_of(at);
         let p = self.servers.entry(server).or_default().point(bucket);
         p.offlined += offlined;
         p.rejected += rejected;
-        let thr = self.threshold_of(HealthRuleKind::IntegrityBurn)?;
-        if offlined + rejected < thr {
-            return None;
+        let thr = self.threshold_of(HealthRuleKind::IntegrityBurn);
+        if thr.is_some_and(|thr| offlined + rejected >= thr) {
+            self.breach(
+                HealthRuleKind::IntegrityBurn,
+                0,
+                server,
+                volume,
+                bucket,
+                offlined + rejected,
+                at,
+            );
         }
-        self.breach(
-            HealthRuleKind::IntegrityBurn,
-            0,
-            server,
-            volume,
-            bucket,
-            offlined + rejected,
-            at,
-        )
     }
 }
 
@@ -590,16 +591,14 @@ impl ObsSummary {
                     kinds: p
                         .by_kind
                         .iter()
-                        .map(|(k, perc)| {
+                        .map(|(kind, perc)| {
                             let mut perc = perc.clone();
-                            KindStat {
-                                kind: (*k).to_string(),
-                                calls: perc.len() as u64,
-                                p50_us: perc.percentile(50.0).unwrap_or(0.0) as u64,
-                                p99_us: perc.percentile(99.0).unwrap_or(0.0) as u64,
-                            }
+                            let p50 = perc.percentile(50.0).unwrap_or(0.0) as u64;
+                            let p99 = perc.percentile(99.0).unwrap_or(0.0) as u64;
+                            format!("{kind}:{}:{p50}:{p99}", perc.len())
                         })
-                        .collect(),
+                        .collect::<Vec<_>>()
+                        .join(","),
                 }));
             }
         }
@@ -629,18 +628,7 @@ impl ObsSummary {
                 }));
             }
         }
-        for ev in health {
-            out.push(ObsLine::Health(HealthLine {
-                rule: ev.rule,
-                server: ev.server,
-                volume: ev.volume,
-                bucket: ev.bucket,
-                at_us: ev.at.as_micros(),
-                value: ev.value,
-                threshold: ev.threshold,
-                window: ev.window,
-            }));
-        }
+        out.extend(health.iter().map(|ev| ObsLine::Health(*ev)));
         out
     }
 
@@ -648,8 +636,8 @@ impl ObsSummary {
     /// per sampled point and health event).
     pub fn render_jsonl(&self, health: &[HealthEvent]) -> String {
         let mut out = String::new();
-        for line in self.lines(health) {
-            let _ = writeln!(out, "{}", render_obs_line(&line));
+        for mut line in self.lines(health) {
+            let _ = writeln!(out, "{}", Writer::line(&mut line, obs_fields));
         }
         out
     }
@@ -659,21 +647,8 @@ impl ObsSummary {
 // Flat export lines: render, parse, console
 // ---------------------------------------------------------------------
 
-/// Per-kind latency digest carried inside a [`ServerLine`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KindStat {
-    /// Call kind label.
-    pub kind: String,
-    /// Calls of this kind in the bucket.
-    pub calls: u64,
-    /// Median latency, µs.
-    pub p50_us: u64,
-    /// 99th-percentile latency, µs.
-    pub p99_us: u64,
-}
-
 /// One server-series bucket, flattened for export.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServerLine {
     /// Bucket index (virtual minute).
     pub bucket: u64,
@@ -705,12 +680,13 @@ pub struct ServerLine {
     pub offlined: u64,
     /// Journal records rejected this bucket.
     pub rejected: u64,
-    /// Per-kind digests, in kind order.
-    pub kinds: Vec<KindStat>,
+    /// Per-kind latency digests `kind:calls:p50_us:p99_us`, comma-joined
+    /// in kind order.
+    pub kinds: String,
 }
 
 /// One volume-series bucket, flattened for export.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VolumeLine {
     /// Bucket index.
     pub bucket: u64,
@@ -727,7 +703,7 @@ pub struct VolumeLine {
 }
 
 /// One cluster-engine bucket, flattened for export.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClusterLine {
     /// Bucket index.
     pub bucket: u64,
@@ -745,27 +721,6 @@ pub struct ClusterLine {
     pub high_water: u64,
 }
 
-/// One health event, flattened for export.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HealthLine {
-    /// The rule that fired.
-    pub rule: HealthRuleKind,
-    /// Implicated server.
-    pub server: u32,
-    /// Implicated volume, if named.
-    pub volume: Option<u32>,
-    /// Breached bucket.
-    pub bucket: u64,
-    /// Detection instant, µs.
-    pub at_us: u64,
-    /// Measured value.
-    pub value: u64,
-    /// Rule threshold.
-    pub threshold: u64,
-    /// Rule window.
-    pub window: u32,
-}
-
 /// One line of the series export.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObsLine {
@@ -775,42 +730,67 @@ pub enum ObsLine {
     Volume(VolumeLine),
     /// A cluster-engine bucket.
     Cluster(ClusterLine),
-    /// A health event.
-    Health(HealthLine),
+    /// A health event (`at` exported as `at_us`).
+    Health(HealthEvent),
 }
 
-fn render_kinds(kinds: &[KindStat]) -> String {
-    let mut out = String::new();
-    for (i, k) in kinds.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// The four series kinds' fields, in line order; `series` names the kind.
+fn obs_fields<F: Field>(l: &mut ObsLine, f: &mut F) {
+    match l {
+        ObsLine::Server(s) => {
+            f.tag("series", "server");
+            f.u64("bucket", &mut s.bucket);
+            f.u32("server", &mut s.server);
+            f.u64("calls", &mut s.calls);
+            f.u64("p50_us", &mut s.p50_us);
+            f.u64("p99_us", &mut s.p99_us);
+            f.u64("retry_wasted_us", &mut s.retry_wasted_us);
+            f.u64("timeouts", &mut s.timeouts);
+            f.u64("queue_peak", &mut s.queue_peak);
+            f.u64("cpu_pct", &mut s.cpu_pct);
+            f.u64("disk_pct", &mut s.disk_pct);
+            f.u64("journal_lag", &mut s.journal_lag);
+            f.u64("scrub_files", &mut s.scrub_files);
+            f.u64("scrub_bytes", &mut s.scrub_bytes);
+            f.u64("offlined", &mut s.offlined);
+            f.u64("rejected", &mut s.rejected);
+            f.text("kinds", &mut s.kinds);
         }
-        let _ = write!(out, "{}:{}:{}:{}", k.kind, k.calls, k.p50_us, k.p99_us);
-    }
-    out
-}
-
-fn parse_kinds(s: &str) -> Option<Vec<KindStat>> {
-    if s.is_empty() {
-        return Some(Vec::new());
-    }
-    s.split(',')
-        .map(|item| {
-            let mut it = item.split(':');
-            Some(KindStat {
-                kind: it.next()?.to_string(),
-                calls: it.next()?.parse().ok()?,
-                p50_us: it.next()?.parse().ok()?,
-                p99_us: it.next()?.parse().ok()?,
-            })
-        })
-        .collect()
-}
-
-fn opt_u32(v: Option<u32>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "null".to_string(),
+        ObsLine::Volume(v) => {
+            f.tag("series", "volume");
+            f.u64("bucket", &mut v.bucket);
+            f.u32("volume", &mut v.volume);
+            f.u64("calls", &mut v.calls);
+            f.u64("p50_us", &mut v.p50_us);
+            f.u64("p99_us", &mut v.p99_us);
+            f.u64("retry_wasted_us", &mut v.retry_wasted_us);
+        }
+        ObsLine::Cluster(c) => {
+            f.tag("series", "cluster");
+            f.u64("bucket", &mut c.bucket);
+            f.u32("cluster", &mut c.cluster);
+            f.u64("calls", &mut c.calls);
+            f.u64("scheduled", &mut c.scheduled);
+            f.u64("executed", &mut c.executed);
+            f.u64("cancelled", &mut c.cancelled);
+            f.u64("high_water", &mut c.high_water);
+        }
+        ObsLine::Health(h) => {
+            f.tag("series", "health");
+            f.str(
+                "rule",
+                h.rule.label(),
+                &mut h.rule,
+                HealthRuleKind::from_label,
+            );
+            f.u32("server", &mut h.server);
+            f.opt_u32("volume", &mut h.volume);
+            f.u64("bucket", &mut h.bucket);
+            f.micros("at_us", &mut h.at);
+            f.u64("value", &mut h.value);
+            f.u64("threshold", &mut h.threshold);
+            f.u32("window", &mut h.window);
+        }
     }
 }
 
@@ -818,117 +798,22 @@ fn opt_u32(v: Option<u32>) -> String {
 /// order is fixed and every value is a virtual-time observable, so the
 /// output is byte-identical across same-seed runs and execution modes.
 pub fn render_obs_line(l: &ObsLine) -> String {
-    match l {
-        ObsLine::Server(s) => format!(
-            "{{\"series\":\"server\",\"bucket\":{},\"server\":{},\"calls\":{},\
-             \"p50_us\":{},\"p99_us\":{},\"retry_wasted_us\":{},\"timeouts\":{},\
-             \"queue_peak\":{},\"cpu_pct\":{},\"disk_pct\":{},\"journal_lag\":{},\
-             \"scrub_files\":{},\"scrub_bytes\":{},\"offlined\":{},\"rejected\":{},\
-             \"kinds\":\"{}\"}}",
-            s.bucket,
-            s.server,
-            s.calls,
-            s.p50_us,
-            s.p99_us,
-            s.retry_wasted_us,
-            s.timeouts,
-            s.queue_peak,
-            s.cpu_pct,
-            s.disk_pct,
-            s.journal_lag,
-            s.scrub_files,
-            s.scrub_bytes,
-            s.offlined,
-            s.rejected,
-            render_kinds(&s.kinds),
-        ),
-        ObsLine::Volume(v) => format!(
-            "{{\"series\":\"volume\",\"bucket\":{},\"volume\":{},\"calls\":{},\
-             \"p50_us\":{},\"p99_us\":{},\"retry_wasted_us\":{}}}",
-            v.bucket, v.volume, v.calls, v.p50_us, v.p99_us, v.retry_wasted_us,
-        ),
-        ObsLine::Cluster(c) => format!(
-            "{{\"series\":\"cluster\",\"bucket\":{},\"cluster\":{},\"calls\":{},\
-             \"scheduled\":{},\"executed\":{},\"cancelled\":{},\"high_water\":{}}}",
-            c.bucket, c.cluster, c.calls, c.scheduled, c.executed, c.cancelled, c.high_water,
-        ),
-        ObsLine::Health(h) => format!(
-            "{{\"series\":\"health\",\"rule\":\"{}\",\"server\":{},\"volume\":{},\
-             \"bucket\":{},\"at_us\":{},\"value\":{},\"threshold\":{},\"window\":{}}}",
-            h.rule.label(),
-            h.server,
-            opt_u32(h.volume),
-            h.bucket,
-            h.at_us,
-            h.value,
-            h.threshold,
-            h.window,
-        ),
-    }
-}
-
-fn parse_rule(label: &str) -> Option<HealthRuleKind> {
-    Some(match label {
-        "sustained_utilization" => HealthRuleKind::SustainedUtilization,
-        "tail_latency" => HealthRuleKind::TailLatency,
-        "retry_rate" => HealthRuleKind::RetryRate,
-        "integrity_burn" => HealthRuleKind::IntegrityBurn,
-        _ => return None,
-    })
+    Writer::line(&mut l.clone(), obs_fields)
 }
 
 /// Parses one [`render_obs_line`] line back — the inverse the offline
-/// re-renderer uses. Every line produced by the renderer round-trips
-/// exactly.
+/// re-renderer uses; `None` for anything the renderer could not have
+/// written.
 pub fn parse_obs_line(line: &str) -> Option<ObsLine> {
-    Some(match span_field_str(line, "series")? {
-        "server" => ObsLine::Server(ServerLine {
-            bucket: span_field_u64(line, "bucket")?,
-            server: span_field_u64(line, "server")? as u32,
-            calls: span_field_u64(line, "calls")?,
-            p50_us: span_field_u64(line, "p50_us")?,
-            p99_us: span_field_u64(line, "p99_us")?,
-            retry_wasted_us: span_field_u64(line, "retry_wasted_us")?,
-            timeouts: span_field_u64(line, "timeouts")?,
-            queue_peak: span_field_u64(line, "queue_peak")?,
-            cpu_pct: span_field_u64(line, "cpu_pct")?,
-            disk_pct: span_field_u64(line, "disk_pct")?,
-            journal_lag: span_field_u64(line, "journal_lag")?,
-            scrub_files: span_field_u64(line, "scrub_files")?,
-            scrub_bytes: span_field_u64(line, "scrub_bytes")?,
-            offlined: span_field_u64(line, "offlined")?,
-            rejected: span_field_u64(line, "rejected")?,
-            kinds: parse_kinds(span_field_str(line, "kinds")?)?,
-        }),
-        "volume" => ObsLine::Volume(VolumeLine {
-            bucket: span_field_u64(line, "bucket")?,
-            volume: span_field_u64(line, "volume")? as u32,
-            calls: span_field_u64(line, "calls")?,
-            p50_us: span_field_u64(line, "p50_us")?,
-            p99_us: span_field_u64(line, "p99_us")?,
-            retry_wasted_us: span_field_u64(line, "retry_wasted_us")?,
-        }),
-        "cluster" => ObsLine::Cluster(ClusterLine {
-            bucket: span_field_u64(line, "bucket")?,
-            cluster: span_field_u64(line, "cluster")? as u32,
-            calls: span_field_u64(line, "calls")?,
-            scheduled: span_field_u64(line, "scheduled")?,
-            executed: span_field_u64(line, "executed")?,
-            cancelled: span_field_u64(line, "cancelled")?,
-            high_water: span_field_u64(line, "high_water")?,
-        }),
-        "health" => ObsLine::Health(HealthLine {
-            rule: parse_rule(span_field_str(line, "rule")?)?,
-            server: span_field_u64(line, "server")? as u32,
-            volume: span_field_u64(line, "volume").map(|v| v as u32),
-            bucket: span_field_u64(line, "bucket")?,
-            at_us: span_field_u64(line, "at_us")?,
-            value: span_field_u64(line, "value")?,
-            threshold: span_field_u64(line, "threshold")?,
-            window: span_field_u64(line, "window")? as u32,
-        }),
-        _ => return None,
-    })
+    // A blank of the wrong kind is rejected at its `series` tag.
+    [
+        ObsLine::Server(ServerLine::default()),
+        ObsLine::Volume(VolumeLine::default()),
+        ObsLine::Cluster(ClusterLine::default()),
+        ObsLine::Health(HealthEvent::default()),
+    ]
+    .into_iter()
+    .find_map(|blank| Reader::line(line, blank, obs_fields))
 }
 
 /// Renders the `vice-top` campus-at-a-glance console from export lines —
@@ -1030,7 +915,7 @@ pub fn render_console(lines: &[ObsLine]) -> String {
             );
         }
     }
-    let health: Vec<&HealthLine> = lines
+    let health: Vec<&HealthEvent> = lines
         .iter()
         .filter_map(|l| match l {
             ObsLine::Health(h) => Some(h),
@@ -1082,47 +967,67 @@ mod tests {
         assert!(s.get(5).is_some());
     }
 
+    /// Runs one sample hook and returns the event it logged, if any.
+    fn fired(core: &mut ObsCore, sample: impl FnOnce(&mut ObsCore)) -> Option<HealthEvent> {
+        let before = core.health_events().len();
+        sample(core);
+        core.health_events().get(before).copied()
+    }
+
     #[test]
     fn breach_runs_fire_once_per_episode_at_the_window() {
         let mut core = ObsCore::new();
         // window 2: one saturated bucket is silent, the second fires,
         // the third (same episode) stays silent.
         let t = SimTime::from_mins(3);
-        assert!(core.on_utilization(0, 0, 3, 99, t).is_none());
-        let ev = core.on_utilization(0, 0, 4, 99, t).expect("window filled");
+        assert!(fired(&mut core, |c| c.on_utilization(0, 0, 3, 99, t)).is_none());
+        let ev = fired(&mut core, |c| c.on_utilization(0, 0, 4, 99, t)).expect("window filled");
         assert_eq!(ev.rule, HealthRuleKind::SustainedUtilization);
         assert_eq!(ev.bucket, 4);
         assert_eq!(ev.window, 2);
-        assert!(core.on_utilization(0, 0, 5, 100, t).is_none());
+        assert!(fired(&mut core, |c| c.on_utilization(0, 0, 5, 100, t)).is_none());
         // A clean bucket resets the run.
-        assert!(core.on_utilization(0, 0, 7, 99, t).is_none());
-        assert!(core.on_utilization(0, 0, 8, 99, t).is_some());
+        assert!(fired(&mut core, |c| c.on_utilization(0, 0, 7, 99, t)).is_none());
+        assert!(fired(&mut core, |c| c.on_utilization(0, 0, 8, 99, t)).is_some());
         // CPU and disk runs are independent.
-        assert!(core.on_utilization(0, 1, 8, 99, t).is_none());
+        assert!(fired(&mut core, |c| c.on_utilization(0, 1, 8, 99, t)).is_none());
         // Below-threshold observations only feed the gauge.
-        assert!(core.on_utilization(0, 0, 9, 50, t).is_none());
+        assert!(fired(&mut core, |c| c.on_utilization(0, 0, 9, 50, t)).is_none());
         let p = core.servers[&0].get(9).unwrap();
         assert_eq!(p.cpu_pct, 50);
+        // CPU and disk filling the window in the same minute is one
+        // verdict on that server-minute, not two.
+        let mut core = ObsCore::new();
+        core.on_utilization(0, 0, 3, 99, t);
+        core.on_utilization(0, 1, 3, 99, t);
+        assert!(fired(&mut core, |c| c.on_utilization(0, 0, 4, 99, t)).is_some());
+        assert!(
+            fired(&mut core, |c| c.on_utilization(0, 1, 4, 99, t)).is_none(),
+            "same rule+server+bucket dedups"
+        );
+        assert!(fired(&mut core, |c| c.on_utilization(1, 1, 4, 99, t)).is_none());
+        assert!(fired(&mut core, |c| c.on_utilization(1, 1, 5, 99, t)).is_some());
     }
 
     #[test]
     fn retry_rate_fires_at_the_crossing_and_coalesces_adjacent_buckets() {
         let mut core = ObsCore::new();
         let t = SimTime::from_mins(2);
-        assert!(core.on_timeout(1, Some(7), t).is_none(), "first expiry");
-        let ev = core.on_timeout(1, Some(7), t).expect("second crosses");
+        let timeout = |core: &mut ObsCore, at| fired(core, |c| c.on_timeout(1, Some(7), at));
+        assert!(timeout(&mut core, t).is_none(), "first expiry");
+        let ev = timeout(&mut core, t).expect("second crosses");
         assert_eq!(ev.rule, HealthRuleKind::RetryRate);
         assert_eq!(ev.value, 2);
         assert_eq!(ev.volume, Some(7));
-        assert!(core.on_timeout(1, Some(7), t).is_none(), "same bucket");
+        assert!(timeout(&mut core, t).is_none(), "same bucket");
         // Adjacent bucket: same episode continuing.
         let t3 = SimTime::from_mins(3);
-        assert!(core.on_timeout(1, Some(7), t3).is_none());
-        assert!(core.on_timeout(1, Some(7), t3).is_none());
+        assert!(timeout(&mut core, t3).is_none());
+        assert!(timeout(&mut core, t3).is_none());
         // A gap starts a fresh episode.
         let t5 = SimTime::from_mins(5);
-        assert!(core.on_timeout(1, Some(7), t5).is_none());
-        assert!(core.on_timeout(1, Some(7), t5).is_some());
+        assert!(timeout(&mut core, t5).is_none());
+        assert!(timeout(&mut core, t5).is_some());
     }
 
     fn call(server: u32, finished_min: u64, total_ms: u64) -> CallBreakdown {
@@ -1151,27 +1056,30 @@ mod tests {
     fn tail_latency_evaluates_the_closed_bucket() {
         let mut core = ObsCore::new();
         // Bucket 2: p99 over 60s. Evaluated when bucket 3 opens.
-        assert!(core.on_complete(&call(0, 2, 70_000)).is_none());
-        let ev = core.on_complete(&call(0, 3, 10)).expect("closed bucket 2");
+        assert!(fired(&mut core, |c| c.on_complete(&call(0, 2, 70_000))).is_none());
+        let ev = fired(&mut core, |c| c.on_complete(&call(0, 3, 10))).expect("closed bucket 2");
         assert_eq!(ev.rule, HealthRuleKind::TailLatency);
         assert_eq!(ev.bucket, 2);
         assert_eq!(ev.value, 70_000_000);
         // Bucket 3 was fast: closing it is silent.
-        assert!(core.on_complete(&call(0, 5, 10)).is_none());
+        assert!(fired(&mut core, |c| c.on_complete(&call(0, 5, 10))).is_none());
     }
 
     #[test]
     fn integrity_burn_fires_on_the_first_loss() {
         let mut core = ObsCore::new();
         let t = SimTime::from_mins(9);
-        let ev = core.on_integrity(1, Some(4), t, 1, 0).expect("offlining");
+        let ev = fired(&mut core, |c| c.on_integrity(1, Some(4), t, 1, 0)).expect("offlining");
         assert_eq!(ev.rule, HealthRuleKind::IntegrityBurn);
         assert_eq!(ev.volume, Some(4));
         assert!(
-            core.on_integrity(1, Some(4), t, 1, 0).is_none(),
+            fired(&mut core, |c| c.on_integrity(1, Some(4), t, 1, 0)).is_none(),
             "same bucket"
         );
-        assert!(core.on_integrity(1, None, t, 0, 0).is_none(), "no loss");
+        assert!(
+            fired(&mut core, |c| c.on_integrity(1, None, t, 0, 0)).is_none(),
+            "no loss"
+        );
         let p = core.servers[&1].get(9).unwrap();
         assert_eq!(p.offlined, 2);
     }
@@ -1240,6 +1148,12 @@ mod tests {
             }
         }
         assert_eq!(kinds_seen, [true; 4], "all four line kinds exported");
+        // One line of each kind under hostile bytes.
+        for kind in ["server", "volume", "cluster", "health"] {
+            let tag = format!("\"series\":\"{kind}\"");
+            let line = text.lines().find(|l| l.contains(&tag)).expect("seen above");
+            crate::trace::tests::sweep(line, |m| parse_obs_line(m).map(|l| render_obs_line(&l)));
+        }
         // The console renders identically from live lines and re-parsed
         // lines — the offline re-renderer's contract.
         let live = sum.lines(&health);

@@ -101,15 +101,6 @@ impl AccessList {
         AccessList::default()
     }
 
-    /// Builds a list from positive entries.
-    pub fn with_positive(entries: &[(&str, Rights)]) -> AccessList {
-        let mut acl = AccessList::new();
-        for (who, r) in entries {
-            acl.grant(who, *r);
-        }
-        acl
-    }
-
     fn upsert(list: &mut Vec<(String, Rights)>, who: &str, rights: Rights) {
         match list.binary_search_by(|e| e.0.as_str().cmp(who)) {
             Ok(i) => {
@@ -169,16 +160,6 @@ impl AccessList {
     /// True when there are no entries at all.
     pub fn is_empty(&self) -> bool {
         self.positive.is_empty() && self.negative.is_empty()
-    }
-
-    /// Iterates positive entries.
-    pub fn positive_entries(&self) -> impl Iterator<Item = (&str, Rights)> {
-        self.positive.iter().map(|(w, r)| (w.as_str(), *r))
-    }
-
-    /// Iterates negative entries.
-    pub fn negative_entries(&self) -> impl Iterator<Item = (&str, Rights)> {
-        self.negative.iter().map(|(w, r)| (w.as_str(), *r))
     }
 
     /// Evaluates the effective rights of a user whose CPS (the user's own

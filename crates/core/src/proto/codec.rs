@@ -559,6 +559,9 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{req:?}: {e}"));
             assert_eq!(back, req);
         }
+        // One request per variant, and `KINDS` names exactly their labels.
+        let kinds: Vec<&str> = all_requests().iter().map(ViceRequest::kind).collect();
+        assert_eq!(kinds, ViceRequest::KINDS);
     }
 
     #[test]

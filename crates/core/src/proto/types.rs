@@ -254,6 +254,28 @@ pub enum ViceRequest {
 }
 
 impl ViceRequest {
+    /// Every label [`ViceRequest::kind`] returns — the vocabulary a span
+    /// line's `kind` is read back against.
+    pub const KINDS: [&'static str; 17] = [
+        "getcustodian",
+        "fetch",
+        "store",
+        "remove",
+        "getstatus",
+        "setmode",
+        "validate",
+        "makedir",
+        "removedir",
+        "rename",
+        "listdir",
+        "getacl",
+        "setacl",
+        "makesymlink",
+        "readlink",
+        "setlock",
+        "releaselock",
+    ];
+
     /// The statistics label for this call — matching the four categories
     /// the paper's call histogram reports, plus the rest.
     pub fn kind(&self) -> &'static str {

@@ -326,11 +326,6 @@ impl Server {
         self.storage.unsynced()
     }
 
-    /// The journal sync policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.storage.policy()
-    }
-
     /// Switches the journal sync policy.
     pub fn set_sync_policy(&mut self, policy: SyncPolicy) {
         self.storage.set_policy(policy);

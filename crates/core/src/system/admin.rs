@@ -7,7 +7,6 @@ use crate::disk::{
     CorruptionEvent, CorruptionOutcome, FlipRegion, IntegrityCounters, JournalOp, JournalStats,
     SalvageReport, ScrubStats, SyncPolicy,
 };
-use crate::location::LocationDb;
 use crate::metrics::{merge_cache, merge_venus, ServerMetrics, SystemMetrics};
 use crate::monitor::TrafficMonitor;
 use crate::protect::{AccessList, Rights};
@@ -255,12 +254,6 @@ impl ItcSystem {
         self.topo.servers[0].location().custodian_of(path)
     }
 
-    /// A reference to the location database replica of server 0 (all
-    /// replicas are identical) for size measurements (E14).
-    pub fn location_db(&self) -> &LocationDb {
-        self.topo.servers[0].location()
-    }
-
     // ------------------------------------------------------------------
     // Direct (untimed) content manipulation
     // ------------------------------------------------------------------
@@ -446,11 +439,6 @@ impl ItcSystem {
         self.core.disable_scrub();
     }
 
-    /// Whether the scrubber is currently enabled.
-    pub fn scrub_enabled(&self) -> bool {
-        self.core.scrub_interval.is_some()
-    }
-
     /// Running scrubber counters for one server.
     pub fn server_scrub_stats(&self, id: ServerId) -> ScrubStats {
         self.topo.servers[id.0 as usize].scrub_stats()
@@ -570,20 +558,6 @@ impl ItcSystem {
     /// A server's restart epoch (bumped by every crash).
     pub fn server_epoch(&self, id: ServerId) -> u64 {
         self.topo.servers[id.0 as usize].epoch()
-    }
-
-    /// Per-minute utilization series of a server's CPU (`tag` 0) or disk
-    /// (`tag` 1) up to `window_end` — the same buckets the flight
-    /// recorder's saturation probe watches.
-    pub fn server_utilization_series(
-        &self,
-        id: ServerId,
-        tag: u8,
-        window_end: SimTime,
-    ) -> Vec<(SimTime, f64)> {
-        let s = &self.topo.servers[id.0 as usize];
-        let res = if tag == 0 { s.cpu() } else { s.disk() };
-        res.utilization_series(window_end)
     }
 
     /// Fires any calendar events due at the current virtual time. The

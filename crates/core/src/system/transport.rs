@@ -77,7 +77,7 @@ use itc_sim::{
     HealthEvent, MessageFault, Scheduler, SimRng, SimTime, Span, SpanClass, TraceCollector,
     TraceId, TraceStats,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::RwLock;
 
 /// A callback break that has been popped from a calendar but not yet
@@ -383,19 +383,19 @@ impl EventCore {
     }
 
     /// Health events merged across every cluster, deduplicated on
-    /// `(rule, server, bucket)` keeping the first in cluster order, then
-    /// sorted on `(at, bucket, rule, server)` for a stable timeline.
+    /// `(rule, server, bucket)` keeping the first in cluster order (the
+    /// sort is stable), then sorted on `(at, bucket, rule, server)` for a
+    /// stable timeline.
     pub fn health_events(&self) -> Vec<HealthEvent> {
-        let mut seen: HashSet<(u8, u32, u64)> = HashSet::new();
-        let mut out = Vec::new();
-        for c in &self.clusters {
-            for ev in c.trace.health_events() {
-                if seen.insert((ev.rule.tag(), ev.server, ev.bucket)) {
-                    out.push(*ev);
-                }
-            }
-        }
-        out.sort_by_key(|ev| (ev.at, ev.bucket, ev.rule.tag(), ev.server));
+        let mut out: Vec<HealthEvent> = self
+            .clusters
+            .iter()
+            .flat_map(|c| c.obs.health_events())
+            .copied()
+            .collect();
+        out.sort_by_key(|ev| (ev.rule, ev.server, ev.bucket));
+        out.dedup_by_key(|ev| (ev.rule, ev.server, ev.bucket));
+        out.sort_by_key(|ev| (ev.at, ev.bucket, ev.rule, ev.server));
         out
     }
 }
@@ -827,12 +827,13 @@ impl SystemTransport<'_> {
                         Some(volume.0),
                     );
                     if self.tracing && rejected > 0 {
-                        let cl = self.cores.get_mut(cluster);
-                        if let Some(ev) =
-                            cl.obs.on_integrity(server, Some(volume.0), at, 0, rejected)
-                        {
-                            cl.trace.record_health(ev);
-                        }
+                        self.cores.get_mut(cluster).obs.on_integrity(
+                            server,
+                            Some(volume.0),
+                            at,
+                            0,
+                            rejected,
+                        );
                     }
                 }
             }
@@ -1013,12 +1014,8 @@ impl SystemTransport<'_> {
         // Integrity burn: each drained event is a volume the verifiers
         // took offline — losses the health engine must surface.
         if let Some((vid, _)) = events.first() {
-            if let Some(ev) = cl
-                .obs
-                .on_integrity(server, Some(vid.0), at, events.len() as u64, 0)
-            {
-                cl.trace.record_health(ev);
-            }
+            cl.obs
+                .on_integrity(server, Some(vid.0), at, events.len() as u64, 0);
         }
     }
 
@@ -1143,10 +1140,10 @@ impl SystemTransport<'_> {
                     // A genuine expiry (not a stood-down stale timer):
                     // count it against the unresponsive server and feed
                     // the retry-rate rule.
-                    let cl = self.cores.get_mut(cc);
-                    if let Some(ev) = cl.obs.on_timeout(server.0, call.volume, at) {
-                        cl.trace.record_health(ev);
-                    }
+                    self.cores
+                        .get_mut(cc)
+                        .obs
+                        .on_timeout(server.0, call.volume, at);
                 }
                 if call.attempt >= self.retry.max_attempts {
                     self.cores.get_mut(cc).call_stats.failures += 1;
@@ -1392,10 +1389,7 @@ impl SystemTransport<'_> {
                             // sustained-utilization rule at every probe;
                             // the flight recorder only cares about peaks.
                             let cl = self.cores.get_mut(sid);
-                            if let Some(ev) = cl.obs.on_utilization(server.0, tag, bucket, pct, at)
-                            {
-                                cl.trace.record_health(ev);
-                            }
+                            cl.obs.on_utilization(server.0, tag, bucket, pct, at);
                             if util >= 0.98 {
                                 cl.trace.report_peak(server.0, tag, bucket, pct, at);
                             }
@@ -1462,9 +1456,7 @@ impl SystemTransport<'_> {
                     let cl = self.cores.get_mut(cc);
                     // Latency/volume series plus tail-latency evaluation
                     // ride the same breakdown attribution records.
-                    if let Some(ev) = cl.obs.on_complete(&breakdown) {
-                        cl.trace.record_health(ev);
-                    }
+                    cl.obs.on_complete(&breakdown);
                     cl.attr.record(breakdown);
                     // Degraded-mode replies trip the flight recorder: the
                     // server answered, but could not serve normally.

@@ -21,7 +21,9 @@
 //! Everything here is pure observation: no calendar events, no rng
 //! draws, no clock movement.
 
-use itc_sim::trace::{AnomalyDump, Span, SpanClass, TraceId};
+use crate::proto::ViceRequest;
+use itc_sim::record::{Field, Reader, Value, Writer};
+use itc_sim::trace::{AnomalyDump, AnomalyReason, Span, SpanClass, TraceId};
 use itc_sim::{Percentiles, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -219,11 +221,6 @@ impl AttributionAgg {
         self.salvage_disk
     }
 
-    /// Total background-scrubber disk time charged so far.
-    pub fn scrub_disk(&self) -> SimTime {
-        self.scrub_disk
-    }
-
     /// The retained raw breakdowns, oldest first.
     pub fn recent(&self) -> impl Iterator<Item = &CallBreakdown> {
         self.recent.iter()
@@ -263,7 +260,7 @@ impl AttributionAgg {
 
 /// One row of the attribution summary exposed through
 /// [`crate::metrics::SystemMetrics`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AttributionRow {
     /// Server or volume id.
     pub key: u32,
@@ -340,63 +337,102 @@ impl AttributionAgg {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic JSONL rendering
+// The span and dump-header records (DESIGN.md, "Record spine")
 // ---------------------------------------------------------------------
 
-fn opt_u32(v: Option<u32>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "null".to_string(),
-    }
+/// The span line's fields, in line order.
+fn span_fields<F: Field>(s: &mut Span, f: &mut F) {
+    f.u64("trace", &mut s.trace.0);
+    f.u32("seq", &mut s.seq);
+    f.str(
+        "class",
+        s.class.label(),
+        &mut s.class,
+        SpanClass::from_label,
+    );
+    f.micros("at_us", &mut s.at);
+    f.opt_u32("server", &mut s.server);
+    f.opt_u32("client", &mut s.client);
+    f.opt_u32("volume", &mut s.volume);
+    f.opt_u32("queue_depth", &mut s.queue_depth);
+    f.u32("attempt", &mut s.attempt);
+    // Interned against the call-kind list, so a re-read span aliases the
+    // same `&'static str` the tracer recorded.
+    let shown = s.kind.map_or(Value::Null, Value::Str);
+    f.set("kind", shown, &mut s.kind, |raw| match raw {
+        Value::Null => Some(None),
+        _ => ViceRequest::KINDS
+            .into_iter()
+            .find(|k| raw.str() == Some(k))
+            .map(Some),
+    });
 }
 
-fn opt_str(v: Option<&str>) -> String {
-    match v {
-        Some(s) => format!("\"{s}\""),
-        None => "null".to_string(),
-    }
+/// The dump header's fields, in line order; `spans` is the count of span
+/// lines that follow it.
+fn dump_fields<F: Field>(d: &mut AnomalyDump, spans: &mut u64, f: &mut F) {
+    f.u32("dump", &mut d.index);
+    let reason = d.reason.to_string();
+    f.str(
+        "reason",
+        &reason,
+        &mut d.reason,
+        AnomalyReason::from_display,
+    );
+    f.micros("at_us", &mut d.at);
+    f.opt_u32("server", &mut d.server);
+    f.opt_u32("volume", &mut d.volume);
+    f.u64("trace", &mut d.trace.0);
+    f.u64("spans", spans);
 }
 
 /// Renders one span as a single flat JSON line (no trailing newline).
 /// Field order is fixed, all values are virtual-time observables, so the
 /// output is byte-identical across same-seed runs.
 pub fn render_span(s: &Span) -> String {
-    format!(
-        "{{\"trace\":{},\"seq\":{},\"class\":\"{}\",\"at_us\":{},\"server\":{},\
-         \"client\":{},\"volume\":{},\"queue_depth\":{},\"attempt\":{},\"kind\":{}}}",
-        s.trace.0,
-        s.seq,
-        s.class.label(),
-        s.at.as_micros(),
-        opt_u32(s.server),
-        opt_u32(s.client),
-        opt_u32(s.volume),
-        opt_u32(s.queue_depth),
-        s.attempt,
-        opt_str(s.kind),
-    )
+    Writer::line(&mut s.clone(), span_fields)
+}
+
+/// Parses one [`render_span`] line back into a [`Span`]; `None` for
+/// anything [`render_span`] could not have written.
+pub fn parse_span_line(line: &str) -> Option<Span> {
+    Reader::line(line, Span::default(), span_fields)
 }
 
 /// Renders one anomaly dump as JSONL: a header line naming the anomaly,
 /// then one line per frozen span, oldest first.
 pub fn render_dump(d: &AnomalyDump) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"dump\":{},\"reason\":\"{}\",\"at_us\":{},\"server\":{},\"volume\":{},\
-         \"trace\":{},\"spans\":{}}}",
-        d.index,
-        d.reason,
-        d.at.as_micros(),
-        opt_u32(d.server),
-        opt_u32(d.volume),
-        d.trace.0,
-        d.spans.len(),
-    );
+    let mut header = AnomalyDump {
+        spans: Vec::new(),
+        ..*d
+    };
+    let mut spans = d.spans.len() as u64;
+    let mut out = Writer::line(&mut header, |d, f| dump_fields(d, &mut spans, f));
+    out.push('\n');
     for s in &d.spans {
         let _ = writeln!(out, "{}", render_span(s));
     }
     out
+}
+
+/// Parses a [`render_dump`] text back — the inverse the offline
+/// re-renderer (the `trace` bin) applies to exported files. `Err` is the
+/// 1-based number of the first line that is not what [`render_dump`]
+/// writes there: a line that does not parse, the end of the text when
+/// span lines (or the last newline) are missing.
+pub fn parse_dump(text: &str) -> Result<AnomalyDump, usize> {
+    let mut lines = text.split_inclusive('\n').map(|l| l.strip_suffix('\n'));
+    let mut spans = 0;
+    let header = |d: &mut AnomalyDump, f: &mut Reader<'_>| dump_fields(d, &mut spans, f);
+    let first = lines.next().flatten().ok_or(1usize)?;
+    let mut d = Reader::line(first, AnomalyDump::default(), header).ok_or(1usize)?;
+    for (i, line) in lines.enumerate() {
+        d.spans.push(line.and_then(parse_span_line).ok_or(i + 2)?);
+    }
+    if d.spans.len() as u64 != spans {
+        return Err(d.spans.len() + 2);
+    }
+    Ok(d)
 }
 
 /// The deterministic file name a dump is exported under.
@@ -411,93 +447,13 @@ pub fn dump_file_name(d: &AnomalyDump) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Offline re-reading of exported dumps
-// ---------------------------------------------------------------------
-
-/// `"key":<number>` from one flat JSON line (keys are unique per line).
-pub fn span_field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// `"key":"string"` from one flat JSON line; `None` for `null`.
-pub fn span_field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// The wire vocabulary of call-kind labels, as carried in span lines.
-/// Parsing interns against this list so a re-read span aliases the same
-/// `&'static str` the tracer recorded.
-const KIND_VOCABULARY: [&str; 17] = [
-    "getcustodian",
-    "fetch",
-    "store",
-    "remove",
-    "getstatus",
-    "setmode",
-    "validate",
-    "makedir",
-    "removedir",
-    "rename",
-    "listdir",
-    "getacl",
-    "setacl",
-    "makesymlink",
-    "readlink",
-    "setlock",
-    "releaselock",
-];
-
-fn parse_span_class(label: &str) -> Option<SpanClass> {
-    Some(match label {
-        "attempt_send" => SpanClass::AttemptSend,
-        "request_arrive" => SpanClass::RequestArrive,
-        "service_dispatch" => SpanClass::ServiceDispatch,
-        "reply_depart" => SpanClass::ReplyDepart,
-        "reply_arrive" => SpanClass::ReplyArrive,
-        "timeout_fire" => SpanClass::TimeoutFire,
-        "call_abort" => SpanClass::CallAbort,
-        "crash" => SpanClass::Crash,
-        "restart" => SpanClass::Restart,
-        "salvage" => SpanClass::Salvage,
-        "break_deliver" => SpanClass::BreakDeliver,
-        "corrupt" => SpanClass::Corrupt,
-        "scrub" => SpanClass::Scrub,
-        _ => return None,
-    })
-}
-
-/// Parses one [`render_span`] line back into a [`Span`] — the inverse the
-/// offline re-renderer (the `trace` bin) uses on exported dump files. An
-/// unknown kind label parses as absent rather than wrong; every line
-/// produced by [`render_span`] round-trips exactly.
-pub fn parse_span_line(line: &str) -> Option<Span> {
-    Some(Span {
-        trace: TraceId(span_field_u64(line, "trace")?),
-        seq: span_field_u64(line, "seq")? as u32,
-        class: parse_span_class(span_field_str(line, "class")?)?,
-        at: SimTime::from_micros(span_field_u64(line, "at_us")?),
-        server: span_field_u64(line, "server").map(|v| v as u32),
-        client: span_field_u64(line, "client").map(|v| v as u32),
-        volume: span_field_u64(line, "volume").map(|v| v as u32),
-        queue_depth: span_field_u64(line, "queue_depth").map(|v| v as u32),
-        attempt: span_field_u64(line, "attempt")? as u32,
-        kind: span_field_str(line, "kind")
-            .and_then(|label| KIND_VOCABULARY.into_iter().find(|&k| k == label)),
-    })
-}
-
-// ---------------------------------------------------------------------
 // Human-facing renderers (the `trace` bin)
 // ---------------------------------------------------------------------
+
+/// An optional id as the human-facing renderers print it.
+fn or_null(v: Option<u32>) -> String {
+    v.map_or("null".to_string(), |x| x.to_string())
+}
 
 /// Renders the span tree of one trace: hops grouped by attempt, with
 /// offsets relative to the first span.
@@ -514,8 +470,8 @@ pub fn render_span_tree(trace: TraceId, spans: &[&Span]) -> String {
     let _ = writeln!(
         out,
         "trace {trace}  kind={kind}  server={}  client={}  spans={}",
-        opt_u32(server),
-        opt_u32(client),
+        or_null(server),
+        or_null(client),
         spans.len(),
     );
     let mut attempt = u32::MAX;
@@ -597,7 +553,7 @@ pub fn render_attribution_table(b: &CallBreakdown) -> String {
         b.trace,
         b.kind,
         b.server,
-        opt_u32(b.volume),
+        or_null(b.volume),
         b.attempts,
     );
     let mut row = |name: &str, t: SimTime| {
@@ -624,9 +580,32 @@ pub fn render_attribution_table(b: &CallBreakdown) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use itc_sim::trace::SpanClass;
+
+    /// The hostile-line property of a record kind: `reparse` (parse, then
+    /// render) maps every prefix of `text` to `None`, and every
+    /// single-byte substitution to `None` or to exactly the mutated bytes
+    /// — damage is never read as a smaller or different plausible record.
+    pub(crate) fn sweep(text: &str, reparse: impl Fn(&str) -> Option<String>) {
+        assert_eq!(reparse(text).as_deref(), Some(text));
+        for cut in 0..text.len() {
+            assert_eq!(reparse(&text[..cut]), None, "cut at {cut}: {text}");
+        }
+        let mut bytes = text.as_bytes().to_vec();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for b in 0..128 {
+                bytes[i] = b;
+                let mutated = std::str::from_utf8(&bytes).expect("ascii");
+                if let Some(back) = reparse(mutated) {
+                    assert_eq!(back, mutated, "byte {i} of {text}");
+                }
+            }
+            bytes[i] = original;
+        }
+    }
 
     fn breakdown(server: u32, volume: Option<u32>) -> CallBreakdown {
         CallBreakdown {
@@ -718,6 +697,23 @@ mod tests {
         ));
         assert_eq!(text.lines().count(), 2);
         assert_eq!(dump_file_name(&d), "anomaly-004-timed_out-s1.jsonl");
+
+        // Both record kinds, and the dump around them, under hostile bytes.
+        sweep(&render_span(&d.spans[0]), |m| {
+            parse_span_line(m).map(|s| render_span(&s))
+        });
+        sweep(&text, |m| parse_dump(m).ok().map(|d| render_dump(&d)));
+        let peak = AnomalyDump {
+            reason: itc_sim::trace::AnomalyReason::UtilizationPeak(98),
+            spans: Vec::new(),
+            ..d
+        };
+        assert!(render_dump(&peak).contains("\"reason\":\"utilization_peak(98%)\""));
+        sweep(&render_dump(&peak), |m| {
+            parse_dump(m).ok().map(|d| render_dump(&d))
+        });
+        assert_eq!(parse_dump(&text.replace("store", "stor")).err(), Some(2));
+        assert_eq!(parse_dump(&format!("{text}{text}")).err(), Some(3));
     }
 
     #[test]

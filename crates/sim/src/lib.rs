@@ -35,6 +35,7 @@
 pub mod clock;
 pub mod costs;
 pub mod fault;
+pub mod record;
 pub mod resource;
 pub mod rng;
 pub mod sched;

@@ -58,9 +58,10 @@ impl fmt::Display for TraceId {
 
 /// What kind of event a span records — one variant per hop of the call
 /// chain plus the lifecycle events that share the calendar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SpanClass {
     /// The client (re)sent the framed request.
+    #[default]
     AttemptSend,
     /// The request reached the server and joined its queue.
     RequestArrive,
@@ -91,6 +92,28 @@ pub enum SpanClass {
 }
 
 impl SpanClass {
+    /// Every class, in declaration order.
+    pub const ALL: [SpanClass; 13] = [
+        SpanClass::AttemptSend,
+        SpanClass::RequestArrive,
+        SpanClass::ServiceDispatch,
+        SpanClass::ReplyDepart,
+        SpanClass::ReplyArrive,
+        SpanClass::TimeoutFire,
+        SpanClass::CallAbort,
+        SpanClass::Crash,
+        SpanClass::Restart,
+        SpanClass::Salvage,
+        SpanClass::BreakDeliver,
+        SpanClass::Corrupt,
+        SpanClass::Scrub,
+    ];
+
+    /// The class a serialized label names.
+    pub fn from_label(label: &str) -> Option<SpanClass> {
+        SpanClass::ALL.into_iter().find(|c| c.label() == label)
+    }
+
     /// Stable lower-case label used in serialized dumps.
     pub fn label(self) -> &'static str {
         match self {
@@ -120,7 +143,7 @@ impl fmt::Display for SpanClass {
 /// One hop of one traced call (or one lifecycle event), as recorded by
 /// the owning system. All fields are virtual-time observables; a span
 /// never stores wall-clock data, so serialized spans are bit-stable.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Span {
     /// The logical call this hop belongs to ([`TraceId::NONE`] for
     /// lifecycle events outside any call).
@@ -147,9 +170,10 @@ pub struct Span {
 }
 
 /// Why the flight recorder froze a dump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AnomalyReason {
     /// A call exhausted its retries.
+    #[default]
     TimedOut,
     /// A call found its server down.
     Unreachable,
@@ -177,6 +201,26 @@ impl AnomalyReason {
             AnomalyReason::IntegrityFault => "integrity_fault",
         }
     }
+
+    /// The reason whose `Display` form is exactly `shown`.
+    pub fn from_display(shown: &str) -> Option<AnomalyReason> {
+        use AnomalyReason::*;
+        let peak = shown
+            .strip_prefix("utilization_peak(")
+            .and_then(|rest| rest.strip_suffix("%)"))
+            .and_then(|pct| pct.parse().ok())
+            .map(UtilizationPeak);
+        [
+            TimedOut,
+            Unreachable,
+            VolumeOffline,
+            Degraded,
+            IntegrityFault,
+        ]
+        .into_iter()
+        .chain(peak)
+        .find(|r| r.to_string() == shown)
+    }
 }
 
 impl fmt::Display for AnomalyReason {
@@ -188,13 +232,14 @@ impl fmt::Display for AnomalyReason {
     }
 }
 
-/// Which declarative SLO rule fired (the health engine's rule table lives
-/// in the core observability layer; the typed events land here, in the
-/// flight recorder, next to the anomaly dumps they complement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Which declarative SLO rule fired. The health engine's rule table, and
+/// the log of events it fires, live in the core observability layer; the
+/// types sit here beside the anomaly dumps they complement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum HealthRuleKind {
     /// One-minute utilization at or above the threshold percentage for a
     /// window of consecutive buckets.
+    #[default]
     SustainedUtilization,
     /// A closed bucket's p99 end-to-end latency above the threshold (µs).
     TailLatency,
@@ -207,6 +252,19 @@ pub enum HealthRuleKind {
 }
 
 impl HealthRuleKind {
+    /// Every rule kind, in declaration (and sort) order.
+    pub const ALL: [HealthRuleKind; 4] = [
+        HealthRuleKind::SustainedUtilization,
+        HealthRuleKind::TailLatency,
+        HealthRuleKind::RetryRate,
+        HealthRuleKind::IntegrityBurn,
+    ];
+
+    /// The rule kind a serialized label names.
+    pub fn from_label(label: &str) -> Option<HealthRuleKind> {
+        HealthRuleKind::ALL.into_iter().find(|r| r.label() == label)
+    }
+
     /// Stable lower-case label used in serialized series exports.
     pub fn label(self) -> &'static str {
         match self {
@@ -214,16 +272,6 @@ impl HealthRuleKind {
             HealthRuleKind::TailLatency => "tail_latency",
             HealthRuleKind::RetryRate => "retry_rate",
             HealthRuleKind::IntegrityBurn => "integrity_burn",
-        }
-    }
-
-    /// Compact tag used in dedup keys.
-    pub fn tag(self) -> u8 {
-        match self {
-            HealthRuleKind::SustainedUtilization => 0,
-            HealthRuleKind::TailLatency => 1,
-            HealthRuleKind::RetryRate => 2,
-            HealthRuleKind::IntegrityBurn => 3,
         }
     }
 }
@@ -238,7 +286,7 @@ impl fmt::Display for HealthRuleKind {
 /// burn-rate rules. All fields are virtual-time observables, so recorded
 /// events are bit-identical across same-seed runs and across sequential
 /// vs. parallel execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthEvent {
     /// The rule that fired.
     pub rule: HealthRuleKind,
@@ -259,7 +307,7 @@ pub struct HealthEvent {
 }
 
 /// A frozen snapshot of recent spans around one anomaly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AnomalyDump {
     /// Sequential dump number (0-based, in detection order).
     pub index: u32,
@@ -329,11 +377,6 @@ pub struct TraceCollector {
     /// bucket-index)` — the recorder fires once per saturated bucket, not
     /// once per call that observes it.
     seen_peaks: HashSet<(u32, u8, u64)>,
-    /// Typed SLO events recorded by the health engine, in detection order.
-    health: Vec<HealthEvent>,
-    /// Health events already recorded, as `(rule-tag, server, bucket)` —
-    /// the deterministic dedup the engine's rules rely on.
-    seen_health: HashSet<(u8, u32, u64)>,
     stats: TraceStats,
 }
 
@@ -367,8 +410,6 @@ impl TraceCollector {
             next_seq: 0,
             dumps: Vec::new(),
             seen_peaks: HashSet::new(),
-            health: Vec::new(),
-            seen_health: HashSet::new(),
             stats: TraceStats::default(),
         }
     }
@@ -382,11 +423,6 @@ impl TraceCollector {
     /// Whether the collector is recording.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Ring capacity in spans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Marks this collector as cluster `cluster`'s: subsequently minted
@@ -515,27 +551,6 @@ impl TraceCollector {
         );
     }
 
-    /// Records one typed health event, deduplicated on `(rule, server,
-    /// bucket)` so a rule fires once per breached bucket no matter how
-    /// many observations re-confirm it. Returns whether the event was
-    /// kept. A no-op while disabled.
-    pub fn record_health(&mut self, ev: HealthEvent) -> bool {
-        if !self.enabled
-            || !self
-                .seen_health
-                .insert((ev.rule.tag(), ev.server, ev.bucket))
-        {
-            return false;
-        }
-        self.health.push(ev);
-        true
-    }
-
-    /// The recorded health events, in detection order.
-    pub fn health_events(&self) -> &[HealthEvent] {
-        &self.health
-    }
-
     /// The frozen anomaly dumps, in detection order.
     pub fn dumps(&self) -> &[AnomalyDump] {
         &self.dumps
@@ -655,32 +670,6 @@ mod tests {
         c.report_peak(1, 0, 4, 99, SimTime::from_mins(4));
         c.report_peak(0, 1, 4, 99, SimTime::from_mins(4));
         assert_eq!(c.dumps().len(), 4);
-    }
-
-    #[test]
-    fn health_events_dedup_per_rule_server_bucket() {
-        let mut c = TraceCollector::new();
-        let ev = HealthEvent {
-            rule: HealthRuleKind::RetryRate,
-            server: 2,
-            volume: None,
-            bucket: 5,
-            at: SimTime::from_mins(5),
-            value: 3,
-            threshold: 2,
-            window: 1,
-        };
-        assert!(!c.record_health(ev), "disabled collector records nothing");
-        c.set_enabled(true);
-        assert!(c.record_health(ev));
-        assert!(!c.record_health(ev), "same rule+server+bucket dedups");
-        assert!(c.record_health(HealthEvent {
-            rule: HealthRuleKind::TailLatency,
-            ..ev
-        }));
-        assert!(c.record_health(HealthEvent { bucket: 6, ..ev }));
-        assert_eq!(c.health_events().len(), 3);
-        assert_eq!(c.health_events()[0].rule, HealthRuleKind::RetryRate);
     }
 
     #[test]

@@ -206,13 +206,6 @@ impl FileSystem {
         Ok(())
     }
 
-    /// Changes the owner uid.
-    pub fn set_uid(&mut self, path: &str, uid: u32) -> Result<(), FsError> {
-        let r = self.resolve(path, true)?;
-        self.node_mut(r.ino).attr.uid = uid;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Directories
     // ------------------------------------------------------------------
@@ -375,27 +368,6 @@ impl FileSystem {
             .as_file()
             .cloned()
             .ok_or_else(|| FsError::IsADirectory(format!("ino {}", ino.0)))
-    }
-
-    /// Replaces contents by inode number.
-    pub fn write_ino(&mut self, ino: Ino, now: u64, data: Vec<u8>) -> Result<(), FsError> {
-        let n = self
-            .inodes
-            .get_mut(&ino.0)
-            .ok_or_else(|| FsError::NotFound(format!("ino {}", ino.0)))?;
-        match &mut n.data {
-            NodeData::Regular(old) => {
-                let old_len = old.len() as u64;
-                let new_len = data.len() as u64;
-                *old = data;
-                n.attr.size = new_len;
-                n.attr.mtime = now;
-                n.attr.version += 1;
-                self.data_bytes = self.data_bytes - old_len + new_len;
-                Ok(())
-            }
-            _ => Err(FsError::IsADirectory(format!("ino {}", ino.0))),
-        }
     }
 
     /// Flips one byte of a regular file's contents in place *without*

@@ -45,7 +45,11 @@ use crate::driver::ScriptDriver;
 use itc_core::proto::{ServerId, ViceError};
 use itc_core::system::parallel::{RunMode, WsDriver};
 use itc_core::system::{ItcSystem, SystemError};
+use itc_core::trace::AttributionRow;
 use itc_core::venus::VenusError;
+use itc_sim::record::{Field, Writer};
+use itc_sim::Percentiles;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// How a failed scenario operation failed, at the level the user would
@@ -135,35 +139,14 @@ impl OpCounts {
     }
 }
 
-/// One aggregated attribution row of the report (a server or a volume).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRow {
-    /// Server or volume id.
-    pub key: u32,
-    /// Calls attributed to this key.
-    pub calls: u64,
-    /// Total queueing time, µs.
-    pub queueing_us: u64,
-    /// Total service time, µs.
-    pub service_us: u64,
-    /// Total network time, µs.
-    pub network_us: u64,
-    /// Total wasted (retry + injected delay) time, µs.
-    pub wasted_us: u64,
-    /// Median end-to-end call latency, µs.
-    pub p50_us: u64,
-    /// 90th-percentile end-to-end call latency, µs.
-    pub p90_us: u64,
-}
-
 /// The deterministic outcome of one scenario run. Every field is a
 /// virtual-time observable; [`ScenarioReport::jsonl`] renders the whole
 /// report (rows, anomaly counts, and the frozen flight-recorder dumps)
 /// byte-identically across same-seed runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioReport {
     /// Scenario name ("login_storm", ...).
-    pub name: &'static str,
+    pub name: String,
     /// The seed the run used.
     pub seed: u64,
     /// Operation-level outcome counters.
@@ -187,29 +170,42 @@ pub struct ScenarioReport {
     /// Worst single-call CPU queueing delay, seconds.
     pub max_queue_cpu_s: f64,
     /// Largest explicit request-queue depth any server incarnation saw.
-    pub queue_high_water: usize,
+    pub queue_high_water: u64,
     /// Anomaly dump counts by reason label, sorted by label.
     pub anomalies: Vec<(String, u64)>,
     /// The rendered flight-recorder dumps, `(file_name, jsonl)` in
     /// detection order.
     pub dumps: Vec<(String, String)>,
     /// Per-server attribution rows.
-    pub servers: Vec<ScenarioRow>,
+    pub servers: Vec<AttributionRow>,
     /// Per-volume attribution rows.
-    pub volumes: Vec<ScenarioRow>,
+    pub volumes: Vec<AttributionRow>,
     /// The system clock when the scenario finished, µs.
     pub finished_us: u64,
 }
 
-/// Percentile over an unsorted sample of seconds (nearest-rank on the
-/// sorted order); 0 for an empty sample.
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let idx = ((q / 100.0) * (samples.len() - 1) as f64).round() as usize;
-    samples[idx.min(samples.len() - 1)]
+/// An attribution row's fields, in line order; `key` is `"server"` or
+/// `"volume"`.
+fn row_fields<F: Field>(key: &'static str, r: &mut AttributionRow, f: &mut F) {
+    f.u32(key, &mut r.key);
+    f.u64("calls", &mut r.calls);
+    f.micros("queueing_us", &mut r.queueing);
+    f.micros("service_us", &mut r.service);
+    f.micros("network_us", &mut r.network);
+    f.micros("wasted_us", &mut r.wasted);
+    f.secs_us("p50_us", &mut r.p50_s);
+    f.secs_us("p90_us", &mut r.p90_s);
+}
+
+/// An anomaly-count line's fields.
+fn anomaly_fields<F: Field>((label, n): &mut (String, u64), f: &mut F) {
+    f.text("anomaly", label);
+    f.u64("count", n);
+}
+
+/// The marker line that precedes each frozen dump.
+fn marker_fields<F: Field>(file_name: &mut String, f: &mut F) {
+    f.text("dump", file_name);
 }
 
 impl ScenarioReport {
@@ -218,21 +214,18 @@ impl ScenarioReport {
     /// every small scenario fits inside.
     pub fn collect(name: &'static str, seed: u64, sys: &ItcSystem, counts: &SharedCounts) -> Self {
         let call_stats = sys.call_stats();
-        let mut totals: Vec<f64> = Vec::new();
+        let mut totals = Percentiles::new();
         let mut max_queue_cpu_s = 0.0f64;
         for b in sys.attribution().recent() {
-            totals.push(b.total().as_secs_f64());
+            totals.record(b.total().as_secs_f64());
             max_queue_cpu_s = max_queue_cpu_s.max(b.queue_cpu.as_secs_f64());
         }
-        let p50_s = percentile(&mut totals, 50.0);
-        let p90_s = percentile(&mut totals, 90.0);
-        let p99_s = percentile(&mut totals, 99.0);
-        let max_s = percentile(&mut totals, 100.0);
+        let mut percentile = |q| totals.percentile(q).unwrap_or(0.0);
 
         let mut queue_high_water = 0;
         for s in 0..sys.server_count() {
             for (_, hw) in sys.server_queue_history(ServerId(s as u32)) {
-                queue_high_water = queue_high_water.max(hw);
+                queue_high_water = queue_high_water.max(hw as u64);
             }
         }
 
@@ -246,36 +239,26 @@ impl ScenarioReport {
         }
         anomalies.sort();
 
-        let row = |r: &itc_core::trace::AttributionRow| ScenarioRow {
-            key: r.key,
-            calls: r.calls,
-            queueing_us: r.queueing.as_micros(),
-            service_us: r.service.as_micros(),
-            network_us: r.network.as_micros(),
-            wasted_us: r.wasted.as_micros(),
-            p50_us: (r.p50_s * 1e6).round() as u64,
-            p90_us: (r.p90_s * 1e6).round() as u64,
-        };
         let summary = sys.attribution().summary();
 
         ScenarioReport {
-            name,
+            name: name.to_string(),
             seed,
             counts: *counts.lock().expect("counts lock"),
             calls: sys.metrics().total_calls(),
             attempts: call_stats.attempts,
             retries: call_stats.retries,
             timeouts: call_stats.timeouts,
-            p50_s,
-            p90_s,
-            p99_s,
-            max_s,
+            p50_s: percentile(50.0),
+            p90_s: percentile(90.0),
+            p99_s: percentile(99.0),
+            max_s: percentile(100.0),
             max_queue_cpu_s,
             queue_high_water,
             anomalies,
             dumps: sys.render_anomaly_dumps(),
-            servers: summary.servers.iter().map(row).collect(),
-            volumes: summary.volumes.iter().map(row).collect(),
+            servers: summary.servers,
+            volumes: summary.volumes,
             finished_us: sys.now().as_micros(),
         }
     }
@@ -289,57 +272,54 @@ impl ScenarioReport {
             .unwrap_or(0)
     }
 
+    /// The header line's fields, in line order.
+    fn header_fields<F: Field>(&mut self, f: &mut F) {
+        f.text("scenario", &mut self.name);
+        f.u64("seed", &mut self.seed);
+        f.u64("ops", &mut self.counts.ops);
+        f.u64("failed", &mut self.counts.failed);
+        f.u64("unreachable", &mut self.counts.unreachable);
+        f.u64("timed_out", &mut self.counts.timed_out);
+        f.u64("offline", &mut self.counts.offline);
+        f.u64("calls", &mut self.calls);
+        f.u64("attempts", &mut self.attempts);
+        f.u64("retries", &mut self.retries);
+        f.u64("timeouts", &mut self.timeouts);
+        f.secs_us("p50_us", &mut self.p50_s);
+        f.secs_us("p90_us", &mut self.p90_s);
+        f.secs_us("p99_us", &mut self.p99_s);
+        f.secs_us("max_us", &mut self.max_s);
+        f.secs_us("max_queue_cpu_us", &mut self.max_queue_cpu_s);
+        f.u64("queue_high_water", &mut self.queue_high_water);
+        f.u64("finished_us", &mut self.finished_us);
+    }
+
     /// The whole report as deterministic JSONL: one header line, one line
     /// per attribution row, one per anomaly label, then the frozen dumps
     /// verbatim. Field order is fixed and every value is a virtual-time
     /// observable, so same-seed runs render byte-identically.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"scenario\":\"{}\",\"seed\":{},\"ops\":{},\"failed\":{},\"unreachable\":{},\
-             \"timed_out\":{},\"offline\":{},\"calls\":{},\"attempts\":{},\"retries\":{},\
-             \"timeouts\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{},\
-             \"max_queue_cpu_us\":{},\"queue_high_water\":{},\"finished_us\":{}}}\n",
-            self.name,
-            self.seed,
-            self.counts.ops,
-            self.counts.failed,
-            self.counts.unreachable,
-            self.counts.timed_out,
-            self.counts.offline,
-            self.calls,
-            self.attempts,
-            self.retries,
-            self.timeouts,
-            (self.p50_s * 1e6).round() as u64,
-            (self.p90_s * 1e6).round() as u64,
-            (self.p99_s * 1e6).round() as u64,
-            (self.max_s * 1e6).round() as u64,
-            (self.max_queue_cpu_s * 1e6).round() as u64,
-            self.queue_high_water,
-            self.finished_us,
-        ));
+        let mut header = ScenarioReport {
+            name: self.name.clone(),
+            anomalies: Vec::new(),
+            dumps: Vec::new(),
+            servers: Vec::new(),
+            volumes: Vec::new(),
+            ..*self
+        };
+        let _ = writeln!(out, "{}", Writer::line(&mut header, Self::header_fields));
         for (key, rows) in [("server", &self.servers), ("volume", &self.volumes)] {
             for r in rows {
-                out.push_str(&format!(
-                    "{{\"{key}\":{},\"calls\":{},\"queueing_us\":{},\"service_us\":{},\
-                     \"network_us\":{},\"wasted_us\":{},\"p50_us\":{},\"p90_us\":{}}}\n",
-                    r.key,
-                    r.calls,
-                    r.queueing_us,
-                    r.service_us,
-                    r.network_us,
-                    r.wasted_us,
-                    r.p50_us,
-                    r.p90_us
-                ));
+                let row = Writer::line(&mut r.clone(), |r, f| row_fields(key, r, f));
+                let _ = writeln!(out, "{row}");
             }
         }
-        for (label, n) in &self.anomalies {
-            out.push_str(&format!("{{\"anomaly\":\"{label}\",\"count\":{n}}}\n"));
+        for a in &self.anomalies {
+            let _ = writeln!(out, "{}", Writer::line(&mut a.clone(), anomaly_fields));
         }
         for (name, content) in &self.dumps {
-            out.push_str(&format!("{{\"dump\":\"{name}\"}}\n"));
+            let _ = writeln!(out, "{}", Writer::line(&mut name.clone(), marker_fields));
             out.push_str(content);
             if !content.ends_with('\n') {
                 out.push('\n');
@@ -381,12 +361,12 @@ impl ScenarioReport {
                 "| server {:2} | {:5} | {:10.1} | {:9.1} | {:9.1} | {:8.1} | {:5.2} | {:5.2} |\n",
                 r.key,
                 r.calls,
-                r.queueing_us as f64 / 1e6,
-                r.service_us as f64 / 1e6,
-                r.network_us as f64 / 1e6,
-                r.wasted_us as f64 / 1e6,
-                r.p50_us as f64 / 1e6,
-                r.p90_us as f64 / 1e6,
+                r.queueing.as_secs_f64(),
+                r.service.as_secs_f64(),
+                r.network.as_secs_f64(),
+                r.wasted.as_secs_f64(),
+                r.p50_s,
+                r.p90_s,
             ));
         }
         for (label, n) in &self.anomalies {
@@ -425,3 +405,6 @@ pub(crate) fn run_scripts(
         .collect();
     sys.run_drivers(drivers, mode).map(drop)
 }
+
+#[cfg(test)]
+mod tests;

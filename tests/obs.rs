@@ -191,29 +191,47 @@ fn storm_series_shapes_are_pinned() {
 /// re-renderer needs no simulator state.
 #[test]
 fn series_export_round_trips_through_the_offline_renderer() {
-    let (sys, _) = callback_storm::run(&CallbackStormConfig::small()).expect("storm runs");
-    let text = sys.render_series_export();
-    assert!(!text.is_empty());
+    // Each storm's export is also pinned to the bytes captured before the
+    // record spine replaced the hand-written templates; the corruption
+    // storm's carries `integrity_burn` lines with a non-null `volume`.
+    let callback = callback_storm::run(&CallbackStormConfig::small()).expect("storm runs");
+    let corruption = corruption_storm::run(&CorruptionStormConfig::small()).expect("storm runs");
+    let storms = [
+        (
+            "callback",
+            callback.0,
+            include_str!("data/series_callback_small.jsonl"),
+        ),
+        (
+            "corruption",
+            corruption.0,
+            include_str!("data/series_corruption_small.jsonl"),
+        ),
+    ];
+    for (name, sys, captured) in storms {
+        let text = sys.render_series_export();
+        assert_eq!(text, captured, "{name}: export drifted");
 
-    let lines: Vec<ObsLine> = text
-        .lines()
-        .map(|l| parse_obs_line(l).unwrap_or_else(|| panic!("unparseable line: {l}")))
-        .collect();
-    let rerendered: String = lines
-        .iter()
-        .map(|l| format!("{}\n", render_obs_line(l)))
-        .collect();
-    assert_eq!(text, rerendered, "render -> parse -> render must be exact");
+        let lines: Vec<ObsLine> = text
+            .lines()
+            .map(|l| parse_obs_line(l).unwrap_or_else(|| panic!("unparseable line: {l}")))
+            .collect();
+        let rerendered: String = lines
+            .iter()
+            .map(|l| format!("{}\n", render_obs_line(l)))
+            .collect();
+        assert_eq!(text, rerendered, "render -> parse -> render must be exact");
 
-    let live = render_console(&sys.obs_summary().lines(&sys.health_events()));
-    assert_eq!(render_console(&lines), live);
+        let live = render_console(&sys.obs_summary().lines(&sys.health_events()));
+        assert_eq!(render_console(&lines), live);
 
-    // Export to disk and read back: same bytes (mirrors the anomaly-dump
-    // round-trip).
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs_export");
-    let path = sys.export_series(&dir).expect("export");
-    assert_eq!(path.file_name().unwrap(), "series.jsonl");
-    assert_eq!(std::fs::read_to_string(path).expect("read back"), text);
+        // Export to disk and read back: same bytes (mirrors the
+        // anomaly-dump round-trip).
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        let path = sys.export_series(&dir).expect("export");
+        assert_eq!(path.file_name().unwrap(), "series.jsonl");
+        assert_eq!(std::fs::read_to_string(path).expect("read back"), text);
+    }
 }
 
 /// The observer must not see the parallel schedule: the full series

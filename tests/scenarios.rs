@@ -13,7 +13,7 @@
 use itc_afs::core::config::SystemConfig;
 use itc_afs::core::proto::ServerId;
 use itc_afs::core::system::ItcSystem;
-use itc_afs::core::trace::{parse_span_line, render_span, span_field_str, span_field_u64};
+use itc_afs::core::trace::{parse_dump, parse_span_line, render_dump, render_span};
 use itc_afs::sim::{FaultPlan, SimTime};
 use itc_workload::scenario::{
     callback_storm, classify_failure, login_storm, release_push, thundering_herd,
@@ -91,7 +91,7 @@ fn callback_storm_batching_moves_the_knee() {
     assert_eq!(fixed.anomaly_count("timed_out"), 1);
 
     let queueing = |r: &itc_workload::ScenarioReport| -> u64 {
-        r.servers.iter().map(|row| row.queueing_us).sum()
+        r.servers.iter().map(|row| row.queueing.as_micros()).sum()
     };
     assert!(
         fixed.p99_s < base.p99_s,
@@ -142,7 +142,7 @@ fn thundering_herd_backoff_collapses_the_probe_storm() {
         );
         assert!(r.attempts > r.calls, "the lossy plan must force retries");
         assert!(r.timeouts > 0);
-        assert!(r.servers.iter().any(|row| row.wasted_us > 0));
+        assert!(r.servers.iter().any(|row| row.wasted.as_micros() > 0));
     }
     // Fewer probes means fewer frozen unreachable dumps.
     assert!(fixed.anomaly_count("unreachable") < base.anomaly_count("unreachable"));
@@ -179,6 +179,16 @@ fn scenario_login_storm_small() {
         r.dumps[0].0.contains("utilization_peak"),
         "dump name drifted: {}",
         r.dumps[0].0
+    );
+    // The whole report — rows, anomaly counts, dump marker, and a dump
+    // whose header carries `utilization_peak(NN%)` — and the thundering
+    // herd's (volume rows, retries, hundreds of `unreachable` dumps),
+    // byte for byte as captured before the record spine.
+    assert_eq!(jsonl, include_str!("data/scenario_login_storm_small.jsonl"));
+    let (_, herd) = thundering_herd::run(&ThunderingHerdConfig::small()).unwrap();
+    assert!(
+        herd.jsonl() == include_str!("data/scenario_thundering_herd_small.jsonl"),
+        "thundering-herd report drifted from the captured bytes"
     );
 }
 
@@ -224,16 +234,15 @@ fn anomaly_dumps_round_trip_through_the_offline_renderer() {
         assert!(!dumps.is_empty());
         let mut saw_expected = false;
         for (name, text) in &dumps {
-            let mut lines = text.lines();
-            let header = lines.next().expect("dump has a header line");
-            let reason = span_field_str(header, "reason").expect("header names a reason");
+            let dump = parse_dump(text)
+                .unwrap_or_else(|line| panic!("unparseable line {line} in {name}:\n{text}"));
+            assert_eq!(&render_dump(&dump), text, "{name} did not round-trip");
             // `utilization_peak` renders with its percentage, e.g.
             // "utilization_peak(98%)" — match on the label prefix.
-            saw_expected |= reason.starts_with(expected_reason);
+            saw_expected |= dump.reason.to_string().starts_with(expected_reason);
             assert!(name.ends_with(".jsonl"));
-            let span_count = span_field_u64(header, "spans").unwrap();
             let mut parsed = 0u64;
-            for line in lines {
+            for line in text.lines().skip(1) {
                 let span = parse_span_line(line)
                     .unwrap_or_else(|| panic!("unparseable span line in {name}: {line}"));
                 assert_eq!(
@@ -243,7 +252,7 @@ fn anomaly_dumps_round_trip_through_the_offline_renderer() {
                 );
                 parsed += 1;
             }
-            assert_eq!(parsed, span_count, "header span count lies in {name}");
+            assert_eq!(parsed, dump.spans.len() as u64, "span count in {name}");
         }
         assert!(
             saw_expected,

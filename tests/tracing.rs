@@ -478,6 +478,19 @@ fn anomaly_export_is_byte_identical_across_same_seed_runs() {
     // anomaly structure (one timed-out dump) is stable.
     let (_, dumps_c) = timeout_scenario(43);
     assert_eq!(dumps_c.len(), dumps_a.len());
+
+    // And across commits: the small callback storm's dumps (one scripted
+    // timeout; header `reason` in its `Display` form, null ids, every span
+    // class of a call) against the bytes captured before the record spine
+    // replaced the hand-written templates.
+    use itc_workload::scenario::callback_storm;
+    let cfg = itc_workload::CallbackStormConfig::small();
+    let (sys, _) = callback_storm::run(&cfg).expect("storm runs");
+    let frozen = [(
+        "anomaly-000-timed_out-s0.jsonl".to_string(),
+        include_str!("data/callback_small_anomaly-000-timed_out-s0.jsonl").to_string(),
+    )];
+    assert_eq!(sys.render_anomaly_dumps(), frozen);
 }
 
 /// `breakdown_of` finds a completed call by id, and the rendered span
