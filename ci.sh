@@ -14,6 +14,24 @@ if grep -rnF -e '{{\"' -e 'span_field_' crates/*/src | grep -v '^crates/sim/src/
     exit 1
 fi
 
+# Each rule of the Vice call path is written once (DESIGN.md §8): the
+# server's arms go through `authorize` and `?`, the transport observes
+# through observe.rs, Venus derives replica preference from the request.
+echo "== one Vice call path (no hand-copied gate, tracing branch or replica flag) =="
+if grep -n 'return ViceReply::Error' crates/core/src/server/mod.rs \
+    || grep -n 'self\.tracing' crates/core/src/system/transport.rs \
+    || grep -n 'prefer_replica' crates/core/src/venus/mod.rs; then
+    echo "ci.sh: a copy of a call-path rule grew back (see the lines above)" >&2
+    exit 1
+fi
+# The trajectory: lines before the first #[cfg(test)] of every crates/*/src
+# file (tests.rs excluded), in total and for the call path's five files.
+find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
+    echo "$(awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f") $f"
+done | awk '{total += $1}
+    $2 ~ /core\/src\/(server\/mod|venus\/mod|system\/(transport|lifecycle|observe))\.rs$/ {print}
+    END {print total " non-test lines under crates/*/src"}'
+
 echo "== clippy (offline, deny warnings) =="
 cargo clippy --workspace --offline -- -D warnings
 

@@ -42,6 +42,16 @@ impl EntryKind {
     }
 }
 
+impl From<itc_unixfs::FileType> for EntryKind {
+    fn from(ftype: itc_unixfs::FileType) -> EntryKind {
+        match ftype {
+            itc_unixfs::FileType::Regular => EntryKind::File,
+            itc_unixfs::FileType::Directory => EntryKind::Dir,
+            itc_unixfs::FileType::Symlink => EntryKind::Symlink,
+        }
+    }
+}
+
 /// File status as Vice reports it — what Venus caches alongside file data
 /// ("Virtue caches entire files along with their status and custodianship
 /// information", Section 3.2).

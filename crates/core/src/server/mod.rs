@@ -9,8 +9,9 @@
 //!
 //! The server never trusts anything a workstation claims: the `user`
 //! argument to [`Server::handle`] comes from the binding, not the request,
-//! and every request is re-checked against the access lists here even if
-//! Venus already checked client-side.
+//! the request body is wire bytes until [`Server::serve`] decodes it, and
+//! every request is re-checked against the access lists by one gate
+//! (`authorize`) even if Venus already checked client-side.
 
 mod locks;
 
@@ -23,9 +24,7 @@ use crate::disk::{
 use crate::location::LocationDb;
 use crate::protect::{AccessList, ProtectionDomain, Rights};
 use crate::proto::payload::{note_copy, payload_digest};
-use crate::proto::{
-    CallbackBreak, EntryKind, Payload, ServerId, VStatus, ViceError, ViceReply, ViceRequest,
-};
+use crate::proto::{decode_request, Payload, ServerId, VStatus, ViceError, ViceReply, ViceRequest};
 use crate::volume::{Volume, VolumeError, VolumeId};
 use itc_rpc::{NodeId, RpcStats};
 use itc_sim::{Costs, Resource, SimTime, TraversalMode, ValidationMode};
@@ -93,9 +92,12 @@ pub struct Server {
     stats: RpcStats,
     validation: ValidationMode,
     traversal: TraversalMode,
-    pending_breaks: Vec<(NodeId, CallbackBreak)>,
+    /// Undelivered break messages, each `(workstation, invalidated paths)`.
+    pending_breaks: Vec<(NodeId, Vec<String>)>,
     /// Batch break notifications per recipient workstation (see
-    /// [`crate::SystemConfig::callback_break_batching`]).
+    /// [`crate::SystemConfig::callback_break_batching`]): one message then
+    /// carries every pending path for its workstation, otherwise exactly
+    /// one.
     break_batching: bool,
     next_volume_id: u32,
     online: bool,
@@ -636,20 +638,17 @@ impl Server {
         best
     }
 
-    /// Takes the callback breaks generated by recent calls; the system
-    /// layer delivers them (one-way messages) and invalidates caches.
-    pub fn drain_breaks(&mut self) -> Vec<(NodeId, CallbackBreak)> {
+    /// Takes the callback-break messages generated by recent calls, each
+    /// `(workstation, paths)` already grouped as the batching policy
+    /// dictates; the system layer delivers them (one-way messages) and
+    /// invalidates caches.
+    pub fn drain_breaks(&mut self) -> Vec<(NodeId, Vec<String>)> {
         std::mem::take(&mut self.pending_breaks)
     }
 
     /// Enables or disables per-recipient break batching.
     pub fn set_break_batching(&mut self, on: bool) {
         self.break_batching = on;
-    }
-
-    /// Whether break notifications are batched per recipient.
-    pub fn break_batching(&self) -> bool {
-        self.break_batching
     }
 
     /// Number of callback promises currently outstanding (server state the
@@ -668,6 +667,35 @@ impl Server {
     // Request handling
     // ------------------------------------------------------------------
 
+    /// Serves one dequeued request: decodes the wire body, answers a
+    /// retried mutation from the replay cache instead of applying it twice
+    /// (the exactly-once rule), otherwise runs [`Self::handle`] and
+    /// remembers a mutation's reply. `now` is what the handler is shown as
+    /// the current time. A replayed or undecodable request charges nothing.
+    pub fn serve(
+        &mut self,
+        qr: QueuedRequest,
+        now: SimTime,
+        costs: &Costs,
+    ) -> (ViceReply, CallCost) {
+        let req = match decode_request(&qr.body, qr.payload) {
+            Ok(req) => req,
+            Err(e) => {
+                let reply = ViceReply::Error(ViceError::BadRequest(e.to_string()));
+                return (reply, CallCost::default());
+            }
+        };
+        if !req.is_mutation() {
+            return self.handle(&qr.user, qr.from, &req, now, costs);
+        }
+        if let Some(cached) = self.replay_lookup(qr.from, qr.token) {
+            return (cached.clone(), CallCost::default());
+        }
+        let (reply, cost) = self.handle(&qr.user, qr.from, &req, now, costs);
+        self.replay_record(qr.from, qr.token, reply.clone());
+        (reply, cost)
+    }
+
     /// Handles one authenticated request.
     ///
     /// * `user` — identity from the RPC binding (never from the request).
@@ -683,14 +711,17 @@ impl Server {
         costs: &Costs,
     ) -> (ViceReply, CallCost) {
         let mut cost = CallCost::default();
-        let reply = self.dispatch(user, from, req, now, costs, &mut cost);
+        let reply = self
+            .dispatch(user, from, req, now, costs, &mut cost)
+            .unwrap_or_else(ViceReply::Error);
         (reply, cost)
     }
 
+    /// Charges server-side pathname traversal: the mount-prefix components
+    /// of `path` plus the `walked` components inside the volume (the
+    /// prototype's servers walked the whole pathname).
     fn charge_traversal(&self, costs: &Costs, cost: &mut CallCost, path: &str, walked: u32) {
         if self.traversal == TraversalMode::ServerSide {
-            // Mount-prefix components plus components walked inside the
-            // volume; the prototype's servers walked the whole pathname.
             let prefix = path.split('/').filter(|c| !c.is_empty()).count() as u32;
             cost.server_cpu += costs.srv_cpu_per_component * (walked + prefix) as u64;
         }
@@ -724,6 +755,33 @@ impl Server {
         }
     }
 
+    /// The authorisation gate — the only code that maps a Vice path into
+    /// the serving volume, finds the access list protecting it and checks
+    /// the caller's rights against it. Returns the volume-internal path
+    /// and the list that admitted the caller.
+    ///
+    /// Every request passes through here except two: `GetCustodian`
+    /// (location is public, and answerable for paths this server does not
+    /// host) and `ReleaseLock` (it can only release the caller's own
+    /// `(user, node)` lock, so there is nothing to protect).
+    fn authorize(
+        &self,
+        user: &str,
+        vol_idx: usize,
+        path: &str,
+        needed: Rights,
+    ) -> Result<(String, &AccessList), ViceError> {
+        let vol = &self.volumes[vol_idx];
+        let internal = vol
+            .internal_path(path)
+            .ok_or_else(|| ViceError::NoSuchFile(path.to_string()))?;
+        let acl = vol
+            .acl_for(&internal)
+            .map_err(|e| Self::map_vol_err(path, e))?;
+        self.check_rights(user, acl, needed, path)?;
+        Ok((internal, acl))
+    }
+
     fn map_vol_err(path: &str, e: VolumeError) -> ViceError {
         match e {
             VolumeError::Fs(fs) => map_fs_err(path, fs),
@@ -742,11 +800,7 @@ impl Server {
         Ok(VStatus {
             path: vice_path,
             fid: attr.ino.0,
-            kind: match attr.ftype {
-                FileType::Regular => EntryKind::File,
-                FileType::Directory => EntryKind::Dir,
-                FileType::Symlink => EntryKind::Symlink,
-            },
+            kind: attr.ftype.into(),
             size: attr.size,
             version: attr.version,
             mtime: attr.mtime,
@@ -770,14 +824,7 @@ impl Server {
 
     /// Breaks callbacks on `path` (and its parent directory, whose cached
     /// listing is stale too), excluding the mutating workstation.
-    fn break_callbacks(
-        &mut self,
-        path: &str,
-        new_version: u64,
-        from: NodeId,
-        costs: &Costs,
-        cost: &mut CallCost,
-    ) {
+    fn break_callbacks(&mut self, path: &str, from: NodeId, costs: &Costs, cost: &mut CallCost) {
         if self.validation != ValidationMode::Callback {
             return;
         }
@@ -785,37 +832,54 @@ impl Server {
         if let Ok((parent, _)) = itc_unixfs::dirname_basename(path) {
             targets.push(parent);
         }
+        let batching = self.break_batching;
         let mut charged: Vec<NodeId> = Vec::new();
         for target in targets {
-            if let Some(holders) = self.callbacks.remove(&target) {
-                // BTreeSet iteration is already sorted; the explicit sort
-                // documents that break order must stay seed-deterministic.
-                let mut holders: Vec<NodeId> = holders.into_iter().collect();
-                holders.sort_unstable();
-                for ws in holders {
-                    if ws != from {
-                        if self.break_batching {
-                            // Batched: one notification per recipient
-                            // workstation for this mutation, however many
-                            // of its promises just died.
-                            if !charged.contains(&ws) {
-                                charged.push(ws);
-                                cost.server_cpu += costs.srv_cpu_callback;
-                            }
-                        } else {
-                            cost.server_cpu += costs.srv_cpu_callback;
-                        }
-                        self.pending_breaks.push((
-                            ws,
-                            CallbackBreak {
-                                path: target.clone(),
-                                new_version,
-                            },
-                        ));
-                    }
+            // Holders leave the `BTreeSet` in ascending node order: break
+            // order must stay seed-deterministic.
+            for ws in self.callbacks.remove(&target).unwrap_or_default() {
+                if ws == from {
+                    continue;
+                }
+                if !batching {
+                    cost.server_cpu += costs.srv_cpu_callback;
+                } else if !charged.contains(&ws) {
+                    // Batched: one notification per recipient workstation
+                    // for this mutation, however many of its promises just
+                    // died.
+                    charged.push(ws);
+                    cost.server_cpu += costs.srv_cpu_callback;
+                }
+                // A batched path joins the message already waiting for its
+                // workstation; unbatched, every path is its own message.
+                let waiting = if batching {
+                    self.pending_breaks.iter_mut().find(|(to, _)| *to == ws)
+                } else {
+                    None
+                };
+                match waiting {
+                    Some((_, paths)) => paths.push(target.clone()),
+                    None => self.pending_breaks.push((ws, vec![target.clone()])),
                 }
             }
         }
+    }
+
+    /// The shared tail of the journaled mutations that invalidate cached
+    /// copies: intent → apply → commit, then break callbacks on `path`.
+    fn mutate_entry(
+        &mut self,
+        vol_idx: usize,
+        path: &str,
+        op: JournalOp,
+        from: NodeId,
+        costs: &Costs,
+        cost: &mut CallCost,
+    ) -> Result<(), ViceError> {
+        self.journal_apply(vol_idx, op)
+            .map_err(|e| Self::map_vol_err(path, e))?;
+        self.break_callbacks(path, from, costs, cost);
+        Ok(())
     }
 
     #[allow(clippy::too_many_lines)]
@@ -827,17 +891,18 @@ impl Server {
         now: SimTime,
         costs: &Costs,
         cost: &mut CallCost,
-    ) -> ViceReply {
+    ) -> Result<ViceReply, ViceError> {
         // Custodian location is answerable even for paths we do not host.
         if let ViceRequest::GetCustodian { path } = req {
-            return match self.location.lookup(path) {
-                Some((subtree, entry)) => ViceReply::Custodian {
-                    subtree: subtree.to_string(),
-                    custodian: entry.custodian,
-                    replicas: entry.replicas.clone(),
-                },
-                None => ViceReply::Error(ViceError::NoSuchFile(path.clone())),
-            };
+            let (subtree, entry) = self
+                .location
+                .lookup(path)
+                .ok_or_else(|| ViceError::NoSuchFile(path.clone()))?;
+            return Ok(ViceReply::Custodian {
+                subtree: subtree.to_string(),
+                custodian: entry.custodian,
+                replicas: entry.replicas.clone(),
+            });
         }
 
         let path = req.path();
@@ -852,12 +917,11 @@ impl Server {
                 | ViceRequest::SetAcl { .. }
                 | ViceRequest::MakeSymlink { .. }
         );
-        let Some(vol_idx) = self.volume_for(path, want_write) else {
-            // Not ours: answer with the custodian hint, as Section 3.1
-            // specifies.
-            let hint = self.location.custodian_of(path);
-            return ViceReply::Error(ViceError::NotCustodian(hint));
-        };
+        // Not ours: answer with the custodian hint, as Section 3.1
+        // specifies.
+        let vol_idx = self
+            .volume_for(path, want_write)
+            .ok_or_else(|| ViceError::NotCustodian(self.location.custodian_of(path)))?;
 
         // The location database is authoritative: if it assigns a *deeper*
         // subtree than the volume we would serve from, that subtree lives
@@ -869,7 +933,7 @@ impl Server {
                 && entry.custodian != self.id
                 && !entry.replicas.contains(&self.id)
             {
-                return ViceReply::Error(ViceError::NotCustodian(Some(entry.custodian)));
+                return Err(ViceError::NotCustodian(Some(entry.custodian)));
             }
         }
 
@@ -880,32 +944,17 @@ impl Server {
             ViceRequest::GetCustodian { .. } => unreachable!("handled above"),
 
             ViceRequest::Fetch { path } => {
+                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
                 let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
-                let acl = match vol.acl_for(&internal) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                if let Err(e) = self.check_rights(user, &acl, Rights::READ, path) {
-                    return ViceReply::Error(e);
-                }
-                let vol = &self.volumes[vol_idx];
-                let fs = match vol.fs_read() {
-                    Ok(f) => f,
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
+                let fs = vol.fs_read().map_err(|e| Self::map_vol_err(path, e))?;
                 // Do not follow a final symlink: Venus interprets links
                 // itself (they may point into other volumes on other
                 // servers).
-                let resolved = match fs.resolve(&internal, false) {
-                    Ok(r) => r,
-                    Err(e) => return ViceReply::Error(map_fs_err(path, e)),
-                };
+                let resolved = fs
+                    .resolve(&internal, false)
+                    .map_err(|e| map_fs_err(path, e))?;
                 self.charge_traversal(costs, cost, path, resolved.components_walked);
-                let attr = fs.attr_of(resolved.ino).expect("resolved").clone();
-                match attr.ftype {
+                let data = match fs.attr_of(resolved.ino).expect("resolved").ftype {
                     FileType::Regular => {
                         // The one genuine copy on the fetch path: reading
                         // the file out of the volume. From here to the
@@ -918,36 +967,25 @@ impl Server {
                         // take the volume offline, surface the fault.
                         let key =
                             itc_unixfs::normalize(&internal).unwrap_or_else(|_| internal.clone());
-                        if let Some(expected) = self.volumes[vol_idx].merkle().leaf(&key) {
-                            if payload_digest(&data) != expected {
-                                let vid = self.volumes[vol_idx].id();
-                                self.offline_volume_for_integrity(vid, &key);
-                                self.mark_corruptions_detected(
-                                    now,
-                                    CorruptionOutcome::CaughtAtFetch,
-                                    |r| match r {
-                                        FlipRegion::CheckpointFile { volume, path }
-                                        | FlipRegion::MerkleLeaf { volume, path } => {
-                                            *volume == vid && path == &key
-                                        }
-                                        FlipRegion::Journal { .. } => false,
-                                    },
-                                );
-                                return ViceReply::Error(ViceError::VolumeOffline(path.clone()));
-                            }
+                        let leaf = self.volumes[vol_idx].merkle().leaf(&key);
+                        if leaf.is_some_and(|expected| payload_digest(&data) != expected) {
+                            let vid = self.volumes[vol_idx].id();
+                            self.offline_volume_for_integrity(vid, &key);
+                            self.mark_corruptions_detected(
+                                now,
+                                CorruptionOutcome::CaughtAtFetch,
+                                |r| match r {
+                                    FlipRegion::CheckpointFile { volume, path }
+                                    | FlipRegion::MerkleLeaf { volume, path } => {
+                                        *volume == vid && path == &key
+                                    }
+                                    FlipRegion::Journal { .. } => false,
+                                },
+                            );
+                            return Err(ViceError::VolumeOffline(path.clone()));
                         }
                         note_copy(data.len());
-                        cost.server_cpu += costs.srv_block_cpu(data.len() as u64);
-                        cost.disk_bytes = data.len() as u64;
-                        let status = match Self::status_of(&self.volumes[vol_idx], &internal) {
-                            Ok(s) => s,
-                            Err(e) => return ViceReply::Error(e),
-                        };
-                        self.promise(path, from, costs, cost);
-                        ViceReply::Data {
-                            status,
-                            data: Payload::from_vec(data),
-                        }
+                        data
                     }
                     FileType::Directory => {
                         // Directories are fetchable as serialized listings:
@@ -967,131 +1005,85 @@ impl Server {
                             blob.extend_from_slice(name.as_bytes());
                             blob.push(b'\n');
                         }
-                        cost.server_cpu += costs.srv_block_cpu(blob.len() as u64);
-                        cost.disk_bytes = blob.len() as u64;
-                        let status = match Self::status_of(&self.volumes[vol_idx], &internal) {
-                            Ok(s) => s,
-                            Err(e) => return ViceReply::Error(e),
-                        };
-                        self.promise(path, from, costs, cost);
-                        ViceReply::Data {
-                            status,
-                            data: Payload::from_vec(blob),
-                        }
+                        blob
                     }
                     FileType::Symlink => {
                         let target = fs.readlink(&internal).expect("is a symlink");
-                        ViceReply::Link(link_target_to_vice(vol, path, &target))
+                        return Ok(ViceReply::Link(link_target_to_vice(vol, path, &target)));
                     }
-                }
+                };
+                cost.server_cpu += costs.srv_block_cpu(data.len() as u64);
+                cost.disk_bytes = data.len() as u64;
+                let status = Self::status_of(&self.volumes[vol_idx], &internal)?;
+                self.promise(path, from, costs, cost);
+                Ok(ViceReply::Data {
+                    status,
+                    data: Payload::from_vec(data),
+                })
             }
 
             ViceRequest::Store { path, data } => {
                 let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
-                let acl = match vol.acl_for(&internal) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                let exists = vol.fs().exists(&internal);
+                // Overwriting needs WRITE on the directory, creating INSERT.
+                let exists = vol.internal_path(path).is_some_and(|i| vol.fs().exists(&i));
                 let needed = if exists {
                     Rights::WRITE
                 } else {
                     Rights::INSERT
                 };
-                if let Err(e) = self.check_rights(user, &acl, needed, path) {
-                    return ViceReply::Error(e);
-                }
-                if self.traversal == TraversalMode::ServerSide {
-                    let walked = path.split('/').filter(|c| !c.is_empty()).count() as u32;
-                    cost.server_cpu += costs.srv_cpu_per_component * walked as u64;
-                }
+                let internal = self.authorize(user, vol_idx, path, needed)?.0;
+                self.charge_traversal(costs, cost, path, 0);
                 cost.server_cpu += costs.srv_block_cpu(data.len() as u64);
                 cost.disk_bytes = data.len() as u64;
-                let uid = uid_of(user);
                 // Intent → apply → commit: the journal record holds the
                 // payload by refcount; the one genuine copy on the store
                 // path happens when the op is applied to the volume.
                 let op = JournalOp::Store {
                     path: internal.clone(),
-                    uid,
+                    uid: uid_of(user),
                     mtime: now.as_micros(),
                     data: data.clone(),
                 };
-                match self.journal_apply(vol_idx, op) {
-                    Ok(()) => {
-                        let status = match Self::status_of(&self.volumes[vol_idx], &internal) {
-                            Ok(s) => s,
-                            Err(e) => return ViceReply::Error(e),
-                        };
-                        let v = status.version;
-                        self.break_callbacks(path, v, from, costs, cost);
-                        // The storing workstation's own copy is current; it
-                        // gets a fresh promise.
-                        self.promise(path, from, costs, cost);
-                        ViceReply::Status(status)
-                    }
-                    Err(e) => ViceReply::Error(Self::map_vol_err(path, e)),
-                }
+                self.journal_apply(vol_idx, op)
+                    .map_err(|e| Self::map_vol_err(path, e))?;
+                let status = Self::status_of(&self.volumes[vol_idx], &internal)?;
+                self.break_callbacks(path, from, costs, cost);
+                // The storing workstation's own copy is current; it gets a
+                // fresh promise.
+                self.promise(path, from, costs, cost);
+                Ok(ViceReply::Status(status))
             }
 
-            ViceRequest::Remove { path } => self.mutate_entry(
-                user,
-                from,
-                vol_idx,
-                path,
-                Rights::DELETE,
-                costs,
-                cost,
-                now,
-                |internal, t| JournalOp::Remove {
-                    path: internal.to_string(),
-                    mtime: t,
-                },
-            ),
+            ViceRequest::Remove { path } => {
+                let op = JournalOp::Remove {
+                    path: self.authorize(user, vol_idx, path, Rights::DELETE)?.0,
+                    mtime: now.as_micros(),
+                };
+                self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
+                Ok(ViceReply::Ok)
+            }
 
             ViceRequest::GetStatus { path } => {
                 cost.server_cpu += costs.srv_cpu_getstatus;
                 // The prototype stored status in per-file .admin files:
                 // answering a status query touches the server disk.
                 cost.disk_bytes = 2_048;
-                let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
-                let acl = match vol.acl_for(&internal) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                if let Err(e) = self.check_rights(user, &acl, Rights::READ, path) {
-                    return ViceReply::Error(e);
-                }
+                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
                 if let Ok(r) = self.volumes[vol_idx].fs().resolve(&internal, false) {
                     self.charge_traversal(costs, cost, path, r.components_walked);
                 }
-                match Self::status_of(&self.volumes[vol_idx], &internal) {
-                    Ok(s) => ViceReply::Status(s),
-                    Err(e) => ViceReply::Error(e),
-                }
+                Self::status_of(&self.volumes[vol_idx], &internal).map(ViceReply::Status)
             }
 
-            ViceRequest::SetMode { path, mode } => self.mutate_entry(
-                user,
-                from,
-                vol_idx,
-                path,
-                Rights::WRITE,
-                costs,
-                cost,
-                now,
-                |internal, t| JournalOp::SetMode {
-                    path: internal.to_string(),
+            ViceRequest::SetMode { path, mode } => {
+                let op = JournalOp::SetMode {
+                    path: self.authorize(user, vol_idx, path, Rights::WRITE)?.0,
                     mode: *mode as u32,
-                    mtime: t,
-                },
-            ),
+                    mtime: now.as_micros(),
+                };
+                self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
+                Ok(ViceReply::Ok)
+            }
 
             ViceRequest::Validate { path, fid, version } => {
                 cost.server_cpu += costs.srv_cpu_validate;
@@ -1099,314 +1091,138 @@ impl Server {
                 cost.disk_bytes = 2_048;
                 // The prototype's servers walked the entire pathname on
                 // every call — including the dominant validation calls.
-                if self.traversal == TraversalMode::ServerSide {
-                    let walked = path.split('/').filter(|c| !c.is_empty()).count() as u32;
-                    cost.server_cpu += costs.srv_cpu_per_component * walked as u64;
-                }
-                let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
+                self.charge_traversal(costs, cost, path, 0);
                 // Protection is re-checked on validation too: a revoked
                 // user must not keep using his cached copy by having the
                 // server confirm it is "current".
-                let acl = match vol.acl_for(&internal) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                if let Err(e) = self.check_rights(user, &acl, Rights::READ, path) {
-                    return ViceReply::Error(e);
-                }
-                let vol = &self.volumes[vol_idx];
-                match Self::status_of(vol, &internal) {
-                    Ok(status) => {
-                        // Both the identity and the version must match: a
-                        // deleted-and-recreated file has a new fid, so a
-                        // stale cache can never validate against it.
-                        let valid = status.fid == *fid && status.version == *version;
-                        self.promise(path, from, costs, cost);
-                        ViceReply::Validated {
-                            valid,
-                            status: (!valid).then_some(status),
-                        }
-                    }
-                    Err(e) => ViceReply::Error(e),
-                }
+                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
+                let status = Self::status_of(&self.volumes[vol_idx], &internal)?;
+                // Both the identity and the version must match: a
+                // deleted-and-recreated file has a new fid, so a stale
+                // cache can never validate against it.
+                let valid = status.fid == *fid && status.version == *version;
+                self.promise(path, from, costs, cost);
+                Ok(ViceReply::Validated {
+                    valid,
+                    status: (!valid).then_some(status),
+                })
             }
 
             ViceRequest::MakeDir { path } => {
-                let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
                 // A volume's mount root always exists (clients walking
                 // down with mkdir -p hit this for mounted user volumes).
-                if internal == "/" {
-                    return ViceReply::Error(ViceError::AlreadyExists(path.clone()));
+                if path == self.volumes[vol_idx].mount() {
+                    return Err(ViceError::AlreadyExists(path.clone()));
                 }
-                let acl = match vol.acl_for(&internal) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                if let Err(e) = self.check_rights(user, &acl, Rights::INSERT, path) {
-                    return ViceReply::Error(e);
-                }
-                let uid = uid_of(user);
+                let internal = self.authorize(user, vol_idx, path, Rights::INSERT)?.0;
                 let op = JournalOp::Mkdir {
                     path: internal.clone(),
-                    uid,
+                    uid: uid_of(user),
                     mtime: now.as_micros(),
                 };
-                match self.journal_apply(vol_idx, op) {
-                    Ok(()) => {
-                        let path_owned = path.clone();
-                        self.break_callbacks(&path_owned, 1, from, costs, cost);
-                        match Self::status_of(&self.volumes[vol_idx], &internal) {
-                            Ok(s) => ViceReply::Status(s),
-                            Err(e) => ViceReply::Error(e),
-                        }
-                    }
-                    Err(e) => ViceReply::Error(Self::map_vol_err(path, e)),
-                }
+                self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
+                Self::status_of(&self.volumes[vol_idx], &internal).map(ViceReply::Status)
             }
 
-            ViceRequest::RemoveDir { path } => self.mutate_entry(
-                user,
-                from,
-                vol_idx,
-                path,
-                Rights::DELETE,
-                costs,
-                cost,
-                now,
-                |internal, t| JournalOp::Rmdir {
-                    path: internal.to_string(),
-                    mtime: t,
-                },
-            ),
-
-            ViceRequest::Rename { from: src, to: dst } => {
-                let vol = &self.volumes[vol_idx];
-                // Renames must stay within one volume (as in AFS proper).
-                let (Some(si), Some(di)) = (vol.internal_path(src), vol.internal_path(dst)) else {
-                    return ViceReply::Error(ViceError::BadRequest(
-                        "rename must stay within one volume".to_string(),
-                    ));
-                };
-                let src_acl = match vol.acl_for(&si) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(src, e)),
-                };
-                let dst_acl = match vol.acl_for(&di) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(dst, e)),
-                };
-                if let Err(e) = self.check_rights(user, &src_acl, Rights::DELETE, src) {
-                    return ViceReply::Error(e);
-                }
-                if let Err(e) = self.check_rights(user, &dst_acl, Rights::INSERT, dst) {
-                    return ViceReply::Error(e);
-                }
-                let op = JournalOp::Rename {
-                    from: si,
-                    to: di,
+            ViceRequest::RemoveDir { path } => {
+                let op = JournalOp::Rmdir {
+                    path: self.authorize(user, vol_idx, path, Rights::DELETE)?.0,
                     mtime: now.as_micros(),
                 };
-                match self.journal_apply(vol_idx, op) {
-                    Ok(()) => {
-                        let (s, d) = (src.clone(), dst.clone());
-                        self.break_callbacks(&s, 0, from, costs, cost);
-                        self.break_callbacks(&d, 0, from, costs, cost);
-                        ViceReply::Ok
-                    }
-                    Err(e) => ViceReply::Error(Self::map_vol_err(src, e)),
+                self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
+                Ok(ViceReply::Ok)
+            }
+
+            ViceRequest::Rename { from: src, to: dst } => {
+                // Renames must stay within one volume (as in AFS proper).
+                let vol = &self.volumes[vol_idx];
+                if !(vol.covers(src) && vol.covers(dst)) {
+                    return Err(ViceError::BadRequest(
+                        "rename must stay within one volume".to_string(),
+                    ));
                 }
+                let op = JournalOp::Rename {
+                    from: self.authorize(user, vol_idx, src, Rights::DELETE)?.0,
+                    to: self.authorize(user, vol_idx, dst, Rights::INSERT)?.0,
+                    mtime: now.as_micros(),
+                };
+                self.mutate_entry(vol_idx, src, op, from, costs, cost)?;
+                self.break_callbacks(dst, from, costs, cost);
+                Ok(ViceReply::Ok)
             }
 
             ViceRequest::ListDir { path } => {
+                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
                 let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
-                let acl = match vol.acl_for(&internal) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                if let Err(e) = self.check_rights(user, &acl, Rights::READ, path) {
-                    return ViceReply::Error(e);
+                let fs = vol.fs_read().map_err(|e| Self::map_vol_err(path, e))?;
+                let entries = fs.readdir(&internal).map_err(|e| map_fs_err(path, e))?;
+                if let Ok(r) = fs.resolve(&internal, true) {
+                    self.charge_traversal(costs, cost, path, r.components_walked);
                 }
-                let vol = &self.volumes[vol_idx];
-                let fs = match vol.fs_read() {
-                    Ok(f) => f,
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                match fs.readdir(&internal) {
-                    Ok(entries) => {
-                        if let Ok(r) = fs.resolve(&internal, true) {
-                            self.charge_traversal(costs, cost, path, r.components_walked);
-                        }
-                        let listing = entries
-                            .into_iter()
-                            .map(|(name, ino)| {
-                                let kind = match fs.attr_of(ino).expect("entry").ftype {
-                                    FileType::Regular => EntryKind::File,
-                                    FileType::Directory => EntryKind::Dir,
-                                    FileType::Symlink => EntryKind::Symlink,
-                                };
-                                (name, kind)
-                            })
-                            .collect();
-                        ViceReply::Listing(listing)
-                    }
-                    Err(e) => ViceReply::Error(map_fs_err(path, e)),
-                }
+                let listing = entries
+                    .into_iter()
+                    .map(|(name, ino)| (name, fs.attr_of(ino).expect("entry").ftype.into()))
+                    .collect();
+                Ok(ViceReply::Listing(listing))
             }
 
             ViceRequest::GetAcl { path } => {
-                let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
-                match vol.acl_for(&internal) {
-                    Ok(a) => ViceReply::Acl(a.clone()),
-                    Err(e) => ViceReply::Error(Self::map_vol_err(path, e)),
-                }
+                let acl = self.authorize(user, vol_idx, path, Rights::LOOKUP)?.1;
+                Ok(ViceReply::Acl(acl.clone()))
             }
 
             ViceRequest::SetAcl { path, acl } => {
-                let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
-                let cur = match vol.acl_for(&internal) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                if let Err(e) = self.check_rights(user, &cur, Rights::ADMINISTER, path) {
-                    return ViceReply::Error(e);
-                }
                 let op = JournalOp::SetAcl {
-                    path: internal.clone(),
+                    path: self.authorize(user, vol_idx, path, Rights::ADMINISTER)?.0,
                     acl: acl.clone(),
                 };
-                match self.journal_apply(vol_idx, op) {
-                    Ok(()) => ViceReply::Ok,
-                    Err(e) => ViceReply::Error(Self::map_vol_err(path, e)),
-                }
+                self.journal_apply(vol_idx, op)
+                    .map_err(|e| Self::map_vol_err(path, e))?;
+                Ok(ViceReply::Ok)
             }
 
             ViceRequest::MakeSymlink { path, target } => {
-                let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
-                let acl = match vol.acl_for(&internal) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                if let Err(e) = self.check_rights(user, &acl, Rights::INSERT, path) {
-                    return ViceReply::Error(e);
-                }
-                let uid = uid_of(user);
                 let op = JournalOp::Symlink {
-                    path: internal.clone(),
+                    path: self.authorize(user, vol_idx, path, Rights::INSERT)?.0,
                     target: target.clone(),
-                    uid,
+                    uid: uid_of(user),
                     mtime: now.as_micros(),
                 };
-                match self.journal_apply(vol_idx, op) {
-                    Ok(()) => ViceReply::Ok,
-                    Err(e) => ViceReply::Error(Self::map_vol_err(path, e)),
-                }
+                self.journal_apply(vol_idx, op)
+                    .map_err(|e| Self::map_vol_err(path, e))?;
+                Ok(ViceReply::Ok)
             }
 
             ViceRequest::ReadLink { path } => {
+                // The same right `Fetch` demands before returning a `Link`.
+                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
                 let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
-                let fs = match vol.fs_read() {
-                    Ok(f) => f,
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                match fs.readlink(&internal) {
-                    Ok(t) => {
-                        let vol = &self.volumes[vol_idx];
-                        ViceReply::Link(link_target_to_vice(vol, path, &t))
-                    }
-                    Err(e) => ViceReply::Error(map_fs_err(path, e)),
-                }
+                let fs = vol.fs_read().map_err(|e| Self::map_vol_err(path, e))?;
+                let target = fs.readlink(&internal).map_err(|e| map_fs_err(path, e))?;
+                Ok(ViceReply::Link(link_target_to_vice(vol, path, &target)))
             }
 
             ViceRequest::SetLock { path, exclusive } => {
                 cost.lock_ipc = true;
-                let vol = &self.volumes[vol_idx];
-                let Some(internal) = vol.internal_path(path) else {
-                    return ViceReply::Error(ViceError::NoSuchFile(path.clone()));
-                };
-                let acl = match vol.acl_for(&internal) {
-                    Ok(a) => a.clone(),
-                    Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-                };
-                if let Err(e) = self.check_rights(user, &acl, Rights::LOCK, path) {
-                    return ViceReply::Error(e);
-                }
+                self.authorize(user, vol_idx, path, Rights::LOCK)?;
                 let kind = if *exclusive {
                     LockKind::Exclusive
                 } else {
                     LockKind::Shared
                 };
                 if self.locks.acquire(path, user, from, kind) {
-                    ViceReply::Ok
+                    Ok(ViceReply::Ok)
                 } else {
-                    ViceReply::Error(ViceError::LockConflict(path.clone()))
+                    Err(ViceError::LockConflict(path.clone()))
                 }
             }
 
+            // Ungated by design: see [`Self::authorize`].
             ViceRequest::ReleaseLock { path } => {
                 cost.lock_ipc = true;
                 self.locks.release(path, user, from);
-                ViceReply::Ok
+                Ok(ViceReply::Ok)
             }
-        }
-    }
-
-    /// Common shape for delete-like mutations: rights check, journal the
-    /// operation (intent → apply → commit), break callbacks.
-    #[allow(clippy::too_many_arguments)]
-    fn mutate_entry<F>(
-        &mut self,
-        user: &str,
-        from: NodeId,
-        vol_idx: usize,
-        path: &str,
-        needed: Rights,
-        costs: &Costs,
-        cost: &mut CallCost,
-        now: SimTime,
-        make_op: F,
-    ) -> ViceReply
-    where
-        F: FnOnce(&str, u64) -> JournalOp,
-    {
-        let vol = &self.volumes[vol_idx];
-        let Some(internal) = vol.internal_path(path) else {
-            return ViceReply::Error(ViceError::NoSuchFile(path.to_string()));
-        };
-        let acl = match vol.acl_for(&internal) {
-            Ok(a) => a.clone(),
-            Err(e) => return ViceReply::Error(Self::map_vol_err(path, e)),
-        };
-        if let Err(e) = self.check_rights(user, &acl, needed, path) {
-            return ViceReply::Error(e);
-        }
-        let op = make_op(&internal, now.as_micros());
-        match self.journal_apply(vol_idx, op) {
-            Ok(()) => {
-                self.break_callbacks(path, 0, from, costs, cost);
-                ViceReply::Ok
-            }
-            Err(e) => ViceReply::Error(Self::map_vol_err(&internal, e)),
         }
     }
 }

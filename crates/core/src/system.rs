@@ -3,8 +3,13 @@
 //! * `topology` — clusters, the bridged network, servers, and node wiring;
 //! * `transport` — the event-driven RPC transport: every Vice call is a
 //!   chain of scheduler events (request departs → arrives → queues → is
-//!   served → reply departs → arrives), sharing one calendar with retry
-//!   timeouts, scheduled crashes, salvage passes, and callback deliveries;
+//!   served → reply departs → arrives, or its retry timer fires) over
+//!   per-cluster calendars;
+//! * `lifecycle` — what else lives on those calendars: fault plans,
+//!   scheduled crashes and restarts, salvage passes, corruption, the
+//!   scrubber, and callback-break deliveries;
+//! * `observe` — every span, gauge and attribution record of a call, one
+//!   function per event, observation-only;
 //! * `parallel` — [`parallel::WsOps`], the one implementation of the
 //!   workstation system-call surface, and `run_drivers`, the one scheduler
 //!   of workstation operations (sequential reference and conservative
@@ -33,6 +38,8 @@
 //! dragged forward (breaks are asynchronous notifications).
 
 mod admin;
+mod lifecycle;
+mod observe;
 mod ops;
 pub mod parallel;
 #[cfg(test)]

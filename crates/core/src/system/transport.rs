@@ -3,9 +3,12 @@
 //! A Vice call used to be one synchronous function that computed every
 //! timestamp inline. Here it is a chain of scheduler events — the request
 //! departs, arrives, queues at the server, is served, and the reply departs
-//! and arrives — drained in virtual-time order. Retry timeouts, scheduled
-//! server crashes/restarts, and callback-break deliveries live on the same
-//! calendars, so their interleavings with message traffic are explicit.
+//! and arrives — drained in virtual-time order. This file is that call
+//! life-cycle and the per-cluster cores it runs on, nothing else: what the
+//! server does with a dequeued request is `Server::serve`, everything else
+//! on the calendars (crashes, salvage, scrub, break delivery) is
+//! `lifecycle.rs`, and every span, gauge and attribution record is one
+//! call per event into `observe.rs`.
 //!
 //! ## Per-cluster decomposition
 //!
@@ -17,7 +20,7 @@
 //! * client-side events (`AttemptSend`, `TimeoutFire`, `ReplyArrive`) live
 //!   on the **calling workstation's** cluster;
 //! * server-side events (`RequestArrive`, `ServiceDispatch`,
-//!   `ReplyDepart`, `Crash`, `Restart`, `Salvage`) live on the **server's**
+//!   `ReplyDepart`, and the lifecycle events) live on the **server's**
 //!   cluster;
 //! * `BreakDeliver` lives on the **target workstation's** cluster.
 //!
@@ -54,28 +57,25 @@
 //! still in flight and stands down — delivery was trusted in the
 //! synchronous model, and still is.
 
-use crate::disk::{CorruptionOutcome, FlipRegion, ScrubFinding};
+use super::observe::AttemptParts;
 use crate::monitor::TrafficMonitor;
-use crate::obs::{ObsCore, ObsSummary};
+use crate::obs::ObsCore;
 use crate::protect::ProtectionDomain;
-use crate::proto::payload::payload_digest;
 use crate::proto::{
-    decode_reply, decode_request, encode_reply, encode_request, Payload, ServerId, ViceError,
-    ViceReply, ViceRequest,
+    decode_reply, encode_reply, encode_request, Payload, ServerId, ViceError, ViceReply,
+    ViceRequest,
 };
-use crate::server::{CallCost, QueuedRequest, Server};
-use crate::trace::{AttributionAgg, CallBreakdown};
+use crate::server::{QueuedRequest, Server};
+use crate::trace::AttributionAgg;
 use crate::venus::ViceTransport;
 use itc_cryptbox::Key;
 use itc_rpc::binding::{establish, Binding};
 use itc_rpc::{
     frame_call, split_frame, CallSpec, CallStats, Network, NodeId, RetryPolicy, TimingKernel,
 };
-use itc_sim::resource::BUCKET_WIDTH;
 use itc_sim::{
-    AnomalyReason, Clock, EventClass, EventId, EventKey, EventStats, FaultPlan, FaultStats, Firing,
-    HealthEvent, MessageFault, Scheduler, SimRng, SimTime, Span, SpanClass, TraceCollector,
-    TraceId, TraceStats,
+    AnomalyReason, Clock, EventId, EventKey, EventStats, FaultPlan, FaultStats, Firing,
+    MessageFault, Scheduler, SimRng, SimTime, SpanClass, TraceCollector, TraceId,
 };
 use std::collections::BTreeMap;
 use std::sync::RwLock;
@@ -250,37 +250,6 @@ impl EventCore {
         }
     }
 
-    /// Installs a fault plan: the plan is split into per-cluster shards
-    /// (each server's faults land on its own cluster, with independent
-    /// per-shard rng streams), each shard's crash/restart schedule is
-    /// entered into its cluster's calendar (crashes sort before restarts
-    /// at the same instant), and its message faults govern every
-    /// subsequent call served there.
-    pub fn install_faults(&mut self, plan: FaultPlan) {
-        self.plan_gen += 1;
-        let gen = self.plan_gen;
-        let shards = plan.split(self.clusters.len(), |server| server as usize);
-        for (cluster, shard) in shards.into_iter().enumerate() {
-            let cl = &mut self.clusters[cluster];
-            for (server, at) in shard.crash_schedule() {
-                cl.sched
-                    .schedule_class(at, EventClass::Crash, NetEvent::Crash { server, gen });
-            }
-            for (server, at) in shard.restart_schedule() {
-                cl.sched
-                    .schedule_class(at, EventClass::Restart, NetEvent::Restart { server, gen });
-            }
-            for (server, at) in shard.corruption_schedule() {
-                cl.sched.schedule_class_untied(
-                    at,
-                    EventClass::Corrupt,
-                    NetEvent::Corrupt { server, gen },
-                );
-            }
-            cl.faults = Some(shard);
-        }
-    }
-
     /// Whether any cluster currently has a fault shard installed.
     pub fn any_faults(&self) -> bool {
         self.clusters.iter().any(|c| c.faults.is_some())
@@ -294,33 +263,6 @@ impl EventCore {
         self.clusters
             .iter()
             .any(|c| c.faults.as_ref().is_some_and(|f| f.couples_clusters()))
-    }
-
-    /// Turns the background scrubber on: every cluster's server gets a
-    /// low-priority scrub pass every `interval`, the first one landing at
-    /// `now + interval`. Idempotent in effect — re-enabling bumps the
-    /// generation so stale passes from the previous cadence are dropped.
-    pub fn enable_scrub(&mut self, now: SimTime, interval: SimTime) {
-        self.scrub_gen += 1;
-        self.scrub_interval = Some(interval);
-        let gen = self.scrub_gen;
-        for (cluster, cl) in self.clusters.iter_mut().enumerate() {
-            cl.sched.schedule_class_untied(
-                now + interval,
-                EventClass::Scrub,
-                NetEvent::Scrub {
-                    server: cluster as u32,
-                    gen,
-                },
-            );
-        }
-    }
-
-    /// Turns the background scrubber off; in-flight scrub events become
-    /// stale and are ignored when they fire.
-    pub fn disable_scrub(&mut self) {
-        self.scrub_gen += 1;
-        self.scrub_interval = None;
     }
 
     /// Scheduler counters summed across every cluster calendar.
@@ -350,53 +292,6 @@ impl EventCore {
             }
         }
         total
-    }
-
-    /// Trace-collector counters summed across every cluster.
-    pub fn trace_stats(&self) -> TraceStats {
-        let mut total = TraceStats::default();
-        for c in &self.clusters {
-            total.merge(&c.trace.stats());
-        }
-        total
-    }
-
-    /// Attribution aggregates merged across every cluster, in cluster
-    /// order (deterministic, and the identity for single-cluster systems).
-    pub fn attribution(&self) -> AttributionAgg {
-        let mut total = AttributionAgg::new();
-        for c in &self.clusters {
-            total.merge(&c.attr);
-        }
-        total
-    }
-
-    /// Observability series merged across every cluster, in cluster order.
-    /// Per-bucket folds are commutative, so the result is identical
-    /// whichever execution mode filled the cores.
-    pub fn obs_summary(&self) -> ObsSummary {
-        let mut total = ObsSummary::default();
-        for (cluster, c) in self.clusters.iter().enumerate() {
-            total.merge_cluster(cluster as u32, &c.obs);
-        }
-        total
-    }
-
-    /// Health events merged across every cluster, deduplicated on
-    /// `(rule, server, bucket)` keeping the first in cluster order (the
-    /// sort is stable), then sorted on `(at, bucket, rule, server)` for a
-    /// stable timeline.
-    pub fn health_events(&self) -> Vec<HealthEvent> {
-        let mut out: Vec<HealthEvent> = self
-            .clusters
-            .iter()
-            .flat_map(|c| c.obs.health_events())
-            .copied()
-            .collect();
-        out.sort_by_key(|ev| (ev.rule, ev.server, ev.bucket));
-        out.dedup_by_key(|ev| (ev.rule, ev.server, ev.bucket));
-        out.sort_by_key(|ev| (ev.at, ev.bucket, ev.rule, ev.server));
-        out
     }
 }
 
@@ -453,48 +348,28 @@ impl<T> Parts<'_, T> {
     }
 }
 
-/// Latency components of one attempt, captured from the same arithmetic
-/// that schedules the event chain (read-only resource snapshots — no extra
-/// charges, draws, or events). The attempt that completes keeps its values;
-/// everything before it is the call's retry-wasted time.
-#[derive(Debug, Default, Clone, Copy)]
-struct AttemptParts {
-    /// Request leg: sealing plus network latency and transfer.
-    req_net: SimTime,
-    /// Queueing delay at the server CPU.
-    queue_cpu: SimTime,
-    /// Server CPU service demand.
-    service_cpu: SimTime,
-    /// Queueing delay at the server disk.
-    queue_disk: SimTime,
-    /// Server disk transfer service.
-    service_disk: SimTime,
-    /// Reply leg: network latency and transfer plus client decrypt.
-    reply_net: SimTime,
-}
-
 /// Per-call state threaded through the event chain.
-struct CallInFlight<'r> {
+pub(crate) struct CallInFlight<'r> {
     /// Calling workstation's node.
-    ws: NodeId,
+    pub(crate) ws: NodeId,
     /// The calling workstation's cluster (where the client-side events and
     /// the call's spans live).
-    cluster: usize,
+    pub(crate) cluster: usize,
     /// Target server.
-    server: ServerId,
+    pub(crate) server: ServerId,
     /// The request being issued (borrowed from Venus for the whole call).
-    req: &'r ViceRequest,
+    pub(crate) req: &'r ViceRequest,
     /// Causal trace identity minted for this call ([`TraceId::NONE`] while
     /// tracing is off); it rides the call frame to the server.
-    trace: TraceId,
+    pub(crate) trace: TraceId,
     /// When the call entered the calendar (post-binding), anchoring the
     /// end-to-end attribution.
-    started: SimTime,
+    pub(crate) started: SimTime,
     /// The volume covering the request's path on the target server, if
     /// known (resolved only when tracing is on).
-    volume: Option<u32>,
+    pub(crate) volume: Option<u32>,
     /// Component scratch for the current attempt.
-    parts: AttemptParts,
+    pub(crate) parts: AttemptParts,
     /// Frame-headed (token + trace id) request head, sealed anew on every
     /// attempt. File bytes do not ride here: they travel out of band as
     /// `req_payload`.
@@ -507,11 +382,11 @@ struct CallInFlight<'r> {
     /// Request size on the wire (encoded length + sealing overhead).
     req_wire: u64,
     /// Attempt counter (1-based once the first send fires).
-    attempt: u32,
+    pub(crate) attempt: u32,
     /// When the current attempt was sent.
-    attempt_start: SimTime,
+    pub(crate) attempt_start: SimTime,
     /// Fault-injected delay accumulated by the current attempt.
-    extra: SimTime,
+    pub(crate) extra: SimTime,
     /// The current attempt's retransmission timer, armed at send and
     /// cancelled (an O(1) tombstone) when the reply arrives first.
     timeout_id: Option<EventId>,
@@ -573,24 +448,10 @@ pub(crate) struct SystemTransport<'a> {
 }
 
 impl SystemTransport<'_> {
-    /// The next due event across every calendar in this view, in the
-    /// deterministic merged order `(time, class, cluster, tie, seq)`. The
-    /// order is a function of the per-cluster calendars alone — stable
-    /// under any partition of clusters across workers.
-    fn pop_next(&mut self) -> Option<(usize, Firing<NetEvent>)> {
-        let best = self.peek_best()?;
-        let (cluster, _) = best;
-        let firing = self
-            .cores
-            .get_mut(cluster)
-            .sched
-            .pop()
-            .expect("peeked key is live");
-        Some((cluster, firing))
-    }
-
-    /// Like [`SystemTransport::pop_next`] but only if the merged next
-    /// event is due at or before `upto`.
+    /// The next event across every calendar in this view due at or before
+    /// `upto`, in the deterministic merged order `(time, class, cluster,
+    /// tie, seq)`. The order is a function of the per-cluster calendars
+    /// alone — stable under any partition of clusters across workers.
     fn pop_next_due(&mut self, upto: SimTime) -> Option<(usize, Firing<NetEvent>)> {
         let (cluster, key) = self.peek_best()?;
         if key.at > upto {
@@ -669,66 +530,6 @@ impl SystemTransport<'_> {
         Ok(ready)
     }
 
-    /// Records one span of the in-flight call into the *caller's* cluster
-    /// collector (where the whole chain of this call lives). A single
-    /// branch while tracing is off; never draws rng, schedules events, or
-    /// moves clocks.
-    fn call_span(
-        &mut self,
-        trace: TraceId,
-        call: &CallInFlight<'_>,
-        class: SpanClass,
-        at: SimTime,
-        queue_depth: Option<u32>,
-    ) {
-        if !self.tracing {
-            return;
-        }
-        let collector = &mut self.cores.get_mut(call.cluster).trace;
-        let seq = collector.next_seq();
-        collector.record(Span {
-            trace,
-            seq,
-            class,
-            at,
-            server: Some(call.server.0),
-            client: Some(call.ws.0),
-            volume: call.volume,
-            queue_depth,
-            attempt: call.attempt,
-            kind: Some(call.req.kind()),
-        });
-    }
-
-    /// Records one lifecycle span (crash, restart, salvage, break
-    /// delivery) outside any trace, into `cluster`'s collector. A single
-    /// branch while tracing is off.
-    fn life_span(
-        &mut self,
-        cluster: usize,
-        class: SpanClass,
-        at: SimTime,
-        server: Option<u32>,
-        client: Option<u32>,
-        volume: Option<u32>,
-    ) {
-        if !self.tracing {
-            return;
-        }
-        self.cores.get_mut(cluster).trace.record(Span {
-            trace: TraceId::NONE,
-            seq: 0,
-            class,
-            at,
-            server,
-            client,
-            volume,
-            queue_depth: None,
-            attempt: 0,
-            kind: None,
-        });
-    }
-
     /// Fires every calendar event due at or before `upto` while no call is
     /// in flight: scheduled crashes/restarts take effect and matured
     /// callback breaks queue for delivery.
@@ -738,285 +539,20 @@ impl SystemTransport<'_> {
         }
     }
 
-    /// Applies a non-call event that fired from `cluster`'s calendar.
-    fn system_event(&mut self, cluster: usize, at: SimTime, ev: NetEvent) {
-        match ev {
-            NetEvent::Crash { server, gen } => {
-                if gen == self.plan_gen {
-                    let sid = server as usize;
-                    // The torn-write model: the crash catches up to
-                    // `unsynced` journal bytes mid-write. The draw is
-                    // skipped entirely when the journal is clean, so the
-                    // write-ahead policy leaves the fault rng untouched.
-                    let unsynced = self.servers.get(sid).unsynced_journal_bytes();
-                    let torn = self
-                        .cores
-                        .get_mut(cluster)
-                        .faults
-                        .as_mut()
-                        .map_or(0, |f| f.torn_bytes(unsynced));
-                    self.servers.get_mut(sid).crash_with_torn(torn);
-                    self.life_span(cluster, SpanClass::Crash, at, Some(server), None, None);
-                }
-            }
-            NetEvent::Restart { server, gen } => {
-                if gen == self.plan_gen {
-                    let sid = server as usize;
-                    let costs = self.kernel.costs();
-                    let srv = self.servers.get_mut(sid);
-                    srv.restart();
-                    // Volumes stay offline until a salvager pass replays
-                    // the journal over their checkpoints. Each pass is a
-                    // calendar event charged on the server's disk, so
-                    // traffic arriving mid-salvage sees `VolumeOffline`.
-                    let epoch = srv.epoch();
-                    let tracing = self.tracing;
-                    for volume in srv.salvage_pending().to_vec() {
-                        let (records, bytes) = srv.salvage_work(volume);
-                        let pass = costs.salvage_time(bytes, records);
-                        let done = srv.disk().acquire(at, pass);
-                        let cl = self.cores.get_mut(cluster);
-                        if tracing {
-                            // Salvage passes charge the disk outside any
-                            // call; the attribution ledger keeps them
-                            // separate so disk busy time decomposes fully.
-                            cl.attr.add_salvage_disk(pass);
-                        }
-                        cl.sched.schedule_class(
-                            done,
-                            EventClass::Salvage,
-                            NetEvent::Salvage {
-                                server,
-                                volume,
-                                gen,
-                                epoch,
-                            },
-                        );
-                    }
-                    self.life_span(cluster, SpanClass::Restart, at, Some(server), None, None);
-                }
-            }
-            NetEvent::Salvage {
-                server,
-                volume,
-                gen,
-                epoch,
-            } => {
-                let srv = self.servers.get_mut(server as usize);
-                // A stale pass — superseded plan, or the server crashed
-                // again before the salvager finished — is simply dropped;
-                // the next restart schedules fresh passes.
-                if gen == self.plan_gen && srv.is_online() && srv.epoch() == epoch {
-                    let rejected = srv.salvage_volume(volume).map_or(0, |r| r.records_rejected);
-                    if rejected > 0 {
-                        // The salvager's trailer verification caught flipped
-                        // journal bytes: those corruption events are now
-                        // detected (the damaged suffix never replays).
-                        srv.mark_corruptions_detected(
-                            at,
-                            CorruptionOutcome::RejectedAtSalvage,
-                            |r| matches!(r, FlipRegion::Journal { .. }),
-                        );
-                    }
-                    self.life_span(
-                        cluster,
-                        SpanClass::Salvage,
-                        at,
-                        Some(server),
-                        None,
-                        Some(volume.0),
-                    );
-                    if self.tracing && rejected > 0 {
-                        self.cores.get_mut(cluster).obs.on_integrity(
-                            server,
-                            Some(volume.0),
-                            at,
-                            0,
-                            rejected,
-                        );
-                    }
-                }
-            }
-            NetEvent::BreakDeliver { to_ws, paths } => {
-                self.life_span(
-                    cluster,
-                    SpanClass::BreakDeliver,
-                    at,
-                    None,
-                    Some(to_ws.0),
-                    None,
-                );
-                let cl = self.cores.get_mut(cluster);
-                for path in paths {
-                    cl.pending.push(PendingBreak { to_ws, path });
-                }
-            }
-            NetEvent::Corrupt { server, gen } => {
-                if gen == self.plan_gen {
-                    let sid = server as usize;
-                    // The flip lands somewhere in the server's durable
-                    // address space (journal bytes, checkpoint file
-                    // contents, Merkle leaf table). The draw is skipped
-                    // entirely when there is nothing durable to damage, so
-                    // an empty disk leaves the fault rng untouched.
-                    let extent = self.servers.get(sid).durable_extent();
-                    let flip = self
-                        .cores
-                        .get_mut(cluster)
-                        .faults
-                        .as_mut()
-                        .and_then(|f| f.flip_bytes(extent));
-                    if let Some((offset, mask)) = flip {
-                        self.servers.get_mut(sid).apply_corruption(at, offset, mask);
-                    }
-                    self.life_span(cluster, SpanClass::Corrupt, at, Some(server), None, None);
-                }
-            }
-            NetEvent::Scrub { server, gen } => {
-                if gen == self.scrub_gen {
-                    let interval = self
-                        .scrub_interval
-                        .expect("scrub event live while scrubbing disabled");
-                    let sid = server as usize;
-                    if self.servers.get(sid).is_online() {
-                        if let Some(vid) = self.servers.get_mut(sid).next_scrub_volume() {
-                            if let Some(scan) = self.servers.get_mut(sid).scrub_scan(vid) {
-                                // Perfectly preemptible background work: the
-                                // pass's disk time is charged to its own
-                                // attribution ledger kind only — never to the
-                                // disk resource or the clock — so foreground
-                                // virtual timings are untouched.
-                                let pass = self.kernel.costs().disk_transfer(scan.bytes);
-                                if self.tracing {
-                                    self.cores.get_mut(cluster).attr.add_scrub_disk(pass);
-                                }
-                                for finding in &scan.findings {
-                                    self.repair_or_offline(at, server, vid, finding);
-                                }
-                                self.drain_integrity_anomalies(cluster, at, server);
-                                if self.tracing {
-                                    // Scrub-progress gauges: the pass's
-                                    // cumulative counters, sampled at the
-                                    // pass boundary.
-                                    let st = self.servers.get(sid).scrub_stats();
-                                    self.cores.get_mut(cluster).obs.on_scrub(
-                                        server,
-                                        at,
-                                        st.files_scanned,
-                                        st.bytes_scanned,
-                                    );
-                                }
-                                self.life_span(
-                                    cluster,
-                                    SpanClass::Scrub,
-                                    at,
-                                    Some(server),
-                                    None,
-                                    Some(vid.0),
-                                );
-                            }
-                        }
-                    }
-                    self.cores.get_mut(cluster).sched.schedule_class_untied(
-                        at + interval,
-                        EventClass::Scrub,
-                        NetEvent::Scrub { server, gen },
-                    );
-                }
-            }
-            _ => unreachable!("call-chain event with no call in flight"),
-        }
+    /// The in-flight call's authenticated channel.
+    fn binding(&mut self, call: &CallInFlight<'_>) -> &mut Binding {
+        self.cores
+            .get_mut(call.cluster)
+            .bindings
+            .get_mut(&(call.ws, call.server))
+            .expect("bound before the first attempt")
     }
 
-    /// Resolves one scrub finding on volume `vid`: if a healthy read-only
-    /// clone of the same mount vouches for the expected digest, the file is
-    /// re-fetched from it and the checkpoint (and live volume, if it shares
-    /// the damage) repaired in place; otherwise the volume goes offline
-    /// with an integrity fault. In a parallel run only replicas inside this
-    /// operation's cluster mask are visible, so determinism across run
-    /// modes requires co-located replicas.
-    fn repair_or_offline(
-        &mut self,
-        at: SimTime,
-        server: u32,
-        vid: crate::proto::VolumeId,
-        finding: &ScrubFinding,
-    ) {
-        let sid = server as usize;
-        let path = finding.path.clone();
-        let voucher = finding.expected.and_then(|expected| {
-            let mount = self
-                .servers
-                .get(sid)
-                .volumes()
-                .iter()
-                .find(|v| v.id() == vid)
-                .map(|v| v.mount().to_string())?;
-            for s in 0..self.servers.len() {
-                if !self.servers.has(s) {
-                    continue;
-                }
-                for v in self.servers.get(s).volumes() {
-                    if v.id() != vid && v.is_read_only() && v.is_online() && v.mount() == mount {
-                        if let Ok(data) = v.fs().read(&path) {
-                            if payload_digest(&data) == expected {
-                                return Some(data);
-                            }
-                        }
-                    }
-                }
-            }
-            None
-        });
-        let srv = self.servers.get_mut(sid);
-        let matches_file = |r: &FlipRegion| match r {
-            FlipRegion::CheckpointFile { volume, path: p }
-            | FlipRegion::MerkleLeaf { volume, path: p } => *volume == vid && p == &path,
-            FlipRegion::Journal { .. } => false,
-        };
-        match voucher {
-            Some(data) => {
-                srv.repair_file(vid, &path, data);
-                srv.mark_corruptions_detected(
-                    at,
-                    CorruptionOutcome::RepairedFromReplica,
-                    matches_file,
-                );
-            }
-            None => {
-                srv.offline_volume_for_integrity(vid, &path);
-                srv.mark_corruptions_detected(at, CorruptionOutcome::VolumeOfflined, matches_file);
-            }
-        }
-    }
-
-    /// Drains integrity events queued on `server` (volumes taken offline by
-    /// scrub or fetch-time digest checks) and freezes an anomaly dump for
-    /// each while tracing.
-    fn drain_integrity_anomalies(&mut self, cluster: usize, at: SimTime, server: u32) {
-        let events = self
-            .servers
-            .get_mut(server as usize)
-            .drain_integrity_events();
-        if !self.tracing {
-            return;
-        }
-        let cl = self.cores.get_mut(cluster);
-        for (vid, _path) in &events {
-            cl.trace.freeze(
-                AnomalyReason::IntegrityFault,
-                at,
-                Some(server),
-                Some(vid.0),
-                TraceId::NONE,
-            );
-        }
-        // Integrity burn: each drained event is a volume the verifiers
-        // took offline — losses the health engine must surface.
-        if let Some((vid, _)) = events.first() {
-            cl.obs
-                .on_integrity(server, Some(vid.0), at, events.len() as u64, 0);
-        }
+    /// Schedules the call's next chain leg on `cluster`'s calendar — the
+    /// one event a winning timeout would find still in flight.
+    fn chain(&mut self, call: &mut CallInFlight<'_>, cluster: usize, at: SimTime, ev: NetEvent) {
+        let leg = self.cores.get_mut(cluster).sched.schedule(at, ev);
+        call.chain = Some((cluster, leg));
     }
 
     /// Executes one calendar event against the in-flight call.
@@ -1036,15 +572,6 @@ impl SystemTransport<'_> {
             call.chain = None;
         }
         match ev {
-            NetEvent::Crash { .. }
-            | NetEvent::Restart { .. }
-            | NetEvent::Salvage { .. }
-            | NetEvent::Corrupt { .. }
-            | NetEvent::Scrub { .. }
-            | NetEvent::BreakDeliver { .. } => {
-                self.system_event(from_cluster, at, ev);
-            }
-
             NetEvent::AttemptSend => {
                 call.attempt += 1;
                 {
@@ -1064,14 +591,7 @@ impl SystemTransport<'_> {
                 if !self.servers.get(sid).is_online() {
                     let done = at + self.retry.timeout;
                     self.clock.advance_to(done);
-                    self.call_span(call.trace, call, SpanClass::CallAbort, done, None);
-                    self.cores.get_mut(cc).trace.freeze(
-                        AnomalyReason::Unreachable,
-                        done,
-                        Some(server.0),
-                        call.volume,
-                        call.trace,
-                    );
+                    self.call_aborted(call, AnomalyReason::Unreachable, done);
                     call.result = Some((ViceReply::Error(ViceError::Unreachable(server.0)), done));
                     return Ok(());
                 }
@@ -1091,13 +611,7 @@ impl SystemTransport<'_> {
                 };
                 // The client always seals (its sequence number advances);
                 // the network decides the fate of the sealed bytes.
-                let sealed = self
-                    .cores
-                    .get_mut(cc)
-                    .bindings
-                    .get_mut(&(call.ws, server))
-                    .expect("bound before the first attempt")
-                    .client_seal(&call.framed);
+                let sealed = self.binding(call).client_seal(&call.framed);
                 match fate {
                     MessageFault::Drop => {
                         // The armed timer fires; nothing else to schedule.
@@ -1115,12 +629,7 @@ impl SystemTransport<'_> {
                             at,
                             call.req_wire,
                         );
-                        let leg = self
-                            .cores
-                            .get_mut(sid)
-                            .sched
-                            .schedule(arrived, NetEvent::RequestArrive);
-                        call.chain = Some((sid, leg));
+                        self.chain(call, sid, arrived, NetEvent::RequestArrive);
                     }
                 }
             }
@@ -1135,27 +644,11 @@ impl SystemTransport<'_> {
                     // arrival cancels it before it ever fires).
                     return Ok(());
                 }
-                self.call_span(call.trace, call, SpanClass::TimeoutFire, at, None);
-                if self.tracing {
-                    // A genuine expiry (not a stood-down stale timer):
-                    // count it against the unresponsive server and feed
-                    // the retry-rate rule.
-                    self.cores
-                        .get_mut(cc)
-                        .obs
-                        .on_timeout(server.0, call.volume, at);
-                }
+                self.timeout_fired(call, at);
                 if call.attempt >= self.retry.max_attempts {
                     self.cores.get_mut(cc).call_stats.failures += 1;
                     self.clock.advance_to(at);
-                    self.call_span(call.trace, call, SpanClass::CallAbort, at, None);
-                    self.cores.get_mut(cc).trace.freeze(
-                        AnomalyReason::TimedOut,
-                        at,
-                        Some(server.0),
-                        call.volume,
-                        call.trace,
-                    );
+                    self.call_aborted(call, AnomalyReason::TimedOut, at);
                     call.result = Some((ViceReply::Error(ViceError::TimedOut(server.0)), at));
                 } else {
                     let retry = self.retry;
@@ -1169,39 +662,17 @@ impl SystemTransport<'_> {
 
             NetEvent::RequestArrive => {
                 let sealed = call.sealed_req.take().expect("request leg carries bytes");
-                let (auth_user, opened) = {
-                    let binding = self
-                        .cores
-                        .get_mut(cc)
-                        .bindings
-                        .get_mut(&(call.ws, server))
-                        .expect("bound");
-                    let opened = binding.server_open(&sealed).map_err(|e| e.to_string())?;
-                    // Identity comes from the binding, never the request.
-                    (binding.server_user().to_string(), opened)
-                };
+                let binding = self.binding(call);
+                let opened = binding.server_open(&sealed).map_err(|e| e.to_string())?;
+                // Identity comes from the binding, never the request.
+                let user = binding.server_user().to_string();
                 let (token, wire_trace, body) = split_frame(&opened).expect("framed by call()");
                 // The span names the trace id that actually rode the wire;
                 // queue depth is observed before this request joins.
                 let depth = self.servers.get(sid).queue_depth() as u32;
-                self.call_span(
-                    TraceId(wire_trace),
-                    call,
-                    SpanClass::RequestArrive,
-                    at,
-                    Some(depth),
-                );
-                call.parts.req_net = at - call.attempt_start;
-                if self.tracing {
-                    // Queue-depth gauge, sampled from the same observation
-                    // the span just recorded.
-                    self.cores
-                        .get_mut(sid)
-                        .obs
-                        .on_queue_depth(server.0, at, u64::from(depth));
-                }
+                self.request_arrived(call, TraceId(wire_trace), at, depth);
                 self.servers.get_mut(sid).enqueue_request(QueuedRequest {
-                    user: auth_user,
+                    user,
                     from: call.ws,
                     token,
                     trace: TraceId(wire_trace),
@@ -1209,12 +680,7 @@ impl SystemTransport<'_> {
                     payload: call.req_payload.clone(),
                     arrived: at,
                 });
-                let leg = self
-                    .cores
-                    .get_mut(sid)
-                    .sched
-                    .schedule(at, NetEvent::ServiceDispatch);
-                call.chain = Some((sid, leg));
+                self.chain(call, sid, at, NetEvent::ServiceDispatch);
             }
 
             NetEvent::ServiceDispatch => {
@@ -1226,54 +692,17 @@ impl SystemTransport<'_> {
                 // The server-side span carries the identity the frame
                 // delivered, proving propagation end to end.
                 self.call_span(qr.trace, call, SpanClass::ServiceDispatch, at, None);
-                let costs = self.kernel.costs().clone();
-                let mut cost = CallCost::default();
-                let reply = {
-                    let srv = self.servers.get_mut(sid);
-                    match decode_request(&qr.body, qr.payload) {
-                        Ok(decoded) => {
-                            if let Some(cached) = decoded
-                                .is_mutation()
-                                .then(|| srv.replay_lookup(qr.from, qr.token))
-                                .flatten()
-                            {
-                                // A retry of a mutation the server already
-                                // applied: answer from the replay cache, do
-                                // not re-apply.
-                                cached.clone()
-                            } else {
-                                // Handlers see the attempt's start time, as
-                                // the synchronous transport always showed
-                                // them.
-                                let (reply, c) = srv.handle(
-                                    &qr.user,
-                                    qr.from,
-                                    &decoded,
-                                    call.attempt_start,
-                                    &costs,
-                                );
-                                cost = c;
-                                if decoded.is_mutation() {
-                                    srv.replay_record(qr.from, qr.token, reply.clone());
-                                }
-                                reply
-                            }
-                        }
-                        Err(e) => ViceReply::Error(ViceError::BadRequest(e.to_string())),
-                    }
-                };
+                // Handlers see the attempt's start time, as the synchronous
+                // transport always showed them.
+                let costs = self.kernel.costs();
+                let (reply, cost) = self
+                    .servers
+                    .get_mut(sid)
+                    .serve(qr, call.attempt_start, costs);
                 // A fetch-time digest check may have taken a volume offline
                 // mid-handle; surface its integrity anomaly now.
                 self.drain_integrity_anomalies(sid, at, server.0);
-                if self.tracing {
-                    // Journal-lag gauge: the unsynced tail as it stands
-                    // right before the write-ahead force below.
-                    let lag = self.servers.get(sid).unsynced_journal_bytes();
-                    self.cores
-                        .get_mut(sid)
-                        .obs
-                        .on_journal_lag(server.0, at, lag);
-                }
+                self.request_served(call, at);
                 // Write-ahead discipline: the journal is forced to disk
                 // before the reply can leave (whatever its network fate),
                 // so no acknowledged mutation can be lost to a torn tail.
@@ -1283,13 +712,7 @@ impl SystemTransport<'_> {
                 let msg = encode_reply(&reply);
                 call.reply_wire = msg.wire_len() as u64 + 40;
                 call.reply_payload = msg.payload;
-                let sealed_reply = self
-                    .cores
-                    .get_mut(cc)
-                    .bindings
-                    .get_mut(&(call.ws, server))
-                    .expect("bound")
-                    .server_seal(&msg.head);
+                let sealed_reply = self.binding(call).server_seal(&msg.head);
                 let fate = match self.cores.get_mut(sid).faults.as_mut() {
                     Some(f) => f.reply_fault(server.0),
                     None => MessageFault::Deliver,
@@ -1318,45 +741,15 @@ impl SystemTransport<'_> {
                             disk_bytes: cost.disk_bytes,
                             lock_ipc: cost.lock_ipc,
                         };
-                        if self.tracing {
-                            // Decompose the service leg from the same
-                            // arithmetic `TimingKernel::service` is about to
-                            // run: read-only availability snapshots taken
-                            // before the charge, so attribution adds no
-                            // perturbation and sums exactly.
-                            let srv = self.servers.get(sid);
-                            let cpu_free = srv.cpu().available_at();
-                            let disk_free = srv.disk().available_at();
-                            let demand = self.kernel.service_demand(&spec);
-                            let cpu_start = at.max(cpu_free);
-                            call.parts.queue_cpu = cpu_start - at;
-                            call.parts.service_cpu = demand;
-                            let cpu_done = cpu_start + demand;
-                            if spec.disk_bytes > 0 {
-                                let disk_start = cpu_done.max(disk_free);
-                                call.parts.queue_disk = disk_start - cpu_done;
-                                call.parts.service_disk = costs.disk_transfer(spec.disk_bytes);
-                            } else {
-                                call.parts.queue_disk = SimTime::ZERO;
-                                call.parts.service_disk = SimTime::ZERO;
-                            }
-                        }
-                        let served = {
-                            let srv = self.servers.get(sid);
-                            self.kernel.service(srv.cpu(), srv.disk(), at, &spec)
-                        };
-                        let leg = self
-                            .cores
-                            .get_mut(sid)
-                            .sched
-                            .schedule(served, NetEvent::ReplyDepart);
-                        call.chain = Some((sid, leg));
+                        self.service_charging(call, at, &spec);
+                        let srv = self.servers.get(sid);
+                        let served = self.kernel.service(srv.cpu(), srv.disk(), at, &spec);
+                        self.chain(call, sid, served, NetEvent::ReplyDepart);
                     }
                 }
             }
 
             NetEvent::ReplyDepart => {
-                self.call_span(call.trace, call, SpanClass::ReplyDepart, at, None);
                 let completed = self.kernel.reply_leg(
                     self.net,
                     self.server_nodes[sid],
@@ -1365,47 +758,8 @@ impl SystemTransport<'_> {
                     call.reply_wire,
                 );
                 call.elapsed = completed - call.attempt_start;
-                call.parts.reply_net = completed - at;
-                if self.tracing {
-                    // Saturation probe for the flight recorder (the paper's
-                    // short-term peaks "sometimes peaking at 98%"): check
-                    // the one-minute bucket the service just charged into,
-                    // and the preceding (now complete) bucket — one long
-                    // service interval can saturate whole minutes that no
-                    // reply departs inside of. The recorder fires once per
-                    // saturated (server, resource, minute).
-                    let width = BUCKET_WIDTH.as_micros();
-                    let this_bucket = at.as_micros() / width;
-                    for tag in [0u8, 1u8] {
-                        for bucket in this_bucket.saturating_sub(1)..=this_bucket {
-                            let probe = SimTime::from_micros(bucket * width);
-                            let util = {
-                                let srv = self.servers.get(sid);
-                                let res = if tag == 0 { srv.cpu() } else { srv.disk() };
-                                res.bucket_utilization(probe)
-                            };
-                            let pct = ((util * 100.0) as u64).min(100) as u8;
-                            // Utilization gauges feed the series and the
-                            // sustained-utilization rule at every probe;
-                            // the flight recorder only cares about peaks.
-                            let cl = self.cores.get_mut(sid);
-                            cl.obs.on_utilization(server.0, tag, bucket, pct, at);
-                            if util >= 0.98 {
-                                cl.trace.report_peak(server.0, tag, bucket, pct, at);
-                            }
-                        }
-                    }
-                    // Engine-churn gauge: the server cluster's calendar
-                    // counters as of this event boundary.
-                    let stats = self.cores.get(sid).sched.stats();
-                    self.cores.get_mut(sid).obs.on_engine(this_bucket, &stats);
-                }
-                let leg = self
-                    .cores
-                    .get_mut(cc)
-                    .sched
-                    .schedule(completed + call.extra, NetEvent::ReplyArrive);
-                call.chain = Some((cc, leg));
+                self.reply_departed(call, at, completed);
+                self.chain(call, cc, completed + call.extra, NetEvent::ReplyArrive);
             }
 
             NetEvent::ReplyArrive => {
@@ -1415,63 +769,16 @@ impl SystemTransport<'_> {
                     self.cores.get_mut(cc).sched.cancel(tid);
                 }
                 let sealed = call.sealed_reply.take().expect("reply leg carries bytes");
-                let (reply_clear, dup_ignored) = {
-                    let binding = self
-                        .cores
-                        .get_mut(cc)
-                        .bindings
-                        .get_mut(&(call.ws, server))
-                        .expect("bound");
-                    let clear = binding.client_open(&sealed).map_err(|e| e.to_string())?;
-                    // Second copy of the same sealed reply: the channel's
-                    // sequence check discards it.
-                    let dup = call.duplicate && binding.client_open(&sealed).is_err();
-                    (clear, dup)
-                };
-                if dup_ignored {
+                let binding = self.binding(call);
+                let reply_clear = binding.client_open(&sealed).map_err(|e| e.to_string())?;
+                // Second copy of the same sealed reply: the channel's
+                // sequence check discards it.
+                if call.duplicate && binding.client_open(&sealed).is_err() {
                     self.cores.get_mut(cc).call_stats.duplicates_ignored += 1;
                 }
                 let reply = decode_reply(&reply_clear, call.reply_payload.take())
                     .map_err(|e| e.to_string())?;
-                self.call_span(call.trace, call, SpanClass::ReplyArrive, at, None);
-                if self.tracing {
-                    let breakdown = CallBreakdown {
-                        trace: call.trace,
-                        kind: call.req.kind(),
-                        server: server.0,
-                        volume: call.volume,
-                        client: call.ws.0,
-                        attempts: call.attempt,
-                        started: call.started,
-                        finished: at,
-                        retry_wasted: call.attempt_start - call.started,
-                        req_net: call.parts.req_net,
-                        queue_cpu: call.parts.queue_cpu,
-                        service_cpu: call.parts.service_cpu,
-                        queue_disk: call.parts.queue_disk,
-                        service_disk: call.parts.service_disk,
-                        reply_net: call.parts.reply_net,
-                        fault_delay: call.extra,
-                    };
-                    let cl = self.cores.get_mut(cc);
-                    // Latency/volume series plus tail-latency evaluation
-                    // ride the same breakdown attribution records.
-                    cl.obs.on_complete(&breakdown);
-                    cl.attr.record(breakdown);
-                    // Degraded-mode replies trip the flight recorder: the
-                    // server answered, but could not serve normally.
-                    let reason = match &reply {
-                        ViceReply::Error(ViceError::VolumeOffline(_)) => {
-                            Some(AnomalyReason::VolumeOffline)
-                        }
-                        ViceReply::Error(ViceError::BadRequest(_)) => Some(AnomalyReason::Degraded),
-                        _ => None,
-                    };
-                    if let Some(reason) = reason {
-                        cl.trace
-                            .freeze(reason, at, Some(server.0), call.volume, call.trace);
-                    }
-                }
+                self.reply_arrived(call, &reply, at);
 
                 // Traffic monitoring (Section 3.6): attribute the call to
                 // the covering custodianship subtree and caller's cluster.
@@ -1498,49 +805,27 @@ impl SystemTransport<'_> {
                 );
                 self.clock.advance_to(at);
 
-                // Callback breaks this call generated enter the calendars
-                // of their *target* workstations' clusters; delivery is
-                // applied by the system after the operation.
+                // Callback-break messages this call generated enter the
+                // calendars of their *target* workstations' clusters;
+                // delivery is applied by the system after the operation.
                 let from_node = self.server_nodes[sid];
-                let breaks = self.servers.get_mut(sid).drain_breaks();
-                if self.servers.get(sid).break_batching() {
-                    // One message per recipient workstation, carrying all
-                    // of its invalidated paths; the wire cost is one base
-                    // message plus a small per-extra-path increment.
-                    let mut grouped: Vec<(NodeId, Vec<String>)> = Vec::new();
-                    for (to_ws, brk) in breaks {
-                        match grouped.iter_mut().find(|(ws, _)| *ws == to_ws) {
-                            Some((_, paths)) => paths.push(brk.path),
-                            None => grouped.push((to_ws, vec![brk.path])),
-                        }
-                    }
-                    for (to_ws, paths) in grouped {
-                        let bytes = 160 + 24 * (paths.len() as u64 - 1);
-                        let arrival = self.kernel.one_way(self.net, from_node, to_ws, at, bytes);
-                        let bc = self.net.cluster_of(to_ws).0 as usize;
-                        let cl = self.cores.get_mut(bc);
-                        let bid = cl
-                            .sched
-                            .schedule(arrival, NetEvent::BreakDeliver { to_ws, paths });
-                        cl.break_ids.push(bid);
-                    }
-                } else {
-                    for (to_ws, brk) in breaks {
-                        let arrival = self.kernel.one_way(self.net, from_node, to_ws, at, 160);
-                        let bc = self.net.cluster_of(to_ws).0 as usize;
-                        let cl = self.cores.get_mut(bc);
-                        let bid = cl.sched.schedule(
-                            arrival,
-                            NetEvent::BreakDeliver {
-                                to_ws,
-                                paths: vec![brk.path],
-                            },
-                        );
-                        cl.break_ids.push(bid);
-                    }
+                for (to_ws, paths) in self.servers.get_mut(sid).drain_breaks() {
+                    // One base message plus a small increment for every
+                    // extra path a batched message carries.
+                    let bytes = 160 + 24 * (paths.len() as u64 - 1);
+                    let arrival = self.kernel.one_way(self.net, from_node, to_ws, at, bytes);
+                    let cl = self.cores.get_mut(self.net.cluster_of(to_ws).0 as usize);
+                    let bid = cl
+                        .sched
+                        .schedule(arrival, NetEvent::BreakDeliver { to_ws, paths });
+                    cl.break_ids.push(bid);
                 }
                 call.result = Some((reply, at));
             }
+
+            // Not a call event: crashes, salvage, scrub and break delivery
+            // interleave with the chain on the same calendars.
+            lifecycle => self.system_event(from_cluster, at, lifecycle),
         }
         Ok(())
     }
@@ -1569,23 +854,7 @@ impl ViceTransport for SystemTransport<'_> {
         if !self.servers.get(sid).is_online() {
             let done = at + self.kernel.costs().rpc_timeout;
             self.clock.advance_to(done);
-            // Even this pre-binding failure implicates the server: the
-            // recorder freezes whatever recent spans touch it.
-            self.life_span(
-                cc,
-                SpanClass::CallAbort,
-                done,
-                Some(server.0),
-                Some(ws.0),
-                None,
-            );
-            self.cores.get_mut(cc).trace.freeze(
-                AnomalyReason::Unreachable,
-                done,
-                Some(server.0),
-                None,
-                TraceId::NONE,
-            );
+            self.unbound_call_aborted(cc, ws, server, done);
             return Ok((ViceReply::Error(ViceError::Unreachable(server.0)), done));
         }
         let at = self.ensure_binding(ws, user, key, server, at)?;
@@ -1602,14 +871,7 @@ impl ViceTransport for SystemTransport<'_> {
         };
         let msg = encode_request(req);
         let framed = frame_call(token, trace.0, &msg.head);
-        let volume = if self.tracing {
-            self.servers
-                .get(sid)
-                .volume_covering(req.path())
-                .map(|v| v.0)
-        } else {
-            None
-        };
+        let volume = self.traced_volume(sid, req.path());
 
         let mut call = CallInFlight {
             ws,
@@ -1646,7 +908,7 @@ impl ViceTransport for SystemTransport<'_> {
             .schedule(at, NetEvent::AttemptSend);
         while call.result.is_none() {
             let (cluster, f) = self
-                .pop_next()
+                .pop_next_due(SimTime::from_micros(u64::MAX))
                 .expect("an in-flight call keeps the calendars non-empty");
             self.dispatch(&mut call, cluster, f.at, f.id, f.ev)?;
         }

@@ -350,7 +350,7 @@ impl Venus {
 
     /// The logged-in user, if any.
     pub fn current_user(&self) -> Option<&str> {
-        self.session.as_deref_user()
+        self.session.as_ref().map(|s| s.user.as_str())
     }
 
     /// Delivers a callback break from a server: the cached copy (file or
@@ -385,9 +385,8 @@ impl Venus {
         let cur = t.epoch_of(server);
         if let Some(prev) = self.server_epochs.insert(server, cur) {
             if cur > prev {
-                let dirty = std::mem::take(&mut self.dirty);
+                let dirty = &self.dirty;
                 self.cache.invalidate_suspect(|p| dirty.contains_key(p));
-                self.dirty = dirty;
             }
         }
     }
@@ -438,29 +437,26 @@ impl Venus {
             .call(self.node, &s.user, s.key, home, &req, self.now)
             .map_err(VenusError::Transport)?;
         self.now = done;
-        match reply {
+        let (subtree, custodian, replicas) = picked(&req, reply, |r| match r {
             ViceReply::Custodian {
                 subtree,
                 custodian,
                 replicas,
-            } => {
-                self.note_epoch(&*t, home);
-                self.hints.insert(subtree, (custodian, replicas.clone()));
-                Ok((custodian, replicas))
-            }
-            ViceReply::Error(e) => Err(VenusError::Vice(e)),
-            _ => Err(VenusError::ProtocolMismatch("GetCustodian")),
-        }
+            } => Some((subtree, custodian, replicas)),
+            _ => None,
+        })?;
+        self.note_epoch(&*t, home);
+        self.hints.insert(subtree, (custodian, replicas.clone()));
+        Ok((custodian, replicas))
     }
 
     /// Issues `req` to the appropriate server, following `NotCustodian`
-    /// hints. Read-only-eligible calls (`prefer_replica`) go to the
-    /// nearest replica; mutations go to the custodian.
+    /// hints. Reads go to the nearest replica; mutations go to the
+    /// custodian.
     fn call_vice(
         &mut self,
         t: &mut dyn ViceTransport,
         req: &ViceRequest,
-        prefer_replica: bool,
     ) -> Result<ViceReply, VenusError> {
         let s = self.session()?;
         let path = req.path().to_string();
@@ -469,7 +465,7 @@ impl Venus {
             // Candidate order: for read-eligible calls, nearest first and
             // fail over down the list; mutations go to the custodian only
             // (read-only replicas cannot apply them anyway).
-            let mut candidates = if prefer_replica && !replicas.is_empty() {
+            let mut candidates = if !req.is_mutation() && !replicas.is_empty() {
                 let mut all = vec![custodian];
                 all.extend(replicas.iter().copied());
                 let first = t.nearest(self.node, &all);
@@ -489,27 +485,24 @@ impl Venus {
                     .map_err(VenusError::Transport)?;
                 self.now = done;
                 match r {
-                    // This machine is down: try the next replica — "single
+                    // This machine is down — try the next replica: "single
                     // point ... machine failures should not affect the
-                    // entire user community" (Section 2.2).
-                    ViceReply::Error(ViceError::Unreachable(srv)) => {
+                    // entire user community" (Section 2.2). Or it is
+                    // thought to be up but every attempt at the call timed
+                    // out (lost traffic): a replica may still answer a
+                    // read. Or the server is up (a genuine exchange) but
+                    // the volume is being salvaged or was taken offline: a
+                    // read-only replica elsewhere may still cover the path.
+                    ViceReply::Error(
+                        e @ (ViceError::Unreachable(_)
+                        | ViceError::TimedOut(_)
+                        | ViceError::VolumeOffline(_)),
+                    ) => {
+                        if matches!(e, ViceError::VolumeOffline(_)) {
+                            self.note_epoch(&*t, target);
+                        }
                         *self.reconnect_failures.entry(target).or_insert(0) += 1;
-                        last_failure = Some(ViceError::Unreachable(srv));
-                    }
-                    // The machine is thought to be up but every attempt at
-                    // the call timed out (lost traffic): a replica may
-                    // still answer a read.
-                    ViceReply::Error(ViceError::TimedOut(srv)) => {
-                        *self.reconnect_failures.entry(target).or_insert(0) += 1;
-                        last_failure = Some(ViceError::TimedOut(srv));
-                    }
-                    // The server is up but the volume is being salvaged
-                    // (or was taken offline): a read-only replica elsewhere
-                    // may still cover the path, so keep trying candidates.
-                    ViceReply::Error(ViceError::VolumeOffline(p)) => {
-                        self.note_epoch(&*t, target);
-                        *self.reconnect_failures.entry(target).or_insert(0) += 1;
-                        last_failure = Some(ViceError::VolumeOffline(p));
+                        last_failure = Some(e);
                     }
                     other => {
                         // A genuine exchange with this server: notice if it
@@ -545,6 +538,21 @@ impl Venus {
             }
         }
         Err(VenusError::NoCustodian(path))
+    }
+
+    /// The reply contract of every Vice call Venus makes: routes `req`
+    /// (see [`Self::call_vice`]) and hands the reply to `pick`, which
+    /// extracts what the caller wants from the variants it accepts. An
+    /// `Error` reply surfaces as [`VenusError::Vice`]; a variant `pick`
+    /// rejects as [`VenusError::ProtocolMismatch`] naming the request.
+    fn vice<R>(
+        &mut self,
+        t: &mut dyn ViceTransport,
+        req: &ViceRequest,
+        pick: impl FnOnce(ViceReply) -> Option<R>,
+    ) -> Result<R, VenusError> {
+        let reply = self.call_vice(t, req)?;
+        picked(req, reply, pick)
     }
 
     // ------------------------------------------------------------------
@@ -586,22 +594,16 @@ impl Venus {
             let req = ViceRequest::Fetch {
                 path: prefix.clone(),
             };
-            match self.call_vice(t, &req, true)? {
-                ViceReply::Data { status, data } => {
-                    self.stats.fetches += 1;
-                    self.stats.bytes_fetched += data.len() as u64;
-                    self.charge_local_disk(data.len() as u64);
-                    self.cache
-                        .insert(&prefix, data, status, cache::EntryKind::Directory);
-                }
-                ViceReply::Error(e) => return Err(VenusError::Vice(e)),
-                ViceReply::Link(_) => {
-                    // A symlink mid-path inside Vice; the server resolves
-                    // these on the final operation, so just stop walking.
-                    return Ok(());
-                }
-                _ => return Err(VenusError::ProtocolMismatch("Fetch dir")),
-            }
+            let ViceReply::Data { status, data } = self.vice(t, &req, data_or_link)? else {
+                // A symlink mid-path inside Vice; the server resolves
+                // these on the final operation, so just stop walking.
+                return Ok(());
+            };
+            self.stats.fetches += 1;
+            self.stats.bytes_fetched += data.len() as u64;
+            self.charge_local_disk(data.len() as u64);
+            self.cache
+                .insert(&prefix, data, status, cache::EntryKind::Directory);
         }
         Ok(())
     }
@@ -617,70 +619,51 @@ impl Venus {
         self.stats.vice_opens += 1;
         self.walk_client_side(t, vice_path)?;
 
-        // A dirty (unflushed) copy is the newest version in existence:
-        // serve it locally — the custodian may not even know the file yet.
-        if self.dirty.contains_key(vice_path) {
-            if let Some(e) = self.cache.get(vice_path) {
-                let data = e.data.clone();
+        // Decide whether the cached copy may be used without a fetch.
+        let cached = self
+            .cache
+            .peek(vice_path)
+            .map(|e| (e.valid, e.status.read_only, e.status.fid, e.status.version));
+        if let Some((valid, read_only, fid, version)) = cached {
+            // A dirty (unflushed) copy is the newest version in existence
+            // — the custodian may not even know the file yet. Read-only
+            // subtree copies "can never be invalid". And in callback mode
+            // a standing promise means zero server traffic (a broken one
+            // must refetch below).
+            let mut usable = self.dirty.contains_key(vice_path)
+                || read_only
+                || (valid && self.validation == ValidationMode::Callback);
+            if !usable && self.validation == ValidationMode::CheckOnOpen {
+                // The prototype's dominant call: validate on every open.
+                let req = ViceRequest::Validate {
+                    path: vice_path.to_string(),
+                    fid,
+                    version,
+                };
+                self.stats.validations += 1;
+                let verdict = self.vice(t, &req, |r| match r {
+                    ViceReply::Validated { valid, .. } => Some(valid),
+                    _ => None,
+                });
+                match verdict {
+                    Ok(true) => {
+                        self.cache.revalidate(vice_path, None);
+                        usable = true;
+                    }
+                    // Stale: fall through to fetch.
+                    Ok(false) => {}
+                    // Deleted behind our back.
+                    Err(VenusError::Vice(ViceError::NoSuchFile(_))) => {
+                        self.cache.remove(vice_path);
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            if usable {
+                let data = self.cache.get(vice_path).expect("peeked").data.clone();
                 self.cache.count_hit();
                 self.charge_local_disk(data.len() as u64);
                 return Ok(data);
-            }
-        }
-
-        // Decide whether the cached copy may be used without a fetch.
-        let cached = self.cache.peek(vice_path).map(|e| {
-            (
-                e.valid,
-                e.status.read_only,
-                e.status.fid,
-                e.status.version,
-                e.data.len() as u64,
-            )
-        });
-        if let Some((valid, read_only, fid, version, size)) = cached {
-            // Read-only subtree copies "can never be invalid".
-            if read_only {
-                self.cache.count_hit();
-                self.charge_local_disk(size);
-                return Ok(self.cache.get(vice_path).expect("peeked").data.clone());
-            }
-            match self.validation {
-                ValidationMode::Callback if valid => {
-                    // Promise stands: zero server traffic.
-                    self.cache.count_hit();
-                    self.charge_local_disk(size);
-                    return Ok(self.cache.get(vice_path).expect("peeked").data.clone());
-                }
-                ValidationMode::Callback => {
-                    // Broken promise: must refetch below.
-                }
-                ValidationMode::CheckOnOpen => {
-                    // The prototype's dominant call: validate on every open.
-                    let req = ViceRequest::Validate {
-                        path: vice_path.to_string(),
-                        fid,
-                        version,
-                    };
-                    self.stats.validations += 1;
-                    match self.call_vice(t, &req, true)? {
-                        ViceReply::Validated { valid: true, .. } => {
-                            self.cache.revalidate(vice_path, None);
-                            self.cache.count_hit();
-                            self.charge_local_disk(size);
-                            return Ok(self.cache.get(vice_path).expect("peeked").data.clone());
-                        }
-                        ViceReply::Validated { valid: false, .. } => {
-                            // Stale: fall through to fetch.
-                        }
-                        ViceReply::Error(ViceError::NoSuchFile(_)) => {
-                            // Deleted behind our back.
-                            self.cache.remove(vice_path);
-                        }
-                        ViceReply::Error(e) => return Err(VenusError::Vice(e)),
-                        _ => return Err(VenusError::ProtocolMismatch("Validate")),
-                    }
-                }
             }
         }
 
@@ -688,7 +671,7 @@ impl Venus {
         let req = ViceRequest::Fetch {
             path: vice_path.to_string(),
         };
-        match self.call_vice(t, &req, true)? {
+        match self.vice(t, &req, data_or_link)? {
             ViceReply::Data { status, data } => {
                 self.cache.count_miss();
                 self.stats.fetches += 1;
@@ -709,12 +692,9 @@ impl Venus {
                 self.cache.insert(vice_path, data.clone(), status, kind);
                 Ok(data)
             }
-            ViceReply::Link(target) => {
-                // A symlink inside Vice: follow it (target is a Vice path).
-                self.ensure_cached(t, &target)
-            }
-            ViceReply::Error(e) => Err(VenusError::Vice(e)),
-            _ => Err(VenusError::ProtocolMismatch("Fetch")),
+            // A symlink inside Vice: follow it (target is a Vice path).
+            ViceReply::Link(target) => self.ensure_cached(t, &target),
+            _ => unreachable!("data_or_link admits nothing else"),
         }
     }
 
@@ -726,16 +706,13 @@ impl Venus {
     pub fn open_read(&mut self, t: &mut dyn ViceTransport, path: &str) -> Result<u64, VenusError> {
         self.charge_intercept();
         let space = self.namespace.classify(path, true)?;
-        let (data, space) = match space {
+        let data = match &space {
             Space::Local(p) => {
-                let data = Payload::from_vec(self.namespace.local().read(&p)?);
+                let data = Payload::from_vec(self.namespace.local().read(p)?);
                 self.charge_local_disk(data.len() as u64);
-                (data, Space::Local(p))
+                data
             }
-            Space::Vice(vp) => {
-                let data = self.ensure_cached(t, &vp)?;
-                (data, Space::Vice(vp))
-            }
+            Space::Vice(vp) => self.ensure_cached(t, vp)?,
         };
         Ok(self.install_handle(space, data, false))
     }
@@ -745,19 +722,15 @@ impl Venus {
     pub fn open_write(&mut self, t: &mut dyn ViceTransport, path: &str) -> Result<u64, VenusError> {
         self.charge_intercept();
         let space = self.namespace.classify(path, true)?;
-        let (data, space) = match space {
+        let data = match &space {
             Space::Local(p) => {
-                let data = Payload::from_vec(self.namespace.local().read(&p).unwrap_or_default());
-                (data, Space::Local(p))
+                Payload::from_vec(self.namespace.local().read(p).unwrap_or_default())
             }
-            Space::Vice(vp) => {
-                let data = match self.ensure_cached(t, &vp) {
-                    Ok(d) => d,
-                    Err(VenusError::Vice(ViceError::NoSuchFile(_))) => Payload::empty(),
-                    Err(e) => return Err(e),
-                };
-                (data, Space::Vice(vp))
-            }
+            Space::Vice(vp) => match self.ensure_cached(t, vp) {
+                Ok(d) => d,
+                Err(VenusError::Vice(ViceError::NoSuchFile(_))) => Payload::empty(),
+                Err(e) => return Err(e),
+            },
         };
         Ok(self.install_handle(space, data, true))
     }
@@ -790,9 +763,8 @@ impl Venus {
         Ok(f.data.as_slice())
     }
 
-    /// Replaces the contents through an open (writable) handle. No server
-    /// communication happens until close.
-    pub fn write(&mut self, handle: u64, data: Vec<u8>) -> Result<(), VenusError> {
+    /// The open file behind a writable handle, marked modified.
+    fn modified(&mut self, handle: u64) -> Result<&mut OpenFile, VenusError> {
         let f = self
             .open_files
             .get_mut(&handle)
@@ -802,24 +774,21 @@ impl Venus {
                 "handle opened read-only".to_string(),
             )));
         }
-        f.data = Payload::from_vec(data);
         f.dirty = true;
+        Ok(f)
+    }
+
+    /// Replaces the contents through an open (writable) handle. No server
+    /// communication happens until close.
+    pub fn write(&mut self, handle: u64, data: Vec<u8>) -> Result<(), VenusError> {
+        self.modified(handle)?.data = Payload::from_vec(data);
         Ok(())
     }
 
     /// Appends bytes through an open handle.
     pub fn append(&mut self, handle: u64, bytes: &[u8]) -> Result<(), VenusError> {
-        let f = self
-            .open_files
-            .get_mut(&handle)
-            .ok_or(VenusError::BadHandle(handle))?;
-        if !f.writable {
-            return Err(VenusError::Vice(ViceError::PermissionDenied(
-                "handle opened read-only".to_string(),
-            )));
-        }
+        let f = self.modified(handle)?;
         f.data.edit(|v| v.extend_from_slice(bytes));
-        f.dirty = true;
         Ok(())
     }
 
@@ -850,15 +819,10 @@ impl Venus {
                     // Deferred write-back: update the local cache copy and
                     // schedule the flush; repeated closes coalesce.
                     self.charge_local_disk(f.data.len() as u64);
-                    let status = match self.cache.peek(&vp) {
-                        Some(e) => {
-                            let mut st = e.status.clone();
-                            st.size = f.data.len() as u64;
-                            st.mtime = self.now.as_micros();
-                            st
-                        }
-                        None => provisional_status(&vp, f.data.len() as u64, self.now),
-                    };
+                    let cached = self.cache.peek(&vp).map(|e| e.status.clone());
+                    let mut status = cached.unwrap_or_else(|| provisional_status(&vp));
+                    status.size = f.data.len() as u64;
+                    status.mtime = self.now.as_micros();
                     self.cache
                         .insert(&vp, f.data, status, cache::EntryKind::File);
                     let deadline = self.now + delay;
@@ -885,16 +849,11 @@ impl Venus {
             path: vp.to_string(),
             data: data.clone(),
         };
-        match self.call_vice(t, &req, false)? {
-            ViceReply::Status(status) => {
-                self.stats.stores += 1;
-                self.stats.bytes_stored += data.len() as u64;
-                self.cache.update(vp, data, status);
-                Ok(())
-            }
-            ViceReply::Error(e) => Err(VenusError::Vice(e)),
-            _ => Err(VenusError::ProtocolMismatch("Store")),
-        }
+        let status = self.vice(t, &req, status_reply)?;
+        self.stats.stores += 1;
+        self.stats.bytes_stored += data.len() as u64;
+        self.cache.update(vp, data, status);
+        Ok(())
     }
 
     /// Number of dirty files awaiting a deferred flush.
@@ -962,25 +921,17 @@ impl Venus {
                 Ok(local_status(&p, &a))
             }
             Space::Vice(vp) => {
-                // A dirty copy's status is the newest in existence.
-                if self.dirty.contains_key(&vp) {
-                    if let Some(e) = self.cache.peek(&vp) {
+                if let Some(e) = self.cache.peek(&vp) {
+                    // A dirty copy's status is the newest in existence; in
+                    // callback mode so is one under a standing promise.
+                    let promised = self.validation == ValidationMode::Callback
+                        && (e.valid || e.status.read_only);
+                    if promised || self.dirty.contains_key(&vp) {
                         return Ok(e.status.clone());
                     }
                 }
-                if self.validation == ValidationMode::Callback {
-                    if let Some(e) = self.cache.peek(&vp) {
-                        if e.valid || e.status.read_only {
-                            return Ok(e.status.clone());
-                        }
-                    }
-                }
                 let req = ViceRequest::GetStatus { path: vp };
-                match self.call_vice(t, &req, true)? {
-                    ViceReply::Status(s) => Ok(s),
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("GetStatus")),
-                }
+                self.vice(t, &req, status_reply)
             }
         }
     }
@@ -998,23 +949,15 @@ impl Venus {
                 let local = self.namespace.local();
                 Ok(entries
                     .into_iter()
-                    .map(|(name, ino)| {
-                        let kind = match local.attr_of(ino).expect("entry").ftype {
-                            itc_unixfs::FileType::Regular => EntryKind::File,
-                            itc_unixfs::FileType::Directory => EntryKind::Dir,
-                            itc_unixfs::FileType::Symlink => EntryKind::Symlink,
-                        };
-                        (name, kind)
-                    })
+                    .map(|(name, ino)| (name, local.attr_of(ino).expect("entry").ftype.into()))
                     .collect())
             }
             Space::Vice(vp) => {
                 let req = ViceRequest::ListDir { path: vp };
-                match self.call_vice(t, &req, true)? {
-                    ViceReply::Listing(l) => Ok(l),
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("ListDir")),
-                }
+                self.vice(t, &req, |r| match r {
+                    ViceReply::Listing(l) => Some(l),
+                    _ => None,
+                })
             }
         }
     }
@@ -1032,17 +975,14 @@ impl Venus {
             }
             Space::Vice(vp) => {
                 let req = ViceRequest::MakeDir { path: vp.clone() };
-                match self.call_vice(t, &req, false)? {
-                    ViceReply::Status(_) | ViceReply::Ok => {
-                        // Our cached copy of the parent listing is stale.
-                        if let Ok((parent, _)) = dirname_basename(&vp) {
-                            self.cache.invalidate(&parent);
-                        }
-                        Ok(())
-                    }
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("MakeDir")),
+                self.vice(t, &req, |r| {
+                    matches!(r, ViceReply::Status(_) | ViceReply::Ok).then_some(())
+                })?;
+                // Our cached copy of the parent listing is stale.
+                if let Ok((parent, _)) = dirname_basename(&vp) {
+                    self.cache.invalidate(&parent);
                 }
+                Ok(())
             }
         }
     }
@@ -1058,17 +998,12 @@ impl Venus {
             }
             Space::Vice(vp) => {
                 let req = ViceRequest::Remove { path: vp.clone() };
-                match self.call_vice(t, &req, false)? {
-                    ViceReply::Ok => {
-                        self.cache.remove(&vp);
-                        if let Ok((parent, _)) = dirname_basename(&vp) {
-                            self.cache.invalidate(&parent);
-                        }
-                        Ok(())
-                    }
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("Remove")),
+                self.vice(t, &req, ok_reply)?;
+                self.cache.remove(&vp);
+                if let Ok((parent, _)) = dirname_basename(&vp) {
+                    self.cache.invalidate(&parent);
                 }
+                Ok(())
             }
         }
     }
@@ -1084,14 +1019,9 @@ impl Venus {
             }
             Space::Vice(vp) => {
                 let req = ViceRequest::RemoveDir { path: vp.clone() };
-                match self.call_vice(t, &req, false)? {
-                    ViceReply::Ok => {
-                        self.cache.remove(&vp);
-                        Ok(())
-                    }
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("RemoveDir")),
-                }
+                self.vice(t, &req, ok_reply)?;
+                self.cache.remove(&vp);
+                Ok(())
             }
         }
     }
@@ -1118,15 +1048,10 @@ impl Venus {
                     from: a.clone(),
                     to: b.clone(),
                 };
-                match self.call_vice(t, &req, false)? {
-                    ViceReply::Ok => {
-                        self.cache.remove(&a);
-                        self.cache.remove(&b);
-                        Ok(())
-                    }
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("Rename")),
-                }
+                self.vice(t, &req, ok_reply)?;
+                self.cache.remove(&a);
+                self.cache.remove(&b);
+                Ok(())
             }
             _ => Err(VenusError::Vice(ViceError::BadRequest(
                 "rename across local/shared boundary".to_string(),
@@ -1154,12 +1079,19 @@ impl Venus {
                     path: vp,
                     target: target.to_string(),
                 };
-                match self.call_vice(t, &req, false)? {
-                    ViceReply::Ok => Ok(()),
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("MakeSymlink")),
-                }
+                self.vice(t, &req, ok_reply)
             }
+        }
+    }
+
+    /// The Vice path an access-list operation on `path` targets.
+    fn acl_target(&mut self, path: &str) -> Result<String, VenusError> {
+        self.charge_intercept();
+        match self.namespace.classify(path, true)? {
+            Space::Local(_) => Err(VenusError::Vice(ViceError::BadRequest(
+                "local files have no access lists".to_string(),
+            ))),
+            Space::Vice(vp) => Ok(vp),
         }
     }
 
@@ -1169,20 +1101,11 @@ impl Venus {
         t: &mut dyn ViceTransport,
         path: &str,
     ) -> Result<AccessList, VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, true)? {
-            Space::Local(_) => Err(VenusError::Vice(ViceError::BadRequest(
-                "local files have no access lists".to_string(),
-            ))),
-            Space::Vice(vp) => {
-                let req = ViceRequest::GetAcl { path: vp };
-                match self.call_vice(t, &req, true)? {
-                    ViceReply::Acl(a) => Ok(a),
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("GetAcl")),
-                }
-            }
-        }
+        let path = self.acl_target(path)?;
+        self.vice(t, &ViceRequest::GetAcl { path }, |r| match r {
+            ViceReply::Acl(a) => Some(a),
+            _ => None,
+        })
     }
 
     /// Replaces a directory's access list.
@@ -1192,20 +1115,8 @@ impl Venus {
         path: &str,
         acl: AccessList,
     ) -> Result<(), VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, true)? {
-            Space::Local(_) => Err(VenusError::Vice(ViceError::BadRequest(
-                "local files have no access lists".to_string(),
-            ))),
-            Space::Vice(vp) => {
-                let req = ViceRequest::SetAcl { path: vp, acl };
-                match self.call_vice(t, &req, false)? {
-                    ViceReply::Ok => Ok(()),
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("SetAcl")),
-                }
-            }
-        }
+        let path = self.acl_target(path)?;
+        self.vice(t, &ViceRequest::SetAcl { path, acl }, ok_reply)
     }
 
     /// Acquires an advisory lock.
@@ -1223,11 +1134,7 @@ impl Venus {
                     path: vp,
                     exclusive,
                 };
-                match self.call_vice(t, &req, false)? {
-                    ViceReply::Ok => Ok(()),
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("SetLock")),
-                }
+                self.vice(t, &req, ok_reply)
             }
         }
     }
@@ -1239,11 +1146,7 @@ impl Venus {
             Space::Local(_) => Ok(()),
             Space::Vice(vp) => {
                 let req = ViceRequest::ReleaseLock { path: vp };
-                match self.call_vice(t, &req, false)? {
-                    ViceReply::Ok => Ok(()),
-                    ViceReply::Error(e) => Err(VenusError::Vice(e)),
-                    _ => Err(VenusError::ProtocolMismatch("ReleaseLock")),
-                }
+                self.vice(t, &req, ok_reply)
             }
         }
     }
@@ -1273,27 +1176,46 @@ impl Venus {
     }
 }
 
-/// Adapter so `current_user` can borrow out of the Option<Session>.
-trait SessionExt {
-    fn as_deref_user(&self) -> Option<&str>;
+/// Applies the reply contract to one exchange: see [`Venus::vice`].
+fn picked<R>(
+    req: &ViceRequest,
+    reply: ViceReply,
+    pick: impl FnOnce(ViceReply) -> Option<R>,
+) -> Result<R, VenusError> {
+    match reply {
+        ViceReply::Error(e) => Err(VenusError::Vice(e)),
+        reply => pick(reply).ok_or(VenusError::ProtocolMismatch(req.kind())),
+    }
 }
 
-impl SessionExt for Option<Session> {
-    fn as_deref_user(&self) -> Option<&str> {
-        self.as_ref().map(|s| s.user.as_str())
+/// Accepts a bare `Ok` (what most mutations answer).
+fn ok_reply(r: ViceReply) -> Option<()> {
+    (r == ViceReply::Ok).then_some(())
+}
+
+/// Accepts a status block.
+fn status_reply(r: ViceReply) -> Option<VStatus> {
+    match r {
+        ViceReply::Status(s) => Some(s),
+        _ => None,
     }
+}
+
+/// Accepts what a `Fetch` may answer: the data, or a symlink's target.
+fn data_or_link(r: ViceReply) -> Option<ViceReply> {
+    matches!(r, ViceReply::Data { .. } | ViceReply::Link(_)).then_some(r)
 }
 
 /// A placeholder status for a file created locally under the delayed
 /// write policy, before the custodian has ever seen it.
-fn provisional_status(path: &str, size: u64, now: SimTime) -> VStatus {
+fn provisional_status(path: &str) -> VStatus {
     VStatus {
         path: path.to_string(),
         fid: 0, // unknown until the first flush
         kind: EntryKind::File,
-        size,
+        size: 0,
         version: 0,
-        mtime: now.as_micros(),
+        mtime: 0,
         mode: 0o644,
         owner: 0,
         read_only: false,
@@ -1304,11 +1226,7 @@ fn local_status(path: &str, a: &itc_unixfs::InodeAttr) -> VStatus {
     VStatus {
         path: path.to_string(),
         fid: a.ino.0,
-        kind: match a.ftype {
-            itc_unixfs::FileType::Regular => EntryKind::File,
-            itc_unixfs::FileType::Directory => EntryKind::Dir,
-            itc_unixfs::FileType::Symlink => EntryKind::Symlink,
-        },
+        kind: a.ftype.into(),
         size: a.size,
         version: a.version,
         mtime: a.mtime,

@@ -3,11 +3,13 @@
 //! request streams, not just the ones a well-behaved Venus sends.
 
 use itc_core::protect::{AccessList, ProtectionDomain, Rights};
-use itc_core::proto::{ServerId, ViceError, ViceReply, ViceRequest};
-use itc_core::server::Server;
+use itc_core::proto::{
+    decode_request, encode_request, Payload, ServerId, ViceError, ViceReply, ViceRequest,
+};
+use itc_core::server::{QueuedRequest, Server};
 use itc_core::volume::{Volume, VolumeId};
 use itc_rpc::NodeId;
-use itc_sim::{Costs, SimTime, TraversalMode, ValidationMode};
+use itc_sim::{Costs, SimRng, SimTime, TraceId, TraversalMode, ValidationMode};
 use std::sync::{Arc, RwLock};
 
 const WS: NodeId = NodeId(10);
@@ -185,7 +187,7 @@ fn callback_promises_registered_and_broken() {
     let breaks = srv.drain_breaks();
     assert_eq!(breaks.len(), 1);
     assert_eq!(breaks[0].0, WS2);
-    assert_eq!(breaks[0].1.path, "/vice/t/hello.txt");
+    assert_eq!(breaks[0].1, ["/vice/t/hello.txt"]);
     // Draining empties the queue.
     assert!(srv.drain_breaks().is_empty());
 }
@@ -585,4 +587,305 @@ fn replay_cache_stays_bounded_under_duplicate_storm() {
     // soft server state).
     srv.crash();
     assert_eq!(srv.replay_entries(), 0);
+}
+
+/// A callback-mode server with a directory `/vice/t/locked` (holding file
+/// `f`, link `l` and subdirectory `d`) whose ACL gives mallory *negative*
+/// `Rights::ALL` — the paper's rapid-revocation mechanism — on top of the
+/// blanket `anyuser` read grant. Alice at `WS` holds callback promises on
+/// the file and the directory, so a mutation that slipped past the gate
+/// would queue breaks.
+fn make_locked_server() -> Server {
+    let mut srv = make_server(ValidationMode::Callback);
+    let mut acl = AccessList::new();
+    acl.grant("staff", Rights::ALL);
+    acl.grant("anyuser", Rights::READ_ONLY);
+    acl.deny("mallory", Rights::ALL);
+    let setup = [
+        ViceRequest::MakeDir {
+            path: "/vice/t/locked".into(),
+        },
+        ViceRequest::SetAcl {
+            path: "/vice/t/locked".into(),
+            acl,
+        },
+        ViceRequest::MakeDir {
+            path: "/vice/t/locked/d".into(),
+        },
+        ViceRequest::Store {
+            path: "/vice/t/locked/f".into(),
+            data: b"secret".to_vec().into(),
+        },
+        ViceRequest::MakeSymlink {
+            path: "/vice/t/locked/l".into(),
+            target: "f".into(),
+        },
+        ViceRequest::Fetch {
+            path: "/vice/t/locked/f".into(),
+        },
+        ViceRequest::Fetch {
+            path: "/vice/t/locked".into(),
+        },
+    ];
+    for req in setup {
+        let reply = call(&mut srv, "alice", WS, req);
+        assert!(!matches!(reply, ViceReply::Error(_)), "{reply:?}");
+    }
+    srv.drain_breaks();
+    srv
+}
+
+#[test]
+fn every_request_kind_meets_the_gate() {
+    let f = || "/vice/t/locked/f".to_string();
+    let ms = SimTime::from_millis;
+    // One row per request kind, in `ViceRequest::KINDS` order: the request
+    // mallory sends and the cost charged before the rights check refuses
+    // it (protection CPU on every call; `GetStatus` and `Validate` charge
+    // their own CPU, a status-file disk read and — `Validate` — the
+    // server-side walk of four components first; `SetLock` has already
+    // consulted the lock server).
+    let rows: Vec<(ViceRequest, (SimTime, u64, bool))> = vec![
+        (ViceRequest::GetCustodian { path: f() }, (ms(0), 0, false)),
+        (ViceRequest::Fetch { path: f() }, (ms(20), 0, false)),
+        (
+            ViceRequest::Store {
+                path: f(),
+                data: b"x".to_vec().into(),
+            },
+            (ms(20), 0, false),
+        ),
+        (ViceRequest::Remove { path: f() }, (ms(20), 0, false)),
+        (ViceRequest::GetStatus { path: f() }, (ms(70), 2_048, false)),
+        (
+            ViceRequest::SetMode {
+                path: f(),
+                mode: 0o600,
+            },
+            (ms(20), 0, false),
+        ),
+        (
+            ViceRequest::Validate {
+                path: f(),
+                fid: 1,
+                version: 1,
+            },
+            (ms(140), 2_048, false),
+        ),
+        (
+            ViceRequest::MakeDir {
+                path: "/vice/t/locked/new".into(),
+            },
+            (ms(20), 0, false),
+        ),
+        (
+            ViceRequest::RemoveDir {
+                path: "/vice/t/locked/d".into(),
+            },
+            (ms(20), 0, false),
+        ),
+        (
+            ViceRequest::Rename {
+                from: f(),
+                to: "/vice/t/locked/g".into(),
+            },
+            (ms(20), 0, false),
+        ),
+        (
+            ViceRequest::ListDir {
+                path: "/vice/t/locked".into(),
+            },
+            (ms(20), 0, false),
+        ),
+        (
+            ViceRequest::GetAcl {
+                path: "/vice/t/locked".into(),
+            },
+            (ms(20), 0, false),
+        ),
+        (
+            ViceRequest::SetAcl {
+                path: "/vice/t/locked".into(),
+                acl: AccessList::new(),
+            },
+            (ms(20), 0, false),
+        ),
+        (
+            ViceRequest::MakeSymlink {
+                path: "/vice/t/locked/m".into(),
+                target: "f".into(),
+            },
+            (ms(20), 0, false),
+        ),
+        (
+            ViceRequest::ReadLink {
+                path: "/vice/t/locked/l".into(),
+            },
+            (ms(20), 0, false),
+        ),
+        (
+            ViceRequest::SetLock {
+                path: f(),
+                exclusive: true,
+            },
+            (ms(20), 0, true),
+        ),
+        (ViceRequest::ReleaseLock { path: f() }, (ms(20), 0, true)),
+    ];
+    assert_eq!(rows.len(), ViceRequest::KINDS.len(), "a kind has no row");
+
+    let costs = Costs::prototype_1985();
+    let mut srv = make_locked_server();
+    let journal = srv.journal_stats().records;
+    let promises = srv.callback_promises();
+    for ((req, expected), kind) in rows.iter().zip(ViceRequest::KINDS) {
+        assert_eq!(req.kind(), kind, "rows follow KINDS order");
+        let (reply, cost) = srv.handle("mallory", WS2, req, SimTime::from_secs(9), &costs);
+        match req {
+            // The two ungated kinds: location is public, and a release can
+            // only drop the caller's own lock.
+            ViceRequest::GetCustodian { .. } => {
+                assert!(matches!(reply, ViceReply::Custodian { .. }), "{reply:?}");
+            }
+            ViceRequest::ReleaseLock { .. } => assert_eq!(reply, ViceReply::Ok),
+            _ => assert!(
+                matches!(reply, ViceReply::Error(ViceError::PermissionDenied(_))),
+                "{kind} slipped past the gate: {reply:?}"
+            ),
+        }
+        assert_eq!(
+            (cost.server_cpu, cost.disk_bytes, cost.lock_ipc),
+            *expected,
+            "{kind} cost"
+        );
+        assert_eq!(srv.journal_stats().records, journal, "{kind} journaled");
+        assert!(srv.drain_breaks().is_empty(), "{kind} queued a break");
+        assert_eq!(srv.callback_promises(), promises, "{kind} got a promise");
+    }
+}
+
+#[test]
+fn remove_of_a_missing_file_names_the_vice_path() {
+    // Every error names the path the client sent, never the
+    // volume-internal one ("/nope.txt").
+    let mut srv = make_server(ValidationMode::CheckOnOpen);
+    let path = "/vice/t/nope.txt".to_string();
+    assert_eq!(
+        call(
+            &mut srv,
+            "alice",
+            WS,
+            ViceRequest::Remove { path: path.clone() }
+        ),
+        ViceReply::Error(ViceError::NoSuchFile(path))
+    );
+}
+
+/// Serves wire bytes exactly as the transport's `ServiceDispatch` does.
+fn serve(
+    srv: &mut Server,
+    from: NodeId,
+    token: u64,
+    body: Vec<u8>,
+    payload: Option<Payload>,
+) -> ViceReply {
+    let qr = QueuedRequest {
+        user: "alice".to_string(),
+        from,
+        token,
+        trace: TraceId::NONE,
+        body,
+        payload,
+        arrived: SimTime::from_secs(1),
+    };
+    let reply = srv.serve(qr, SimTime::from_secs(1), &Costs::prototype_1985());
+    // Write-ahead: the journal is forced before the reply may leave.
+    srv.sync_journal();
+    reply.0
+}
+
+fn serve_req(srv: &mut Server, from: NodeId, token: u64, req: &ViceRequest) -> ViceReply {
+    let msg = encode_request(req);
+    serve(srv, from, token, msg.head, msg.payload)
+}
+
+fn version_of(reply: &ViceReply) -> u64 {
+    match reply {
+        ViceReply::Status(s) => s.version,
+        other => panic!("expected a status, got {other:?}"),
+    }
+}
+
+#[test]
+fn serve_applies_a_retried_mutation_exactly_once() {
+    let mut srv = make_server(ValidationMode::CheckOnOpen);
+    let store = ViceRequest::Store {
+        path: "/vice/t/hello.txt".into(),
+        data: b"v2".to_vec().into(),
+    };
+    let journal = srv.journal_stats().records;
+    let first = serve_req(&mut srv, WS, 7, &store);
+    // The retry (same workstation, same token) is answered from the replay
+    // cache: equal reply, one version bump, one journal record.
+    assert_eq!(serve_req(&mut srv, WS, 7, &store), first);
+    assert_eq!(srv.journal_stats().records, journal + 1);
+    assert_eq!(srv.replay_entries(), 1);
+    // The token is per workstation: another node's token 7 is a new call.
+    let other = serve_req(&mut srv, WS2, 7, &store);
+    assert_eq!(version_of(&other), version_of(&first) + 1);
+
+    // The replay cache is volatile (Section 7): after a crash, restart and
+    // salvage the same token is applied afresh.
+    srv.crash();
+    srv.restart();
+    srv.salvage_all();
+    let again = serve_req(&mut srv, WS, 7, &store);
+    assert_eq!(version_of(&again), version_of(&other) + 1);
+
+    // A non-mutation is never remembered, whatever its token.
+    let cached = srv.replay_entries();
+    let fetch = ViceRequest::Fetch {
+        path: "/vice/t/hello.txt".into(),
+    };
+    assert!(matches!(
+        serve_req(&mut srv, WS, 8, &fetch),
+        ViceReply::Data { .. }
+    ));
+    assert_eq!(srv.replay_entries(), cached);
+}
+
+#[test]
+fn serve_answers_hostile_bytes_with_a_typed_reply() {
+    let mut srv = make_server(ValidationMode::CheckOnOpen);
+    let mut rng = SimRng::seeded(0x1985);
+    let mut bodies: Vec<(Vec<u8>, Option<Payload>)> = (0..1_000)
+        .map(|_| {
+            let mut body = vec![0u8; rng.range(0, 48) as usize];
+            rng.fill_bytes(&mut body);
+            (body, None)
+        })
+        .collect();
+    // Every proper prefix of one valid encoded Store, payload attached.
+    let msg = encode_request(&ViceRequest::Store {
+        path: "/vice/t/hello.txt".into(),
+        data: b"v2".to_vec().into(),
+    });
+    bodies.extend((0..msg.head.len()).map(|n| (msg.head[..n].to_vec(), msg.payload.clone())));
+
+    let total = bodies.len();
+    let mut rejected = 0;
+    for (token, (body, payload)) in bodies.into_iter().enumerate() {
+        let decodes = decode_request(&body, payload.clone()).is_ok();
+        let journal = srv.journal_stats().records;
+        let reply = serve(&mut srv, WS, token as u64, body, payload);
+        let bad = matches!(reply, ViceReply::Error(ViceError::BadRequest(_)));
+        assert_eq!(bad, !decodes, "token {token}: {reply:?}");
+        if !decodes {
+            rejected += 1;
+            assert_eq!(srv.journal_stats().records, journal, "token {token}");
+        }
+    }
+    assert!(rejected > 900, "only {rejected} bodies were rejected");
+    // A rejected body is never remembered.
+    assert!(srv.replay_entries() <= total - rejected);
 }

@@ -381,3 +381,122 @@ fn client_side_traversal_fetches_and_caches_directories() {
     v.fetch_file(&mut t2, "/vice/usr/u/g").unwrap();
     assert_eq!(t2.requests().len(), 1, "directories must be cached");
 }
+
+/// A transport that resolves custodians normally but answers every other
+/// request with a reply of the wrong shape: `Ok` to reads (none expects
+/// it), an empty `Listing` to mutations (none expects that).
+struct WrongShape {
+    last: Option<&'static str>,
+}
+
+impl ViceTransport for WrongShape {
+    fn call(
+        &mut self,
+        _ws: NodeId,
+        _user: &str,
+        _key: itc_cryptbox::Key,
+        _server: ServerId,
+        req: &ViceRequest,
+        at: SimTime,
+    ) -> Result<(ViceReply, SimTime), String> {
+        self.last = Some(req.kind());
+        let reply = match req {
+            ViceRequest::GetCustodian { .. } => custodian("/vice/usr/u", 1),
+            req if req.is_mutation() => ViceReply::Listing(vec![]),
+            _ => ViceReply::Ok,
+        };
+        Ok((reply, at + SimTime::from_millis(500)))
+    }
+
+    fn nearest(&self, _ws: NodeId, candidates: &[ServerId]) -> ServerId {
+        candidates[0]
+    }
+
+    fn home_server(&self, _ws: NodeId) -> ServerId {
+        ServerId(0)
+    }
+}
+
+#[test]
+fn a_reply_of_the_wrong_shape_is_a_protocol_mismatch_naming_the_request() {
+    use itc_core::protect::AccessList;
+    use itc_core::venus::VenusError;
+
+    // Setup against a well-behaved server: `g` is cached (so the next
+    // open validates it) and `h` is an open, modified handle on a new
+    // file (so closing it stores).
+    let mut v = venus(ValidationMode::CheckOnOpen);
+    let mut good = FakeTransport::new(vec![
+        custodian("/vice/usr/u", 1),
+        ViceReply::Data {
+            status: status("/vice/usr/u/g", 7, 1, 1),
+            data: b"g".to_vec().into(),
+        },
+        ViceReply::Error(ViceError::NoSuchFile("/vice/usr/u/new".into())),
+    ]);
+    v.fetch_file(&mut good, "/vice/usr/u/g").unwrap();
+    let h = v.open_write(&mut good, "/vice/usr/u/new").unwrap();
+    v.write(h, b"new".to_vec()).unwrap();
+
+    type Op = Box<dyn Fn(&mut Venus, &mut WrongShape) -> Result<(), VenusError>>;
+    let ops: Vec<(&str, Op)> = vec![
+        (
+            "fetch",
+            Box::new(|v, t| v.open_read(t, "/vice/usr/u/f").map(drop)),
+        ),
+        (
+            "validate",
+            Box::new(|v, t| v.open_read(t, "/vice/usr/u/g").map(drop)),
+        ),
+        ("store", Box::new(move |v, t| v.close(t, h))),
+        (
+            "getstatus",
+            Box::new(|v, t| v.stat(t, "/vice/usr/u/f").map(drop)),
+        ),
+        (
+            "listdir",
+            Box::new(|v, t| v.readdir(t, "/vice/usr/u").map(drop)),
+        ),
+        ("makedir", Box::new(|v, t| v.mkdir(t, "/vice/usr/u/d"))),
+        ("remove", Box::new(|v, t| v.unlink(t, "/vice/usr/u/g"))),
+        ("removedir", Box::new(|v, t| v.rmdir(t, "/vice/usr/u/d"))),
+        (
+            "rename",
+            Box::new(|v, t| v.rename(t, "/vice/usr/u/g", "/vice/usr/u/k")),
+        ),
+        (
+            "makesymlink",
+            Box::new(|v, t| v.symlink(t, "/vice/usr/u/l", "g")),
+        ),
+        (
+            "getacl",
+            Box::new(|v, t| v.get_acl(t, "/vice/usr/u").map(drop)),
+        ),
+        (
+            "setacl",
+            Box::new(|v, t| v.set_acl(t, "/vice/usr/u", AccessList::new())),
+        ),
+        ("setlock", Box::new(|v, t| v.lock(t, "/vice/usr/u/g", true))),
+        ("releaselock", Box::new(|v, t| v.unlock(t, "/vice/usr/u/g"))),
+    ];
+
+    let mut t = WrongShape { last: None };
+    for (kind, op) in &ops {
+        let before = (v.cache().len(), v.cache().stats(), v.dirty_count());
+        let entry = |v: &Venus| {
+            let e = v.cache().peek("/vice/usr/u/g").expect("still cached");
+            (e.valid, e.status.clone(), e.data.clone())
+        };
+        let cached = entry(&v);
+        let started = v.now();
+        assert_eq!(op(&mut v, &mut t), Err(VenusError::ProtocolMismatch(kind)));
+        assert_eq!(t.last, Some(*kind), "the label is the request's own");
+        let after = (v.cache().len(), v.cache().stats(), v.dirty_count());
+        assert_eq!(after, before, "{kind} touched the cache or dirty set");
+        assert_eq!(entry(&v), cached, "{kind} touched the cached copy");
+        assert!(
+            v.now() >= started + SimTime::from_millis(500),
+            "{kind} must still pay for the call"
+        );
+    }
+}
