@@ -24,6 +24,18 @@ if grep -n 'return ViceReply::Error' crates/core/src/server/mod.rs \
     echo "ci.sh: a copy of a call-path rule grew back (see the lines above)" >&2
     exit 1
 fi
+# File contents have one owner type (DESIGN.md §9): Vice's storage layers
+# take and hand back `Payload`, never an owned `Vec<u8>` of file bytes, and
+# copy none on the way (tests, after the first #[cfg(test)], may).
+echo "== one owner for file bytes (no copy or Vec<u8> contents in Vice storage) =="
+for f in crates/core/src/server/mod.rs crates/core/src/volume/mod.rs \
+    crates/core/src/disk/mod.rs crates/core/src/disk/journal.rs crates/unixfs/src/fs.rs; do
+    if awk -v f="$f" '/#\[cfg\(test\)\]/{exit} {print f ":" NR ":" $0}' "$f" \
+        | grep -E 'to_vec\(\)|note_copy\(|data: Vec<u8>'; then
+        echo "ci.sh: a file-content copy or Vec<u8> parameter grew back (see the lines above)" >&2
+        exit 1
+    fi
+done
 # The trajectory: lines before the first #[cfg(test)] of every crates/*/src
 # file (tests.rs excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do

@@ -157,6 +157,7 @@ impl DfsClient for PageCacheFs {
             .map_err(|_| BaselineError::NoSuchFile(path.to_string()))?;
         self.validate_pages(path, attr.version);
         let data = self.fs.read(path).expect("stat succeeded");
+        let data = data.as_slice();
         let pages = (data.len() as u64).div_ceil(PAGE).max(1);
         let mut out = Vec::with_capacity(data.len());
         for p in 0..pages {

@@ -115,7 +115,7 @@ impl DfsClient for RemoteOpenFs {
         }
         // Close RPC.
         self.rpc(0, SimTime::ZERO, 0);
-        Ok(data)
+        Ok(data.to_vec())
     }
 
     fn write_file(&mut self, path: &str, data: Vec<u8>) -> Result<(), BaselineError> {

@@ -12,7 +12,7 @@
 //! cargo run --release -p itc-bench --bin tables -- all
 //! ```
 //!
-//! or a single experiment by id (`e1` ... `e15`, `f1`). Add `--full` for
+//! or a single experiment by id (`e1` ... `e17`, `f1`). Add `--full` for
 //! the larger populations used in EXPERIMENTS.md.
 
 pub mod experiments;

@@ -9,8 +9,8 @@
 //!
 //! Records are kept structured (the op plus virtual byte offsets) rather
 //! than as a flat byte buffer: file payloads ride inside [`JournalOp::Store`]
-//! by refcount, so journaling a store duplicates no payload bytes — the
-//! zero-copy accounting of the store path is unchanged. The byte-exact
+//! by refcount, so journaling a store duplicates no payload bytes, and
+//! applying one hands the same buffer on to the inode. The byte-exact
 //! on-disk image is still real: [`Journal::encode_durable`] lays the
 //! durable prefix out as framed, checksummed records, and [`Journal::load`]
 //! re-reads such an image, discarding torn or corrupt tails exactly as the
@@ -141,10 +141,8 @@ impl JournalOp {
                 mtime,
                 data,
             } => {
-                // The one counted payload copy on the store path: bytes
-                // cross from the refcounted payload into the volume's file
-                // system here (and only here).
-                vol.store(path, *uid, *mtime, data.to_vec()).map(|_| ())
+                // The inode takes the record's buffer by refcount.
+                vol.store(path, *uid, *mtime, data.clone()).map(|_| ())
             }
             JournalOp::Remove { path, mtime } => {
                 vol.fs_mut()?

@@ -40,6 +40,7 @@ pub use integrity::{
 pub use journal::{Journal, JournalOp, JournalStats, Record, RecordState};
 pub use salvage::SalvageReport;
 
+use crate::proto::Payload;
 use crate::volume::{Volume, VolumeId};
 use std::collections::HashMap;
 
@@ -213,17 +214,13 @@ impl Disk {
                     && !self.journal.verify_record(r)
             })
             .count() as u64;
-        // Replay in log order; clone the records out to appease the borrow
-        // of self.journal while mutating vol (records are cheap: payloads
-        // ride by refcount).
-        let records: Vec<Record> = self
-            .journal
-            .records()
-            .iter()
-            .filter(|r| r.volume == vid.0 && r.seq > after)
-            .cloned()
-            .collect();
-        for r in &records {
+        // Replay in log order.
+        let mut upto_seq = after;
+        for r in self.journal.records() {
+            if r.volume != vid.0 || r.seq <= after {
+                continue;
+            }
+            upto_seq = r.seq;
             if let Some(cut) = cut {
                 if r.end > cut {
                     report.records_rejected += 1;
@@ -253,7 +250,7 @@ impl Disk {
             vid.0,
             Checkpoint {
                 image: vol.clone(),
-                upto_seq: records.last().map(|r| r.seq).unwrap_or(after),
+                upto_seq,
             },
         );
         Some((vol, report))
@@ -368,7 +365,12 @@ impl Disk {
     /// from a vouching replica, quietly (no mtime/version movement: the
     /// committed contents never logically changed). Returns false when the
     /// checkpoint or file is missing.
-    pub fn repair_checkpoint_file(&mut self, vid: VolumeId, path: &str, data: Vec<u8>) -> bool {
+    pub fn repair_checkpoint_file(
+        &mut self,
+        vid: VolumeId,
+        path: &str,
+        data: impl Into<Payload>,
+    ) -> bool {
         match self.checkpoints.get_mut(&vid.0) {
             Some(c) => c.image.restore_file(path, data),
             None => false,
@@ -388,7 +390,6 @@ impl Disk {
 mod tests {
     use super::*;
     use crate::protect::{AccessList, Rights};
-    use crate::proto::Payload;
 
     fn test_volume() -> Volume {
         let mut acl = AccessList::new();

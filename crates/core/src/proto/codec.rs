@@ -66,6 +66,17 @@ fn take_payload(payload: Option<Payload>, len: u32, digest: u64) -> Result<Paylo
     Ok(p)
 }
 
+/// Reads an element count, rejecting one the remaining bytes cannot hold
+/// (every element is at least `min_bytes` long), so a length prefix off
+/// the wire never sizes a reservation the message does not justify.
+fn take_count(r: &mut WireReader<'_>, min_bytes: usize) -> Result<usize, WireError> {
+    let n = r.u32()? as usize;
+    if n > r.remaining() / min_bytes {
+        return Err(WireError::Truncated);
+    }
+    Ok(n)
+}
+
 /// Rejects a stray payload on a message kind that does not carry one.
 fn no_payload(payload: &Option<Payload>) -> Result<(), WireError> {
     match payload {
@@ -364,8 +375,9 @@ pub fn decode_reply(head: &[u8], payload: Option<Payload>) -> Result<ViceReply, 
             }
         }
         RP_LISTING => {
-            let n = r.u32()?;
-            let mut entries = Vec::with_capacity(n as usize);
+            // An entry is a length-prefixed name plus a kind byte.
+            let n = take_count(&mut r, 5)?;
+            let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = r.string()?;
                 let kind = EntryKind::from_wire(r.u8()?).ok_or(WireError::Truncated)?;
@@ -377,8 +389,8 @@ pub fn decode_reply(head: &[u8], payload: Option<Payload>) -> Result<ViceReply, 
         RP_CUSTODIAN => {
             let subtree = r.string()?;
             let custodian = ServerId(r.u32()?);
-            let n = r.u32()?;
-            let mut replicas = Vec::with_capacity(n as usize);
+            let n = take_count(&mut r, 4)?;
+            let mut replicas = Vec::with_capacity(n);
             for _ in 0..n {
                 replicas.push(ServerId(r.u32()?));
             }
@@ -678,6 +690,30 @@ mod tests {
         let mut msg = encode_request(&ViceRequest::Fetch { path: "/v".into() });
         msg.head.push(0);
         assert!(decode_request(&msg.head, msg.payload).is_err());
+    }
+
+    /// A five-byte head may not ask for a 100 GB reservation: a count the
+    /// remaining bytes cannot hold is a truncated message, decided before
+    /// anything is allocated for it.
+    #[test]
+    fn length_prefix_bombs_are_truncated_not_allocated() {
+        let listing = WireWriter::new().u8(RP_LISTING).u32(u32::MAX).finish();
+        assert_eq!(decode_reply(&listing, None), Err(WireError::Truncated));
+        let custodian = WireWriter::new()
+            .u8(RP_CUSTODIAN)
+            .string("/vice")
+            .u32(1)
+            .u32(u32::MAX)
+            .finish();
+        assert_eq!(decode_reply(&custodian, None), Err(WireError::Truncated));
+        // The largest count the bytes can hold still decodes.
+        let ok = ViceReply::Custodian {
+            subtree: "/vice".into(),
+            custodian: ServerId(1),
+            replicas: vec![ServerId(2), ServerId(3)],
+        };
+        let msg = encode_reply(&ok);
+        assert_eq!(decode_reply(&msg.head, msg.payload).unwrap(), ok);
     }
 
     #[test]

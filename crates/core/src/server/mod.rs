@@ -23,7 +23,7 @@ use crate::disk::{
 };
 use crate::location::LocationDb;
 use crate::protect::{AccessList, ProtectionDomain, Rights};
-use crate::proto::payload::{note_copy, payload_digest};
+use crate::proto::payload::payload_digest;
 use crate::proto::{decode_request, Payload, ServerId, VStatus, ViceError, ViceReply, ViceRequest};
 use crate::volume::{Volume, VolumeError, VolumeId};
 use itc_rpc::{NodeId, RpcStats};
@@ -461,15 +461,15 @@ impl Server {
     /// checkpoint image is restored quietly, and the live volume too if
     /// its copy of the file also fails the digest. Counts toward the
     /// scrubber's repair stat.
-    pub fn repair_file(&mut self, vid: VolumeId, path: &str, data: Vec<u8>) -> bool {
-        let expected = payload_digest(&data);
+    pub fn repair_file(&mut self, vid: VolumeId, path: &str, data: impl Into<Payload>) -> bool {
+        let data = data.into();
+        let expected = payload_digest(data.as_slice());
         let repaired = self.storage.repair_checkpoint_file(vid, path, data.clone());
         if let Some(vol) = self.volume_mut(vid) {
             let live_damaged = vol
                 .fs()
                 .read(path)
-                .map(|cur| payload_digest(&cur) != expected)
-                .unwrap_or(false);
+                .is_ok_and(|cur| payload_digest(cur.as_slice()) != expected);
             if live_damaged {
                 vol.restore_file(path, data);
             }
@@ -956,10 +956,9 @@ impl Server {
                 self.charge_traversal(costs, cost, path, resolved.components_walked);
                 let data = match fs.attr_of(resolved.ino).expect("resolved").ftype {
                     FileType::Regular => {
-                        // The one genuine copy on the fetch path: reading
-                        // the file out of the volume. From here to the
-                        // client's cache the bytes travel by refcount.
-                        let data = fs.read_ino(resolved.ino).expect("regular file");
+                        // A refcount bump: from the inode to the client's
+                        // cache the bytes are one shared buffer.
+                        let data = fs.contents_of(resolved.ino).expect("regular file").clone();
                         // End-to-end check: the bytes leaving the platter
                         // must match the volume's Merkle leaf before they
                         // can reach Venus. A mismatch means silent rot got
@@ -968,7 +967,8 @@ impl Server {
                         let key =
                             itc_unixfs::normalize(&internal).unwrap_or_else(|_| internal.clone());
                         let leaf = self.volumes[vol_idx].merkle().leaf(&key);
-                        if leaf.is_some_and(|expected| payload_digest(&data) != expected) {
+                        if leaf.is_some_and(|expected| payload_digest(data.as_slice()) != expected)
+                        {
                             let vid = self.volumes[vol_idx].id();
                             self.offline_volume_for_integrity(vid, &key);
                             self.mark_corruptions_detected(
@@ -984,7 +984,6 @@ impl Server {
                             );
                             return Err(ViceError::VolumeOffline(path.clone()));
                         }
-                        note_copy(data.len());
                         data
                     }
                     FileType::Directory => {
@@ -1005,7 +1004,7 @@ impl Server {
                             blob.extend_from_slice(name.as_bytes());
                             blob.push(b'\n');
                         }
-                        blob
+                        Payload::from_vec(blob)
                     }
                     FileType::Symlink => {
                         let target = fs.readlink(&internal).expect("is a symlink");
@@ -1016,10 +1015,7 @@ impl Server {
                 cost.disk_bytes = data.len() as u64;
                 let status = Self::status_of(&self.volumes[vol_idx], &internal)?;
                 self.promise(path, from, costs, cost);
-                Ok(ViceReply::Data {
-                    status,
-                    data: Payload::from_vec(data),
-                })
+                Ok(ViceReply::Data { status, data })
             }
 
             ViceRequest::Store { path, data } => {

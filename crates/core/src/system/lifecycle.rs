@@ -270,7 +270,7 @@ impl SystemTransport<'_> {
                 for v in self.servers.get(s).volumes() {
                     if v.id() != vid && v.is_read_only() && v.is_online() && v.mount() == mount {
                         if let Ok(data) = v.fs().read(&path) {
-                            if payload_digest(&data) == expected {
+                            if payload_digest(data.as_slice()) == expected {
                                 return Some(data);
                             }
                         }

@@ -708,7 +708,7 @@ impl Venus {
         let space = self.namespace.classify(path, true)?;
         let data = match &space {
             Space::Local(p) => {
-                let data = Payload::from_vec(self.namespace.local().read(p)?);
+                let data = self.namespace.local().read(p)?;
                 self.charge_local_disk(data.len() as u64);
                 data
             }
@@ -723,9 +723,7 @@ impl Venus {
         self.charge_intercept();
         let space = self.namespace.classify(path, true)?;
         let data = match &space {
-            Space::Local(p) => {
-                Payload::from_vec(self.namespace.local().read(p).unwrap_or_default())
-            }
+            Space::Local(p) => self.namespace.local().read(p).unwrap_or_default(),
             Space::Vice(vp) => match self.ensure_cached(t, vp) {
                 Ok(d) => d,
                 Err(VenusError::Vice(ViceError::NoSuchFile(_))) => Payload::empty(),
@@ -788,7 +786,7 @@ impl Venus {
     /// Appends bytes through an open handle.
     pub fn append(&mut self, handle: u64, bytes: &[u8]) -> Result<(), VenusError> {
         let f = self.modified(handle)?;
-        f.data.edit(|v| v.extend_from_slice(bytes));
+        f.data.make_mut().extend_from_slice(bytes);
         Ok(())
     }
 
@@ -809,9 +807,7 @@ impl Venus {
             Space::Local(p) => {
                 self.charge_local_disk(f.data.len() as u64);
                 let now_us = self.now.as_micros();
-                self.namespace
-                    .local_mut()
-                    .write(&p, 0, now_us, f.data.into_vec())?;
+                self.namespace.local_mut().write(&p, 0, now_us, f.data)?;
                 Ok(())
             }
             Space::Vice(vp) => {

@@ -17,7 +17,7 @@
 
 use crate::disk::{ScrubFinding, VolumeMerkle};
 use crate::protect::AccessList;
-use crate::proto::payload::payload_digest;
+use crate::proto::payload::{payload_digest, Payload};
 use itc_unixfs::{FileSystem, FsError, Ino, Mode};
 use std::collections::HashMap;
 
@@ -238,8 +238,9 @@ impl Volume {
         internal: &str,
         uid: u32,
         now: u64,
-        data: Vec<u8>,
+        data: impl Into<Payload>,
     ) -> Result<Ino, VolumeError> {
+        let data = data.into();
         self.writable()?;
         let old = match self.fs.stat(internal) {
             Ok(st) => st.size,
@@ -247,7 +248,7 @@ impl Volume {
         };
         let new_total = self.fs.data_bytes() - old + data.len() as u64;
         self.check_quota(new_total)?;
-        let digest = payload_digest(&data);
+        let digest = payload_digest(data.as_slice());
         let ino = self.fs.write(internal, uid, now, data)?;
         let key = itc_unixfs::normalize(internal).unwrap_or_else(|_| internal.to_string());
         self.merkle.set(&key, digest);
@@ -329,8 +330,8 @@ impl Volume {
     /// (it is typically installed at other servers as a read-only replica,
     /// or remounted as a release snapshot).
     ///
-    /// The paper's copy-on-write cheapness is a *time* concern, charged by
-    /// the system layer; semantically a clone is a deep snapshot.
+    /// Copy-on-write, as in the paper: the clone gets its own inode table
+    /// and shares every file's bytes with the source by refcount.
     pub fn clone_readonly(&mut self, clone_id: VolumeId) -> Volume {
         self.clone_serial += 1;
         Volume {
@@ -426,8 +427,8 @@ impl Volume {
     pub fn recompute_merkle(&self) -> VolumeMerkle {
         let mut m = VolumeMerkle::new();
         self.for_each_regular(&mut |path, ino| {
-            if let Ok(data) = self.fs.read_ino(ino) {
-                m.set(path, payload_digest(&data));
+            if let Some(data) = self.fs.contents_of(ino) {
+                m.set(path, payload_digest(data.as_slice()));
             }
         });
         m
@@ -442,7 +443,10 @@ impl Volume {
         let mut seen = std::collections::BTreeSet::new();
         self.for_each_regular(&mut |path, ino| {
             seen.insert(path.to_string());
-            let found = self.fs.read_ino(ino).map(|d| payload_digest(&d)).ok();
+            let found = self
+                .fs
+                .contents_of(ino)
+                .map(|d| payload_digest(d.as_slice()));
             let expected = self.merkle.leaf(path);
             if expected != found {
                 findings.push(ScrubFinding {
@@ -506,7 +510,7 @@ impl Volume {
     /// Restores a file's committed bytes (the repair path) without
     /// touching mtime or version: logically the file never changed.
     /// Returns false when the path is not a regular file.
-    pub fn restore_file(&mut self, internal: &str, data: Vec<u8>) -> bool {
+    pub fn restore_file(&mut self, internal: &str, data: impl Into<Payload>) -> bool {
         let ino = match self.fs.lstat(internal) {
             Ok(a) if a.ftype == itc_unixfs::FileType::Regular => a.ino,
             _ => return false,

@@ -300,7 +300,7 @@ fn directory_fetch_returns_a_listing_blob() {
     ) {
         ViceReply::Data { status, data } => {
             assert_eq!(status.kind, itc_core::proto::EntryKind::Dir);
-            let text = String::from_utf8(data.into_vec()).unwrap();
+            let text = String::from_utf8(data.to_vec()).unwrap();
             assert!(text.contains("fhello.txt"), "{text}");
             assert!(text.contains("dsub"), "{text}");
         }

@@ -140,6 +140,11 @@ impl<'a> WireReader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Asserts the message is fully consumed.
     pub fn done(&self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {

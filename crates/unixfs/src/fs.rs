@@ -3,6 +3,7 @@
 use crate::error::FsError;
 use crate::inode::{FileType, Ino, Inode, InodeAttr, Mode, NodeData};
 use crate::path::{components, dirname_basename, is_within, join, normalize};
+use crate::payload::Payload;
 use std::collections::HashMap;
 
 /// Maximum symlink expansions during one resolution, as in Unix `ELOOP`.
@@ -22,9 +23,11 @@ pub struct Resolved {
 
 /// An in-memory Unix-like file system.
 ///
-/// `Clone` performs a deep copy; the volume layer uses this for read-only
-/// clones (the paper's copy-on-write is a cost-model concern, not a
-/// correctness one — see `itc-core`'s volume module).
+/// `Clone` copies the inode table and shares every regular file's bytes by
+/// refcount — the paper's copy-on-write clone (Section 5.3). File bytes
+/// are immutable once stored: [`Self::write`] and [`Self::restore_data`]
+/// swap in a new buffer, and the one in-place mutator,
+/// [`Self::damage_byte`], copies first when the buffer is shared.
 #[derive(Debug, Clone)]
 pub struct FileSystem {
     inodes: HashMap<u64, Inode>,
@@ -303,8 +306,9 @@ impl FileSystem {
         mode: Mode,
         uid: u32,
         now: u64,
-        data: Vec<u8>,
+        data: impl Into<Payload>,
     ) -> Result<Ino, FsError> {
+        let data = data.into();
         let (parent, name) = self.resolve_parent(path)?;
         if self
             .node(parent)
@@ -328,7 +332,14 @@ impl FileSystem {
 
     /// Replaces a file's contents entirely (the whole-file store
     /// operation), creating it if absent.
-    pub fn write(&mut self, path: &str, uid: u32, now: u64, data: Vec<u8>) -> Result<Ino, FsError> {
+    pub fn write(
+        &mut self,
+        path: &str,
+        uid: u32,
+        now: u64,
+        data: impl Into<Payload>,
+    ) -> Result<Ino, FsError> {
+        let data = data.into();
         match self.resolve(path, true) {
             Ok(r) => {
                 let n = self.node_mut(r.ino);
@@ -351,29 +362,27 @@ impl FileSystem {
         }
     }
 
-    /// Reads a file's full contents (the whole-file fetch operation).
-    pub fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
+    /// Reads a file's full contents (the whole-file fetch operation): a
+    /// refcount bump of the stored buffer.
+    pub fn read(&self, path: &str) -> Result<Payload, FsError> {
         let r = self.resolve(path, true)?;
-        self.node(r.ino)
-            .as_file()
+        self.contents_of(r.ino)
             .cloned()
             .ok_or_else(|| FsError::IsADirectory(path.to_string()))
     }
 
-    /// Reads by inode number.
-    pub fn read_ino(&self, ino: Ino) -> Result<Vec<u8>, FsError> {
-        self.inodes
-            .get(&ino.0)
-            .ok_or_else(|| FsError::NotFound(format!("ino {}", ino.0)))?
-            .as_file()
-            .cloned()
-            .ok_or_else(|| FsError::IsADirectory(format!("ino {}", ino.0)))
+    /// A regular file's stored contents by inode number, if it is one.
+    pub fn contents_of(&self, ino: Ino) -> Option<&Payload> {
+        self.inodes.get(&ino.0).and_then(Inode::as_file)
     }
 
-    /// Flips one byte of a regular file's contents in place *without*
-    /// touching mtime, version, or byte accounting. This models platter
-    /// damage, not a write: the file's metadata still claims the committed
-    /// contents, which is exactly what makes the corruption silent.
+    /// Flips one byte of a regular file's contents *without* touching
+    /// mtime, version, or byte accounting. This models platter damage, not
+    /// a write: the file's metadata still claims the committed contents,
+    /// which is exactly what makes the corruption silent. It is the only
+    /// code that mutates stored bytes, and it is copy-on-write: damage
+    /// lands in this file system's copy alone, never in another holder of
+    /// the same buffer (a clone, a journal record, a cache entry).
     pub fn damage_byte(&mut self, ino: Ino, offset: u64, mask: u8) -> Result<(), FsError> {
         let n = self
             .inodes
@@ -381,10 +390,10 @@ impl FileSystem {
             .ok_or_else(|| FsError::NotFound(format!("ino {}", ino.0)))?;
         match &mut n.data {
             NodeData::Regular(bytes) => {
-                let b = bytes
-                    .get_mut(offset as usize)
-                    .ok_or_else(|| FsError::NotFound(format!("ino {} byte {offset}", ino.0)))?;
-                *b ^= mask;
+                if offset >= bytes.len() as u64 {
+                    return Err(FsError::NotFound(format!("ino {} byte {offset}", ino.0)));
+                }
+                bytes.make_mut()[offset as usize] ^= mask;
                 Ok(())
             }
             _ => Err(FsError::IsADirectory(format!("ino {}", ino.0))),
@@ -396,7 +405,8 @@ impl FileSystem {
     /// replica was supposed to hold. Logically the file never changed, so
     /// its metadata must not either (a version bump would invalidate
     /// workstation cache entries that are in fact still valid).
-    pub fn restore_data(&mut self, ino: Ino, data: Vec<u8>) -> Result<(), FsError> {
+    pub fn restore_data(&mut self, ino: Ino, data: impl Into<Payload>) -> Result<(), FsError> {
+        let data = data.into();
         let n = self
             .inodes
             .get_mut(&ino.0)
@@ -721,6 +731,27 @@ mod tests {
         assert_eq!(fs.data_bytes(), 60);
         fs.unlink("/b", 2).unwrap();
         assert_eq!(fs.data_bytes(), 10);
+    }
+
+    #[test]
+    fn damage_byte_on_a_clone_leaves_the_original_intact() {
+        let original = fixture();
+        let mut clone = original.clone();
+        let path = "/usr/satya/paper.tex";
+        let ino = clone.resolve(path, true).unwrap().ino;
+        // The clone shares the stored buffer until something writes to it.
+        assert_eq!(
+            clone.contents_of(ino).unwrap().as_slice().as_ptr(),
+            original.contents_of(ino).unwrap().as_slice().as_ptr()
+        );
+        clone.damage_byte(ino, 0, 0xff).unwrap();
+        assert_eq!(clone.read(path).unwrap().as_slice()[0], b's' ^ 0xff);
+        assert_eq!(
+            original.read(path).unwrap(),
+            b"scale is the dominant design influence"
+        );
+        // Out-of-range damage is refused before any copy is made.
+        assert!(clone.damage_byte(ino, 1 << 20, 1).is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Inodes and their attributes.
 
+use crate::payload::Payload;
 use std::collections::BTreeMap;
 
 /// An inode number: stable identity of a file independent of its name.
@@ -78,8 +79,8 @@ pub struct InodeAttr {
 /// The payload of an inode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeData {
-    /// Regular file bytes.
-    Regular(Vec<u8>),
+    /// Regular file bytes, shared by refcount with every other holder.
+    Regular(Payload),
     /// Directory entries, ordered by name for deterministic iteration.
     Directory(BTreeMap<String, Ino>),
     /// Symlink target path (may be relative).
@@ -97,7 +98,7 @@ pub struct Inode {
 
 impl Inode {
     /// Creates a regular file inode.
-    pub fn new_file(ino: Ino, mode: Mode, uid: u32, mtime: u64, data: Vec<u8>) -> Inode {
+    pub fn new_file(ino: Ino, mode: Mode, uid: u32, mtime: u64, data: Payload) -> Inode {
         Inode {
             attr: InodeAttr {
                 ino,
@@ -164,7 +165,7 @@ impl Inode {
     }
 
     /// The file bytes, if this is a regular file.
-    pub fn as_file(&self) -> Option<&Vec<u8>> {
+    pub fn as_file(&self) -> Option<&Payload> {
         match &self.data {
             NodeData::Regular(d) => Some(d),
             _ => None,
@@ -187,7 +188,7 @@ mod tests {
 
     #[test]
     fn constructors_set_types() {
-        let f = Inode::new_file(Ino(1), Mode::FILE_DEFAULT, 0, 0, b"x".to_vec());
+        let f = Inode::new_file(Ino(1), Mode::FILE_DEFAULT, 0, 0, b"x".into());
         assert_eq!(f.attr.ftype, FileType::Regular);
         assert_eq!(f.attr.size, 1);
         assert!(f.as_file().is_some());

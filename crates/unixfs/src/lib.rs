@@ -15,6 +15,11 @@
 //! (Section 3.1). The resolution machinery in [`FileSystem::resolve`] is
 //! what makes that scheme work.
 //!
+//! Regular-file contents are held as [`Payload`]: one refcounted, immutable
+//! buffer shared by every holder of the same bytes (a cloned file system,
+//! a journal record, a wire message, a cache entry), so cloning a
+//! [`FileSystem`] is copy-on-write for file data.
+//!
 //! Everything is deterministic: directory iteration is ordered, inode
 //! numbers are assigned sequentially, and "time" is a logical timestamp
 //! supplied by the caller (virtual time in the simulation).
@@ -23,8 +28,10 @@ pub mod error;
 pub mod fs;
 pub mod inode;
 pub mod path;
+pub mod payload;
 
 pub use error::FsError;
 pub use fs::{FileSystem, Resolved};
 pub use inode::{FileType, Ino, InodeAttr, Mode};
 pub use path::{components, dirname_basename, join, normalize};
+pub use payload::Payload;

@@ -1,18 +1,18 @@
-//! Refcounted file payloads for the zero-copy fetch/store path.
+//! Refcounted file contents: the one representation of a regular file's
+//! bytes, from the inode that stores them to the Venus cache that serves
+//! them.
 //!
-//! Whole-file contents used to travel the system as `Vec<u8>`, cloned at
-//! every hop: per encode, per retry attempt, per cache insert, per open.
-//! [`Payload`] wraps the bytes in an `Arc` so every hop after the first is
-//! a refcount bump, and a slice window (`off`/`len`) makes sub-views free.
-//! No external dependencies: the type is a thin shim over `Arc<Vec<u8>>`
-//! (constructing from an owned `Vec` moves the allocation; `Arc<[u8]>`
-//! would copy it).
+//! [`Payload`] wraps the bytes in an `Arc` so every holder after the first
+//! — inode, journal record, checkpoint image, wire message, cache entry,
+//! open handle — is a refcount bump. No external dependencies: the type is
+//! a newtype over `Arc<Vec<u8>>` (constructing from an owned `Vec` moves
+//! the allocation; `Arc<[u8]>` would copy it). A shared buffer is immutable:
+//! the only way to write through a `Payload` is [`Payload::make_mut`],
+//! which copies first unless the caller is the sole holder.
 //!
 //! The module also keeps a thread-local count of every byte genuinely
-//! copied through payload APIs — the quantity the PR 3 benchmark harness
-//! and the zero-copy regression tests assert on. Copies made outside this
-//! module at the two unavoidable boundaries (server file system, caller
-//! hand-off) are reported via [`note_copy`].
+//! copied through payload APIs — the quantity the benchmark harness and
+//! the zero-copy regression tests assert on.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -21,9 +21,8 @@ thread_local! {
     static BYTES_COPIED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Records `n` payload bytes copied (used by [`Payload`] internals and by
-/// the server/file-system boundary, where a copy is inherent).
-pub fn note_copy(n: usize) {
+/// Records `n` payload bytes copied.
+fn note_copy(n: usize) {
     BYTES_COPIED.with(|c| c.set(c.get() + n as u64));
 }
 
@@ -37,29 +36,20 @@ pub fn reset_bytes_copied() -> u64 {
     BYTES_COPIED.with(|c| c.replace(0))
 }
 
-/// An immutable, refcounted byte buffer with a slice window. Cloning is
-/// O(1); slicing shares the underlying allocation.
+/// An immutable, refcounted byte buffer. Cloning is O(1) and shares the
+/// allocation.
 #[derive(Clone, Default)]
-pub struct Payload {
-    buf: Arc<Vec<u8>>,
-    off: usize,
-    len: usize,
-}
+pub struct Payload(Arc<Vec<u8>>);
 
 impl Payload {
-    /// An empty payload (no allocation shared, nothing copied).
+    /// An empty payload.
     pub fn empty() -> Payload {
         Payload::default()
     }
 
     /// Wraps an owned buffer without copying it.
     pub fn from_vec(v: Vec<u8>) -> Payload {
-        let len = v.len();
-        Payload {
-            buf: Arc::new(v),
-            off: 0,
-            len,
-        }
+        Payload(Arc::new(v))
     }
 
     /// Copies a borrowed slice into a fresh payload (counted).
@@ -68,82 +58,43 @@ impl Payload {
         Payload::from_vec(s.to_vec())
     }
 
-    /// The viewed bytes.
+    /// The bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.off..self.off + self.len]
+        &self.0
     }
 
-    /// Length of the view.
+    /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.0.len()
     }
 
-    /// True when the view is empty.
+    /// True when there are no bytes.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.0.is_empty()
     }
 
-    /// A sub-view sharing the same allocation (no copy).
-    ///
-    /// # Panics
-    /// Panics if the range exceeds the current view.
-    pub fn slice(&self, start: usize, end: usize) -> Payload {
-        assert!(start <= end && end <= self.len, "slice out of range");
-        Payload {
-            buf: Arc::clone(&self.buf),
-            off: self.off + start,
-            len: end - start,
-        }
-    }
-
-    /// Copies the view out into an owned `Vec` (counted).
+    /// Copies the bytes out into an owned `Vec` (counted).
     pub fn to_vec(&self) -> Vec<u8> {
-        note_copy(self.len);
-        self.as_slice().to_vec()
+        note_copy(self.len());
+        self.0.to_vec()
     }
 
-    /// Converts into an owned `Vec`, free when this is the only reference
-    /// to a full-view buffer, a counted copy otherwise.
-    pub fn into_vec(self) -> Vec<u8> {
-        if self.off == 0 && self.len == self.buf.len() {
-            match Arc::try_unwrap(self.buf) {
-                Ok(v) => return v,
-                Err(buf) => {
-                    note_copy(self.len);
-                    return buf[..self.len].to_vec();
-                }
-            }
-        }
-        self.to_vec()
-    }
-
-    /// Mutable access for in-place edits (append under an open handle).
-    /// Free when this payload is the sole, full-view owner; otherwise the
-    /// buffer is copied out first (counted).
+    /// Mutable access for in-place edits (append under an open handle, a
+    /// corruption flip in a stored file). Free when this payload is the
+    /// sole holder; otherwise the buffer is copied out first (counted), so
+    /// no other holder ever sees the edit.
     pub fn make_mut(&mut self) -> &mut Vec<u8> {
-        let whole = self.off == 0 && self.len == self.buf.len();
-        if !whole || Arc::get_mut(&mut self.buf).is_none() {
-            note_copy(self.len);
-            self.buf = Arc::new(self.as_slice().to_vec());
-            self.off = 0;
+        if Arc::get_mut(&mut self.0).is_none() {
+            note_copy(self.len());
         }
-        let v = Arc::get_mut(&mut self.buf).expect("uniquely owned after copy-out");
-        self.len = v.len();
-        v
-    }
-
-    /// Runs `f` on the owned buffer and refreshes the view length.
-    pub fn edit(&mut self, f: impl FnOnce(&mut Vec<u8>)) {
-        let v = self.make_mut();
-        f(v);
-        self.len = v.len();
+        Arc::make_mut(&mut self.0)
     }
 }
 
 impl std::fmt::Debug for Payload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Contents are file bodies; print the size, not megabytes of hex.
-        write!(f, "Payload({} bytes)", self.len)
+        write!(f, "Payload({} bytes)", self.len())
     }
 }
 
@@ -235,14 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn clone_and_slice_are_free() {
+    fn clone_is_free_and_shares_the_allocation() {
         let p = Payload::from_vec((0..100).collect());
         reset_bytes_copied();
         let q = p.clone();
-        let r = q.slice(10, 20);
         assert_eq!(bytes_copied(), 0);
-        assert_eq!(r.len(), 10);
-        assert_eq!(r.as_slice(), &p.as_slice()[10..20]);
+        assert_eq!(q.as_slice().as_ptr(), p.as_slice().as_ptr());
     }
 
     #[test]
@@ -255,30 +204,15 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_is_free_for_sole_owner() {
-        let p = Payload::from_vec(vec![7; 32]);
-        reset_bytes_copied();
-        let v = p.into_vec();
-        assert_eq!(bytes_copied(), 0);
-        assert_eq!(v, vec![7; 32]);
-
-        let p = Payload::from_vec(vec![7; 32]);
-        let _held = p.clone();
-        let v = p.into_vec();
-        assert_eq!(bytes_copied(), 32); // shared: must copy out
-        assert_eq!(v, vec![7; 32]);
-    }
-
-    #[test]
     fn make_mut_edits_in_place_when_unique() {
         let mut p = Payload::from_vec(vec![1, 2]);
         reset_bytes_copied();
-        p.edit(|v| v.push(3));
+        p.make_mut().push(3);
         assert_eq!(bytes_copied(), 0);
         assert_eq!(p.as_slice(), &[1, 2, 3]);
 
         let shared = p.clone();
-        p.edit(|v| v.push(4));
+        p.make_mut().push(4);
         assert_eq!(bytes_copied(), 3); // copy-on-write of the 3 shared bytes
         assert_eq!(p.as_slice(), &[1, 2, 3, 4]);
         assert_eq!(shared.as_slice(), &[1, 2, 3]);
@@ -287,8 +221,7 @@ mod tests {
     #[test]
     fn equality_by_bytes() {
         let a = Payload::from_vec(vec![1, 2, 3]);
-        let b = Payload::from_vec(vec![0, 1, 2, 3]).slice(1, 4);
-        assert_eq!(a, b);
+        assert_eq!(a, Payload::from_slice(&[1, 2, 3]));
         assert_eq!(a, vec![1, 2, 3]);
         assert_eq!(a, b"\x01\x02\x03");
         assert_ne!(a, Payload::empty());

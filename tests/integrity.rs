@@ -16,6 +16,7 @@ use std::sync::{Arc, RwLock};
 
 use itc_afs::core::disk::{CorruptionOutcome, Disk, FlipRegion, JournalOp, SyncPolicy};
 use itc_afs::core::protect::{AccessList, ProtectionDomain, Rights};
+use itc_afs::core::proto::payload::payload_digest;
 use itc_afs::core::proto::{Payload, ServerId, ViceError, ViceReply, ViceRequest};
 use itc_afs::core::server::Server;
 use itc_afs::core::system::parallel::RunMode;
@@ -137,7 +138,7 @@ fn incremental_merkle_equals_recompute_under_random_ops() {
 // ----------------------------------------------------------------------
 
 /// Client-visible volume state for the sweep's prefix comparison.
-fn fingerprint(vol: &Volume, paths: &[&str]) -> Vec<Option<Vec<u8>>> {
+fn fingerprint(vol: &Volume, paths: &[&str]) -> Vec<Option<Payload>> {
     paths.iter().map(|p| vol.fs().read(p).ok()).collect()
 }
 
@@ -224,7 +225,7 @@ fn every_byte_flip_is_detected_and_resolved() {
 
     let paths = ["/a.txt", "/d/b.txt"];
     let image = disk.checkpoint_image(vid).expect("checkpointed");
-    let pristine: Vec<(String, Vec<u8>)> = image
+    let pristine: Vec<(String, Payload)> = image
         .regular_files()
         .iter()
         .map(|(p, _)| (p.clone(), image.fs().read(p).unwrap()))
@@ -304,6 +305,116 @@ fn every_byte_flip_is_detected_and_resolved() {
     assert_eq!(journal_flips, synced);
     assert!(image_flips > 0 && leaf_flips > 0);
     assert_eq!(journal_flips + image_flips + leaf_flips, extent);
+}
+
+/// Flip isolation under sharing. One `store` leaves one buffer in the
+/// system: the journal record, the live inode, the re-checkpointed image,
+/// the read-only replica and the writer's Venus cache entry all hold the
+/// allocation the application handed in. A flip of any byte of the
+/// checkpoint's copy must land in the checkpoint alone (copy-on-write):
+/// every other holder's digest stays put, the scrubber still finds the
+/// flip, and the replica — untouched — still vouches for the repair.
+#[test]
+fn a_flip_lands_in_exactly_one_holder_of_the_shared_buffer() {
+    let mut sys = ItcSystem::build(SystemConfig::revised(2, 1));
+    sys.create_volume("proj", "/vice/proj", ServerId(0), open_acl())
+        .unwrap();
+    sys.add_user("satya", "pw").unwrap();
+    sys.login(0, "satya", "pw").unwrap();
+    let body: Vec<u8> = (0..48u8).collect();
+    let digest = payload_digest(&body);
+    sys.store(0, "/vice/proj/f.c", body).unwrap();
+    // Replication clones the volume onto server 1 and re-checkpoints the
+    // source, so the image holds the stored file.
+    sys.replicate_readonly("/vice/proj", &[ServerId(1)])
+        .unwrap();
+
+    let srv = sys.server(ServerId(0));
+    let vid = srv.volume_covering("/vice/proj/f.c").expect("hosted");
+    let volume_file = |s: u32, read_only: bool| {
+        let vols = sys.server(ServerId(s)).volumes();
+        let vol = vols
+            .iter()
+            .find(|v| v.mount() == "/vice/proj" && v.is_read_only() == read_only);
+        vol.expect("volume present").fs().read("/f.c").unwrap()
+    };
+    let record = srv
+        .storage()
+        .journal()
+        .records()
+        .iter()
+        .rev()
+        .find_map(|r| match &r.op {
+            JournalOp::Store { data, .. } => Some(data.clone()),
+            _ => None,
+        })
+        .expect("the store was journaled");
+    let image_file = |disk: &Disk| {
+        let image = disk.checkpoint_image(vid).expect("checkpointed");
+        image.fs().read("/f.c").unwrap()
+    };
+    let cache = sys.venus(0).cache();
+    let cached = cache.peek("/vice/proj/f.c").expect("cached").data.clone();
+    let replica = volume_file(1, true);
+    let holders = [
+        ("journal record", &record),
+        ("live inode", &volume_file(0, false)),
+        ("checkpoint image", &image_file(srv.storage())),
+        ("read-only replica", &replica),
+        ("Venus cache entry", &cached),
+    ];
+    for (who, p) in holders {
+        assert_eq!(
+            p.as_slice().as_ptr(),
+            record.as_slice().as_ptr(),
+            "{who} holds its own copy of the stored bytes"
+        );
+    }
+
+    let disk = srv.storage();
+    let synced = disk.journal().stats().synced_len;
+    let mut flips = 0usize;
+    for offset in synced..disk.durable_extent() {
+        let mask = (offset % 255) as u8 + 1;
+        let mut damaged = disk.clone();
+        match damaged.apply_flip(offset, mask) {
+            Some(FlipRegion::CheckpointFile { volume, ref path })
+                if volume == vid && path == "/f.c" => {}
+            _ => continue,
+        }
+        flips += 1;
+        // The flip is in the damaged image and nowhere else.
+        assert_ne!(
+            payload_digest(image_file(&damaged).as_slice()),
+            digest,
+            "offset {offset}"
+        );
+        for (who, p) in holders {
+            assert_eq!(
+                payload_digest(p.as_slice()),
+                digest,
+                "offset {offset}: the flip leaked into the {who}"
+            );
+        }
+        // The scrubber finds it, and the replica's bytes repair it.
+        let scan = damaged.scrub_volume(vid).expect("scannable");
+        let finding = scan.findings.iter().find(|f| f.path == "/f.c");
+        assert_eq!(
+            finding.map(|f| f.expected),
+            Some(Some(digest)),
+            "offset {offset}: flip not found by scrub"
+        );
+        assert!(damaged.repair_checkpoint_file(vid, "/f.c", replica.clone()));
+        assert!(
+            damaged
+                .scrub_volume(vid)
+                .expect("scannable")
+                .findings
+                .is_empty(),
+            "offset {offset}: repair did not restore the image"
+        );
+    }
+    assert_eq!(flips, 48, "the sweep covered every byte of the file");
 }
 
 /// The last line of defense: when a volume is salvaged from a checkpoint

@@ -37,7 +37,7 @@ fn two_cluster_system(seed: u64) -> ItcSystem {
 
 /// Server-side content of `vice_path` on `srv`, read straight off the
 /// hosting volume (bypassing every cache).
-fn server_file(sys: &ItcSystem, srv: ServerId, vice_path: &str) -> Option<Vec<u8>> {
+fn server_file(sys: &ItcSystem, srv: ServerId, vice_path: &str) -> Option<Payload> {
     sys.server(srv)
         .volumes()
         .iter()
@@ -71,7 +71,7 @@ fn store_op(path: &str, data: &[u8]) -> JournalOp {
 /// What a volume looks like to a client: per-path content plus the usage
 /// counter. Two volumes with equal fingerprints are indistinguishable for
 /// the paths the workload touched.
-fn fingerprint(vol: &Volume, paths: &[&str]) -> (Vec<Option<Vec<u8>>>, u64) {
+fn fingerprint(vol: &Volume, paths: &[&str]) -> (Vec<Option<Payload>>, u64) {
     (
         paths.iter().map(|p| vol.fs().read(p).ok()).collect(),
         vol.used_bytes(),
@@ -229,7 +229,9 @@ fn acknowledged_stores_survive_a_scheduled_crash() {
 
     // The acknowledged bytes are on the salvaged volume and servable.
     assert_eq!(
-        server_file(&sys, ServerId(0), &file).as_deref(),
+        server_file(&sys, ServerId(0), &file)
+            .as_ref()
+            .map(Payload::as_slice),
         Some(b"acked before the crash".as_slice())
     );
     assert_eq!(sys.fetch(0, &file).unwrap(), b"acked before the crash");

@@ -1,19 +1,20 @@
-//! PR 3 zero-copy guarantees, enforced by counting.
+//! Zero-copy guarantees, enforced by counting.
 //!
 //! Two meters watch the data path:
 //!
 //! * the payload copy counter (`proto::payload::bytes_copied`), which every
-//!   `Payload::from_slice` / `Payload::to_vec` and every deliberate
-//!   `note_copy` at the server's filesystem boundary feeds — it measures
-//!   bulk-data copies inside the fetch/store pipeline, and
+//!   `Payload::from_slice` / `Payload::to_vec` and every copy-on-write
+//!   `Payload::make_mut` feeds — it measures bulk-data copies inside the
+//!   fetch/store pipeline, and
 //! * a counting global allocator, which catches copies the payload meter
 //!   cannot see (a rogue `Vec` clone of file contents would show up here
 //!   as megabytes of allocation).
 //!
 //! A warm open-hit must register zero payload copies and allocate far less
 //! than one file's worth of bytes: the cached `Payload` is handed to the
-//! open handle by refcount bump. A cold store or fetch must register
-//! exactly one.
+//! open handle by refcount bump. A cold store or fetch must register none
+//! either: the inode, the journal record, the wire and the cache entry are
+//! one buffer.
 
 use itc_afs::core::config::SystemConfig;
 use itc_afs::core::proto::payload::{bytes_copied, reset_bytes_copied};
@@ -69,9 +70,8 @@ fn warm_open_hit_copies_no_payload_bytes() {
     sys.store(0, "/vice/usr/satya/big.dat", body.clone())
         .unwrap();
 
-    // Warm the cache (the miss path is allowed to copy: disk → volume →
-    // payload is one counted copy) and check the contents once, outside
-    // the measurement window.
+    // Warm the cache and check the contents once, outside the measurement
+    // window.
     let h = sys.open_read(0, "/vice/usr/satya/big.dat").unwrap();
     assert_eq!(sys.read(0, h).unwrap(), body);
     sys.close(0, h).unwrap();
@@ -105,16 +105,23 @@ fn warm_open_hit_copies_no_payload_bytes() {
     sys.close(0, h).unwrap();
 }
 
-/// The cold paths copy each file exactly once, at the server's filesystem
-/// boundary: 40 workstations on 4 clusters each store one 64 KiB file,
-/// then every workstation cold-fetches five files other workstations
-/// wrote. The pre-PR 3 pipeline copied a file ~8× per store and ~7× per
-/// fetch (DESIGN.md §9 has the site-by-site audit).
+/// The cold paths copy nothing inside the pipeline: 40 workstations on 4
+/// clusters each store one 64 KiB file, then every workstation cold-fetches
+/// five files other workstations wrote. A store is the application's
+/// buffer moved end to end (cache entry, wire, journal record and inode
+/// share it); a fetch is one refcount chain from the inode to the Venus
+/// cache, and the only copy is the `Vec<u8>` handed back to the
+/// application. The allocator sees exactly those two buffers per file.
 #[test]
-fn macro_storm_copies_each_file_once_per_store_and_per_fetch() {
+fn macro_storm_copies_nothing_inside_the_pipeline() {
     const CLIENTS: usize = 40;
     const FILE_BYTES: usize = 64 * 1024;
     const FETCH_FANOUT: usize = 5;
+    // Heads, sealed frames, paths and bookkeeping (≈ 4 KiB per call), plus
+    // each workstation's first-call work in the store round (custodian
+    // lookup, parent-directory status; ≈ 13 KiB): measured 20.4 KiB per
+    // pair, and half a file is still far below one more copy of it.
+    const PAIR_SLACK: usize = FILE_BYTES / 2;
 
     let _window = METER.lock().unwrap();
     let mut sys = ItcSystem::build(SystemConfig::revised(4, 10));
@@ -127,17 +134,16 @@ fn macro_storm_copies_each_file_once_per_store_and_per_fetch() {
     let body = vec![0x5au8; FILE_BYTES];
 
     reset_bytes_copied();
+    let before = ALLOCATED.load(Ordering::Relaxed);
     for ws in 0..CLIENTS {
         sys.store(ws, &format!("/vice/usr/storm/f{ws:02}"), body.clone())
             .unwrap();
     }
-    assert_eq!(
-        bytes_copied(),
-        (CLIENTS * FILE_BYTES) as u64,
-        "copies per store must be exactly 1.0"
-    );
+    let per_store = (ALLOCATED.load(Ordering::Relaxed) - before) / CLIENTS as u64;
+    assert_eq!(bytes_copied(), 0, "a store must copy nothing");
 
     reset_bytes_copied();
+    let before = ALLOCATED.load(Ordering::Relaxed);
     for ws in 0..CLIENTS {
         for k in 1..=FETCH_FANOUT {
             let other = (ws + k) % CLIENTS;
@@ -145,10 +151,14 @@ fn macro_storm_copies_each_file_once_per_store_and_per_fetch() {
             assert_eq!(data.unwrap().len(), FILE_BYTES);
         }
     }
-    assert_eq!(
-        bytes_copied(),
-        (CLIENTS * FETCH_FANOUT * FILE_BYTES) as u64,
-        "copies per cold fetch must be exactly 1.0"
+    let per_fetch = (ALLOCATED.load(Ordering::Relaxed) - before) / (CLIENTS * FETCH_FANOUT) as u64;
+    assert_eq!(bytes_copied(), 0, "a cold fetch must copy nothing");
+
+    // The application's buffer in, the application's copy out.
+    assert!(
+        per_store + per_fetch <= (2 * FILE_BYTES + PAIR_SLACK) as u64,
+        "a (store, cold fetch) pair allocated {per_store} + {per_fetch} bytes \
+         for a {FILE_BYTES}-byte file; something is cloning payloads"
     );
 }
 
