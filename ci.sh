@@ -27,15 +27,28 @@ fi
 # File contents have one owner type (DESIGN.md §9): Vice's storage layers
 # take and hand back `Payload`, never an owned `Vec<u8>` of file bytes, and
 # copy none on the way (tests, after the first #[cfg(test)], may).
-echo "== one owner for file bytes (no copy or Vec<u8> contents in Vice storage) =="
+echo "== one owner for file bytes (no copy, Vec<u8> contents or re-hash in Vice storage) =="
+nontest() {
+    awk -v f="$1" '/#\[cfg\(test\)\]/{exit} {print f ":" NR ":" $0}' "$1"
+}
 for f in crates/core/src/server/mod.rs crates/core/src/volume/mod.rs \
     crates/core/src/disk/mod.rs crates/core/src/disk/journal.rs crates/unixfs/src/fs.rs; do
-    if awk -v f="$f" '/#\[cfg\(test\)\]/{exit} {print f ":" NR ":" $0}' "$f" \
-        | grep -E 'to_vec\(\)|note_copy\(|data: Vec<u8>'; then
+    if nontest "$f" | grep -E 'to_vec\(\)|note_copy\(|data: Vec<u8>'; then
         echo "ci.sh: a file-content copy or Vec<u8> parameter grew back (see the lines above)" >&2
         exit 1
     fi
 done
+# A buffer is hashed once in its life (DESIGN.md §9): whoever holds a
+# `Payload` asks it (`.digest()`, memoised on the shared allocation). The
+# free function is for raw slices only — its definition, and the journal's
+# frame checksums.
+if find crates/*/src -name '*.rs' ! -name tests.rs ! -path crates/unixfs/src/payload.rs \
+    ! -path crates/core/src/disk/journal.rs | sort | while read -r f; do nontest "$f"; done \
+    | grep -F 'payload_digest(' \
+    || nontest crates/core/src/disk/journal.rs | grep 'payload_digest(.*as_slice()'; then
+    echo "ci.sh: payload_digest( over bytes a Payload holds — ask it: Payload::digest (see the lines above)" >&2
+    exit 1
+fi
 # The trajectory: lines before the first #[cfg(test)] of every crates/*/src
 # file (tests.rs excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do

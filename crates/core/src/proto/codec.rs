@@ -21,7 +21,7 @@
 //! exactly (the digest is accounting-free), so every timing computation in
 //! the transport is bit-identical to the inline-payload design.
 
-use super::payload::{payload_digest, Payload};
+use super::payload::Payload;
 use super::types::{
     CallbackBreak, EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest,
 };
@@ -53,14 +53,13 @@ impl WireMsg {
 /// Appends the payload's length prefix and digest to the head (the bytes
 /// themselves ride out of band).
 fn put_payload(w: WireWriter, data: &Payload) -> WireWriter {
-    w.u32(data.len() as u32)
-        .u64(payload_digest(data.as_slice()))
+    w.u32(data.len() as u32).u64(data.digest())
 }
 
 /// Validates the out-of-band payload against the head's length and digest.
 fn take_payload(payload: Option<Payload>, len: u32, digest: u64) -> Result<Payload, WireError> {
     let p = payload.ok_or(WireError::BadPayload)?;
-    if p.len() != len as usize || payload_digest(p.as_slice()) != digest {
+    if p.len() != len as usize || p.digest() != digest {
         return Err(WireError::BadPayload);
     }
     Ok(p)
@@ -637,7 +636,7 @@ mod tests {
 
     #[test]
     fn tampered_or_missing_payload_rejected() {
-        let msg = encode_request(&ViceRequest::Store {
+        let mut msg = encode_request(&ViceRequest::Store {
             path: "/v/f".into(),
             data: vec![1, 2, 3].into(),
         });
@@ -651,6 +650,24 @@ mod tests {
         // Wrong length.
         assert_eq!(
             decode_request(&msg.head, Some(vec![1, 2].into())),
+            Err(WireError::BadPayload)
+        );
+        // Warm memos vouch for nothing but their own buffer. Encoding
+        // filled the honest rider's; a swapped-in rider of the same length
+        // brings its own (already filled) and fails against the head's...
+        let swapped: Payload = vec![1, 2, 4].into();
+        assert_ne!(swapped.digest(), msg.payload.as_ref().unwrap().digest());
+        assert_eq!(
+            decode_request(&msg.head, Some(swapped)),
+            Err(WireError::BadPayload)
+        );
+        // ...and the honest rider edited in flight (sole holder, so in
+        // place) loses its memo with the edit.
+        let mut edited = msg.payload.take().unwrap();
+        assert!(decode_request(&msg.head, Some(edited.clone())).is_ok());
+        edited.make_mut()[2] ^= 1;
+        assert_eq!(
+            decode_request(&msg.head, Some(edited)),
             Err(WireError::BadPayload)
         );
         // A stray payload on a message that does not carry one.

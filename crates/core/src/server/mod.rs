@@ -23,7 +23,6 @@ use crate::disk::{
 };
 use crate::location::LocationDb;
 use crate::protect::{AccessList, ProtectionDomain, Rights};
-use crate::proto::payload::payload_digest;
 use crate::proto::{decode_request, Payload, ServerId, VStatus, ViceError, ViceReply, ViceRequest};
 use crate::volume::{Volume, VolumeError, VolumeId};
 use itc_rpc::{NodeId, RpcStats};
@@ -463,13 +462,13 @@ impl Server {
     /// scrubber's repair stat.
     pub fn repair_file(&mut self, vid: VolumeId, path: &str, data: impl Into<Payload>) -> bool {
         let data = data.into();
-        let expected = payload_digest(data.as_slice());
+        let expected = data.digest();
         let repaired = self.storage.repair_checkpoint_file(vid, path, data.clone());
         if let Some(vol) = self.volume_mut(vid) {
             let live_damaged = vol
                 .fs()
                 .read(path)
-                .is_ok_and(|cur| payload_digest(cur.as_slice()) != expected);
+                .is_ok_and(|cur| cur.digest() != expected);
             if live_damaged {
                 vol.restore_file(path, data);
             }
@@ -967,8 +966,7 @@ impl Server {
                         let key =
                             itc_unixfs::normalize(&internal).unwrap_or_else(|_| internal.clone());
                         let leaf = self.volumes[vol_idx].merkle().leaf(&key);
-                        if leaf.is_some_and(|expected| payload_digest(data.as_slice()) != expected)
-                        {
+                        if leaf.is_some_and(|expected| data.digest() != expected) {
                             let vid = self.volumes[vol_idx].id();
                             self.offline_volume_for_integrity(vid, &key);
                             self.mark_corruptions_detected(

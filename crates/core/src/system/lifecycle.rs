@@ -9,7 +9,6 @@
 
 use super::transport::{EventCore, NetEvent, PendingBreak, SystemTransport};
 use crate::disk::{CorruptionOutcome, FlipRegion, ScrubFinding};
-use crate::proto::payload::payload_digest;
 use crate::proto::VolumeId;
 use itc_sim::{AnomalyReason, EventClass, FaultPlan, SimTime, SpanClass, TraceId};
 
@@ -270,7 +269,7 @@ impl SystemTransport<'_> {
                 for v in self.servers.get(s).volumes() {
                     if v.id() != vid && v.is_read_only() && v.is_online() && v.mount() == mount {
                         if let Ok(data) = v.fs().read(&path) {
-                            if payload_digest(data.as_slice()) == expected {
+                            if data.digest() == expected {
                                 return Some(data);
                             }
                         }

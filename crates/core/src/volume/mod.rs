@@ -17,7 +17,7 @@
 
 use crate::disk::{ScrubFinding, VolumeMerkle};
 use crate::protect::AccessList;
-use crate::proto::payload::{payload_digest, Payload};
+use crate::proto::payload::Payload;
 use itc_unixfs::{FileSystem, FsError, Ino, Mode};
 use std::collections::HashMap;
 
@@ -248,7 +248,7 @@ impl Volume {
         };
         let new_total = self.fs.data_bytes() - old + data.len() as u64;
         self.check_quota(new_total)?;
-        let digest = payload_digest(data.as_slice());
+        let digest = data.digest();
         let ino = self.fs.write(internal, uid, now, data)?;
         let key = itc_unixfs::normalize(internal).unwrap_or_else(|_| internal.to_string());
         self.merkle.set(&key, digest);
@@ -428,7 +428,7 @@ impl Volume {
         let mut m = VolumeMerkle::new();
         self.for_each_regular(&mut |path, ino| {
             if let Some(data) = self.fs.contents_of(ino) {
-                m.set(path, payload_digest(data.as_slice()));
+                m.set(path, data.digest());
             }
         });
         m
@@ -443,10 +443,7 @@ impl Volume {
         let mut seen = std::collections::BTreeSet::new();
         self.for_each_regular(&mut |path, ino| {
             seen.insert(path.to_string());
-            let found = self
-                .fs
-                .contents_of(ino)
-                .map(|d| payload_digest(d.as_slice()));
+            let found = self.fs.contents_of(ino).map(|d| d.digest());
             let expected = self.merkle.leaf(path);
             if expected != found {
                 findings.push(ScrubFinding {

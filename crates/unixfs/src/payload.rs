@@ -5,20 +5,30 @@
 //! [`Payload`] wraps the bytes in an `Arc` so every holder after the first
 //! — inode, journal record, checkpoint image, wire message, cache entry,
 //! open handle — is a refcount bump. No external dependencies: the type is
-//! a newtype over `Arc<Vec<u8>>` (constructing from an owned `Vec` moves
-//! the allocation; `Arc<[u8]>` would copy it). A shared buffer is immutable:
-//! the only way to write through a `Payload` is [`Payload::make_mut`],
-//! which copies first unless the caller is the sole holder.
+//! a newtype over one `Arc` allocation holding the `Vec<u8>` (constructing
+//! from an owned `Vec` moves the allocation; `Arc<[u8]>` would copy it) and
+//! a lazily filled digest of it. A shared buffer is immutable: the only way
+//! to write through a `Payload` is [`Payload::make_mut`], which copies first
+//! unless the caller is the sole holder.
 //!
-//! The module also keeps a thread-local count of every byte genuinely
-//! copied through payload APIs — the quantity the benchmark harness and
-//! the zero-copy regression tests assert on.
+//! Because the bytes behind one allocation cannot change except through
+//! `make_mut`, their FNV digest is computed at most once per buffer
+//! ([`Payload::digest`]) and every later asker — codec encode and decode,
+//! the Merkle leaf, the fetch-time check, each scrub pass — reads the stored
+//! value. `make_mut` forgets it on both of its paths, so a digest is only
+//! ever returned for the bytes it was computed from.
+//!
+//! The module also keeps thread-local counts of every byte genuinely copied
+//! through payload APIs and of every byte genuinely hashed by
+//! `Payload::digest` — the quantities the benchmark harness and the
+//! zero-copy regression tests assert on.
 
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     static BYTES_COPIED: Cell<u64> = const { Cell::new(0) };
+    static BYTES_DIGESTED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Records `n` payload bytes copied.
@@ -36,20 +46,56 @@ pub fn reset_bytes_copied() -> u64 {
     BYTES_COPIED.with(|c| c.replace(0))
 }
 
+/// Total payload bytes hashed on this thread to fill a digest memo since
+/// the last reset. A [`Payload::digest`] answered from the memo adds none.
+pub fn bytes_digested() -> u64 {
+    BYTES_DIGESTED.with(Cell::get)
+}
+
+/// Resets the thread's digested-bytes counter and returns the old value.
+pub fn reset_bytes_digested() -> u64 {
+    BYTES_DIGESTED.with(|c| c.replace(0))
+}
+
+/// The shared allocation: the bytes and the memo of their digest. The memo
+/// is a fact about *these* bytes, so it is never copied with them.
+#[derive(Default)]
+struct Inner {
+    bytes: Vec<u8>,
+    digest: OnceLock<u64>,
+}
+
+impl Clone for Inner {
+    /// The copy-on-write path of [`Payload::make_mut`]: the copy is about to
+    /// be edited, so it starts without a memo.
+    fn clone(&self) -> Inner {
+        Inner {
+            bytes: self.bytes.clone(),
+            digest: OnceLock::new(),
+        }
+    }
+}
+
 /// An immutable, refcounted byte buffer. Cloning is O(1) and shares the
-/// allocation.
-#[derive(Clone, Default)]
-pub struct Payload(Arc<Vec<u8>>);
+/// allocation, digest memo included.
+#[derive(Clone)]
+pub struct Payload(Arc<Inner>);
 
 impl Payload {
-    /// An empty payload.
+    /// An empty payload. Every empty payload made here shares one buffer.
     pub fn empty() -> Payload {
-        Payload::default()
+        static EMPTY: OnceLock<Payload> = OnceLock::new();
+        EMPTY
+            .get_or_init(|| Payload(Arc::new(Inner::default())))
+            .clone()
     }
 
     /// Wraps an owned buffer without copying it.
     pub fn from_vec(v: Vec<u8>) -> Payload {
-        Payload(Arc::new(v))
+        Payload(Arc::new(Inner {
+            bytes: v,
+            digest: OnceLock::new(),
+        }))
     }
 
     /// Copies a borrowed slice into a fresh payload (counted).
@@ -60,34 +106,56 @@ impl Payload {
 
     /// The bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.0
+        &self.0.bytes
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.bytes.len()
     }
 
     /// True when there are no bytes.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.bytes.is_empty()
     }
 
     /// Copies the bytes out into an owned `Vec` (counted).
     pub fn to_vec(&self) -> Vec<u8> {
         note_copy(self.len());
-        self.0.to_vec()
+        self.0.bytes.clone()
+    }
+
+    /// [`payload_digest`] of the bytes, computed on the first call for this
+    /// buffer (counted in [`bytes_digested`]) and remembered on the shared
+    /// allocation, so every holder of the same buffer gets it for free. It
+    /// vouches only for the bytes this buffer holds: comparing it with a
+    /// digest claimed elsewhere (a sealed head, a Merkle leaf) is still the
+    /// caller's job.
+    pub fn digest(&self) -> u64 {
+        *self.0.digest.get_or_init(|| {
+            BYTES_DIGESTED.with(|c| c.set(c.get() + self.len() as u64));
+            payload_digest(&self.0.bytes)
+        })
     }
 
     /// Mutable access for in-place edits (append under an open handle, a
     /// corruption flip in a stored file). Free when this payload is the
     /// sole holder; otherwise the buffer is copied out first (counted), so
-    /// no other holder ever sees the edit.
+    /// no other holder ever sees the edit. Either way the buffer handed
+    /// back has no digest memo: the next [`Payload::digest`] re-reads it.
     pub fn make_mut(&mut self) -> &mut Vec<u8> {
         if Arc::get_mut(&mut self.0).is_none() {
             note_copy(self.len());
         }
-        Arc::make_mut(&mut self.0)
+        let inner = Arc::make_mut(&mut self.0);
+        inner.digest = OnceLock::new();
+        &mut inner.bytes
+    }
+}
+
+impl Default for Payload {
+    fn default() -> Payload {
+        Payload::empty()
     }
 }
 
@@ -100,7 +168,7 @@ impl std::fmt::Debug for Payload {
 
 impl PartialEq for Payload {
     fn eq(&self, other: &Payload) -> bool {
-        self.as_slice() == other.as_slice()
+        Arc::ptr_eq(&self.0, &other.0) || self.as_slice() == other.as_slice()
     }
 }
 
@@ -225,6 +293,83 @@ mod tests {
         assert_eq!(a, vec![1, 2, 3]);
         assert_eq!(a, b"\x01\x02\x03");
         assert_ne!(a, Payload::empty());
+    }
+
+    #[test]
+    fn empty_payloads_share_one_buffer() {
+        let (a, b) = (Payload::empty(), Payload::default());
+        assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+        // Writing through one copies out first, as for any shared buffer.
+        let mut c = Payload::empty();
+        c.make_mut().push(1);
+        assert_eq!(c, [1u8]);
+        assert!(Payload::empty().is_empty());
+    }
+
+    #[test]
+    fn digest_is_hashed_once_per_buffer() {
+        let p = Payload::from_vec(vec![7; 100]);
+        let q = p.clone();
+        reset_bytes_digested();
+        assert_eq!(p.digest(), payload_digest(&[7; 100]));
+        assert_eq!(bytes_digested(), 100);
+        assert_eq!(q.digest(), p.digest()); // the clone reads p's memo
+        assert_eq!(bytes_digested(), 100);
+    }
+
+    /// Random histories of every `Payload` operation against a model that
+    /// keeps each live payload's bytes as a plain `Vec<u8>`: whatever memos
+    /// are warm, an edit through `make_mut` (sole holder or shared) is seen
+    /// by the editor's next `digest()` and by no other holder's.
+    #[test]
+    fn digest_memo_tracks_the_bytes_over_random_histories() {
+        use itc_sim::SimRng;
+        assert_eq!(std::mem::size_of::<Payload>(), 8);
+        for seed in 0..64 {
+            let mut rng = SimRng::seeded(seed);
+            let mut live: Vec<(Payload, Vec<u8>)> = Vec::new();
+            for _ in 0..400 {
+                let pick = |rng: &mut SimRng, n: usize| rng.range(0, n as u64) as usize;
+                match rng.range(0, 5) {
+                    0 => {
+                        let mut v = vec![0u8; pick(&mut rng, 40)];
+                        rng.fill_bytes(&mut v);
+                        live.push((Payload::from_vec(v.clone()), v));
+                    }
+                    1 if !live.is_empty() => {
+                        let twin = live[pick(&mut rng, live.len())].clone();
+                        live.push(twin);
+                    }
+                    // An edit: a byte flip (bit rot) or an append, on a
+                    // buffer that may be unique or shared, memo warm or not.
+                    2 | 3 if !live.is_empty() => {
+                        let i = pick(&mut rng, live.len());
+                        let (p, model) = &mut live[i];
+                        if !model.is_empty() && rng.chance(0.5) {
+                            let at = pick(&mut rng, model.len());
+                            let mask = 1u8 << rng.range(0, 8);
+                            p.make_mut()[at] ^= mask;
+                            model[at] ^= mask;
+                        } else {
+                            let b = rng.next_u64() as u8;
+                            p.make_mut().push(b);
+                            model.push(b);
+                        }
+                    }
+                    4 if !live.is_empty() => {
+                        let i = pick(&mut rng, live.len());
+                        live.swap_remove(i);
+                    }
+                    _ => {}
+                }
+                // Reading every digest here also leaves every memo warm
+                // for the next step's edit.
+                for (p, model) in &live {
+                    assert_eq!(p.as_slice(), model.as_slice(), "seed {seed}");
+                    assert_eq!(p.digest(), payload_digest(model), "seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::{Arc, RwLock};
 
 use itc_afs::core::disk::{CorruptionOutcome, Disk, FlipRegion, JournalOp, SyncPolicy};
 use itc_afs::core::protect::{AccessList, ProtectionDomain, Rights};
-use itc_afs::core::proto::payload::payload_digest;
+use itc_afs::core::proto::payload::{bytes_digested, payload_digest, reset_bytes_digested};
 use itc_afs::core::proto::{Payload, ServerId, ViceError, ViceReply, ViceRequest};
 use itc_afs::core::server::Server;
 use itc_afs::core::system::parallel::RunMode;
@@ -417,6 +417,18 @@ fn a_flip_lands_in_exactly_one_holder_of_the_shared_buffer() {
     assert_eq!(flips, 48, "the sweep covered every byte of the file");
 }
 
+/// One server with an empty protection domain, for tests that drive
+/// `Server` directly.
+fn lone_server() -> Server {
+    Server::new(
+        ServerId(0),
+        NodeId(0),
+        Arc::new(RwLock::new(ProtectionDomain::new())),
+        ValidationMode::Callback,
+        TraversalMode::ServerSide,
+    )
+}
+
 /// The last line of defense: when a volume is salvaged from a checkpoint
 /// whose file bytes were silently damaged (so the live volume itself now
 /// carries the corruption), the fetch-time digest check refuses to serve
@@ -425,14 +437,7 @@ fn a_flip_lands_in_exactly_one_holder_of_the_shared_buffer() {
 /// reaches Venus.
 #[test]
 fn fetch_after_salvage_from_damaged_checkpoint_is_caught() {
-    let domain = Arc::new(RwLock::new(ProtectionDomain::new()));
-    let mut srv = Server::new(
-        ServerId(0),
-        NodeId(0),
-        domain,
-        ValidationMode::Callback,
-        TraversalMode::ServerSide,
-    );
+    let mut srv = lone_server();
     let vid = VolumeId(7);
     srv.add_volume(Volume::new(vid, "proj", "/vice/proj", open_acl()));
     srv.admin_apply(vid, store_op("/f.c", b"#include <clean/bytes.h>", 9))
@@ -476,6 +481,105 @@ fn fetch_after_salvage_from_damaged_checkpoint_is_caught() {
         srv.drain_integrity_events(),
         vec![(vid, "/f.c".to_string())]
     );
+}
+
+/// A digest memo vouches only for the buffer it was computed from, so a
+/// warm one must never hide rot. After clean scrub passes have filled the
+/// memo of every buffer on the disk (the second pass hashes nothing), one
+/// byte of a checkpoint file is flipped — once in a buffer the image holds
+/// alone (edited in place) and once in one it still shares with the live
+/// volume (copy-on-write). Either way the next scrub pass reports it, the
+/// live volume's bytes, digest and tree are untouched, and once a salvage
+/// has carried the damage into the live volume the fetch-time leaf check
+/// refuses to serve it.
+#[test]
+fn rot_under_warm_digest_memos_is_still_caught() {
+    let vid = VolumeId(7);
+    let own: Vec<u8> = (0..40u8).collect();
+    let shared: Vec<u8> = (100..160u8).collect();
+    // Path order in the durable extent: /own.c, then /shared.c.
+    for (path, body, at, image_holds_it_alone) in [
+        ("/own.c", &own, 3, true),
+        ("/shared.c", &shared, own.len() as u64 + 3, false),
+    ] {
+        let mut srv = lone_server();
+        let mut vol = Volume::new(vid, "proj", "/vice/proj", open_acl());
+        vol.store("/own.c", 1, 9, own.clone()).unwrap();
+        vol.store("/shared.c", 1, 9, shared.clone()).unwrap();
+        // Installing checkpoints a clone: image and live volume share both
+        // buffers. A private copy of /own.c for the live volume leaves the
+        // image the sole holder of the original.
+        srv.add_volume(vol);
+        let live = srv.volume_mut(vid).unwrap();
+        assert!(live.restore_file("/own.c", Payload::from_vec(own.clone())));
+        let image_read = |srv: &Server| {
+            let image = srv.storage().checkpoint_image(vid).unwrap();
+            image.fs().read(path).unwrap()
+        };
+        let live_read = |srv: &Server| srv.volumes()[0].fs().read(path).unwrap();
+        assert_eq!(
+            image_read(&srv).as_slice().as_ptr() != live_read(&srv).as_slice().as_ptr(),
+            image_holds_it_alone
+        );
+
+        // Warm every memo: the first clean pass hashes only the live
+        // volume's private /own.c (the stores hashed the rest), the second
+        // nothing at all.
+        assert!(srv.scrub_scan(vid).unwrap().findings.is_empty());
+        assert!(srv.volumes()[0].verify_merkle().is_empty());
+        reset_bytes_digested();
+        assert!(srv.scrub_scan(vid).unwrap().findings.is_empty());
+        assert!(srv.volumes()[0].verify_merkle().is_empty());
+        assert_eq!(bytes_digested(), 0, "{path}: a memo was still cold");
+
+        let synced = srv.journal_stats().synced_len;
+        let region = srv.apply_corruption(SimTime::from_secs(1), synced + at, 0x10);
+        assert_eq!(
+            region,
+            Some(FlipRegion::CheckpointFile {
+                volume: vid,
+                path: path.into()
+            })
+        );
+
+        // The scrubber sees the image's bytes as they now are.
+        let mut damaged = body.clone();
+        damaged[3] ^= 0x10;
+        let scan = srv.scrub_scan(vid).unwrap();
+        assert_eq!(scan.findings.len(), 1, "{path}: {:?}", scan.findings);
+        assert_eq!(scan.findings[0].path, path);
+        assert_eq!(scan.findings[0].expected, Some(payload_digest(body)));
+        assert_eq!(scan.findings[0].found, Some(payload_digest(&damaged)));
+        // The live volume's holder is untouched: bytes, digest and tree.
+        assert_eq!(live_read(&srv), *body);
+        assert_eq!(live_read(&srv).digest(), payload_digest(body));
+        assert!(srv.volumes()[0].verify_merkle().is_empty());
+
+        // Salvage rebuilds the live volume from the damaged image; the
+        // fetch-time check compares the bytes it is about to serve with
+        // the leaf, whatever memo they carry.
+        srv.crash_with_torn(0);
+        srv.restart();
+        srv.salvage_volume(vid).expect("salvages");
+        assert_eq!(live_read(&srv), damaged);
+        let (reply, _) = srv.handle(
+            "u",
+            NodeId(9),
+            &ViceRequest::Fetch {
+                path: format!("/vice/proj{path}"),
+            },
+            SimTime::from_secs(2),
+            &Costs::default(),
+        );
+        assert!(
+            matches!(reply, ViceReply::Error(ViceError::VolumeOffline(_))),
+            "{path}: damaged bytes must not be served: {reply:?}"
+        );
+        assert_eq!(
+            srv.corruption_log()[0].outcome,
+            CorruptionOutcome::CaughtAtFetch
+        );
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 //! Zero-copy guarantees, enforced by counting.
 //!
-//! Two meters watch the data path:
+//! Three meters watch the data path:
 //!
 //! * the payload copy counter (`proto::payload::bytes_copied`), which every
 //!   `Payload::from_slice` / `Payload::to_vec` and every copy-on-write
 //!   `Payload::make_mut` feeds — it measures bulk-data copies inside the
-//!   fetch/store pipeline, and
+//!   fetch/store pipeline,
+//! * the payload digest counter (`proto::payload::bytes_digested`), which
+//!   `Payload::digest` feeds only when it has to read the bytes — a buffer
+//!   is hashed once in its life, however many layers ask — and
 //! * a counting global allocator, which catches copies the payload meter
 //!   cannot see (a rogue `Vec` clone of file contents would show up here
 //!   as megabytes of allocation).
@@ -17,7 +20,9 @@
 //! one buffer.
 
 use itc_afs::core::config::SystemConfig;
-use itc_afs::core::proto::payload::{bytes_copied, reset_bytes_copied};
+use itc_afs::core::proto::payload::{
+    bytes_copied, bytes_digested, reset_bytes_copied, reset_bytes_digested,
+};
 use itc_afs::core::system::ItcSystem;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,7 +116,10 @@ fn warm_open_hit_copies_no_payload_bytes() {
 /// buffer moved end to end (cache entry, wire, journal record and inode
 /// share it); a fetch is one refcount chain from the inode to the Venus
 /// cache, and the only copy is the `Vec<u8>` handed back to the
-/// application. The allocator sees exactly those two buffers per file.
+/// application. The allocator sees exactly those two buffers per file, and
+/// each stored buffer is hashed exactly once: by the codec when the store is
+/// encoded. Decode, the Merkle leaf and every later fetch's encode, decode
+/// and leaf check read that digest back.
 #[test]
 fn macro_storm_copies_nothing_inside_the_pipeline() {
     const CLIENTS: usize = 40;
@@ -134,6 +142,7 @@ fn macro_storm_copies_nothing_inside_the_pipeline() {
     let body = vec![0x5au8; FILE_BYTES];
 
     reset_bytes_copied();
+    reset_bytes_digested();
     let before = ALLOCATED.load(Ordering::Relaxed);
     for ws in 0..CLIENTS {
         sys.store(ws, &format!("/vice/usr/storm/f{ws:02}"), body.clone())
@@ -141,6 +150,17 @@ fn macro_storm_copies_nothing_inside_the_pipeline() {
     }
     let per_store = (ALLOCATED.load(Ordering::Relaxed) - before) / CLIENTS as u64;
     assert_eq!(bytes_copied(), 0, "a store must copy nothing");
+    // One pass over each stored file (2 621 440 bytes) and nothing hashed
+    // twice. The only other buffers on the wire are the directory listings
+    // each workstation's first store walks through, every one built fresh
+    // by the server: /vice/usr (`dstorm\n`) and /vice/usr/storm (`fNN\n`
+    // with a kind byte, for each file stored before this one).
+    const LISTING_BYTES: usize = CLIENTS * 7 + 5 * (CLIENTS * (CLIENTS - 1) / 2);
+    assert_eq!(
+        reset_bytes_digested(),
+        (CLIENTS * FILE_BYTES + LISTING_BYTES) as u64,
+        "a store must hash its buffer exactly once"
+    );
 
     reset_bytes_copied();
     let before = ALLOCATED.load(Ordering::Relaxed);
@@ -153,6 +173,7 @@ fn macro_storm_copies_nothing_inside_the_pipeline() {
     }
     let per_fetch = (ALLOCATED.load(Ordering::Relaxed) - before) / (CLIENTS * FETCH_FANOUT) as u64;
     assert_eq!(bytes_copied(), 0, "a cold fetch must copy nothing");
+    assert_eq!(bytes_digested(), 0, "a cold fetch must hash nothing");
 
     // The application's buffer in, the application's copy out.
     assert!(
