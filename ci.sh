@@ -49,6 +49,17 @@ if find crates/*/src -name '*.rs' ! -name tests.rs ! -path crates/unixfs/src/pay
     echo "ci.sh: payload_digest( over bytes a Payload holds — ask it: Payload::digest (see the lines above)" >&2
     exit 1
 fi
+# The cipher has one loop (DESIGN.md §9): the mode, the channel and the KDF
+# go through the two-lane kernel and work in place. No per-block byte
+# interface, and no copy but the borrowed openers' one `sealed.to_vec()`.
+echo "== one cipher kernel (no serial block loop or extra copy in cryptbox) =="
+for f in crates/cryptbox/src/mode.rs crates/cryptbox/src/channel.rs crates/cryptbox/src/kdf.rs; do
+    if nontest "$f" | grep -E 'encrypt_bytes8\(|decrypt_bytes8\(' \
+        || nontest "$f" | grep -F 'to_vec()' | awk 'NR > 1 || !/sealed\.to_vec\(\)/' | grep .; then
+        echo "ci.sh: a serial cipher path or a message copy grew back (see the lines above)" >&2
+        exit 1
+    fi
+done
 # The trajectory: lines before the first #[cfg(test)] of every crates/*/src
 # file (tests.rs excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
@@ -68,6 +79,8 @@ cargo build --release --offline
 
 echo "== tests (offline) =="
 cargo test -q --workspace --offline
+# The kernel's oracle again, as the optimiser compiles it.
+cargo test -q -p itc-cryptbox --release --offline
 
 echo "== paper tables (full scale, byte-identical to results/full_tables.txt) =="
 cargo run -q -p itc-bench --release --offline --bin tables -- --full all | diff - results/full_tables.txt

@@ -71,7 +71,7 @@ use crate::venus::ViceTransport;
 use itc_cryptbox::Key;
 use itc_rpc::binding::{establish, Binding};
 use itc_rpc::{
-    frame_call, split_frame, CallSpec, CallStats, Network, NodeId, RetryPolicy, TimingKernel,
+    frame_call, take_frame, CallSpec, CallStats, Network, NodeId, RetryPolicy, TimingKernel,
 };
 use itc_sim::{
     AnomalyReason, Clock, EventId, EventKey, EventStats, FaultPlan, FaultStats, Firing,
@@ -663,10 +663,12 @@ impl SystemTransport<'_> {
             NetEvent::RequestArrive => {
                 let sealed = call.sealed_req.take().expect("request leg carries bytes");
                 let binding = self.binding(call);
-                let opened = binding.server_open(&sealed).map_err(|e| e.to_string())?;
+                // The sealed buffer is decrypted in place and, past the frame
+                // header, becomes the queued request body: no copy.
+                let opened = binding.server_open(sealed).map_err(|e| e.to_string())?;
                 // Identity comes from the binding, never the request.
                 let user = binding.server_user().to_string();
-                let (token, wire_trace, body) = split_frame(&opened).expect("framed by call()");
+                let (token, wire_trace, body) = take_frame(opened).expect("framed by call()");
                 // The span names the trace id that actually rode the wire;
                 // queue depth is observed before this request joins.
                 let depth = self.servers.get(sid).queue_depth() as u32;
@@ -676,7 +678,7 @@ impl SystemTransport<'_> {
                     from: call.ws,
                     token,
                     trace: TraceId(wire_trace),
-                    body: body.to_vec(),
+                    body,
                     payload: call.req_payload.clone(),
                     arrived: at,
                 });
@@ -770,10 +772,13 @@ impl SystemTransport<'_> {
                 }
                 let sealed = call.sealed_reply.take().expect("reply leg carries bytes");
                 let binding = self.binding(call);
-                let reply_clear = binding.client_open(&sealed).map_err(|e| e.to_string())?;
+                // Opening consumes the sealed buffer, so only a duplicated
+                // delivery keeps a second copy of it.
+                let second = call.duplicate.then(|| sealed.clone());
+                let reply_clear = binding.client_open(sealed).map_err(|e| e.to_string())?;
                 // Second copy of the same sealed reply: the channel's
                 // sequence check discards it.
-                if call.duplicate && binding.client_open(&sealed).is_err() {
+                if second.is_some_and(|copy| binding.client_open(copy).is_err()) {
                     self.cores.get_mut(cc).call_stats.duplicates_ignored += 1;
                 }
                 let reply = decode_reply(&reply_clear, call.reply_payload.take())

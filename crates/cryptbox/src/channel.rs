@@ -11,7 +11,7 @@
 //! *call* therefore arrives with a fresh sequence number and is accepted,
 //! while the idempotency layer above (not this one) makes the retry safe.
 
-use crate::mode::{open, seal, SealError};
+use crate::mode::{open_in_place, seal_parts, Keys, SealError};
 use crate::xtea::Key;
 
 /// Which end of the connection this channel endpoint is.
@@ -52,10 +52,11 @@ impl std::fmt::Display for ChannelError {
 
 impl std::error::Error for ChannelError {}
 
-/// One endpoint of an established secure connection.
+/// One endpoint of an established secure connection. It holds the session
+/// key only as its two expanded schedules (whose `Debug` prints nothing).
 #[derive(Debug)]
 pub struct SecureChannel {
-    key: Key,
+    keys: Keys,
     role: Role,
     send_seq: u64,
     recv_seq: u64,
@@ -68,7 +69,7 @@ impl SecureChannel {
     /// Creates an endpoint from the handshake's session key.
     pub fn new(session_key: Key, role: Role) -> SecureChannel {
         SecureChannel {
-            key: session_key,
+            keys: Keys::new(session_key),
             role,
             send_seq: 0,
             recv_seq: 0,
@@ -86,31 +87,36 @@ impl SecureChannel {
             Role::Client => DIR_CLIENT_TO_SERVER,
             Role::Server => DIR_SERVER_TO_CLIENT,
         };
-        let mut body = Vec::with_capacity(9 + payload.len());
-        body.push(dir);
-        body.extend_from_slice(&self.send_seq.to_be_bytes());
-        body.extend_from_slice(payload);
+        let seq = self.send_seq;
+        self.send_seq += 1;
         // Seed the IV with direction and sequence so no two messages share
         // an IV.
-        let sealed = seal(self.key, (u64::from(dir) << 56) | self.send_seq, &body);
-        self.send_seq += 1;
-        sealed
+        let seed = (u64::from(dir) << 56) | seq;
+        seal_parts(&self.keys, seed, &[&[dir], &seq.to_be_bytes(), payload])
     }
 
     /// Opens a received message, enforcing direction and sequence.
     pub fn open_msg(&mut self, sealed: &[u8]) -> Result<Vec<u8>, ChannelError> {
-        let body = open(self.key, sealed).map_err(ChannelError::Crypto)?;
-        if body.len() < 9 {
+        self.open_owned(sealed.to_vec())
+    }
+
+    /// [`Self::open_msg`] for a caller that is done with the sealed bytes:
+    /// decrypts in `sealed`'s own allocation and hands it back as the
+    /// payload. On any error the buffer is dropped unread and the receive
+    /// window has not moved.
+    pub fn open_owned(&mut self, mut sealed: Vec<u8>) -> Result<Vec<u8>, ChannelError> {
+        let len = open_in_place(&self.keys, &mut sealed).map_err(ChannelError::Crypto)?;
+        if len < 9 {
             return Err(ChannelError::Malformed);
         }
         let expected_dir = match self.role {
             Role::Client => DIR_SERVER_TO_CLIENT,
             Role::Server => DIR_CLIENT_TO_SERVER,
         };
-        if body[0] != expected_dir {
+        if sealed[8] != expected_dir {
             return Err(ChannelError::WrongDirection);
         }
-        let seq = u64::from_be_bytes(body[1..9].try_into().expect("checked length"));
+        let seq = u64::from_be_bytes(sealed[9..17].try_into().expect("checked length"));
         // Accept any sequence number at or ahead of the window: a gap means
         // earlier messages were lost in the network, which is legal. Only a
         // message *behind* the window — a replay or duplicate — is rejected.
@@ -121,7 +127,9 @@ impl SecureChannel {
             });
         }
         self.recv_seq = seq + 1;
-        Ok(body[9..].to_vec())
+        sealed.copy_within(17..8 + len, 0);
+        sealed.truncate(len - 9);
+        Ok(sealed)
     }
 }
 
@@ -146,6 +154,50 @@ mod tests {
         assert_eq!(s.open_msg(&m1).unwrap(), b"Fetch /vice/usr/satya/paper.tex");
         let r1 = s.seal_msg(b"here are 12k bytes");
         assert_eq!(c.open_msg(&r1).unwrap(), b"here are 12k bytes");
+    }
+
+    /// The first message of a client, captured from the serial code before
+    /// the lock-step kernel replaced it: direction, sequence, IV seed,
+    /// padding and tag all land where they always did.
+    #[test]
+    fn first_sealed_message_is_pinned() {
+        let (mut c, mut s) = pair(KEY);
+        let m = c.seal_msg(b"Fetch /vice/usr/satya/paper.tex");
+        let hex: String = m.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0ea327a705eba8d27ffb6f294d9ebfd4c9650a09255c18dcabeac537f1ec8ab6\
+             d7b912e712ef7ea11c380887f4887963bc3681ae50f22e6be55b84cc70d32ffc"
+        );
+        assert_eq!(m.capacity(), m.len(), "one exact-size buffer");
+        assert_eq!(s.open_owned(m).unwrap(), b"Fetch /vice/usr/satya/paper.tex");
+    }
+
+    /// Both openers agree, and neither moves the window on a rejected
+    /// message: the next honest one still opens.
+    #[test]
+    fn failed_open_leaves_the_window_where_it_was() {
+        let (mut c, mut s) = pair(KEY);
+        let first = c.seal_msg(b"first");
+        let mut bad = c.seal_msg(b"second");
+        bad[9] ^= 0x10;
+        assert!(matches!(s.open_msg(&bad), Err(ChannelError::Crypto(_))));
+        assert!(matches!(s.open_owned(bad), Err(ChannelError::Crypto(_))));
+        // `first` is older than `bad`: had the window moved, it would be stale.
+        assert_eq!(s.open_owned(first.clone()).unwrap(), b"first");
+        assert!(matches!(
+            s.open_owned(first),
+            Err(ChannelError::BadSequence { .. })
+        ));
+    }
+
+    #[test]
+    fn debug_does_not_leak_key_material() {
+        let s = format!(
+            "{:?}",
+            SecureChannel::new(Key([0x5ec2_e75e, 2, 3, 4]), Role::Server)
+        );
+        assert!(s.contains("Schedule(..)") && !s.to_lowercase().contains("5ec2e75e"));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! keys".
 
 use crate::mode::{open, seal};
-use crate::xtea::{encrypt_bytes8, Key};
+use crate::xtea::{encrypt2, Key, Schedule};
 
 /// Errors arising during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,13 +54,11 @@ fn session_key(shared: Key, nc: u64, ns: u64) -> Key {
     // Encrypt each nonce under the shared key and fold into a 128-bit mask,
     // then XOR with the shared key. An eavesdropper sees neither nonce in
     // the clear, so the mask is unpredictable.
-    let mut a = nc.to_be_bytes();
-    encrypt_bytes8(shared, &mut a);
-    let mut b = ns.to_be_bytes();
-    encrypt_bytes8(shared, &mut b);
+    let k = Schedule::new(shared);
+    let (a, b) = encrypt2(&k, nc, &k, ns);
     let mut m = [0u8; 16];
-    m[..8].copy_from_slice(&a);
-    m[8..].copy_from_slice(&b);
+    m[..8].copy_from_slice(&a.to_be_bytes());
+    m[8..].copy_from_slice(&b.to_be_bytes());
     shared.xor(Key::from_bytes(&m))
 }
 

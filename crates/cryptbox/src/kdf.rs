@@ -11,44 +11,39 @@
 //! tweaks) to fill a 128-bit output. Iterated a fixed number of rounds to
 //! model (cheap) password stretching.
 
-use crate::xtea::{encrypt_bytes8, Key};
+use crate::xtea::{encrypt2, Key, Schedule};
 
 const STRETCH_ROUNDS: usize = 64;
 
-/// One Davies–Meyer step: `state = E_k(state) ^ state`.
-fn dm_step(k: Key, state: &mut [u8; 8]) {
-    let before = *state;
-    encrypt_bytes8(k, state);
-    for i in 0..8 {
-        state[i] ^= before[i];
-    }
-}
+/// The second lane's key tweak, so the two lanes diverge.
+const LANE_TWEAK: Key = Key([0x0000_0001, 0, 0, 0x8000_0000]);
 
 /// Absorbs arbitrary bytes into a 16-byte state.
 fn absorb(state: &mut [u8; 16], data: &[u8]) {
-    // Process in 16-byte chunks, zero-padded, length-strengthened.
     let mut halves = [[0u8; 8]; 2];
     halves[0].copy_from_slice(&state[..8]);
     halves[1].copy_from_slice(&state[8..]);
 
-    let mut chunks: Vec<[u8; 16]> = data
-        .chunks(16)
-        .map(|c| {
-            let mut b = [0u8; 16];
-            b[..c.len()].copy_from_slice(c);
-            b
-        })
-        .collect();
+    // Process in 16-byte chunks, zero-padded, length-strengthened.
     let mut len_block = [0u8; 16];
     len_block[..8].copy_from_slice(&(data.len() as u64).to_be_bytes());
-    chunks.push(len_block);
-
-    for chunk in chunks {
-        let k = Key::from_bytes(&chunk);
-        dm_step(k, &mut halves[0]);
-        // Tweak the second half so the two lanes diverge.
-        let tweaked = k.xor(Key([0x0000_0001, 0, 0, 0x8000_0000]));
-        dm_step(tweaked, &mut halves[1]);
+    for chunk in data.chunks(16).chain([&len_block[..]]) {
+        let mut block = [0u8; 16];
+        block[..chunk.len()].copy_from_slice(chunk);
+        let k = Key::from_bytes(&block);
+        // One Davies–Meyer step per lane, `half = E_k(half) ^ half`, the
+        // two encryptions in lock-step.
+        let before = halves.map(u64::from_be_bytes);
+        let (e0, e1) = encrypt2(
+            &Schedule::new(k),
+            before[0],
+            &Schedule::new(k.xor(LANE_TWEAK)),
+            before[1],
+        );
+        halves = [
+            (e0 ^ before[0]).to_be_bytes(),
+            (e1 ^ before[1]).to_be_bytes(),
+        ];
         // Cross-mix the lanes.
         for i in 0..8 {
             let t = halves[0][i];
@@ -110,6 +105,16 @@ mod tests {
         assert_eq!(
             derive_key("hunter2", "satya"),
             derive_key("hunter2", "satya")
+        );
+    }
+
+    /// Captured before `absorb` moved onto the two-lane kernel: a derived
+    /// key is what Vice's protection database stores, so it may never move.
+    #[test]
+    fn derived_key_is_pinned() {
+        assert_eq!(
+            key_fingerprint(derive_key("pw-satya", "satya")),
+            0xb1cb_64e6
         );
     }
 

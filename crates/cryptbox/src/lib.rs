@@ -19,9 +19,11 @@
 //! this simulation.
 //!
 //! Layers, bottom to top:
-//! * [`xtea`] — the block cipher.
+//! * [`xtea`] — the block cipher: one two-lane kernel that advances two
+//!   independent blocks per 32-cycle loop; every layer above calls it.
 //! * [`mode`] — CBC encryption with PKCS#7 padding and CBC-MAC
-//!   authentication ([`mode::seal`]/[`mode::open`]).
+//!   authentication ([`mode::seal`]/[`mode::open`]), the two chains in
+//!   lock-step over one buffer.
 //! * [`kdf`] — deriving 128-bit keys from passwords (Davies–Meyer over
 //!   XTEA, iterated).
 //! * [`handshake`] — the three-message mutual authentication exchange that

@@ -18,6 +18,7 @@ use crate::net::NodeId;
 use itc_cryptbox::channel::{ChannelError, Role, SecureChannel};
 use itc_cryptbox::handshake::{ClientHandshake, HandshakeError, ServerHandshake};
 use itc_cryptbox::Key;
+use std::borrow::Cow;
 
 /// Errors establishing or using a binding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,9 +121,14 @@ impl Binding {
         self.client_chan.seal_msg(request)
     }
 
-    /// Server-side: opens a received request.
-    pub fn server_open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, BindingError> {
-        Ok(self.server_chan.open_msg(sealed)?)
+    /// Server-side: opens a received request. Hand over the sealed `Vec`
+    /// itself when done with it — it is decrypted in place and comes back
+    /// as the request, with no allocation; a borrowed slice is copied once.
+    pub fn server_open<'a>(
+        &mut self,
+        sealed: impl Into<Cow<'a, [u8]>>,
+    ) -> Result<Vec<u8>, BindingError> {
+        Ok(self.server_chan.open_owned(sealed.into().into_owned())?)
     }
 
     /// Server-side: seals a reply.
@@ -130,9 +136,13 @@ impl Binding {
         self.server_chan.seal_msg(reply)
     }
 
-    /// Client-side: opens a received reply.
-    pub fn client_open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, BindingError> {
-        Ok(self.client_chan.open_msg(sealed)?)
+    /// Client-side: opens a received reply (owned or borrowed, as
+    /// [`Self::server_open`]).
+    pub fn client_open<'a>(
+        &mut self,
+        sealed: impl Into<Cow<'a, [u8]>>,
+    ) -> Result<Vec<u8>, BindingError> {
+        Ok(self.client_chan.open_owned(sealed.into().into_owned())?)
     }
 
     /// Performs a full round trip through the sealed channel: the request
@@ -144,10 +154,10 @@ impl Binding {
         F: FnOnce(&str, &[u8]) -> Vec<u8>,
     {
         let sealed_req = self.client_chan.seal_msg(request);
-        let opened_req = self.server_chan.open_msg(&sealed_req)?;
+        let opened_req = self.server_chan.open_owned(sealed_req)?;
         let reply = handler(&self.user, &opened_req);
         let sealed_reply = self.server_chan.seal_msg(&reply);
-        Ok(self.client_chan.open_msg(&sealed_reply)?)
+        Ok(self.client_chan.open_owned(sealed_reply)?)
     }
 }
 

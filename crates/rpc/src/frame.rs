@@ -44,6 +44,14 @@ pub fn split_frame(framed: &[u8]) -> Option<(u64, u64, &[u8])> {
     Some((token, trace, body))
 }
 
+/// [`split_frame`] for a caller that owns the opened frame: the header is
+/// cut off in place, so the request head keeps the frame's allocation.
+pub fn take_frame(mut framed: Vec<u8>) -> Option<(u64, u64, Vec<u8>)> {
+    let (token, trace, _) = split_frame(&framed)?;
+    framed.drain(..FRAME_HEADER_LEN);
+    Some((token, trace, framed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,5 +78,15 @@ mod tests {
     fn short_frames_are_rejected() {
         assert!(split_frame(&[0u8; 15]).is_none());
         assert!(split_frame(&[]).is_none());
+    }
+
+    #[test]
+    fn take_frame_agrees_with_split_frame_and_keeps_the_allocation() {
+        let framed = frame_call(42, 7, b"request-head");
+        let at = framed.as_ptr();
+        let (token, trace, body) = take_frame(framed).unwrap();
+        assert_eq!((token, trace, &body[..]), (42, 7, &b"request-head"[..]));
+        assert_eq!(body.as_ptr(), at);
+        assert!(take_frame(vec![0u8; 15]).is_none());
     }
 }

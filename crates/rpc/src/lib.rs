@@ -43,7 +43,7 @@ pub mod timing;
 pub mod wire;
 
 pub use binding::{establish, Binding, BindingError};
-pub use frame::{frame_call, split_frame, FRAME_HEADER_LEN};
+pub use frame::{frame_call, split_frame, take_frame, FRAME_HEADER_LEN};
 pub use net::{ClusterId, Network, NodeId};
 pub use retry::{CallStats, RetryPolicy};
 pub use stats::RpcStats;
