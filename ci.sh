@@ -60,6 +60,20 @@ for f in crates/cryptbox/src/mode.rs crates/cryptbox/src/channel.rs crates/crypt
         exit 1
     fi
 done
+# The `(time, workstation)` order is computed in one loop and admitted by
+# one test (DESIGN.md §13): `drain` steps every op, sequential or batched,
+# and `Pool::pick` is one pass with no allocation and no sort.
+echo "== one scheduling loop (one .step( call site, no sort or collect in Pool::pick) =="
+sched=crates/core/src/system/parallel.rs
+if [ "$(nontest "$sched" | grep -cF '.step(')" -ne 1 ]; then
+    nontest "$sched" | grep -F '.step('
+    echo "ci.sh: $sched must step drivers in exactly one place (see the lines above)" >&2
+    exit 1
+fi
+if nontest "$sched" | awk '/fn pick\(/{p=1} p&&/:    }$/{exit} p' | grep -E 'sort_by_key|\.collect\(\)'; then
+    echo "ci.sh: Pool::pick sorts or allocates again (see the lines above)" >&2
+    exit 1
+fi
 # The trajectory: lines before the first #[cfg(test)] of every crates/*/src
 # file (tests.rs excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
@@ -81,6 +95,9 @@ echo "== tests (offline) =="
 cargo test -q --workspace --offline
 # The kernel's oracle again, as the optimiser compiles it.
 cargo test -q -p itc-cryptbox --release --offline
+# The executor's oracles again: the interleavings worth catching only occur
+# at optimised speed.
+cargo test --release --offline -q --test parallel
 
 echo "== paper tables (full scale, byte-identical to results/full_tables.txt) =="
 cargo run -q -p itc-bench --release --offline --bin tables -- --full all | diff - results/full_tables.txt

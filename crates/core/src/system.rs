@@ -114,6 +114,8 @@ pub struct ItcSystem {
     next_volume: u32,
     surrogates: HashMap<WsId, Surrogate>,
     monitor: Option<TrafficMonitor>,
+    /// What the last `run_drivers` did (observation only).
+    executor: parallel::ExecutorStats,
 }
 
 impl ItcSystem {
@@ -142,6 +144,7 @@ impl ItcSystem {
             next_volume: 1,
             surrogates: HashMap::new(),
             monitor: None,
+            executor: parallel::ExecutorStats::default(),
         };
 
         // Root volume: everyone may read and insert; nobody but explicit

@@ -1,7 +1,8 @@
 //! The workstation op surface ([`WsOps`]) and the one scheduler of
 //! workstation ops ([`ItcSystem::run_drivers`]): the sequential reference
 //! schedule, and conservative parallel execution over the per-cluster
-//! calendars.
+//! calendars — one scheduling loop (`drain`) and one admission test
+//! (`Pool::pick`) between them.
 //!
 //! ## One door
 //!
@@ -9,7 +10,7 @@
 //! storm op, a day session's step — executes as a method of [`WsOps`], a
 //! view over the clusters in a mask. The facade and sequential runs build
 //! it over the whole system; a parallel worker builds it over exactly the
-//! shards its op claimed. There is no second implementation to keep in
+//! shards its batch claimed. There is no second implementation to keep in
 //! step.
 //!
 //! ## The model: op-atomic conservative PDES
@@ -52,6 +53,33 @@
 //! cluster outside its mask panics (the `Parts` tripwire) instead of
 //! corrupting the run.
 //!
+//! ## Batches and the horizon
+//!
+//! Admission is asked once per *batch*, not once per op. A worker picks
+//! the minimal-key admissible op `w`, takes the shards of `M = mask(w)`,
+//! and takes with them every pooled driver **confined** to `M` (`scope ≠
+//! ∅`, `scope ⊆ M`) — nobody else can run those while `M` is held. Under
+//! the same lock it reads the **horizon**: the smallest key of any live
+//! driver outside the batch whose scope intersects `M`. Then, unlocked, it
+//! drains the batch in key order while the next key is below the horizon
+//! and the next op declares exactly `M` (so every op still runs against
+//! precisely the shards it declared). A picked driver that is not confined
+//! runs its one op and leaves; its next key lowers the horizon. Why the
+//! schedule cannot change:
+//!
+//! * keys are monotone per driver, so the horizon is a lower bound on every
+//!   future key of every driver that could ever conflict on `M` — each
+//!   batched op satisfies rule 2 without re-asking;
+//! * rule 1 holds because `M` is held throughout;
+//! * batch-local order is key order, which is the sequential order;
+//! * the stale keys batch-held drivers leave in the pool are lower bounds,
+//!   so they can only make other workers wait — and a confined driver's
+//!   only on clusters rule 1 already denies them.
+//!
+//! When every scope is one cluster the horizon is unbounded and a run is
+//! exactly `clusters` claims: each worker simulates a whole cluster with
+//! no synchronisation, which is the paper's locality argument (§2.2).
+//!
 //! [`Clock`]: itc_sim::Clock
 
 use crate::proto::ServerId;
@@ -61,6 +89,8 @@ use crate::system::{ItcSystem, SystemError, WsId};
 use crate::venus::{Venus, VenusError};
 use itc_rpc::NodeId;
 use itc_sim::SimTime;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 
@@ -73,8 +103,12 @@ impl ClusterMask {
     /// The empty mask.
     pub const EMPTY: ClusterMask = ClusterMask(0);
 
-    /// A mask of one cluster.
+    /// A mask of one cluster. Panics beyond the 64-cluster limit.
     pub fn of(cluster: usize) -> ClusterMask {
+        assert!(
+            cluster < 64,
+            "cluster {cluster} is beyond ClusterMask's 64-cluster limit"
+        );
         ClusterMask(1 << cluster)
     }
 
@@ -87,14 +121,15 @@ impl ClusterMask {
         }
     }
 
-    /// Adds a cluster.
+    /// Adds a cluster. Panics beyond the 64-cluster limit.
     pub fn insert(&mut self, cluster: usize) {
-        self.0 |= 1 << cluster;
+        self.0 |= ClusterMask::of(cluster).0;
     }
 
-    /// Whether `cluster` is in the mask.
+    /// Whether `cluster` is in the mask (never, beyond the 64-cluster
+    /// limit).
     pub fn contains(self, cluster: usize) -> bool {
-        self.0 & (1 << cluster) != 0
+        cluster < 64 && self.0 & (1 << cluster) != 0
     }
 
     /// Whether the two masks share any cluster.
@@ -106,6 +141,24 @@ impl ClusterMask {
     pub fn union(self, other: ClusterMask) -> ClusterMask {
         ClusterMask(self.0 | other.0)
     }
+
+    /// The member clusters, ascending.
+    fn clusters(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let c = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            (c < 64).then_some(c)
+        })
+    }
+
+    /// Whether a driver of this scope is *confined* to `held`: it can run
+    /// nowhere else, so whoever holds `held` may run it for as long as they
+    /// hold it. An empty scope is confined to nothing — it conflicts with
+    /// nobody, so no claim needs to own it.
+    fn confined_to(self, held: ClusterMask) -> bool {
+        self != ClusterMask::EMPTY && self.0 & !held.0 == 0
+    }
 }
 
 /// How to execute a driver set.
@@ -114,7 +167,8 @@ pub enum RunMode {
     /// One op at a time in global `(time, workstation)` key order — the
     /// reference schedule.
     Sequential,
-    /// Conservative parallel execution on this many worker threads.
+    /// Conservative parallel execution on up to this many threads, the
+    /// caller's included (never more than there are clusters).
     /// Bit-identical to [`RunMode::Sequential`] by construction.
     Parallel(usize),
 }
@@ -368,101 +422,237 @@ impl WsOps<'_> {
     }
 }
 
-/// One driver's scheduling state.
-enum SlotState {
-    /// Has a next op due at this time.
-    Pending(SimTime),
-    /// Its op with this key is currently running on some worker.
-    Executing(SimTime),
-    /// No more ops.
-    Done,
+/// An op key: `(due time, workstation id)` — unique, because a workstation
+/// runs one op at a time, and monotone per driver.
+type Key = (SimTime, WsId);
+
+/// Lowers `bound` (`None` = unbounded) to `key` if `key` is below it.
+fn lower(bound: &mut Option<Key>, key: Key) {
+    *bound = Some(bound.map_or(key, |b| b.min(key)));
 }
 
+/// What the last [`ItcSystem::run_drivers`] did, for operators and tests.
+/// Observation only: `waits` depends on the host's thread schedule, so
+/// none of this is ever written to a fingerprint, JSONL export or series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExecutorStats {
+    /// Batches claimed (a sequential run is one claim of everything).
+    pub claims: u64,
+    /// Ops executed.
+    pub ops: u64,
+    /// Most ops any one claim drained.
+    pub longest_batch: u64,
+    /// Times a worker found nothing admissible and parked.
+    pub waits: u64,
+}
+
+impl ExecutorStats {
+    /// Folds one finished claim of `ops` ops in.
+    fn fold(&mut self, ops: u64) {
+        self.claims += 1;
+        self.ops += ops;
+        self.longest_batch = self.longest_batch.max(ops);
+    }
+}
+
+/// One driver's scheduling state: pooled with an op pending (`at` and
+/// `driver` both present), held by a worker's batch (`driver` taken), or
+/// finished (`at` is `None`).
 struct DriverSlot {
     ws: WsId,
-    /// Present while the driver sits in the pool; taken by the worker
-    /// executing its op.
-    driver: Option<Box<dyn WsDriver>>,
-    state: SlotState,
-    /// Mask of the pending op (meaningless in other states).
-    mask: ClusterMask,
     /// Static scope of the whole driver.
     scope: ClusterMask,
+    /// Due time of the next op as last published — a lower bound on every
+    /// key the driver can still produce — or `None` once it has no more.
+    at: Option<SimTime>,
+    /// Mask of that op.
+    mask: ClusterMask,
+    driver: Option<Box<dyn WsDriver>>,
 }
 
-/// One cluster's share of the mutable world: the piece an op claims for
-/// each cluster in its mask.
-struct Shard {
-    server: Server,
-    core: ClusterCore,
-    venuses: Vec<Venus>,
+impl DriverSlot {
+    /// Puts `driver` (back) in the pool, publishing its next key and mask.
+    fn park(&mut self, driver: Box<dyn WsDriver>) {
+        (self.at, self.mask) = (driver.next_at(), driver.next_mask());
+        self.driver = Some(driver);
+    }
+
+    /// The op key of a live slot, `None` once done.
+    fn key(&self) -> Option<Key> {
+        self.at.map(|at| (at, self.ws))
+    }
+}
+
+/// One cluster's share of the mutable world — its server, event core and
+/// Venus instances, by reference, so a claim moves three pointers: the
+/// piece a batch claims for each cluster in its mask.
+type Shard<'a> = (&'a mut Server, &'a mut ClusterCore, &'a mut [Venus]);
+
+/// A batch a worker has claimed: the shards of one mask, the drivers that
+/// will run against them, and how far they may run.
+struct Claim<'a> {
+    mask: ClusterMask,
+    /// Indexed by cluster; present exactly for the clusters in `mask`.
+    shards: Vec<Option<Shard<'a>>>,
+    /// The picked driver and every driver confined to `mask`.
+    drivers: Vec<(WsId, Box<dyn WsDriver>)>,
+    /// The pool slot each of `drivers` came from.
+    slots: Vec<usize>,
+    /// The smallest key of any live driver outside the batch whose scope
+    /// intersects `mask` (`None` = no such driver).
+    horizon: Option<Key>,
 }
 
 /// Everything the workers share under one lock: the per-cluster shards
 /// (present while unclaimed) and the scheduling state.
-struct Pool {
-    shards: Vec<Option<Shard>>,
+struct Pool<'a> {
+    shards: Vec<Option<Shard<'a>>>,
     slots: Vec<DriverSlot>,
     executing_union: ClusterMask,
-    ops: u64,
+    stats: ExecutorStats,
     error: Option<SystemError>,
-    /// The payload of a worker's mid-op panic (its shards are gone for
-    /// good); the other workers drain out instead of waiting on the
+    /// The payload of a worker's mid-op panic (its shards never come
+    /// back); the other workers drain out instead of waiting on the
     /// condvar forever, and the caller's thread resumes the panic.
     poisoned: Option<Box<dyn std::any::Any + Send>>,
 }
 
-impl Pool {
-    /// The index of an admissible pending slot, preferring the smallest
-    /// key (so the schedule stays close to the sequential order and the
-    /// minimal-key op is dispatched the moment it qualifies).
+impl<'a> Pool<'a> {
+    /// The index of the admissible pending slot with the smallest key (so
+    /// the minimal-key op is dispatched the moment it qualifies), in one
+    /// pass over the slots per rule.
     fn pick(&self) -> Option<usize> {
-        let mut order: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.driver.is_some() && matches!(s.state, SlotState::Pending(_)))
-            .map(|(i, _)| i)
-            .collect();
-        order.sort_by_key(|&i| self.key(i));
-        'candidates: for &i in &order {
-            let w = &self.slots[i];
-            // Rule 1: disjoint from everything currently executing.
-            if w.mask.intersects(self.executing_union) {
+        // frontier[c]: the smallest key of any live slot whose scope
+        // contains c — what rule 2 compares a candidate's key against.
+        let mut frontier = [None; 64];
+        for s in &self.slots {
+            if let Some(key) = s.key() {
+                for c in s.scope.clusters() {
+                    lower(&mut frontier[c], key);
+                }
+            }
+        }
+        let mut best: Option<(Key, usize)> = None;
+        for (i, w) in self.slots.iter().enumerate() {
+            let (Some(key), Some(_)) = (w.key(), &w.driver) else {
+                continue;
+            };
+            if best.is_some_and(|(b, _)| b <= key)
+                // Rule 1: disjoint from everything currently executing.
+                || w.mask.intersects(self.executing_union)
+                // Rule 2: no earlier-keyed live driver whose scope could
+                // still produce a conflicting op.
+                || w.mask.clusters().any(|c| frontier[c].is_some_and(|f| f < key))
+            {
                 continue;
             }
-            // Rule 2: no earlier-keyed live driver whose scope could still
-            // produce a conflicting op.
-            let key_w = self.key(i);
-            for (j, u) in self.slots.iter().enumerate() {
-                if j == i || matches!(u.state, SlotState::Done) {
-                    continue;
-                }
-                if self.key(j) < key_w && u.scope.intersects(w.mask) {
-                    continue 'candidates;
-                }
-            }
-            return Some(i);
+            best = Some((key, i));
         }
-        None
+        best.map(|(_, i)| i)
     }
 
-    /// The op key of a live slot: `(due time, workstation id)` — unique,
-    /// because a workstation runs one op at a time.
-    fn key(&self, i: usize) -> (SimTime, WsId) {
-        let s = &self.slots[i];
-        let at = match s.state {
-            SlotState::Pending(at) | SlotState::Executing(at) => at,
-            SlotState::Done => unreachable!("done slots are filtered before keying"),
+    /// Claims slot `picked`'s op as a batch (see "Batches and the horizon"
+    /// in the module docs): takes its mask's shards, its driver and every
+    /// pooled driver confined to that mask, and reads the horizon.
+    fn claim(&mut self, picked: usize) -> Claim<'a> {
+        let mask = self.slots[picked].mask;
+        let (mut drivers, mut slots, mut horizon) = (Vec::new(), Vec::new(), None);
+        for (j, s) in self.slots.iter_mut().enumerate() {
+            let Some(key) = s.key() else { continue };
+            let joins = j == picked || s.scope.confined_to(mask);
+            if let Some(d) = s.driver.take_if(|_| joins) {
+                drivers.push((s.ws, d));
+                slots.push(j);
+            } else if s.scope.intersects(mask) {
+                lower(&mut horizon, key);
+            }
+        }
+        self.executing_union = self.executing_union.union(mask);
+        let taken = |(c, s): (usize, &mut Option<Shard<'a>>)| {
+            mask.contains(c)
+                .then(|| s.take().expect("mask disjointness"))
         };
-        (at, s.ws)
+        let shards = self.shards.iter_mut().enumerate().map(taken).collect();
+        Claim {
+            mask,
+            shards,
+            drivers,
+            slots,
+            horizon,
+        }
     }
 
-    fn live(&self) -> bool {
-        self.slots
-            .iter()
-            .any(|s| !matches!(s.state, SlotState::Done))
+    /// Takes a drained batch back: its shards, its drivers' next keys and
+    /// masks, the `ops` it ran and how its last op ended.
+    fn release(&mut self, claim: Claim<'a>, ops: u64, result: Result<(), SystemError>) {
+        for (slot, shard) in self.shards.iter_mut().zip(claim.shards) {
+            if shard.is_some() {
+                *slot = shard;
+            }
+        }
+        self.executing_union = ClusterMask(self.executing_union.0 & !claim.mask.0);
+        for (j, (_, driver)) in claim.slots.into_iter().zip(claim.drivers) {
+            self.slots[j].park(driver);
+        }
+        self.stats.fold(ops);
+        if let Err(e) = result {
+            self.error.get_or_insert(e);
+        }
     }
+
+    /// Whether the run is over: failed, poisoned, or out of ops.
+    fn finished(&self) -> bool {
+        self.error.is_some()
+            || self.poisoned.is_some()
+            || self.slots.iter().all(|s| s.key().is_none())
+    }
+}
+
+/// The one scheduling loop: runs `drivers`' ops against `ops` in `(due,
+/// ws)` key order — the sequential order — and returns how many ran and
+/// how the last one ended.
+///
+/// The sequential reference passes the whole system and no limits, and
+/// gets every op. A parallel worker passes the shards of the mask it
+/// `held` and the `horizon` it read at claim time, and the loop stops at
+/// the first op that is not below the horizon or declares another mask. A
+/// driver not confined to `held` (the picked one may not be) runs one op
+/// and leaves the batch; its next key lowers the horizon for the rest.
+fn drain(
+    ops: &mut WsOps<'_>,
+    drivers: &mut [(WsId, Box<dyn WsDriver>)],
+    held: Option<ClusterMask>,
+    mut horizon: Option<Key>,
+) -> (u64, Result<(), SystemError>) {
+    let mut queue: BinaryHeap<Reverse<(SimTime, WsId, usize)>> = drivers
+        .iter()
+        .enumerate()
+        .filter_map(|(i, (ws, d))| d.next_at().map(|at| Reverse((at, *ws, i))))
+        .collect();
+    let mut done = 0;
+    while let Some(mut top) = queue.peek_mut() {
+        let Reverse((at, ws, i)) = *top;
+        let driver = &mut drivers[i].1;
+        let past = horizon.is_some_and(|h| (at, ws) >= h);
+        if past || held.is_some_and(|m| driver.next_mask() != m) {
+            break;
+        }
+        if let Err(e) = driver.step(ops) {
+            return (done, Err(e));
+        }
+        done += 1;
+        let stays = held.is_none_or(|m| driver.scope().confined_to(m));
+        match driver.next_at() {
+            Some(next) if stays => *top = Reverse((next, ws, i)),
+            next => {
+                if let Some(next) = next {
+                    lower(&mut horizon, (next, ws));
+                }
+                PeekMut::pop(top);
+            }
+        }
+    }
+    (done, Ok(()))
 }
 
 impl ItcSystem {
@@ -475,13 +665,27 @@ impl ItcSystem {
     /// a single shared structure with no per-cluster decomposition).
     pub fn run_drivers(
         &mut self,
-        drivers: Vec<(WsId, Box<dyn WsDriver>)>,
+        mut drivers: Vec<(WsId, Box<dyn WsDriver>)>,
         mode: RunMode,
     ) -> Result<u64, SystemError> {
+        assert!(
+            self.core.clusters.len() <= 64,
+            "ClusterMask supports at most 64 clusters"
+        );
         match mode {
-            RunMode::Sequential => self.run_drivers_sequential(drivers),
-            RunMode::Parallel(threads) => self.run_drivers_parallel(drivers, threads.max(1)),
+            RunMode::Sequential => {
+                let (ops, result) = drain(&mut self.whole(), &mut drivers, None, None);
+                self.executor = ExecutorStats::default();
+                self.executor.fold(ops);
+                result.map(|()| ops)
+            }
+            RunMode::Parallel(threads) => self.run_drivers_parallel(drivers, threads),
         }
+    }
+
+    /// What the last [`ItcSystem::run_drivers`] did.
+    pub fn executor_stats(&self) -> ExecutorStats {
+        self.executor
     }
 
     /// The whole-mask view: every cluster, server and Venus behind one
@@ -523,26 +727,6 @@ impl ItcSystem {
         }
     }
 
-    fn run_drivers_sequential(
-        &mut self,
-        mut drivers: Vec<(WsId, Box<dyn WsDriver>)>,
-    ) -> Result<u64, SystemError> {
-        let mut ws_ops = self.whole();
-        let mut ops = 0u64;
-        // The reference schedule: globally minimal (due, ws) key each turn.
-        while let Some(i) = drivers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (ws, d))| d.next_at().map(|at| (at, *ws, i)))
-            .min()
-            .map(|(_, _, i)| i)
-        {
-            drivers[i].1.step(&mut ws_ops)?;
-            ops += 1;
-        }
-        Ok(ops)
-    }
-
     fn run_drivers_parallel(
         &mut self,
         drivers: Vec<(WsId, Box<dyn WsDriver>)>,
@@ -552,43 +736,41 @@ impl ItcSystem {
             self.monitor.is_none(),
             "parallel runs do not support traffic monitoring"
         );
-        let n_clusters = self.core.clusters.len();
-        assert!(n_clusters <= 64, "ClusterMask supports at most 64 clusters");
         let per = self.config.workstations_per_cluster as usize;
-        let tracing = self.core.clusters[0].trace.is_enabled();
-
-        // Shard the mutable world: each cluster's server, event core, and
-        // Venus instances become one independently claimable piece.
-        let mut clients = std::mem::take(&mut self.clients);
-        let shards = std::mem::take(&mut self.topo.servers)
-            .into_iter()
-            .zip(std::mem::take(&mut self.core.clusters))
+        // Split the whole view: each cluster's server, event core and
+        // Venus instances become one independently claimable shard.
+        let WsOps {
+            transport: whole,
+            venuses: Venuses::Whole(clients),
+            node_to_ws,
+            ws_nodes,
+        } = self.whole()
+        else {
+            unreachable!("the whole view holds whole parts")
+        };
+        let (Parts::Whole(servers), Parts::Whole(cores)) = (whole.servers, whole.cores) else {
+            unreachable!("the whole view holds whole parts")
+        };
+        let mut rest = clients;
+        let shards: Vec<_> = (servers.iter_mut().zip(cores))
             .map(|(server, core)| {
-                let rest = clients.split_off(per.min(clients.len()));
-                let venuses = std::mem::replace(&mut clients, rest);
-                Some(Shard {
-                    server,
-                    core,
-                    venuses,
-                })
+                let mine = per.min(rest.len());
+                let venuses;
+                (venuses, rest) = std::mem::take(&mut rest).split_at_mut(mine);
+                Some((server, core, venuses))
             })
             .collect();
-        debug_assert!(clients.is_empty());
+        // No more than one op per cluster can ever execute at once.
+        let workers = threads.clamp(1, shards.len().max(1));
 
-        let slots: Vec<DriverSlot> = drivers
+        let slots = drivers
             .into_iter()
-            .map(|(ws, d)| {
-                let (state, mask) = match d.next_at() {
-                    Some(at) => (SlotState::Pending(at), d.next_mask()),
-                    None => (SlotState::Done, ClusterMask::EMPTY),
-                };
-                DriverSlot {
-                    ws,
-                    scope: d.scope(),
-                    driver: Some(d),
-                    state,
-                    mask,
-                }
+            .map(|(ws, d)| DriverSlot {
+                ws,
+                scope: d.scope(),
+                at: d.next_at(),
+                mask: d.next_mask(),
+                driver: Some(d),
             })
             .collect();
 
@@ -596,154 +778,230 @@ impl ItcSystem {
             shards,
             slots,
             executing_union: ClusterMask::EMPTY,
-            ops: 0,
+            stats: ExecutorStats::default(),
             error: None,
             poisoned: None,
         });
         let work = Condvar::new();
 
-        // Shared read-only context for the workers.
-        let net = &self.topo.network;
-        let home = &self.topo.home;
-        let server_nodes = &self.topo.server_nodes[..];
-        let node_to_ws = &self.topo.node_to_ws;
-        let ws_nodes = &self.topo.ws_nodes[..];
-        let kernel = &self.kernel;
-        let clock = &*self.clock;
-        let domain = &*self.domain;
-        let retry = self.core.retry;
-        let plan_gen = self.core.plan_gen;
-        let scrub_interval = self.core.scrub_interval;
-        let scrub_gen = self.core.scrub_gen;
+        let worker = || {
+            let mut guard = pool.lock().expect("pool lock");
+            while !guard.finished() {
+                let Some(picked) = guard.pick() else {
+                    guard.stats.waits += 1;
+                    guard = work.wait(guard).expect("pool lock");
+                    continue;
+                };
+                let mut claim = guard.claim(picked);
+                drop(guard);
 
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut guard = pool.lock().expect("pool lock");
-                    loop {
-                        if guard.error.is_some() || guard.poisoned.is_some() || !guard.live() {
-                            work.notify_all();
-                            return;
-                        }
-                        let Some(i) = guard.pick() else {
-                            guard = work.wait(guard).expect("pool lock");
-                            continue;
-                        };
+                // One view over the held shards serves the whole batch.
+                let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let (servers, (cores, clusters)): (Vec<_>, (Vec<_>, Vec<_>)) = claim
+                        .shards
+                        .iter_mut()
+                        .map(|shard| match shard {
+                            Some((s, c, v)) => (Some(&mut **s), (Some(&mut **c), Some(&mut **v))),
+                            None => (None, (None, None)),
+                        })
+                        .unzip();
+                    let mut ws_ops = WsOps {
+                        transport: SystemTransport {
+                            servers: Parts::Split(servers),
+                            cores: Parts::Split(cores),
+                            monitor: None,
+                            ..whole
+                        },
+                        venuses: Venuses::Split { per, clusters },
+                        node_to_ws,
+                        ws_nodes,
+                    };
+                    drain(
+                        &mut ws_ops,
+                        &mut claim.drivers,
+                        Some(claim.mask),
+                        claim.horizon,
+                    )
+                }));
 
-                        // Claim the op: its driver and its mask's shards.
-                        let mask = guard.slots[i].mask;
-                        let at = match guard.slots[i].state {
-                            SlotState::Pending(at) => at,
-                            _ => unreachable!("picked slot is pending"),
-                        };
-                        let mut driver = guard.slots[i].driver.take().expect("picked slot pooled");
-                        guard.slots[i].state = SlotState::Executing(at);
-                        guard.executing_union = guard.executing_union.union(mask);
-                        let mut mine: Vec<Option<Shard>> = guard
-                            .shards
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(c, s)| {
-                                mask.contains(c)
-                                    .then(|| s.take().expect("mask disjointness"))
-                            })
-                            .collect();
-                        drop(guard);
-
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let (servers, (cores, clusters)): (Vec<_>, (Vec<_>, Vec<_>)) = mine
-                                .iter_mut()
-                                .map(|shard| match shard {
-                                    Some(sh) => (
-                                        Some(&mut sh.server),
-                                        (Some(&mut sh.core), Some(&mut sh.venuses[..])),
-                                    ),
-                                    None => (None, (None, None)),
-                                })
-                                .unzip();
-                            let mut ws_ops = WsOps {
-                                transport: SystemTransport {
-                                    servers: Parts::Split(servers),
-                                    cores: Parts::Split(cores),
-                                    net,
-                                    home,
-                                    server_nodes,
-                                    kernel,
-                                    clock,
-                                    monitor: None,
-                                    domain,
-                                    retry,
-                                    plan_gen,
-                                    scrub_interval,
-                                    scrub_gen,
-                                    tracing,
-                                },
-                                venuses: Venuses::Split { per, clusters },
-                                node_to_ws,
-                                ws_nodes,
-                            };
-                            driver.step(&mut ws_ops)
-                        }));
-                        let result = match result {
-                            Ok(r) => r,
-                            Err(payload) => {
-                                // A panicking op (most likely the mask
-                                // tripwire) leaves its shards unusable;
-                                // wake everyone so they drain out, and
-                                // keep the payload for the caller.
-                                let mut guard = pool.lock().expect("pool lock");
-                                guard.poisoned.get_or_insert(payload);
-                                work.notify_all();
-                                return;
-                            }
-                        };
-                        // The driver's next key/mask, computed while the
-                        // worker still owns it exclusively.
-                        let next = driver.next_at().map(|at| (at, driver.next_mask()));
-
-                        guard = pool.lock().expect("pool lock");
-                        for (slot, shard) in guard.shards.iter_mut().zip(mine) {
-                            if shard.is_some() {
-                                *slot = shard;
-                            }
-                        }
-                        guard.executing_union = ClusterMask(guard.executing_union.0 & !mask.0);
-                        guard.slots[i].driver = Some(driver);
-                        match (result, next) {
-                            (Err(e), _) => {
-                                guard.slots[i].state = SlotState::Done;
-                                guard.error.get_or_insert(e);
-                            }
-                            (Ok(()), Some((at, mask))) => {
-                                guard.slots[i].state = SlotState::Pending(at);
-                                guard.slots[i].mask = mask;
-                                guard.ops += 1;
-                            }
-                            (Ok(()), None) => {
-                                guard.slots[i].state = SlotState::Done;
-                                guard.ops += 1;
-                            }
-                        }
-                        work.notify_all();
+                guard = pool.lock().expect("pool lock");
+                match drained {
+                    Ok((ops, result)) => guard.release(claim, ops, result),
+                    // A panicking op (most likely the mask tripwire)
+                    // leaves its shards unusable; keep the payload for the
+                    // caller and let everyone drain out.
+                    Err(payload) => {
+                        guard.poisoned.get_or_insert(payload);
                     }
-                });
+                }
+                work.notify_all();
             }
+            work.notify_all();
+        };
+        // The caller's thread is the first worker.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(worker);
+            }
+            worker();
         });
 
-        let pool = pool.into_inner().expect("workers exited");
-        if let Some(payload) = pool.poisoned {
+        let Pool {
+            stats,
+            error,
+            poisoned,
+            ..
+        } = pool.into_inner().expect("workers exited");
+        if let Some(payload) = poisoned {
             std::panic::resume_unwind(payload);
         }
-        // Reassemble the system from the shards.
-        for shard in pool.shards {
-            let shard = shard.expect("worker returned its shard");
-            self.topo.servers.push(shard.server);
-            self.core.clusters.push(shard.core);
-            self.clients.extend(shard.venuses);
+        self.executor = stats;
+        error.map_or(Ok(stats.ops), Err)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use itc_sim::SimRng;
+
+    #[test]
+    fn mask_stops_at_the_64_cluster_limit() {
+        let mut m = ClusterMask::of(63);
+        m.insert(0);
+        assert!(m.contains(63) && m.contains(0) && !m.contains(1));
+        // Beyond the limit nothing is a member — in particular not the
+        // cluster `c mod 64` an unchecked shift would alias.
+        assert!(!m.contains(64) && !m.contains(127));
+        assert_eq!(m.clusters().collect::<Vec<_>>(), [0, 63]);
+        assert_eq!(ClusterMask::all(70).clusters().count(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-cluster limit")]
+    fn mask_of_a_65th_cluster_panics() {
+        let _ = ClusterMask::of(64);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-cluster limit")]
+    fn inserting_a_65th_cluster_panics() {
+        let mut m = ClusterMask::EMPTY;
+        m.insert(64);
+    }
+
+    #[test]
+    fn confinement_is_a_nonempty_subset() {
+        let held = ClusterMask::of(1).union(ClusterMask::of(2));
+        assert!(ClusterMask::of(2).confined_to(held) && held.confined_to(held));
+        assert!(!ClusterMask::all(3).confined_to(held));
+        assert!(!ClusterMask::EMPTY.confined_to(held));
+    }
+
+    /// A driver for slots that are only ever looked at.
+    struct Idle;
+
+    impl WsDriver for Idle {
+        fn scope(&self) -> ClusterMask {
+            ClusterMask::EMPTY
         }
-        match pool.error {
-            Some(e) => Err(e),
-            None => Ok(pool.ops),
+        fn next_at(&self) -> Option<SimTime> {
+            None
         }
+        fn next_mask(&self) -> ClusterMask {
+            ClusterMask::EMPTY
+        }
+        fn step(&mut self, _: &mut WsOps<'_>) -> Result<(), SystemError> {
+            unreachable!("an idle driver has no op")
+        }
+    }
+
+    /// The admission rule as it was first written — sort the pending slots,
+    /// scan every slot for each candidate: rules 1 and 2 read off the page.
+    fn pick_reference(pool: &Pool) -> Option<usize> {
+        let key = |i: usize| pool.slots[i].key().expect("live slot");
+        let mut order: Vec<usize> = (0..pool.slots.len())
+            .filter(|&i| pool.slots[i].driver.is_some() && pool.slots[i].at.is_some())
+            .collect();
+        order.sort_by_key(|&i| key(i));
+        'candidates: for &i in &order {
+            let w = &pool.slots[i];
+            if w.mask.intersects(pool.executing_union) {
+                continue;
+            }
+            for (j, u) in pool.slots.iter().enumerate() {
+                if j == i || u.at.is_none() {
+                    continue;
+                }
+                if key(j) < key(i) && u.scope.intersects(w.mask) {
+                    continue 'candidates;
+                }
+            }
+            return Some(i);
+        }
+        None
+    }
+
+    #[test]
+    fn one_pass_pick_agrees_with_the_reference_on_random_pools() {
+        let mut rng = SimRng::seeded(0x91c4);
+        let mut admitted = 0;
+        for round in 0..12_000 {
+            let clusters = rng.range(1, 7) as usize;
+            let some = |rng: &mut SimRng| match rng.range(0, 4) {
+                0 => ClusterMask::EMPTY,
+                1 => ClusterMask::all(clusters),
+                _ => {
+                    let mut m = ClusterMask::of(rng.range(0, clusters as u64) as usize);
+                    if rng.chance(0.3) {
+                        m.insert(rng.range(0, clusters as u64) as usize);
+                    }
+                    m
+                }
+            };
+            let mut executing_union = ClusterMask::EMPTY;
+            let slots = (0..rng.range(0, 24) as usize)
+                .map(|ws| {
+                    // Few distinct times, so workstation ids break ties.
+                    let at = SimTime::from_micros(rng.range(0, 6));
+                    let scope = some(&mut rng);
+                    // Mostly honest masks (⊆ scope), some not: `pick` must
+                    // not depend on the promise.
+                    let mut mask = some(&mut rng);
+                    if rng.chance(0.8) {
+                        mask = ClusterMask(mask.0 & scope.0);
+                    }
+                    // Done, held by a batch, or pooled with an op pending.
+                    let (at, driver) = match rng.range(0, 5) {
+                        0 => (None, Some(Box::new(Idle) as Box<dyn WsDriver>)),
+                        1 if !mask.intersects(executing_union) => {
+                            executing_union = executing_union.union(mask);
+                            (Some(at), None)
+                        }
+                        _ => (Some(at), Some(Box::new(Idle) as Box<dyn WsDriver>)),
+                    };
+                    DriverSlot {
+                        ws,
+                        scope,
+                        at,
+                        mask,
+                        driver,
+                    }
+                })
+                .collect();
+            let pool = Pool {
+                shards: Vec::new(),
+                slots,
+                executing_union,
+                stats: ExecutorStats::default(),
+                error: None,
+                poisoned: None,
+            };
+            let picked = pool.pick();
+            assert_eq!(picked, pick_reference(&pool), "round {round}");
+            admitted += u32::from(picked.is_some());
+        }
+        // The pools exercise both outcomes, not one of them 12 000 times.
+        assert!((3_000..11_000).contains(&admitted), "{admitted} admitted");
     }
 }

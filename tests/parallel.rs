@@ -8,9 +8,9 @@
 use itc_afs::core::config::SystemConfig;
 use itc_afs::core::protect::{AccessList, Rights};
 use itc_afs::core::proto::ServerId;
-use itc_afs::core::system::parallel::{ClusterMask, RunMode, WsDriver};
-use itc_afs::core::system::ItcSystem;
-use itc_afs::sim::{FaultPlan, SimTime};
+use itc_afs::core::system::parallel::{ClusterMask, ExecutorStats, RunMode, WsDriver};
+use itc_afs::core::system::{ItcSystem, SystemError};
+use itc_afs::sim::{FaultPlan, SimRng, SimTime};
 use itc_afs::workload::scenario::{login_storm, OpCounts};
 use itc_afs::workload::{run_day_drivers, DayConfig, LoginStormConfig, ScriptDriver};
 use std::fmt::Write as _;
@@ -341,4 +341,212 @@ fn op_outside_its_mask_trips_and_the_parallel_run_terminates() {
         Ok(Ok(counts)) => panic!("under-declared op ran to completion: {counts:?}"),
         Err(_) => panic!("poisoned pool hung instead of draining"),
     }
+}
+
+// ---------------------------------------------------------------------
+// Batches and the horizon
+// ---------------------------------------------------------------------
+
+/// Runs `f` on a watched thread: a scheduler that hangs fails the test
+/// after a minute instead of wedging the suite.
+fn watched<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the run neither finished nor failed within 60 s")
+}
+
+/// 3 clusters × 3 workstations of scripts whose every op draws its mask
+/// from {home, home ∪ one other, all}, seeded. A home op stores into the
+/// workstation's own directory; the wider ones fetch another cluster's
+/// read-only shared file (inside a two-cluster mask, or under a full one).
+/// So batches start, read finite horizons, end on a mask change, and wide
+/// drivers get picked for single ops beside other drivers' batches.
+fn mask_mix(seed: u64, mode: RunMode) -> ((u64, String), ExecutorStats) {
+    const CLUSTERS: usize = 3;
+    const PER: usize = 3;
+    let cfg = SystemConfig {
+        seed,
+        ..SystemConfig::revised(CLUSTERS as u32, PER as u32)
+    };
+    let mut sys = ItcSystem::build(cfg);
+    let mut acl = AccessList::new();
+    acl.grant("anyuser", Rights::ALL.minus(Rights::ADMINISTER));
+    for c in 0..CLUSTERS {
+        sys.create_volume(
+            &format!("mix.c{c}"),
+            &format!("/vice/mix{c}"),
+            ServerId(c as u32),
+            acl.clone(),
+        )
+        .expect("volume");
+        sys.admin_install_file(&format!("/vice/mix{c}/shared"), vec![0x33; 3_000])
+            .expect("install");
+        for w in 0..PER {
+            sys.admin_mkdir_p(&format!("/vice/mix{c}/p{}", c * PER + w))
+                .expect("mkdir");
+        }
+    }
+    let n = CLUSTERS * PER;
+    for ws in 0..n {
+        let user = format!("z{ws}");
+        sys.add_user(&user, "pw").expect("user");
+        sys.login(ws, &user, "pw").expect("login");
+    }
+
+    let mut rng = SimRng::seeded(seed);
+    let all = ClusterMask::all(CLUSTERS);
+    let counts = Arc::new(Mutex::new(OpCounts::default()));
+    let drivers = (0..n)
+        .map(|ws| {
+            let home = ws / PER;
+            let mut d = ScriptDriver::new(ws, sys.ws_time(ws), Arc::clone(&counts));
+            // How wide this driver's ops get: home only (a scope of one
+            // cluster, confined to its home's batches), up to home ∪ buddy,
+            // or up to everything.
+            let width = rng.range(0, 3);
+            let buddy = (home + 1 + rng.range(0, 2) as usize) % CLUSTERS;
+            for r in 0..rng.range(6, 14) {
+                let far = format!("/vice/mix{buddy}/shared");
+                match rng.range(0, width + 1) {
+                    0 => {
+                        let own = format!("/vice/mix{home}/p{ws}/w{r}");
+                        d.push(ClusterMask::of(home), move |ops| {
+                            ops.store(ws, &own, vec![ws as u8; 1_500])
+                        })
+                    }
+                    1 => d.push(
+                        ClusterMask::of(home).union(ClusterMask::of(buddy)),
+                        move |ops| ops.fetch(ws, &far).map(|_| ()),
+                    ),
+                    _ => d.push(all, move |ops| ops.fetch(ws, &far).map(|_| ())),
+                }
+            }
+            (ws, Box::new(d) as Box<dyn WsDriver>)
+        })
+        .collect();
+    let ops = sys.run_drivers(drivers, mode).expect("mix runs");
+    assert_eq!(counts.lock().unwrap().failed, 0);
+    assert_eq!(sys.executor_stats().ops, ops);
+    ((ops, fingerprint(&sys)), sys.executor_stats())
+}
+
+#[test]
+fn seeded_mask_mixes_are_bit_identical_at_every_width() {
+    watched(|| {
+        let (mut claims, mut ops, mut longest) = (0, 0, 0);
+        for seed in 0..20u64 {
+            let (seq, _) = mask_mix(seed, RunMode::Sequential);
+            assert!(seq.0 >= 54, "seed {seed}: {} ops", seq.0);
+            for threads in 1..=4 {
+                let (par, stats) = mask_mix(seed, RunMode::Parallel(threads));
+                assert_eq!(seq, par, "seed {seed} at {threads} threads");
+                claims += stats.claims;
+                ops += stats.ops;
+                longest = longest.max(stats.longest_batch);
+            }
+        }
+        // The mixes really do batch, and really do break batches up: some
+        // claim drained many ops, yet most ops needed a claim of their own.
+        assert!(longest >= 8 && claims < ops && claims > ops / 2);
+    });
+}
+
+#[test]
+fn non_replicated_day_with_two_cluster_scopes_is_bit_identical() {
+    // Without replicated binaries every driver outside cluster 0 has scope
+    // {home, 0}: confined to neither of its masks, so its ops are one-op
+    // claims that end cluster 0's batches at finite horizons.
+    let day = DayConfig {
+        duration: SimTime::from_mins(5),
+        replicate_binaries: false,
+        ..DayConfig::short()
+    };
+    watched(move || {
+        let seq = day_fingerprint(SystemConfig::prototype(4, 3), &day, RunMode::Sequential);
+        for threads in [2, 4] {
+            let par = day_fingerprint(
+                SystemConfig::prototype(4, 3),
+                &day,
+                RunMode::Parallel(threads),
+            );
+            assert_eq!(seq, par, "divergence at {threads} threads");
+        }
+    });
+}
+
+#[test]
+fn a_structural_error_mid_batch_fails_the_run() {
+    // Four scripts confined to cluster 0 form one batch; the third op of
+    // one of them fails with an error `OpCounts` does not absorb. The run
+    // must hand that error back — not hang, and not report success.
+    for mode in [RunMode::Sequential, RunMode::Parallel(2)] {
+        let outcome = watched(move || {
+            let mut sys = ItcSystem::build(SystemConfig::prototype(2, 4));
+            let counts = Arc::new(Mutex::new(OpCounts::default()));
+            let drivers = (0..4)
+                .map(|ws| {
+                    let mut d = ScriptDriver::new(ws, sys.ws_time(ws), Arc::clone(&counts));
+                    for r in 0..5u64 {
+                        d.push(ClusterMask::of(0), move |ops| {
+                            if (ws, r) == (2, 2) {
+                                return Err(SystemError::Volume("injected".into()));
+                            }
+                            ops.advance_ws(ws, SimTime::from_millis(10 * (r + 1) + ws as u64));
+                            Ok(())
+                        });
+                    }
+                    (ws, Box::new(d) as Box<dyn WsDriver>)
+                })
+                .collect();
+            sys.run_drivers(drivers, mode)
+        });
+        match outcome {
+            Err(SystemError::Volume(m)) => assert_eq!(m, "injected", "{mode:?}"),
+            other => panic!("{mode:?}: expected the injected error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_cluster_is_claimed_once_and_a_serialized_day_is_one_claim() {
+    let day = DayConfig {
+        duration: SimTime::from_mins(5),
+        replicate_binaries: true,
+        ..DayConfig::short()
+    };
+    for threads in [1, 2, 4] {
+        // Every scope is one cluster: each is claimed once and drained.
+        let mut sys = ItcSystem::build(SystemConfig::prototype(4, 2));
+        let report = run_day_drivers(&mut sys, &day, RunMode::Parallel(threads)).expect("day");
+        let stats = sys.executor_stats();
+        assert_eq!(
+            (stats.claims, stats.ops),
+            (4, report.ops),
+            "{threads} threads"
+        );
+        assert!(stats.longest_batch >= report.ops / 4);
+
+        // A crash plan widens every mask to every cluster: one worker
+        // claims the lot and runs the reference schedule.
+        let mut sys = ItcSystem::build(SystemConfig::prototype(4, 2));
+        let mut plan = FaultPlan::new(3);
+        plan.schedule_crash(1, SimTime::from_mins(2));
+        plan.schedule_restart(1, SimTime::from_mins(3));
+        sys.install_faults(plan);
+        let report = run_day_drivers(&mut sys, &day, RunMode::Parallel(threads)).expect("day");
+        let stats = sys.executor_stats();
+        assert_eq!(
+            (stats.claims, stats.longest_batch),
+            (1, report.ops),
+            "{threads} threads"
+        );
+    }
+    // The sequential reference is one claim of everything, by definition.
+    let mut sys = ItcSystem::build(SystemConfig::prototype(4, 2));
+    let report = run_day_drivers(&mut sys, &day, RunMode::Sequential).expect("day");
+    let stats = sys.executor_stats();
+    assert_eq!((stats.claims, stats.ops, stats.waits), (1, report.ops, 0));
 }
