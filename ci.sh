@@ -15,11 +15,12 @@ if grep -rnF -e '{{\"' -e 'span_field_' crates/*/src | grep -v '^crates/sim/src/
 fi
 
 # Each rule of the Vice call path is written once (DESIGN.md §8): the
-# server's arms go through `authorize` and `?`, the transport observes
-# through observe.rs, Venus derives replica preference from the request.
+# server's arms go through `authorize` and `?`, the transport and the
+# lifecycle events observe through observe.rs, Venus derives replica
+# preference from the request.
 echo "== one Vice call path (no hand-copied gate, tracing branch or replica flag) =="
 if grep -n 'return ViceReply::Error' crates/core/src/server/mod.rs \
-    || grep -n 'self\.tracing' crates/core/src/system/transport.rs \
+    || grep -n 'self\.tracing' crates/core/src/system/transport.rs crates/core/src/system/lifecycle.rs \
     || grep -n 'prefer_replica' crates/core/src/venus/mod.rs; then
     echo "ci.sh: a copy of a call-path rule grew back (see the lines above)" >&2
     exit 1
@@ -49,12 +50,12 @@ if find crates/*/src -name '*.rs' ! -name tests.rs ! -path crates/unixfs/src/pay
     echo "ci.sh: payload_digest( over bytes a Payload holds — ask it: Payload::digest (see the lines above)" >&2
     exit 1
 fi
-# The cipher has one loop (DESIGN.md §9): the mode, the channel and the KDF
-# go through the two-lane kernel and work in place. No per-block byte
-# interface, and no copy but the borrowed openers' one `sealed.to_vec()`.
+# The cipher has one loop (DESIGN.md §9): everything in the crate goes
+# through the two-lane kernel and works in place. No per-block interface,
+# and no copy but the borrowed openers' one `sealed.to_vec()`.
 echo "== one cipher kernel (no serial block loop or extra copy in cryptbox) =="
-for f in crates/cryptbox/src/mode.rs crates/cryptbox/src/channel.rs crates/cryptbox/src/kdf.rs; do
-    if nontest "$f" | grep -E 'encrypt_bytes8\(|decrypt_bytes8\(' \
+for f in crates/cryptbox/src/*.rs; do
+    if nontest "$f" | grep -E '(en|de)crypt_(bytes8|block)\(' \
         || nontest "$f" | grep -F 'to_vec()' | awk 'NR > 1 || !/sealed\.to_vec\(\)/' | grep .; then
         echo "ci.sh: a serial cipher path or a message copy grew back (see the lines above)" >&2
         exit 1
@@ -72,6 +73,17 @@ if [ "$(nontest "$sched" | grep -cF '.step(')" -ne 1 ]; then
 fi
 if nontest "$sched" | awk '/fn pick\(/{p=1} p&&/:    }$/{exit} p' | grep -E 'sort_by_key|\.collect\(\)'; then
     echo "ci.sh: Pool::pick sorts or allocates again (see the lines above)" >&2
+    exit 1
+fi
+# A path is walked once, borrowed (DESIGN.md §9 "Path resolution"): the
+# resolver keeps a cursor into the path it was handed, not a work-list of
+# owned components; `acl_for` resolves, it does not stat and then resolve;
+# and the break message nothing sends stays deleted.
+echo "== one path walker (no owned work-list, second walk or dead break codec) =="
+if nontest crates/unixfs/src/fs.rs | grep -E 'Vec<String>|dirname_basename\(' \
+    || grep -n 'protecting_dir' crates/core/src/volume/mod.rs \
+    || grep -rnE 'encode_break|CallbackBreak' crates/core/src; then
+    echo "ci.sh: a second path walk or the dead break codec grew back (see the lines above)" >&2
     exit 1
 fi
 # The trajectory: lines before the first #[cfg(test)] of every crates/*/src

@@ -22,9 +22,7 @@
 //! the transport is bit-identical to the inline-payload design.
 
 use super::payload::Payload;
-use super::types::{
-    CallbackBreak, EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest,
-};
+use super::types::{EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest};
 use crate::protect::AccessList;
 use itc_rpc::{WireError, WireReader, WireWriter};
 
@@ -417,25 +415,6 @@ pub fn decode_reply(head: &[u8], payload: Option<Payload>) -> Result<ViceReply, 
     Ok(reply)
 }
 
-/// Encodes a callback break (one-way server → workstation message).
-pub fn encode_break(b: &CallbackBreak) -> Vec<u8> {
-    WireWriter::new()
-        .string(&b.path)
-        .u64(b.new_version)
-        .finish()
-}
-
-/// Decodes a callback break.
-pub fn decode_break(bytes: &[u8]) -> Result<CallbackBreak, WireError> {
-    let mut r = WireReader::new(bytes);
-    let b = CallbackBreak {
-        path: r.string()?,
-        new_version: r.u64()?,
-    };
-    r.done()?;
-    Ok(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,15 +666,6 @@ mod tests {
             decode_reply(&rmsg.head, Some(vec![7; 49].into())),
             Err(WireError::BadPayload)
         );
-    }
-
-    #[test]
-    fn break_round_trips() {
-        let b = CallbackBreak {
-            path: "/vice/usr/x/f".into(),
-            new_version: 12,
-        };
-        assert_eq!(decode_break(&encode_break(&b)).unwrap(), b);
     }
 
     #[test]

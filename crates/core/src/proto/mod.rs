@@ -16,13 +16,9 @@
 mod codec;
 mod types;
 
-pub use codec::{
-    decode_break, decode_reply, decode_request, encode_break, encode_reply, encode_request, WireMsg,
-};
+pub use codec::{decode_reply, decode_request, encode_reply, encode_request, WireMsg};
 /// File contents as one shared buffer; defined beside the inode that
 /// stores it and re-exported here for the protocol's users.
 pub use itc_unixfs::payload;
 pub use payload::Payload;
-pub use types::{
-    CallbackBreak, EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest, VolumeId,
-};
+pub use types::{EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest, VolumeId};

@@ -403,14 +403,3 @@ pub enum ViceReply {
     /// Failure.
     Error(ViceError),
 }
-
-/// A server-initiated callback break (revised design, Section 3.2): "the
-/// server notifies workstations when their caches become invalid." This is
-/// a one-way message, not a reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallbackBreak {
-    /// The Vice path whose cached copies are now stale.
-    pub path: String,
-    /// Version that caused the break (the new version).
-    pub new_version: u64,
-}

@@ -963,8 +963,7 @@ impl Server {
                         // can reach Venus. A mismatch means silent rot got
                         // past every earlier verifier — serve nothing,
                         // take the volume offline, surface the fault.
-                        let key =
-                            itc_unixfs::normalize(&internal).unwrap_or_else(|_| internal.clone());
+                        let key = crate::volume::leaf_key(&internal);
                         let leaf = self.volumes[vol_idx].merkle().leaf(&key);
                         if leaf.is_some_and(|expected| data.digest() != expected) {
                             let vid = self.volumes[vol_idx].id();

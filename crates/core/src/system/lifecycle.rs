@@ -10,7 +10,7 @@
 use super::transport::{EventCore, NetEvent, PendingBreak, SystemTransport};
 use crate::disk::{CorruptionOutcome, FlipRegion, ScrubFinding};
 use crate::proto::VolumeId;
-use itc_sim::{AnomalyReason, EventClass, FaultPlan, SimTime, SpanClass, TraceId};
+use itc_sim::{EventClass, FaultPlan, SimTime, SpanClass};
 
 impl EventCore {
     /// Installs a fault plan: the plan is split into per-cluster shards
@@ -94,7 +94,6 @@ impl SystemTransport<'_> {
                 self.life_span(cluster, SpanClass::Crash, at, Some(server), None, None);
             }
             NetEvent::Restart { server, gen } if gen == self.plan_gen => {
-                let costs = self.kernel.costs();
                 let srv = self.servers.get_mut(server as usize);
                 srv.restart();
                 // Volumes stay offline until a salvager pass replays the
@@ -102,25 +101,20 @@ impl SystemTransport<'_> {
                 // event charged on the server's disk, so traffic arriving
                 // mid-salvage sees `VolumeOffline`.
                 let epoch = srv.epoch();
-                let tracing = self.tracing;
                 for volume in srv.salvage_pending().to_vec() {
+                    let srv = self.servers.get_mut(server as usize);
                     let (records, bytes) = srv.salvage_work(volume);
-                    let pass = costs.salvage_time(bytes, records);
+                    let pass = self.kernel.costs().salvage_time(bytes, records);
                     let done = srv.disk().acquire(at, pass);
-                    let cl = self.cores.get_mut(cluster);
-                    if tracing {
-                        // Salvage passes charge the disk outside any call;
-                        // the attribution ledger keeps them separate so
-                        // disk busy time decomposes fully.
-                        cl.attr.add_salvage_disk(pass);
-                    }
+                    self.salvage_scheduled(cluster, pass);
                     let ev = NetEvent::Salvage {
                         server,
                         volume,
                         gen,
                         epoch,
                     };
-                    cl.sched.schedule_class(done, EventClass::Salvage, ev);
+                    let sched = &mut self.cores.get_mut(cluster).sched;
+                    sched.schedule_class(done, EventClass::Salvage, ev);
                 }
                 self.life_span(cluster, SpanClass::Restart, at, Some(server), None, None);
             }
@@ -146,12 +140,7 @@ impl SystemTransport<'_> {
                         matches!(r, FlipRegion::Journal { .. })
                     });
                 }
-                let vol = Some(volume.0);
-                self.life_span(cluster, SpanClass::Salvage, at, Some(server), None, vol);
-                if self.tracing && rejected > 0 {
-                    let obs = &mut self.cores.get_mut(cluster).obs;
-                    obs.on_integrity(server, vol, at, 0, rejected);
-                }
+                self.salvage_done(cluster, at, server, volume, rejected);
             }
             NetEvent::BreakDeliver { to_ws, paths } => {
                 let client = Some(to_ws.0);
@@ -209,33 +198,11 @@ impl SystemTransport<'_> {
         let Some(scan) = srv.scrub_scan(vid) else {
             return;
         };
-        if self.tracing {
-            // Perfectly preemptible background work: the pass's disk time
-            // is charged to its own attribution ledger kind only — never
-            // to the disk resource or the clock — so foreground virtual
-            // timings are untouched.
-            let pass = self.kernel.costs().disk_transfer(scan.bytes);
-            self.cores.get_mut(cluster).attr.add_scrub_disk(pass);
-        }
         for finding in &scan.findings {
             self.repair_or_offline(at, server, vid, finding);
         }
         self.drain_integrity_anomalies(cluster, at, server);
-        if self.tracing {
-            // Scrub-progress gauges: the pass's cumulative counters,
-            // sampled at the pass boundary.
-            let st = self.servers.get(server as usize).scrub_stats();
-            let obs = &mut self.cores.get_mut(cluster).obs;
-            obs.on_scrub(server, at, st.files_scanned, st.bytes_scanned);
-        }
-        self.life_span(
-            cluster,
-            SpanClass::Scrub,
-            at,
-            Some(server),
-            None,
-            Some(vid.0),
-        );
+        self.scrub_done(cluster, at, server, vid, scan.bytes);
     }
 
     /// Resolves one scrub finding on volume `vid`: if a healthy read-only
@@ -297,32 +264,12 @@ impl SystemTransport<'_> {
     }
 
     /// Drains integrity events queued on `server` (volumes taken offline by
-    /// scrub or fetch-time digest checks) and freezes an anomaly dump for
-    /// each while tracing.
+    /// scrub or fetch-time digest checks) and reports them for observation.
     pub(crate) fn drain_integrity_anomalies(&mut self, cluster: usize, at: SimTime, server: u32) {
         let events = self
             .servers
             .get_mut(server as usize)
             .drain_integrity_events();
-        if !self.tracing {
-            return;
-        }
-        let cl = self.cores.get_mut(cluster);
-        for (vid, _path) in &events {
-            let vol = Some(vid.0);
-            cl.trace.freeze(
-                AnomalyReason::IntegrityFault,
-                at,
-                Some(server),
-                vol,
-                TraceId::NONE,
-            );
-        }
-        // Integrity burn: each drained event is a volume the verifiers
-        // took offline — losses the health engine must surface.
-        if let Some((vid, _)) = events.first() {
-            cl.obs
-                .on_integrity(server, Some(vid.0), at, events.len() as u64, 0);
-        }
+        self.integrity_offlined(cluster, at, server, &events);
     }
 }

@@ -1,6 +1,7 @@
-//! Observation of the call path: every span, gauge, attribution record and
-//! flight-recorder freeze the transport emits, one function per protocol
-//! event, plus the cross-cluster merges of what they collected.
+//! Observation of the call path and of the lifecycle events beside it:
+//! every span, gauge, attribution record and flight-recorder freeze the
+//! transport emits, one function per protocol or lifecycle event, plus the
+//! cross-cluster merges of what they collected.
 //!
 //! Nothing here draws rng, schedules an event, charges a resource or moves
 //! a clock — latency components are read from the same arithmetic that
@@ -9,7 +10,7 @@
 
 use super::transport::{CallInFlight, EventCore, SystemTransport};
 use crate::obs::ObsSummary;
-use crate::proto::{ServerId, ViceError, ViceReply};
+use crate::proto::{ServerId, ViceError, ViceReply, VolumeId};
 use crate::trace::{AttributionAgg, CallBreakdown};
 use itc_rpc::{CallSpec, NodeId};
 use itc_sim::resource::BUCKET_WIDTH;
@@ -87,6 +88,88 @@ impl SystemTransport<'_> {
             volume,
             ..Span::default()
         });
+    }
+
+    /// A salvager pass of `pass` disk time was scheduled. Salvage charges
+    /// the disk outside any call; the attribution ledger keeps it separate
+    /// so disk busy time decomposes fully.
+    pub(crate) fn salvage_scheduled(&mut self, cluster: usize, pass: SimTime) {
+        if self.tracing {
+            self.cores.get_mut(cluster).attr.add_salvage_disk(pass);
+        }
+    }
+
+    /// A salvager pass over `volume` finished; `rejected` journal records
+    /// failed trailer verification (an integrity sample when non-zero).
+    pub(crate) fn salvage_done(
+        &mut self,
+        cluster: usize,
+        at: SimTime,
+        server: u32,
+        volume: VolumeId,
+        rejected: u64,
+    ) {
+        let vol = Some(volume.0);
+        self.life_span(cluster, SpanClass::Salvage, at, Some(server), None, vol);
+        if self.tracing && rejected > 0 {
+            let obs = &mut self.cores.get_mut(cluster).obs;
+            obs.on_integrity(server, vol, at, 0, rejected);
+        }
+    }
+
+    /// A scrub pass over `volume` read `scanned` bytes. Perfectly
+    /// preemptible background work: its disk time goes to its own
+    /// attribution ledger kind only — never to the disk resource or the
+    /// clock — so foreground virtual timings are untouched. The progress
+    /// gauges sample the server's cumulative counters at the pass boundary.
+    pub(crate) fn scrub_done(
+        &mut self,
+        cluster: usize,
+        at: SimTime,
+        server: u32,
+        volume: VolumeId,
+        scanned: u64,
+    ) {
+        if self.tracing {
+            let pass = self.kernel.costs().disk_transfer(scanned);
+            let st = self.servers.get(server as usize).scrub_stats();
+            let cl = self.cores.get_mut(cluster);
+            cl.attr.add_scrub_disk(pass);
+            cl.obs
+                .on_scrub(server, at, st.files_scanned, st.bytes_scanned);
+        }
+        let vol = Some(volume.0);
+        self.life_span(cluster, SpanClass::Scrub, at, Some(server), None, vol);
+    }
+
+    /// The verifiers (scrub or a fetch-time digest check) took the volumes
+    /// of `events` offline: one anomaly dump each, and one integrity-burn
+    /// sample — losses the health engine must surface.
+    pub(crate) fn integrity_offlined(
+        &mut self,
+        cluster: usize,
+        at: SimTime,
+        server: u32,
+        events: &[(VolumeId, String)],
+    ) {
+        if !self.tracing {
+            return;
+        }
+        let cl = self.cores.get_mut(cluster);
+        for (vid, _path) in events {
+            let vol = Some(vid.0);
+            cl.trace.freeze(
+                AnomalyReason::IntegrityFault,
+                at,
+                Some(server),
+                vol,
+                TraceId::NONE,
+            );
+        }
+        if let Some((vid, _)) = events.first() {
+            cl.obs
+                .on_integrity(server, Some(vid.0), at, events.len() as u64, 0);
+        }
     }
 
     /// The volume covering `path` on server `sid`, resolved for span and

@@ -19,6 +19,7 @@ use crate::disk::{ScrubFinding, VolumeMerkle};
 use crate::protect::AccessList;
 use crate::proto::payload::Payload;
 use itc_unixfs::{FileSystem, FsError, Ino, Mode};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 pub use crate::proto::VolumeId;
@@ -250,8 +251,7 @@ impl Volume {
         self.check_quota(new_total)?;
         let digest = data.digest();
         let ino = self.fs.write(internal, uid, now, data)?;
-        let key = itc_unixfs::normalize(internal).unwrap_or_else(|_| internal.to_string());
-        self.merkle.set(&key, digest);
+        self.merkle.set(&leaf_key(internal), digest);
         Ok(ino)
     }
 
@@ -264,27 +264,28 @@ impl Volume {
     /// the same protection status", Section 3.4).
     pub fn acl_for(&self, internal: &str) -> Result<&AccessList, VolumeError> {
         self.readable()?;
-        let dir_path = self.protecting_dir(internal)?;
-        let ino = self.fs.resolve(&dir_path, true)?.ino;
+        let is_dir =
+            |ino| self.fs.attr_of(ino).map(|a| a.ftype) == Some(itc_unixfs::FileType::Directory);
+        let ino = match self.fs.resolve(internal, true) {
+            Ok(r) if is_dir(r.ino) => r.ino,
+            // A file, a dangling link, or a creation target that does not
+            // exist yet: protected by the directory that names it.
+            _ => {
+                let parent = match internal.trim_end_matches('/').rsplit_once('/') {
+                    Some((dir, _)) if internal.starts_with('/') && !dir.is_empty() => dir,
+                    _ => "/",
+                };
+                let r = self.fs.resolve(parent, true)?;
+                if !is_dir(r.ino) {
+                    return Err(FsError::NotADirectory(parent.to_string()).into());
+                }
+                r.ino
+            }
+        };
         Ok(self
             .acls
             .get(&ino.0)
             .expect("every directory has an ACL (inherited at creation)"))
-    }
-
-    /// Resolves the directory whose ACL protects `internal`.
-    fn protecting_dir(&self, internal: &str) -> Result<String, VolumeError> {
-        match self.fs.stat(internal) {
-            Ok(st) if st.ftype == itc_unixfs::FileType::Directory => Ok(internal.to_string()),
-            Ok(_) => Ok(itc_unixfs::dirname_basename(internal)
-                .map(|(d, _)| d)
-                .unwrap_or_else(|_| "/".to_string())),
-            // For creation targets the file does not exist yet: protect by
-            // the parent directory.
-            Err(_) => Ok(itc_unixfs::dirname_basename(internal)
-                .map(|(d, _)| d)
-                .unwrap_or_else(|_| "/".to_string())),
-        }
     }
 
     /// Replaces a directory's access list.
@@ -374,15 +375,13 @@ impl Volume {
     /// path after a successful unlink; paths that never had a leaf
     /// (symlinks, directories) are a no-op.
     pub fn merkle_remove(&mut self, internal: &str) {
-        let key = itc_unixfs::normalize(internal).unwrap_or_else(|_| internal.to_string());
-        self.merkle.remove(&key);
+        self.merkle.remove(&leaf_key(internal));
     }
 
     /// Re-keys leaves after a successful rename (single file or whole
     /// directory subtree).
     pub fn merkle_rename(&mut self, from: &str, to: &str) {
-        let from = itc_unixfs::normalize(from).unwrap_or_else(|_| from.to_string());
-        let to = itc_unixfs::normalize(to).unwrap_or_else(|_| to.to_string());
+        let (from, to) = (leaf_key(from), leaf_key(to));
         // Renaming a path onto itself is a filesystem no-op; removing the
         // destination leaf first would lose it.
         if from == to {
@@ -599,6 +598,12 @@ impl Volume {
     }
 }
 
+/// The Merkle leaf key of an internal path: its normal form, borrowed when
+/// it already is one (a path that has none keys as itself).
+pub(crate) fn leaf_key(internal: &str) -> Cow<'_, str> {
+    itc_unixfs::normalize(internal).unwrap_or(Cow::Borrowed(internal))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,6 +676,51 @@ mod tests {
             v.acl_for("/doc/a.tex").unwrap().effective_rights(["satya"]),
             Rights::READ_ONLY
         );
+    }
+
+    #[test]
+    fn acl_for_is_the_naming_directorys_list() {
+        let mut v = vol();
+        v.mkdir_inherit("/doc", 1, 5).unwrap();
+        let mut doc_acl = AccessList::new();
+        doc_acl.grant("howard", Rights::ALL);
+        v.set_acl("/doc", doc_acl).unwrap();
+        v.store("/doc/a.tex", 1, 6, b"x".to_vec()).unwrap();
+        let fs = v.fs_mut().unwrap();
+        fs.symlink("/doc/dangling", "nowhere", 1, 7).unwrap();
+        fs.symlink("/to-doc", "doc", 1, 7).unwrap();
+        fs.symlink("/to-file", "/doc/a.tex", 1, 7).unwrap();
+        let howard = |v: &Volume, p: &str| v.acl_for(p).unwrap().effective_rights(["howard"]);
+        // Directories (directly, through a link, however spelt) answer
+        // with their own list.
+        for dir in ["/doc", "/doc/", "//doc", "/to-doc", "/doc/../doc"] {
+            assert_eq!(howard(&v, dir), Rights::ALL, "{dir}");
+        }
+        // Files, dangling links and creation targets: the directory that
+        // names them — lexically, so a link to a file is protected where
+        // the link lives, not where the file does.
+        for inside in [
+            "/doc/a.tex",
+            "/doc/a.tex/",
+            "/doc/dangling",
+            "/doc/new",
+            "/to-doc/new",
+        ] {
+            assert_eq!(howard(&v, inside), Rights::ALL, "{inside}");
+        }
+        for at_root in ["/", "/new", "/to-file", "relative"] {
+            assert_eq!(howard(&v, at_root), Rights::NONE, "{at_root}");
+        }
+        assert!(matches!(
+            v.acl_for("/ghost/new"),
+            Err(VolumeError::Fs(FsError::NotFound(p))) if p == "/ghost"
+        ));
+        // A name "inside" a file has no naming directory (this used to
+        // trip the every-directory-has-a-list expectation and panic Vice).
+        assert!(matches!(
+            v.acl_for("/doc/a.tex/new"),
+            Err(VolumeError::Fs(FsError::NotADirectory(p))) if p == "/doc/a.tex"
+        ));
     }
 
     #[test]

@@ -141,52 +141,31 @@ pub(crate) fn encrypt1(k: &Schedule, block: u64) -> u64 {
     encrypt2(k, block, k, 0).0
 }
 
-fn decrypt1(k: &Schedule, block: u64) -> u64 {
-    encrypt_decrypt(k, 0, k, block).1
-}
-
-/// Encrypts one 64-bit block in place.
-pub fn encrypt_block(key: Key, block: &mut [u32; 2]) {
-    *block = split(encrypt1(&Schedule::new(key), join(*block)));
-}
-
-/// Decrypts one 64-bit block in place.
-pub fn decrypt_block(key: Key, block: &mut [u32; 2]) {
-    *block = split(decrypt1(&Schedule::new(key), join(*block)));
-}
-
-/// Encrypts 8 bytes (big-endian word pair).
-pub fn encrypt_bytes8(key: Key, bytes: &mut [u8; 8]) {
-    *bytes = encrypt1(&Schedule::new(key), u64::from_be_bytes(*bytes)).to_be_bytes();
-}
-
-/// Decrypts 8 bytes (big-endian word pair).
-pub fn decrypt_bytes8(key: Key, bytes: &mut [u8; 8]) {
-    *bytes = decrypt1(&Schedule::new(key), u64::from_be_bytes(*bytes)).to_be_bytes();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const KEY: Key = Key([0x0123_4567, 0x89ab_cdef, 0xfedc_ba98, 0x7654_3210]);
 
+    /// Decrypts one block alone (the first lane idles).
+    fn decrypt1(k: &Schedule, block: u64) -> u64 {
+        encrypt_decrypt(k, 0, k, block).1
+    }
+
     #[test]
     fn round_trips() {
-        let mut block = [0xdead_beef, 0x0bad_f00d];
-        let original = block;
-        encrypt_block(KEY, &mut block);
+        let k = Schedule::new(KEY);
+        let original = join([0xdead_beef, 0x0bad_f00d]);
+        let block = encrypt1(&k, original);
         assert_ne!(block, original, "encryption must change the block");
-        decrypt_block(KEY, &mut block);
-        assert_eq!(block, original);
+        assert_eq!(decrypt1(&k, block), original);
     }
 
     #[test]
     fn wrong_key_does_not_decrypt() {
-        let mut block = [1, 2];
-        encrypt_block(KEY, &mut block);
-        decrypt_block(Key([0, 0, 0, 1]), &mut block);
-        assert_ne!(block, [1, 2]);
+        let block = encrypt1(&Schedule::new(KEY), join([1, 2]));
+        let wrong = Schedule::new(Key([0, 0, 0, 1]));
+        assert_ne!(decrypt1(&wrong, block), join([1, 2]));
     }
 
     #[test]
@@ -194,18 +173,15 @@ mod tests {
         // Published XTEA test vectors (Needham/Wheeler reference
         // implementation, 32 cycles): this implementation must agree with
         // every other correct XTEA.
-        let key = Key([0x0001_0203, 0x0405_0607, 0x0809_0a0b, 0x0c0d_0e0f]);
-        let mut block = [0x4142_4344u32, 0x4546_4748]; // "ABCDEFGH"
-        encrypt_block(key, &mut block);
-        assert_eq!(block, [0x497d_f3d0, 0x7261_2cb5]);
-        decrypt_block(key, &mut block);
-        assert_eq!(block, [0x4142_4344, 0x4546_4748]);
+        let key = Schedule::new(Key([0x0001_0203, 0x0405_0607, 0x0809_0a0b, 0x0c0d_0e0f]));
+        let block = encrypt1(&key, join([0x4142_4344u32, 0x4546_4748])); // "ABCDEFGH"
+        assert_eq!(split(block), [0x497d_f3d0, 0x7261_2cb5]);
+        assert_eq!(split(decrypt1(&key, block)), [0x4142_4344, 0x4546_4748]);
 
-        let mut zero = [0u32, 0u32];
-        encrypt_block(Key([0; 4]), &mut zero);
-        assert_eq!(zero, [0xdee9_d4d8, 0xf713_1ed9]);
-        decrypt_block(Key([0; 4]), &mut zero);
-        assert_eq!(zero, [0, 0]);
+        let zero_key = Schedule::new(Key([0; 4]));
+        let zero = encrypt1(&zero_key, join([0u32, 0u32]));
+        assert_eq!(split(zero), [0xdee9_d4d8, 0xf713_1ed9]);
+        assert_eq!(split(decrypt1(&zero_key, zero)), [0, 0]);
     }
 
     /// The two-lane kernel itself against the same published vectors: each
@@ -232,12 +208,11 @@ mod tests {
 
     #[test]
     fn byte_interface_round_trips() {
-        let mut b = *b"ITC-1985";
-        let orig = b;
-        encrypt_bytes8(KEY, &mut b);
+        let k = Schedule::new(KEY);
+        let orig = *b"ITC-1985";
+        let b = encrypt1(&k, u64::from_be_bytes(orig)).to_be_bytes();
         assert_ne!(b, orig);
-        decrypt_bytes8(KEY, &mut b);
-        assert_eq!(b, orig);
+        assert_eq!(decrypt1(&k, u64::from_be_bytes(b)).to_be_bytes(), orig);
     }
 
     #[test]

@@ -17,8 +17,8 @@ pub enum FsError {
     NotEmpty(String),
     /// Symbolic link resolution exceeded the loop limit (`ELOOP`).
     SymlinkLoop(String),
-    /// The path is syntactically invalid (empty, relative where an absolute
-    /// path is required, or an empty component).
+    /// The path is syntactically invalid (empty or relative where an
+    /// absolute path is required, or the root where a name is).
     InvalidPath(String),
     /// Attempt to move a directory into its own subtree (`EINVAL` from
     /// `rename(2)`).

@@ -2,7 +2,7 @@
 
 use crate::error::FsError;
 use crate::inode::{FileType, Ino, Inode, InodeAttr, Mode, NodeData};
-use crate::path::{components, dirname_basename, is_within, join, normalize};
+use crate::path::{components, is_within, normalize};
 use crate::payload::Payload;
 use std::collections::HashMap;
 
@@ -100,83 +100,78 @@ impl FileSystem {
     /// and the final component's symlink only when `follow_final`.
     pub fn resolve(&self, path: &str, follow_final: bool) -> Result<Resolved, FsError> {
         let norm = normalize(path)?;
-        let mut pending: Vec<String> = components(&norm)?
-            .into_iter()
-            .rev()
-            .map(str::to_string)
-            .collect();
-        let mut cur = self.root;
-        let mut cur_path = String::from("/");
-        let mut walked = 0u32;
-        let mut expansions = 0u32;
+        self.lookup(&norm, follow_final, &norm, 0, 0)
+    }
 
-        while let Some(name) = pending.pop() {
-            let dir = self.node(cur);
-            let entries = dir
+    /// One walk over the normal path `norm`. `rest` is the cursor: what is
+    /// still to be walked, so the directory being searched is always the
+    /// prefix `norm[..norm.len() - rest.len()]` — borrowed, never built. A
+    /// symlink re-roots the walk at its target with `rest` appended;
+    /// `origin` (what the caller asked for, for `SymlinkLoop`) and the two
+    /// counters carry over.
+    fn lookup(
+        &self,
+        norm: &str,
+        follow_final: bool,
+        origin: &str,
+        mut walked: u32,
+        expansions: u32,
+    ) -> Result<Resolved, FsError> {
+        let mut cur = self.root;
+        let mut rest = if norm == "/" { "" } else { norm };
+        while let Some(tail) = rest.strip_prefix('/') {
+            let dir = &norm[..norm.len() - rest.len()];
+            let name = &tail[..tail.find('/').unwrap_or(tail.len())];
+            rest = &tail[name.len()..];
+            let through = &norm[..norm.len() - rest.len()];
+            let entries = self
+                .node(cur)
                 .as_dir()
-                .ok_or_else(|| FsError::NotADirectory(cur_path.clone()))?;
+                .expect("only directories are entered");
             let &child = entries
-                .get(&name)
-                .ok_or_else(|| FsError::NotFound(format!("{}{name}", slashed(&cur_path))))?;
+                .get(name)
+                .ok_or_else(|| FsError::NotFound(through.to_string()))?;
             walked += 1;
-            let child_node = self.node(child);
-            let is_last = pending.is_empty();
-            match (&child_node.data, is_last, follow_final) {
-                (NodeData::Symlink(target), last, follow) if !last || follow => {
-                    expansions += 1;
-                    if expansions > SYMLINK_LIMIT {
-                        return Err(FsError::SymlinkLoop(norm));
+            match &self.node(child).data {
+                NodeData::Symlink(target) if !rest.is_empty() || follow_final => {
+                    if expansions == SYMLINK_LIMIT {
+                        return Err(FsError::SymlinkLoop(origin.to_string()));
                     }
-                    // Re-root resolution at the joined target, keeping any
-                    // components not yet consumed.
-                    let joined = join(&cur_path, target)?;
-                    let mut new_pending: Vec<String> = components(&joined)?
-                        .into_iter()
-                        .rev()
-                        .map(str::to_string)
-                        .collect();
-                    // `pending` is already reversed; targets go underneath.
-                    let rest = std::mem::take(&mut pending);
-                    pending = rest;
-                    for c in new_pending.drain(..) {
-                        pending.push(c);
-                    }
-                    cur = self.root;
-                    cur_path = String::from("/");
+                    // Relative targets start at the link's directory;
+                    // `..` in the target is lexical, as everywhere.
+                    let next = if target.starts_with('/') {
+                        format!("{target}{rest}")
+                    } else {
+                        format!("{dir}/{target}{rest}")
+                    };
+                    let next = normalize(&next)?;
+                    return self.lookup(&next, follow_final, origin, walked, expansions + 1);
                 }
-                (_, true, _) => {
-                    return Ok(Resolved {
-                        ino: child,
-                        components_walked: walked,
-                    });
-                }
-                (NodeData::Directory(_), false, _) => {
-                    cur_path = format!("{}{name}", slashed(&cur_path));
-                    cur = child;
-                }
-                (_, false, _) => {
-                    return Err(FsError::NotADirectory(format!(
-                        "{}{name}",
-                        slashed(&cur_path)
-                    )));
-                }
+                NodeData::Directory(_) => {}
+                _ if rest.is_empty() => {}
+                _ => return Err(FsError::NotADirectory(through.to_string())),
             }
+            cur = child;
         }
-        // Path was "/" (or normalized to it).
         Ok(Resolved {
             ino: cur,
             components_walked: walked,
         })
     }
 
+    /// The directory that holds (or would hold) `path`, and the name in it.
     fn resolve_parent(&self, path: &str) -> Result<(Ino, String), FsError> {
         let norm = normalize(path)?;
-        let (parent, name) = dirname_basename(&norm)?;
-        let r = self.resolve(&parent, true)?;
-        if self.node(r.ino).as_dir().is_none() {
-            return Err(FsError::NotADirectory(parent));
+        let (parent, name) = norm.rsplit_once('/').expect("normal paths are absolute");
+        if name.is_empty() {
+            return Err(FsError::InvalidPath(format!("{norm} (root has no name)")));
         }
-        Ok((r.ino, name))
+        let parent = if parent.is_empty() { "/" } else { parent };
+        let r = self.lookup(parent, true, parent, 0, 0)?;
+        if self.node(r.ino).as_dir().is_none() {
+            return Err(FsError::NotADirectory(parent.to_string()));
+        }
+        Ok((r.ino, name.to_string()))
     }
 
     /// True when `path` resolves (following symlinks).
@@ -507,7 +502,7 @@ impl FileSystem {
         // Moving a directory into its own subtree would orphan it.
         let moving = self.resolve(&from_norm, false)?;
         if self.node(moving.ino).as_dir().is_some() && is_within(&from_norm, &to_norm) {
-            return Err(FsError::RenameIntoSelf(to_norm));
+            return Err(FsError::RenameIntoSelf(to_norm.into_owned()));
         }
         let (from_parent, from_name) = self.resolve_parent(&from_norm)?;
         let (to_parent, to_name) = self.resolve_parent(&to_norm)?;
@@ -522,17 +517,17 @@ impl FileSystem {
             let existing_node = self.node(existing);
             match &existing_node.data {
                 NodeData::Directory(m) if !m.is_empty() => {
-                    return Err(FsError::NotEmpty(to_norm));
+                    return Err(FsError::NotEmpty(to_norm.into_owned()));
                 }
                 NodeData::Directory(_) => {
                     if self.node(moving.ino).as_dir().is_none() {
-                        return Err(FsError::IsADirectory(to_norm));
+                        return Err(FsError::IsADirectory(to_norm.into_owned()));
                     }
                     self.rmdir(&to_norm, now)?;
                 }
                 NodeData::Regular(d) => {
                     if self.node(moving.ino).as_dir().is_some() {
-                        return Err(FsError::NotADirectory(to_norm));
+                        return Err(FsError::NotADirectory(to_norm.into_owned()));
                     }
                     self.data_bytes -= d.len() as u64;
                     self.inodes.remove(&existing.0);
@@ -587,10 +582,8 @@ impl FileSystem {
         let node = self.node(r.ino);
         visit(&norm, &node.attr);
         if let Some(entries) = node.as_dir() {
-            let names: Vec<String> = entries.keys().cloned().collect();
-            for name in names {
-                let child = format!("{}{name}", slashed(&norm));
-                self.walk(&child, visit)?;
+            for name in entries.keys() {
+                self.walk(&format!("{}{name}", slashed(&norm)), visit)?;
             }
         }
         Ok(())
@@ -655,15 +648,10 @@ impl FileSystem {
         let norm = normalize(path)?;
         let r = self.resolve(&norm, false)?;
         if self.node(r.ino).as_dir().is_some() {
-            let names: Vec<String> = self
-                .node(r.ino)
-                .as_dir()
-                .expect("checked")
-                .keys()
-                .cloned()
-                .collect();
-            for name in names {
-                self.remove_subtree(&format!("{}{name}", slashed(&norm)), now)?;
+            // Children go in name order; each removal leaves the next first.
+            while let Some(name) = self.node(r.ino).as_dir().and_then(|d| d.keys().next()) {
+                let child = format!("{}{name}", slashed(&norm));
+                self.remove_subtree(&child, now)?;
             }
             self.rmdir(&norm, now)
         } else {
@@ -683,6 +671,96 @@ fn slashed(p: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::{dirname_basename, join};
+    use itc_sim::SimRng;
+
+    /// The resolver this file had before the borrowed walk: a reversed
+    /// work-list of owned components and a `cur_path` rebuilt per directory.
+    /// Kept as the oracle for `lookup_agrees_with_the_work_list_reference`.
+    impl FileSystem {
+        fn resolve_reference(&self, path: &str, follow_final: bool) -> Result<Resolved, FsError> {
+            let norm = normalize(path)?;
+            let mut pending: Vec<String> = components(&norm)?
+                .into_iter()
+                .rev()
+                .map(str::to_string)
+                .collect();
+            let mut cur = self.root;
+            let mut cur_path = String::from("/");
+            let mut walked = 0u32;
+            let mut expansions = 0u32;
+
+            while let Some(name) = pending.pop() {
+                let dir = self.node(cur);
+                let entries = dir
+                    .as_dir()
+                    .ok_or_else(|| FsError::NotADirectory(cur_path.clone()))?;
+                let &child = entries
+                    .get(&name)
+                    .ok_or_else(|| FsError::NotFound(format!("{}{name}", slashed(&cur_path))))?;
+                walked += 1;
+                let child_node = self.node(child);
+                let is_last = pending.is_empty();
+                match (&child_node.data, is_last, follow_final) {
+                    (NodeData::Symlink(target), last, follow) if !last || follow => {
+                        expansions += 1;
+                        if expansions > SYMLINK_LIMIT {
+                            return Err(FsError::SymlinkLoop(norm.into_owned()));
+                        }
+                        // Re-root resolution at the joined target, keeping any
+                        // components not yet consumed.
+                        let joined = join(&cur_path, target)?;
+                        let mut new_pending: Vec<String> = components(&joined)?
+                            .into_iter()
+                            .rev()
+                            .map(str::to_string)
+                            .collect();
+                        // `pending` is already reversed; targets go underneath.
+                        let rest = std::mem::take(&mut pending);
+                        pending = rest;
+                        for c in new_pending.drain(..) {
+                            pending.push(c);
+                        }
+                        cur = self.root;
+                        cur_path = String::from("/");
+                    }
+                    (_, true, _) => {
+                        return Ok(Resolved {
+                            ino: child,
+                            components_walked: walked,
+                        });
+                    }
+                    (NodeData::Directory(_), false, _) => {
+                        cur_path = format!("{}{name}", slashed(&cur_path));
+                        cur = child;
+                    }
+                    (_, false, _) => {
+                        return Err(FsError::NotADirectory(format!(
+                            "{}{name}",
+                            slashed(&cur_path)
+                        )));
+                    }
+                }
+            }
+            // Path was "/" (or normalized to it).
+            Ok(Resolved {
+                ino: cur,
+                components_walked: walked,
+            })
+        }
+
+        /// `resolve_parent` as it was: normalise, split into two owned
+        /// strings, resolve (which normalised again).
+        fn resolve_parent_reference(&self, path: &str) -> Result<(Ino, String), FsError> {
+            let norm = normalize(path)?;
+            let (parent, name) = dirname_basename(&norm)?;
+            let r = self.resolve_reference(&parent, true)?;
+            if self.node(r.ino).as_dir().is_none() {
+                return Err(FsError::NotADirectory(parent));
+            }
+            Ok((r.ino, name))
+        }
+    }
 
     fn fixture() -> FileSystem {
         let mut fs = FileSystem::new();
@@ -984,5 +1062,151 @@ mod tests {
         let r = fs.resolve("/", true).unwrap();
         assert_eq!(r.ino, fs.root());
         assert_eq!(r.components_walked, 0);
+    }
+
+    #[test]
+    fn slashes_collapse_everywhere() {
+        let fs = fixture();
+        let plain = fs.resolve("/usr/satya", true).unwrap();
+        assert_eq!(fs.resolve("/usr//satya", true).unwrap(), plain);
+        assert_eq!(fs.resolve("/usr/satya/", true).unwrap(), plain);
+        assert_eq!(fs.resolve("//usr///satya//", true).unwrap(), plain);
+    }
+
+    #[test]
+    fn symlink_loop_names_the_path_asked_for() {
+        let mut fs = FileSystem::new();
+        fs.mkdir("/d", Mode::DIR_DEFAULT, 0, 0).unwrap();
+        fs.symlink("/d/me", "me", 0, 0).unwrap();
+        assert_eq!(
+            fs.resolve("/d/./me/x/../y", true),
+            Err(FsError::SymlinkLoop("/d/me/y".to_string()))
+        );
+        // Forty expansions are allowed; the forty-first is the loop.
+        fs.create("/d/f0", Mode::FILE_DEFAULT, 0, 0, vec![])
+            .unwrap();
+        for i in 1..=41 {
+            fs.symlink(&format!("/d/f{i}"), &format!("f{}", i - 1), 0, 0)
+                .unwrap();
+        }
+        assert_eq!(fs.resolve("/d/f40", true).unwrap().components_walked, 82);
+        assert_eq!(
+            fs.resolve("/d/f41", true),
+            Err(FsError::SymlinkLoop("/d/f41".to_string()))
+        );
+    }
+
+    /// A random tree of 1–4 levels under the names `a`–`e`: directories,
+    /// files, and symlinks whose targets are relative, absolute, dangling,
+    /// self-referential, chained through other links, `..`-laden or empty.
+    fn random_tree(rng: &mut SimRng) -> (FileSystem, Vec<String>) {
+        const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
+        let mut fs = FileSystem::new();
+        let levels = rng.range(1, 5) as usize;
+        let mut dirs = vec![String::new()];
+        let mut made: Vec<String> = Vec::new();
+        for _ in 0..rng.range(4, 20) {
+            let parent = rng.choose(&dirs).clone();
+            let name = *rng.choose(&NAMES);
+            let path = format!("{parent}/{name}");
+            let depth = path.matches('/').count();
+            let created = match rng.range(0, 10) {
+                0..=3 if depth < levels => {
+                    let made_dir = fs.mkdir(&path, Mode::DIR_DEFAULT, 0, 0).is_ok();
+                    if made_dir {
+                        dirs.push(path.clone());
+                    }
+                    made_dir
+                }
+                0..=5 => fs.create(&path, Mode::FILE_DEFAULT, 0, 0, vec![]).is_ok(),
+                _ => {
+                    let top = format!("/{}", rng.choose(&NAMES));
+                    let target = match rng.range(0, 16) {
+                        0 => name.to_string(),
+                        1 => path.clone(),
+                        2 => "..".to_string(),
+                        3 => format!("../{}", rng.choose(&NAMES)),
+                        4 => format!("{}/{}", rng.choose(&NAMES), rng.choose(&NAMES)),
+                        5 => "ghost".to_string(),
+                        6 => "/ghost/deeper".to_string(),
+                        7 => rng.choose(&["", ".", "/", "./../.", "//"]).to_string(),
+                        8 => top,
+                        _ if made.is_empty() => top,
+                        9 => format!("{}/", rng.choose(&made)),
+                        _ => rng.choose(&made).clone(),
+                    };
+                    fs.symlink(&path, &target, 0, 0).is_ok()
+                }
+            };
+            if created {
+                made.push(path);
+            }
+        }
+        (fs, made)
+    }
+
+    /// A question about `made`'s tree: a real path (sometimes extended) or
+    /// up to five components drawn from real names, a missing name, `.`,
+    /// `..` and the empty component; now and then relative, slash-trailed
+    /// or empty.
+    fn random_question(rng: &mut SimRng, made: &[String]) -> String {
+        const PARTS: [&str; 9] = ["a", "b", "c", "d", "e", "zz", ".", "..", ""];
+        let mut path = match rng.range(0, 10) {
+            0 => return String::new(),
+            1 => "a".to_string(),
+            2..=4 if !made.is_empty() => rng.choose(made).clone(),
+            _ => String::new(),
+        };
+        for _ in 0..rng.range(u64::from(path.is_empty()), 6) {
+            path.push('/');
+            path.push_str(PARTS[rng.range(0, 9) as usize]);
+        }
+        if rng.chance(0.15) {
+            path.push('/');
+        }
+        path
+    }
+
+    #[test]
+    fn lookup_agrees_with_the_work_list_reference() {
+        let mut rng = SimRng::seeded(0x1985_0023);
+        let (mut questions, mut expanded) = (0u32, 0u32);
+        let mut seen = [0u32; 5];
+        for _ in 0..250 {
+            let (fs, made) = random_tree(&mut rng);
+            for _ in 0..100 {
+                let path = random_question(&mut rng, &made);
+                let follow = rng.chance(0.5);
+                let got = fs.resolve(&path, follow);
+                assert_eq!(
+                    got,
+                    fs.resolve_reference(&path, follow),
+                    "resolve({path:?}, {follow}) over {made:?}"
+                );
+                assert_eq!(
+                    fs.resolve_parent(&path),
+                    fs.resolve_parent_reference(&path),
+                    "resolve_parent({path:?}) over {made:?}"
+                );
+                questions += 1;
+                let kind = match &got {
+                    Ok(r) => {
+                        let asked = normalize(&path).unwrap().matches('/').count() as u32;
+                        expanded += u32::from(r.components_walked > asked);
+                        0
+                    }
+                    Err(FsError::NotFound(_)) => 1,
+                    Err(FsError::NotADirectory(_)) => 2,
+                    Err(FsError::SymlinkLoop(_)) => 3,
+                    Err(FsError::InvalidPath(_)) => 4,
+                    Err(other) => panic!("resolve cannot fail with {other:?}"),
+                };
+                seen[kind] += 1;
+            }
+        }
+        assert!(questions >= 20_000);
+        // The generator reaches every outcome, and symlinks do get expanded.
+        assert!(seen.iter().all(|&n| n >= 200), "{seen:?}");
+        assert!(expanded >= 500, "{expanded} {seen:?}");
     }
 }

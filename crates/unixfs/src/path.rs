@@ -1,48 +1,48 @@
 //! Path manipulation helpers.
 //!
 //! Paths are plain `&str` in Unix style: absolute, `/`-separated. `.` and
-//! `..` are understood by [`normalize`]; the resolver works on normalized
-//! component lists.
+//! `..` are understood by [`normalize`]; the resolver walks the normal
+//! form — `/`, or `/name(/name)*` with no empty, `.` or `..` component —
+//! and borrows it.
 
 use crate::error::FsError;
+use std::borrow::Cow;
 
-/// Splits an absolute path into components, rejecting empty components and
-/// relative paths. `"/"` yields an empty vector.
+/// Splits an absolute path into components, rejecting relative paths.
+/// Empty components are skipped wherever they occur (`"/a//b"`, `"/a/b/"`
+/// and `"/a/b"` yield the same list); `"/"` yields an empty vector.
 pub fn components(path: &str) -> Result<Vec<&str>, FsError> {
     if !path.starts_with('/') {
         return Err(FsError::InvalidPath(path.to_string()));
     }
-    let mut out = Vec::new();
-    for part in path.split('/').skip(1) {
-        if part.is_empty() {
-            // Allow a single trailing slash ("/a/b/" == "/a/b"), reject
-            // interior empty components ("//").
-            continue;
-        }
-        out.push(part);
-    }
-    Ok(out)
+    Ok(path.split('/').filter(|part| !part.is_empty()).collect())
 }
 
 /// Lexically normalizes an absolute path: resolves `.` and `..`, collapses
-/// slashes. `..` at the root stays at the root (as in Unix).
-pub fn normalize(path: &str) -> Result<String, FsError> {
-    let parts = components(path)?;
-    let mut stack: Vec<&str> = Vec::new();
-    for p in parts {
-        match p {
-            "." => {}
-            ".." => {
-                stack.pop();
+/// slashes. `..` at the root stays at the root (as in Unix). A path that
+/// is already normal is handed back borrowed.
+pub fn normalize(path: &str) -> Result<Cow<'_, str>, FsError> {
+    if !path.starts_with('/') {
+        return Err(FsError::InvalidPath(path.to_string()));
+    }
+    if path == "/" || path[1..].split('/').all(|c| !matches!(c, "" | "." | "..")) {
+        return Ok(Cow::Borrowed(path));
+    }
+    let mut out = String::with_capacity(path.len());
+    for part in path.split('/') {
+        match part {
+            "" | "." => {}
+            ".." => out.truncate(out.rfind('/').unwrap_or(0)),
+            name => {
+                out.push('/');
+                out.push_str(name);
             }
-            other => stack.push(other),
         }
     }
-    if stack.is_empty() {
-        Ok("/".to_string())
-    } else {
-        Ok(format!("/{}", stack.join("/")))
+    if out.is_empty() {
+        out.push('/');
     }
+    Ok(Cow::Owned(out))
 }
 
 /// Splits a path into `(parent, basename)`. The root has no basename.
@@ -63,21 +63,17 @@ pub fn dirname_basename(path: &str) -> Result<(String, String), FsError> {
 /// normalizes. Absolute targets replace the base entirely.
 pub fn join(base_dir: &str, target: &str) -> Result<String, FsError> {
     if target.starts_with('/') {
-        normalize(target)
-    } else if base_dir == "/" {
-        normalize(&format!("/{target}"))
-    } else {
-        normalize(&format!("{base_dir}/{target}"))
+        return normalize(target).map(Cow::into_owned);
     }
+    normalize(&format!("{base_dir}/{target}")).map(Cow::into_owned)
 }
 
 /// True if `inner` equals `outer` or lies beneath it. Both must be
 /// normalized absolute paths.
 pub fn is_within(outer: &str, inner: &str) -> bool {
-    if outer == "/" {
-        return true;
-    }
-    inner == outer || inner.starts_with(&format!("{outer}/"))
+    outer == "/"
+        || (inner.starts_with(outer)
+            && matches!(inner.as_bytes().get(outer.len()), None | Some(b'/')))
 }
 
 #[cfg(test)]
@@ -91,6 +87,58 @@ mod tests {
         assert_eq!(components("/a/b/").unwrap(), vec!["a", "b"]);
         assert!(components("relative").is_err());
         assert!(components("").is_err());
+    }
+
+    #[test]
+    fn empty_components_are_skipped_not_rejected() {
+        for same in ["/a/b", "/a//b", "/a/b/", "//a///b//"] {
+            assert_eq!(components(same).unwrap(), vec!["a", "b"]);
+            assert_eq!(normalize(same).unwrap(), "/a/b");
+        }
+    }
+
+    #[test]
+    fn normalize_borrows_what_is_already_normal() {
+        for normal in ["/", "/a", "/a/b.c/..d", "/storm0/p3/own"] {
+            assert!(matches!(normalize(normal), Ok(Cow::Borrowed(p)) if p == normal));
+        }
+        for other in ["//", "/a/", "/a//b", "/./a", "/a/..", "/a/b/."] {
+            assert!(matches!(normalize(other), Ok(Cow::Owned(_))), "{other}");
+        }
+        assert_eq!(
+            normalize("a/b"),
+            Err(FsError::InvalidPath("a/b".to_string()))
+        );
+    }
+
+    /// The `Vec`-and-`join` normaliser this module had before `normalize`
+    /// learned to borrow; the oracle for the test below.
+    fn normalize_reference(path: &str) -> Result<String, FsError> {
+        let mut stack: Vec<&str> = Vec::new();
+        for p in components(path)? {
+            match p {
+                "." => {}
+                ".." => {
+                    stack.pop();
+                }
+                other => stack.push(other),
+            }
+        }
+        Ok(format!("/{}", stack.join("/")))
+    }
+
+    #[test]
+    fn normalize_agrees_with_the_stack_reference() {
+        let mut rng = itc_sim::SimRng::seeded(23);
+        for _ in 0..5_000 {
+            let mut path = String::new();
+            for _ in 0..rng.range(0, 7) {
+                let piece: &&str = rng.choose(&["/", "/", "a", "bc", ".", "..", "...", "/."]);
+                path.push_str(piece);
+            }
+            let got = normalize(&path).map(Cow::into_owned);
+            assert_eq!(got, normalize_reference(&path), "{path:?}");
+        }
     }
 
     #[test]
@@ -121,6 +169,8 @@ mod tests {
         assert_eq!(join("/a/b", "../c").unwrap(), "/a/c");
         assert_eq!(join("/a/b", "/vice/bin").unwrap(), "/vice/bin");
         assert_eq!(join("/", "x").unwrap(), "/x");
+        assert_eq!(join("/", "../x/").unwrap(), "/x");
+        assert_eq!(join("/a", "").unwrap(), "/a");
     }
 
     #[test]
@@ -130,5 +180,6 @@ mod tests {
         assert!(!is_within("/vice", "/vicette"));
         assert!(!is_within("/vice", "/tmp"));
         assert!(is_within("/", "/anything"));
+        assert!(!is_within("/vice/usr", "/vice"));
     }
 }
