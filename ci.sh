@@ -75,6 +75,23 @@ if nontest "$sched" | awk '/fn pick\(/{p=1} p&&/:    }$/{exit} p' | grep -E 'sor
     echo "ci.sh: Pool::pick sorts or allocates again (see the lines above)" >&2
     exit 1
 fi
+# Each workstation op is defined once, on `WsOps` (DESIGN.md §13 "One
+# door"): callers write `sys.ops().fetch(..)`, and no forwarding twin may
+# grow back on `ItcSystem` in any other file of `core::system`.
+echo "== one front door (workstation ops defined only on WsOps) =="
+ws_ops='open_read|open_write|read|write|close|fetch|store|stat|readdir|mkdir|mkdir_p|unlink|rmdir'
+ws_ops="$ws_ops|rename|symlink|get_acl|set_acl|lock|unlock|flush_all|flush_workstation|advance_ws"
+ws_ops="$ws_ops|dirty_count|reconnect_backoff"
+# system.rs declares `#[cfg(test)] mod tests;` near its top: skip that
+# pair instead of stopping there, so its whole body is checked.
+for f in crates/core/src/system.rs crates/core/src/system/*.rs; do
+    case "$f" in "$sched" | */tests.rs) continue ;; esac
+    if awk -v f="$f" '/#\[cfg\(test\)\]/{t=1; next} t&&/^mod [a-z_]+;$/{t=0; next} t{exit}
+        {print f ":" NR ":" $0}' "$f" | grep -E "pub fn ($ws_ops)[<(]"; then
+        echo "ci.sh: a workstation op is defined outside WsOps (see the lines above) — call it through sys.ops()" >&2
+        exit 1
+    fi
+done
 # A path is walked once, borrowed (DESIGN.md §9 "Path resolution"): the
 # resolver keeps a cursor into the path it was handed, not a work-list of
 # owned components; `acl_for` resolves, it does not stat and then resolve;
@@ -114,8 +131,8 @@ cargo test --release --offline -q --test parallel
 echo "== paper tables (full scale, byte-identical to results/full_tables.txt) =="
 cargo run -q -p itc-bench --release --offline --bin tables -- --full all | diff - results/full_tables.txt
 
-# The examples are the only callers of most facade-only workstation ops
-# (surrogate PCs, mobility, ACL edits, heterogeneous /bin).
+# The examples drive the public API end to end (surrogate PCs, mobility,
+# ACL edits through sys.ops(), heterogeneous /bin); no test runs them.
 echo "== examples (each must exit 0) =="
 for ex in examples/*.rs; do
     cargo run -q --release --offline --example "$(basename "$ex" .rs)" > /dev/null

@@ -76,32 +76,37 @@ impl DfsClient for WholeFileFs {
     }
 
     fn advance_to(&mut self, t: SimTime) {
-        self.sys.advance_ws(self.ws, t);
+        self.sys.ops().advance_ws(self.ws, t);
     }
 
     fn mkdir(&mut self, path: &str) -> Result<(), BaselineError> {
         let vp = self.vice_path(path);
-        self.sys.mkdir(self.ws, &vp).map_err(map_err)
+        self.sys.ops().mkdir(self.ws, &vp).map_err(map_err)
     }
 
     fn read_file(&mut self, path: &str) -> Result<Vec<u8>, BaselineError> {
         let vp = self.vice_path(path);
-        self.sys.fetch(self.ws, &vp).map_err(map_err)
+        self.sys.ops().fetch(self.ws, &vp).map_err(map_err)
     }
 
     fn write_file(&mut self, path: &str, data: Vec<u8>) -> Result<(), BaselineError> {
         let vp = self.vice_path(path);
-        self.sys.store(self.ws, &vp, data).map_err(map_err)
+        self.sys.ops().store(self.ws, &vp, data).map_err(map_err)
     }
 
     fn stat(&mut self, path: &str) -> Result<u64, BaselineError> {
         let vp = self.vice_path(path);
-        self.sys.stat(self.ws, &vp).map(|s| s.size).map_err(map_err)
+        self.sys
+            .ops()
+            .stat(self.ws, &vp)
+            .map(|s| s.size)
+            .map_err(map_err)
     }
 
     fn readdir(&mut self, path: &str) -> Result<Vec<String>, BaselineError> {
         let vp = self.vice_path(path);
         self.sys
+            .ops()
             .readdir(self.ws, &vp)
             .map(|v| v.into_iter().map(|(n, _)| n).collect())
             .map_err(map_err)

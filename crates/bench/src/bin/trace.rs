@@ -48,7 +48,8 @@ fn demo_scenario(seed: u64) -> ItcSystem {
         sys.create_user_volume(&user, i as u32 / 2)
             .expect("fresh system");
         sys.login(i, &user, "pw").expect("fresh system");
-        sys.store(i, &format!("/vice/usr/u{i}/data"), vec![i as u8; 6_000])
+        sys.ops()
+            .store(i, &format!("/vice/usr/u{i}/data"), vec![i as u8; 6_000])
             .expect("store");
     }
 
@@ -60,22 +61,24 @@ fn demo_scenario(seed: u64) -> ItcSystem {
             .delay(0.15, SimTime::from_millis(250)),
     );
     for i in 0..4usize {
-        let _ = sys.fetch(i, &format!("/vice/usr/u{}/data", (i + 2) % 4));
-        let _ = sys.stat(i, &format!("/vice/usr/u{i}/data"));
+        let _ = sys
+            .ops()
+            .fetch(i, &format!("/vice/usr/u{}/data", (i + 2) % 4));
+        let _ = sys.ops().stat(i, &format!("/vice/usr/u{i}/data"));
     }
 
     // Phase 2: a volume drops out; the next validation gets the degraded
     // reply and the flight recorder freezes it.
     sys.set_volume_online("/vice/usr/u1", false)
         .expect("volume exists");
-    let _ = sys.fetch(1, "/vice/usr/u1/data");
+    let _ = sys.ops().fetch(1, "/vice/usr/u1/data");
     sys.set_volume_online("/vice/usr/u1", true)
         .expect("volume exists");
 
     // Phase 3: the network goes silent; one call burns every retry and
     // the recorder freezes the timeout.
     sys.install_faults(FaultPlan::new(seed).drop_request_prob(1.0));
-    let _ = sys.stat(0, "/vice/usr/u0/data");
+    let _ = sys.ops().stat(0, "/vice/usr/u0/data");
     sys
 }
 

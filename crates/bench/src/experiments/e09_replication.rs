@@ -39,7 +39,7 @@ fn storm(replicated: bool, scale: Scale) -> (SimTime, Vec<u64>) {
         sys.login(ws, &user, "pw").expect("fresh");
         let t0 = sys.ws_time(ws);
         for p in &paths {
-            sys.fetch(ws, p).expect("binary readable");
+            sys.ops().fetch(ws, p).expect("binary readable");
         }
         total += sys.ws_time(ws) - t0;
         n += 1;

@@ -16,12 +16,12 @@ use itc_sim::SimTime;
 fn session(sys: &mut ItcSystem, ws: usize, files: &[String]) -> SimTime {
     let t0 = sys.ws_time(ws);
     for f in files {
-        sys.fetch(ws, f).expect("readable");
+        sys.ops().fetch(ws, f).expect("readable");
     }
     for f in files.iter().take(2) {
-        let mut data = sys.fetch(ws, f).expect("readable");
+        let mut data = sys.ops().fetch(ws, f).expect("readable");
         data.extend_from_slice(b" (edited)");
-        sys.store(ws, f, data).expect("writable");
+        sys.ops().store(ws, f, data).expect("writable");
     }
     sys.ws_time(ws) - t0
 }
@@ -54,7 +54,7 @@ pub fn run(scale: Scale) -> Report {
     // The user walks across campus and sits down at a strange workstation
     // (wall time catches up with the walk).
     let now = sys.now();
-    sys.advance_ws(away, now);
+    sys.ops().advance_ws(away, now);
     sys.login(away, "satya", "pw").expect("login");
     let away_cold = session(&mut sys, away, &files);
     let away_warm = session(&mut sys, away, &files);

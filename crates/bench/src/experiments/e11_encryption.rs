@@ -38,16 +38,21 @@ fn probe(mode: EncryptionMode) -> Probe {
         .expect("install");
 
     let t0 = sys.ws_time(0);
-    sys.fetch(0, "/vice/usr/bench/big.bin").expect("fetch");
+    sys.ops()
+        .fetch(0, "/vice/usr/bench/big.bin")
+        .expect("fetch");
     let fetch_1mb = sys.ws_time(0) - t0;
 
     let t0 = sys.ws_time(0);
-    sys.store(0, "/vice/usr/bench/out.bin", vec![1; 100_000])
+    sys.ops()
+        .store(0, "/vice/usr/bench/out.bin", vec![1; 100_000])
         .expect("store");
     let store_100k = sys.ws_time(0) - t0;
 
     let t0 = sys.ws_time(0);
-    sys.fetch(0, "/vice/usr/bench/big.bin").expect("warm fetch");
+    sys.ops()
+        .fetch(0, "/vice/usr/bench/big.bin")
+        .expect("warm fetch");
     let warm_open = sys.ws_time(0) - t0;
 
     let bench = AndrewBenchmark::new(

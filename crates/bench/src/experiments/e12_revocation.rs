@@ -40,7 +40,7 @@ fn revoke_latencies(clusters: u32) -> (SimTime, SimTime) {
     let t0 = sys.ws_time(0);
     let mut denied = acl.clone();
     denied.deny("mallory", Rights::ALL);
-    sys.set_acl(0, "/vice/proj", denied).expect("set acl");
+    sys.ops().set_acl(0, "/vice/proj", denied).expect("set acl");
     let negative = sys.ws_time(0) - t0;
 
     // Path B: strip mallory from every group — must reach every replica
@@ -117,12 +117,15 @@ mod tests {
         .unwrap();
         sys.login(0, "admin", "pw").unwrap();
         sys.login(1, "mallory", "pw").unwrap();
-        sys.store(1, "/vice/proj/f", b"ok".to_vec()).unwrap();
+        sys.ops().store(1, "/vice/proj/f", b"ok".to_vec()).unwrap();
 
         let mut denied = acl;
         denied.deny("mallory", Rights::ALL);
-        sys.set_acl(0, "/vice/proj", denied).unwrap();
-        assert!(sys.store(1, "/vice/proj/f", b"blocked".to_vec()).is_err());
-        assert!(sys.fetch(1, "/vice/proj/f").is_err());
+        sys.ops().set_acl(0, "/vice/proj", denied).unwrap();
+        assert!(sys
+            .ops()
+            .store(1, "/vice/proj/f", b"blocked".to_vec())
+            .is_err());
+        assert!(sys.ops().fetch(1, "/vice/proj/f").is_err());
     }
 }

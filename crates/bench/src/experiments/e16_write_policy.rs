@@ -35,25 +35,26 @@ fn editing_session(policy: WritePolicy, rounds: usize) -> Outcome {
     sys.create_user_volume("writer", 0).unwrap();
     sys.login(0, "writer", "pw").unwrap();
     for d in 0..5 {
-        sys.store(0, &format!("/vice/usr/writer/doc{d}"), vec![b'0'; 8_000])
+        sys.ops()
+            .store(0, &format!("/vice/usr/writer/doc{d}"), vec![b'0'; 8_000])
             .unwrap();
     }
     if matches!(policy, WritePolicy::Delayed(_)) {
         // The initial creation may still be pending; flush so both runs
         // start from the same committed state.
-        sys.flush_workstation(0).unwrap();
+        sys.ops().flush_all(0).unwrap();
     }
     let stores_baseline = sys.total_server_calls_of("store");
     let m0 = sys.metrics().venus.bytes_stored;
 
     for round in 0..rounds {
         let think = sys.ws_time(0) + SimTime::from_secs(30);
-        sys.advance_ws(0, think);
+        sys.ops().advance_ws(0, think);
         for d in 0..5 {
             let p = format!("/vice/usr/writer/doc{d}");
-            let mut data = sys.fetch(0, &p).unwrap();
+            let mut data = sys.ops().fetch(0, &p).unwrap();
             data.push(b'a' + (round % 26) as u8);
-            sys.store(0, &p, data).unwrap();
+            sys.ops().store(0, &p, data).unwrap();
         }
     }
 
@@ -68,7 +69,8 @@ fn editing_session(policy: WritePolicy, rounds: usize) -> Outcome {
     let final_byte = b'a' + ((rounds - 1) % 26) as u8;
     let visible_after_crash = (0..5)
         .filter(|d| {
-            sys.fetch(1, &format!("/vice/usr/writer/doc{d}"))
+            sys.ops()
+                .fetch(1, &format!("/vice/usr/writer/doc{d}"))
                 .map(|data| data.last() == Some(&final_byte))
                 .unwrap_or(false)
         })

@@ -31,12 +31,12 @@ fn run_epoch(sys: &mut ItcSystem, users: &[(String, usize)], rounds: usize) -> E
         for (user, ws) in users {
             for i in 0..3 {
                 let p = format!("/vice/usr/{user}/f{i}");
-                let _ = sys.fetch(*ws, &p).unwrap();
+                let _ = sys.ops().fetch(*ws, &p).unwrap();
             }
             let p = format!("/vice/usr/{user}/f0");
-            let mut d = sys.fetch(*ws, &p).unwrap();
+            let mut d = sys.ops().fetch(*ws, &p).unwrap();
             d.push(b'.');
-            sys.store(*ws, &p, d).unwrap();
+            sys.ops().store(*ws, &p, d).unwrap();
         }
     }
     Epoch {

@@ -34,7 +34,7 @@ pub fn run(_scale: Scale) -> Report {
 
     let timed = |sys: &mut ItcSystem, path: &str| -> SimTime {
         let t0 = sys.ws_time(ws);
-        sys.fetch(ws, path).expect("readable");
+        sys.ops().fetch(ws, path).expect("readable");
         sys.ws_time(ws) - t0
     };
 

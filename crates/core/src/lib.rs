@@ -36,16 +36,18 @@
 //! let ws = sys.workstation_in_cluster(0);
 //! sys.login(ws, "satya", "correct-horse").unwrap();
 //!
-//! // Create and read back a file in the shared name space.
-//! sys.mkdir_p(ws, "/vice/usr/satya/doc").unwrap();
-//! sys.store(ws, "/vice/usr/satya/doc/paper.tex", b"caching works".to_vec())
+//! // Create and read back a file in the shared name space. Workstation
+//! // operations go through one door, `sys.ops()`.
+//! let mut ops = sys.ops();
+//! ops.mkdir_p(ws, "/vice/usr/satya/doc").unwrap();
+//! ops.store(ws, "/vice/usr/satya/doc/paper.tex", b"caching works".to_vec())
 //!     .unwrap();
-//! let data = sys.fetch(ws, "/vice/usr/satya/doc/paper.tex").unwrap();
+//! let data = ops.fetch(ws, "/vice/usr/satya/doc/paper.tex").unwrap();
 //! assert_eq!(data, b"caching works");
 //!
 //! // A second open is a cache hit: no fetch call reaches any server.
 //! let fetches_before = sys.total_server_calls_of("fetch");
-//! let _ = sys.fetch(ws, "/vice/usr/satya/doc/paper.tex").unwrap();
+//! let _ = sys.ops().fetch(ws, "/vice/usr/satya/doc/paper.tex").unwrap();
 //! assert_eq!(sys.total_server_calls_of("fetch"), fetches_before);
 //! ```
 

@@ -14,17 +14,17 @@
 //!   workstation system-call surface, and `run_drivers`, the one scheduler
 //!   of workstation operations (sequential reference and conservative
 //!   parallel execution);
-//! * `ops` — the facade over that surface (sessions, file operations,
-//!   surrogates);
+//! * `ops` — the workstation calls with a body of their own (logout,
+//!   workstation crashes, the surrogate service for PCs);
 //! * `admin` — operator actions (users, volumes, replication, fault
 //!   plans, monitoring, metrics).
 //!
-//! [`ItcSystem`] is the façade experiments and examples drive. Its
-//! file-operation methods forward to a whole-system [`parallel::WsOps`]
-//! view: each takes a workstation id, runs the Venus logic (which may
-//! issue authenticated RPCs through the simulated network), advances
-//! virtual time, and afterwards delivers any callback breaks the touched
-//! server generated.
+//! [`ItcSystem`] is what experiments and examples build and administer.
+//! Workstation operations go through one door, [`ItcSystem::ops`], a
+//! whole-system [`parallel::WsOps`] view: each op takes a workstation id,
+//! runs the Venus logic (which may issue authenticated RPCs through the
+//! simulated network), advances virtual time, and afterwards delivers any
+//! callback breaks the touched server generated.
 //!
 //! ## Time model
 //!
@@ -203,11 +203,6 @@ impl ItcSystem {
     /// A workstation's local virtual time.
     pub fn ws_time(&self, ws: WsId) -> SimTime {
         self.clients[ws].now()
-    }
-
-    /// Advances a workstation's local time (think time).
-    pub fn advance_ws(&mut self, ws: WsId, to: SimTime) {
-        self.whole().advance_ws(ws, to);
     }
 
     /// Direct read access to a workstation's Venus (for metrics/tests).

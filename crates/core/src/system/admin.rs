@@ -486,12 +486,6 @@ impl ItcSystem {
         self.core.retry
     }
 
-    /// The jittered backoff workstation `ws` should wait before its next
-    /// probe of `server` (see `WsOps::reconnect_backoff`).
-    pub fn reconnect_backoff(&mut self, ws: usize, server: ServerId) -> SimTime {
-        self.whole().reconnect_backoff(ws, server)
-    }
-
     /// Consecutive failed exchanges workstation `ws` has had with `server`.
     pub fn reconnect_failures(&self, ws: usize, server: ServerId) -> u32 {
         self.clients[ws].reconnect_failures(server)
@@ -566,7 +560,7 @@ impl ItcSystem {
     /// observe server state directly.
     pub fn run_fault_schedule(&mut self) {
         let now = self.clock.now();
-        let mut ops = self.whole();
+        let mut ops = self.ops();
         // One executor for lifecycle events: the transport's idle pump
         // handles crashes (torn-write draw), restarts (salvager
         // scheduling), and completed salvage passes identically

@@ -1,10 +1,11 @@
-//! The workstation-facing operation surface: sessions, the system-call
-//! layer (open/read/write/close and friends), write-back control, and the
-//! surrogate service for low-function workstations (Section 3.3).
+//! The workstation-facing calls that are not the system-call surface
+//! (that is [`WsOps`], reached through [`ItcSystem::ops`]): sessions,
+//! workstation crashes, and the surrogate service for low-function
+//! workstations (Section 3.3).
 
-use crate::protect::AccessList;
 use crate::proto::{EntryKind, VStatus};
 use crate::surrogate::{PcId, Surrogate};
+use crate::system::parallel::WsOps;
 use crate::system::{ItcSystem, SystemError, WsId};
 use crate::venus::{Space, VenusError};
 
@@ -13,12 +14,9 @@ impl ItcSystem {
     // Sessions
     // ------------------------------------------------------------------
 
-    /// Logs `user` in at workstation `ws`: derives the key from the
-    /// password exactly as the real Venus would and verifies it against
-    /// Vice by establishing the first authenticated binding. A wrong
-    /// password fails here, during the mutual handshake.
+    /// [`WsOps::login`] over the whole system, kept because `benchmark/` calls it.
     pub fn login(&mut self, ws: WsId, user: &str, password: &str) -> Result<(), SystemError> {
-        self.whole().login(ws, user, password)
+        self.ops().login(ws, user, password)
     }
 
     /// Ends the session at a workstation, flushing any deferred writes
@@ -28,141 +26,20 @@ impl ItcSystem {
         if self.clients[ws].dirty_count() > 0 {
             // Best effort: a failure here (e.g. quota) leaves the entries
             // dirty, exactly as a real Venus would.
-            let _ = self.whole().flush_all(ws);
+            let _ = self.ops().flush_all(ws);
         }
-        let node = self.topo.ws_nodes[ws];
         self.clients[ws].clear_session();
-        // Bindings are per-user connections: drop them. They live on the
-        // workstation's own cluster.
+        self.drop_bindings(ws);
+    }
+
+    /// Drops a workstation's bindings — per-user connections, which live
+    /// on the workstation's own cluster.
+    fn drop_bindings(&mut self, ws: WsId) {
+        let node = self.topo.ws_nodes[ws];
         let cc = self.topo.network.cluster_of(node).0 as usize;
         self.core.clusters[cc]
             .bindings
             .retain(|(n, _), _| *n != node);
-    }
-
-    // ------------------------------------------------------------------
-    // File operations (the workstation system-call surface)
-    // ------------------------------------------------------------------
-
-    /// Opens a file for reading; returns a handle.
-    pub fn open_read(&mut self, ws: WsId, path: &str) -> Result<u64, SystemError> {
-        self.whole().open_read(ws, path)
-    }
-
-    /// Opens (creating) a file for writing; returns a handle.
-    pub fn open_write(&mut self, ws: WsId, path: &str) -> Result<u64, SystemError> {
-        self.whole().open_write(ws, path)
-    }
-
-    /// Reads through a handle (no server traffic).
-    pub fn read(&mut self, ws: WsId, handle: u64) -> Result<Vec<u8>, SystemError> {
-        self.whole().read(ws, handle)
-    }
-
-    /// Writes through a handle (no server traffic until close).
-    pub fn write(&mut self, ws: WsId, handle: u64, data: Vec<u8>) -> Result<(), SystemError> {
-        self.whole().write(ws, handle, data)
-    }
-
-    /// Closes a handle, storing back to Vice if it was modified.
-    pub fn close(&mut self, ws: WsId, handle: u64) -> Result<(), SystemError> {
-        self.whole().close(ws, handle)
-    }
-
-    /// Whole-file read convenience.
-    pub fn fetch(&mut self, ws: WsId, path: &str) -> Result<Vec<u8>, SystemError> {
-        self.whole().fetch(ws, path)
-    }
-
-    /// Whole-file write convenience.
-    pub fn store(&mut self, ws: WsId, path: &str, data: Vec<u8>) -> Result<(), SystemError> {
-        self.whole().store(ws, path, data)
-    }
-
-    /// `stat(2)`.
-    pub fn stat(&mut self, ws: WsId, path: &str) -> Result<VStatus, SystemError> {
-        self.whole().stat(ws, path)
-    }
-
-    /// Directory listing.
-    pub fn readdir(
-        &mut self,
-        ws: WsId,
-        path: &str,
-    ) -> Result<Vec<(String, EntryKind)>, SystemError> {
-        self.whole().readdir(ws, path)
-    }
-
-    /// Creates a directory.
-    pub fn mkdir(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-        self.whole().mkdir(ws, path)
-    }
-
-    /// Creates a directory and any missing ancestors (client-driven: one
-    /// MakeDir per missing level).
-    pub fn mkdir_p(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-        use crate::proto::ViceError;
-        let comps: Vec<String> = path
-            .split('/')
-            .filter(|c| !c.is_empty())
-            .map(str::to_string)
-            .collect();
-        let mut prefix = String::new();
-        for comp in comps {
-            prefix.push('/');
-            prefix.push_str(&comp);
-            if prefix == "/vice" {
-                continue;
-            }
-            match self.mkdir(ws, &prefix) {
-                Ok(()) | Err(SystemError::Venus(VenusError::Vice(ViceError::AlreadyExists(_)))) => {
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes a file or symlink.
-    pub fn unlink(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-        self.whole().unlink(ws, path)
-    }
-
-    /// Removes an empty directory.
-    pub fn rmdir(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-        self.whole().with_venus(ws, |v, t| v.rmdir(t, path))
-    }
-
-    /// Renames within one space.
-    pub fn rename(&mut self, ws: WsId, from: &str, to: &str) -> Result<(), SystemError> {
-        self.whole().with_venus(ws, |v, t| v.rename(t, from, to))
-    }
-
-    /// Creates a symbolic link.
-    pub fn symlink(&mut self, ws: WsId, path: &str, target: &str) -> Result<(), SystemError> {
-        self.whole()
-            .with_venus(ws, |v, t| v.symlink(t, path, target))
-    }
-
-    /// Reads a directory's access list.
-    pub fn get_acl(&mut self, ws: WsId, path: &str) -> Result<AccessList, SystemError> {
-        self.whole().with_venus(ws, |v, t| v.get_acl(t, path))
-    }
-
-    /// Replaces a directory's access list (requires ADMINISTER rights).
-    pub fn set_acl(&mut self, ws: WsId, path: &str, acl: AccessList) -> Result<(), SystemError> {
-        self.whole().with_venus(ws, |v, t| v.set_acl(t, path, acl))
-    }
-
-    /// Acquires an advisory lock.
-    pub fn lock(&mut self, ws: WsId, path: &str, exclusive: bool) -> Result<(), SystemError> {
-        self.whole()
-            .with_venus(ws, |v, t| v.lock(t, path, exclusive))
-    }
-
-    /// Releases an advisory lock.
-    pub fn unlock(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-        self.whole().with_venus(ws, |v, t| v.unlock(t, path))
     }
 
     /// Classifies a path at a workstation without performing any I/O
@@ -174,32 +51,14 @@ impl ItcSystem {
             .map_err(|e| SystemError::Venus(VenusError::Local(e)))
     }
 
-    // ------------------------------------------------------------------
-    // Write-back policy (E16)
-    // ------------------------------------------------------------------
-
-    /// Flushes all deferred writes at a workstation immediately.
-    pub fn flush_workstation(&mut self, ws: WsId) -> Result<usize, SystemError> {
-        self.whole().flush_all(ws)
-    }
-
     /// Crashes a workstation: unflushed deferred writes are lost and the
     /// cache is wiped. Returns the number of lost updates. (Under
     /// store-on-close this is always zero — the paper's point.)
     pub fn crash_workstation(&mut self, ws: WsId) -> usize {
-        let node = self.topo.ws_nodes[ws];
-        let cc = self.topo.network.cluster_of(node).0 as usize;
-        self.core.clusters[cc]
-            .bindings
-            .retain(|(n, _), _| *n != node);
+        self.drop_bindings(ws);
         let lost = self.clients[ws].crash();
         self.clients[ws].clear_session();
         lost
-    }
-
-    /// Dirty (unflushed) files at a workstation.
-    pub fn dirty_count(&self, ws: WsId) -> usize {
-        self.clients[ws].dirty_count()
     }
 
     // ------------------------------------------------------------------
@@ -239,7 +98,7 @@ impl ItcSystem {
         host: WsId,
         pc: PcId,
         request_bytes: u64,
-        op: impl FnOnce(&mut ItcSystem) -> Result<R, SystemError>,
+        op: impl FnOnce(&mut WsOps<'_>) -> Result<R, SystemError>,
         reply_bytes: impl FnOnce(&R) -> u64,
     ) -> Result<R, SystemError> {
         let costs = self.config.costs.clone();
@@ -255,11 +114,12 @@ impl ItcSystem {
         // current work.
         let arrival =
             t_pc.max(self.ws_time(host)) + costs.pc_net_latency + costs.pc_transfer(request_bytes);
-        self.advance_ws(host, arrival + costs.surrogate_cpu_per_call);
+        let mut ops = self.ops();
+        ops.advance_ws(host, arrival + costs.surrogate_cpu_per_call);
 
-        let result = op(self)?;
+        let result = op(&mut ops)?;
         let out = reply_bytes(&result);
-        let done = self.ws_time(host) + costs.pc_net_latency + costs.pc_transfer(out);
+        let done = ops.ws_time(host) + costs.pc_net_latency + costs.pc_transfer(out);
         self.surrogates
             .get_mut(&host)
             .expect("checked above")
@@ -274,7 +134,7 @@ impl ItcSystem {
             host,
             pc,
             128,
-            |sys| sys.fetch(host, path),
+            |ops| ops.fetch(host, path),
             |d| d.len() as u64,
         )
     }
@@ -292,14 +152,14 @@ impl ItcSystem {
             host,
             pc,
             128 + len,
-            |sys| sys.store(host, path, data),
+            |ops| ops.store(host, path, data),
             |_| 64,
         )
     }
 
     /// PC stat through the surrogate.
     pub fn pc_stat(&mut self, host: WsId, pc: PcId, path: &str) -> Result<VStatus, SystemError> {
-        self.pc_call(host, pc, 128, |sys| sys.stat(host, path), |_| 128)
+        self.pc_call(host, pc, 128, |ops| ops.stat(host, path), |_| 128)
     }
 
     /// PC directory listing through the surrogate.
@@ -313,7 +173,7 @@ impl ItcSystem {
             host,
             pc,
             128,
-            |sys| sys.readdir(host, path),
+            |ops| ops.readdir(host, path),
             |l| 32 * l.len() as u64 + 16,
         )
     }

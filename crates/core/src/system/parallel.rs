@@ -6,12 +6,12 @@
 //!
 //! ## One door
 //!
-//! Every workstation operation — an [`ItcSystem`] facade call, a scripted
-//! storm op, a day session's step — executes as a method of [`WsOps`], a
-//! view over the clusters in a mask. The facade and sequential runs build
-//! it over the whole system; a parallel worker builds it over exactly the
-//! shards its batch claimed. There is no second implementation to keep in
-//! step.
+//! Every workstation operation — a test's or experiment's
+//! `sys.ops().fetch(..)`, a scripted storm op, a day session's step — is
+//! a method of [`WsOps`], a view over the clusters in a mask, and is
+//! defined nowhere else. [`ItcSystem::ops`] and sequential runs build the
+//! view over the whole system; a parallel worker builds it over exactly
+//! the shards its batch claimed.
 //!
 //! ## The model: op-atomic conservative PDES
 //!
@@ -82,7 +82,8 @@
 //!
 //! [`Clock`]: itc_sim::Clock
 
-use crate::proto::ServerId;
+use crate::protect::AccessList;
+use crate::proto::{EntryKind, ServerId, VStatus, ViceError};
 use crate::server::Server;
 use crate::system::transport::{ClusterCore, NetEvent, Parts, PendingBreak, SystemTransport};
 use crate::system::{ItcSystem, SystemError, WsId};
@@ -347,7 +348,7 @@ impl WsOps<'_> {
     }
 
     /// `stat(2)`.
-    pub fn stat(&mut self, ws: WsId, path: &str) -> Result<crate::proto::VStatus, SystemError> {
+    pub fn stat(&mut self, ws: WsId, path: &str) -> Result<VStatus, SystemError> {
         self.with_venus(ws, |v, t| v.stat(t, path))
     }
 
@@ -356,7 +357,7 @@ impl WsOps<'_> {
         &mut self,
         ws: WsId,
         path: &str,
-    ) -> Result<Vec<(String, crate::proto::EntryKind)>, SystemError> {
+    ) -> Result<Vec<(String, EntryKind)>, SystemError> {
         self.with_venus(ws, |v, t| v.readdir(t, path))
     }
 
@@ -365,9 +366,64 @@ impl WsOps<'_> {
         self.with_venus(ws, |v, t| v.mkdir(t, path))
     }
 
+    /// Creates a directory and any missing ancestors, client-driven: one
+    /// `mkdir` per prefix but `/vice` itself, `AlreadyExists` tolerated,
+    /// empty components collapsed.
+    pub fn mkdir_p(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
+        let mut prefix = String::with_capacity(path.len() + 1);
+        for comp in path.split('/').filter(|c| !c.is_empty()) {
+            prefix.push('/');
+            prefix.push_str(comp);
+            if prefix == "/vice" {
+                continue;
+            }
+            match self.mkdir(ws, &prefix) {
+                Ok(()) | Err(SystemError::Venus(VenusError::Vice(ViceError::AlreadyExists(_)))) => {
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
     /// Removes a file or symlink.
     pub fn unlink(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
         self.with_venus(ws, |v, t| v.unlink(t, path))
+    }
+
+    /// Removes an empty directory.
+    pub fn rmdir(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
+        self.with_venus(ws, |v, t| v.rmdir(t, path))
+    }
+
+    /// Renames within one space.
+    pub fn rename(&mut self, ws: WsId, from: &str, to: &str) -> Result<(), SystemError> {
+        self.with_venus(ws, |v, t| v.rename(t, from, to))
+    }
+
+    /// Creates a symbolic link.
+    pub fn symlink(&mut self, ws: WsId, path: &str, target: &str) -> Result<(), SystemError> {
+        self.with_venus(ws, |v, t| v.symlink(t, path, target))
+    }
+
+    /// Reads a directory's access list.
+    pub fn get_acl(&mut self, ws: WsId, path: &str) -> Result<AccessList, SystemError> {
+        self.with_venus(ws, |v, t| v.get_acl(t, path))
+    }
+
+    /// Replaces a directory's access list (requires ADMINISTER rights).
+    pub fn set_acl(&mut self, ws: WsId, path: &str, acl: AccessList) -> Result<(), SystemError> {
+        self.with_venus(ws, |v, t| v.set_acl(t, path, acl))
+    }
+
+    /// Acquires an advisory lock.
+    pub fn lock(&mut self, ws: WsId, path: &str, exclusive: bool) -> Result<(), SystemError> {
+        self.with_venus(ws, |v, t| v.lock(t, path, exclusive))
+    }
+
+    /// Releases an advisory lock.
+    pub fn unlock(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
+        self.with_venus(ws, |v, t| v.unlock(t, path))
     }
 
     /// Opens a file for reading.
@@ -405,11 +461,6 @@ impl WsOps<'_> {
     /// Flushes all deferred writes at a workstation immediately.
     pub fn flush_all(&mut self, ws: WsId) -> Result<usize, SystemError> {
         self.with_venus(ws, |v, t| v.flush_all(t))
-    }
-
-    /// Dirty (unflushed) files at a workstation.
-    pub fn dirty_count(&mut self, ws: WsId) -> usize {
-        self.venuses.get_mut(ws).dirty_count()
     }
 
     /// The jittered backoff workstation `ws` should wait before its next
@@ -674,7 +725,7 @@ impl ItcSystem {
         );
         match mode {
             RunMode::Sequential => {
-                let (ops, result) = drain(&mut self.whole(), &mut drivers, None, None);
+                let (ops, result) = drain(&mut self.ops(), &mut drivers, None, None);
                 self.executor = ExecutorStats::default();
                 self.executor.fold(ops);
                 result.map(|()| ops)
@@ -688,9 +739,10 @@ impl ItcSystem {
         self.executor
     }
 
-    /// The whole-mask view: every cluster, server and Venus behind one
-    /// [`WsOps`], for the facade's methods and sequential driver runs.
-    pub(super) fn whole(&mut self) -> WsOps<'_> {
+    /// The workstation op surface over the whole system — every cluster,
+    /// server and Venus behind one [`WsOps`] — as tests, experiments and
+    /// sequential driver runs use it: `sys.ops().fetch(ws, path)`.
+    pub fn ops(&mut self) -> WsOps<'_> {
         let ItcSystem {
             topo,
             clients,
@@ -744,7 +796,7 @@ impl ItcSystem {
             venuses: Venuses::Whole(clients),
             node_to_ws,
             ws_nodes,
-        } = self.whole()
+        } = self.ops()
         else {
             unreachable!("the whole view holds whole parts")
         };

@@ -26,10 +26,14 @@ fn build_creates_topology_and_skeleton() {
 fn store_then_fetch_round_trips() {
     let mut s = sys();
     s.login(0, "satya", "pw-satya").unwrap();
-    s.mkdir_p(0, "/vice/usr/satya").unwrap();
-    s.store(0, "/vice/usr/satya/f.txt", b"hello vice".to_vec())
+    s.ops().mkdir_p(0, "/vice/usr/satya").unwrap();
+    s.ops()
+        .store(0, "/vice/usr/satya/f.txt", b"hello vice".to_vec())
         .unwrap();
-    assert_eq!(s.fetch(0, "/vice/usr/satya/f.txt").unwrap(), b"hello vice");
+    assert_eq!(
+        s.ops().fetch(0, "/vice/usr/satya/f.txt").unwrap(),
+        b"hello vice"
+    );
     // Time moved forward.
     assert!(s.now() > SimTime::ZERO);
 }
@@ -57,12 +61,16 @@ fn sharing_is_visible_across_workstations() {
     let mut s = sys();
     s.login(0, "satya", "pw-satya").unwrap();
     s.login(2, "howard", "pw-howard").unwrap(); // other cluster
-    s.mkdir_p(0, "/vice/usr/shared").unwrap();
-    s.store(0, "/vice/usr/shared/note", b"v1".to_vec()).unwrap();
-    assert_eq!(s.fetch(2, "/vice/usr/shared/note").unwrap(), b"v1");
+    s.ops().mkdir_p(0, "/vice/usr/shared").unwrap();
+    s.ops()
+        .store(0, "/vice/usr/shared/note", b"v1".to_vec())
+        .unwrap();
+    assert_eq!(s.ops().fetch(2, "/vice/usr/shared/note").unwrap(), b"v1");
     // An update by howard is seen by satya (timesharing semantics).
-    s.store(2, "/vice/usr/shared/note", b"v2".to_vec()).unwrap();
-    assert_eq!(s.fetch(0, "/vice/usr/shared/note").unwrap(), b"v2");
+    s.ops()
+        .store(2, "/vice/usr/shared/note", b"v2".to_vec())
+        .unwrap();
+    assert_eq!(s.ops().fetch(0, "/vice/usr/shared/note").unwrap(), b"v2");
 }
 
 #[test]
@@ -71,7 +79,9 @@ fn user_volume_routes_to_its_cluster_server() {
     s.create_user_volume("satya", 1).unwrap();
     assert_eq!(s.location_of("/vice/usr/satya/x"), Some(ServerId(1)));
     s.login(0, "satya", "pw-satya").unwrap();
-    s.store(0, "/vice/usr/satya/f", b"data".to_vec()).unwrap();
+    s.ops()
+        .store(0, "/vice/usr/satya/f", b"data".to_vec())
+        .unwrap();
     // The file physically lives on server 1.
     assert!(s.server(ServerId(1)).stats().calls_of("store") >= 1);
     assert_eq!(s.server(ServerId(0)).stats().calls_of("store"), 0);
@@ -83,11 +93,13 @@ fn permissions_enforced_against_authenticated_user() {
     s.create_user_volume("satya", 0).unwrap();
     s.login(0, "satya", "pw-satya").unwrap();
     s.login(1, "howard", "pw-howard").unwrap();
-    s.store(0, "/vice/usr/satya/secret", b"mine".to_vec())
+    s.ops()
+        .store(0, "/vice/usr/satya/secret", b"mine".to_vec())
         .unwrap();
     // howard can read (anyuser has READ) but not write.
-    assert_eq!(s.fetch(1, "/vice/usr/satya/secret").unwrap(), b"mine");
+    assert_eq!(s.ops().fetch(1, "/vice/usr/satya/secret").unwrap(), b"mine");
     let err = s
+        .ops()
         .store(1, "/vice/usr/satya/secret", b"overwrite".to_vec())
         .unwrap_err();
     assert!(
@@ -103,11 +115,13 @@ fn permissions_enforced_against_authenticated_user() {
 fn second_open_hits_cache_in_prototype_mode() {
     let mut s = sys();
     s.login(0, "satya", "pw-satya").unwrap();
-    s.mkdir_p(0, "/vice/usr/satya").unwrap();
-    s.store(0, "/vice/usr/satya/f", vec![7; 1000]).unwrap();
+    s.ops().mkdir_p(0, "/vice/usr/satya").unwrap();
+    s.ops()
+        .store(0, "/vice/usr/satya/f", vec![7; 1000])
+        .unwrap();
     let fetches_before = s.total_server_calls_of("fetch");
     let validates_before = s.total_server_calls_of("validate");
-    let _ = s.fetch(0, "/vice/usr/satya/f").unwrap();
+    let _ = s.ops().fetch(0, "/vice/usr/satya/f").unwrap();
     // Check-on-open: no fetch, but one validation.
     assert_eq!(s.total_server_calls_of("fetch"), fetches_before);
     assert_eq!(s.total_server_calls_of("validate"), validates_before + 1);
@@ -119,11 +133,11 @@ fn callback_mode_hits_without_any_traffic() {
     let mut s = ItcSystem::build(SystemConfig::revised(1, 2));
     s.add_user("u", "pw").unwrap();
     s.login(0, "u", "pw").unwrap();
-    s.mkdir_p(0, "/vice/usr/u").unwrap();
-    s.store(0, "/vice/usr/u/f", vec![1; 100]).unwrap();
-    let _ = s.fetch(0, "/vice/usr/u/f").unwrap();
+    s.ops().mkdir_p(0, "/vice/usr/u").unwrap();
+    s.ops().store(0, "/vice/usr/u/f", vec![1; 100]).unwrap();
+    let _ = s.ops().fetch(0, "/vice/usr/u/f").unwrap();
     let total_before = s.metrics().total_calls();
-    let _ = s.fetch(0, "/vice/usr/u/f").unwrap();
+    let _ = s.ops().fetch(0, "/vice/usr/u/f").unwrap();
     // Valid promise: the second open generated zero server calls.
     assert_eq!(s.metrics().total_calls(), total_before);
 }
@@ -135,38 +149,44 @@ fn callback_break_invalidates_other_caches() {
     s.add_user("b", "pw").unwrap();
     s.login(0, "a", "pw").unwrap();
     s.login(1, "b", "pw").unwrap();
-    s.mkdir_p(0, "/vice/usr/shared").unwrap();
-    s.store(0, "/vice/usr/shared/f", b"v1".to_vec()).unwrap();
+    s.ops().mkdir_p(0, "/vice/usr/shared").unwrap();
+    s.ops()
+        .store(0, "/vice/usr/shared/f", b"v1".to_vec())
+        .unwrap();
     // b caches it.
-    assert_eq!(s.fetch(1, "/vice/usr/shared/f").unwrap(), b"v1");
+    assert_eq!(s.ops().fetch(1, "/vice/usr/shared/f").unwrap(), b"v1");
     // a updates: b's promise must break.
-    s.store(0, "/vice/usr/shared/f", b"v2".to_vec()).unwrap();
+    s.ops()
+        .store(0, "/vice/usr/shared/f", b"v2".to_vec())
+        .unwrap();
     let entry_valid = s.venus(1).cache().peek("/vice/usr/shared/f").unwrap().valid;
     assert!(
         !entry_valid,
         "callback break should have invalidated b's copy"
     );
     // And b's next open refetches the new contents.
-    assert_eq!(s.fetch(1, "/vice/usr/shared/f").unwrap(), b"v2");
+    assert_eq!(s.ops().fetch(1, "/vice/usr/shared/f").unwrap(), b"v2");
 }
 
 #[test]
 fn logout_drops_bindings_but_keeps_cache() {
     let mut s = sys();
     s.login(0, "satya", "pw-satya").unwrap();
-    s.mkdir_p(0, "/vice/usr/satya").unwrap();
-    s.store(0, "/vice/usr/satya/f", b"x".to_vec()).unwrap();
+    s.ops().mkdir_p(0, "/vice/usr/satya").unwrap();
+    s.ops()
+        .store(0, "/vice/usr/satya/f", b"x".to_vec())
+        .unwrap();
     s.logout(0);
     assert!(s.venus(0).current_user().is_none());
     assert!(s.venus(0).cache().peek("/vice/usr/satya/f").is_some());
     // Operations now fail.
     assert!(matches!(
-        s.fetch(0, "/vice/usr/satya/f"),
+        s.ops().fetch(0, "/vice/usr/satya/f"),
         Err(SystemError::Venus(VenusError::NotLoggedIn))
     ));
     // A new login works again.
     s.login(0, "howard", "pw-howard").unwrap();
-    assert_eq!(s.fetch(0, "/vice/usr/satya/f").unwrap(), b"x");
+    assert_eq!(s.ops().fetch(0, "/vice/usr/satya/f").unwrap(), b"x");
 }
 
 #[test]
@@ -175,8 +195,11 @@ fn quota_is_enforced_through_the_full_stack() {
     s.create_user_volume("satya", 0).unwrap();
     s.set_volume_quota("/vice/usr/satya", Some(1000)).unwrap();
     s.login(0, "satya", "pw-satya").unwrap();
-    s.store(0, "/vice/usr/satya/a", vec![0; 800]).unwrap();
-    let err = s.store(0, "/vice/usr/satya/b", vec![0; 300]).unwrap_err();
+    s.ops().store(0, "/vice/usr/satya/a", vec![0; 800]).unwrap();
+    let err = s
+        .ops()
+        .store(0, "/vice/usr/satya/b", vec![0; 300])
+        .unwrap_err();
     assert!(matches!(
         err,
         SystemError::Venus(VenusError::Vice(ViceError::QuotaExceeded(_)))
@@ -188,17 +211,19 @@ fn offline_volume_surfaces_to_clients() {
     let mut s = sys();
     s.create_user_volume("satya", 0).unwrap();
     s.login(0, "satya", "pw-satya").unwrap();
-    s.store(0, "/vice/usr/satya/f", b"x".to_vec()).unwrap();
+    s.ops()
+        .store(0, "/vice/usr/satya/f", b"x".to_vec())
+        .unwrap();
     s.set_volume_online("/vice/usr/satya", false).unwrap();
     // A fresh workstation (cold cache) cannot read it.
     s.login(1, "howard", "pw-howard").unwrap();
-    let err = s.fetch(1, "/vice/usr/satya/f").unwrap_err();
+    let err = s.ops().fetch(1, "/vice/usr/satya/f").unwrap_err();
     assert!(matches!(
         err,
         SystemError::Venus(VenusError::Vice(ViceError::VolumeOffline(_)))
     ));
     s.set_volume_online("/vice/usr/satya", true).unwrap();
-    assert_eq!(s.fetch(1, "/vice/usr/satya/f").unwrap(), b"x");
+    assert_eq!(s.ops().fetch(1, "/vice/usr/satya/f").unwrap(), b"x");
 }
 
 #[test]
@@ -206,8 +231,10 @@ fn cross_cluster_access_works_with_hints() {
     let mut s = sys();
     s.create_user_volume("satya", 1).unwrap();
     s.login(0, "satya", "pw-satya").unwrap(); // cluster 0 ws
-    s.store(0, "/vice/usr/satya/f", b"far".to_vec()).unwrap();
-    assert_eq!(s.fetch(0, "/vice/usr/satya/f").unwrap(), b"far");
+    s.ops()
+        .store(0, "/vice/usr/satya/f", b"far".to_vec())
+        .unwrap();
+    assert_eq!(s.ops().fetch(0, "/vice/usr/satya/f").unwrap(), b"far");
     // The home server answered a location query at least once.
     assert!(s.server(ServerId(0)).stats().calls_of("getcustodian") >= 1);
 }
@@ -228,14 +255,16 @@ fn revocation_via_negative_rights_vs_groups() {
         .unwrap();
     s.login(0, "satya", "pw-satya").unwrap();
     s.login(1, "howard", "pw-howard").unwrap();
-    s.store(1, "/vice/proj/data", b"by howard".to_vec())
+    s.ops()
+        .store(1, "/vice/proj/data", b"by howard".to_vec())
         .unwrap();
 
     // Rapid revocation: negative rights on the single custodian.
     let mut revoked = acl.clone();
     revoked.deny("howard", Rights::ALL);
-    s.set_acl(0, "/vice/proj", revoked).unwrap();
+    s.ops().set_acl(0, "/vice/proj", revoked).unwrap();
     let err = s
+        .ops()
         .store(1, "/vice/proj/data", b"again".to_vec())
         .unwrap_err();
     assert!(matches!(
@@ -258,7 +287,7 @@ fn readonly_replication_serves_reads_locally() {
         .unwrap();
     s.replicate_readonly("/vice", &[ServerId(1)]).unwrap();
     s.login(2, "satya", "pw-satya").unwrap(); // cluster 1 workstation
-    let data = s.fetch(2, "/vice/unix/sun/bin/cc").unwrap();
+    let data = s.ops().fetch(2, "/vice/unix/sun/bin/cc").unwrap();
     assert_eq!(data.len(), 4000);
     // The fetch was served by the cluster-1 replica, not server 0.
     assert!(s.server(ServerId(1)).stats().calls_of("fetch") >= 1);
@@ -270,13 +299,17 @@ fn volume_move_keeps_data_and_updates_location() {
     let mut s = sys();
     s.create_user_volume("satya", 0).unwrap();
     s.login(0, "satya", "pw-satya").unwrap();
-    s.store(0, "/vice/usr/satya/f", b"before move".to_vec())
+    s.ops()
+        .store(0, "/vice/usr/satya/f", b"before move".to_vec())
         .unwrap();
     s.move_volume("/vice/usr/satya", ServerId(1)).unwrap();
     assert_eq!(s.location_of("/vice/usr/satya/f"), Some(ServerId(1)));
     // A cold client reads it from the new home.
     s.login(2, "howard", "pw-howard").unwrap();
-    assert_eq!(s.fetch(2, "/vice/usr/satya/f").unwrap(), b"before move");
+    assert_eq!(
+        s.ops().fetch(2, "/vice/usr/satya/f").unwrap(),
+        b"before move"
+    );
 }
 
 #[test]
@@ -288,8 +321,8 @@ fn heterogeneous_bin_paths_resolve_per_workstation() {
         .unwrap();
     s.login(0, "satya", "pw-satya").unwrap(); // ws 0: Sun
     s.login(1, "howard", "pw-howard").unwrap(); // ws 1: Vax
-    assert_eq!(s.fetch(0, "/bin/cc").unwrap(), b"sun cc");
-    assert_eq!(s.fetch(1, "/bin/cc").unwrap(), b"vax cc");
+    assert_eq!(s.ops().fetch(0, "/bin/cc").unwrap(), b"sun cc");
+    assert_eq!(s.ops().fetch(1, "/bin/cc").unwrap(), b"vax cc");
 }
 
 #[test]
@@ -297,8 +330,10 @@ fn local_files_never_touch_servers() {
     let mut s = sys();
     s.login(0, "satya", "pw-satya").unwrap();
     let calls_before = s.metrics().total_calls();
-    s.store(0, "/tmp/scratch", b"temporary".to_vec()).unwrap();
-    assert_eq!(s.fetch(0, "/tmp/scratch").unwrap(), b"temporary");
+    s.ops()
+        .store(0, "/tmp/scratch", b"temporary".to_vec())
+        .unwrap();
+    assert_eq!(s.ops().fetch(0, "/tmp/scratch").unwrap(), b"temporary");
     assert_eq!(s.metrics().total_calls(), calls_before);
 }
 
@@ -306,8 +341,9 @@ fn local_files_never_touch_servers() {
 fn surrogate_serves_pcs_through_the_host_cache() {
     let mut s = sys();
     s.login(0, "satya", "pw-satya").unwrap();
-    s.mkdir_p(0, "/vice/usr/satya").unwrap();
-    s.store(0, "/vice/usr/satya/report", vec![9; 40_000])
+    s.ops().mkdir_p(0, "/vice/usr/satya").unwrap();
+    s.ops()
+        .store(0, "/vice/usr/satya/report", vec![9; 40_000])
         .unwrap();
 
     s.enable_surrogate(0).unwrap();
@@ -330,7 +366,10 @@ fn surrogate_serves_pcs_through_the_host_cache() {
     s.pc_store(0, pc1, "/vice/usr/satya/from-pc", b"dos file".to_vec())
         .unwrap();
     s.login(2, "howard", "pw-howard").unwrap();
-    assert_eq!(s.fetch(2, "/vice/usr/satya/from-pc").unwrap(), b"dos file");
+    assert_eq!(
+        s.ops().fetch(2, "/vice/usr/satya/from-pc").unwrap(),
+        b"dos file"
+    );
 
     // Accounting and timing happened.
     let st = s.surrogate(0).unwrap().stats_of(pc1).unwrap();
@@ -358,24 +397,28 @@ fn locks_are_exclusive_across_workstations() {
     let mut s = sys();
     s.login(0, "satya", "pw-satya").unwrap();
     s.login(1, "howard", "pw-howard").unwrap();
-    s.mkdir_p(0, "/vice/usr/shared").unwrap();
-    s.store(0, "/vice/usr/shared/f", b"x".to_vec()).unwrap();
-    s.lock(0, "/vice/usr/shared/f", true).unwrap();
-    let err = s.lock(1, "/vice/usr/shared/f", true).unwrap_err();
+    s.ops().mkdir_p(0, "/vice/usr/shared").unwrap();
+    s.ops()
+        .store(0, "/vice/usr/shared/f", b"x".to_vec())
+        .unwrap();
+    s.ops().lock(0, "/vice/usr/shared/f", true).unwrap();
+    let err = s.ops().lock(1, "/vice/usr/shared/f", true).unwrap_err();
     assert!(matches!(
         err,
         SystemError::Venus(VenusError::Vice(ViceError::LockConflict(_)))
     ));
-    s.unlock(0, "/vice/usr/shared/f").unwrap();
-    s.lock(1, "/vice/usr/shared/f", true).unwrap();
+    s.ops().unlock(0, "/vice/usr/shared/f").unwrap();
+    s.ops().lock(1, "/vice/usr/shared/f", true).unwrap();
 }
 
 #[test]
 fn event_pipeline_runs_every_call() {
     let mut s = sys();
     s.login(0, "satya", "pw-satya").unwrap();
-    s.mkdir_p(0, "/vice/usr/satya").unwrap();
-    s.store(0, "/vice/usr/satya/f", b"x".to_vec()).unwrap();
+    s.ops().mkdir_p(0, "/vice/usr/satya").unwrap();
+    s.ops()
+        .store(0, "/vice/usr/satya/f", b"x".to_vec())
+        .unwrap();
     let st = s.event_stats();
     assert!(st.executed > 0, "calls must flow through the scheduler");
     let queued: u64 = s.core.clusters.iter().map(|c| c.sched.len() as u64).sum();

@@ -159,30 +159,30 @@ impl AndrewBenchmark {
         // Phase 2: Copy.
         let t0 = sys.ws_time(ws);
         for (rel, _) in &self.tree.files {
-            let data = sys.fetch(ws, &self.source.join(rel))?;
-            sys.store(ws, &self.target.join(rel), data)?;
+            let data = sys.ops().fetch(ws, &self.source.join(rel))?;
+            sys.ops().store(ws, &self.target.join(rel), data)?;
         }
         phases.copy = sys.ws_time(ws) - t0;
 
         // Phase 3: ScanDir — examine the status of every file.
         let t0 = sys.ws_time(ws);
-        sys.readdir(ws, self.target.base())?;
+        sys.ops().readdir(ws, self.target.base())?;
         for d in &self.tree.dirs {
-            sys.readdir(ws, &self.target.join(d))?;
+            sys.ops().readdir(ws, &self.target.join(d))?;
         }
         for (rel, _) in &self.tree.files {
-            sys.stat(ws, &self.target.join(rel))?;
+            sys.ops().stat(ws, &self.target.join(rel))?;
         }
         phases.scan_dir = sys.ws_time(ws) - t0;
 
         // Phase 4: ReadAll — scan every byte of every file.
         let t0 = sys.ws_time(ws);
         for (rel, data) in &self.tree.files {
-            let got = sys.fetch(ws, &self.target.join(rel))?;
+            let got = sys.ops().fetch(ws, &self.target.join(rel))?;
             debug_assert_eq!(got.len(), data.len());
             let kib = (got.len() as u64).div_ceil(1024);
             let scanned = sys.ws_time(ws) + costs.app_scan_per_kib * kib;
-            sys.advance_ws(ws, scanned);
+            sys.ops().advance_ws(ws, scanned);
         }
         phases.read_all = sys.ws_time(ws) - t0;
 
@@ -203,33 +203,34 @@ impl AndrewBenchmark {
         let mut objects = Vec::new();
         for (i, (rel, size)) in units.iter().enumerate() {
             // Read the source and the headers it includes.
-            let src = sys.fetch(ws, &self.target.join(rel))?;
+            let src = sys.ops().fetch(ws, &self.target.join(rel))?;
             for h in 0..HEADERS_PER_UNIT.min(headers.len()) {
                 let header = &headers[(i + h) % headers.len()];
-                let _ = sys.fetch(ws, &self.target.join(header))?;
+                let _ = sys.ops().fetch(ws, &self.target.join(header))?;
             }
             // Compiler work, with an intermediate in the local /tmp (class
             // 2 of Section 3.1: temporaries never enter the shared space).
             let kib = (src.len() as u64).div_ceil(1024);
             let compiled = sys.ws_time(ws) + costs.app_compile_per_kib * kib;
-            sys.advance_ws(ws, compiled);
+            sys.ops().advance_ws(ws, compiled);
             let tmp = format!("/tmp/cc{i:03}.s");
-            sys.store(ws, &tmp, vec![b'#'; size / 2 + 1])?;
-            sys.unlink(ws, &tmp)?;
+            sys.ops().store(ws, &tmp, vec![b'#'; size / 2 + 1])?;
+            sys.ops().unlink(ws, &tmp)?;
             // The object file lands in the target tree.
             let obj = format!("{}.o", rel.trim_end_matches(".c"));
-            sys.store(ws, &self.target.join(&obj), vec![0u8; size / 2 + 1])?;
+            sys.ops()
+                .store(ws, &self.target.join(&obj), vec![0u8; size / 2 + 1])?;
             objects.push(obj);
         }
         // Link: read every object, charge link CPU, write the binary.
         let mut total_obj = 0u64;
         for obj in &objects {
-            total_obj += sys.fetch(ws, &self.target.join(obj))?.len() as u64;
+            total_obj += sys.ops().fetch(ws, &self.target.join(obj))?.len() as u64;
         }
         let link_cpu = costs.app_compile_per_kib * total_obj.div_ceil(1024) / 4;
         let linked = sys.ws_time(ws) + link_cpu;
-        sys.advance_ws(ws, linked);
-        sys.store(
+        sys.ops().advance_ws(ws, linked);
+        sys.ops().store(
             ws,
             &self.target.join("a.out"),
             vec![0u8; total_obj as usize / 2],
@@ -245,13 +246,14 @@ impl AndrewBenchmark {
 
     fn mkdir_tree(&self, sys: &mut ItcSystem, ws: WsId, path: &str) -> Result<(), SystemError> {
         match &self.target {
-            TreeLocation::Vice(_) => sys.mkdir_p(ws, path),
+            TreeLocation::Vice(_) => sys.ops().mkdir_p(ws, path),
             TreeLocation::Local(_) => {
                 // Local mkdir through the workstation interface: charge the
                 // syscall interception and a directory-update disk write.
                 let costs = sys.config().costs.clone();
                 let now = sys.ws_time(ws);
-                sys.advance_ws(ws, now + costs.ws_cpu_intercept + costs.ws_disk_transfer(0));
+                sys.ops()
+                    .advance_ws(ws, now + costs.ws_cpu_intercept + costs.ws_disk_transfer(0));
                 let now_us = sys.ws_time(ws).as_micros();
                 sys.venus_mut(ws)
                     .namespace_mut()
@@ -307,7 +309,7 @@ mod tests {
         let local_report = local.run(&mut sys, 0).unwrap();
 
         let mut sys2 = logged_in_system();
-        sys2.mkdir_p(0, "/vice/usr/bench").unwrap();
+        sys2.ops().mkdir_p(0, "/vice/usr/bench").unwrap();
         let remote = AndrewBenchmark::new(
             TreeLocation::Vice("/vice/usr/bench/src".into()),
             TreeLocation::Vice("/vice/usr/bench/obj".into()),
@@ -326,7 +328,7 @@ mod tests {
     #[test]
     fn copy_phase_preserves_contents() {
         let mut sys = logged_in_system();
-        sys.mkdir_p(0, "/vice/usr/bench").unwrap();
+        sys.ops().mkdir_p(0, "/vice/usr/bench").unwrap();
         let b = AndrewBenchmark::new(
             TreeLocation::Vice("/vice/usr/bench/src".into()),
             TreeLocation::Vice("/vice/usr/bench/obj".into()),
@@ -334,10 +336,19 @@ mod tests {
         b.install_source(&mut sys, 0).unwrap();
         b.run(&mut sys, 0).unwrap();
         for (rel, data) in &b.tree().files {
-            let got = sys.fetch(0, &format!("/vice/usr/bench/obj/{rel}")).unwrap();
+            let got = sys
+                .ops()
+                .fetch(0, &format!("/vice/usr/bench/obj/{rel}"))
+                .unwrap();
             assert_eq!(&got, data, "{rel}");
         }
         // Objects and the linked binary exist.
-        assert!(sys.fetch(0, "/vice/usr/bench/obj/a.out").unwrap().len() > 1000);
+        assert!(
+            sys.ops()
+                .fetch(0, "/vice/usr/bench/obj/a.out")
+                .unwrap()
+                .len()
+                > 1000
+        );
     }
 }

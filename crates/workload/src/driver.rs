@@ -3,10 +3,10 @@
 //!
 //! Two layers live here:
 //!
-//! * [`WsCalls`] — the calls a session makes, as a trait over [`WsOps`]
-//!   (and the [`ItcSystem`] facade that forwards to it), so a caller can
-//!   interpose on them: [`crate::user::UserSession::step`] is generic over
-//!   it, and the benchmark wraps `WsOps` to time each call.
+//! * [`WsCalls`] — the calls a session makes, as a trait over [`WsOps`],
+//!   so a caller can interpose on them: [`crate::user::UserSession::step`]
+//!   is generic over it, and the benchmark wraps `WsOps` to time each
+//!   call.
 //! * [`SessionDriver`] / [`ScriptDriver`] — [`WsDriver`] implementations
 //!   wrapping a synthetic user session (the day workload) and a scripted
 //!   operation queue (the storm scenarios). Each declares the cluster
@@ -27,14 +27,13 @@ use crate::scenario::{OpCounts, SharedCounts};
 use crate::user::{OpKind, UserSession};
 use itc_core::proto::{EntryKind, VStatus};
 use itc_core::system::parallel::{ClusterMask, WsDriver, WsOps};
-use itc_core::system::{ItcSystem, SystemError, WsId};
+use itc_core::system::{SystemError, WsId};
 use itc_sim::SimTime;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// The workstation system-call surface a workload op executes against.
-/// Implemented by [`WsOps`] and by the [`ItcSystem`] facade, which
-/// forwards to a whole-system `WsOps`.
+/// Implemented by [`WsOps`] — a whole-system one is `sys.ops()`.
 pub trait WsCalls {
     /// Advances a workstation's local time (think time).
     fn advance_ws(&mut self, ws: WsId, to: SimTime);
@@ -60,55 +59,41 @@ pub trait WsCalls {
     fn close(&mut self, ws: WsId, handle: u64) -> Result<(), SystemError>;
 }
 
-macro_rules! forward_ws_calls {
-    ($ty:ty) => {
-        impl WsCalls for $ty {
-            fn advance_ws(&mut self, ws: WsId, to: SimTime) {
-                <$ty>::advance_ws(self, ws, to);
-            }
-            fn ws_time(&mut self, ws: WsId) -> SimTime {
-                <$ty>::ws_time(self, ws)
-            }
-            fn fetch(&mut self, ws: WsId, path: &str) -> Result<Vec<u8>, SystemError> {
-                <$ty>::fetch(self, ws, path)
-            }
-            fn store(&mut self, ws: WsId, path: &str, data: Vec<u8>) -> Result<(), SystemError> {
-                <$ty>::store(self, ws, path, data)
-            }
-            fn stat(&mut self, ws: WsId, path: &str) -> Result<VStatus, SystemError> {
-                <$ty>::stat(self, ws, path)
-            }
-            fn readdir(
-                &mut self,
-                ws: WsId,
-                path: &str,
-            ) -> Result<Vec<(String, EntryKind)>, SystemError> {
-                <$ty>::readdir(self, ws, path)
-            }
-            fn unlink(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
-                <$ty>::unlink(self, ws, path)
-            }
-            fn open_write(&mut self, ws: WsId, path: &str) -> Result<u64, SystemError> {
-                <$ty>::open_write(self, ws, path)
-            }
-            fn read(&mut self, ws: WsId, handle: u64) -> Result<Vec<u8>, SystemError> {
-                <$ty>::read(self, ws, handle)
-            }
-            fn write(&mut self, ws: WsId, handle: u64, data: Vec<u8>) -> Result<(), SystemError> {
-                <$ty>::write(self, ws, handle, data)
-            }
-            fn close(&mut self, ws: WsId, handle: u64) -> Result<(), SystemError> {
-                <$ty>::close(self, ws, handle)
-            }
-        }
-    };
+impl WsCalls for WsOps<'_> {
+    fn advance_ws(&mut self, ws: WsId, to: SimTime) {
+        WsOps::advance_ws(self, ws, to);
+    }
+    fn ws_time(&mut self, ws: WsId) -> SimTime {
+        WsOps::ws_time(self, ws)
+    }
+    fn fetch(&mut self, ws: WsId, path: &str) -> Result<Vec<u8>, SystemError> {
+        WsOps::fetch(self, ws, path)
+    }
+    fn store(&mut self, ws: WsId, path: &str, data: Vec<u8>) -> Result<(), SystemError> {
+        WsOps::store(self, ws, path, data)
+    }
+    fn stat(&mut self, ws: WsId, path: &str) -> Result<VStatus, SystemError> {
+        WsOps::stat(self, ws, path)
+    }
+    fn readdir(&mut self, ws: WsId, path: &str) -> Result<Vec<(String, EntryKind)>, SystemError> {
+        WsOps::readdir(self, ws, path)
+    }
+    fn unlink(&mut self, ws: WsId, path: &str) -> Result<(), SystemError> {
+        WsOps::unlink(self, ws, path)
+    }
+    fn open_write(&mut self, ws: WsId, path: &str) -> Result<u64, SystemError> {
+        WsOps::open_write(self, ws, path)
+    }
+    fn read(&mut self, ws: WsId, handle: u64) -> Result<Vec<u8>, SystemError> {
+        WsOps::read(self, ws, handle)
+    }
+    fn write(&mut self, ws: WsId, handle: u64, data: Vec<u8>) -> Result<(), SystemError> {
+        WsOps::write(self, ws, handle, data)
+    }
+    fn close(&mut self, ws: WsId, handle: u64) -> Result<(), SystemError> {
+        WsOps::close(self, ws, handle)
+    }
 }
-
-forward_ws_calls!(ItcSystem);
-forward_ws_calls!(WsOps<'_>);
-
-// `ItcSystem::ws_time` takes `&self`; the macro's `&mut self` receiver
-// coerces fine. `WsOps::ws_time` is `&mut self` already.
 
 /// A [`UserSession`] as a schedulable driver: one op per
 /// [`UserSession::next_at`] tick until the day ends, with the day's surge

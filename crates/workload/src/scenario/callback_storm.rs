@@ -86,7 +86,7 @@ pub fn run(cfg: &CallbackStormConfig) -> Result<(ItcSystem, ScenarioReport), Sys
         sys.add_user(&name, &format!("pw-{name}"))?;
     }
     sys.login(0, "writer", "pw-writer")?;
-    sys.store(0, shared, vec![0u8; cfg.shared_bytes])?;
+    sys.ops().store(0, shared, vec![0u8; cfg.shared_bytes])?;
 
     // Readers log in and cache the shared file (acquiring callback
     // promises on it and on its parent directory), spread over a couple of
@@ -94,7 +94,7 @@ pub fn run(cfg: &CallbackStormConfig) -> Result<(ItcSystem, ScenarioReport), Sys
     let mut rng = SimRng::seeded(cfg.seed);
     for ws in 1..n {
         let offset = SimTime::from_micros(rng.range(0, SimTime::from_secs(120).as_micros()));
-        sys.advance_ws(ws, offset);
+        sys.ops().advance_ws(ws, offset);
     }
     let all = ClusterMask::all(1);
     let counts = SharedCounts::default();
@@ -114,9 +114,11 @@ pub fn run(cfg: &CallbackStormConfig) -> Result<(ItcSystem, ScenarioReport), Sys
             .max()
             .unwrap_or(SimTime::ZERO);
         if sys.ws_time(0) < base {
-            sys.advance_ws(0, base);
+            sys.ops().advance_ws(0, base);
         }
-        let rewrite = sys.store(0, shared, vec![round as u8 + 1; cfg.shared_bytes]);
+        let rewrite = sys
+            .ops()
+            .store(0, shared, vec![round as u8 + 1; cfg.shared_bytes]);
         counts.lock().expect("counts lock").record(rewrite)?;
 
         if round == 1 {
@@ -137,7 +139,7 @@ pub fn run(cfg: &CallbackStormConfig) -> Result<(ItcSystem, ScenarioReport), Sys
         for ws in 1..n {
             let at = base + SimTime::from_micros(rng.range(1_000_000, 6_000_000));
             if sys.ws_time(ws) < at {
-                sys.advance_ws(ws, at);
+                sys.ops().advance_ws(ws, at);
             }
         }
         let mut refetch = scripts(&sys, &counts);

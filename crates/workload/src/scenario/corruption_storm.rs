@@ -102,7 +102,7 @@ pub fn run(cfg: &CorruptionStormConfig) -> Result<(ItcSystem, ScenarioReport), S
     let mut rng = SimRng::seeded(cfg.seed);
     for ws in 0..n {
         let offset = SimTime::from_micros(rng.range(0, SimTime::from_secs(60).as_micros()));
-        sys.advance_ws(ws, offset);
+        sys.ops().advance_ws(ws, offset);
     }
     let all = ClusterMask::all(2);
     let counts = SharedCounts::default();
@@ -166,7 +166,7 @@ pub fn run(cfg: &CorruptionStormConfig) -> Result<(ItcSystem, ScenarioReport), S
     // volume on both servers after the last flip.
     let drain_end = sys.now() + cfg.window + SimTime::from_secs(600);
     for ws in 0..n {
-        sys.advance_ws(ws, drain_end);
+        sys.ops().advance_ws(ws, drain_end);
     }
     sys.run_fault_schedule();
 

@@ -114,7 +114,7 @@ pub fn run_mode(
     let mut rng = SimRng::seeded(cfg.seed);
     for ws in 0..n {
         let offset = SimTime::from_micros(rng.range(0, cfg.window.as_micros()));
-        sys.advance_ws(ws, cfg.start + offset);
+        sys.ops().advance_ws(ws, cfg.start + offset);
     }
 
     let counts = SharedCounts::default();

@@ -85,7 +85,7 @@ pub fn run(cfg: &ReleasePushConfig) -> Result<(ItcSystem, ScenarioReport), Syste
     let mut rng = SimRng::seeded(cfg.seed);
     for ws in 0..n {
         let offset = SimTime::from_micros(rng.range(0, SimTime::from_secs(120).as_micros()));
-        sys.advance_ws(ws, offset);
+        sys.ops().advance_ws(ws, offset);
     }
     let all = ClusterMask::all(cfg.clusters as usize);
     let counts = SharedCounts::default();
@@ -120,7 +120,7 @@ pub fn run(cfg: &ReleasePushConfig) -> Result<(ItcSystem, ScenarioReport), Syste
         let offset = SimTime::from_micros(rng.range(0, cfg.window.as_micros()));
         let at = storm_start + offset;
         if sys.ws_time(ws) < at {
-            sys.advance_ws(ws, at);
+            sys.ops().advance_ws(ws, at);
         }
     }
     let mut storm = scripts(&sys, &counts);

@@ -11,7 +11,7 @@
 //! replay cache.
 //!
 //! The shipped fix measured here is the **jittered exponential reconnect
-//! backoff** ([`itc_core::system::ItcSystem::reconnect_backoff`]): with
+//! backoff** ([`itc_core::system::parallel::WsOps::reconnect_backoff`]): with
 //! `use_backoff` the clients consult it between probes instead of
 //! hammering on a fixed one-second cycle, and the before/after tables
 //! show failed probes (and the wasted-time attribution component)
@@ -103,7 +103,7 @@ pub fn run(cfg: &ThunderingHerdConfig) -> Result<(ItcSystem, ScenarioReport), Sy
     let mut rng = SimRng::seeded(cfg.seed);
     for ws in 0..n {
         let offset = SimTime::from_micros(rng.range(0, SimTime::from_secs(120).as_micros()));
-        sys.advance_ws(ws, offset);
+        sys.ops().advance_ws(ws, offset);
     }
     let all = ClusterMask::all(1);
     let counts = SharedCounts::default();

@@ -168,7 +168,9 @@ impl UserSession {
     /// [`run_day`]: crate::day::run_day
     /// [`run_day_drivers`]: crate::day::run_day_drivers
     pub fn warm_home_hint(&self, sys: &mut ItcSystem) -> Result<(), SystemError> {
-        let _ = sys.stat(self.ws, &format!("/vice/usr/{}/src", self.cfg.name))?;
+        let _ = sys
+            .ops()
+            .stat(self.ws, &format!("/vice/usr/{}/src", self.cfg.name))?;
         Ok(())
     }
 
@@ -237,8 +239,8 @@ impl UserSession {
     /// `rate_multiplier` times faster than the configured base rate.
     /// Errors from permission or concurrency races are tolerated (real
     /// users retry); provisioning errors propagate. Generic over the call
-    /// surface ([`itc_core::system::parallel::WsOps`], the [`ItcSystem`]
-    /// facade over it, or a wrapper that observes each call).
+    /// surface ([`itc_core::system::parallel::WsOps`] — `sys.ops()` over a
+    /// whole [`ItcSystem`] — or a wrapper that observes each call).
     pub fn step<S: WsCalls>(
         &mut self,
         sys: &mut S,
@@ -327,7 +329,7 @@ mod tests {
         )
         .unwrap();
         for _ in 0..50 {
-            session.step(&mut sys, 1.0).unwrap();
+            session.step(&mut sys.ops(), 1.0).unwrap();
         }
         assert_eq!(session.ops_done(), 50);
         // The user really generated server traffic and cache activity.
@@ -361,7 +363,7 @@ mod tests {
             )
             .unwrap();
             for _ in 0..30 {
-                s.step(&mut sys, 1.0).unwrap();
+                s.step(&mut sys.ops(), 1.0).unwrap();
             }
             (sys.ws_time(0), sys.metrics().total_calls())
         };

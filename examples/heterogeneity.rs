@@ -39,7 +39,7 @@ fn main() {
             Space::Vice(p) => p.clone(),
             Space::Local(p) => p.clone(),
         };
-        let data = sys.fetch(ws, "/bin/cc").unwrap();
+        let data = sys.ops().fetch(ws, "/bin/cc").unwrap();
         println!(
             "ws{ws} ({arch:>3}):  /bin/cc -> {resolved}  contents: {:?}",
             String::from_utf8_lossy(&data)
@@ -48,19 +48,20 @@ fn main() {
 
     // A user can build private shortcuts into the shared space too
     // ("symbolic links from the local name space into Vice are supported").
-    sys.mkdir_p(0, "/vice/usr/student/project").unwrap();
-    sys.store(
-        0,
-        "/vice/usr/student/project/main.c",
-        b"int main(){}".to_vec(),
-    )
-    .unwrap();
+    sys.ops().mkdir_p(0, "/vice/usr/student/project").unwrap();
+    sys.ops()
+        .store(
+            0,
+            "/vice/usr/student/project/main.c",
+            b"int main(){}".to_vec(),
+        )
+        .unwrap();
     sys.venus_mut(0)
         .namespace_mut()
         .local_mut()
         .symlink("/local/proj", "/vice/usr/student/project", 0, 0)
         .unwrap();
-    let through_link = sys.fetch(0, "/local/proj/main.c").unwrap();
+    let through_link = sys.ops().fetch(0, "/local/proj/main.c").unwrap();
     println!(
         "private shortcut: /local/proj/main.c -> {:?}",
         String::from_utf8_lossy(&through_link)

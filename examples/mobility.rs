@@ -21,13 +21,13 @@ fn work_session(sys: &mut ItcSystem, ws: WsId, label: &str) -> SimTime {
     // Read the whole working set.
     for i in 0..8 {
         let path = format!("/vice/usr/prof/notes/ch{i}.txt");
-        let _ = sys.fetch(ws, &path).unwrap();
+        let _ = sys.ops().fetch(ws, &path).unwrap();
     }
     // Edit chapter 3.
     let path = "/vice/usr/prof/notes/ch3.txt";
-    let mut data = sys.fetch(ws, path).unwrap();
+    let mut data = sys.ops().fetch(ws, path).unwrap();
     data.extend_from_slice(b"\n...new paragraph written elsewhere...");
-    sys.store(ws, path, data).unwrap();
+    sys.ops().store(ws, path, data).unwrap();
     let elapsed = sys.ws_time(ws) - t0;
     println!("{label:<34} {elapsed}");
     elapsed
@@ -58,14 +58,14 @@ fn main() {
     // Wall time passes while she walks: bring the library workstation's
     // local clock up to campus time.
     let now = sys.now();
-    sys.advance_ws(library, now);
+    sys.ops().advance_ws(library, now);
     sys.login(library, "prof", "tenure").unwrap();
     let library_cold = work_session(&mut sys, library, "library, cold cache (cache fill)");
     let library_warm = work_session(&mut sys, library, "library, warm cache");
 
     println!("-- back at the office: her cache is still warm --");
     let now = sys.now();
-    sys.advance_ws(office, now);
+    sys.ops().advance_ws(office, now);
     // The edit she made at the library broke nothing: check-on-open
     // validation (or a callback break) refreshes exactly the changed file.
     let office_back = work_session(&mut sys, office, "office again");
@@ -77,7 +77,10 @@ fn main() {
         library_warm.as_secs_f64() / office_warm.as_secs_f64(),
     );
     // The library edit is visible at the office.
-    let text = sys.fetch(office, "/vice/usr/prof/notes/ch3.txt").unwrap();
+    let text = sys
+        .ops()
+        .fetch(office, "/vice/usr/prof/notes/ch3.txt")
+        .unwrap();
     assert!(text.ends_with(b"...new paragraph written elsewhere..."));
     println!("the paragraph written at the library is on screen at the office");
     let _ = (office_cold, office_back);

@@ -22,20 +22,27 @@ fn main() {
     println!("logged in as satya at workstation {ws}");
 
     // The shared name space looks like a normal file system.
-    sys.mkdir_p(ws, "/vice/usr/satya/doc").unwrap();
-    sys.store(
-        ws,
-        "/vice/usr/satya/doc/paper.tex",
-        b"Caching of entire files at workstations is a key element in this design.".to_vec(),
-    )
-    .unwrap();
+    sys.ops().mkdir_p(ws, "/vice/usr/satya/doc").unwrap();
+    sys.ops()
+        .store(
+            ws,
+            "/vice/usr/satya/doc/paper.tex",
+            b"Caching of entire files at workstations is a key element in this design.".to_vec(),
+        )
+        .unwrap();
 
-    let text = sys.fetch(ws, "/vice/usr/satya/doc/paper.tex").unwrap();
+    let text = sys
+        .ops()
+        .fetch(ws, "/vice/usr/satya/doc/paper.tex")
+        .unwrap();
     println!("read back {} bytes through the cache", text.len());
 
     // The second open of a cached file does not fetch again.
     let fetches_before = sys.total_server_calls_of("fetch");
-    let _ = sys.fetch(ws, "/vice/usr/satya/doc/paper.tex").unwrap();
+    let _ = sys
+        .ops()
+        .fetch(ws, "/vice/usr/satya/doc/paper.tex")
+        .unwrap();
     let fetches_after = sys.total_server_calls_of("fetch");
     println!(
         "second open caused {} fetch calls (cache hit ratio so far: {:.0}%)",
@@ -45,8 +52,10 @@ fn main() {
 
     // Local files (like compiler temporaries) never touch Vice at all.
     let calls_before = sys.metrics().total_calls();
-    sys.store(ws, "/tmp/scratch.o", vec![0u8; 4096]).unwrap();
-    sys.unlink(ws, "/tmp/scratch.o").unwrap();
+    sys.ops()
+        .store(ws, "/tmp/scratch.o", vec![0u8; 4096])
+        .unwrap();
+    sys.ops().unlink(ws, "/tmp/scratch.o").unwrap();
     assert_eq!(sys.metrics().total_calls(), calls_before);
     println!("temporary files stayed local: 0 server calls");
 

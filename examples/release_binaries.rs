@@ -31,7 +31,7 @@ fn main() {
     // replica, not from the custodian across the backbone.
     let ws = sys.workstation_in_cluster(2);
     sys.login(ws, "ops", "pw").unwrap();
-    let v1 = sys.fetch(ws, "/vice/unix/sun/bin/emacs").unwrap();
+    let v1 = sys.ops().fetch(ws, "/vice/unix/sun/bin/emacs").unwrap();
     println!(
         "cluster-2 workstation runs {:?}; fetches served by server2: {}, by custodian: {}",
         String::from_utf8_lossy(&v1),
@@ -42,7 +42,7 @@ fn main() {
     // Cached copies from read-only subtrees "can never be invalid": warm
     // opens cost nothing at all.
     let calls_before = sys.metrics().total_calls();
-    let _ = sys.fetch(ws, "/vice/unix/sun/bin/emacs").unwrap();
+    let _ = sys.ops().fetch(ws, "/vice/unix/sun/bin/emacs").unwrap();
     println!(
         "warm open of a read-only binary made {} server calls",
         sys.metrics().total_calls() - calls_before
@@ -53,7 +53,7 @@ fn main() {
     // the next release is cut.
     sys.admin_install_file("/vice/unix/sun/bin/emacs", b"emacs 18.41".to_vec())
         .unwrap();
-    let still_v1 = sys.fetch(ws, "/vice/unix/sun/bin/emacs").unwrap();
+    let still_v1 = sys.ops().fetch(ws, "/vice/unix/sun/bin/emacs").unwrap();
     println!(
         "before re-release, cluster 2 still sees {:?}",
         String::from_utf8_lossy(&still_v1)
@@ -65,7 +65,10 @@ fn main() {
     // workstation (or an expired cache) picks up the new release.
     let ws_fresh = sys.workstation_in_cluster(1);
     sys.login(ws_fresh, "ops", "pw").unwrap();
-    let v2 = sys.fetch(ws_fresh, "/vice/unix/sun/bin/emacs").unwrap();
+    let v2 = sys
+        .ops()
+        .fetch(ws_fresh, "/vice/unix/sun/bin/emacs")
+        .unwrap();
     println!(
         "after re-release, a fresh workstation sees {:?}",
         String::from_utf8_lossy(&v2)

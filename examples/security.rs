@@ -70,11 +70,12 @@ fn main() {
     sys.login(0, "alice", "users-password").unwrap();
     sys.login(1, "mallory", "1337").unwrap();
 
-    sys.store(0, "/vice/proj/plan.txt", b"launch on thursday".to_vec())
+    sys.ops()
+        .store(0, "/vice/proj/plan.txt", b"launch on thursday".to_vec())
         .unwrap();
     println!(
         "team member can read: {}",
-        sys.fetch(1, "/vice/proj/plan.txt").is_ok()
+        sys.ops().fetch(1, "/vice/proj/plan.txt").is_ok()
     );
 
     // Mallory turns out to be untrustworthy. Removing him from every group
@@ -82,12 +83,13 @@ fn main() {
     // rights revoke at the single custodian, immediately.
     let mut revoked = acl;
     revoked.deny("mallory", Rights::ALL);
-    sys.set_acl(0, "/vice/proj", revoked).unwrap();
+    sys.ops().set_acl(0, "/vice/proj", revoked).unwrap();
     println!(
         "after negative rights, mallory blocked from write: {}, read: {}, even via his cache: {}",
-        sys.store(1, "/vice/proj/plan.txt", b"sabotage".to_vec())
+        sys.ops()
+            .store(1, "/vice/proj/plan.txt", b"sabotage".to_vec())
             .is_err(),
-        sys.fetch(1, "/vice/proj/plan.txt").is_err(),
+        sys.ops().fetch(1, "/vice/proj/plan.txt").is_err(),
         // His cached copy exists, but check-on-open revalidation is also
         // protection-checked.
         sys.venus(1).cache().peek("/vice/proj/plan.txt").is_some(),
@@ -99,6 +101,6 @@ fn main() {
     sys.login(2, "bob", "pw").unwrap();
     println!(
         "bob still reads fine: {}",
-        sys.fetch(2, "/vice/proj/plan.txt").is_ok()
+        sys.ops().fetch(2, "/vice/proj/plan.txt").is_ok()
     );
 }

@@ -60,7 +60,7 @@ fn main() {
     .unwrap();
     sys.add_user("prof", "pw").unwrap();
     sys.login(1, "prof", "pw").unwrap();
-    let seen = sys.fetch(1, "/vice/usr/lab/results.txt").unwrap();
+    let seen = sys.ops().fetch(1, "/vice/usr/lab/results.txt").unwrap();
     println!(
         "a real workstation sees the PC's file: {:?}",
         String::from_utf8_lossy(&seen)

@@ -18,7 +18,7 @@ fn reread_workload(cfg: SystemConfig) -> ItcSystem {
     sys.login(0, "u", "pw").unwrap();
     for _round in 0..5 {
         for i in 0..10 {
-            let _ = sys.fetch(0, &format!("/vice/usr/u/f{i}")).unwrap();
+            let _ = sys.ops().fetch(0, &format!("/vice/usr/u/f{i}")).unwrap();
         }
     }
     sys
@@ -124,9 +124,12 @@ fn count_lru_vs_space_lru_evict_differently() {
         sys.login(0, "u", "pw").unwrap();
         for _ in 0..3 {
             for i in 0..8 {
-                let _ = sys.fetch(0, &format!("/vice/usr/u/small{i}")).unwrap();
+                let _ = sys
+                    .ops()
+                    .fetch(0, &format!("/vice/usr/u/small{i}"))
+                    .unwrap();
             }
-            let _ = sys.fetch(0, "/vice/usr/u/huge").unwrap();
+            let _ = sys.ops().fetch(0, "/vice/usr/u/huge").unwrap();
         }
         sys
     };
@@ -165,10 +168,12 @@ fn all_sixteen_mode_combinations_work() {
                     let mut sys = ItcSystem::build(cfg);
                     sys.add_user("x", "pw").unwrap();
                     sys.login(0, "x", "pw").unwrap();
-                    sys.mkdir_p(0, "/vice/usr/x").unwrap();
-                    sys.store(0, "/vice/usr/x/t", b"combo".to_vec()).unwrap();
+                    sys.ops().mkdir_p(0, "/vice/usr/x").unwrap();
+                    sys.ops()
+                        .store(0, "/vice/usr/x/t", b"combo".to_vec())
+                        .unwrap();
                     assert_eq!(
-                        sys.fetch(0, "/vice/usr/x/t").unwrap(),
+                        sys.ops().fetch(0, "/vice/usr/x/t").unwrap(),
                         b"combo",
                         "combo failed: {validation:?}/{traversal:?}/{structure:?}/{cache:?}"
                     );

@@ -18,7 +18,7 @@ fn two_users(validation: ValidationMode) -> ItcSystem {
     sys.add_user("b", "pw").unwrap();
     sys.login(0, "a", "pw").unwrap();
     sys.login(1, "b", "pw").unwrap();
-    sys.mkdir_p(0, "/vice/usr/shared").unwrap();
+    sys.ops().mkdir_p(0, "/vice/usr/shared").unwrap();
     sys
 }
 
@@ -28,7 +28,9 @@ fn fetch_never_sees_a_torn_file() {
         let mut sys = two_users(mode);
         let old = vec![b'O'; 100_000];
         let new = vec![b'N'; 120_000];
-        sys.store(0, "/vice/usr/shared/f", old.clone()).unwrap();
+        sys.ops()
+            .store(0, "/vice/usr/shared/f", old.clone())
+            .unwrap();
 
         // Interleave many stores and fetches; every fetch must be exactly
         // the old or exactly the new contents.
@@ -38,8 +40,8 @@ fn fetch_never_sees_a_torn_file() {
             } else {
                 old.clone()
             };
-            sys.store(0, "/vice/usr/shared/f", data).unwrap();
-            let got = sys.fetch(1, "/vice/usr/shared/f").unwrap();
+            sys.ops().store(0, "/vice/usr/shared/f", data).unwrap();
+            let got = sys.ops().fetch(1, "/vice/usr/shared/f").unwrap();
             let all_same = got.windows(2).all(|w| w[0] == w[1]);
             assert!(all_same, "torn file observed in {mode:?}");
             assert!(got.len() == old.len() || got.len() == new.len());
@@ -51,14 +53,16 @@ fn fetch_never_sees_a_torn_file() {
 fn store_on_close_gives_timesharing_visibility() {
     for mode in [ValidationMode::CheckOnOpen, ValidationMode::Callback] {
         let mut sys = two_users(mode);
-        sys.store(0, "/vice/usr/shared/note", b"v1".to_vec())
+        sys.ops()
+            .store(0, "/vice/usr/shared/note", b"v1".to_vec())
             .unwrap();
-        assert_eq!(sys.fetch(1, "/vice/usr/shared/note").unwrap(), b"v1");
-        sys.store(0, "/vice/usr/shared/note", b"v2".to_vec())
+        assert_eq!(sys.ops().fetch(1, "/vice/usr/shared/note").unwrap(), b"v1");
+        sys.ops()
+            .store(0, "/vice/usr/shared/note", b"v2".to_vec())
             .unwrap();
         // "changes by one user are immediately visible to all other users"
         assert_eq!(
-            sys.fetch(1, "/vice/usr/shared/note").unwrap(),
+            sys.ops().fetch(1, "/vice/usr/shared/note").unwrap(),
             b"v2",
             "stale read in {mode:?}"
         );
@@ -68,30 +72,38 @@ fn store_on_close_gives_timesharing_visibility() {
 #[test]
 fn callback_mode_sees_updates_without_polling() {
     let mut sys = two_users(ValidationMode::Callback);
-    sys.store(0, "/vice/usr/shared/f", b"v1".to_vec()).unwrap();
-    let _ = sys.fetch(1, "/vice/usr/shared/f").unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/shared/f", b"v1".to_vec())
+        .unwrap();
+    let _ = sys.ops().fetch(1, "/vice/usr/shared/f").unwrap();
 
     // ws1's copy is promise-protected: repeated opens are free.
     let calls = sys.metrics().total_calls();
     for _ in 0..5 {
-        assert_eq!(sys.fetch(1, "/vice/usr/shared/f").unwrap(), b"v1");
+        assert_eq!(sys.ops().fetch(1, "/vice/usr/shared/f").unwrap(), b"v1");
     }
     assert_eq!(sys.metrics().total_calls(), calls);
 
     // ws0 updates; the break arrives; ws1's next open refetches.
-    sys.store(0, "/vice/usr/shared/f", b"v2".to_vec()).unwrap();
-    assert_eq!(sys.fetch(1, "/vice/usr/shared/f").unwrap(), b"v2");
+    sys.ops()
+        .store(0, "/vice/usr/shared/f", b"v2".to_vec())
+        .unwrap();
+    assert_eq!(sys.ops().fetch(1, "/vice/usr/shared/f").unwrap(), b"v2");
 }
 
 #[test]
 fn callback_breaks_do_not_disturb_the_writer() {
     let mut sys = two_users(ValidationMode::Callback);
-    sys.store(0, "/vice/usr/shared/f", b"v1".to_vec()).unwrap();
-    let _ = sys.fetch(1, "/vice/usr/shared/f").unwrap();
-    sys.store(0, "/vice/usr/shared/f", b"v2".to_vec()).unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/shared/f", b"v1".to_vec())
+        .unwrap();
+    let _ = sys.ops().fetch(1, "/vice/usr/shared/f").unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/shared/f", b"v2".to_vec())
+        .unwrap();
     // The writer's own cached copy remains valid (it IS the new version).
     let calls = sys.metrics().total_calls();
-    assert_eq!(sys.fetch(0, "/vice/usr/shared/f").unwrap(), b"v2");
+    assert_eq!(sys.ops().fetch(0, "/vice/usr/shared/f").unwrap(), b"v2");
     assert_eq!(
         sys.metrics().total_calls(),
         calls,
@@ -103,12 +115,13 @@ fn callback_breaks_do_not_disturb_the_writer() {
 fn deletion_propagates_to_other_caches() {
     for mode in [ValidationMode::CheckOnOpen, ValidationMode::Callback] {
         let mut sys = two_users(mode);
-        sys.store(0, "/vice/usr/shared/gone", b"x".to_vec())
+        sys.ops()
+            .store(0, "/vice/usr/shared/gone", b"x".to_vec())
             .unwrap();
-        let _ = sys.fetch(1, "/vice/usr/shared/gone").unwrap();
-        sys.unlink(0, "/vice/usr/shared/gone").unwrap();
+        let _ = sys.ops().fetch(1, "/vice/usr/shared/gone").unwrap();
+        sys.ops().unlink(0, "/vice/usr/shared/gone").unwrap();
         assert!(
-            sys.fetch(1, "/vice/usr/shared/gone").is_err(),
+            sys.ops().fetch(1, "/vice/usr/shared/gone").is_err(),
             "deleted file still readable in {mode:?}"
         );
     }
@@ -116,40 +129,49 @@ fn deletion_propagates_to_other_caches() {
 
 #[test]
 fn rename_breaks_the_other_cache_too() {
-    // `rename` exists only on the `ItcSystem` facade, not on the driver
-    // op surface: its callback breaks must reach ws1 through the same
-    // delivery as a store's.
+    // `rename` is not one of the `WsCalls` the storms and days drive:
+    // its callback breaks must reach ws1 through the same delivery as a
+    // store's.
     let mut sys = two_users(ValidationMode::Callback);
-    sys.store(0, "/vice/usr/shared/old", b"v1".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/shared/old", b"v1".to_vec())
         .unwrap();
-    let _ = sys.fetch(1, "/vice/usr/shared/old").unwrap();
+    let _ = sys.ops().fetch(1, "/vice/usr/shared/old").unwrap();
     let calls = sys.metrics().total_calls();
-    assert_eq!(sys.fetch(1, "/vice/usr/shared/old").unwrap(), b"v1");
+    assert_eq!(sys.ops().fetch(1, "/vice/usr/shared/old").unwrap(), b"v1");
     assert_eq!(sys.metrics().total_calls(), calls, "promise-protected");
 
-    sys.rename(0, "/vice/usr/shared/old", "/vice/usr/shared/new")
+    sys.ops()
+        .rename(0, "/vice/usr/shared/old", "/vice/usr/shared/new")
         .unwrap();
     // The break arrived: ws1's next open goes back to Vice, which no
     // longer knows the old name.
     let calls = sys.metrics().total_calls();
-    assert!(sys.fetch(1, "/vice/usr/shared/old").is_err());
+    assert!(sys.ops().fetch(1, "/vice/usr/shared/old").is_err());
     assert!(
         sys.metrics().total_calls() > calls,
         "stale copy served from cache"
     );
-    assert_eq!(sys.fetch(1, "/vice/usr/shared/new").unwrap(), b"v1");
+    assert_eq!(sys.ops().fetch(1, "/vice/usr/shared/new").unwrap(), b"v1");
 }
 
 #[test]
 fn version_counters_strictly_increase_across_writers() {
     let mut sys = two_users(ValidationMode::CheckOnOpen);
-    sys.store(0, "/vice/usr/shared/f", b"1".to_vec()).unwrap();
-    let mut last = sys.stat(0, "/vice/usr/shared/f").unwrap().version;
+    sys.ops()
+        .store(0, "/vice/usr/shared/f", b"1".to_vec())
+        .unwrap();
+    let mut last = sys.ops().stat(0, "/vice/usr/shared/f").unwrap().version;
     for i in 0..6 {
         let writer = i % 2;
-        sys.store(writer, "/vice/usr/shared/f", vec![i as u8 + 2])
+        sys.ops()
+            .store(writer, "/vice/usr/shared/f", vec![i as u8 + 2])
             .unwrap();
-        let v = sys.stat(1 - writer, "/vice/usr/shared/f").unwrap().version;
+        let v = sys
+            .ops()
+            .stat(1 - writer, "/vice/usr/shared/f")
+            .unwrap()
+            .version;
         assert!(v > last, "version did not advance: {v} after {last}");
         last = v;
     }
@@ -160,7 +182,7 @@ fn virtual_time_always_moves_forward() {
     let mut sys = two_users(ValidationMode::CheckOnOpen);
     let mut prev = SimTime::ZERO;
     for i in 0..20 {
-        sys.store(0, "/vice/usr/shared/t", vec![i]).unwrap();
+        sys.ops().store(0, "/vice/usr/shared/t", vec![i]).unwrap();
         let now = sys.now();
         assert!(now >= prev);
         prev = now;
@@ -178,15 +200,19 @@ fn fetch_racing_a_retried_store_sees_old_or_new_never_torn() {
         let mut sys = two_users(mode);
         let old = vec![b'O'; 80_000];
         let new = vec![b'N'; 90_000];
-        sys.store(0, "/vice/usr/shared/race", old.clone()).unwrap();
-        let before = sys.stat(0, "/vice/usr/shared/race").unwrap().version;
+        sys.ops()
+            .store(0, "/vice/usr/shared/race", old.clone())
+            .unwrap();
+        let before = sys.ops().stat(0, "/vice/usr/shared/race").unwrap().version;
 
         let mut plan = FaultPlan::new(0xc01d_5eed);
         plan.inject_once(0, ScriptedFault::DropReply);
         sys.install_faults(plan);
 
-        sys.store(0, "/vice/usr/shared/race", new.clone()).unwrap();
-        let got = sys.fetch(1, "/vice/usr/shared/race").unwrap();
+        sys.ops()
+            .store(0, "/vice/usr/shared/race", new.clone())
+            .unwrap();
+        let got = sys.ops().fetch(1, "/vice/usr/shared/race").unwrap();
 
         assert!(
             got == old || got == new,
@@ -194,7 +220,7 @@ fn fetch_racing_a_retried_store_sees_old_or_new_never_torn() {
             got.len()
         );
         assert_eq!(
-            sys.stat(1, "/vice/usr/shared/race").unwrap().version,
+            sys.ops().stat(1, "/vice/usr/shared/race").unwrap().version,
             before + 1,
             "retried store must bump the version exactly once in {mode:?}"
         );

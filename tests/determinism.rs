@@ -63,6 +63,7 @@ fn run_fingerprint(seed: u64) -> String {
         let path = format!("/vice/usr/u{i}/data");
         let body = vec![(i % 251) as u8; 2_000 + 137 * i];
         let r = sys
+            .ops()
             .store(i, &path, body)
             .map(|_| 0)
             .map_err(|e| e.to_string());
@@ -76,6 +77,7 @@ fn run_fingerprint(seed: u64) -> String {
         let far = format!("/vice/usr/u{j}/data");
         let want = 2_000 + 137 * j;
         let r = sys
+            .ops()
             .fetch(i, &far)
             .map_err(|e| e.to_string())
             .map(|d| d.len());
@@ -85,6 +87,7 @@ fn run_fingerprint(seed: u64) -> String {
         note(&format!("far {i}"), r);
         let own = format!("/vice/usr/u{i}/data");
         let r = sys
+            .ops()
             .fetch(i, &own)
             .map_err(|e| e.to_string())
             .map(|d| d.len());

@@ -19,37 +19,43 @@ fn campus() -> ItcSystem {
 fn full_file_lifecycle() {
     let mut sys = campus();
     sys.login(0, "satya", "pw1").unwrap();
-    sys.mkdir_p(0, "/vice/usr/satya/proj").unwrap();
+    sys.ops().mkdir_p(0, "/vice/usr/satya/proj").unwrap();
 
     // Create, read, overwrite, stat, list, rename, delete.
-    sys.store(0, "/vice/usr/satya/proj/a.c", b"v1".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/satya/proj/a.c", b"v1".to_vec())
         .unwrap();
-    assert_eq!(sys.fetch(0, "/vice/usr/satya/proj/a.c").unwrap(), b"v1");
-    sys.store(0, "/vice/usr/satya/proj/a.c", b"version two".to_vec())
+    assert_eq!(
+        sys.ops().fetch(0, "/vice/usr/satya/proj/a.c").unwrap(),
+        b"v1"
+    );
+    sys.ops()
+        .store(0, "/vice/usr/satya/proj/a.c", b"version two".to_vec())
         .unwrap();
-    let st = sys.stat(0, "/vice/usr/satya/proj/a.c").unwrap();
+    let st = sys.ops().stat(0, "/vice/usr/satya/proj/a.c").unwrap();
     assert_eq!(st.size, 11);
     assert_eq!(st.kind, EntryKind::File);
 
-    let listing = sys.readdir(0, "/vice/usr/satya/proj").unwrap();
+    let listing = sys.ops().readdir(0, "/vice/usr/satya/proj").unwrap();
     assert_eq!(listing, vec![("a.c".to_string(), EntryKind::File)]);
 
-    sys.rename(0, "/vice/usr/satya/proj/a.c", "/vice/usr/satya/proj/b.c")
+    sys.ops()
+        .rename(0, "/vice/usr/satya/proj/a.c", "/vice/usr/satya/proj/b.c")
         .unwrap();
-    assert!(sys.fetch(0, "/vice/usr/satya/proj/a.c").is_err());
+    assert!(sys.ops().fetch(0, "/vice/usr/satya/proj/a.c").is_err());
     assert_eq!(
-        sys.fetch(0, "/vice/usr/satya/proj/b.c").unwrap(),
+        sys.ops().fetch(0, "/vice/usr/satya/proj/b.c").unwrap(),
         b"version two"
     );
 
-    sys.unlink(0, "/vice/usr/satya/proj/b.c").unwrap();
+    sys.ops().unlink(0, "/vice/usr/satya/proj/b.c").unwrap();
     assert!(matches!(
-        sys.fetch(0, "/vice/usr/satya/proj/b.c"),
+        sys.ops().fetch(0, "/vice/usr/satya/proj/b.c"),
         Err(SystemError::Venus(VenusError::Vice(ViceError::NoSuchFile(
             _
         ))))
     ));
-    sys.rmdir(0, "/vice/usr/satya/proj").unwrap();
+    sys.ops().rmdir(0, "/vice/usr/satya/proj").unwrap();
 }
 
 #[test]
@@ -59,22 +65,27 @@ fn open_write_close_semantics() {
     let mut sys = campus();
     sys.login(0, "satya", "pw1").unwrap();
     sys.login(1, "howard", "pw2").unwrap();
-    sys.mkdir_p(0, "/vice/usr/shared").unwrap();
-    sys.store(0, "/vice/usr/shared/f", b"initial".to_vec())
+    sys.ops().mkdir_p(0, "/vice/usr/shared").unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/shared/f", b"initial".to_vec())
         .unwrap();
 
-    let h = sys.open_write(0, "/vice/usr/shared/f").unwrap();
-    sys.write(0, h, b"modified but not yet closed".to_vec())
+    let h = sys.ops().open_write(0, "/vice/usr/shared/f").unwrap();
+    sys.ops()
+        .write(0, h, b"modified but not yet closed".to_vec())
         .unwrap();
 
     // Before close, another workstation still sees the old contents.
-    assert_eq!(sys.fetch(1, "/vice/usr/shared/f").unwrap(), b"initial");
+    assert_eq!(
+        sys.ops().fetch(1, "/vice/usr/shared/f").unwrap(),
+        b"initial"
+    );
 
-    sys.close(0, h).unwrap();
+    sys.ops().close(0, h).unwrap();
     // After close, "changes by one user are immediately visible to all
     // other users".
     assert_eq!(
-        sys.fetch(1, "/vice/usr/shared/f").unwrap(),
+        sys.ops().fetch(1, "/vice/usr/shared/f").unwrap(),
         b"modified but not yet closed"
     );
 }
@@ -83,16 +94,18 @@ fn open_write_close_semantics() {
 fn reads_and_writes_cause_no_traffic_between_open_and_close() {
     let mut sys = campus();
     sys.login(0, "satya", "pw1").unwrap();
-    sys.mkdir_p(0, "/vice/usr/satya").unwrap();
-    sys.store(0, "/vice/usr/satya/f", vec![0; 50_000]).unwrap();
+    sys.ops().mkdir_p(0, "/vice/usr/satya").unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/satya/f", vec![0; 50_000])
+        .unwrap();
 
-    let h = sys.open_read(0, "/vice/usr/satya/f").unwrap();
+    let h = sys.ops().open_read(0, "/vice/usr/satya/f").unwrap();
     let calls_before = sys.metrics().total_calls();
     for _ in 0..100 {
-        let _ = sys.read(0, h).unwrap();
+        let _ = sys.ops().read(0, h).unwrap();
     }
     assert_eq!(sys.metrics().total_calls(), calls_before);
-    sys.close(0, h).unwrap();
+    sys.ops().close(0, h).unwrap();
     // Closing an unmodified file is also free.
     assert_eq!(sys.metrics().total_calls(), calls_before);
 }
@@ -101,19 +114,20 @@ fn reads_and_writes_cause_no_traffic_between_open_and_close() {
 fn append_through_handle() {
     let mut sys = campus();
     sys.login(0, "satya", "pw1").unwrap();
-    sys.mkdir_p(0, "/vice/usr/satya").unwrap();
-    sys.store(0, "/vice/usr/satya/log", b"line1\n".to_vec())
+    sys.ops().mkdir_p(0, "/vice/usr/satya").unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/satya/log", b"line1\n".to_vec())
         .unwrap();
-    let h = sys.open_write(0, "/vice/usr/satya/log").unwrap();
-    let current = sys.read(0, h).unwrap();
-    sys.write(0, h, current).unwrap();
+    let h = sys.ops().open_write(0, "/vice/usr/satya/log").unwrap();
+    let current = sys.ops().read(0, h).unwrap();
+    sys.ops().write(0, h, current).unwrap();
     // Append twice before closing.
-    let mut cur = sys.read(0, h).unwrap();
+    let mut cur = sys.ops().read(0, h).unwrap();
     cur.extend_from_slice(b"line2\n");
-    sys.write(0, h, cur).unwrap();
-    sys.close(0, h).unwrap();
+    sys.ops().write(0, h, cur).unwrap();
+    sys.ops().close(0, h).unwrap();
     assert_eq!(
-        sys.fetch(0, "/vice/usr/satya/log").unwrap(),
+        sys.ops().fetch(0, "/vice/usr/satya/log").unwrap(),
         b"line1\nline2\n"
     );
 }
@@ -122,13 +136,15 @@ fn append_through_handle() {
 fn vice_symlinks_resolve_on_fetch() {
     let mut sys = campus();
     sys.login(0, "satya", "pw1").unwrap();
-    sys.mkdir_p(0, "/vice/usr/satya").unwrap();
-    sys.store(0, "/vice/usr/satya/real.txt", b"the real file".to_vec())
+    sys.ops().mkdir_p(0, "/vice/usr/satya").unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/satya/real.txt", b"the real file".to_vec())
         .unwrap();
-    sys.symlink(0, "/vice/usr/satya/alias", "/vice/usr/satya/real.txt")
+    sys.ops()
+        .symlink(0, "/vice/usr/satya/alias", "/vice/usr/satya/real.txt")
         .unwrap();
     assert_eq!(
-        sys.fetch(0, "/vice/usr/satya/alias").unwrap(),
+        sys.ops().fetch(0, "/vice/usr/satya/alias").unwrap(),
         b"the real file"
     );
 }
@@ -139,12 +155,13 @@ fn cross_cluster_sharing_and_hints() {
     // satya's volume lives in cluster 1; he works from cluster 0.
     sys.create_user_volume("satya", 1).unwrap();
     sys.login(0, "satya", "pw1").unwrap();
-    sys.store(
-        0,
-        "/vice/usr/satya/far.txt",
-        b"across the backbone".to_vec(),
-    )
-    .unwrap();
+    sys.ops()
+        .store(
+            0,
+            "/vice/usr/satya/far.txt",
+            b"across the backbone".to_vec(),
+        )
+        .unwrap();
     // All file traffic went to server 1; server 0 only answered location
     // queries.
     assert!(sys.server(ServerId(1)).stats().calls_of("store") >= 1);
@@ -153,7 +170,7 @@ fn cross_cluster_sharing_and_hints() {
 
     // A second access uses the cached hint: no more location queries.
     let hints_before = sys.server(ServerId(0)).stats().calls_of("getcustodian");
-    let _ = sys.fetch(0, "/vice/usr/satya/far.txt").unwrap();
+    let _ = sys.ops().fetch(0, "/vice/usr/satya/far.txt").unwrap();
     assert_eq!(
         sys.server(ServerId(0)).stats().calls_of("getcustodian"),
         hints_before
@@ -165,7 +182,8 @@ fn volume_move_preserves_access_transparently() {
     let mut sys = campus();
     sys.create_user_volume("satya", 0).unwrap();
     sys.login(0, "satya", "pw1").unwrap();
-    sys.store(0, "/vice/usr/satya/f", b"before".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/satya/f", b"before".to_vec())
         .unwrap();
 
     // The student moves dormitories: his subtree is reassigned.
@@ -173,10 +191,11 @@ fn volume_move_preserves_access_transparently() {
 
     // The same name still works — location transparency. (Venus follows
     // the NotCustodian hint transparently on the stale-hint path.)
-    sys.store(0, "/vice/usr/satya/f", b"after the move".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/satya/f", b"after the move".to_vec())
         .unwrap();
     assert_eq!(
-        sys.fetch(0, "/vice/usr/satya/f").unwrap(),
+        sys.ops().fetch(0, "/vice/usr/satya/f").unwrap(),
         b"after the move"
     );
     assert!(sys.server(ServerId(1)).stats().calls_of("store") >= 1);
@@ -189,9 +208,11 @@ fn quota_and_offline_full_stack() {
     sys.set_volume_quota("/vice/usr/satya", Some(10_000))
         .unwrap();
     sys.login(0, "satya", "pw1").unwrap();
-    sys.store(0, "/vice/usr/satya/a", vec![0; 9_000]).unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/satya/a", vec![0; 9_000])
+        .unwrap();
     assert!(matches!(
-        sys.store(0, "/vice/usr/satya/b", vec![0; 5_000]),
+        sys.ops().store(0, "/vice/usr/satya/b", vec![0; 5_000]),
         Err(SystemError::Venus(VenusError::Vice(
             ViceError::QuotaExceeded(_)
         )))
@@ -200,13 +221,16 @@ fn quota_and_offline_full_stack() {
     sys.set_volume_online("/vice/usr/satya", false).unwrap();
     sys.login(1, "howard", "pw2").unwrap();
     assert!(matches!(
-        sys.fetch(1, "/vice/usr/satya/a"),
+        sys.ops().fetch(1, "/vice/usr/satya/a"),
         Err(SystemError::Venus(VenusError::Vice(
             ViceError::VolumeOffline(_)
         )))
     ));
     sys.set_volume_online("/vice/usr/satya", true).unwrap();
-    assert_eq!(sys.fetch(1, "/vice/usr/satya/a").unwrap().len(), 9_000);
+    assert_eq!(
+        sys.ops().fetch(1, "/vice/usr/satya/a").unwrap().len(),
+        9_000
+    );
 }
 
 #[test]
@@ -215,22 +239,24 @@ fn acl_round_trip_through_the_stack() {
     let mut sys = campus();
     sys.create_user_volume("satya", 0).unwrap();
     sys.login(0, "satya", "pw1").unwrap();
-    sys.mkdir(0, "/vice/usr/satya/private").unwrap();
+    sys.ops().mkdir(0, "/vice/usr/satya/private").unwrap();
 
     let mut acl = AccessList::new();
     acl.grant("satya", Rights::ALL);
-    sys.set_acl(0, "/vice/usr/satya/private", acl.clone())
+    sys.ops()
+        .set_acl(0, "/vice/usr/satya/private", acl.clone())
         .unwrap();
-    let got = sys.get_acl(0, "/vice/usr/satya/private").unwrap();
+    let got = sys.ops().get_acl(0, "/vice/usr/satya/private").unwrap();
     assert_eq!(got, acl);
 
     // The inherited parent ACL still lets anyuser read elsewhere, but the
     // private dir is now satya-only.
-    sys.store(0, "/vice/usr/satya/private/key", b"secret".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/satya/private/key", b"secret".to_vec())
         .unwrap();
     sys.login(1, "howard", "pw2").unwrap();
     assert!(matches!(
-        sys.fetch(1, "/vice/usr/satya/private/key"),
+        sys.ops().fetch(1, "/vice/usr/satya/private/key"),
         Err(SystemError::Venus(VenusError::Vice(
             ViceError::PermissionDenied(_)
         )))
@@ -242,18 +268,21 @@ fn mixed_local_and_shared_workflow() {
     // The compiler pattern: sources shared, temporaries local.
     let mut sys = campus();
     sys.login(0, "satya", "pw1").unwrap();
-    sys.mkdir_p(0, "/vice/usr/satya/src").unwrap();
-    sys.store(0, "/vice/usr/satya/src/main.c", b"int main(){}".to_vec())
+    sys.ops().mkdir_p(0, "/vice/usr/satya/src").unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/satya/src/main.c", b"int main(){}".to_vec())
         .unwrap();
 
-    let src = sys.fetch(0, "/vice/usr/satya/src/main.c").unwrap();
-    sys.store(0, "/tmp/main.s", src.clone()).unwrap();
-    let asm = sys.fetch(0, "/tmp/main.s").unwrap();
-    sys.unlink(0, "/tmp/main.s").unwrap();
-    sys.store(0, "/vice/usr/satya/src/main.o", asm).unwrap();
+    let src = sys.ops().fetch(0, "/vice/usr/satya/src/main.c").unwrap();
+    sys.ops().store(0, "/tmp/main.s", src.clone()).unwrap();
+    let asm = sys.ops().fetch(0, "/tmp/main.s").unwrap();
+    sys.ops().unlink(0, "/tmp/main.s").unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/satya/src/main.o", asm)
+        .unwrap();
 
     assert_eq!(
-        sys.fetch(0, "/vice/usr/satya/src/main.o").unwrap(),
+        sys.ops().fetch(0, "/vice/usr/satya/src/main.o").unwrap(),
         b"int main(){}"
     );
 }
@@ -263,25 +292,27 @@ fn locking_across_the_stack() {
     let mut sys = campus();
     sys.login(0, "satya", "pw1").unwrap();
     sys.login(1, "howard", "pw2").unwrap();
-    sys.mkdir_p(0, "/vice/usr/shared").unwrap();
-    sys.store(0, "/vice/usr/shared/db", b"records".to_vec())
+    sys.ops().mkdir_p(0, "/vice/usr/shared").unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/shared/db", b"records".to_vec())
         .unwrap();
 
     // Multi-reader is fine; a writer excludes.
-    sys.lock(0, "/vice/usr/shared/db", false).unwrap();
-    sys.lock(1, "/vice/usr/shared/db", false).unwrap();
+    sys.ops().lock(0, "/vice/usr/shared/db", false).unwrap();
+    sys.ops().lock(1, "/vice/usr/shared/db", false).unwrap();
     assert!(matches!(
-        sys.lock(1, "/vice/usr/shared/db", true),
+        sys.ops().lock(1, "/vice/usr/shared/db", true),
         Err(SystemError::Venus(VenusError::Vice(
             ViceError::LockConflict(_)
         )))
     ));
-    sys.unlock(0, "/vice/usr/shared/db").unwrap();
-    sys.unlock(1, "/vice/usr/shared/db").unwrap();
-    sys.lock(1, "/vice/usr/shared/db", true).unwrap();
+    sys.ops().unlock(0, "/vice/usr/shared/db").unwrap();
+    sys.ops().unlock(1, "/vice/usr/shared/db").unwrap();
+    sys.ops().lock(1, "/vice/usr/shared/db", true).unwrap();
 
     // Locking is advisory: an unlocked write still succeeds.
     assert!(sys
+        .ops()
         .store(0, "/vice/usr/shared/db", b"clobbered".to_vec())
         .is_ok());
 }

@@ -42,7 +42,10 @@ fn pcs_share_the_hosts_cache_and_write_through_to_vice() {
         .unwrap();
     sys.add_user("other", "pw").unwrap();
     sys.login(1, "other", "pw").unwrap();
-    assert_eq!(sys.fetch(1, "/vice/usr/lab/out").unwrap(), b"pc wrote this");
+    assert_eq!(
+        sys.ops().fetch(1, "/vice/usr/lab/out").unwrap(),
+        b"pc wrote this"
+    );
 
     // stat/readdir work through the surrogate.
     assert_eq!(sys.pc_stat(0, pc_a, "/vice/usr/lab/out").unwrap().size, 13);
@@ -66,7 +69,7 @@ fn pc_attachment_lan_dominates_warm_reads() {
         .unwrap();
     sys.login(0, "lab", "pw").unwrap();
     // Warm the host cache directly.
-    let _ = sys.fetch(0, "/vice/usr/lab/big").unwrap();
+    let _ = sys.ops().fetch(0, "/vice/usr/lab/big").unwrap();
 
     sys.enable_surrogate(0).unwrap();
     let pc = sys.attach_pc(0).unwrap();
@@ -101,34 +104,43 @@ fn deferred_writes_coalesce_and_flush_on_deadline() {
     let mut sys = delayed_system(120);
     // Ten saves of the same document within the window: zero stores yet.
     for i in 0..10u8 {
-        sys.store(0, "/vice/usr/w/doc", vec![i; 1_000]).unwrap();
+        sys.ops()
+            .store(0, "/vice/usr/w/doc", vec![i; 1_000])
+            .unwrap();
     }
     assert_eq!(sys.total_server_calls_of("store"), 0);
-    assert_eq!(sys.dirty_count(0), 1);
+    assert_eq!(sys.venus(0).dirty_count(), 1);
     // Locally, the latest contents are visible.
-    assert_eq!(sys.fetch(0, "/vice/usr/w/doc").unwrap(), vec![9u8; 1_000]);
+    assert_eq!(
+        sys.ops().fetch(0, "/vice/usr/w/doc").unwrap(),
+        vec![9u8; 1_000]
+    );
 
     // After the deadline passes, the next operation flushes exactly one
     // coalesced store.
     let later = sys.ws_time(0) + SimTime::from_secs(200);
-    sys.advance_ws(0, later);
-    let _ = sys.fetch(0, "/vice/usr/w/doc").unwrap();
+    sys.ops().advance_ws(0, later);
+    let _ = sys.ops().fetch(0, "/vice/usr/w/doc").unwrap();
     assert_eq!(sys.total_server_calls_of("store"), 1);
-    assert_eq!(sys.dirty_count(0), 0);
+    assert_eq!(sys.venus(0).dirty_count(), 0);
 
     // And the flushed contents are the last write.
     sys.add_user("r", "pw").unwrap();
     sys.login(1, "r", "pw").unwrap();
-    assert_eq!(sys.fetch(1, "/vice/usr/w/doc").unwrap(), vec![9u8; 1_000]);
+    assert_eq!(
+        sys.ops().fetch(1, "/vice/usr/w/doc").unwrap(),
+        vec![9u8; 1_000]
+    );
 }
 
 #[test]
 fn explicit_flush_commits_early() {
     let mut sys = delayed_system(3_600);
-    sys.store(0, "/vice/usr/w/doc", b"unflushed".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/w/doc", b"unflushed".to_vec())
         .unwrap();
     assert_eq!(sys.total_server_calls_of("store"), 0);
-    let flushed = sys.flush_workstation(0).unwrap();
+    let flushed = sys.ops().flush_all(0).unwrap();
     assert_eq!(flushed, 1);
     assert_eq!(sys.total_server_calls_of("store"), 1);
 }
@@ -136,12 +148,15 @@ fn explicit_flush_commits_early() {
 #[test]
 fn crash_loses_exactly_the_unflushed_updates() {
     let mut sys = delayed_system(3_600);
-    sys.store(0, "/vice/usr/w/committed", b"v1".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/w/committed", b"v1".to_vec())
         .unwrap();
-    sys.flush_workstation(0).unwrap();
-    sys.store(0, "/vice/usr/w/committed", b"v2-unflushed".to_vec())
+    sys.ops().flush_all(0).unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/w/committed", b"v2-unflushed".to_vec())
         .unwrap();
-    sys.store(0, "/vice/usr/w/never-seen", b"x".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/w/never-seen", b"x".to_vec())
         .unwrap();
 
     let lost = sys.crash_workstation(0);
@@ -151,8 +166,8 @@ fn crash_loses_exactly_the_unflushed_updates() {
     // not exist at all.
     sys.add_user("r", "pw").unwrap();
     sys.login(1, "r", "pw").unwrap();
-    assert_eq!(sys.fetch(1, "/vice/usr/w/committed").unwrap(), b"v1");
-    assert!(sys.fetch(1, "/vice/usr/w/never-seen").is_err());
+    assert_eq!(sys.ops().fetch(1, "/vice/usr/w/committed").unwrap(), b"v1");
+    assert!(sys.ops().fetch(1, "/vice/usr/w/never-seen").is_err());
 }
 
 #[test]
@@ -161,11 +176,13 @@ fn store_on_close_never_loses_anything_on_crash() {
     sys.add_user("w", "pw").unwrap();
     sys.create_user_volume("w", 0).unwrap();
     sys.login(0, "w", "pw").unwrap();
-    sys.store(0, "/vice/usr/w/doc", b"safe".to_vec()).unwrap();
+    sys.ops()
+        .store(0, "/vice/usr/w/doc", b"safe".to_vec())
+        .unwrap();
     assert_eq!(sys.crash_workstation(0), 0);
     sys.add_user("r", "pw").unwrap();
     sys.login(1, "r", "pw").unwrap();
-    assert_eq!(sys.fetch(1, "/vice/usr/w/doc").unwrap(), b"safe");
+    assert_eq!(sys.ops().fetch(1, "/vice/usr/w/doc").unwrap(), b"safe");
 }
 
 // ---------------------------------------------------------------------
@@ -184,7 +201,7 @@ fn monitor_detects_misplaced_volume_and_move_fixes_it() {
     let ws = sys.workstation_in_cluster(1);
     sys.login(ws, "nomad", "pw").unwrap();
     for _ in 0..10 {
-        let _ = sys.fetch(ws, "/vice/usr/nomad/f").unwrap();
+        let _ = sys.ops().fetch(ws, "/vice/usr/nomad/f").unwrap();
     }
 
     assert!(sys.cross_cluster_fraction() > 0.5);
@@ -197,7 +214,7 @@ fn monitor_detects_misplaced_volume_and_move_fixes_it() {
     sys.move_volume(&recs[0].subtree, recs[0].to).unwrap();
     sys.reset_monitoring();
     for _ in 0..10 {
-        let _ = sys.fetch(ws, "/vice/usr/nomad/f").unwrap();
+        let _ = sys.ops().fetch(ws, "/vice/usr/nomad/f").unwrap();
     }
     assert_eq!(sys.cross_cluster_fraction(), 0.0);
     assert!(sys.rebalancing_recommendations().is_empty());
@@ -216,7 +233,7 @@ fn move_volume_round_trips_as_the_user_migrates() {
     let far = sys.workstation_in_cluster(1);
     sys.login(far, "nomad", "pw").unwrap();
     for _ in 0..10 {
-        let _ = sys.fetch(far, "/vice/usr/nomad/f").unwrap();
+        let _ = sys.ops().fetch(far, "/vice/usr/nomad/f").unwrap();
     }
     let recs = sys.rebalancing_recommendations();
     assert_eq!(recs.len(), 1);
@@ -229,7 +246,7 @@ fn move_volume_round_trips_as_the_user_migrates() {
     let home = sys.workstation_in_cluster(0);
     sys.login(home, "nomad", "pw").unwrap();
     for _ in 0..10 {
-        let _ = sys.fetch(home, "/vice/usr/nomad/f").unwrap();
+        let _ = sys.ops().fetch(home, "/vice/usr/nomad/f").unwrap();
     }
     let recs = sys.rebalancing_recommendations();
     assert_eq!(recs.len(), 1);
@@ -240,13 +257,17 @@ fn move_volume_round_trips_as_the_user_migrates() {
     assert_eq!(sys.location_of("/vice/usr/nomad"), Some(ServerId(0)));
 
     // The file survived both moves.
-    assert_eq!(sys.fetch(home, "/vice/usr/nomad/f").unwrap().len(), 10_000);
+    assert_eq!(
+        sys.ops().fetch(home, "/vice/usr/nomad/f").unwrap().len(),
+        10_000
+    );
 }
 
 #[test]
 fn logout_flushes_deferred_writes() {
     let mut sys = delayed_system(3_600);
-    sys.store(0, "/vice/usr/w/doc", b"edited then logged out".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/w/doc", b"edited then logged out".to_vec())
         .unwrap();
     assert_eq!(sys.total_server_calls_of("store"), 0);
     sys.logout(0);
@@ -255,7 +276,7 @@ fn logout_flushes_deferred_writes() {
     sys.add_user("r", "pw").unwrap();
     sys.login(1, "r", "pw").unwrap();
     assert_eq!(
-        sys.fetch(1, "/vice/usr/w/doc").unwrap(),
+        sys.ops().fetch(1, "/vice/usr/w/doc").unwrap(),
         b"edited then logged out"
     );
 }
@@ -282,10 +303,13 @@ fn server_failure_is_contained_to_its_users() {
 
     // Server 1 goes down. Users of server 0 are entirely unaffected...
     sys.set_server_online(itc_afs::core::proto::ServerId(1), false);
-    assert_eq!(sys.fetch(ws_a, "/vice/usr/a/f").unwrap(), b"on server 0");
+    assert_eq!(
+        sys.ops().fetch(ws_a, "/vice/usr/a/f").unwrap(),
+        b"on server 0"
+    );
     // ...while cold access to server 1's files fails (after a timeout).
     let t0 = sys.ws_time(ws_b);
-    let err = sys.fetch(ws_b, "/vice/usr/b/f").unwrap_err();
+    let err = sys.ops().fetch(ws_b, "/vice/usr/b/f").unwrap_err();
     assert!(format!("{err}").contains("unreachable"), "{err}");
     assert!(
         sys.ws_time(ws_b) - t0 >= SimTime::from_secs(15),
@@ -294,7 +318,10 @@ fn server_failure_is_contained_to_its_users() {
 
     // Recovery restores service.
     sys.set_server_online(itc_afs::core::proto::ServerId(1), true);
-    assert_eq!(sys.fetch(ws_b, "/vice/usr/b/f").unwrap(), b"on server 1");
+    assert_eq!(
+        sys.ops().fetch(ws_b, "/vice/usr/b/f").unwrap(),
+        b"on server 1"
+    );
 }
 
 #[test]
@@ -310,11 +337,11 @@ fn cached_copies_survive_a_custodian_outage() {
     sys.admin_install_file("/vice/usr/u/f", b"cached".to_vec())
         .unwrap();
     sys.login(0, "u", "pw").unwrap();
-    let _ = sys.fetch(0, "/vice/usr/u/f").unwrap();
+    let _ = sys.ops().fetch(0, "/vice/usr/u/f").unwrap();
 
     sys.set_server_online(itc_afs::core::proto::ServerId(0), false);
     // Callback-valid cache entries keep working with zero traffic.
-    assert_eq!(sys.fetch(0, "/vice/usr/u/f").unwrap(), b"cached");
+    assert_eq!(sys.ops().fetch(0, "/vice/usr/u/f").unwrap(), b"cached");
 }
 
 #[test]
@@ -334,7 +361,10 @@ fn readonly_replicas_keep_binaries_available_through_an_outage() {
     sys.set_server_online(itc_afs::core::proto::ServerId(0), false);
     let ws = sys.workstation_in_cluster(1);
     sys.login(ws, "u", "pw").unwrap();
-    assert_eq!(sys.fetch(ws, "/vice/unix/sun/bin/cc").unwrap(), b"compiler");
+    assert_eq!(
+        sys.ops().fetch(ws, "/vice/unix/sun/bin/cc").unwrap(),
+        b"compiler"
+    );
 
     // Even a cluster-0 user fails over to the surviving replica (slower:
     // one timeout plus a cross-cluster fetch).
@@ -346,13 +376,13 @@ fn readonly_replicas_keep_binaries_available_through_an_outage() {
     sys.set_server_online(itc_afs::core::proto::ServerId(0), true);
     sys.add_user("v", "pw").unwrap();
     sys.login(ws0, "v", "pw").unwrap();
-    let _ = sys.fetch(ws0, "/vice/unix/sun/bin/cc").unwrap(); // caches + hints
+    let _ = sys.ops().fetch(ws0, "/vice/unix/sun/bin/cc").unwrap(); // caches + hints
     sys.set_server_online(itc_afs::core::proto::ServerId(0), false);
     // Warm cache in callback...? prototype check-on-open revalidates — the
     // validation goes to the nearest replica (server 0, down), then fails
     // over to server 1.
     assert_eq!(
-        sys.fetch(ws0, "/vice/unix/sun/bin/cc").unwrap(),
+        sys.ops().fetch(ws0, "/vice/unix/sun/bin/cc").unwrap(),
         b"compiler"
     );
 }

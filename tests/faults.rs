@@ -28,7 +28,7 @@ fn small_system(validation: ValidationMode) -> ItcSystem {
     sys.add_user("b", "pw").unwrap();
     sys.login(0, "a", "pw").unwrap();
     sys.login(1, "b", "pw").unwrap();
-    sys.mkdir_p(0, SHARED).unwrap();
+    sys.ops().mkdir_p(0, SHARED).unwrap();
     sys
 }
 
@@ -43,7 +43,7 @@ fn two_cluster_system() -> ItcSystem {
     sys.add_user("b", "pw").unwrap();
     sys.login(0, "a", "pw").unwrap(); // cluster 0, home server 0
     sys.login(2, "b", "pw").unwrap(); // cluster 1, home server 1
-    sys.mkdir_p(0, SHARED).unwrap();
+    sys.ops().mkdir_p(0, SHARED).unwrap();
     sys
 }
 
@@ -56,8 +56,8 @@ fn lost_store_reply_is_retried_without_double_apply() {
     for mode in [ValidationMode::CheckOnOpen, ValidationMode::Callback] {
         let mut sys = small_system(mode);
         let file = format!("{SHARED}/f");
-        sys.store(0, &file, b"v1".to_vec()).unwrap();
-        let before = sys.stat(0, &file).unwrap().version;
+        sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
+        let before = sys.ops().stat(0, &file).unwrap().version;
 
         // The server applies the next Store, but its reply is lost. The
         // retry carries the same idempotency token, so the server answers
@@ -66,10 +66,12 @@ fn lost_store_reply_is_retried_without_double_apply() {
         plan.inject_once(0, ScriptedFault::DropReply);
         sys.install_faults(plan);
 
-        sys.store(0, &file, b"v2-new-contents".to_vec()).unwrap();
+        sys.ops()
+            .store(0, &file, b"v2-new-contents".to_vec())
+            .unwrap();
 
-        assert_eq!(sys.fetch(1, &file).unwrap(), b"v2-new-contents");
-        let after = sys.stat(0, &file).unwrap().version;
+        assert_eq!(sys.ops().fetch(1, &file).unwrap(), b"v2-new-contents");
+        let after = sys.ops().stat(0, &file).unwrap().version;
         assert_eq!(
             after,
             before + 1,
@@ -87,8 +89,8 @@ fn lost_store_reply_is_retried_without_double_apply() {
 fn lost_store_request_is_retried_and_applied_once() {
     let mut sys = small_system(ValidationMode::Callback);
     let file = format!("{SHARED}/g");
-    sys.store(0, &file, b"v1".to_vec()).unwrap();
-    let before = sys.stat(0, &file).unwrap().version;
+    sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
+    let before = sys.ops().stat(0, &file).unwrap().version;
 
     // The next request to server 0 vanishes before arriving; the server
     // never saw attempt one, so the retry is the first application. The
@@ -98,10 +100,10 @@ fn lost_store_request_is_retried_and_applied_once() {
     plan.inject_once(0, ScriptedFault::DropRequest);
     sys.install_faults(plan);
 
-    sys.store(0, &file, b"v2".to_vec()).unwrap();
+    sys.ops().store(0, &file, b"v2".to_vec()).unwrap();
 
-    assert_eq!(sys.fetch(1, &file).unwrap(), b"v2");
-    assert_eq!(sys.stat(0, &file).unwrap().version, before + 1);
+    assert_eq!(sys.ops().fetch(1, &file).unwrap(), b"v2");
+    assert_eq!(sys.ops().stat(0, &file).unwrap().version, before + 1);
     assert_eq!(sys.fault_stats().requests_dropped, 1);
     assert!(sys.call_stats().retries >= 1);
 }
@@ -110,7 +112,7 @@ fn lost_store_request_is_retried_and_applied_once() {
 fn duplicated_fetch_reply_is_ignored() {
     let mut sys = small_system(ValidationMode::Callback);
     let file = format!("{SHARED}/dup");
-    sys.store(0, &file, b"payload".to_vec()).unwrap();
+    sys.ops().store(0, &file, b"payload".to_vec()).unwrap();
 
     // The network delivers the reply to b's next call twice; the channel's
     // sequence check throws the second copy away.
@@ -118,7 +120,7 @@ fn duplicated_fetch_reply_is_ignored() {
     plan.inject_once(0, ScriptedFault::DuplicateReply);
     sys.install_faults(plan);
 
-    assert_eq!(sys.fetch(1, &file).unwrap(), b"payload");
+    assert_eq!(sys.ops().fetch(1, &file).unwrap(), b"payload");
     assert!(sys.call_stats().duplicates_ignored >= 1);
     assert_eq!(sys.fault_stats().replies_duplicated, 1);
     assert_eq!(sys.call_stats().failures, 0);
@@ -128,8 +130,8 @@ fn duplicated_fetch_reply_is_ignored() {
 fn exhausted_retries_surface_degraded_mode_for_mutations() {
     let mut sys = small_system(ValidationMode::Callback);
     let file = format!("{SHARED}/h");
-    sys.store(0, &file, b"v1".to_vec()).unwrap();
-    let before = sys.stat(0, &file).unwrap().version;
+    sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
+    let before = sys.ops().stat(0, &file).unwrap().version;
 
     // Two attempts allowed, both replies lost: the logical call fails and
     // the mutation is reported as degraded (it WAS applied server-side —
@@ -144,7 +146,7 @@ fn exhausted_retries_surface_degraded_mode_for_mutations() {
     plan.inject_once(0, ScriptedFault::DropRequest);
     sys.install_faults(plan);
 
-    let err = sys.store(0, &file, b"v2".to_vec()).unwrap_err();
+    let err = sys.ops().store(0, &file, b"v2".to_vec()).unwrap_err();
     let msg = format!("{err}");
     assert!(
         msg.contains("degraded") || msg.contains("timed out"),
@@ -152,7 +154,7 @@ fn exhausted_retries_surface_degraded_mode_for_mutations() {
     );
     assert!(sys.call_stats().failures >= 1);
     // Neither request arrived, so nothing was applied.
-    assert_eq!(sys.stat(1, &file).unwrap().version, before);
+    assert_eq!(sys.ops().stat(1, &file).unwrap().version, before);
 }
 
 // ----------------------------------------------------------------------
@@ -165,12 +167,14 @@ fn crash_is_contained_and_caches_keep_serving() {
     let shared_file = format!("{SHARED}/doc");
     sys.create_user_volume("b", 1).unwrap(); // b's volume on server 1
 
-    sys.store(0, &shared_file, b"v1".to_vec()).unwrap();
+    sys.ops().store(0, &shared_file, b"v1".to_vec()).unwrap();
     // b caches the shared file under a callback promise, and works in
     // their own volume once so the custodian hint for it is warm.
-    assert_eq!(sys.fetch(2, &shared_file).unwrap(), b"v1");
+    assert_eq!(sys.ops().fetch(2, &shared_file).unwrap(), b"v1");
     assert!(sys.server(ServerId(0)).callback_promises() >= 1);
-    sys.store(2, "/vice/usr/b/notes", b"v0".to_vec()).unwrap();
+    sys.ops()
+        .store(2, "/vice/usr/b/notes", b"v0".to_vec())
+        .unwrap();
 
     sys.crash_server(ServerId(0));
 
@@ -182,7 +186,7 @@ fn crash_is_contained_and_caches_keep_serving() {
     // copy is genuinely current.
     let calls = sys.metrics().total_calls();
     for _ in 0..3 {
-        assert_eq!(sys.fetch(2, &shared_file).unwrap(), b"v1");
+        assert_eq!(sys.ops().fetch(2, &shared_file).unwrap(), b"v1");
     }
     assert_eq!(
         sys.metrics().total_calls(),
@@ -191,14 +195,19 @@ fn crash_is_contained_and_caches_keep_serving() {
     );
 
     // b's own volume lives on server 1 and is completely unaffected.
-    sys.store(2, "/vice/usr/b/notes", b"mine".to_vec()).unwrap();
-    assert_eq!(sys.fetch(2, "/vice/usr/b/notes").unwrap(), b"mine");
+    sys.ops()
+        .store(2, "/vice/usr/b/notes", b"mine".to_vec())
+        .unwrap();
+    assert_eq!(sys.ops().fetch(2, "/vice/usr/b/notes").unwrap(), b"mine");
 
     // a, homed on the crashed server, is degraded for mutations...
-    let err = sys.store(0, &shared_file, b"v2".to_vec()).unwrap_err();
+    let err = sys
+        .ops()
+        .store(0, &shared_file, b"v2".to_vec())
+        .unwrap_err();
     assert!(format!("{err}").contains("degraded"), "got: {err}");
     // ...and reads of uncached files fail as unreachable.
-    let err = sys.fetch(0, &format!("{SHARED}/other")).unwrap_err();
+    let err = sys.ops().fetch(0, &format!("{SHARED}/other")).unwrap_err();
     assert!(format!("{err}").contains("unreachable"), "got: {err}");
 }
 
@@ -206,8 +215,8 @@ fn crash_is_contained_and_caches_keep_serving() {
 fn restart_recovers_promises_via_epoch_discovery() {
     let mut sys = two_cluster_system();
     let file = format!("{SHARED}/doc");
-    sys.store(0, &file, b"v1".to_vec()).unwrap();
-    assert_eq!(sys.fetch(2, &file).unwrap(), b"v1");
+    sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
+    assert_eq!(sys.ops().fetch(2, &file).unwrap(), b"v1");
 
     let epoch_before = sys.server_epoch(ServerId(0));
     sys.crash_server(ServerId(0));
@@ -216,25 +225,26 @@ fn restart_recovers_promises_via_epoch_discovery() {
 
     // The restarted server has forgotten b's promise, so a's store cannot
     // send b a break: b's cached copy is stale until b talks to server 0.
-    sys.store(0, &file, b"v2".to_vec()).unwrap();
+    sys.ops().store(0, &file, b"v2".to_vec()).unwrap();
     assert_eq!(
-        sys.fetch(2, &file).unwrap(),
+        sys.ops().fetch(2, &file).unwrap(),
         b"v1",
         "staleness window should exist until b contacts the restarted server"
     );
 
     // b's first genuine exchange with server 0 reveals the new epoch;
     // Venus discards suspect cache entries and revalidates.
-    sys.store(2, &format!("{SHARED}/from-b"), b"x".to_vec())
+    sys.ops()
+        .store(2, &format!("{SHARED}/from-b"), b"x".to_vec())
         .unwrap();
-    assert_eq!(sys.fetch(2, &file).unwrap(), b"v2");
+    assert_eq!(sys.ops().fetch(2, &file).unwrap(), b"v2");
 
     // With a fresh promise in place the hit ratio recovers: repeat opens
     // are served locally again.
     let hits_before = sys.venus(2).cache().stats().hits;
     let misses_before = sys.venus(2).cache().stats().misses;
     for _ in 0..5 {
-        assert_eq!(sys.fetch(2, &file).unwrap(), b"v2");
+        assert_eq!(sys.ops().fetch(2, &file).unwrap(), b"v2");
     }
     let stats = sys.venus(2).cache().stats();
     assert_eq!(stats.hits, hits_before + 5);
@@ -245,7 +255,7 @@ fn restart_recovers_promises_via_epoch_discovery() {
 fn scheduled_crash_fires_at_virtual_time() {
     let mut sys = two_cluster_system();
     let file = format!("{SHARED}/t");
-    sys.store(0, &file, b"v1".to_vec()).unwrap();
+    sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
 
     let crash_at = sys.now() + SimTime::from_secs(60);
     let restart_at = crash_at + SimTime::from_secs(120);
@@ -255,22 +265,22 @@ fn scheduled_crash_fires_at_virtual_time() {
     sys.install_faults(plan);
 
     // Before the scheduled time the server works normally.
-    sys.store(0, &file, b"v2".to_vec()).unwrap();
+    sys.ops().store(0, &file, b"v2".to_vec()).unwrap();
     assert!(sys.server(ServerId(0)).is_online());
 
     // Step past the crash time: the next call finds the server down.
     let t = sys.ws_time(0) + SimTime::from_secs(90);
-    sys.advance_ws(0, t);
-    let err = sys.store(0, &file, b"v3".to_vec()).unwrap_err();
+    sys.ops().advance_ws(0, t);
+    let err = sys.ops().store(0, &file, b"v3".to_vec()).unwrap_err();
     assert!(format!("{err}").contains("degraded"), "got: {err}");
     assert!(!sys.server(ServerId(0)).is_online());
 
     // Step past the restart: service resumes.
     let t = sys.ws_time(0) + SimTime::from_secs(300);
-    sys.advance_ws(0, t);
-    sys.store(0, &file, b"v4".to_vec()).unwrap();
+    sys.ops().advance_ws(0, t);
+    sys.ops().store(0, &file, b"v4".to_vec()).unwrap();
     assert!(sys.server(ServerId(0)).is_online());
-    assert_eq!(sys.fetch(0, &file).unwrap(), b"v4");
+    assert_eq!(sys.ops().fetch(0, &file).unwrap(), b"v4");
 }
 
 // ----------------------------------------------------------------------
@@ -289,7 +299,7 @@ fn lossy_run(seed: u64) -> (CallStats, FaultStats, Vec<String>, Vec<u64>, SimTim
     sys.add_user("b", "pw").unwrap();
     sys.login(0, "a", "pw").unwrap();
     sys.login(2, "b", "pw").unwrap();
-    sys.mkdir_p(0, SHARED).unwrap();
+    sys.ops().mkdir_p(0, SHARED).unwrap();
 
     let mut plan = FaultPlan::new(seed ^ 0xdead_beef)
         .drop_request_prob(0.12)
@@ -305,24 +315,30 @@ fn lossy_run(seed: u64) -> (CallStats, FaultStats, Vec<String>, Vec<u64>, SimTim
         let file = format!("{SHARED}/w{}", i % 5);
         let r = match i % 4 {
             0 | 1 => sys
+                .ops()
                 .store(ws, &file, format!("round-{i}").into_bytes())
                 .map(|()| "stored".to_string()),
             2 => sys
+                .ops()
                 .fetch(ws, &file)
                 .map(|d| format!("read {} bytes", d.len())),
-            _ => sys.stat(ws, &file).map(|st| format!("v{}", st.version)),
+            _ => sys
+                .ops()
+                .stat(ws, &file)
+                .map(|st| format!("v{}", st.version)),
         };
         outcomes.push(match r {
             Ok(s) => format!("op{i}: {s}"),
             Err(e) => format!("op{i}: error {e}"),
         });
         let t = sys.ws_time(ws) + SimTime::from_secs(40);
-        sys.advance_ws(ws, t);
+        sys.ops().advance_ws(ws, t);
     }
 
     let versions = (0..5)
         .map(|k| {
-            sys.stat(0, &format!("{SHARED}/w{k}"))
+            sys.ops()
+                .stat(0, &format!("{SHARED}/w{k}"))
                 .map(|st| st.version)
                 .unwrap_or(0)
         })

@@ -69,26 +69,29 @@ fn scripted_ops_match_pre_refactor_trace() {
     sys.login(0, "satya", "pw").unwrap();
 
     let mut trace = Vec::new();
-    sys.mkdir_p(0, "/vice/usr/shared").unwrap();
+    sys.ops().mkdir_p(0, "/vice/usr/shared").unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    sys.store(0, "/vice/usr/shared/a.txt", vec![7u8; 12_000])
+    sys.ops()
+        .store(0, "/vice/usr/shared/a.txt", vec![7u8; 12_000])
         .unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    let d = sys.fetch(0, "/vice/usr/shared/a.txt").unwrap();
+    let d = sys.ops().fetch(0, "/vice/usr/shared/a.txt").unwrap();
     assert_eq!(d.len(), 12_000);
     trace.push(sys.ws_time(0).as_micros());
-    let st = sys.stat(0, "/vice/usr/shared/a.txt").unwrap();
+    let st = sys.ops().stat(0, "/vice/usr/shared/a.txt").unwrap();
     trace.push(sys.ws_time(0).as_micros());
     assert_eq!(st.version, 1);
-    sys.store(0, "/vice/usr/satya/far.txt", vec![1u8; 3000])
+    sys.ops()
+        .store(0, "/vice/usr/satya/far.txt", vec![1u8; 3000])
         .unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    let _ = sys.fetch(0, "/vice/usr/satya/far.txt").unwrap();
+    let _ = sys.ops().fetch(0, "/vice/usr/satya/far.txt").unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    sys.rename(0, "/vice/usr/shared/a.txt", "/vice/usr/shared/b.txt")
+    sys.ops()
+        .rename(0, "/vice/usr/shared/a.txt", "/vice/usr/shared/b.txt")
         .unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    sys.unlink(0, "/vice/usr/shared/b.txt").unwrap();
+    sys.ops().unlink(0, "/vice/usr/shared/b.txt").unwrap();
     trace.push(sys.ws_time(0).as_micros());
 
     assert_eq!(

@@ -323,7 +323,7 @@ fn a_flip_lands_in_exactly_one_holder_of_the_shared_buffer() {
     sys.login(0, "satya", "pw").unwrap();
     let body: Vec<u8> = (0..48u8).collect();
     let digest = payload_digest(&body);
-    sys.store(0, "/vice/proj/f.c", body).unwrap();
+    sys.ops().store(0, "/vice/proj/f.c", body).unwrap();
     // Replication clones the volume onto server 1 and re-checkpoints the
     // source, so the image holds the stored file.
     sys.replicate_readonly("/vice/proj", &[ServerId(1)])
@@ -658,7 +658,7 @@ fn corruption_storm_leaves_zero_latent_corruptions() {
     // after the storm is either exactly the committed content or refused.
     for f in 0..cfg.files {
         let path = format!("/vice/proj/src/f{f:03}.c");
-        match sys.fetch(0, &path) {
+        match sys.ops().fetch(0, &path) {
             Ok(data) => assert_eq!(data, vec![b'a'; 24_000], "{path}: served corrupt bytes"),
             Err(e) => {
                 let kind = itc_workload::scenario::classify_failure(&e)

@@ -359,8 +359,10 @@ fn watched<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
 }
 
 /// 3 clusters × 3 workstations of scripts whose every op draws its mask
-/// from {home, home ∪ one other, all}, seeded. A home op stores into the
-/// workstation's own directory; the wider ones fetch another cluster's
+/// from {home, home ∪ one other, all}, seeded. A home op works in the
+/// workstation's own directory, by `r % 4`: a store; `mkdir_p` + `rename`;
+/// `symlink` + `readdir`; `lock` + `unlock` of an earlier store (a store
+/// when there is none yet). The wider ones fetch another cluster's
 /// read-only shared file (inside a two-cluster mask, or under a full one).
 /// So batches start, read finite horizons, end on a mask change, and wide
 /// drivers get picked for single ops beside other drivers' batches.
@@ -408,14 +410,36 @@ fn mask_mix(seed: u64, mode: RunMode) -> ((u64, String), ExecutorStats) {
             // or up to everything.
             let width = rng.range(0, 3);
             let buddy = (home + 1 + rng.range(0, 2) as usize) % CLUSTERS;
+            let mut stored: Option<String> = None;
             for r in 0..rng.range(6, 14) {
                 let far = format!("/vice/mix{buddy}/shared");
                 match rng.range(0, width + 1) {
                     0 => {
-                        let own = format!("/vice/mix{home}/p{ws}/w{r}");
-                        d.push(ClusterMask::of(home), move |ops| {
-                            ops.store(ws, &own, vec![ws as u8; 1_500])
-                        })
+                        let dir = format!("/vice/mix{home}/p{ws}");
+                        let own = format!("{dir}/w{r}");
+                        match (r % 4, stored.clone()) {
+                            (1, _) => {
+                                let (from, to) = (format!("{dir}/d{r}/a"), format!("{dir}/d{r}/b"));
+                                d.push(ClusterMask::of(home), move |ops| {
+                                    ops.mkdir_p(ws, &from)?;
+                                    ops.rename(ws, &from, &to)
+                                })
+                            }
+                            (2, _) => d.push(ClusterMask::of(home), move |ops| {
+                                ops.symlink(ws, &format!("{dir}/l{r}"), "w0")?;
+                                ops.readdir(ws, &dir).map(|_| ())
+                            }),
+                            (3, Some(earlier)) => d.push(ClusterMask::of(home), move |ops| {
+                                ops.lock(ws, &earlier, true)?;
+                                ops.unlock(ws, &earlier)
+                            }),
+                            _ => {
+                                stored = Some(own.clone());
+                                d.push(ClusterMask::of(home), move |ops| {
+                                    ops.store(ws, &own, vec![ws as u8; 1_500])
+                                })
+                            }
+                        }
                     }
                     1 => d.push(
                         ClusterMask::of(home).union(ClusterMask::of(buddy)),

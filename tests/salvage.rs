@@ -31,7 +31,7 @@ fn two_cluster_system(seed: u64) -> ItcSystem {
     sys.add_user("b", "pw").unwrap();
     sys.login(0, "a", "pw").unwrap(); // cluster 0, home server 0
     sys.login(2, "b", "pw").unwrap(); // cluster 1, home server 1
-    sys.mkdir_p(0, SHARED).unwrap();
+    sys.ops().mkdir_p(0, SHARED).unwrap();
     sys
 }
 
@@ -198,7 +198,8 @@ fn salvage_replays_every_record_at_a_pinned_virtual_cost() {
 fn acknowledged_stores_survive_a_scheduled_crash() {
     let mut sys = two_cluster_system(0x5a_1f);
     let file = format!("{SHARED}/precious");
-    sys.store(0, &file, b"acked before the crash".to_vec())
+    sys.ops()
+        .store(0, &file, b"acked before the crash".to_vec())
         .unwrap();
 
     let crash_at = sys.now() + SimTime::from_secs(60);
@@ -211,7 +212,7 @@ fn acknowledged_stores_survive_a_scheduled_crash() {
     // Ride past the crash and the restart; the salvager passes run as
     // calendar events right after the restart fires.
     let t = sys.ws_time(0) + SimTime::from_secs(300);
-    sys.advance_ws(0, t);
+    sys.ops().advance_ws(0, t);
     sys.run_fault_schedule();
 
     assert!(sys.server(ServerId(0)).is_online());
@@ -234,7 +235,10 @@ fn acknowledged_stores_survive_a_scheduled_crash() {
             .map(Payload::as_slice),
         Some(b"acked before the crash".as_slice())
     );
-    assert_eq!(sys.fetch(0, &file).unwrap(), b"acked before the crash");
+    assert_eq!(
+        sys.ops().fetch(0, &file).unwrap(),
+        b"acked before the crash"
+    );
 }
 
 /// While a volume is being salvaged the server is up but the volume is
@@ -244,13 +248,13 @@ fn acknowledged_stores_survive_a_scheduled_crash() {
 fn traffic_during_the_salvage_window_sees_volume_offline() {
     let mut sys = two_cluster_system(0x5a_2f);
     let file = format!("{SHARED}/during");
-    sys.store(0, &file, b"v1".to_vec()).unwrap();
+    sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
     // Bind workstation 2 to server 0 ahead of time (the mutual
     // authentication handshake costs more virtual time than a salvage
     // pass, which would otherwise hide the window from a first contact).
     let other = format!("{SHARED}/other");
-    sys.store(0, &other, b"warm".to_vec()).unwrap();
-    assert_eq!(sys.fetch(2, &other).unwrap(), b"warm");
+    sys.ops().store(0, &other, b"warm".to_vec()).unwrap();
+    assert_eq!(sys.ops().fetch(2, &other).unwrap(), b"warm");
 
     let crash_at = sys.now() + SimTime::from_secs(60);
     let restart_at = crash_at + SimTime::from_secs(120);
@@ -263,8 +267,9 @@ fn traffic_during_the_salvage_window_sees_volume_offline() {
     // the restart has fired but the salvager passes (fixed cost plus
     // per-record work) have not completed, so the read reaches a server
     // that is up while its volume is still offline.
-    sys.advance_ws(2, restart_at + SimTime::from_millis(1));
-    let err = sys.fetch(2, &file).unwrap_err();
+    sys.ops()
+        .advance_ws(2, restart_at + SimTime::from_millis(1));
+    let err = sys.ops().fetch(2, &file).unwrap_err();
     let msg = format!("{err}");
     assert!(
         msg.contains("volume offline"),
@@ -278,12 +283,12 @@ fn traffic_during_the_salvage_window_sees_volume_offline() {
     // Once the passes complete the same read succeeds with the pre-crash
     // acknowledged state, and mutations flow again.
     let t = sys.ws_time(2) + SimTime::from_secs(30);
-    sys.advance_ws(2, t);
-    assert_eq!(sys.fetch(2, &file).unwrap(), b"v1");
+    sys.ops().advance_ws(2, t);
+    assert_eq!(sys.ops().fetch(2, &file).unwrap(), b"v1");
     let t = sys.ws_time(0) + SimTime::from_secs(300);
-    sys.advance_ws(0, t);
-    sys.store(0, &file, b"v2".to_vec()).unwrap();
-    assert_eq!(sys.fetch(0, &file).unwrap(), b"v2");
+    sys.ops().advance_ws(0, t);
+    sys.ops().store(0, &file, b"v2".to_vec()).unwrap();
+    assert_eq!(sys.ops().fetch(0, &file).unwrap(), b"v2");
 }
 
 // ----------------------------------------------------------------------
@@ -301,7 +306,9 @@ fn lazy_sync_loses_acknowledged_tail_yet_salvages_clean() {
     sys.set_journal_sync_policy(ServerId(0), SyncPolicy::Lazy);
 
     // Acknowledged to the client, but never forced to the platter.
-    sys.store(0, &file, b"acked and lost".to_vec()).unwrap();
+    sys.ops()
+        .store(0, &file, b"acked and lost".to_vec())
+        .unwrap();
     assert!(
         sys.server_journal_stats(ServerId(0)).synced_len
             < sys.server_journal_stats(ServerId(0)).total_len
@@ -321,7 +328,7 @@ fn lazy_sync_loses_acknowledged_tail_yet_salvages_clean() {
     // The acknowledged store is gone from the server.
     assert_eq!(server_file(&sys, ServerId(0), &file), None);
     // A workstation that never cached it cannot fetch it.
-    assert!(sys.fetch(2, &file).is_err());
+    assert!(sys.ops().fetch(2, &file).is_err());
 }
 
 // ----------------------------------------------------------------------
@@ -334,7 +341,7 @@ fn lazy_sync_loses_acknowledged_tail_yet_salvages_clean() {
 fn queue_high_water_resets_per_incarnation() {
     let mut sys = two_cluster_system(0x5a_4f);
     let file = format!("{SHARED}/q");
-    sys.store(0, &file, b"v1".to_vec()).unwrap();
+    sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
 
     let history = sys.server_queue_history(ServerId(0));
     assert_eq!(history.len(), 1, "one live incarnation: {history:?}");
@@ -352,7 +359,7 @@ fn queue_high_water_resets_per_incarnation() {
         "new incarnation starts at zero"
     );
 
-    sys.store(0, &file, b"v2".to_vec()).unwrap();
+    sys.ops().store(0, &file, b"v2".to_vec()).unwrap();
     let history = sys.server_queue_history(ServerId(0));
     assert!(history[1].1 >= 1, "live mark must track new traffic");
     assert_eq!(history[0], (epoch0, hw0), "archive still frozen");
@@ -381,13 +388,13 @@ fn crash_and_salvage_path_is_bit_reproducible() {
         for i in 0..16u64 {
             let ws = if i % 3 == 0 { 2 } else { 0 };
             let file = format!("{SHARED}/r{}", i % 4);
-            let r = sys.store(ws, &file, format!("c{i}").into_bytes());
+            let r = sys.ops().store(ws, &file, format!("c{i}").into_bytes());
             outcomes.push(match r {
                 Ok(()) => format!("{i}:ok"),
                 Err(e) => format!("{i}:{e}"),
             });
             let t = sys.ws_time(ws) + SimTime::from_secs(60);
-            sys.advance_ws(ws, t);
+            sys.ops().advance_ws(ws, t);
         }
         sys.run_fault_schedule();
         let js = sys.server_journal_stats(ServerId(0));

@@ -306,7 +306,7 @@ fn replay_cache_never_serves_stale_across_epoch_bump() {
         sys.create_user_volume("u000", 0).unwrap();
         sys.login(0, "u000", "pw-u000").unwrap();
         let path = "/vice/usr/u000/f.dat";
-        sys.store(0, path, vec![0u8; 1000]).unwrap();
+        sys.ops().store(0, path, vec![0u8; 1000]).unwrap();
 
         let t_crash = sys.ws_time(0) + SimTime::from_secs(60);
         let mut plan = FaultPlan::new(seed ^ 0xd00f)
@@ -325,8 +325,8 @@ fn replay_cache_never_serves_stale_across_epoch_bump() {
         let mut last_version: u64 = 0;
         for i in 1..=40u8 {
             let at = sys.ws_time(0) + SimTime::from_secs(7);
-            sys.advance_ws(0, at);
-            match sys.store(0, path, vec![i; 1000 + usize::from(i)]) {
+            sys.ops().advance_ws(0, at);
+            match sys.ops().store(0, path, vec![i; 1000 + usize::from(i)]) {
                 Ok(()) => {
                     confirmed = i;
                     in_doubt = None;
@@ -339,7 +339,7 @@ fn replay_cache_never_serves_stale_across_epoch_bump() {
                     in_doubt = Some(i);
                 }
             }
-            match sys.fetch(0, path) {
+            match sys.ops().fetch(0, path) {
                 Ok(bytes) => {
                     let tag = bytes[0];
                     let acceptable =
@@ -353,7 +353,7 @@ fn replay_cache_never_serves_stale_across_epoch_bump() {
                     // other.
                     confirmed = tag;
                     in_doubt = None;
-                    let v = sys.stat(0, path).unwrap().version;
+                    let v = sys.ops().stat(0, path).unwrap().version;
                     assert!(
                         v >= last_version,
                         "seed {seed}: version regressed {last_version} -> {v}"

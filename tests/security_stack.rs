@@ -21,7 +21,7 @@ fn wrong_password_never_reaches_file_operations() {
     ));
     // No session, no access.
     assert!(matches!(
-        sys.fetch(0, "/vice/usr"),
+        sys.ops().fetch(0, "/vice/usr"),
         Err(SystemError::Venus(VenusError::NotLoggedIn))
     ));
     // And no server calls happened at all.
@@ -66,25 +66,26 @@ fn per_directory_acls_gate_every_operation() {
     sys.login(0, "owner", "pw").unwrap();
     sys.login(1, "reader", "pw").unwrap();
     sys.login(2, "outsider", "pw").unwrap();
-    sys.store(0, "/vice/vault/doc", b"classified".to_vec())
+    sys.ops()
+        .store(0, "/vice/vault/doc", b"classified".to_vec())
         .unwrap();
 
     // Reader: read yes, write no, list yes.
-    assert!(sys.fetch(1, "/vice/vault/doc").is_ok());
-    assert!(sys.readdir(1, "/vice/vault").is_ok());
+    assert!(sys.ops().fetch(1, "/vice/vault/doc").is_ok());
+    assert!(sys.ops().readdir(1, "/vice/vault").is_ok());
     assert!(matches!(
-        sys.store(1, "/vice/vault/doc", b"defaced".to_vec()),
+        sys.ops().store(1, "/vice/vault/doc", b"defaced".to_vec()),
         Err(SystemError::Venus(VenusError::Vice(
             ViceError::PermissionDenied(_)
         )))
     ));
-    assert!(sys.unlink(1, "/vice/vault/doc").is_err());
-    assert!(sys.mkdir(1, "/vice/vault/sub").is_err());
+    assert!(sys.ops().unlink(1, "/vice/vault/doc").is_err());
+    assert!(sys.ops().mkdir(1, "/vice/vault/sub").is_err());
 
     // Outsider: nothing.
-    assert!(sys.fetch(2, "/vice/vault/doc").is_err());
-    assert!(sys.readdir(2, "/vice/vault").is_err());
-    assert!(sys.stat(2, "/vice/vault/doc").is_err());
+    assert!(sys.ops().fetch(2, "/vice/vault/doc").is_err());
+    assert!(sys.ops().readdir(2, "/vice/vault").is_err());
+    assert!(sys.ops().stat(2, "/vice/vault/doc").is_err());
 }
 
 #[test]
@@ -107,13 +108,13 @@ fn administer_right_gates_acl_changes() {
     let mut grab = AccessList::new();
     grab.grant("sneaky", Rights::ALL);
     assert!(matches!(
-        sys.set_acl(1, "/vice/proj", grab.clone()),
+        sys.ops().set_acl(1, "/vice/proj", grab.clone()),
         Err(SystemError::Venus(VenusError::Vice(
             ViceError::PermissionDenied(_)
         )))
     ));
     // The owner can.
-    assert!(sys.set_acl(0, "/vice/proj", grab).is_ok());
+    assert!(sys.ops().set_acl(0, "/vice/proj", grab).is_ok());
 }
 
 #[test]
@@ -132,16 +133,17 @@ fn revoked_user_is_blocked_even_with_warm_cache() {
     sys.login(0, "admin", "pw").unwrap();
     sys.login(1, "mallory", "pw").unwrap();
 
-    sys.store(0, "/vice/v/secret", b"rotate the keys".to_vec())
+    sys.ops()
+        .store(0, "/vice/v/secret", b"rotate the keys".to_vec())
         .unwrap();
-    assert!(sys.fetch(1, "/vice/v/secret").is_ok()); // now cached at ws 1
+    assert!(sys.ops().fetch(1, "/vice/v/secret").is_ok()); // now cached at ws 1
 
     let mut denied = acl;
     denied.deny("mallory", Rights::ALL);
-    sys.set_acl(0, "/vice/v", denied).unwrap();
+    sys.ops().set_acl(0, "/vice/v", denied).unwrap();
 
     assert!(matches!(
-        sys.fetch(1, "/vice/v/secret"),
+        sys.ops().fetch(1, "/vice/v/secret"),
         Err(SystemError::Venus(VenusError::Vice(
             ViceError::PermissionDenied(_)
         )))
@@ -163,12 +165,14 @@ fn negative_rights_override_group_grants() {
     sys.create_volume("w", "/vice/w", ServerId(0), acl).unwrap();
     sys.login(0, "admin", "pw").unwrap();
     sys.login(1, "eve", "pw").unwrap();
-    sys.store(0, "/vice/w/board", b"notes".to_vec()).unwrap();
+    sys.ops()
+        .store(0, "/vice/w/board", b"notes".to_vec())
+        .unwrap();
 
     // Eve reads (positive via group) but cannot write (negative wins).
-    assert!(sys.fetch(1, "/vice/w/board").is_ok());
-    assert!(sys.store(1, "/vice/w/board", b"x".to_vec()).is_err());
-    assert!(sys.store(1, "/vice/w/new", b"x".to_vec()).is_err());
+    assert!(sys.ops().fetch(1, "/vice/w/board").is_ok());
+    assert!(sys.ops().store(1, "/vice/w/board", b"x".to_vec()).is_err());
+    assert!(sys.ops().store(1, "/vice/w/new", b"x".to_vec()).is_err());
 }
 
 #[test]

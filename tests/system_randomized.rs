@@ -80,7 +80,7 @@ fn run_config(validation: ValidationMode, traversal: TraversalMode, ops: &[Op]) 
         sys.add_user(&name, "pw").unwrap();
         sys.login(w, &name, "pw").unwrap();
     }
-    sys.mkdir_p(0, "/vice/usr/shared").unwrap();
+    sys.ops().mkdir_p(0, "/vice/usr/shared").unwrap();
 
     let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     for op in ops {
@@ -94,7 +94,7 @@ fn run_config(validation: ValidationMode, traversal: TraversalMode, ops: &[Op]) 
                 let ws = *ws as usize % ws_count;
                 let p = path_of(*file);
                 let data = vec![*payload; *len as usize];
-                sys.store(ws, &p, data.clone()).unwrap();
+                sys.ops().store(ws, &p, data.clone()).unwrap();
                 model.insert(p, data);
             }
             Op::Fetch { ws, file } => {
@@ -102,10 +102,10 @@ fn run_config(validation: ValidationMode, traversal: TraversalMode, ops: &[Op]) 
                 let p = path_of(*file);
                 match model.get(&p) {
                     Some(expect) => {
-                        let got = sys.fetch(ws, &p).unwrap();
+                        let got = sys.ops().fetch(ws, &p).unwrap();
                         assert_eq!(&got, expect, "wrong contents for {p} at ws{ws}");
                     }
-                    None => assert!(sys.fetch(ws, &p).is_err(), "{p} should not exist"),
+                    None => assert!(sys.ops().fetch(ws, &p).is_err(), "{p} should not exist"),
                 }
             }
             Op::Stat { ws, file } => {
@@ -113,16 +113,16 @@ fn run_config(validation: ValidationMode, traversal: TraversalMode, ops: &[Op]) 
                 let p = path_of(*file);
                 match model.get(&p) {
                     Some(expect) => {
-                        let st = sys.stat(ws, &p).unwrap();
+                        let st = sys.ops().stat(ws, &p).unwrap();
                         assert_eq!(st.size, expect.len() as u64, "wrong size for {p}");
                     }
-                    None => assert!(sys.stat(ws, &p).is_err()),
+                    None => assert!(sys.ops().stat(ws, &p).is_err()),
                 }
             }
             Op::Remove { ws, file } => {
                 let ws = *ws as usize % ws_count;
                 let p = path_of(*file);
-                let r = sys.unlink(ws, &p);
+                let r = sys.ops().unlink(ws, &p);
                 if model.remove(&p).is_some() {
                     assert!(r.is_ok(), "remove {p} failed: {r:?}");
                 } else {
@@ -132,7 +132,7 @@ fn run_config(validation: ValidationMode, traversal: TraversalMode, ops: &[Op]) 
             Op::Advance { secs } => {
                 let target = sys.now() + SimTime::from_secs(u64::from(*secs));
                 for w in 0..ws_count {
-                    sys.advance_ws(w, target);
+                    sys.ops().advance_ws(w, target);
                 }
             }
         }
@@ -142,7 +142,7 @@ fn run_config(validation: ValidationMode, traversal: TraversalMode, ops: &[Op]) 
     for w in 0..ws_count {
         for (p, expect) in &model {
             assert_eq!(
-                &sys.fetch(w, p).unwrap(),
+                &sys.ops().fetch(w, p).unwrap(),
                 expect,
                 "final sweep {p} at ws{w}"
             );

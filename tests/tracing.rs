@@ -74,26 +74,29 @@ fn golden_scripted_ops_are_bit_identical_with_tracing_enabled() {
     sys.login(0, "satya", "pw").unwrap();
 
     let mut trace = Vec::new();
-    sys.mkdir_p(0, "/vice/usr/shared").unwrap();
+    sys.ops().mkdir_p(0, "/vice/usr/shared").unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    sys.store(0, "/vice/usr/shared/a.txt", vec![7u8; 12_000])
+    sys.ops()
+        .store(0, "/vice/usr/shared/a.txt", vec![7u8; 12_000])
         .unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    let d = sys.fetch(0, "/vice/usr/shared/a.txt").unwrap();
+    let d = sys.ops().fetch(0, "/vice/usr/shared/a.txt").unwrap();
     assert_eq!(d.len(), 12_000);
     trace.push(sys.ws_time(0).as_micros());
-    let st = sys.stat(0, "/vice/usr/shared/a.txt").unwrap();
+    let st = sys.ops().stat(0, "/vice/usr/shared/a.txt").unwrap();
     trace.push(sys.ws_time(0).as_micros());
     assert_eq!(st.version, 1);
-    sys.store(0, "/vice/usr/satya/far.txt", vec![1u8; 3000])
+    sys.ops()
+        .store(0, "/vice/usr/satya/far.txt", vec![1u8; 3000])
         .unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    let _ = sys.fetch(0, "/vice/usr/satya/far.txt").unwrap();
+    let _ = sys.ops().fetch(0, "/vice/usr/satya/far.txt").unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    sys.rename(0, "/vice/usr/shared/a.txt", "/vice/usr/shared/b.txt")
+    sys.ops()
+        .rename(0, "/vice/usr/shared/a.txt", "/vice/usr/shared/b.txt")
         .unwrap();
     trace.push(sys.ws_time(0).as_micros());
-    sys.unlink(0, "/vice/usr/shared/b.txt").unwrap();
+    sys.ops().unlink(0, "/vice/usr/shared/b.txt").unwrap();
     trace.push(sys.ws_time(0).as_micros());
 
     assert_eq!(
@@ -120,7 +123,9 @@ fn faulty_fingerprint(tracing: bool) -> String {
     let mut sys = faulty_system(2026, tracing);
     let mut fp = String::new();
     for i in 0..4usize {
-        let r = sys.fetch(i, &format!("/vice/usr/u{}/data", (i + 2) % 4));
+        let r = sys
+            .ops()
+            .fetch(i, &format!("/vice/usr/u{}/data", (i + 2) % 4));
         match r {
             Ok(d) => writeln!(fp, "fetch {i} ok {}", d.len()).unwrap(),
             Err(e) => writeln!(fp, "fetch {i} err {e}").unwrap(),
@@ -162,7 +167,8 @@ fn faulty_system(seed: u64, tracing: bool) -> ItcSystem {
         sys.add_user(&user, "pw").unwrap();
         sys.create_user_volume(&user, i as u32 / 2).unwrap();
         sys.login(i, &user, "pw").unwrap();
-        sys.store(i, &format!("/vice/usr/u{i}/data"), vec![i as u8; 4_000])
+        sys.ops()
+            .store(i, &format!("/vice/usr/u{i}/data"), vec![i as u8; 4_000])
             .unwrap();
     }
     let mut plan = FaultPlan::new(seed ^ 0xfa)
@@ -190,9 +196,9 @@ fn span_components_sum_exactly_to_end_to_end_latency() {
     for round in 0..6usize {
         for i in 0..4usize {
             let far = format!("/vice/usr/u{}/data", (i + 1) % 4);
-            let _ = sys.fetch(i, &far);
-            let _ = sys.stat(i, &format!("/vice/usr/u{i}/data"));
-            let _ = sys.store(
+            let _ = sys.ops().fetch(i, &far);
+            let _ = sys.ops().stat(i, &format!("/vice/usr/u{i}/data"));
+            let _ = sys.ops().store(
                 i,
                 &format!("/vice/usr/u{i}/r{round}"),
                 vec![round as u8; 1_000 + 500 * i],
@@ -264,7 +270,8 @@ fn trace_ids_propagate_through_server_side_spans() {
     sys.add_user("eve", "pw").unwrap();
     sys.create_user_volume("eve", 0).unwrap();
     sys.login(0, "eve", "pw").unwrap();
-    sys.store(0, "/vice/usr/eve/f.txt", b"payload".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/eve/f.txt", b"payload".to_vec())
         .unwrap();
 
     let last = sys
@@ -321,11 +328,13 @@ fn timeout_scenario(seed: u64) -> (ItcSystem, Vec<(String, String)>) {
     sys.add_user("eve", "pw").unwrap();
     sys.create_user_volume("eve", 0).unwrap();
     sys.login(0, "eve", "pw").unwrap();
-    sys.store(0, "/vice/usr/eve/f.txt", b"payload".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/eve/f.txt", b"payload".to_vec())
         .unwrap();
     // From here on the network eats every request.
     sys.install_faults(FaultPlan::new(seed).drop_request_prob(1.0));
     let err = sys
+        .ops()
         .stat(0, "/vice/usr/eve/f.txt")
         .expect_err("no request ever arrives");
     let msg = err.to_string();
@@ -388,12 +397,14 @@ fn offline_volume_reply_freezes_a_dump_naming_the_volume() {
     sys.add_user("eve", "pw").unwrap();
     let vol = sys.create_user_volume("eve", 0).unwrap();
     sys.login(0, "eve", "pw").unwrap();
-    sys.store(0, "/vice/usr/eve/f.txt", b"payload".to_vec())
+    sys.ops()
+        .store(0, "/vice/usr/eve/f.txt", b"payload".to_vec())
         .unwrap();
     sys.set_volume_online("/vice/usr/eve", false).unwrap();
     // Check-on-open: the re-open validates against the custodian, which
     // answers that the volume is offline.
-    sys.fetch(0, "/vice/usr/eve/f.txt")
+    sys.ops()
+        .fetch(0, "/vice/usr/eve/f.txt")
         .expect_err("volume is offline");
 
     let dumps = sys.trace_collector().dumps();
@@ -421,9 +432,10 @@ fn utilization_peak_trips_the_flight_recorder() {
     sys.login(0, "u0", "pw").unwrap();
     // 8 MB at 20 µs/byte of software crypt ≈ 160 s of CPU in a single
     // service interval — minute bucket 1 is busy end to end.
-    sys.store(0, "/vice/tmp/monster", vec![1u8; 8 << 20])
+    sys.ops()
+        .store(0, "/vice/tmp/monster", vec![1u8; 8 << 20])
         .unwrap();
-    sys.stat(0, "/vice/tmp/monster").unwrap();
+    sys.ops().stat(0, "/vice/tmp/monster").unwrap();
 
     let peaks: Vec<_> = sys
         .trace_collector()
@@ -506,7 +518,8 @@ fn breakdown_lookup_and_renderers_cover_the_call() {
     sys.add_user("eve", "pw").unwrap();
     sys.create_user_volume("eve", 0).unwrap();
     sys.login(0, "eve", "pw").unwrap();
-    sys.store(0, "/vice/usr/eve/f.txt", vec![9u8; 30_000])
+    sys.ops()
+        .store(0, "/vice/usr/eve/f.txt", vec![9u8; 30_000])
         .unwrap();
 
     let attr = sys.attribution();

@@ -97,24 +97,25 @@ fn warm_open_hit_copies_no_payload_bytes() {
     let mut sys = ItcSystem::build(SystemConfig::revised(1, 1));
     sys.add_user("satya", "pw").unwrap();
     sys.login(0, "satya", "pw").unwrap();
-    sys.mkdir_p(0, "/vice/usr/satya").unwrap();
+    sys.ops().mkdir_p(0, "/vice/usr/satya").unwrap();
 
     let body = vec![0x42u8; FILE_SIZE];
-    sys.store(0, "/vice/usr/satya/big.dat", body.clone())
+    sys.ops()
+        .store(0, "/vice/usr/satya/big.dat", body.clone())
         .unwrap();
 
     // Warm the cache and check the contents once, outside the measurement
     // window.
-    let h = sys.open_read(0, "/vice/usr/satya/big.dat").unwrap();
-    assert_eq!(sys.read(0, h).unwrap(), body);
-    sys.close(0, h).unwrap();
+    let h = sys.ops().open_read(0, "/vice/usr/satya/big.dat").unwrap();
+    assert_eq!(sys.ops().read(0, h).unwrap(), body);
+    sys.ops().close(0, h).unwrap();
 
     reset_bytes_copied();
     let allocated_before = ALLOCATED.load(Ordering::Relaxed);
 
     for _ in 0..OPENS {
-        let h = sys.open_read(0, "/vice/usr/satya/big.dat").unwrap();
-        sys.close(0, h).unwrap();
+        let h = sys.ops().open_read(0, "/vice/usr/satya/big.dat").unwrap();
+        sys.ops().close(0, h).unwrap();
     }
 
     let allocated = ALLOCATED.load(Ordering::Relaxed) - allocated_before;
@@ -133,9 +134,9 @@ fn warm_open_hit_copies_no_payload_bytes() {
     );
 
     // The handle still reads the right bytes after all that.
-    let h = sys.open_read(0, "/vice/usr/satya/big.dat").unwrap();
-    assert_eq!(sys.read(0, h).unwrap(), body);
-    sys.close(0, h).unwrap();
+    let h = sys.ops().open_read(0, "/vice/usr/satya/big.dat").unwrap();
+    assert_eq!(sys.ops().read(0, h).unwrap(), body);
+    sys.ops().close(0, h).unwrap();
 }
 
 /// The cold paths copy nothing inside the pipeline: 40 workstations on 4
@@ -166,14 +167,15 @@ fn macro_storm_copies_nothing_inside_the_pipeline() {
         sys.add_user(&user, "pw").unwrap();
         sys.login(ws, &user, "pw").unwrap();
     }
-    sys.mkdir_p(0, "/vice/usr/storm").unwrap();
+    sys.ops().mkdir_p(0, "/vice/usr/storm").unwrap();
     let body = vec![0x5au8; FILE_BYTES];
 
     reset_bytes_copied();
     reset_bytes_digested();
     let before = ALLOCATED.load(Ordering::Relaxed);
     for ws in 0..CLIENTS {
-        sys.store(ws, &format!("/vice/usr/storm/f{ws:02}"), body.clone())
+        sys.ops()
+            .store(ws, &format!("/vice/usr/storm/f{ws:02}"), body.clone())
             .unwrap();
     }
     let per_store = (ALLOCATED.load(Ordering::Relaxed) - before) / CLIENTS as u64;
@@ -195,7 +197,7 @@ fn macro_storm_copies_nothing_inside_the_pipeline() {
     for ws in 0..CLIENTS {
         for k in 1..=FETCH_FANOUT {
             let other = (ws + k) % CLIENTS;
-            let data = sys.fetch(ws, &format!("/vice/usr/storm/f{other:02}"));
+            let data = sys.ops().fetch(ws, &format!("/vice/usr/storm/f{other:02}"));
             assert_eq!(data.unwrap().len(), FILE_BYTES);
         }
     }
@@ -223,18 +225,19 @@ fn counter_bumps_are_allocation_free_after_warmup() {
         calls.bump(kind);
     }
 
-    // A handful of measurement windows: the test harness's own threads may
-    // allocate (result formatting) during any one window, but a genuine
-    // per-bump allocation would taint every window.
+    // A handful of measurement windows, each counting this thread's
+    // allocations only (the sibling path-walk tests allocate beside it
+    // without the METER lock), so a genuine per-bump allocation taints
+    // every window and nothing else can.
     let mut clean_window = false;
     for _ in 0..5 {
-        let allocated_before = ALLOCATED.load(Ordering::Relaxed);
-        for _ in 0..10_000 {
-            for kind in ["fetch", "store", "validate", "getstatus"] {
-                calls.bump(kind);
+        let (allocated, ()) = allocations_in(|| {
+            for _ in 0..10_000 {
+                for kind in ["fetch", "store", "validate", "getstatus"] {
+                    calls.bump(kind);
+                }
             }
-        }
-        let allocated = ALLOCATED.load(Ordering::Relaxed) - allocated_before;
+        });
         if allocated == 0 {
             clean_window = true;
             break;
