@@ -103,6 +103,22 @@ if nontest crates/unixfs/src/fs.rs | grep -E 'Vec<String>|dirname_basename\(' \
     echo "ci.sh: a second path walk or the dead break codec grew back (see the lines above)" >&2
     exit 1
 fi
+# A warm call allocates only what it hands on (DESIGN.md §9 "What a call
+# allocates"): the caller's identity is read from the binding, rights are
+# one borrowed evaluation over the access list, paths are slices of the
+# path the call was given, and a head is laid out once to measure and once
+# into a buffer of that size.
+echo "== a warm call allocates by construction (no identity copy, CPS, owned path or growing head) =="
+if nontest crates/core/src/system/transport.rs | grep -F 'server_user().to_string()' \
+    || nontest crates/core/src/server/mod.rs | grep -E 'fn cps_of|dirname_basename\(' \
+    || nontest crates/core/src/volume/mod.rs | grep -E 'fn internal_path.*Option<String>' \
+    || nontest crates/core/src/venus/mod.rs | grep -F 'Vec<&str>' \
+    || nontest crates/core/src/venus/namespace.rs | grep -F 'Vec<&str>' \
+    || nontest crates/core/src/proto/codec.rs | grep -F 'WireWriter::new()' \
+    || nontest crates/core/src/disk/journal.rs | grep -F '(WireWriter::new()).finish().len()'; then
+    echo "ci.sh: a per-call allocation that carries no output grew back (see the lines above)" >&2
+    exit 1
+fi
 # The trajectory: lines before the first #[cfg(test)] of every crates/*/src
 # file (tests.rs excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do

@@ -89,12 +89,16 @@ impl VolumeMerkle {
     }
 
     /// Inserts or replaces the leaf for `path`. O(1): the old
-    /// contribution (if any) XORs out, the new one XORs in.
+    /// contribution (if any) XORs out, the new one XORs in. Replacing
+    /// keeps the leaf's key; only a new leaf allocates one.
     pub fn set(&mut self, path: &str, digest: u64) {
         let ph = path_hash(path);
         let b = Self::bucket_of(ph);
-        if let Some(old) = self.leaves.insert(path.to_string(), digest) {
-            self.buckets[b] ^= mix(ph, old);
+        match self.leaves.get_mut(path) {
+            Some(leaf) => self.buckets[b] ^= mix(ph, std::mem::replace(leaf, digest)),
+            None => {
+                self.leaves.insert(path.to_string(), digest);
+            }
         }
         self.buckets[b] ^= mix(ph, digest);
     }

@@ -33,6 +33,7 @@
 use crate::protect::AccessList;
 use crate::proto::Payload;
 use crate::volume::{Volume, VolumeError};
+use itc_rpc::wire::exact;
 use itc_rpc::{WireError, WireReader, WireWriter};
 
 /// Leading magic byte of every record.
@@ -187,14 +188,22 @@ impl JournalOp {
         }
     }
 
-    /// Encodes everything *except* a store's raw payload bytes. Kept
-    /// separate so [`Self::encoded_len`] can price a record without
-    /// materializing megabytes of file data.
-    fn encode_head(&self, w: WireWriter) -> WireWriter {
+    /// The one layout of a record body. A measuring pass over it prices a
+    /// store without touching its payload (the bytes are counted, not
+    /// copied).
+    fn layout(&self, w: WireWriter) -> WireWriter {
         match self {
             JournalOp::Store {
-                path, uid, mtime, ..
-            } => w.u8(1).string(path).u32(*uid).u64(*mtime),
+                path,
+                uid,
+                mtime,
+                data,
+            } => w
+                .u8(1)
+                .string(path)
+                .u32(*uid)
+                .u64(*mtime)
+                .bytes(data.as_slice()),
             JournalOp::Remove { path, mtime } => w.u8(2).string(path).u64(*mtime),
             JournalOp::SetMode { path, mode, mtime } => w.u8(3).string(path).u32(*mode).u64(*mtime),
             JournalOp::Mkdir { path, uid, mtime } => w.u8(4).string(path).u32(*uid).u64(*mtime),
@@ -214,23 +223,16 @@ impl JournalOp {
         }
     }
 
-    /// Serializes the op as a record body.
+    /// Serializes the op as a record body, in one buffer of exactly its
+    /// size.
     pub fn encode(&self) -> Vec<u8> {
-        let w = self.encode_head(WireWriter::new());
-        match self {
-            JournalOp::Store { data, .. } => w.bytes(data.as_slice()).finish(),
-            _ => w.finish(),
-        }
+        exact(|w| self.layout(w))
     }
 
-    /// Body length in bytes, computed without materializing store payloads
-    /// (the head is a few dozen bytes; the data length is added virtually).
+    /// Body length in bytes: the measuring pass, which allocates nothing
+    /// and never copies a store's payload.
     pub fn encoded_len(&self) -> u64 {
-        let head = self.encode_head(WireWriter::new()).finish().len() as u64;
-        match self {
-            JournalOp::Store { data, .. } => head + 4 + data.len() as u64,
-            _ => head,
-        }
+        self.layout(WireWriter::measuring()).len() as u64
     }
 
     /// Decodes a record body.
@@ -661,5 +663,80 @@ impl Journal {
         }
         let op = JournalOp::decode(&bytes[body_start..trailer_at]).ok()?;
         Some((volume, seq, op, state, rec_len as u64))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protect::Rights;
+
+    /// One op of every kind, a store with and without bytes, a quota set
+    /// and cleared.
+    fn all_ops() -> Vec<JournalOp> {
+        let mut acl = AccessList::new();
+        acl.grant("satya", Rights::ALL);
+        acl.deny("mallory", Rights::WRITE);
+        vec![
+            JournalOp::Store {
+                path: "/doc/a.tex".into(),
+                uid: 7,
+                mtime: 10,
+                data: Payload::from_vec(vec![0x5a; 300]),
+            },
+            JournalOp::Store {
+                path: "/empty".into(),
+                uid: 7,
+                mtime: 11,
+                data: Payload::empty(),
+            },
+            JournalOp::Remove {
+                path: "/doc/a.tex".into(),
+                mtime: 12,
+            },
+            JournalOp::SetMode {
+                path: "/doc".into(),
+                mode: 0o700,
+                mtime: 13,
+            },
+            JournalOp::Mkdir {
+                path: "/doc/sub".into(),
+                uid: 7,
+                mtime: 14,
+            },
+            JournalOp::Rmdir {
+                path: "/doc/sub".into(),
+                mtime: 15,
+            },
+            JournalOp::Rename {
+                from: "/doc".into(),
+                to: "/docs".into(),
+                mtime: 16,
+            },
+            JournalOp::SetAcl {
+                path: "/docs".into(),
+                acl,
+            },
+            JournalOp::Symlink {
+                path: "/l".into(),
+                target: "/docs/a.tex".into(),
+                uid: 7,
+                mtime: 17,
+            },
+            JournalOp::SetQuota { bytes: Some(4096) },
+            JournalOp::SetQuota { bytes: None },
+        ]
+    }
+
+    /// A record body is one buffer of exactly its size, the measuring pass
+    /// prices it to the byte, and it decodes back to the op.
+    #[test]
+    fn every_body_is_one_exact_buffer_and_round_trips() {
+        for op in all_ops() {
+            let body = op.encode();
+            assert_eq!(body.len(), body.capacity(), "{op:?}");
+            assert_eq!(op.encoded_len(), body.len() as u64, "{op:?}");
+            assert_eq!(JournalOp::decode(&body), Ok(op));
+        }
     }
 }

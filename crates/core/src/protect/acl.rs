@@ -183,6 +183,20 @@ impl AccessList {
         plus.minus(minus)
     }
 
+    /// The same evaluation driven by the list instead of the CPS: union of
+    /// the positive entries whose principal `in_cps` admits, minus union of
+    /// the negative ones. Visits each entry once and builds nothing.
+    pub fn rights_where(&self, mut in_cps: impl FnMut(&str) -> bool) -> Rights {
+        let mut union = |entries: &[(String, Rights)]| {
+            entries
+                .iter()
+                .filter(|(who, _)| in_cps(who))
+                .fold(Rights::NONE, |acc, &(_, r)| acc.union(r))
+        };
+        let plus = union(&self.positive);
+        plus.minus(union(&self.negative))
+    }
+
     /// Serializes to the wire format.
     pub fn encode(&self, w: WireWriter) -> WireWriter {
         let mut w = w.u32(self.positive.len() as u32);

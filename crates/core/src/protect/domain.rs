@@ -12,8 +12,13 @@
 //! in a protection database which is replicated at each cluster server" —
 //! replication is modeled in [`crate::protect::pserver`].
 
+use super::{AccessList, Rights};
 use itc_cryptbox::{derive_key, Key};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The principal every authenticated user implicitly belongs to — the
+/// "System:AnyUser"-style blanket entry common on access lists.
+pub const ANYUSER: &str = "anyuser";
 
 /// A principal: either a user or a group. Names are unique across both.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,9 +119,8 @@ impl ProtectionDomain {
         if !self.principals.contains_key(member) {
             return Err(DomainError::Unknown(member.to_string()));
         }
-        // A cycle exists if `member` (transitively) contains `group` —
-        // i.e. `member` is among the groups reachable upward from `group`.
-        if group == member || self.reachable_groups_from(group).contains(member) {
+        // A cycle exists if `member` (transitively) contains `group`.
+        if group == member || self.contains(member, group) {
             return Err(DomainError::Cycle(member.to_string()));
         }
         match self.principals.get_mut(group) {
@@ -189,30 +193,44 @@ impl ProtectionDomain {
         }
     }
 
-    /// All groups reachable from a principal by following "is a member of"
-    /// edges — i.e. every group that directly or transitively contains it.
-    fn reachable_groups_from(&self, start: &str) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        let mut frontier = vec![start.to_string()];
-        while let Some(cur) = frontier.pop() {
-            for (gname, p) in &self.principals {
-                if let Principal::Group { members } = p {
-                    if members.contains(&cur) && out.insert(gname.clone()) {
-                        frontier.push(gname.clone());
-                    }
-                }
+    /// True when `group` is a group that contains `member` directly or
+    /// through nested groups. Membership is acyclic ([`Self::add_member`]
+    /// refuses cycles), so the descent ends; it allocates nothing.
+    fn contains(&self, group: &str, member: &str) -> bool {
+        match self.principals.get(group) {
+            Some(Principal::Group { members }) => {
+                members.contains(member) || members.iter().any(|m| self.contains(m, member))
             }
+            _ => false,
         }
-        out
     }
 
     /// The Current Protection Subdomain of a user: his own name plus every
     /// group that contains him "either directly or indirectly"
     /// (Section 3.4). ACL evaluation unions rights over exactly this set.
     pub fn cps(&self, user: &str) -> Vec<String> {
+        let mut groups = BTreeSet::new();
+        let mut frontier = vec![user.to_string()];
+        while let Some(cur) = frontier.pop() {
+            for (gname, p) in &self.principals {
+                if let Principal::Group { members } = p {
+                    if members.contains(&cur) && groups.insert(gname.clone()) {
+                        frontier.push(gname.clone());
+                    }
+                }
+            }
+        }
         let mut names = vec![user.to_string()];
-        names.extend(self.reachable_groups_from(user));
+        names.extend(groups);
         names
+    }
+
+    /// The rights `user` holds on `acl`: exactly
+    /// `acl.effective_rights(cps(user) ∪ {ANYUSER})`, evaluated from the
+    /// list's side — an entry counts when it names the user, [`ANYUSER`],
+    /// or a group containing the user — so a check builds no CPS.
+    pub fn rights_on(&self, user: &str, acl: &AccessList) -> Rights {
+        acl.rights_where(|who| who == user || who == ANYUSER || self.contains(who, user))
     }
 
     /// Number of principals.

@@ -24,6 +24,7 @@
 use super::payload::Payload;
 use super::types::{EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest};
 use crate::protect::AccessList;
+use itc_rpc::wire::exact;
 use itc_rpc::{WireError, WireReader, WireWriter};
 
 /// An encoded message: the sealable head plus the optional out-of-band
@@ -130,17 +131,25 @@ const ER_BADREQ: u8 = 14;
 const ER_UNREACHABLE: u8 = 15;
 const ER_TIMEDOUT: u8 = 16;
 
-/// Encodes a request to a sealable head plus optional bulk payload.
+/// Encodes a request to a sealable head plus optional bulk payload. The
+/// head is laid out once to measure and once into a buffer of exactly
+/// that size.
 pub fn encode_request(req: &ViceRequest) -> WireMsg {
-    let mut payload = None;
-    let w = WireWriter::new();
-    let w = match req {
+    WireMsg {
+        head: exact(|w| request_layout(w, req)),
+        payload: match req {
+            ViceRequest::Store { data, .. } => Some(data.clone()),
+            _ => None,
+        },
+    }
+}
+
+/// The one layout of a request head.
+fn request_layout(w: WireWriter, req: &ViceRequest) -> WireWriter {
+    match req {
         ViceRequest::GetCustodian { path } => w.u8(RQ_GETCUSTODIAN).string(path),
         ViceRequest::Fetch { path } => w.u8(RQ_FETCH).string(path),
-        ViceRequest::Store { path, data } => {
-            payload = Some(data.clone());
-            put_payload(w.u8(RQ_STORE).string(path), data)
-        }
+        ViceRequest::Store { path, data } => put_payload(w.u8(RQ_STORE).string(path), data),
         ViceRequest::Remove { path } => w.u8(RQ_REMOVE).string(path),
         ViceRequest::GetStatus { path } => w.u8(RQ_GETSTATUS).string(path),
         ViceRequest::SetMode { path, mode } => w.u8(RQ_SETMODE).string(path).u32(*mode as u32),
@@ -161,10 +170,6 @@ pub fn encode_request(req: &ViceRequest) -> WireMsg {
             w.u8(RQ_SETLOCK).string(path).boolean(*exclusive)
         }
         ViceRequest::ReleaseLock { path } => w.u8(RQ_RELEASELOCK).string(path),
-    };
-    WireMsg {
-        head: w.finish(),
-        payload,
     }
 }
 
@@ -303,17 +308,24 @@ fn decode_error(r: &mut WireReader<'_>) -> Result<ViceError, WireError> {
     })
 }
 
-/// Encodes a reply to a sealable head plus optional bulk payload.
+/// Encodes a reply to a sealable head plus optional bulk payload, the
+/// head in one buffer of exactly its size.
 pub fn encode_reply(reply: &ViceReply) -> WireMsg {
-    let mut payload = None;
-    let w = WireWriter::new();
-    let w = match reply {
+    WireMsg {
+        head: exact(|w| reply_layout(w, reply)),
+        payload: match reply {
+            ViceReply::Data { data, .. } => Some(data.clone()),
+            _ => None,
+        },
+    }
+}
+
+/// The one layout of a reply head.
+fn reply_layout(w: WireWriter, reply: &ViceReply) -> WireWriter {
+    match reply {
         ViceReply::Ok => w.u8(RP_OK),
         ViceReply::Status(s) => encode_status(w.u8(RP_STATUS), s),
-        ViceReply::Data { status, data } => {
-            payload = Some(data.clone());
-            put_payload(encode_status(w.u8(RP_DATA), status), data)
-        }
+        ViceReply::Data { status, data } => put_payload(encode_status(w.u8(RP_DATA), status), data),
         ViceReply::Listing(entries) => {
             let mut w = w.u8(RP_LISTING).u32(entries.len() as u32);
             for (name, kind) in entries {
@@ -346,10 +358,6 @@ pub fn encode_reply(reply: &ViceReply) -> WireMsg {
         }
         ViceReply::Link(target) => w.u8(RP_LINK).string(target),
         ViceReply::Error(e) => encode_error(w.u8(RP_ERROR), e),
-    };
-    WireMsg {
-        head: w.finish(),
-        payload,
     }
 }
 
@@ -561,6 +569,28 @@ mod tests {
             let back = decode_reply(&msg.head, msg.payload.clone())
                 .unwrap_or_else(|e| panic!("{reply:?}: {e}"));
             assert_eq!(back, reply);
+        }
+    }
+
+    /// Every head is laid out once to measure and once into a buffer of
+    /// exactly that size: no doubling, no slack.
+    #[test]
+    fn every_head_is_one_exact_buffer() {
+        for req in all_requests() {
+            let head = encode_request(&req).head;
+            assert_eq!(head.len(), head.capacity(), "{req:?}");
+            assert_eq!(
+                request_layout(WireWriter::measuring(), &req).len(),
+                head.len()
+            );
+        }
+        for reply in all_replies() {
+            let head = encode_reply(&reply).head;
+            assert_eq!(head.len(), head.capacity(), "{reply:?}");
+            assert_eq!(
+                reply_layout(WireWriter::measuring(), &reply).len(),
+                head.len()
+            );
         }
     }
 

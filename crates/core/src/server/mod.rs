@@ -34,12 +34,10 @@ use std::sync::{Arc, RwLock};
 /// A request parked on the server's explicit queue, awaiting dispatch by
 /// the event scheduler. The body is still wire bytes: decoding happens at
 /// service time, exactly where a real server would parse the datagram it
-/// dequeued.
+/// dequeued. The caller's identity is not here: the dispatcher reads it
+/// from the binding the request arrived on (see [`Server::serve`]).
 #[derive(Debug)]
 pub struct QueuedRequest {
-    /// Authenticated caller (identity comes from the binding, never the
-    /// request).
-    pub user: String,
     /// The caller's network node.
     pub from: NodeId,
     /// Idempotency token framed ahead of the request body.
@@ -343,11 +341,13 @@ impl Server {
     }
 
     /// Routes one mutation through the write-ahead journal: intent record,
-    /// apply to the in-memory volume, commit/abort trailer.
+    /// apply to the in-memory volume, commit/abort trailer. The op moves
+    /// into its record and is applied from there.
     fn journal_apply(&mut self, vol_idx: usize, op: JournalOp) -> Result<(), VolumeError> {
         let vid = self.volumes[vol_idx].id();
-        let seq = self.storage.begin(vid, op.clone());
-        let res = op.apply(&mut self.volumes[vol_idx]);
+        let seq = self.storage.begin(vid, op);
+        let logged = &self.storage.journal().records().last().expect("begun").op;
+        let res = logged.apply(&mut self.volumes[vol_idx]);
         self.storage.commit(seq, res.is_ok());
         res
     }
@@ -669,10 +669,13 @@ impl Server {
     /// Serves one dequeued request: decodes the wire body, answers a
     /// retried mutation from the replay cache instead of applying it twice
     /// (the exactly-once rule), otherwise runs [`Self::handle`] and
-    /// remembers a mutation's reply. `now` is what the handler is shown as
-    /// the current time. A replayed or undecodable request charges nothing.
+    /// remembers a mutation's reply. `user` is the identity the request's
+    /// binding authenticated — never anything the request says — and `now`
+    /// is what the handler is shown as the current time. A replayed or
+    /// undecodable request charges nothing.
     pub fn serve(
         &mut self,
+        user: &str,
         qr: QueuedRequest,
         now: SimTime,
         costs: &Costs,
@@ -685,12 +688,12 @@ impl Server {
             }
         };
         if !req.is_mutation() {
-            return self.handle(&qr.user, qr.from, &req, now, costs);
+            return self.handle(user, qr.from, &req, now, costs);
         }
         if let Some(cached) = self.replay_lookup(qr.from, qr.token) {
             return (cached.clone(), CallCost::default());
         }
-        let (reply, cost) = self.handle(&qr.user, qr.from, &req, now, costs);
+        let (reply, cost) = self.handle(user, qr.from, &req, now, costs);
         self.replay_record(qr.from, qr.token, reply.clone());
         (reply, cost)
     }
@@ -726,18 +729,9 @@ impl Server {
         }
     }
 
-    fn cps_of(&self, user: &str) -> Vec<String> {
-        let mut cps = self
-            .domain
-            .read()
-            .expect("protection domain lock")
-            .cps(user);
-        // "System:AnyUser"-style blanket entries are common on ACLs; every
-        // authenticated principal implicitly carries it.
-        cps.push("anyuser".to_string());
-        cps
-    }
-
+    /// Checks the caller's rights on `acl`: the user, `anyuser` and every
+    /// group containing the user, evaluated over the list's entries under
+    /// the domain's read guard (see [`ProtectionDomain::rights_on`]).
     fn check_rights(
         &self,
         user: &str,
@@ -745,8 +739,11 @@ impl Server {
         needed: Rights,
         path: &str,
     ) -> Result<(), ViceError> {
-        let cps = self.cps_of(user);
-        let eff = acl.effective_rights(cps.iter().map(String::as_str));
+        let eff = self
+            .domain
+            .read()
+            .expect("protection domain lock")
+            .rights_on(user, acl);
         if eff.covers(needed) {
             Ok(())
         } else {
@@ -756,26 +753,26 @@ impl Server {
 
     /// The authorisation gate — the only code that maps a Vice path into
     /// the serving volume, finds the access list protecting it and checks
-    /// the caller's rights against it. Returns the volume-internal path
-    /// and the list that admitted the caller.
+    /// the caller's rights against it. Returns the volume-internal path (a
+    /// slice of `path`) and the list that admitted the caller.
     ///
     /// Every request passes through here except two: `GetCustodian`
     /// (location is public, and answerable for paths this server does not
     /// host) and `ReleaseLock` (it can only release the caller's own
     /// `(user, node)` lock, so there is nothing to protect).
-    fn authorize(
+    fn authorize<'p>(
         &self,
         user: &str,
         vol_idx: usize,
-        path: &str,
+        path: &'p str,
         needed: Rights,
-    ) -> Result<(String, &AccessList), ViceError> {
+    ) -> Result<(&'p str, &AccessList), ViceError> {
         let vol = &self.volumes[vol_idx];
         let internal = vol
             .internal_path(path)
             .ok_or_else(|| ViceError::NoSuchFile(path.to_string()))?;
         let acl = vol
-            .acl_for(&internal)
+            .acl_for(internal)
             .map_err(|e| Self::map_vol_err(path, e))?;
         self.check_rights(user, acl, needed, path)?;
         Ok((internal, acl))
@@ -813,40 +810,49 @@ impl Server {
     /// only).
     fn promise(&mut self, path: &str, from: NodeId, costs: &Costs, cost: &mut CallCost) {
         if self.validation == ValidationMode::Callback {
-            self.callbacks
-                .entry(path.to_string())
-                .or_default()
-                .insert(from);
+            // The key is allocated only for a path nobody holds a promise on.
+            match self.callbacks.get_mut(path) {
+                Some(holders) => {
+                    holders.insert(from);
+                }
+                None => {
+                    self.callbacks
+                        .insert(path.to_string(), BTreeSet::from([from]));
+                }
+            }
             cost.server_cpu += costs.srv_cpu_callback;
         }
     }
 
-    /// Breaks callbacks on `path` (and its parent directory, whose cached
-    /// listing is stale too), excluding the mutating workstation.
-    fn break_callbacks(&mut self, path: &str, from: NodeId, costs: &Costs, cost: &mut CallCost) {
+    /// Breaks callbacks on `path` and on its parent directory (whose cached
+    /// listing is stale too): every other holder gets a break message, and
+    /// the mutating workstation's own promises on both lapse with theirs —
+    /// except on `path` when `renew`, where a store leaves the caller's copy
+    /// current: its promise stands, or is made, and is charged as one.
+    fn break_callbacks(
+        &mut self,
+        path: &str,
+        from: NodeId,
+        renew: bool,
+        costs: &Costs,
+        cost: &mut CallCost,
+    ) {
         if self.validation != ValidationMode::Callback {
             return;
         }
-        let mut targets: Vec<String> = vec![path.to_string()];
-        if let Ok((parent, _)) = itc_unixfs::dirname_basename(path) {
-            targets.push(parent);
-        }
+        let parent = parent_of(path);
         let batching = self.break_batching;
-        let mut charged: Vec<NodeId> = Vec::new();
-        for target in targets {
-            // Holders leave the `BTreeSet` in ascending node order: break
-            // order must stay seed-deterministic.
-            for ws in self.callbacks.remove(&target).unwrap_or_default() {
-                if ws == from {
-                    continue;
-                }
-                if !batching {
-                    cost.server_cpu += costs.srv_cpu_callback;
-                } else if !charged.contains(&ws) {
-                    // Batched: one notification per recipient workstation
-                    // for this mutation, however many of its promises just
-                    // died.
-                    charged.push(ws);
+        let mut broke_on_path: Option<&BTreeSet<NodeId>> = None;
+        for target in [Some(path), parent].into_iter().flatten() {
+            let Some(holders) = self.callbacks.get(target) else {
+                continue;
+            };
+            // Holders break in ascending node order: break order must stay
+            // seed-deterministic.
+            for &ws in holders.iter().filter(|&&ws| ws != from) {
+                // Batched: one notification per recipient workstation for
+                // this mutation, however many of its promises just died.
+                if !batching || !broke_on_path.is_some_and(|b| b.contains(&ws)) {
                     cost.server_cpu += costs.srv_cpu_callback;
                 }
                 // A batched path joins the message already waiting for its
@@ -857,10 +863,22 @@ impl Server {
                     None
                 };
                 match waiting {
-                    Some((_, paths)) => paths.push(target.clone()),
-                    None => self.pending_breaks.push((ws, vec![target.clone()])),
+                    Some((_, paths)) => paths.push(target.to_string()),
+                    None => self.pending_breaks.push((ws, vec![target.to_string()])),
                 }
             }
+            broke_on_path = Some(holders);
+        }
+        if let Some(parent) = parent {
+            self.callbacks.remove(parent);
+        }
+        if renew {
+            self.promise(path, from, costs, cost);
+            if let Some(holders) = self.callbacks.get_mut(path) {
+                holders.retain(|&ws| ws == from);
+            }
+        } else {
+            self.callbacks.remove(path);
         }
     }
 
@@ -877,7 +895,7 @@ impl Server {
     ) -> Result<(), ViceError> {
         self.journal_apply(vol_idx, op)
             .map_err(|e| Self::map_vol_err(path, e))?;
-        self.break_callbacks(path, from, costs, cost);
+        self.break_callbacks(path, from, false, costs, cost);
         Ok(())
     }
 
@@ -949,9 +967,7 @@ impl Server {
                 // Do not follow a final symlink: Venus interprets links
                 // itself (they may point into other volumes on other
                 // servers).
-                let resolved = fs
-                    .resolve(&internal, false)
-                    .map_err(|e| map_fs_err(path, e))?;
+                let resolved = fs.probe(internal, false).map_err(|e| map_fs_err(path, e))?;
                 self.charge_traversal(costs, cost, path, resolved.components_walked);
                 let data = match fs.attr_of(resolved.ino).expect("resolved").ftype {
                     FileType::Regular => {
@@ -963,7 +979,7 @@ impl Server {
                         // can reach Venus. A mismatch means silent rot got
                         // past every earlier verifier — serve nothing,
                         // take the volume offline, surface the fault.
-                        let key = crate::volume::leaf_key(&internal);
+                        let key = crate::volume::leaf_key(internal);
                         let leaf = self.volumes[vol_idx].merkle().leaf(&key);
                         if leaf.is_some_and(|expected| data.digest() != expected) {
                             let vid = self.volumes[vol_idx].id();
@@ -988,11 +1004,14 @@ impl Server {
                         // "a directory stored as a Vice file is easier to
                         // interpret when the whole file is available"
                         // (Section 3.2). Venus uses this for client-side
-                        // traversal.
-                        let listing = fs.readdir(&internal).expect("is a directory");
-                        let mut blob = Vec::new();
-                        for (name, ino) in &listing {
-                            let kind = match fs.attr_of(*ino).expect("entry").ftype {
+                        // traversal. Built from the borrowed entries into a
+                        // buffer of its exact size: a kind byte, the name
+                        // and a newline each.
+                        let entries = || fs.entries_of(resolved.ino).expect("is a directory");
+                        let len = entries().map(|(name, _)| name.len() + 2).sum();
+                        let mut blob = Vec::with_capacity(len);
+                        for (name, ino) in entries() {
+                            let kind = match fs.attr_of(ino).expect("entry").ftype {
                                 FileType::Regular => b'f',
                                 FileType::Directory => b'd',
                                 FileType::Symlink => b'l',
@@ -1004,13 +1023,13 @@ impl Server {
                         Payload::from_vec(blob)
                     }
                     FileType::Symlink => {
-                        let target = fs.readlink(&internal).expect("is a symlink");
+                        let target = fs.readlink(internal).expect("is a symlink");
                         return Ok(ViceReply::Link(link_target_to_vice(vol, path, &target)));
                     }
                 };
                 cost.server_cpu += costs.srv_block_cpu(data.len() as u64);
                 cost.disk_bytes = data.len() as u64;
-                let status = Self::status_of(&self.volumes[vol_idx], &internal)?;
+                let status = Self::status_of(&self.volumes[vol_idx], internal)?;
                 self.promise(path, from, costs, cost);
                 Ok(ViceReply::Data { status, data })
             }
@@ -1018,7 +1037,7 @@ impl Server {
             ViceRequest::Store { path, data } => {
                 let vol = &self.volumes[vol_idx];
                 // Overwriting needs WRITE on the directory, creating INSERT.
-                let exists = vol.internal_path(path).is_some_and(|i| vol.fs().exists(&i));
+                let exists = vol.internal_path(path).is_some_and(|i| vol.fs().exists(i));
                 let needed = if exists {
                     Rights::WRITE
                 } else {
@@ -1032,24 +1051,24 @@ impl Server {
                 // payload by refcount; the one genuine copy on the store
                 // path happens when the op is applied to the volume.
                 let op = JournalOp::Store {
-                    path: internal.clone(),
+                    path: internal.to_string(),
                     uid: uid_of(user),
                     mtime: now.as_micros(),
                     data: data.clone(),
                 };
                 self.journal_apply(vol_idx, op)
                     .map_err(|e| Self::map_vol_err(path, e))?;
-                let status = Self::status_of(&self.volumes[vol_idx], &internal)?;
-                self.break_callbacks(path, from, costs, cost);
-                // The storing workstation's own copy is current; it gets a
-                // fresh promise.
-                self.promise(path, from, costs, cost);
+                let status = Self::status_of(&self.volumes[vol_idx], internal)?;
+                // The storing workstation's own copy is current: its
+                // promise is renewed, everyone else's broken.
+                self.break_callbacks(path, from, true, costs, cost);
                 Ok(ViceReply::Status(status))
             }
 
             ViceRequest::Remove { path } => {
+                let internal = self.authorize(user, vol_idx, path, Rights::DELETE)?.0;
                 let op = JournalOp::Remove {
-                    path: self.authorize(user, vol_idx, path, Rights::DELETE)?.0,
+                    path: internal.into(),
                     mtime: now.as_micros(),
                 };
                 self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
@@ -1062,15 +1081,15 @@ impl Server {
                 // answering a status query touches the server disk.
                 cost.disk_bytes = 2_048;
                 let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
-                if let Ok(r) = self.volumes[vol_idx].fs().resolve(&internal, false) {
+                if let Ok(r) = self.volumes[vol_idx].fs().probe(internal, false) {
                     self.charge_traversal(costs, cost, path, r.components_walked);
                 }
-                Self::status_of(&self.volumes[vol_idx], &internal).map(ViceReply::Status)
+                Self::status_of(&self.volumes[vol_idx], internal).map(ViceReply::Status)
             }
 
             ViceRequest::SetMode { path, mode } => {
                 let op = JournalOp::SetMode {
-                    path: self.authorize(user, vol_idx, path, Rights::WRITE)?.0,
+                    path: self.authorize(user, vol_idx, path, Rights::WRITE)?.0.into(),
                     mode: *mode as u32,
                     mtime: now.as_micros(),
                 };
@@ -1089,7 +1108,7 @@ impl Server {
                 // user must not keep using his cached copy by having the
                 // server confirm it is "current".
                 let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
-                let status = Self::status_of(&self.volumes[vol_idx], &internal)?;
+                let status = Self::status_of(&self.volumes[vol_idx], internal)?;
                 // Both the identity and the version must match: a
                 // deleted-and-recreated file has a new fid, so a stale
                 // cache can never validate against it.
@@ -1109,17 +1128,18 @@ impl Server {
                 }
                 let internal = self.authorize(user, vol_idx, path, Rights::INSERT)?.0;
                 let op = JournalOp::Mkdir {
-                    path: internal.clone(),
+                    path: internal.to_string(),
                     uid: uid_of(user),
                     mtime: now.as_micros(),
                 };
                 self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
-                Self::status_of(&self.volumes[vol_idx], &internal).map(ViceReply::Status)
+                Self::status_of(&self.volumes[vol_idx], internal).map(ViceReply::Status)
             }
 
             ViceRequest::RemoveDir { path } => {
+                let internal = self.authorize(user, vol_idx, path, Rights::DELETE)?.0;
                 let op = JournalOp::Rmdir {
-                    path: self.authorize(user, vol_idx, path, Rights::DELETE)?.0,
+                    path: internal.into(),
                     mtime: now.as_micros(),
                 };
                 self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
@@ -1135,12 +1155,12 @@ impl Server {
                     ));
                 }
                 let op = JournalOp::Rename {
-                    from: self.authorize(user, vol_idx, src, Rights::DELETE)?.0,
-                    to: self.authorize(user, vol_idx, dst, Rights::INSERT)?.0,
+                    from: self.authorize(user, vol_idx, src, Rights::DELETE)?.0.into(),
+                    to: self.authorize(user, vol_idx, dst, Rights::INSERT)?.0.into(),
                     mtime: now.as_micros(),
                 };
                 self.mutate_entry(vol_idx, src, op, from, costs, cost)?;
-                self.break_callbacks(dst, from, costs, cost);
+                self.break_callbacks(dst, from, false, costs, cost);
                 Ok(ViceReply::Ok)
             }
 
@@ -1148,8 +1168,8 @@ impl Server {
                 let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
                 let vol = &self.volumes[vol_idx];
                 let fs = vol.fs_read().map_err(|e| Self::map_vol_err(path, e))?;
-                let entries = fs.readdir(&internal).map_err(|e| map_fs_err(path, e))?;
-                if let Ok(r) = fs.resolve(&internal, true) {
+                let entries = fs.readdir(internal).map_err(|e| map_fs_err(path, e))?;
+                if let Ok(r) = fs.probe(internal, true) {
                     self.charge_traversal(costs, cost, path, r.components_walked);
                 }
                 let listing = entries
@@ -1165,8 +1185,9 @@ impl Server {
             }
 
             ViceRequest::SetAcl { path, acl } => {
+                let internal = self.authorize(user, vol_idx, path, Rights::ADMINISTER)?.0;
                 let op = JournalOp::SetAcl {
-                    path: self.authorize(user, vol_idx, path, Rights::ADMINISTER)?.0,
+                    path: internal.into(),
                     acl: acl.clone(),
                 };
                 self.journal_apply(vol_idx, op)
@@ -1175,8 +1196,9 @@ impl Server {
             }
 
             ViceRequest::MakeSymlink { path, target } => {
+                let internal = self.authorize(user, vol_idx, path, Rights::INSERT)?.0;
                 let op = JournalOp::Symlink {
-                    path: self.authorize(user, vol_idx, path, Rights::INSERT)?.0,
+                    path: internal.into(),
                     target: target.clone(),
                     uid: uid_of(user),
                     mtime: now.as_micros(),
@@ -1191,7 +1213,7 @@ impl Server {
                 let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
                 let vol = &self.volumes[vol_idx];
                 let fs = vol.fs_read().map_err(|e| Self::map_vol_err(path, e))?;
-                let target = fs.readlink(&internal).map_err(|e| map_fs_err(path, e))?;
+                let target = fs.readlink(internal).map_err(|e| map_fs_err(path, e))?;
                 Ok(ViceReply::Link(link_target_to_vice(vol, path, &target)))
             }
 
@@ -1230,10 +1252,21 @@ fn link_target_to_vice(vol: &Volume, link_vice_path: &str, target: &str) -> Stri
     } else if target.starts_with('/') {
         vol.vice_path(target)
     } else {
-        match itc_unixfs::dirname_basename(link_vice_path) {
-            Ok((dir, _)) => itc_unixfs::join(&dir, target).unwrap_or_else(|_| target.to_string()),
-            Err(_) => target.to_string(),
+        match parent_of(link_vice_path) {
+            Some(dir) => itc_unixfs::join(dir, target).unwrap_or_else(|_| target.to_string()),
+            None => target.to_string(),
         }
+    }
+}
+
+/// The directory holding a normal path (what Venus sends): "/a/b" is in
+/// "/a", "/a" in "/"; the root, like a relative path, has none.
+fn parent_of(path: &str) -> Option<&str> {
+    match path.rsplit_once('/') {
+        Some((dir, name)) if path.starts_with('/') && !name.is_empty() => {
+            Some(if dir.is_empty() { "/" } else { dir })
+        }
+        _ => None,
     }
 }
 

@@ -290,13 +290,13 @@ impl ItcSystem {
             };
             let v = srv.volume_mut(vol).expect("just found");
             let internal = v.internal_path(&prefix).expect("covers");
-            if internal != "/" && !v.fs().exists(&internal) {
+            if internal != "/" && !v.fs().exists(internal) {
                 // Journaled like any other mutation, so a salvaged volume
                 // reproduces operator provisioning too.
                 srv.admin_apply(
                     vol,
                     JournalOp::Mkdir {
-                        path: internal,
+                        path: internal.to_string(),
                         uid: 0,
                         mtime: 0,
                     },
@@ -336,7 +336,7 @@ impl ItcSystem {
         srv.admin_apply(
             vol_id,
             JournalOp::Store {
-                path: internal,
+                path: internal.to_string(),
                 uid: 0,
                 mtime: 0,
                 data: Payload::from_vec(data),

@@ -666,15 +666,12 @@ impl SystemTransport<'_> {
                 // The sealed buffer is decrypted in place and, past the frame
                 // header, becomes the queued request body: no copy.
                 let opened = binding.server_open(sealed).map_err(|e| e.to_string())?;
-                // Identity comes from the binding, never the request.
-                let user = binding.server_user().to_string();
                 let (token, wire_trace, body) = take_frame(opened).expect("framed by call()");
                 // The span names the trace id that actually rode the wire;
                 // queue depth is observed before this request joins.
                 let depth = self.servers.get(sid).queue_depth() as u32;
                 self.request_arrived(call, TraceId(wire_trace), at, depth);
                 self.servers.get_mut(sid).enqueue_request(QueuedRequest {
-                    user,
                     from: call.ws,
                     token,
                     trace: TraceId(wire_trace),
@@ -697,10 +694,13 @@ impl SystemTransport<'_> {
                 // Handlers see the attempt's start time, as the synchronous
                 // transport always showed them.
                 let costs = self.kernel.costs();
-                let (reply, cost) = self
-                    .servers
-                    .get_mut(sid)
-                    .serve(qr, call.attempt_start, costs);
+                // Identity comes from the binding the request arrived on,
+                // never the request.
+                let user = self.cores.get(cc).bindings[&(call.ws, server)].server_user();
+                let (reply, cost) =
+                    self.servers
+                        .get_mut(sid)
+                        .serve(user, qr, call.attempt_start, costs);
                 // A fetch-time digest check may have taken a volume offline
                 // mid-handle; surface its integrity anomaly now.
                 self.drain_integrity_anomalies(sid, at, server.0);

@@ -42,8 +42,9 @@ use crate::proto::{EntryKind, Payload, ServerId, VStatus, ViceError, ViceReply, 
 use itc_cryptbox::Key;
 use itc_rpc::NodeId;
 use itc_sim::{Costs, SimRng, SimTime, TraversalMode, ValidationMode};
-use itc_unixfs::{dirname_basename, FsError, Mode};
+use itc_unixfs::{dirname_basename, normalize, FsError, Mode};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Errors surfaced to applications by Venus.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,10 +152,11 @@ pub struct VenusStats {
     pub local_reads: u64,
 }
 
-/// An authenticated session at a workstation.
+/// An authenticated session at a workstation. Every call carries it, so
+/// the name is shared: taking the session is a refcount bump.
 #[derive(Debug, Clone)]
 struct Session {
-    user: String,
+    user: Arc<str>,
     key: Key,
 }
 
@@ -337,7 +339,7 @@ impl Venus {
     /// password surfaces there.)
     pub fn set_session(&mut self, user: &str, key: Key) {
         self.session = Some(Session {
-            user: user.to_string(),
+            user: Arc::from(user),
             key,
         });
     }
@@ -350,7 +352,7 @@ impl Venus {
 
     /// The logged-in user, if any.
     pub fn current_user(&self) -> Option<&str> {
-        self.session.as_ref().map(|s| s.user.as_str())
+        self.session.as_ref().map(|s| &*s.user)
     }
 
     /// Delivers a callback break from a server: the cached copy (file or
@@ -459,27 +461,29 @@ impl Venus {
         req: &ViceRequest,
     ) -> Result<ViceReply, VenusError> {
         let s = self.session()?;
-        let path = req.path().to_string();
+        let path = req.path();
         for _ in 0..CUSTODIAN_RETRIES {
-            let (custodian, replicas) = self.resolve_custodian(t, &path)?;
+            let (custodian, replicas) = self.resolve_custodian(t, path)?;
             // Candidate order: for read-eligible calls, nearest first and
             // fail over down the list; mutations go to the custodian only
             // (read-only replicas cannot apply them anyway).
-            let mut candidates = if !req.is_mutation() && !replicas.is_empty() {
+            let ordered;
+            let candidates = if !req.is_mutation() && !replicas.is_empty() {
                 let mut all = vec![custodian];
                 all.extend(replicas.iter().copied());
                 let first = t.nearest(self.node, &all);
-                let mut ordered = vec![first];
-                ordered.extend(all.into_iter().filter(|c| *c != first));
-                ordered
+                let mut by_distance = vec![first];
+                by_distance.extend(all.into_iter().filter(|c| *c != first));
+                by_distance.dedup();
+                ordered = by_distance;
+                &ordered[..]
             } else {
-                vec![custodian]
+                std::slice::from_ref(&custodian)
             };
-            candidates.dedup();
 
             let mut last_failure: Option<ViceError> = None;
             let mut reply = None;
-            for target in candidates {
+            for &target in candidates {
                 let (r, done) = t
                     .call(self.node, &s.user, s.key, target, req, self.now)
                     .map_err(VenusError::Transport)?;
@@ -518,9 +522,9 @@ impl Venus {
                 Some(ViceReply::Error(ViceError::NotCustodian(hint))) => {
                     // Stale hint: drop it and retry. If the server offered
                     // a hint, seed it for the exact path's parent subtree.
-                    self.drop_hint_for(&path);
+                    self.drop_hint_for(path);
                     if let Some(h) = hint {
-                        self.hints.insert(path.clone(), (h, Vec::new()));
+                        self.hints.insert(path.to_string(), (h, Vec::new()));
                     }
                 }
                 Some(other) => return Ok(other),
@@ -537,7 +541,7 @@ impl Venus {
                 }
             }
         }
-        Err(VenusError::NoCustodian(path))
+        Err(VenusError::NoCustodian(path.to_string()))
     }
 
     /// The reply contract of every Vice call Venus makes: routes `req`
@@ -571,28 +575,26 @@ impl Venus {
         if self.traversal != TraversalMode::ClientSide {
             return Ok(());
         }
-        // Ancestors strictly between /vice and the final component.
-        let comps: Vec<&str> = vice_path.split('/').filter(|c| !c.is_empty()).collect();
-        let mut prefix = String::new();
-        for comp in &comps[..comps.len().saturating_sub(1)] {
-            prefix.push('/');
-            prefix.push_str(comp);
+        // Ancestors strictly between /vice and the final component: the
+        // prefixes of the (normal) path that end before a '/', borrowed.
+        for (end, _) in vice_path.match_indices('/').skip(1) {
+            let prefix = &vice_path[..end];
             self.now += self.costs.ws_cpu_per_component;
             if prefix == VICE_MOUNT {
                 continue;
             }
             let cached_valid = self
                 .cache
-                .peek(&prefix)
+                .peek(prefix)
                 .map(|e| e.kind == cache::EntryKind::Directory && (e.valid || e.status.read_only))
                 .unwrap_or(false);
             if cached_valid {
-                self.cache.get(&prefix);
+                self.cache.get(prefix);
                 continue;
             }
             // Fetch the directory's listing blob and cache it.
             let req = ViceRequest::Fetch {
-                path: prefix.clone(),
+                path: prefix.to_string(),
             };
             let ViceReply::Data { status, data } = self.vice(t, &req, data_or_link)? else {
                 // A symlink mid-path inside Vice; the server resolves
@@ -603,7 +605,7 @@ impl Venus {
             self.stats.bytes_fetched += data.len() as u64;
             self.charge_local_disk(data.len() as u64);
             self.cache
-                .insert(&prefix, data, status, cache::EntryKind::Directory);
+                .insert(prefix, data, status, cache::EntryKind::Directory);
         }
         Ok(())
     }
@@ -692,8 +694,9 @@ impl Venus {
                 self.cache.insert(vice_path, data.clone(), status, kind);
                 Ok(data)
             }
-            // A symlink inside Vice: follow it (target is a Vice path).
-            ViceReply::Link(target) => self.ensure_cached(t, &target),
+            // A symlink inside Vice: follow it (target is a Vice path, in
+            // normal form like every path Venus walks).
+            ViceReply::Link(target) => self.ensure_cached(t, &normalize(&target)?),
             _ => unreachable!("data_or_link admits nothing else"),
         }
     }
@@ -723,7 +726,15 @@ impl Venus {
         self.charge_intercept();
         let space = self.namespace.classify(path, true)?;
         let data = match &space {
-            Space::Local(p) => self.namespace.local().read(p).unwrap_or_default(),
+            Space::Local(p) => {
+                // A missing or non-regular file opens empty (a probe
+                // names nothing).
+                let local = self.namespace.local();
+                let found = local.probe(p, true).ok();
+                found
+                    .and_then(|r| local.contents_of(r.ino).cloned())
+                    .unwrap_or_default()
+            }
             Space::Vice(vp) => match self.ensure_cached(t, vp) {
                 Ok(d) => d,
                 Err(VenusError::Vice(ViceError::NoSuchFile(_))) => Payload::empty(),

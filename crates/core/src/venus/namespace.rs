@@ -130,37 +130,36 @@ impl Namespace {
             return Ok(Space::Local("/".to_string()));
         }
 
-        // Walk intermediate components in the local file system.
-        let comps: Vec<&str> = norm.split('/').filter(|c| !c.is_empty()).collect();
-        let mut cur = String::from("");
-        for (i, comp) in comps.iter().enumerate() {
-            let is_last = i == comps.len() - 1;
-            let candidate = format!("{cur}/{comp}");
-            match self.local.lstat(&candidate) {
-                Ok(attr) if attr.ftype == FileType::Symlink => {
-                    if is_last && !follow_final {
-                        return Ok(Space::Local(candidate));
-                    }
-                    let target = self.local.readlink(&candidate)?;
-                    let base = if cur.is_empty() { "/" } else { &cur };
-                    let mut joined = join(base, &target)?;
-                    // Re-attach any remaining components.
-                    for rest in &comps[i + 1..] {
-                        joined = join(&joined, rest)?;
-                    }
-                    return self.classify_norm(&joined, follow_final, depth + 1);
-                }
-                Ok(_) => {
-                    cur = candidate;
-                }
-                Err(FsError::NotFound(_)) if is_last => {
+        // Walk the components in the local file system with a cursor into
+        // `norm`, as `FileSystem::resolve` does: each component's path is
+        // the prefix `norm[..end]`, borrowed, and the directory holding it
+        // the prefix before that.
+        let mut cur = "";
+        for (end, _) in norm.match_indices('/').skip(1).chain([(norm.len(), "")]) {
+            let candidate = &norm[..end];
+            let rest = &norm[end..];
+            let ftype = match self.local.probe(candidate, false) {
+                Ok(r) => self.local.attr_of(r.ino).expect("resolved").ftype,
+                Err(FsError::NotFound(_)) if rest.is_empty() => {
                     // Creation target: parent exists, child does not.
-                    return Ok(Space::Local(candidate));
+                    return Ok(Space::Local(candidate.to_string()));
                 }
-                Err(e) => return Err(e),
+                // Walk again for the error that names where it stopped.
+                Err(_) => return Err(self.local.lstat(candidate).expect_err("the walk failed")),
+            };
+            if ftype == FileType::Symlink {
+                if rest.is_empty() && !follow_final {
+                    return Ok(Space::Local(candidate.to_string()));
+                }
+                let target = self.local.readlink(candidate)?;
+                let base = if cur.is_empty() { "/" } else { cur };
+                // Re-attach the remaining components.
+                let joined = format!("{}{rest}", join(base, &target)?);
+                return self.classify_norm(&normalize(&joined)?, follow_final, depth + 1);
             }
+            cur = candidate;
         }
-        Ok(Space::Local(cur))
+        Ok(Space::Local(cur.to_string()))
     }
 }
 

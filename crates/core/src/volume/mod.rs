@@ -168,26 +168,28 @@ impl Volume {
         crate::location::subtree_covers(&self.mount, vice_path)
     }
 
-    /// Translates a Vice path into this volume's internal path.
-    /// Returns `None` when the path is outside the volume.
-    pub fn internal_path(&self, vice_path: &str) -> Option<String> {
+    /// Translates a Vice path into this volume's internal path: a slice of
+    /// `vice_path` itself. Returns `None` when the path is outside the
+    /// volume.
+    pub fn internal_path<'p>(&self, vice_path: &'p str) -> Option<&'p str> {
         if vice_path == self.mount {
-            Some("/".to_string())
+            Some("/")
         } else if crate::location::subtree_covers(&self.mount, vice_path) {
             // Keep the leading '/' of the remainder: "/mount/a/b" -> "/a/b".
-            Some(vice_path[self.mount.len()..].to_string())
+            Some(&vice_path[self.mount.len()..])
         } else {
             None
         }
     }
 
-    /// Translates an internal path back to the Vice name space.
+    /// Translates an internal path back to the Vice name space, in one
+    /// allocation of exactly its length.
     pub fn vice_path(&self, internal: &str) -> String {
-        if internal == "/" {
-            self.mount.clone()
-        } else {
-            format!("{}{internal}", self.mount)
-        }
+        let internal = if internal == "/" { "" } else { internal };
+        let mut out = String::with_capacity(self.mount.len() + internal.len());
+        out.push_str(&self.mount);
+        out.push_str(internal);
+        out
     }
 
     fn writable(&self) -> Result<(), VolumeError> {
@@ -243,8 +245,8 @@ impl Volume {
     ) -> Result<Ino, VolumeError> {
         let data = data.into();
         self.writable()?;
-        let old = match self.fs.stat(internal) {
-            Ok(st) => st.size,
+        let old = match self.fs.probe(internal, true) {
+            Ok(r) => self.fs.attr_of(r.ino).map_or(0, |a| a.size),
             Err(_) => 0,
         };
         let new_total = self.fs.data_bytes() - old + data.len() as u64;
@@ -266,7 +268,7 @@ impl Volume {
         self.readable()?;
         let is_dir =
             |ino| self.fs.attr_of(ino).map(|a| a.ftype) == Some(itc_unixfs::FileType::Directory);
-        let ino = match self.fs.resolve(internal, true) {
+        let ino = match self.fs.probe(internal, true) {
             Ok(r) if is_dir(r.ino) => r.ino,
             // A file, a dangling link, or a creation target that does not
             // exist yet: protected by the directory that names it.

@@ -16,6 +16,9 @@ use std::collections::{BTreeMap, BTreeSet};
 #[test]
 fn cps_matches_naive_fixpoint() {
     let mut rng = SimRng::seeded(0x6370_735f_6669_7831);
+    // Lists whose verdict for "u" hinged on a group entry the user is only
+    // in through another group.
+    let mut nested_hits = 0;
     for _ in 0..128 {
         let mut d = ProtectionDomain::new();
         d.add_user("u", "pw").unwrap();
@@ -57,7 +60,52 @@ fn cps_matches_naive_fixpoint() {
 
         let cps: BTreeSet<String> = d.cps("u").into_iter().collect();
         assert_eq!(cps, reach);
+
+        // The server's check evaluates the list's entries against the
+        // domain without building a CPS; it must grant exactly what the
+        // list grants the CPS plus `anyuser`. Entries name the user, groups
+        // at every depth, `anyuser` and strangers, positive and negative.
+        for _ in 0..4 {
+            let mut acl = AccessList::new();
+            for _ in 0..rng.range(0, 12) {
+                let who = match rng.range(0, 16) {
+                    0 => "u".to_string(),
+                    1 => "anyuser".to_string(),
+                    2 => "stranger".to_string(),
+                    g => format!("g{}", g % 12),
+                };
+                let rights = Rights(rng.range(0, 128) as u8);
+                if rng.chance(0.3) {
+                    acl.deny(&who, rights);
+                } else {
+                    acl.grant(&who, rights);
+                }
+            }
+            for user in ["u", "stranger"] {
+                let mut cps = d.cps(user);
+                cps.push("anyuser".to_string());
+                assert_eq!(
+                    d.rights_on(user, &acl),
+                    acl.effective_rights(cps.iter().map(String::as_str)),
+                    "{user} on {acl:?} under {edges:?}"
+                );
+            }
+            let direct: BTreeSet<&str> = edges
+                .iter()
+                .filter(|(m, _)| m == "u")
+                .map(|(_, g)| g.as_str())
+                .collect();
+            nested_hits += usize::from(reach.iter().any(|g| {
+                g.starts_with('g')
+                    && !direct.contains(g.as_str())
+                    && (acl.positive_for(g).is_some() || acl.negative_for(g).is_some())
+            }));
+        }
     }
+    assert!(
+        nested_hits >= 10,
+        "{nested_hits} lists named a nested group"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -790,7 +790,6 @@ fn serve(
     payload: Option<Payload>,
 ) -> ViceReply {
     let qr = QueuedRequest {
-        user: "alice".to_string(),
         from,
         token,
         trace: TraceId::NONE,
@@ -798,7 +797,7 @@ fn serve(
         payload,
         arrived: SimTime::from_secs(1),
     };
-    let reply = srv.serve(qr, SimTime::from_secs(1), &Costs::prototype_1985());
+    let reply = srv.serve("alice", qr, SimTime::from_secs(1), &Costs::prototype_1985());
     // Write-ahead: the journal is forced before the reply may leave.
     srv.sync_journal();
     reply.0

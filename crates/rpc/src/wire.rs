@@ -33,34 +33,78 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Serializes fields into a byte buffer.
+/// Serializes fields into a byte buffer — or, on a measuring pass, only
+/// counts the bytes a layout would write.
+///
+/// A message's layout is one function from writer to writer; [`exact`]
+/// runs it twice, measuring and then writing into a buffer of exactly the
+/// measured size, so no layout has a second, hand-kept length table.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
+    /// `Some(n)` on a measuring pass: `n` bytes laid out, none stored.
+    measured: Option<usize>,
+}
+
+/// Lays `layout` out into a buffer of exactly its length: one measuring
+/// pass, one writing pass, one allocation (`len() == capacity()`).
+pub fn exact(layout: impl Fn(WireWriter) -> WireWriter) -> Vec<u8> {
+    let len = layout(WireWriter::measuring()).len();
+    let buf = layout(WireWriter {
+        buf: Vec::with_capacity(len),
+        measured: None,
+    })
+    .finish();
+    debug_assert_eq!(buf.len(), len, "a layout must not depend on its pass");
+    buf
 }
 
 impl WireWriter {
-    /// Creates an empty writer.
+    /// Creates an empty writer that grows as fields are appended.
     pub fn new() -> WireWriter {
         WireWriter::default()
     }
 
-    /// Appends a u8.
-    pub fn u8(mut self, v: u8) -> Self {
-        self.buf.push(v);
+    /// A writer that stores nothing and counts what it is given: the
+    /// measuring pass of [`exact`], and a length without an allocation.
+    pub fn measuring() -> WireWriter {
+        WireWriter {
+            buf: Vec::new(),
+            measured: Some(0),
+        }
+    }
+
+    /// Bytes laid out so far.
+    pub fn len(&self) -> usize {
+        self.measured.unwrap_or(self.buf.len())
+    }
+
+    /// True when nothing has been laid out.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn put(mut self, bytes: &[u8]) -> Self {
+        match &mut self.measured {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
         self
+    }
+
+    /// Appends a u8.
+    pub fn u8(self, v: u8) -> Self {
+        self.put(&[v])
     }
 
     /// Appends a u32 (big-endian).
-    pub fn u32(mut self, v: u32) -> Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
+    pub fn u32(self, v: u32) -> Self {
+        self.put(&v.to_be_bytes())
     }
 
     /// Appends a u64 (big-endian).
-    pub fn u64(mut self, v: u64) -> Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
+    pub fn u64(self, v: u64) -> Self {
+        self.put(&v.to_be_bytes())
     }
 
     /// Appends a bool as one byte.
@@ -74,13 +118,12 @@ impl WireWriter {
     }
 
     /// Appends a length-prefixed byte blob (whole-file payloads ride here).
-    pub fn bytes(mut self, v: &[u8]) -> Self {
-        self.buf.extend_from_slice(&(v.len() as u32).to_be_bytes());
-        self.buf.extend_from_slice(v);
-        self
+    pub fn bytes(self, v: &[u8]) -> Self {
+        self.u32(v.len() as u32).put(v)
     }
 
-    /// Finishes, yielding the encoded message.
+    /// Finishes, yielding the encoded message (empty after a measuring
+    /// pass: ask [`Self::len`] instead).
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
@@ -178,6 +221,20 @@ mod tests {
         assert_eq!(r.string().unwrap(), "fetch /vice/usr/x");
         assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
         r.done().unwrap();
+    }
+
+    /// Measuring, then writing into the measured size, lays out the bytes
+    /// a growing writer would, in one allocation of exactly their length.
+    #[test]
+    fn exact_is_the_growing_layout_in_one_buffer() {
+        let layout = |w: WireWriter| w.u8(7).string("fetch /vice/usr/x").u64(9).bytes(&[1, 2]);
+        let grown = layout(WireWriter::new()).finish();
+        assert_eq!(layout(WireWriter::measuring()).len(), grown.len());
+        assert!(layout(WireWriter::measuring()).finish().is_empty());
+        let buf = exact(layout);
+        assert_eq!(buf, grown);
+        assert_eq!(buf.len(), buf.capacity());
+        assert!(exact(|w| w).is_empty());
     }
 
     #[test]

@@ -100,15 +100,23 @@ impl FileSystem {
     /// and the final component's symlink only when `follow_final`.
     pub fn resolve(&self, path: &str, follow_final: bool) -> Result<Resolved, FsError> {
         let norm = normalize(path)?;
-        self.lookup(&norm, follow_final, &norm, 0, 0)
+        self.lookup(&norm, follow_final, &norm, 0, 0, Named(true))
+    }
+
+    /// [`Self::resolve`] for a caller that names the path itself or drops
+    /// the error: a failed walk reports the same kind, but the error
+    /// carries an empty path and so costs no allocation.
+    pub fn probe(&self, path: &str, follow_final: bool) -> Result<Resolved, FsError> {
+        let norm = normalize(path)?;
+        self.lookup(&norm, follow_final, &norm, 0, 0, Named(false))
     }
 
     /// One walk over the normal path `norm`. `rest` is the cursor: what is
     /// still to be walked, so the directory being searched is always the
     /// prefix `norm[..norm.len() - rest.len()]` — borrowed, never built. A
     /// symlink re-roots the walk at its target with `rest` appended;
-    /// `origin` (what the caller asked for, for `SymlinkLoop`) and the two
-    /// counters carry over.
+    /// `origin` (what the caller asked for, for `SymlinkLoop`), the two
+    /// counters and whether errors name their path carry over.
     fn lookup(
         &self,
         norm: &str,
@@ -116,6 +124,7 @@ impl FileSystem {
         origin: &str,
         mut walked: u32,
         expansions: u32,
+        named: Named,
     ) -> Result<Resolved, FsError> {
         let mut cur = self.root;
         let mut rest = if norm == "/" { "" } else { norm };
@@ -130,12 +139,12 @@ impl FileSystem {
                 .expect("only directories are entered");
             let &child = entries
                 .get(name)
-                .ok_or_else(|| FsError::NotFound(through.to_string()))?;
+                .ok_or_else(|| named.error(FsError::NotFound, through))?;
             walked += 1;
             match &self.node(child).data {
                 NodeData::Symlink(target) if !rest.is_empty() || follow_final => {
                     if expansions == SYMLINK_LIMIT {
-                        return Err(FsError::SymlinkLoop(origin.to_string()));
+                        return Err(named.error(FsError::SymlinkLoop, origin));
                     }
                     // Relative targets start at the link's directory;
                     // `..` in the target is lexical, as everywhere.
@@ -145,11 +154,11 @@ impl FileSystem {
                         format!("{dir}/{target}{rest}")
                     };
                     let next = normalize(&next)?;
-                    return self.lookup(&next, follow_final, origin, walked, expansions + 1);
+                    return self.lookup(&next, follow_final, origin, walked, expansions + 1, named);
                 }
                 NodeData::Directory(_) => {}
                 _ if rest.is_empty() => {}
-                _ => return Err(FsError::NotADirectory(through.to_string())),
+                _ => return Err(named.error(FsError::NotADirectory, through)),
             }
             cur = child;
         }
@@ -167,7 +176,7 @@ impl FileSystem {
             return Err(FsError::InvalidPath(format!("{norm} (root has no name)")));
         }
         let parent = if parent.is_empty() { "/" } else { parent };
-        let r = self.lookup(parent, true, parent, 0, 0)?;
+        let r = self.lookup(parent, true, parent, 0, 0, Named(true))?;
         if self.node(r.ino).as_dir().is_none() {
             return Err(FsError::NotADirectory(parent.to_string()));
         }
@@ -176,7 +185,7 @@ impl FileSystem {
 
     /// True when `path` resolves (following symlinks).
     pub fn exists(&self, path: &str) -> bool {
-        self.resolve(path, true).is_ok()
+        self.probe(path, true).is_ok()
     }
 
     // ------------------------------------------------------------------
@@ -257,11 +266,17 @@ impl FileSystem {
     /// Lists a directory: `(name, ino)` pairs in name order.
     pub fn readdir(&self, path: &str) -> Result<Vec<(String, Ino)>, FsError> {
         let r = self.resolve(path, true)?;
-        let n = self.node(r.ino);
-        let entries = n
-            .as_dir()
+        let entries = self
+            .entries_of(r.ino)
             .ok_or_else(|| FsError::NotADirectory(path.to_string()))?;
-        Ok(entries.iter().map(|(k, &v)| (k.clone(), v)).collect())
+        Ok(entries.map(|(name, ino)| (name.to_string(), ino)).collect())
+    }
+
+    /// A directory's entries by inode number, in name order and borrowed,
+    /// if it is one.
+    pub fn entries_of(&self, ino: Ino) -> Option<impl Iterator<Item = (&str, Ino)> + '_> {
+        let entries = self.inodes.get(&ino.0)?.as_dir()?;
+        Some(entries.iter().map(|(name, &ino)| (name.as_str(), ino)))
     }
 
     /// Removes an empty directory.
@@ -335,7 +350,7 @@ impl FileSystem {
         data: impl Into<Payload>,
     ) -> Result<Ino, FsError> {
         let data = data.into();
-        match self.resolve(path, true) {
+        match self.probe(path, true) {
             Ok(r) => {
                 let n = self.node_mut(r.ino);
                 match &mut n.data {
@@ -353,7 +368,8 @@ impl FileSystem {
                 }
             }
             Err(FsError::NotFound(_)) => self.create(path, Mode::FILE_DEFAULT, uid, now, data),
-            Err(e) => Err(e),
+            // Rare: walk again for the error that names where it stopped.
+            Err(_) => Err(self.resolve(path, true).expect_err("the walk failed")),
         }
     }
 
@@ -657,6 +673,21 @@ impl FileSystem {
         } else {
             self.unlink(&norm, now)
         }
+    }
+}
+
+/// Whether a failed walk names the path it stopped at ([`FileSystem::resolve`])
+/// or only reports the kind of failure ([`FileSystem::probe`]).
+#[derive(Debug, Clone, Copy)]
+struct Named(bool);
+
+impl Named {
+    fn error(self, kind: fn(String) -> FsError, path: &str) -> FsError {
+        kind(if self.0 {
+            path.to_string()
+        } else {
+            String::new()
+        })
     }
 }
 
@@ -1182,6 +1213,24 @@ mod tests {
                     got,
                     fs.resolve_reference(&path, follow),
                     "resolve({path:?}, {follow}) over {made:?}"
+                );
+                // A probe is the same walk, its errors the same kinds with
+                // the path left out (only `normalize` names an invalid one).
+                let unnamed = got.clone().map_err(|e| match e {
+                    FsError::NotFound(_) => FsError::NotFound(String::new()),
+                    FsError::NotADirectory(_) => FsError::NotADirectory(String::new()),
+                    FsError::SymlinkLoop(_) => FsError::SymlinkLoop(String::new()),
+                    invalid => invalid,
+                });
+                assert_eq!(
+                    fs.probe(&path, follow),
+                    unnamed,
+                    "probe({path:?}, {follow})"
+                );
+                assert_eq!(
+                    fs.exists(&path),
+                    fs.resolve(&path, true).is_ok(),
+                    "exists({path:?})"
                 );
                 assert_eq!(
                     fs.resolve_parent(&path),

@@ -45,7 +45,7 @@ fn server_file(sys: &ItcSystem, srv: ServerId, vice_path: &str) -> Option<Payloa
         .max_by_key(|v| v.mount().len())
         .and_then(|v| {
             let internal = v.internal_path(vice_path)?;
-            v.fs().read(&internal).ok()
+            v.fs().read(internal).ok()
         })
 }
 
