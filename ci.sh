@@ -119,6 +119,17 @@ if nontest crates/core/src/system/transport.rs | grep -F 'server_user().to_strin
     echo "ci.sh: a per-call allocation that carries no output grew back (see the lines above)" >&2
     exit 1
 fi
+# A binary message is declared once (DESIGN.md §17): each kind is a row of
+# a `wire_table!` that generates both its layout and its decoder, so no
+# hand-kept tag table, status/error codec pair or field-by-field read may
+# grow back beside the rows.
+echo "== one declaration per message (no tag table, hand codec or hand field read) =="
+for f in crates/core/src/proto/codec.rs crates/core/src/disk/journal.rs crates/core/src/protect/acl.rs; do
+    if nontest "$f" | grep -E 'fn (en|de)code_(status|error)|const (RQ|RP|ER)_|\.(u8|u32|u64|string|boolean|bytes)\(\)'; then
+        echo "ci.sh: a hand-written codec grew back beside its table row (see the lines above)" >&2
+        exit 1
+    fi
+done
 # The trajectory: lines before the first #[cfg(test)] of every crates/*/src
 # file (tests.rs excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
@@ -128,7 +139,7 @@ done | awk '{total += $1}
     END {print total " non-test lines under crates/*/src"}'
 
 echo "== clippy (offline, deny warnings) =="
-cargo clippy --workspace --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== rustdoc (offline, deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -33,8 +33,8 @@
 use crate::protect::AccessList;
 use crate::proto::Payload;
 use crate::volume::{Volume, VolumeError};
-use itc_rpc::wire::exact;
-use itc_rpc::{WireError, WireReader, WireWriter};
+use itc_rpc::wire::{exact, put, take, Bytes, Codec};
+use itc_rpc::{wire_table, WireError, WireReader, WireWriter};
 
 /// Leading magic byte of every record.
 const RECORD_MAGIC: u8 = 0xec;
@@ -42,10 +42,14 @@ const RECORD_MAGIC: u8 = 0xec;
 const STATUS_COMMIT: u8 = b'C';
 /// Status byte of an aborted record.
 const STATUS_ABORT: u8 = b'A';
-/// Fixed header bytes: magic + volume + seq + body_len.
-const HEADER_LEN: u64 = 1 + 4 + 8 + 4;
-/// Fixed trailer bytes: status + checksum.
-const TRAILER_LEN: u64 = 1 + 8;
+/// A record's fixed header: magic, volume, seq, body_len.
+type Header = (u8, u32, u64, u32);
+/// A record's trailer: status, checksum.
+type Trailer = (u8, u64);
+/// Fixed header bytes.
+const HEADER_LEN: u64 = <Header as Codec<Header>>::MIN as u64;
+/// Fixed trailer bytes.
+const TRAILER_LEN: u64 = <Trailer as Codec<Trailer>>::MIN as u64;
 
 /// One volume mutation, as logged. The variants mirror the mutating subset
 /// of the Vice protocol plus the administrative quota update; paths are
@@ -188,111 +192,37 @@ impl JournalOp {
         }
     }
 
-    /// The one layout of a record body. A measuring pass over it prices a
-    /// store without touching its payload (the bytes are counted, not
-    /// copied).
-    fn layout(&self, w: WireWriter) -> WireWriter {
-        match self {
-            JournalOp::Store {
-                path,
-                uid,
-                mtime,
-                data,
-            } => w
-                .u8(1)
-                .string(path)
-                .u32(*uid)
-                .u64(*mtime)
-                .bytes(data.as_slice()),
-            JournalOp::Remove { path, mtime } => w.u8(2).string(path).u64(*mtime),
-            JournalOp::SetMode { path, mode, mtime } => w.u8(3).string(path).u32(*mode).u64(*mtime),
-            JournalOp::Mkdir { path, uid, mtime } => w.u8(4).string(path).u32(*uid).u64(*mtime),
-            JournalOp::Rmdir { path, mtime } => w.u8(5).string(path).u64(*mtime),
-            JournalOp::Rename { from, to, mtime } => w.u8(6).string(from).string(to).u64(*mtime),
-            JournalOp::SetAcl { path, acl } => acl.encode(w.u8(7).string(path)),
-            JournalOp::Symlink {
-                path,
-                target,
-                uid,
-                mtime,
-            } => w.u8(8).string(path).string(target).u32(*uid).u64(*mtime),
-            JournalOp::SetQuota { bytes } => match bytes {
-                Some(b) => w.u8(9).boolean(true).u64(*b),
-                None => w.u8(9).boolean(false),
-            },
-        }
-    }
-
     /// Serializes the op as a record body, in one buffer of exactly its
     /// size.
     pub fn encode(&self) -> Vec<u8> {
-        exact(|w| self.layout(w))
+        exact(|w| put::<_, ()>(self, w))
     }
 
     /// Body length in bytes: the measuring pass, which allocates nothing
     /// and never copies a store's payload.
     pub fn encoded_len(&self) -> u64 {
-        self.layout(WireWriter::measuring()).len() as u64
+        put::<_, ()>(self, WireWriter::measuring()).len() as u64
     }
 
     /// Decodes a record body.
     pub fn decode(body: &[u8]) -> Result<JournalOp, WireError> {
-        let mut r = WireReader::new(body);
-        let op = match r.u8()? {
-            1 => {
-                let path = r.string()?;
-                let uid = r.u32()?;
-                let mtime = r.u64()?;
-                let data = Payload::from_vec(r.bytes()?);
-                JournalOp::Store {
-                    path,
-                    uid,
-                    mtime,
-                    data,
-                }
-            }
-            2 => JournalOp::Remove {
-                path: r.string()?,
-                mtime: r.u64()?,
-            },
-            3 => JournalOp::SetMode {
-                path: r.string()?,
-                mode: r.u32()?,
-                mtime: r.u64()?,
-            },
-            4 => JournalOp::Mkdir {
-                path: r.string()?,
-                uid: r.u32()?,
-                mtime: r.u64()?,
-            },
-            5 => JournalOp::Rmdir {
-                path: r.string()?,
-                mtime: r.u64()?,
-            },
-            6 => JournalOp::Rename {
-                from: r.string()?,
-                to: r.string()?,
-                mtime: r.u64()?,
-            },
-            7 => {
-                let path = r.string()?;
-                let acl = AccessList::decode(&mut r)?;
-                JournalOp::SetAcl { path, acl }
-            }
-            8 => JournalOp::Symlink {
-                path: r.string()?,
-                target: r.string()?,
-                uid: r.u32()?,
-                mtime: r.u64()?,
-            },
-            9 => {
-                let bytes = if r.boolean()? { Some(r.u64()?) } else { None };
-                JournalOp::SetQuota { bytes }
-            }
-            _ => return Err(WireError::BadPayload),
-        };
-        r.done()?;
-        Ok(op)
+        WireReader::new(body).whole()
+    }
+}
+
+// A record body: the op's tag, then its fields. A store's bytes are inline
+// here (a length-prefixed byte string), not a rider as in a Vice head.
+wire_table! {
+    enum JournalOp, else BadPayload {
+        1 => Store { path, uid, mtime, data: Bytes },
+        2 => Remove { path, mtime },
+        3 => SetMode { path, mode, mtime },
+        4 => Mkdir { path, uid, mtime },
+        5 => Rmdir { path, mtime },
+        6 => Rename { from, to, mtime },
+        7 => SetAcl { path, acl },
+        8 => Symlink { path, target, uid, mtime },
+        9 => SetQuota { bytes },
     }
 }
 
@@ -521,9 +451,8 @@ impl Journal {
             }
         }
         matches!(
-            Self::scan_record(&bytes),
-            Some((volume, seq, _, _, len))
-                if volume == r.volume && seq == r.seq && len == r.end - r.start
+            Self::scan_record(&bytes, 0),
+            Some(s) if s.volume == r.volume && s.seq == r.seq && s.end == r.end - r.start
         )
     }
 
@@ -569,12 +498,8 @@ impl Journal {
     /// before any flip overlay.
     fn encode_record(r: &Record) -> Vec<u8> {
         let body = r.op.encode();
-        let mut rec = WireWriter::new()
-            .u8(RECORD_MAGIC)
-            .u32(r.volume)
-            .u64(r.seq)
-            .u32(body.len() as u32)
-            .finish();
+        let header: Header = (RECORD_MAGIC, r.volume, r.seq, body.len() as u32);
+        let mut rec = put::<_, ()>(&header, WireWriter::new()).finish();
         rec.extend_from_slice(&body);
         rec.push(match r.state {
             RecordState::Committed => STATUS_COMMIT,
@@ -612,57 +537,49 @@ impl Journal {
     pub fn load(image: &[u8]) -> Journal {
         let mut j = Journal::new();
         let mut pos = 0usize;
-        while pos < image.len() {
-            let Some(rec) = Self::scan_record(&image[pos..]) else {
-                break;
-            };
-            let (volume, seq, op, state, rec_len) = rec;
-            let start = pos as u64;
-            j.records.push(Record {
-                seq,
-                volume,
-                op,
-                start,
-                end: start + rec_len,
-                state,
-            });
-            j.next_seq = j.next_seq.max(seq + 1);
-            pos += rec_len as usize;
+        while let Some(rec) = Self::scan_record(image, pos) {
+            j.next_seq = j.next_seq.max(rec.seq + 1);
+            pos = rec.end as usize;
+            j.records.push(rec);
         }
         j.total_len = pos as u64;
         j.synced_len = pos as u64;
         j
     }
 
-    /// Parses one record at the head of `bytes`; `None` on any framing,
-    /// status, or checksum violation.
-    #[allow(clippy::type_complexity)]
-    fn scan_record(bytes: &[u8]) -> Option<(u32, u64, JournalOp, RecordState, u64)> {
-        let mut r = WireReader::new(bytes);
-        if r.u8().ok()? != RECORD_MAGIC {
+    /// Parses the record at byte `start` of `image`; `None` on any
+    /// framing, status, or checksum violation.
+    fn scan_record(image: &[u8], start: usize) -> Option<Record> {
+        let bytes = &image[start..];
+        let (magic, volume, seq, body_len): Header = take(&mut WireReader::new(bytes)).ok()?;
+        if magic != RECORD_MAGIC {
             return None;
         }
-        let volume = r.u32().ok()?;
-        let seq = r.u64().ok()?;
-        let body_len = r.u32().ok()? as usize;
         let body_start = HEADER_LEN as usize;
-        let trailer_at = body_start.checked_add(body_len)?;
+        let trailer_at = body_start.checked_add(body_len as usize)?;
         let rec_len = trailer_at.checked_add(TRAILER_LEN as usize)?;
         if bytes.len() < rec_len {
             return None; // torn tail
         }
-        let status = bytes[trailer_at];
+        let (status, sum): Trailer = take(&mut WireReader::new(&bytes[trailer_at..])).ok()?;
         let state = match status {
             STATUS_COMMIT => RecordState::Committed,
             STATUS_ABORT => RecordState::Aborted,
             _ => return None,
         };
-        let sum = u64::from_be_bytes(bytes[trailer_at + 1..rec_len].try_into().ok()?);
         if crate::proto::payload::payload_digest(&bytes[..trailer_at + 1]) != sum {
             return None;
         }
         let op = JournalOp::decode(&bytes[body_start..trailer_at]).ok()?;
-        Some((volume, seq, op, state, rec_len as u64))
+        let (start, end) = (start as u64, (start + rec_len) as u64);
+        Some(Record {
+            seq,
+            volume,
+            op,
+            start,
+            end,
+            state,
+        })
     }
 }
 

@@ -1,6 +1,7 @@
 //! Access rights and access lists.
 
-use itc_rpc::{WireError, WireReader, WireWriter};
+use itc_rpc::wire::{put, take, take_count, Codec};
+use itc_rpc::{wire_table, WireError, WireReader, WireWriter};
 
 /// A set of access rights, as a bit set.
 ///
@@ -196,34 +197,28 @@ impl AccessList {
         let plus = union(&self.positive);
         plus.minus(union(&self.negative))
     }
+}
 
-    /// Serializes to the wire format.
-    pub fn encode(&self, w: WireWriter) -> WireWriter {
-        let mut w = w.u32(self.positive.len() as u32);
-        for (who, r) in &self.positive {
-            w = w.string(who).u8(r.0);
-        }
-        w = w.u32(self.negative.len() as u32);
-        for (who, r) in &self.negative {
-            w = w.string(who).u8(r.0);
-        }
-        w
+wire_table! { struct Rights(bits: u8) }
+
+/// The positive entries, then the negative, each a count and `(principal,
+/// rights)` pairs in list order. Read back through [`AccessList::grant`]
+/// and [`AccessList::deny`], so a list off the wire keeps the invariant
+/// the lookups' binary search relies on — sorted, one entry per principal,
+/// no empty rights — however its bytes were laid out.
+impl<R> Codec<AccessList, R> for AccessList {
+    const MIN: usize = 8;
+    fn put(acl: &AccessList, w: WireWriter) -> WireWriter {
+        put::<_, R>(&acl.negative, put::<_, R>(&acl.positive, w))
     }
-
-    /// Deserializes from the wire format.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<AccessList, WireError> {
+    fn take(r: &mut WireReader<'_, R>) -> Result<AccessList, WireError> {
         let mut acl = AccessList::new();
-        let np = r.u32()?;
-        for _ in 0..np {
-            let who = r.string()?;
-            let rights = Rights(r.u8()?);
-            acl.grant(&who, rights);
-        }
-        let nn = r.u32()?;
-        for _ in 0..nn {
-            let who = r.string()?;
-            let rights = Rights(r.u8()?);
-            acl.deny(&who, rights);
+        let upserts: [fn(&mut AccessList, &str, Rights); 2] = [AccessList::grant, AccessList::deny];
+        for upsert in upserts {
+            for _ in 0..take_count::<(String, Rights), R>(r)? {
+                let (who, rights): (String, Rights) = take(r)?;
+                upsert(&mut acl, &who, rights);
+            }
         }
         Ok(acl)
     }
@@ -323,10 +318,8 @@ mod tests {
         acl.grant("satya", Rights::ALL);
         acl.grant("faculty", Rights::READ_ONLY);
         acl.deny("mallory", Rights::WRITE);
-        let bytes = acl.encode(WireWriter::new()).finish();
-        let mut r = WireReader::new(&bytes);
-        let decoded = AccessList::decode(&mut r).unwrap();
-        r.done().unwrap();
+        let bytes = put::<_, ()>(&acl, WireWriter::new()).finish();
+        let decoded: AccessList = WireReader::new(&bytes).whole().unwrap();
         assert_eq!(decoded, acl);
     }
 }

@@ -1,21 +1,23 @@
 //! Wire encodings for Vice requests and replies.
 //!
-//! Positional, tag-prefixed encodings over [`itc_rpc::wire`]. Both encoders
-//! and decoders live here so the round-trip property is testable in one
-//! place. Decoding failures map to `None`; the server turns an undecodable
-//! request into [`ViceError::BadRequest`].
+//! Each message kind is one row of a [`wire_table!`] below: its tag, its
+//! statistics label for a request, and its fields in wire order. The head's
+//! layout and its decoder are both generated from that row (DESIGN.md §17),
+//! and the server turns an undecodable request into
+//! [`ViceError::BadRequest`].
 //!
 //! ## Out-of-band bulk payloads
 //!
 //! Whole-file contents (`Store` requests, `Data` replies) do not ride in
 //! the encoded head. Encoding yields a [`WireMsg`]: a small `head` holding
 //! everything *except* the file bytes — including the payload's length
-//! prefix and an 8-byte FNV-1a digest — plus the refcounted [`Payload`]
-//! itself. The head travels through the sealed channel; the payload rides
-//! alongside as a bulk transfer (the analogue of an RPC2 side-effect),
-//! integrity-bound to the authenticated head by length and digest. This is
-//! what makes the hot path zero-copy: sealing, retrying, and decoding touch
-//! only the head, and the payload is shared by refcount end to end.
+//! prefix and an 8-byte FNV-1a digest ([`Rider`]) — plus the refcounted
+//! [`Payload`] itself. The head travels through the sealed channel; the
+//! payload rides alongside as a bulk transfer (the analogue of an RPC2
+//! side-effect), integrity-bound to the authenticated head by length and
+//! digest. This is what makes the hot path zero-copy: sealing, retrying,
+//! and decoding touch only the head, and the payload is shared by refcount
+//! end to end.
 //!
 //! [`WireMsg::wire_len`] reproduces the length of the old inline encoding
 //! exactly (the digest is accounting-free), so every timing computation in
@@ -23,9 +25,8 @@
 
 use super::payload::Payload;
 use super::types::{EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest};
-use crate::protect::AccessList;
-use itc_rpc::wire::exact;
-use itc_rpc::{WireError, WireReader, WireWriter};
+use itc_rpc::wire::{exact, put, take, Codec};
+use itc_rpc::{wire_table, WireError, WireReader, WireWriter};
 
 /// An encoded message: the sealable head plus the optional out-of-band
 /// bulk payload.
@@ -49,94 +50,113 @@ impl WireMsg {
     }
 }
 
-/// Appends the payload's length prefix and digest to the head (the bytes
-/// themselves ride out of band).
-fn put_payload(w: WireWriter, data: &Payload) -> WireWriter {
-    w.u32(data.len() as u32).u64(data.digest())
-}
+/// A payload in a Vice head: its length and FNV digest. The bytes ride
+/// out of band beside the head and are bound to it by both.
+struct Rider;
 
-/// Validates the out-of-band payload against the head's length and digest.
-fn take_payload(payload: Option<Payload>, len: u32, digest: u64) -> Result<Payload, WireError> {
-    let p = payload.ok_or(WireError::BadPayload)?;
-    if p.len() != len as usize || p.digest() != digest {
-        return Err(WireError::BadPayload);
+impl Codec<Payload, Payload> for Rider {
+    const MIN: usize = 12;
+    const RIDES: bool = true;
+    fn put(data: &Payload, w: WireWriter) -> WireWriter {
+        put::<_, Payload>(&(data.len() as u32, data.digest()), w)
     }
-    Ok(p)
-}
-
-/// Reads an element count, rejecting one the remaining bytes cannot hold
-/// (every element is at least `min_bytes` long), so a length prefix off
-/// the wire never sizes a reservation the message does not justify.
-fn take_count(r: &mut WireReader<'_>, min_bytes: usize) -> Result<usize, WireError> {
-    let n = r.u32()? as usize;
-    if n > r.remaining() / min_bytes {
-        return Err(WireError::Truncated);
-    }
-    Ok(n)
-}
-
-/// Rejects a stray payload on a message kind that does not carry one.
-fn no_payload(payload: &Option<Payload>) -> Result<(), WireError> {
-    match payload {
-        Some(_) => Err(WireError::BadPayload),
-        None => Ok(()),
+    fn take(r: &mut WireReader<'_, Payload>) -> Result<Payload, WireError> {
+        let (len, digest): (u32, u64) = take(r)?;
+        let p = r.rider().ok_or(WireError::BadPayload)?;
+        if p.len() != len as usize || p.digest() != digest {
+            return Err(WireError::BadPayload);
+        }
+        Ok(p)
     }
 }
 
-// Request tags.
-const RQ_GETCUSTODIAN: u8 = 1;
-const RQ_FETCH: u8 = 2;
-const RQ_STORE: u8 = 3;
-const RQ_REMOVE: u8 = 4;
-const RQ_GETSTATUS: u8 = 5;
-const RQ_SETMODE: u8 = 6;
-const RQ_VALIDATE: u8 = 7;
-const RQ_MAKEDIR: u8 = 8;
-const RQ_REMOVEDIR: u8 = 9;
-const RQ_RENAME: u8 = 10;
-const RQ_LISTDIR: u8 = 11;
-const RQ_GETACL: u8 = 12;
-const RQ_SETACL: u8 = 13;
-const RQ_MAKESYMLINK: u8 = 14;
-const RQ_READLINK: u8 = 15;
-const RQ_SETLOCK: u8 = 16;
-const RQ_RELEASELOCK: u8 = 17;
+/// `NotCustodian`'s hint: a presence flag, then a server id that is always
+/// written (0 when there is none).
+struct Hint;
 
-// Reply tags.
-const RP_OK: u8 = 101;
-const RP_STATUS: u8 = 102;
-const RP_DATA: u8 = 103;
-const RP_LISTING: u8 = 104;
-const RP_ACL: u8 = 105;
-const RP_CUSTODIAN: u8 = 106;
-const RP_VALIDATED: u8 = 107;
-const RP_LINK: u8 = 108;
-const RP_ERROR: u8 = 109;
+impl<R> Codec<Option<ServerId>, R> for Hint {
+    const MIN: usize = 5;
+    fn put(hint: &Option<ServerId>, w: WireWriter) -> WireWriter {
+        put::<_, R>(&(hint.is_some(), hint.map_or(0, |s| s.0)), w)
+    }
+    fn take(r: &mut WireReader<'_, R>) -> Result<Option<ServerId>, WireError> {
+        let (has, id): (bool, u32) = take(r)?;
+        Ok(has.then_some(ServerId(id)))
+    }
+}
 
-// Error tags.
-const ER_NOSUCHFILE: u8 = 1;
-const ER_NOTADIR: u8 = 2;
-const ER_ISADIR: u8 = 3;
-const ER_EXISTS: u8 = 4;
-const ER_NOTEMPTY: u8 = 5;
-const ER_PERM: u8 = 6;
-const ER_NOTCUSTODIAN: u8 = 7;
-const ER_LOCK: u8 = 8;
-const ER_READONLY: u8 = 9;
-const ER_QUOTA: u8 = 10;
-const ER_OFFLINE: u8 = 11;
-const ER_LOOP: u8 = 12;
-const ER_RENAMESELF: u8 = 13;
-const ER_BADREQ: u8 = 14;
-const ER_UNREACHABLE: u8 = 15;
-const ER_TIMEDOUT: u8 = 16;
+wire_table! {
+    enum ViceRequest, rides Payload, else Truncated {
+        1 "getcustodian" => GetCustodian { path },
+        2 "fetch" => Fetch { path },
+        3 "store" => Store { path, data: Rider },
+        4 "remove" => Remove { path },
+        5 "getstatus" => GetStatus { path },
+        6 "setmode" => SetMode { path, mode },
+        7 "validate" => Validate { path, fid, version },
+        8 "makedir" => MakeDir { path },
+        9 "removedir" => RemoveDir { path },
+        10 "rename" => Rename { from, to },
+        11 "listdir" => ListDir { path },
+        12 "getacl" => GetAcl { path },
+        13 "setacl" => SetAcl { path, acl },
+        14 "makesymlink" => MakeSymlink { path, target },
+        15 "readlink" => ReadLink { path },
+        16 "setlock" => SetLock { path, exclusive },
+        17 "releaselock" => ReleaseLock { path },
+    }
+}
+
+wire_table! {
+    enum ViceReply, rides Payload, else Truncated {
+        101 => Ok,
+        102 => Status(status),
+        103 => Data { status, data: Rider },
+        104 => Listing(entries),
+        105 => Acl(acl),
+        106 => Custodian { subtree, custodian, replicas },
+        107 => Validated { valid, status },
+        108 => Link(target),
+        109 => Error(error),
+    }
+}
+
+wire_table! {
+    enum ViceError, else Truncated {
+        1 => NoSuchFile(path),
+        2 => NotADirectory(path),
+        3 => IsADirectory(path),
+        4 => AlreadyExists(path),
+        5 => NotEmpty(path),
+        6 => PermissionDenied(path),
+        7 => NotCustodian(hint: Hint),
+        8 => LockConflict(path),
+        9 => ReadOnlyVolume(path),
+        10 => QuotaExceeded(path),
+        11 => VolumeOffline(path),
+        12 => SymlinkLoop(path),
+        13 => RenameIntoSelf(path),
+        14 => BadRequest(message),
+        15 => Unreachable(server),
+        16 => TimedOut(server),
+    }
+}
+
+wire_table! {
+    struct VStatus { path: String, fid: u64, kind: EntryKind, size: u64, version: u64,
+        mtime: u64, mode: u16, owner: u32, read_only: bool }
+}
+
+wire_table! { enum EntryKind, else Truncated { 0 => File, 1 => Dir, 2 => Symlink } }
+
+wire_table! { struct ServerId(id: u32) }
 
 /// Encodes a request to a sealable head plus optional bulk payload. The
 /// head is laid out once to measure and once into a buffer of exactly
 /// that size.
 pub fn encode_request(req: &ViceRequest) -> WireMsg {
     WireMsg {
-        head: exact(|w| request_layout(w, req)),
+        head: exact(|w| put(req, w)),
         payload: match req {
             ViceRequest::Store { data, .. } => Some(data.clone()),
             _ => None,
@@ -144,175 +164,16 @@ pub fn encode_request(req: &ViceRequest) -> WireMsg {
     }
 }
 
-/// The one layout of a request head.
-fn request_layout(w: WireWriter, req: &ViceRequest) -> WireWriter {
-    match req {
-        ViceRequest::GetCustodian { path } => w.u8(RQ_GETCUSTODIAN).string(path),
-        ViceRequest::Fetch { path } => w.u8(RQ_FETCH).string(path),
-        ViceRequest::Store { path, data } => put_payload(w.u8(RQ_STORE).string(path), data),
-        ViceRequest::Remove { path } => w.u8(RQ_REMOVE).string(path),
-        ViceRequest::GetStatus { path } => w.u8(RQ_GETSTATUS).string(path),
-        ViceRequest::SetMode { path, mode } => w.u8(RQ_SETMODE).string(path).u32(*mode as u32),
-        ViceRequest::Validate { path, fid, version } => {
-            w.u8(RQ_VALIDATE).string(path).u64(*fid).u64(*version)
-        }
-        ViceRequest::MakeDir { path } => w.u8(RQ_MAKEDIR).string(path),
-        ViceRequest::RemoveDir { path } => w.u8(RQ_REMOVEDIR).string(path),
-        ViceRequest::Rename { from, to } => w.u8(RQ_RENAME).string(from).string(to),
-        ViceRequest::ListDir { path } => w.u8(RQ_LISTDIR).string(path),
-        ViceRequest::GetAcl { path } => w.u8(RQ_GETACL).string(path),
-        ViceRequest::SetAcl { path, acl } => acl.encode(w.u8(RQ_SETACL).string(path)),
-        ViceRequest::MakeSymlink { path, target } => {
-            w.u8(RQ_MAKESYMLINK).string(path).string(target)
-        }
-        ViceRequest::ReadLink { path } => w.u8(RQ_READLINK).string(path),
-        ViceRequest::SetLock { path, exclusive } => {
-            w.u8(RQ_SETLOCK).string(path).boolean(*exclusive)
-        }
-        ViceRequest::ReleaseLock { path } => w.u8(RQ_RELEASELOCK).string(path),
-    }
-}
-
 /// Decodes a request from its head and out-of-band payload.
 pub fn decode_request(head: &[u8], payload: Option<Payload>) -> Result<ViceRequest, WireError> {
-    let mut r = WireReader::new(head);
-    let tag = r.u8()?;
-    if tag != RQ_STORE {
-        no_payload(&payload)?;
-    }
-    let req = match tag {
-        RQ_GETCUSTODIAN => ViceRequest::GetCustodian { path: r.string()? },
-        RQ_FETCH => ViceRequest::Fetch { path: r.string()? },
-        RQ_STORE => {
-            let path = r.string()?;
-            let (len, digest) = (r.u32()?, r.u64()?);
-            ViceRequest::Store {
-                path,
-                data: take_payload(payload, len, digest)?,
-            }
-        }
-        RQ_REMOVE => ViceRequest::Remove { path: r.string()? },
-        RQ_GETSTATUS => ViceRequest::GetStatus { path: r.string()? },
-        RQ_SETMODE => ViceRequest::SetMode {
-            path: r.string()?,
-            mode: r.u32()? as u16,
-        },
-        RQ_VALIDATE => ViceRequest::Validate {
-            path: r.string()?,
-            fid: r.u64()?,
-            version: r.u64()?,
-        },
-        RQ_MAKEDIR => ViceRequest::MakeDir { path: r.string()? },
-        RQ_REMOVEDIR => ViceRequest::RemoveDir { path: r.string()? },
-        RQ_RENAME => ViceRequest::Rename {
-            from: r.string()?,
-            to: r.string()?,
-        },
-        RQ_LISTDIR => ViceRequest::ListDir { path: r.string()? },
-        RQ_GETACL => ViceRequest::GetAcl { path: r.string()? },
-        RQ_SETACL => {
-            let path = r.string()?;
-            let acl = AccessList::decode(&mut r)?;
-            ViceRequest::SetAcl { path, acl }
-        }
-        RQ_MAKESYMLINK => ViceRequest::MakeSymlink {
-            path: r.string()?,
-            target: r.string()?,
-        },
-        RQ_READLINK => ViceRequest::ReadLink { path: r.string()? },
-        RQ_SETLOCK => ViceRequest::SetLock {
-            path: r.string()?,
-            exclusive: r.boolean()?,
-        },
-        RQ_RELEASELOCK => ViceRequest::ReleaseLock { path: r.string()? },
-        _ => return Err(WireError::Truncated),
-    };
-    r.done()?;
-    Ok(req)
-}
-
-fn encode_status(w: WireWriter, s: &VStatus) -> WireWriter {
-    w.string(&s.path)
-        .u64(s.fid)
-        .u8(s.kind.to_wire())
-        .u64(s.size)
-        .u64(s.version)
-        .u64(s.mtime)
-        .u32(s.mode as u32)
-        .u32(s.owner)
-        .boolean(s.read_only)
-}
-
-fn decode_status(r: &mut WireReader<'_>) -> Result<VStatus, WireError> {
-    Ok(VStatus {
-        path: r.string()?,
-        fid: r.u64()?,
-        kind: EntryKind::from_wire(r.u8()?).ok_or(WireError::Truncated)?,
-        size: r.u64()?,
-        version: r.u64()?,
-        mtime: r.u64()?,
-        mode: r.u32()? as u16,
-        owner: r.u32()?,
-        read_only: r.boolean()?,
-    })
-}
-
-fn encode_error(w: WireWriter, e: &ViceError) -> WireWriter {
-    match e {
-        ViceError::NoSuchFile(p) => w.u8(ER_NOSUCHFILE).string(p),
-        ViceError::NotADirectory(p) => w.u8(ER_NOTADIR).string(p),
-        ViceError::IsADirectory(p) => w.u8(ER_ISADIR).string(p),
-        ViceError::AlreadyExists(p) => w.u8(ER_EXISTS).string(p),
-        ViceError::NotEmpty(p) => w.u8(ER_NOTEMPTY).string(p),
-        ViceError::PermissionDenied(p) => w.u8(ER_PERM).string(p),
-        ViceError::NotCustodian(hint) => {
-            let w = w.u8(ER_NOTCUSTODIAN).boolean(hint.is_some());
-            w.u32(hint.map_or(0, |s| s.0))
-        }
-        ViceError::LockConflict(p) => w.u8(ER_LOCK).string(p),
-        ViceError::ReadOnlyVolume(p) => w.u8(ER_READONLY).string(p),
-        ViceError::QuotaExceeded(p) => w.u8(ER_QUOTA).string(p),
-        ViceError::VolumeOffline(p) => w.u8(ER_OFFLINE).string(p),
-        ViceError::SymlinkLoop(p) => w.u8(ER_LOOP).string(p),
-        ViceError::RenameIntoSelf(p) => w.u8(ER_RENAMESELF).string(p),
-        ViceError::BadRequest(m) => w.u8(ER_BADREQ).string(m),
-        ViceError::Unreachable(s) => w.u8(ER_UNREACHABLE).u32(*s),
-        ViceError::TimedOut(s) => w.u8(ER_TIMEDOUT).u32(*s),
-    }
-}
-
-fn decode_error(r: &mut WireReader<'_>) -> Result<ViceError, WireError> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        ER_NOSUCHFILE => ViceError::NoSuchFile(r.string()?),
-        ER_NOTADIR => ViceError::NotADirectory(r.string()?),
-        ER_ISADIR => ViceError::IsADirectory(r.string()?),
-        ER_EXISTS => ViceError::AlreadyExists(r.string()?),
-        ER_NOTEMPTY => ViceError::NotEmpty(r.string()?),
-        ER_PERM => ViceError::PermissionDenied(r.string()?),
-        ER_NOTCUSTODIAN => {
-            let has = r.boolean()?;
-            let id = r.u32()?;
-            ViceError::NotCustodian(has.then_some(ServerId(id)))
-        }
-        ER_LOCK => ViceError::LockConflict(r.string()?),
-        ER_READONLY => ViceError::ReadOnlyVolume(r.string()?),
-        ER_QUOTA => ViceError::QuotaExceeded(r.string()?),
-        ER_OFFLINE => ViceError::VolumeOffline(r.string()?),
-        ER_LOOP => ViceError::SymlinkLoop(r.string()?),
-        ER_RENAMESELF => ViceError::RenameIntoSelf(r.string()?),
-        ER_BADREQ => ViceError::BadRequest(r.string()?),
-        ER_UNREACHABLE => ViceError::Unreachable(r.u32()?),
-        ER_TIMEDOUT => ViceError::TimedOut(r.u32()?),
-        _ => return Err(WireError::Truncated),
-    })
+    WireReader::riding(head, payload).whole()
 }
 
 /// Encodes a reply to a sealable head plus optional bulk payload, the
 /// head in one buffer of exactly its size.
 pub fn encode_reply(reply: &ViceReply) -> WireMsg {
     WireMsg {
-        head: exact(|w| reply_layout(w, reply)),
+        head: exact(|w| put(reply, w)),
         payload: match reply {
             ViceReply::Data { data, .. } => Some(data.clone()),
             _ => None,
@@ -320,113 +181,15 @@ pub fn encode_reply(reply: &ViceReply) -> WireMsg {
     }
 }
 
-/// The one layout of a reply head.
-fn reply_layout(w: WireWriter, reply: &ViceReply) -> WireWriter {
-    match reply {
-        ViceReply::Ok => w.u8(RP_OK),
-        ViceReply::Status(s) => encode_status(w.u8(RP_STATUS), s),
-        ViceReply::Data { status, data } => put_payload(encode_status(w.u8(RP_DATA), status), data),
-        ViceReply::Listing(entries) => {
-            let mut w = w.u8(RP_LISTING).u32(entries.len() as u32);
-            for (name, kind) in entries {
-                w = w.string(name).u8(kind.to_wire());
-            }
-            w
-        }
-        ViceReply::Acl(acl) => acl.encode(w.u8(RP_ACL)),
-        ViceReply::Custodian {
-            subtree,
-            custodian,
-            replicas,
-        } => {
-            let mut w = w
-                .u8(RP_CUSTODIAN)
-                .string(subtree)
-                .u32(custodian.0)
-                .u32(replicas.len() as u32);
-            for r in replicas {
-                w = w.u32(r.0);
-            }
-            w
-        }
-        ViceReply::Validated { valid, status } => {
-            let w = w.u8(RP_VALIDATED).boolean(*valid).boolean(status.is_some());
-            match status {
-                Some(s) => encode_status(w, s),
-                None => w,
-            }
-        }
-        ViceReply::Link(target) => w.u8(RP_LINK).string(target),
-        ViceReply::Error(e) => encode_error(w.u8(RP_ERROR), e),
-    }
-}
-
 /// Decodes a reply from its head and out-of-band payload.
 pub fn decode_reply(head: &[u8], payload: Option<Payload>) -> Result<ViceReply, WireError> {
-    let mut r = WireReader::new(head);
-    let tag = r.u8()?;
-    if tag != RP_DATA {
-        no_payload(&payload)?;
-    }
-    let reply = match tag {
-        RP_OK => ViceReply::Ok,
-        RP_STATUS => ViceReply::Status(decode_status(&mut r)?),
-        RP_DATA => {
-            let status = decode_status(&mut r)?;
-            let (len, digest) = (r.u32()?, r.u64()?);
-            ViceReply::Data {
-                status,
-                data: take_payload(payload, len, digest)?,
-            }
-        }
-        RP_LISTING => {
-            // An entry is a length-prefixed name plus a kind byte.
-            let n = take_count(&mut r, 5)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = r.string()?;
-                let kind = EntryKind::from_wire(r.u8()?).ok_or(WireError::Truncated)?;
-                entries.push((name, kind));
-            }
-            ViceReply::Listing(entries)
-        }
-        RP_ACL => ViceReply::Acl(AccessList::decode(&mut r)?),
-        RP_CUSTODIAN => {
-            let subtree = r.string()?;
-            let custodian = ServerId(r.u32()?);
-            let n = take_count(&mut r, 4)?;
-            let mut replicas = Vec::with_capacity(n);
-            for _ in 0..n {
-                replicas.push(ServerId(r.u32()?));
-            }
-            ViceReply::Custodian {
-                subtree,
-                custodian,
-                replicas,
-            }
-        }
-        RP_VALIDATED => {
-            let valid = r.boolean()?;
-            let has_status = r.boolean()?;
-            let status = if has_status {
-                Some(decode_status(&mut r)?)
-            } else {
-                None
-            };
-            ViceReply::Validated { valid, status }
-        }
-        RP_LINK => ViceReply::Link(r.string()?),
-        RP_ERROR => ViceReply::Error(decode_error(&mut r)?),
-        _ => return Err(WireError::Truncated),
-    };
-    r.done()?;
-    Ok(reply)
+    WireReader::riding(head, payload).whole()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protect::Rights;
+    use crate::protect::{AccessList, Rights};
 
     fn sample_status() -> VStatus {
         VStatus {
@@ -579,18 +342,12 @@ mod tests {
         for req in all_requests() {
             let head = encode_request(&req).head;
             assert_eq!(head.len(), head.capacity(), "{req:?}");
-            assert_eq!(
-                request_layout(WireWriter::measuring(), &req).len(),
-                head.len()
-            );
+            assert_eq!(put(&req, WireWriter::measuring()).len(), head.len());
         }
         for reply in all_replies() {
             let head = encode_reply(&reply).head;
             assert_eq!(head.len(), head.capacity(), "{reply:?}");
-            assert_eq!(
-                reply_layout(WireWriter::measuring(), &reply).len(),
-                head.len()
-            );
+            assert_eq!(put(&reply, WireWriter::measuring()).len(), head.len());
         }
     }
 
@@ -714,10 +471,10 @@ mod tests {
     /// anything is allocated for it.
     #[test]
     fn length_prefix_bombs_are_truncated_not_allocated() {
-        let listing = WireWriter::new().u8(RP_LISTING).u32(u32::MAX).finish();
+        let listing = WireWriter::new().u8(104).u32(u32::MAX).finish();
         assert_eq!(decode_reply(&listing, None), Err(WireError::Truncated));
         let custodian = WireWriter::new()
-            .u8(RP_CUSTODIAN)
+            .u8(106)
             .string("/vice")
             .u32(1)
             .u32(u32::MAX)

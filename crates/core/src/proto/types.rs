@@ -23,25 +23,6 @@ pub enum EntryKind {
     Symlink,
 }
 
-impl EntryKind {
-    pub(crate) fn to_wire(self) -> u8 {
-        match self {
-            EntryKind::File => 0,
-            EntryKind::Dir => 1,
-            EntryKind::Symlink => 2,
-        }
-    }
-
-    pub(crate) fn from_wire(b: u8) -> Option<EntryKind> {
-        match b {
-            0 => Some(EntryKind::File),
-            1 => Some(EntryKind::Dir),
-            2 => Some(EntryKind::Symlink),
-            _ => None,
-        }
-    }
-}
-
 impl From<itc_unixfs::FileType> for EntryKind {
     fn from(ftype: itc_unixfs::FileType) -> EntryKind {
         match ftype {
@@ -264,52 +245,6 @@ pub enum ViceRequest {
 }
 
 impl ViceRequest {
-    /// Every label [`ViceRequest::kind`] returns — the vocabulary a span
-    /// line's `kind` is read back against.
-    pub const KINDS: [&'static str; 17] = [
-        "getcustodian",
-        "fetch",
-        "store",
-        "remove",
-        "getstatus",
-        "setmode",
-        "validate",
-        "makedir",
-        "removedir",
-        "rename",
-        "listdir",
-        "getacl",
-        "setacl",
-        "makesymlink",
-        "readlink",
-        "setlock",
-        "releaselock",
-    ];
-
-    /// The statistics label for this call — matching the four categories
-    /// the paper's call histogram reports, plus the rest.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ViceRequest::GetCustodian { .. } => "getcustodian",
-            ViceRequest::Fetch { .. } => "fetch",
-            ViceRequest::Store { .. } => "store",
-            ViceRequest::Remove { .. } => "remove",
-            ViceRequest::GetStatus { .. } => "getstatus",
-            ViceRequest::SetMode { .. } => "setmode",
-            ViceRequest::Validate { .. } => "validate",
-            ViceRequest::MakeDir { .. } => "makedir",
-            ViceRequest::RemoveDir { .. } => "removedir",
-            ViceRequest::Rename { .. } => "rename",
-            ViceRequest::ListDir { .. } => "listdir",
-            ViceRequest::GetAcl { .. } => "getacl",
-            ViceRequest::SetAcl { .. } => "setacl",
-            ViceRequest::MakeSymlink { .. } => "makesymlink",
-            ViceRequest::ReadLink { .. } => "readlink",
-            ViceRequest::SetLock { .. } => "setlock",
-            ViceRequest::ReleaseLock { .. } => "releaselock",
-        }
-    }
-
     /// True for requests that change server state visible to other
     /// workstations. Mutations get idempotency tokens and a server-side
     /// replay cache so a retried call (lost reply) is answered from the

@@ -5,7 +5,8 @@
 
 use itc_core::protect::{AccessList, ProtectionDomain, Rights};
 use itc_core::server::{LockKind, LockTable};
-use itc_rpc::NodeId;
+use itc_rpc::wire::{put, take};
+use itc_rpc::{NodeId, WireReader, WireWriter};
 use itc_sim::SimRng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -164,6 +165,7 @@ fn acl_wire_round_trip() {
             .map(|_| (b'a' + rng.range(0, 26) as u8) as char)
             .collect()
     };
+    let mut normalised = 0;
     for _ in 0..256 {
         let mut acl = AccessList::new();
         for _ in 0..rng.range(0, 12) {
@@ -174,12 +176,51 @@ fn acl_wire_round_trip() {
             let p = rand_name(&mut rng);
             acl.deny(&p, Rights(rng.range(0, 128) as u8 & 0x7f));
         }
-        let bytes = acl.encode(itc_rpc::WireWriter::new()).finish();
-        let mut rd = itc_rpc::WireReader::new(&bytes);
-        let back = AccessList::decode(&mut rd).unwrap();
+        let bytes = put::<_, ()>(&acl, WireWriter::new()).finish();
+        let mut rd = WireReader::new(&bytes);
+        let back: AccessList = take(&mut rd).unwrap();
         rd.done().unwrap();
         assert_eq!(back, acl);
+
+        // A hand-laid list may name a principal twice, out of order, or
+        // with no rights. It decodes to exactly what the same grants and
+        // denials build, and its lookups agree with a scan of the entries
+        // as laid: the last one naming a principal wins, empty is absent.
+        let laid = |rng: &mut SimRng| -> Vec<(String, Rights)> {
+            (0..rng.range(0, 10))
+                .map(|_| {
+                    (
+                        format!("p{}", rng.range(0, 5)),
+                        Rights(rng.range(0, 4) as u8),
+                    )
+                })
+                .collect()
+        };
+        let (positive, negative) = (laid(&mut rng), laid(&mut rng));
+        let raw = put::<_, ()>(&negative, put::<_, ()>(&positive, WireWriter::new())).finish();
+        let decoded: AccessList = WireReader::new(&raw).whole().unwrap();
+        let mut built = AccessList::new();
+        for (who, rights) in &positive {
+            built.grant(who, *rights);
+        }
+        for (who, rights) in &negative {
+            built.deny(who, *rights);
+        }
+        assert_eq!(decoded, built, "{positive:?} / {negative:?}");
+        let scan = |list: &[(String, Rights)], who: &str| {
+            let last = list.iter().rev().find(|(w, _)| w == who);
+            last.map(|&(_, r)| r).filter(|r| !r.is_empty())
+        };
+        for who in ["p0", "p1", "p2", "p3", "p4"] {
+            assert_eq!(decoded.positive_for(who), scan(&positive, who));
+            assert_eq!(decoded.negative_for(who), scan(&negative, who));
+        }
+        normalised += usize::from(put::<_, ()>(&decoded, WireWriter::new()).finish() != raw);
     }
+    assert!(
+        normalised > 128,
+        "{normalised} of 256 laid lists needed normalising"
+    );
 }
 
 // ---------------------------------------------------------------------

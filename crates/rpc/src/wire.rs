@@ -5,6 +5,11 @@
 //! authenticated bytes. The format is length-prefixed and positional: the
 //! caller must read fields in the order they were written (as with Sun XDR
 //! or the original RPC2 marshalling).
+//!
+//! A binary message is declared once (DESIGN.md §17): each type has one
+//! [`Codec`] that both lays it out and reads it back, and [`crate::wire_table!`]
+//! generates the codec of a tagged enum or a struct from one row per
+//! variant, so no format has a writer and a reader kept in step by hand.
 
 /// Errors from decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,20 +134,50 @@ impl WireWriter {
     }
 }
 
-/// Deserializes fields from a byte buffer, in writing order.
+/// Deserializes fields from a byte buffer, in writing order, holding the
+/// rider (`R`) that arrived beside it out of band, if any.
 #[derive(Debug)]
-pub struct WireReader<'a> {
+pub struct WireReader<'a, R = ()> {
     buf: &'a [u8],
     pos: usize,
+    rider: Option<R>,
 }
 
 impl<'a> WireReader<'a> {
-    /// Wraps a received message.
+    /// Wraps a received message that nothing rides beside.
     pub fn new(buf: &'a [u8]) -> WireReader<'a> {
-        WireReader { buf, pos: 0 }
+        WireReader::riding(buf, None)
+    }
+}
+
+impl<'a, R> WireReader<'a, R> {
+    /// Wraps a received head and the rider that came with it.
+    pub fn riding(buf: &'a [u8], rider: Option<R>) -> WireReader<'a, R> {
+        WireReader { buf, pos: 0, rider }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Reads one whole `T`: a byte left over is an error.
+    pub fn whole<T: Codec<T, R>>(mut self) -> Result<T, WireError> {
+        let v = T::take(&mut self)?;
+        self.done()?;
+        Ok(v)
+    }
+
+    /// Hands the rider over to the field it binds to (once).
+    pub fn rider(&mut self) -> Option<R> {
+        self.rider.take()
+    }
+
+    /// Refuses a rider beside a row that carries none. A table checks this
+    /// before it reads any field of the row.
+    pub fn no_rider(&self) -> Result<(), WireError> {
+        match self.rider {
+            Some(_) => Err(WireError::BadPayload),
+            None => Ok(()),
+        }
+    }
+
+    fn slice(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.pos + n > self.buf.len() {
             return Err(WireError::Truncated);
         }
@@ -151,36 +186,8 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
-    /// Reads a u8.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a u32.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    /// Reads a u64.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    /// Reads a bool.
-    pub fn boolean(&mut self) -> Result<bool, WireError> {
-        Ok(self.u8()? != 0)
-    }
-
-    /// Reads a length-prefixed string.
-    pub fn string(&mut self) -> Result<String, WireError> {
-        let b = self.bytes()?;
-        String::from_utf8(b).map_err(|_| WireError::BadString)
-    }
-
-    /// Reads a length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.slice(N)?.try_into().expect("N bytes"))
     }
 
     /// Bytes not yet consumed.
@@ -198,10 +205,243 @@ impl<'a> WireReader<'a> {
     }
 }
 
+/// One wire encoding of a `T`: `C: Codec<T>` lays a `T` out and reads it
+/// back, the only place both halves of that encoding are written. A type
+/// that is its own codec (`u32: Codec<u32>`) is named bare in a row; a
+/// field with a second encoding names its codec (`data: Bytes`). `R` is the
+/// rider a reader may hold; only a codec that binds one names it.
+pub trait Codec<T, R = ()> {
+    /// The fewest bytes one value takes on the wire. A count off the wire
+    /// is checked against it before anything is reserved.
+    const MIN: usize;
+    /// True for a codec that binds the reader's rider, so a row holding
+    /// such a field accepts one.
+    const RIDES: bool = false;
+    /// Lays `v` out (or, on a measuring writer, counts it).
+    fn put(v: &T, w: WireWriter) -> WireWriter;
+    /// Reads one value back.
+    fn take(r: &mut WireReader<'_, R>) -> Result<T, WireError>;
+}
+
+/// Lays `v` out with its own codec.
+pub fn put<T: Codec<T, R>, R>(v: &T, w: WireWriter) -> WireWriter {
+    T::put(v, w)
+}
+
+/// Reads a `T` with its own codec.
+pub fn take<T: Codec<T, R>, R>(r: &mut WireReader<'_, R>) -> Result<T, WireError> {
+    T::take(r)
+}
+
+/// Reads a count of `T`s, rejecting one the remaining bytes cannot hold
+/// (each takes at least `T::MIN`), so a length prefix off the wire never
+/// sizes a reservation the message does not justify.
+pub fn take_count<T: Codec<T, R>, R>(r: &mut WireReader<'_, R>) -> Result<usize, WireError> {
+    let n = u32::take(r)? as usize;
+    if n > r.remaining() / T::MIN {
+        return Err(WireError::Truncated);
+    }
+    Ok(n)
+}
+
+macro_rules! natural {
+    ($($T:ty, $min:expr, |$v:ident, $w:ident| $put:expr, |$r:ident| $take:expr;)*) => {$(
+        impl<R> Codec<$T, R> for $T {
+            const MIN: usize = $min;
+            fn put($v: &$T, $w: WireWriter) -> WireWriter { $put }
+            fn take($r: &mut WireReader<'_, R>) -> Result<$T, WireError> { $take }
+        }
+    )*};
+}
+
+natural! {
+    u8, 1, |v, w| w.u8(*v), |r| Ok(u8::from_be_bytes(r.array()?));
+    u32, 4, |v, w| w.u32(*v), |r| Ok(u32::from_be_bytes(r.array()?));
+    u64, 8, |v, w| w.u64(*v), |r| Ok(u64::from_be_bytes(r.array()?));
+    bool, 1, |v, w| w.boolean(*v), |r| Ok(u8::take(r)? != 0);
+    String, 4, |v, w| w.string(v), |r| String::from_utf8(Bytes::take(r)?).map_err(|_| WireError::BadString);
+    // Mode bits travel as a u32 and are read back truncated.
+    u16, 4, |v, w| w.u32(u32::from(*v)), |r| Ok(u32::take(r)? as u16);
+}
+
+/// A count, then each element.
+impl<T: Codec<T, R>, R> Codec<Vec<T>, R> for Vec<T> {
+    const MIN: usize = 4;
+    fn put(v: &Vec<T>, w: WireWriter) -> WireWriter {
+        v.iter().fold(w.u32(v.len() as u32), |w, e| T::put(e, w))
+    }
+    fn take(r: &mut WireReader<'_, R>) -> Result<Vec<T>, WireError> {
+        let n = take_count::<T, R>(r)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::take(r)?);
+        }
+        Ok(v)
+    }
+}
+
+/// A presence flag, then the value when there is one.
+impl<T: Codec<T, R>, R> Codec<Option<T>, R> for Option<T> {
+    const MIN: usize = 1;
+    fn put(v: &Option<T>, w: WireWriter) -> WireWriter {
+        match v {
+            Some(v) => T::put(v, w.boolean(true)),
+            None => w.boolean(false),
+        }
+    }
+    fn take(r: &mut WireReader<'_, R>) -> Result<Option<T>, WireError> {
+        bool::take(r)?.then(|| T::take(r)).transpose()
+    }
+}
+
+macro_rules! tuples {
+    ($(($($t:ident $v:ident),+))*) => {$(
+        /// The elements in order.
+        impl<R, $($t: Codec<$t, R>),+> Codec<($($t,)+), R> for ($($t,)+) {
+            const MIN: usize = 0 $(+ $t::MIN)+;
+            fn put(($($v,)+): &($($t,)+), w: WireWriter) -> WireWriter {
+                $(let w = $t::put($v, w);)+ w
+            }
+            fn take(r: &mut WireReader<'_, R>) -> Result<($($t,)+), WireError> { Ok(($($t::take(r)?,)+)) }
+        }
+    )*};
+}
+
+tuples! { (A a, B b) (A a, B b, C c, D d) }
+
+/// A length-prefixed byte string, read in one slice, for any owner of
+/// bytes (a journal record's file contents ride inline through it).
+pub struct Bytes;
+
+impl<T: AsRef<[u8]> + From<Vec<u8>>, R> Codec<T, R> for Bytes {
+    const MIN: usize = 4;
+    fn put(v: &T, w: WireWriter) -> WireWriter {
+        w.bytes(v.as_ref())
+    }
+    fn take(r: &mut WireReader<'_, R>) -> Result<T, WireError> {
+        let n = u32::take(r)? as usize;
+        Ok(T::from(r.slice(n)?.to_vec()))
+    }
+}
+
+/// Declares the [`Codec`] of a tagged enum or a struct once, from one row
+/// per variant (DESIGN.md §17).
+///
+/// ```text
+/// wire_table! { enum Name, [rides Rider,] else Error {
+///     TAG ["label"] => Unit,
+///     TAG ["label"] => Tuple(field[: Codec], ..),
+///     TAG ["label"] => Struct { field[: Codec], .. },
+/// } }
+/// wire_table! { struct Name { field: Codec, .. } }  // or Name(field: Codec, ..)
+/// ```
+///
+/// An enum value is its `u8` tag, then its fields in row order, each
+/// through its own codec unless the row names another. A tag no row
+/// claims is `Err(WireError::Error)`. Every variant and field must appear,
+/// since the generated patterns and literals are exhaustive. With labels,
+/// every row has one, and the enum also gets `KINDS` and `kind()`. A table
+/// that `rides` reads from a reader holding `Option<Rider>`, and refuses a
+/// rider before reading any field of a row with no field whose codec
+/// [`RIDES`](Codec::RIDES). A struct row names every field's codec, which
+/// also sums to the struct's minimum size.
+#[macro_export]
+macro_rules! wire_table {
+    (enum $T:ident, rides $R:ty, else $err:ident $rows:tt) => {
+        $crate::wire_table!(@enum [] $T, $R, [$R], $err, $rows);
+    };
+    (enum $T:ident, else $err:ident $rows:tt) => {
+        $crate::wire_table!(@enum [R] $T, R, [], $err, $rows);
+    };
+    (@enum [$($g:ident)?] $T:ident, $R:ty, $ride:tt, $err:ident, {
+        $($tag:literal $($label:literal)? => $V:ident
+            $({ $($f:ident $(: $fc:ty)?),* })? $(( $($p:ident $(: $pc:ty)?),* ))?),+ $(,)?
+    }) => {
+        $crate::wire_table!(@kinds $T; $($V $($label)?),+);
+        impl<$($g)?> $crate::wire::Codec<$T, $R> for $T {
+            const MIN: usize = 1;
+
+            fn put(v: &$T, w: $crate::wire::WireWriter) -> $crate::wire::WireWriter {
+                match v {
+                    $($T::$V $({ $($f),* })? $(( $($p),* ))? => {
+                        let w = w.u8($tag);
+                        $($(let w = $crate::wire_table!(@put $R, w, $f $(: $fc)?);)*)?
+                        $($(let w = $crate::wire_table!(@put $R, w, $p $(: $pc)?);)*)?
+                        w
+                    })+
+                }
+            }
+
+            fn take(r: &mut $crate::wire::WireReader<'_, $R>) -> Result<$T, $crate::wire::WireError> {
+                Ok(match $crate::wire::take::<u8, $R>(r)? {
+                    $($tag => {
+                        $crate::wire_table!(@stray r $ride; $($([$($fc)?])*)? $($([$($pc)?])*)?);
+                        $T::$V
+                            $({ $($f: $crate::wire_table!(@take $R, r $(, $fc)?)),* })?
+                            $(( $($crate::wire_table!(@take $R, r $(, $pc)?)),* ))?
+                    })+
+                    _ => {
+                        $crate::wire_table!(@stray r $ride;);
+                        return Err($crate::wire::WireError::$err);
+                    }
+                })
+            }
+        }
+    };
+    (struct $T:ident $({ $($f:ident: $fc:ty),* $(,)? })? $(( $($p:ident: $pc:ty),* ))?) => {
+        impl<R> $crate::wire::Codec<$T, R> for $T {
+            const MIN: usize = 0
+                $($(+ <$fc as $crate::wire::Codec<_, R>>::MIN)*)?
+                $($(+ <$pc as $crate::wire::Codec<_, R>>::MIN)*)?;
+
+            fn put(v: &$T, w: $crate::wire::WireWriter) -> $crate::wire::WireWriter {
+                let $T $({ $($f),* })? $(( $($p),* ))? = v;
+                $($(let w = <$fc as $crate::wire::Codec<_, R>>::put($f, w);)*)?
+                $($(let w = <$pc as $crate::wire::Codec<_, R>>::put($p, w);)*)?
+                w
+            }
+
+            fn take(r: &mut $crate::wire::WireReader<'_, R>) -> Result<$T, $crate::wire::WireError> {
+                Ok($T
+                    $({ $($f: <$fc as $crate::wire::Codec<_, R>>::take(r)?),* })?
+                    $(( $(<$pc as $crate::wire::Codec<_, R>>::take(r)?),* ))?)
+            }
+        }
+    };
+    (@kinds $T:ident; $($V:ident),+) => {};
+    (@kinds $T:ident; $($V:ident $label:literal),+) => {
+        impl $T {
+            /// Every row's label, in table order: what `kind` returns.
+            pub const KINDS: [&'static str; [$($label),+].len()] = [$($label),+];
+
+            /// The label of this value's row.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $($T::$V { .. } => $label,)+
+                }
+            }
+        }
+    };
+    (@put $R:ty, $w:ident, $f:ident) => { $crate::wire::put::<_, $R>($f, $w) };
+    (@put $R:ty, $w:ident, $f:ident: $c:ty) => { <$c as $crate::wire::Codec<_, $R>>::put($f, $w) };
+    (@take $R:ty, $r:ident) => { $crate::wire::take($r)? };
+    (@take $R:ty, $r:ident, $c:ty) => { <$c as $crate::wire::Codec<_, $R>>::take($r)? };
+    (@stray $r:ident []; $($c:tt)*) => {};
+    (@stray $r:ident [$R:ty]; $([$($c:ty)?])*) => {
+        if !(false $($(|| <$c as $crate::wire::Codec<_, $R>>::RIDES)?)*) {
+            $r.no_rider()?;
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use itc_sim::SimRng;
+
+    fn blob(r: &mut WireReader<'_>) -> Result<Vec<u8>, WireError> {
+        Bytes::take(r)
+    }
 
     #[test]
     fn round_trip_all_types() {
@@ -214,12 +454,12 @@ mod tests {
             .bytes(&[1, 2, 3])
             .finish();
         let mut r = WireReader::new(&msg);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert!(r.boolean().unwrap());
-        assert_eq!(r.string().unwrap(), "fetch /vice/usr/x");
-        assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
+        assert_eq!(take::<u8, _>(&mut r), Ok(7));
+        assert_eq!(take::<u32, _>(&mut r), Ok(0xdead_beef));
+        assert_eq!(take::<u64, _>(&mut r), Ok(u64::MAX));
+        assert_eq!(take::<bool, _>(&mut r), Ok(true));
+        assert_eq!(take::<String, _>(&mut r).unwrap(), "fetch /vice/usr/x");
+        assert_eq!(blob(&mut r), Ok(vec![1, 2, 3]));
         r.done().unwrap();
     }
 
@@ -241,14 +481,14 @@ mod tests {
     fn truncation_detected() {
         let msg = WireWriter::new().u64(1).finish();
         let mut r = WireReader::new(&msg[..4]);
-        assert_eq!(r.u64(), Err(WireError::Truncated));
+        assert_eq!(take::<u64, _>(&mut r), Err(WireError::Truncated));
     }
 
     #[test]
     fn trailing_bytes_detected() {
         let msg = WireWriter::new().u8(1).u8(2).finish();
         let mut r = WireReader::new(&msg);
-        let _ = r.u8().unwrap();
+        take::<u8, _>(&mut r).unwrap();
         assert_eq!(r.done(), Err(WireError::TrailingBytes(1)));
     }
 
@@ -256,7 +496,7 @@ mod tests {
     fn bad_utf8_detected() {
         let msg = WireWriter::new().bytes(&[0xff, 0xfe]).finish();
         let mut r = WireReader::new(&msg);
-        assert_eq!(r.string(), Err(WireError::BadString));
+        assert_eq!(take::<String, _>(&mut r), Err(WireError::BadString));
     }
 
     #[test]
@@ -265,7 +505,7 @@ mod tests {
         // Claim 100 bytes but provide 3.
         msg[..4].copy_from_slice(&100u32.to_be_bytes());
         let mut r = WireReader::new(&msg);
-        assert_eq!(r.bytes(), Err(WireError::Truncated));
+        assert_eq!(blob(&mut r), Err(WireError::Truncated));
     }
 
     /// Deterministic port of the former proptest round-trip suite: random
@@ -278,22 +518,105 @@ mod tests {
             let s: String = (0..rng.range(0, 41))
                 .map(|_| char::from_u32(rng.range(32, 0x2fa1) as u32).unwrap_or('?'))
                 .collect();
-            let mut blob = vec![0u8; rng.range(0, 256) as usize];
-            rng.fill_bytes(&mut blob);
+            let mut bytes = vec![0u8; rng.range(0, 256) as usize];
+            rng.fill_bytes(&mut bytes);
             let a = rng.next_u64() as u32;
             let b = rng.next_u64();
             let msg = WireWriter::new()
                 .u32(a)
                 .string(&s)
-                .bytes(&blob)
+                .bytes(&bytes)
                 .u64(b)
                 .finish();
             let mut r = WireReader::new(&msg);
-            assert_eq!(r.u32().unwrap(), a);
-            assert_eq!(r.string().unwrap(), s);
-            assert_eq!(r.bytes().unwrap(), blob);
-            assert_eq!(r.u64().unwrap(), b);
+            assert_eq!(take::<u32, _>(&mut r), Ok(a));
+            assert_eq!(take::<String, _>(&mut r), Ok(s));
+            assert_eq!(blob(&mut r), Ok(bytes));
+            assert_eq!(take::<u64, _>(&mut r), Ok(b));
             r.done().unwrap();
         }
+    }
+
+    /// The natural codecs lay out what the writer's own methods do, and a
+    /// count that the remaining bytes cannot hold is refused up front.
+    #[test]
+    fn natural_codecs_match_the_writer() {
+        let v: (u16, Vec<(String, bool)>, Option<u64>, u32) =
+            (0o755, vec![("a".into(), true)], Some(9), 7);
+        let by_hand = WireWriter::new()
+            .u32(0o755)
+            .u32(1)
+            .string("a")
+            .boolean(true)
+            .boolean(true)
+            .u64(9)
+            .u32(7)
+            .finish();
+        assert_eq!(put::<_, ()>(&v, WireWriter::new()).finish(), by_hand);
+        assert_eq!(WireReader::new(&by_hand).whole(), Ok(v));
+        let bomb = WireWriter::new().u32(u32::MAX).finish();
+        assert_eq!(
+            WireReader::new(&bomb).whole::<Vec<u32>>(),
+            Err(WireError::Truncated)
+        );
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Line(u32),
+        Boxed { side: u8, note: Vec<u8> },
+    }
+
+    /// A `u8` rider: the row that binds it reads it after its head fields.
+    struct Tail;
+
+    impl Codec<u8, u8> for Tail {
+        const MIN: usize = 0;
+        const RIDES: bool = true;
+        fn put(_: &u8, w: WireWriter) -> WireWriter {
+            w
+        }
+        fn take(r: &mut WireReader<'_, u8>) -> Result<u8, WireError> {
+            r.rider().ok_or(WireError::BadPayload)
+        }
+    }
+
+    wire_table! {
+        enum Shape, rides u8, else Truncated {
+            1 "dot" => Dot,
+            2 "line" => Line(len),
+            3 "box" => Boxed { side: Tail, note },
+        }
+    }
+
+    /// A table's rows give the bytes, the labels, and a decoder that
+    /// refuses a stray rider before it reads a field.
+    #[test]
+    fn a_table_lays_out_reads_and_labels_its_rows() {
+        let line = put(&Shape::Line(5), WireWriter::new()).finish();
+        assert_eq!(line, [2, 0, 0, 0, 5]);
+        assert_eq!(WireReader::riding(&line, None).whole(), Ok(Shape::Line(5)));
+        assert_eq!(
+            WireReader::riding(&line[..1], Some(1)).whole::<Shape>(),
+            Err(WireError::BadPayload)
+        );
+        let boxed = Shape::Boxed {
+            side: 4,
+            note: vec![9],
+        };
+        let head = put(&boxed, WireWriter::new()).finish();
+        assert_eq!(head, [3, 0, 0, 0, 1, 9]);
+        assert_eq!(WireReader::riding(&head, Some(4)).whole(), Ok(boxed));
+        assert_eq!(
+            WireReader::riding(&head, None).whole::<Shape>(),
+            Err(WireError::BadPayload)
+        );
+        assert_eq!(
+            WireReader::riding(&[9], None).whole::<Shape>(),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(Shape::KINDS, ["dot", "line", "box"]);
+        assert_eq!(Shape::Dot.kind(), "dot");
     }
 }

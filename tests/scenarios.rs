@@ -317,11 +317,11 @@ fn replay_cache_never_serves_stale_across_epoch_bump() {
         plan.schedule_restart(0, t_crash + SimTime::from_secs(45));
         sys.install_faults(plan);
 
-        // `confirmed` is the last store the client saw succeed; an
-        // errored store leaves the file in one of two states until the
-        // next successful read resolves it.
+        // `confirmed` is the last store the client saw succeed; each
+        // errored store since then may or may not have happened, until the
+        // next successful read resolves them all.
         let mut confirmed: u8 = 0;
-        let mut in_doubt: Option<u8> = None;
+        let mut in_doubt: Vec<u8> = Vec::new();
         let mut last_version: u64 = 0;
         for i in 1..=40u8 {
             let at = sys.ws_time(0) + SimTime::from_secs(7);
@@ -329,30 +329,29 @@ fn replay_cache_never_serves_stale_across_epoch_bump() {
             match sys.ops().store(0, path, vec![i; 1000 + usize::from(i)]) {
                 Ok(()) => {
                     confirmed = i;
-                    in_doubt = None;
+                    in_doubt.clear();
                 }
                 Err(e) => {
                     assert!(
                         classify_failure(&e).is_some(),
                         "seed {seed}: structural error from store #{i}: {e:?}"
                     );
-                    in_doubt = Some(i);
+                    in_doubt.push(i);
                 }
             }
             match sys.ops().fetch(0, path) {
                 Ok(bytes) => {
                     let tag = bytes[0];
-                    let acceptable =
-                        tag == confirmed || in_doubt.map(|d| tag == d).unwrap_or(false);
+                    let acceptable = tag == confirmed || in_doubt.contains(&tag);
                     assert!(
                         acceptable,
                         "seed {seed}: stale read after store #{i}: got tag {tag}, \
                          confirmed {confirmed}, in doubt {in_doubt:?}"
                     );
-                    // A read resolves the in-doubt store one way or the
+                    // A read resolves the in-doubt stores one way or the
                     // other.
                     confirmed = tag;
-                    in_doubt = None;
+                    in_doubt.clear();
                     let v = sys.ops().stat(0, path).unwrap().version;
                     assert!(
                         v >= last_version,
