@@ -130,6 +130,22 @@ for f in crates/core/src/proto/codec.rs crates/core/src/disk/journal.rs crates/c
         exit 1
     fi
 done
+# What a mutation makes stale is declared once, beside the request kind
+# (`ViceRequest::changes`, DESIGN.md §7): Vice breaks callbacks at one site
+# and Venus drops its own stale copies at one site, so no per-op break or
+# per-op cache consequence may grow back.
+echo "== one invalidation rule (one callback-break site in Vice, no per-op consequence in Venus) =="
+srv=crates/core/src/server/mod.rs
+if nontest "$srv" | grep -F 'fn mutate_entry' \
+    || nontest crates/core/src/venus/mod.rs | grep -E 'dirname_basename\(|cache\.invalidate\(&parent'; then
+    echo "ci.sh: a per-op invalidation grew back beside ViceRequest::changes (see the lines above)" >&2
+    exit 1
+fi
+if [ "$(nontest "$srv" | grep -cF 'self.break_callbacks(')" -gt 1 ]; then
+    nontest "$srv" | grep -F 'self.break_callbacks('
+    echo "ci.sh: $srv must break callbacks in exactly one place (see the lines above)" >&2
+    exit 1
+fi
 # The trajectory: lines before the first #[cfg(test)] of every crates/*/src
 # file (tests.rs excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do

@@ -21,4 +21,6 @@ pub use codec::{decode_reply, decode_request, encode_reply, encode_request, Wire
 /// stores it and re-exported here for the protocol's users.
 pub use itc_unixfs::payload;
 pub use payload::Payload;
-pub use types::{EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest, VolumeId};
+pub use types::{
+    parent_of, EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest, VolumeId,
+};

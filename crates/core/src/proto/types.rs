@@ -272,6 +272,25 @@ impl ViceRequest {
         }
     }
 
+    /// The names a successful reply to this request changes — the one rule
+    /// for what a mutation makes stale (DESIGN.md §7). A cached copy of
+    /// each, and its parent's cached listing, no longer match the server:
+    /// the server breaks the callbacks on both, and the caller's Venus
+    /// drops and invalidates its own. Access lists and locks change no
+    /// cached name.
+    pub fn changes(&self) -> [Option<&str>; 2] {
+        match self {
+            ViceRequest::Store { path, .. }
+            | ViceRequest::Remove { path }
+            | ViceRequest::SetMode { path, .. }
+            | ViceRequest::MakeDir { path }
+            | ViceRequest::RemoveDir { path }
+            | ViceRequest::MakeSymlink { path, .. } => [Some(path), None],
+            ViceRequest::Rename { from, to } => [Some(from), Some(to)],
+            _ => [None, None],
+        }
+    }
+
     /// The primary path the request operates on.
     pub fn path(&self) -> &str {
         match self {
@@ -293,6 +312,17 @@ impl ViceRequest {
             | ViceRequest::SetLock { path, .. }
             | ViceRequest::ReleaseLock { path } => path,
         }
+    }
+}
+
+/// The directory holding a normal path (what Venus sends): "/a/b" is in
+/// "/a", "/a" in "/"; the root, like a relative path, has none.
+pub fn parent_of(path: &str) -> Option<&str> {
+    match path.rsplit_once('/') {
+        Some((dir, name)) if path.starts_with('/') && !name.is_empty() => {
+            Some(if dir.is_empty() { "/" } else { dir })
+        }
+        _ => None,
     }
 }
 

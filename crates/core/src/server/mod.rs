@@ -23,7 +23,9 @@ use crate::disk::{
 };
 use crate::location::LocationDb;
 use crate::protect::{AccessList, ProtectionDomain, Rights};
-use crate::proto::{decode_request, Payload, ServerId, VStatus, ViceError, ViceReply, ViceRequest};
+use crate::proto::{
+    decode_request, parent_of, Payload, ServerId, VStatus, ViceError, ViceReply, ViceRequest,
+};
 use crate::volume::{Volume, VolumeError, VolumeId};
 use itc_rpc::{NodeId, RpcStats};
 use itc_sim::{Costs, Resource, SimTime, TraversalMode, ValidationMode};
@@ -882,23 +884,9 @@ impl Server {
         }
     }
 
-    /// The shared tail of the journaled mutations that invalidate cached
-    /// copies: intent → apply → commit, then break callbacks on `path`.
-    fn mutate_entry(
-        &mut self,
-        vol_idx: usize,
-        path: &str,
-        op: JournalOp,
-        from: NodeId,
-        costs: &Costs,
-        cost: &mut CallCost,
-    ) -> Result<(), ViceError> {
-        self.journal_apply(vol_idx, op)
-            .map_err(|e| Self::map_vol_err(path, e))?;
-        self.break_callbacks(path, from, false, costs, cost);
-        Ok(())
-    }
-
+    /// Runs the request's arm, then breaks the callbacks on every name a
+    /// successful reply changes ([`ViceRequest::changes`]): a store renews
+    /// the storer's own promise, every other change lapses it.
     #[allow(clippy::too_many_lines)]
     fn dispatch(
         &mut self,
@@ -923,17 +911,12 @@ impl Server {
         }
 
         let path = req.path();
-        let want_write = matches!(
-            req,
-            ViceRequest::Store { .. }
-                | ViceRequest::Remove { .. }
-                | ViceRequest::SetMode { .. }
-                | ViceRequest::MakeDir { .. }
-                | ViceRequest::RemoveDir { .. }
-                | ViceRequest::Rename { .. }
-                | ViceRequest::SetAcl { .. }
-                | ViceRequest::MakeSymlink { .. }
-        );
+        // Locks are mutations a read-only replica can serve.
+        let want_write = req.is_mutation()
+            && !matches!(
+                req,
+                ViceRequest::SetLock { .. } | ViceRequest::ReleaseLock { .. }
+            );
         // Not ours: answer with the custodian hint, as Section 3.1
         // specifies.
         let vol_idx = self
@@ -957,7 +940,7 @@ impl Server {
         // Protection is evaluated on every call.
         cost.server_cpu += costs.srv_cpu_protection;
 
-        match req {
+        let reply = match req {
             ViceRequest::GetCustodian { .. } => unreachable!("handled above"),
 
             ViceRequest::Fetch { path } => {
@@ -1058,11 +1041,7 @@ impl Server {
                 };
                 self.journal_apply(vol_idx, op)
                     .map_err(|e| Self::map_vol_err(path, e))?;
-                let status = Self::status_of(&self.volumes[vol_idx], internal)?;
-                // The storing workstation's own copy is current: its
-                // promise is renewed, everyone else's broken.
-                self.break_callbacks(path, from, true, costs, cost);
-                Ok(ViceReply::Status(status))
+                Self::status_of(&self.volumes[vol_idx], internal).map(ViceReply::Status)
             }
 
             ViceRequest::Remove { path } => {
@@ -1071,7 +1050,8 @@ impl Server {
                     path: internal.into(),
                     mtime: now.as_micros(),
                 };
-                self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
+                self.journal_apply(vol_idx, op)
+                    .map_err(|e| Self::map_vol_err(path, e))?;
                 Ok(ViceReply::Ok)
             }
 
@@ -1093,7 +1073,8 @@ impl Server {
                     mode: *mode as u32,
                     mtime: now.as_micros(),
                 };
-                self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
+                self.journal_apply(vol_idx, op)
+                    .map_err(|e| Self::map_vol_err(path, e))?;
                 Ok(ViceReply::Ok)
             }
 
@@ -1132,7 +1113,8 @@ impl Server {
                     uid: uid_of(user),
                     mtime: now.as_micros(),
                 };
-                self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
+                self.journal_apply(vol_idx, op)
+                    .map_err(|e| Self::map_vol_err(path, e))?;
                 Self::status_of(&self.volumes[vol_idx], internal).map(ViceReply::Status)
             }
 
@@ -1142,7 +1124,8 @@ impl Server {
                     path: internal.into(),
                     mtime: now.as_micros(),
                 };
-                self.mutate_entry(vol_idx, path, op, from, costs, cost)?;
+                self.journal_apply(vol_idx, op)
+                    .map_err(|e| Self::map_vol_err(path, e))?;
                 Ok(ViceReply::Ok)
             }
 
@@ -1159,8 +1142,8 @@ impl Server {
                     to: self.authorize(user, vol_idx, dst, Rights::INSERT)?.0.into(),
                     mtime: now.as_micros(),
                 };
-                self.mutate_entry(vol_idx, src, op, from, costs, cost)?;
-                self.break_callbacks(dst, from, false, costs, cost);
+                self.journal_apply(vol_idx, op)
+                    .map_err(|e| Self::map_vol_err(src, e))?;
                 Ok(ViceReply::Ok)
             }
 
@@ -1238,7 +1221,12 @@ impl Server {
                 self.locks.release(path, user, from);
                 Ok(ViceReply::Ok)
             }
+        }?;
+        let renew = matches!(req, ViceRequest::Store { .. });
+        for name in req.changes().into_iter().flatten() {
+            self.break_callbacks(name, from, renew, costs, cost);
         }
+        Ok(reply)
     }
 }
 
@@ -1256,17 +1244,6 @@ fn link_target_to_vice(vol: &Volume, link_vice_path: &str, target: &str) -> Stri
             Some(dir) => itc_unixfs::join(dir, target).unwrap_or_else(|_| target.to_string()),
             None => target.to_string(),
         }
-    }
-}
-
-/// The directory holding a normal path (what Venus sends): "/a/b" is in
-/// "/a", "/a" in "/"; the root, like a relative path, has none.
-fn parent_of(path: &str) -> Option<&str> {
-    match path.rsplit_once('/') {
-        Some((dir, name)) if path.starts_with('/') && !name.is_empty() => {
-            Some(if dir.is_empty() { "/" } else { dir })
-        }
-        _ => None,
     }
 }
 

@@ -38,11 +38,13 @@ pub use namespace::{Namespace, Space, WorkstationType, VICE_MOUNT};
 use crate::config::{CachePolicy, WritePolicy};
 use crate::location::subtree_covers;
 use crate::protect::AccessList;
-use crate::proto::{EntryKind, Payload, ServerId, VStatus, ViceError, ViceReply, ViceRequest};
+use crate::proto::{
+    parent_of, EntryKind, Payload, ServerId, VStatus, ViceError, ViceReply, ViceRequest,
+};
 use itc_cryptbox::Key;
 use itc_rpc::NodeId;
 use itc_sim::{Costs, SimRng, SimTime, TraversalMode, ValidationMode};
-use itc_unixfs::{dirname_basename, normalize, FsError, Mode};
+use itc_unixfs::{normalize, FileSystem, FsError, Mode};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -549,6 +551,12 @@ impl Venus {
     /// extracts what the caller wants from the variants it accepts. An
     /// `Error` reply surfaces as [`VenusError::Vice`]; a variant `pick`
     /// rejects as [`VenusError::ProtocolMismatch`] naming the request.
+    ///
+    /// Once the contract holds, the caller's own cached copy of every name
+    /// the request changes ([`ViceRequest::changes`]) is dropped and its
+    /// parent's listing invalidated: the server let the caller's promises
+    /// on both lapse. A store keeps its copy, so it calls
+    /// [`Self::call_vice`] itself (see [`Self::store_back`]).
     fn vice<R>(
         &mut self,
         t: &mut dyn ViceTransport,
@@ -556,7 +564,14 @@ impl Venus {
         pick: impl FnOnce(ViceReply) -> Option<R>,
     ) -> Result<R, VenusError> {
         let reply = self.call_vice(t, req)?;
-        picked(req, reply, pick)
+        let picked = picked(req, reply, pick)?;
+        for name in req.changes().into_iter().flatten() {
+            self.cache.remove(name);
+            if let Some(parent) = parent_of(name) {
+                self.cache.invalidate(parent);
+            }
+        }
+        Ok(picked)
     }
 
     // ------------------------------------------------------------------
@@ -842,8 +857,9 @@ impl Venus {
     }
 
     /// Transmits a whole file to its custodian and refreshes the cache
-    /// entry with the authoritative status. The request, any retries, and
-    /// the refreshed cache entry all share `data`'s allocation.
+    /// entry with the authoritative status, so the stored copy stays
+    /// cached. The request, any retries, and the refreshed cache entry all
+    /// share `data`'s allocation.
     fn store_back(
         &mut self,
         t: &mut dyn ViceTransport,
@@ -856,7 +872,8 @@ impl Venus {
             path: vp.to_string(),
             data: data.clone(),
         };
-        let status = self.vice(t, &req, status_reply)?;
+        let reply = self.call_vice(t, &req)?;
+        let status = picked(&req, reply, status_reply)?;
         self.stats.stores += 1;
         self.stats.bytes_stored += data.len() as u64;
         self.cache.update(vp, data, status);
@@ -918,29 +935,41 @@ impl Venus {
         lost
     }
 
+    /// The switch every name-space call goes through: charges the
+    /// intercept, classifies `path` (following a final symlink when
+    /// `follow_final`), and runs `local` on the workstation's own file
+    /// system at the current time in µs, or `remote` on the Vice path.
+    fn switch<R>(
+        &mut self,
+        t: &mut dyn ViceTransport,
+        path: &str,
+        follow_final: bool,
+        local: impl FnOnce(&mut FileSystem, &str, u64) -> Result<R, VenusError>,
+        remote: impl FnOnce(&mut Self, &mut dyn ViceTransport, String) -> Result<R, VenusError>,
+    ) -> Result<R, VenusError> {
+        self.charge_intercept();
+        match self.namespace.classify(path, follow_final)? {
+            Space::Local(p) => local(self.namespace.local_mut(), &p, self.now.as_micros()),
+            Space::Vice(vp) => remote(self, t, vp),
+        }
+    }
+
     /// `stat(2)`: local files answer locally; Vice files answer from a
     /// valid cached status (callback mode) or with a GetStatus call.
     pub fn stat(&mut self, t: &mut dyn ViceTransport, path: &str) -> Result<VStatus, VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, true)? {
-            Space::Local(p) => {
-                let a = self.namespace.local().stat(&p)?;
-                Ok(local_status(&p, &a))
-            }
-            Space::Vice(vp) => {
-                if let Some(e) = self.cache.peek(&vp) {
-                    // A dirty copy's status is the newest in existence; in
-                    // callback mode so is one under a standing promise.
-                    let promised = self.validation == ValidationMode::Callback
-                        && (e.valid || e.status.read_only);
-                    if promised || self.dirty.contains_key(&vp) {
-                        return Ok(e.status.clone());
-                    }
+        let local = |fs: &mut FileSystem, p: &str, _| Ok(local_status(p, &fs.stat(p)?));
+        self.switch(t, path, true, local, |v, t, path| {
+            if let Some(e) = v.cache.peek(&path) {
+                // A dirty copy's status is the newest in existence; in
+                // callback mode so is one under a standing promise.
+                let promised =
+                    v.validation == ValidationMode::Callback && (e.valid || e.status.read_only);
+                if promised || v.dirty.contains_key(&path) {
+                    return Ok(e.status.clone());
                 }
-                let req = ViceRequest::GetStatus { path: vp };
-                self.vice(t, &req, status_reply)
             }
-        }
+            v.vice(t, &ViceRequest::GetStatus { path }, status_reply)
+        })
     }
 
     /// Lists a directory.
@@ -949,88 +978,46 @@ impl Venus {
         t: &mut dyn ViceTransport,
         path: &str,
     ) -> Result<Vec<(String, EntryKind)>, VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, true)? {
-            Space::Local(p) => {
-                let entries = self.namespace.local().readdir(&p)?;
-                let local = self.namespace.local();
-                Ok(entries
-                    .into_iter()
-                    .map(|(name, ino)| (name, local.attr_of(ino).expect("entry").ftype.into()))
-                    .collect())
-            }
-            Space::Vice(vp) => {
-                let req = ViceRequest::ListDir { path: vp };
-                self.vice(t, &req, |r| match r {
-                    ViceReply::Listing(l) => Some(l),
-                    _ => None,
-                })
-            }
-        }
+        let local = |fs: &mut FileSystem, p: &str, _| {
+            let entries = fs.readdir(p)?.into_iter();
+            Ok(entries
+                .map(|(name, ino)| (name, fs.attr_of(ino).expect("entry").ftype.into()))
+                .collect())
+        };
+        self.switch(t, path, true, local, |v, t, path| {
+            v.vice(t, &ViceRequest::ListDir { path }, |r| match r {
+                ViceReply::Listing(l) => Some(l),
+                _ => None,
+            })
+        })
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, t: &mut dyn ViceTransport, path: &str) -> Result<(), VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, true)? {
-            Space::Local(p) => {
-                let now_us = self.now.as_micros();
-                self.namespace
-                    .local_mut()
-                    .mkdir(&p, Mode::DIR_DEFAULT, 0, now_us)?;
-                Ok(())
-            }
-            Space::Vice(vp) => {
-                let req = ViceRequest::MakeDir { path: vp.clone() };
-                self.vice(t, &req, |r| {
-                    matches!(r, ViceReply::Status(_) | ViceReply::Ok).then_some(())
-                })?;
-                // Our cached copy of the parent listing is stale.
-                if let Ok((parent, _)) = dirname_basename(&vp) {
-                    self.cache.invalidate(&parent);
-                }
-                Ok(())
-            }
-        }
+        let local = |fs: &mut FileSystem, p: &str, now_us| {
+            Ok(fs.mkdir(p, Mode::DIR_DEFAULT, 0, now_us).map(drop)?)
+        };
+        self.switch(t, path, true, local, |v, t, path| {
+            v.vice(t, &ViceRequest::MakeDir { path }, |r| {
+                matches!(r, ViceReply::Status(_) | ViceReply::Ok).then_some(())
+            })
+        })
     }
 
     /// Removes a file or symlink.
     pub fn unlink(&mut self, t: &mut dyn ViceTransport, path: &str) -> Result<(), VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, false)? {
-            Space::Local(p) => {
-                let now_us = self.now.as_micros();
-                self.namespace.local_mut().unlink(&p, now_us)?;
-                Ok(())
-            }
-            Space::Vice(vp) => {
-                let req = ViceRequest::Remove { path: vp.clone() };
-                self.vice(t, &req, ok_reply)?;
-                self.cache.remove(&vp);
-                if let Ok((parent, _)) = dirname_basename(&vp) {
-                    self.cache.invalidate(&parent);
-                }
-                Ok(())
-            }
-        }
+        let local = |fs: &mut FileSystem, p: &str, now_us| Ok(fs.unlink(p, now_us)?);
+        self.switch(t, path, false, local, |v, t, path| {
+            v.vice(t, &ViceRequest::Remove { path }, ok_reply)
+        })
     }
 
     /// Removes an empty directory.
     pub fn rmdir(&mut self, t: &mut dyn ViceTransport, path: &str) -> Result<(), VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, false)? {
-            Space::Local(p) => {
-                let now_us = self.now.as_micros();
-                self.namespace.local_mut().rmdir(&p, now_us)?;
-                Ok(())
-            }
-            Space::Vice(vp) => {
-                let req = ViceRequest::RemoveDir { path: vp.clone() };
-                self.vice(t, &req, ok_reply)?;
-                self.cache.remove(&vp);
-                Ok(())
-            }
-        }
+        let local = |fs: &mut FileSystem, p: &str, now_us| Ok(fs.rmdir(p, now_us)?);
+        self.switch(t, path, false, local, |v, t, path| {
+            v.vice(t, &ViceRequest::RemoveDir { path }, ok_reply)
+        })
     }
 
     /// Renames within one space. (Cross-space renames are a copy in Unix
@@ -1050,15 +1037,8 @@ impl Venus {
                 self.namespace.local_mut().rename(&a, &b, now_us)?;
                 Ok(())
             }
-            (Space::Vice(a), Space::Vice(b)) => {
-                let req = ViceRequest::Rename {
-                    from: a.clone(),
-                    to: b.clone(),
-                };
-                self.vice(t, &req, ok_reply)?;
-                self.cache.remove(&a);
-                self.cache.remove(&b);
-                Ok(())
+            (Space::Vice(from), Space::Vice(to)) => {
+                self.vice(t, &ViceRequest::Rename { from, to }, ok_reply)
             }
             _ => Err(VenusError::Vice(ViceError::BadRequest(
                 "rename across local/shared boundary".to_string(),
@@ -1074,32 +1054,13 @@ impl Venus {
         path: &str,
         target: &str,
     ) -> Result<(), VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, false)? {
-            Space::Local(p) => {
-                let now_us = self.now.as_micros();
-                self.namespace.local_mut().symlink(&p, target, 0, now_us)?;
-                Ok(())
-            }
-            Space::Vice(vp) => {
-                let req = ViceRequest::MakeSymlink {
-                    path: vp,
-                    target: target.to_string(),
-                };
-                self.vice(t, &req, ok_reply)
-            }
-        }
-    }
-
-    /// The Vice path an access-list operation on `path` targets.
-    fn acl_target(&mut self, path: &str) -> Result<String, VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, true)? {
-            Space::Local(_) => Err(VenusError::Vice(ViceError::BadRequest(
-                "local files have no access lists".to_string(),
-            ))),
-            Space::Vice(vp) => Ok(vp),
-        }
+        let local = |fs: &mut FileSystem, p: &str, now_us| {
+            Ok(fs.symlink(p, target, 0, now_us).map(drop)?)
+        };
+        self.switch(t, path, false, local, |v, t, path| {
+            let target = target.to_string();
+            v.vice(t, &ViceRequest::MakeSymlink { path, target }, ok_reply)
+        })
     }
 
     /// Reads a directory's access list.
@@ -1108,10 +1069,11 @@ impl Venus {
         t: &mut dyn ViceTransport,
         path: &str,
     ) -> Result<AccessList, VenusError> {
-        let path = self.acl_target(path)?;
-        self.vice(t, &ViceRequest::GetAcl { path }, |r| match r {
-            ViceReply::Acl(a) => Some(a),
-            _ => None,
+        self.switch(t, path, true, no_access_list, |v, t, path| {
+            v.vice(t, &ViceRequest::GetAcl { path }, |r| match r {
+                ViceReply::Acl(a) => Some(a),
+                _ => None,
+            })
         })
     }
 
@@ -1122,8 +1084,9 @@ impl Venus {
         path: &str,
         acl: AccessList,
     ) -> Result<(), VenusError> {
-        let path = self.acl_target(path)?;
-        self.vice(t, &ViceRequest::SetAcl { path, acl }, ok_reply)
+        self.switch(t, path, true, no_access_list, |v, t, path| {
+            v.vice(t, &ViceRequest::SetAcl { path, acl }, ok_reply)
+        })
     }
 
     /// Acquires an advisory lock.
@@ -1133,29 +1096,16 @@ impl Venus {
         path: &str,
         exclusive: bool,
     ) -> Result<(), VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, true)? {
-            Space::Local(_) => Ok(()), // local files need no distributed locks
-            Space::Vice(vp) => {
-                let req = ViceRequest::SetLock {
-                    path: vp,
-                    exclusive,
-                };
-                self.vice(t, &req, ok_reply)
-            }
-        }
+        self.switch(t, path, true, no_lock, |v, t, path| {
+            v.vice(t, &ViceRequest::SetLock { path, exclusive }, ok_reply)
+        })
     }
 
     /// Releases an advisory lock.
     pub fn unlock(&mut self, t: &mut dyn ViceTransport, path: &str) -> Result<(), VenusError> {
-        self.charge_intercept();
-        match self.namespace.classify(path, true)? {
-            Space::Local(_) => Ok(()),
-            Space::Vice(vp) => {
-                let req = ViceRequest::ReleaseLock { path: vp };
-                self.vice(t, &req, ok_reply)
-            }
-        }
+        self.switch(t, path, true, no_lock, |v, t, path| {
+            v.vice(t, &ViceRequest::ReleaseLock { path }, ok_reply)
+        })
     }
 
     /// Convenience: open-read-close in one call.
@@ -1193,6 +1143,18 @@ fn picked<R>(
         ViceReply::Error(e) => Err(VenusError::Vice(e)),
         reply => pick(reply).ok_or(VenusError::ProtocolMismatch(req.kind())),
     }
+}
+
+/// The local arm of the access-list calls: local files have none.
+fn no_access_list<R>(_: &mut FileSystem, _: &str, _: u64) -> Result<R, VenusError> {
+    Err(VenusError::Vice(ViceError::BadRequest(
+        "local files have no access lists".to_string(),
+    )))
+}
+
+/// The local arm of the lock calls: local files need no distributed locks.
+fn no_lock(_: &mut FileSystem, _: &str, _: u64) -> Result<(), VenusError> {
+    Ok(())
 }
 
 /// Accepts a bare `Ok` (what most mutations answer).

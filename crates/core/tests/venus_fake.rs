@@ -382,6 +382,155 @@ fn client_side_traversal_fetches_and_caches_directories() {
     assert_eq!(t2.requests().len(), 1, "directories must be cached");
 }
 
+/// A callback-mode Venus holding a valid cached copy of each of `paths`.
+fn venus_caching(paths: &[&str]) -> Venus {
+    let mut v = venus(ValidationMode::Callback);
+    let mut replies = vec![custodian("/vice/usr", 1)];
+    replies.extend(paths.iter().zip(1..).map(|(p, fid)| ViceReply::Data {
+        status: status(p, fid, 1, 1),
+        data: b"x".to_vec().into(),
+    }));
+    let mut t = FakeTransport::new(replies);
+    for p in paths {
+        v.fetch_file(&mut t, p).unwrap();
+    }
+    v
+}
+
+#[test]
+fn a_name_space_mutation_drops_the_changed_names_and_invalidates_their_parents() {
+    use itc_core::venus::VenusError;
+
+    type Op = fn(&mut Venus, &mut FakeTransport) -> Result<(), VenusError>;
+    // The names an op changes, then their parents.
+    type Names = (&'static [&'static str], &'static [&'static str]);
+    let made = ViceReply::Status(status("/vice/usr/u/x", 9, 1, 0));
+    let one: Names = (&["/vice/usr/u/x"], &["/vice/usr/u"]);
+    let cases: [(&str, Op, ViceReply, Names); 5] = [
+        ("mkdir", |v, t| v.mkdir(t, "/vice/usr/u/x"), made, one),
+        (
+            "unlink",
+            |v, t| v.unlink(t, "/vice/usr/u/x"),
+            ViceReply::Ok,
+            one,
+        ),
+        (
+            "rmdir",
+            |v, t| v.rmdir(t, "/vice/usr/u/x"),
+            ViceReply::Ok,
+            one,
+        ),
+        (
+            "symlink",
+            |v, t| v.symlink(t, "/vice/usr/u/x", "keep"),
+            ViceReply::Ok,
+            one,
+        ),
+        (
+            "rename",
+            |v, t| v.rename(t, "/vice/usr/u/x", "/vice/usr/w/y"),
+            ViceReply::Ok,
+            (
+                &["/vice/usr/u/x", "/vice/usr/w/y"],
+                &["/vice/usr/u", "/vice/usr/w"],
+            ),
+        ),
+    ];
+    let bystander = "/vice/usr/u/keep";
+    for (name, op, reply, (changed, parents)) in cases {
+        let cached: Vec<&str> = parents.iter().chain(changed).copied().collect();
+        let mut v = venus_caching(&[&cached[..], &[bystander]].concat());
+        op(&mut v, &mut FakeTransport::new(vec![reply])).unwrap();
+        for path in changed {
+            assert!(v.cache().peek(path).is_none(), "{name} kept {path}");
+        }
+        for dir in parents {
+            let e = v.cache().peek(dir).expect("a parent stays cached");
+            assert!(!e.valid, "{name} left {dir}'s listing valid");
+        }
+        let e = v.cache().peek(bystander).expect("untouched");
+        assert!(e.valid, "{name} touched a name it did not change");
+    }
+}
+
+#[test]
+fn changes_names_what_a_successful_reply_makes_stale() {
+    use itc_core::protect::AccessList;
+
+    let p = || "/vice/a".to_string();
+    let none = [None, None];
+    let this = [Some("/vice/a"), None];
+    let table: Vec<(ViceRequest, [Option<&str>; 2])> = vec![
+        (ViceRequest::GetCustodian { path: p() }, none),
+        (ViceRequest::Fetch { path: p() }, none),
+        (
+            ViceRequest::Store {
+                path: p(),
+                data: b"x".to_vec().into(),
+            },
+            this,
+        ),
+        (ViceRequest::Remove { path: p() }, this),
+        (ViceRequest::GetStatus { path: p() }, none),
+        (
+            ViceRequest::SetMode {
+                path: p(),
+                mode: 0o600,
+            },
+            this,
+        ),
+        (
+            ViceRequest::Validate {
+                path: p(),
+                fid: 1,
+                version: 1,
+            },
+            none,
+        ),
+        (ViceRequest::MakeDir { path: p() }, this),
+        (ViceRequest::RemoveDir { path: p() }, this),
+        (
+            ViceRequest::Rename {
+                from: p(),
+                to: "/vice/b".into(),
+            },
+            [Some("/vice/a"), Some("/vice/b")],
+        ),
+        (ViceRequest::ListDir { path: p() }, none),
+        (ViceRequest::GetAcl { path: p() }, none),
+        (
+            ViceRequest::SetAcl {
+                path: p(),
+                acl: AccessList::new(),
+            },
+            none,
+        ),
+        (
+            ViceRequest::MakeSymlink {
+                path: p(),
+                target: "b".into(),
+            },
+            this,
+        ),
+        (ViceRequest::ReadLink { path: p() }, none),
+        (
+            ViceRequest::SetLock {
+                path: p(),
+                exclusive: true,
+            },
+            none,
+        ),
+        (ViceRequest::ReleaseLock { path: p() }, none),
+    ];
+    let kinds: Vec<&str> = table.iter().map(|(r, _)| r.kind()).collect();
+    assert_eq!(kinds, ViceRequest::KINDS, "one row per request kind");
+    for (req, want) in &table {
+        assert_eq!(req.changes(), *want, "{}", req.kind());
+        // Only a mutation can make a cached copy stale.
+        assert!(req.is_mutation() || *want == none, "{}", req.kind());
+    }
+}
+
 /// A transport that resolves custodians normally but answers every other
 /// request with a reply of the wrong shape: `Ok` to reads (none expects
 /// it), an empty `Listing` to mutations (none expects that).

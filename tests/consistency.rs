@@ -5,7 +5,8 @@
 //! model, in both validation modes.
 
 use itc_afs::core::config::SystemConfig;
-use itc_afs::core::system::ItcSystem;
+use itc_afs::core::proto::EntryKind;
+use itc_afs::core::system::{ItcSystem, SystemError};
 use itc_afs::sim::{FaultPlan, ScriptedFault, SimTime, ValidationMode};
 
 fn two_users(validation: ValidationMode) -> ItcSystem {
@@ -153,6 +154,56 @@ fn rename_breaks_the_other_cache_too() {
         "stale copy served from cache"
     );
     assert_eq!(sys.ops().fetch(1, "/vice/usr/shared/new").unwrap(), b"v1");
+}
+
+#[test]
+fn a_directory_listing_is_never_stale_after_a_name_space_change() {
+    const DIR: &str = "/vice/usr/shared/dir";
+    type Op = fn(&mut ItcSystem, usize) -> Result<(), SystemError>;
+    let ops: [(&str, Op); 5] = [
+        ("rmdir", |s, ws| s.ops().rmdir(ws, &format!("{DIR}/sub"))),
+        ("rename", |s, ws| {
+            s.ops().rename(ws, &format!("{DIR}/f"), &format!("{DIR}/g"))
+        }),
+        ("symlink", |s, ws| {
+            s.ops().symlink(ws, &format!("{DIR}/l"), "f")
+        }),
+        ("mkdir", |s, ws| s.ops().mkdir(ws, &format!("{DIR}/new"))),
+        ("unlink", |s, ws| s.ops().unlink(ws, &format!("{DIR}/f"))),
+    ];
+    // The listing blob a directory fetch returns, built from the server's
+    // own `ListDir` answer.
+    let server_listing = |sys: &mut ItcSystem| -> Vec<u8> {
+        let mut blob = Vec::new();
+        for (name, kind) in sys.ops().readdir(0, DIR).unwrap() {
+            blob.push(match kind {
+                EntryKind::File => b'f',
+                EntryKind::Dir => b'd',
+                EntryKind::Symlink => b'l',
+            });
+            blob.extend_from_slice(name.as_bytes());
+            blob.push(b'\n');
+        }
+        blob
+    };
+    // ws0 mutates: its own cached listing, then ws1's.
+    for reader in [0, 1] {
+        for (name, op) in ops {
+            let mut sys = two_users(ValidationMode::Callback);
+            sys.ops().mkdir_p(0, &format!("{DIR}/sub")).unwrap();
+            sys.ops()
+                .store(0, &format!("{DIR}/f"), b"x".to_vec())
+                .unwrap();
+            assert_eq!(sys.ops().fetch(reader, DIR).unwrap(), b"ff\ndsub\n");
+            op(&mut sys, 0).unwrap();
+            let want = server_listing(&mut sys);
+            assert_eq!(
+                String::from_utf8(sys.ops().fetch(reader, DIR).unwrap()).unwrap(),
+                String::from_utf8(want).unwrap(),
+                "ws{reader}'s listing after ws0's {name}"
+            );
+        }
+    }
 }
 
 #[test]
