@@ -146,6 +146,18 @@ if [ "$(nontest "$srv" | grep -cF 'self.break_callbacks(')" -gt 1 ]; then
     echo "ci.sh: $srv must break callbacks in exactly one place (see the lines above)" >&2
     exit 1
 fi
+# Each observability decision has one owner (DESIGN.md §15): the health
+# rules are one `obs::rule` match, not a stored table looked up again, and
+# "is tracing on" is `EventCore::tracing` alone — the span collector keeps
+# no on/off state, and calls mint only through observe.rs's hook.
+echo "== one rule table, one tracing switch (no stored rules, collector switch or stray mint) =="
+if nontest crates/core/src/obs.rs | grep -E 'fn threshold_of|fn default_rules|\brules:' \
+    || nontest crates/sim/src/trace.rs | grep -F 'enabled' \
+    || find crates/*/src -name '*.rs' ! -path crates/core/src/system/observe.rs | sort \
+        | while read -r f; do nontest "$f"; done | grep -F '.trace.mint()'; then
+    echo "ci.sh: a second rule table or tracing switch grew back (see the lines above)" >&2
+    exit 1
+fi
 # The trajectory: lines before the first #[cfg(test)] of every crates/*/src
 # file (tests.rs excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do

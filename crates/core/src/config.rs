@@ -114,11 +114,6 @@ impl SystemConfig {
     pub fn small_campus(clusters: u32, workstations_per_cluster: u32) -> SystemConfig {
         SystemConfig::prototype(clusters, workstations_per_cluster)
     }
-
-    /// Total workstation count.
-    pub fn total_workstations(&self) -> u32 {
-        self.clusters * self.workstations_per_cluster
-    }
 }
 
 #[cfg(test)]
@@ -137,6 +132,5 @@ mod tests {
         assert_eq!(r.structure, ServerStructure::SingleProcessLwp);
         assert!(matches!(p.cache, CachePolicy::CountLru(_)));
         assert!(matches!(r.cache, CachePolicy::SpaceLru(_)));
-        assert_eq!(p.total_workstations(), 20);
     }
 }

@@ -21,7 +21,7 @@
 //!   answering, so merge order cannot matter) — which is what makes the
 //!   merged campus view identical however many threads produced it.
 //! * The **health engine**: a declarative table of windowed burn-rate
-//!   rules ([`HealthRule`]) evaluated per bucket as samples arrive. A
+//!   rules ([`rule`]) evaluated per bucket as samples arrive. A
 //!   rule fires once per breach episode (when its consecutive-bucket
 //!   window fills) and logs a typed [`HealthEvent`] in the core that
 //!   decided it, deduplicated on `(rule, server, bucket)`.
@@ -54,15 +54,13 @@ pub trait MergePoint {
     fn merge(&mut self, other: &Self);
 }
 
-/// One server's samples within one bucket.
-#[derive(Debug, Clone, Default)]
-pub struct ServerPoint {
+/// The plain counters and gauges of one server-minute, exported as they
+/// stand: the one declaration both the live point and the export line
+/// embed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ServerCounts {
     /// Calls completed against this server this bucket.
     pub calls: u64,
-    /// End-to-end latency samples (µs) of those calls.
-    pub latency: Percentiles,
-    /// Latency samples split by call kind.
-    pub by_kind: BTreeMap<&'static str, Percentiles>,
     /// Retry-wasted plus fault-injected µs across those calls.
     pub retry_wasted_us: u64,
     /// Genuine retransmission-timer expiries charged to this server.
@@ -85,13 +83,9 @@ pub struct ServerPoint {
     pub rejected: u64,
 }
 
-impl MergePoint for ServerPoint {
-    fn merge(&mut self, other: &ServerPoint) {
+impl MergePoint for ServerCounts {
+    fn merge(&mut self, other: &ServerCounts) {
         self.calls += other.calls;
-        self.latency.merge(&other.latency);
-        for (k, p) in &other.by_kind {
-            self.by_kind.entry(k).or_default().merge(p);
-        }
         self.retry_wasted_us += other.retry_wasted_us;
         self.timeouts += other.timeouts;
         self.queue_peak = self.queue_peak.max(other.queue_peak);
@@ -102,6 +96,27 @@ impl MergePoint for ServerPoint {
         self.scrub_bytes = self.scrub_bytes.max(other.scrub_bytes);
         self.offlined += other.offlined;
         self.rejected += other.rejected;
+    }
+}
+
+/// One server's samples within one bucket.
+#[derive(Debug, Clone, Default)]
+pub struct ServerPoint {
+    /// The plain counters and gauges.
+    pub counts: ServerCounts,
+    /// End-to-end latency samples (µs) of the bucket's calls.
+    pub latency: Percentiles,
+    /// Latency samples split by call kind.
+    pub by_kind: BTreeMap<&'static str, Percentiles>,
+}
+
+impl MergePoint for ServerPoint {
+    fn merge(&mut self, other: &ServerPoint) {
+        self.counts.merge(&other.counts);
+        self.latency.merge(&other.latency);
+        for (k, p) in &other.by_kind {
+            self.by_kind.entry(k).or_default().merge(p);
+        }
     }
 }
 
@@ -126,7 +141,7 @@ impl MergePoint for VolumePoint {
 
 /// One cluster engine's samples within one bucket (simulator health, not
 /// file-system health): calendar churn from [`EventStats`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClusterPoint {
     /// Calls completed by this cluster's workstations this bucket.
     pub calls: u64,
@@ -151,6 +166,17 @@ impl MergePoint for ClusterPoint {
     }
 }
 
+impl ClusterPoint {
+    /// Folds in one cumulative calendar sample (the counters are
+    /// monotonic, so the bucket keeps the largest).
+    fn sample(&mut self, s: &EventStats) {
+        self.scheduled = self.scheduled.max(s.scheduled);
+        self.executed = self.executed.max(s.executed);
+        self.cancelled = self.cancelled.max(s.cancelled);
+        self.high_water = self.high_water.max(s.high_water as u64);
+    }
+}
+
 /// A bounded, bucket-indexed time series.
 #[derive(Debug, Clone, Default)]
 pub struct Series<P> {
@@ -171,21 +197,6 @@ impl<P> Series<P> {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &P)> {
         self.points.iter().map(|(b, p)| (*b, p))
     }
-
-    /// The point of one bucket, if sampled.
-    pub fn get(&self, bucket: u64) -> Option<&P> {
-        self.points.get(&bucket)
-    }
-
-    /// Resident buckets.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether nothing has been sampled.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
 }
 
 impl<P: Default + MergePoint> Series<P> {
@@ -200,22 +211,11 @@ impl<P: Default + MergePoint> Series<P> {
 // The health engine's rule table
 // ---------------------------------------------------------------------
 
-/// One declarative burn-rate rule: `kind` breaches when its measured
-/// value crosses `threshold`; the rule fires when `window` *consecutive*
-/// buckets breach (a longer episode keeps the breach run alive without
-/// re-firing; a clean bucket resets it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthRule {
-    /// Which signal the rule watches.
-    pub kind: HealthRuleKind,
-    /// Breach threshold — percent for utilization, µs for tail latency,
-    /// counts for retry-rate and integrity.
-    pub threshold: u64,
-    /// Consecutive breached buckets required to fire.
-    pub window: u32,
-}
-
-/// The default rule table.
+/// The rule table, as `(threshold, window)`: `kind` breaches when its
+/// measured value crosses `threshold` (percent for utilization, µs for
+/// tail latency, counts for retry-rate and integrity), and fires when
+/// `window` *consecutive* buckets breach (a longer episode keeps the
+/// breach run alive without re-firing; a clean bucket resets it).
 ///
 /// * `sustained_utilization` — a resource at ≥ 98% for two consecutive
 ///   minutes (one saturated minute is the flight recorder's peak-dump
@@ -225,29 +225,13 @@ pub struct HealthRule {
 /// * `retry_rate` — two or more genuine retransmission-timer expiries
 ///   charged to one server within a minute.
 /// * `integrity_burn` — any volume offlined or journal record rejected.
-pub fn default_rules() -> [HealthRule; 4] {
-    [
-        HealthRule {
-            kind: HealthRuleKind::SustainedUtilization,
-            threshold: 98,
-            window: 2,
-        },
-        HealthRule {
-            kind: HealthRuleKind::TailLatency,
-            threshold: 60_000_000,
-            window: 1,
-        },
-        HealthRule {
-            kind: HealthRuleKind::RetryRate,
-            threshold: 2,
-            window: 1,
-        },
-        HealthRule {
-            kind: HealthRuleKind::IntegrityBurn,
-            threshold: 1,
-            window: 1,
-        },
-    ]
+pub fn rule(kind: HealthRuleKind) -> (u64, u32) {
+    match kind {
+        HealthRuleKind::SustainedUtilization => (98, 2),
+        HealthRuleKind::TailLatency => (60_000_000, 1),
+        HealthRuleKind::RetryRate => (2, 1),
+        HealthRuleKind::IntegrityBurn => (1, 1),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -258,7 +242,7 @@ pub fn default_rules() -> [HealthRule; 4] {
 /// breach-run tracking. Lives inside the transport's per-cluster core so
 /// no sample ever reaches across a cluster boundary — the property that
 /// keeps parallel runs sample-identical to sequential ones.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ObsCore {
     servers: BTreeMap<u32, Series<ServerPoint>>,
     volumes: BTreeMap<u32, Series<VolumePoint>>,
@@ -268,7 +252,6 @@ pub struct ObsCore {
     /// so the last sample of a bucket IS its max); flushed into `engine`
     /// when the bucket advances and folded in at merge time.
     engine_pending: Option<(u64, EventStats)>,
-    rules: Vec<HealthRule>,
     /// Breach runs per `(rule, server, sub-tag)` — sub-tag separates
     /// CPU from disk for the utilization rule — as `(last breached
     /// bucket, consecutive length)`.
@@ -281,34 +264,7 @@ pub struct ObsCore {
     tail_cursor: BTreeMap<u32, u64>,
 }
 
-impl Default for ObsCore {
-    fn default() -> Self {
-        ObsCore::new()
-    }
-}
-
 impl ObsCore {
-    /// Creates an empty core with the default rule table.
-    pub fn new() -> ObsCore {
-        ObsCore {
-            servers: BTreeMap::new(),
-            volumes: BTreeMap::new(),
-            engine: Series::default(),
-            engine_pending: None,
-            rules: default_rules().to_vec(),
-            runs: BTreeMap::new(),
-            health: Vec::new(),
-            tail_cursor: BTreeMap::new(),
-        }
-    }
-
-    fn threshold_of(&self, kind: HealthRuleKind) -> Option<u64> {
-        self.rules
-            .iter()
-            .find(|r| r.kind == kind)
-            .map(|r| r.threshold)
-    }
-
     /// The events this core's rules have fired, in detection order.
     pub fn health_events(&self) -> &[HealthEvent] {
         &self.health
@@ -329,9 +285,7 @@ impl ObsCore {
         value: u64,
         at: SimTime,
     ) {
-        let Some(rule) = self.rules.iter().copied().find(|r| r.kind == kind) else {
-            return;
-        };
+        let (threshold, window) = rule(kind);
         let key = (kind, server, subtag);
         let (last, run) = self.runs.get(&key).copied().unwrap_or((0, 0));
         let next = if run == 0 {
@@ -347,7 +301,7 @@ impl ObsCore {
         };
         self.runs.insert(key, (bucket, next));
         let logged = |e: &HealthEvent| (e.rule, e.server, e.bucket) == (kind, server, bucket);
-        if next == rule.window && !self.health.iter().any(logged) {
+        if next == window && !self.health.iter().any(logged) {
             self.health.push(HealthEvent {
                 rule: kind,
                 server,
@@ -355,21 +309,31 @@ impl ObsCore {
                 bucket,
                 at,
                 value,
-                threshold: rule.threshold,
-                window: rule.window,
+                threshold,
+                window,
             });
         }
     }
 
     /// Samples a request-queue depth observed at arrival.
     pub fn on_queue_depth(&mut self, server: u32, at: SimTime, depth: u64) {
-        let p = self.servers.entry(server).or_default().point(bucket_of(at));
+        let p = &mut self
+            .servers
+            .entry(server)
+            .or_default()
+            .point(bucket_of(at))
+            .counts;
         p.queue_peak = p.queue_peak.max(depth);
     }
 
     /// Samples the unsynced journal tail observed just before a sync.
     pub fn on_journal_lag(&mut self, server: u32, at: SimTime, lag: u64) {
-        let p = self.servers.entry(server).or_default().point(bucket_of(at));
+        let p = &mut self
+            .servers
+            .entry(server)
+            .or_default()
+            .point(bucket_of(at))
+            .counts;
         p.journal_lag = p.journal_lag.max(lag);
     }
 
@@ -383,14 +347,13 @@ impl ObsCore {
         pct: u8,
         at: SimTime,
     ) {
-        let p = self.servers.entry(server).or_default().point(bucket);
+        let p = &mut self.servers.entry(server).or_default().point(bucket).counts;
         if resource_tag == 0 {
             p.cpu_pct = p.cpu_pct.max(u64::from(pct));
         } else {
             p.disk_pct = p.disk_pct.max(u64::from(pct));
         }
-        let thr = self.threshold_of(HealthRuleKind::SustainedUtilization);
-        if thr.is_some_and(|thr| u64::from(pct) >= thr) {
+        if u64::from(pct) >= rule(HealthRuleKind::SustainedUtilization).0 {
             self.breach(
                 HealthRuleKind::SustainedUtilization,
                 resource_tag,
@@ -413,11 +376,7 @@ impl ObsCore {
                 self.engine_pending = Some((bucket, *stats));
                 return;
             }
-            let p = self.engine.point(b);
-            p.scheduled = p.scheduled.max(s.scheduled);
-            p.executed = p.executed.max(s.executed);
-            p.cancelled = p.cancelled.max(s.cancelled);
-            p.high_water = p.high_water.max(s.high_water as u64);
+            self.engine.point(b).sample(&s);
         }
         self.engine_pending = Some((bucket, *stats));
     }
@@ -429,10 +388,10 @@ impl ObsCore {
         let total_us = b.total().as_micros();
         let wasted_us = b.wasted().as_micros();
         let p = self.servers.entry(b.server).or_default().point(bucket);
-        p.calls += 1;
+        p.counts.calls += 1;
         p.latency.record(total_us as f64);
         p.by_kind.entry(b.kind).or_default().record(total_us as f64);
-        p.retry_wasted_us += wasted_us;
+        p.counts.retry_wasted_us += wasted_us;
         if let Some(v) = b.volume {
             let vp = self.volumes.entry(v).or_default().point(bucket);
             vp.calls += 1;
@@ -455,8 +414,7 @@ impl ObsCore {
             .and_then(|s| s.points.get_mut(&closed))
             .and_then(|p| p.latency.percentile(99.0))
             .unwrap_or(0.0) as u64;
-        let thr = self.threshold_of(HealthRuleKind::TailLatency);
-        if thr.is_some_and(|thr| p99 > thr) {
+        if p99 > rule(HealthRuleKind::TailLatency).0 {
             self.breach(
                 HealthRuleKind::TailLatency,
                 0,
@@ -473,12 +431,12 @@ impl ObsCore {
     /// and feeds the retry-rate rule.
     pub fn on_timeout(&mut self, server: u32, volume: Option<u32>, at: SimTime) {
         let bucket = bucket_of(at);
-        let p = self.servers.entry(server).or_default().point(bucket);
+        let p = &mut self.servers.entry(server).or_default().point(bucket).counts;
         p.timeouts += 1;
         let count = p.timeouts;
         // Fire exactly at the crossing; later expiries in the same bucket
         // are the same episode.
-        if self.threshold_of(HealthRuleKind::RetryRate) == Some(count) {
+        if count == rule(HealthRuleKind::RetryRate).0 {
             self.breach(
                 HealthRuleKind::RetryRate,
                 0,
@@ -493,7 +451,12 @@ impl ObsCore {
 
     /// Samples the scrubber's cumulative progress counters after a pass.
     pub fn on_scrub(&mut self, server: u32, at: SimTime, files: u64, bytes: u64) {
-        let p = self.servers.entry(server).or_default().point(bucket_of(at));
+        let p = &mut self
+            .servers
+            .entry(server)
+            .or_default()
+            .point(bucket_of(at))
+            .counts;
         p.scrub_files = p.scrub_files.max(files);
         p.scrub_bytes = p.scrub_bytes.max(bytes);
     }
@@ -509,11 +472,10 @@ impl ObsCore {
         rejected: u64,
     ) {
         let bucket = bucket_of(at);
-        let p = self.servers.entry(server).or_default().point(bucket);
+        let p = &mut self.servers.entry(server).or_default().point(bucket).counts;
         p.offlined += offlined;
         p.rejected += rejected;
-        let thr = self.threshold_of(HealthRuleKind::IntegrityBurn);
-        if thr.is_some_and(|thr| offlined + rejected >= thr) {
+        if offlined + rejected >= rule(HealthRuleKind::IntegrityBurn).0 {
             self.breach(
                 HealthRuleKind::IntegrityBurn,
                 0,
@@ -556,11 +518,7 @@ impl ObsSummary {
         let engine = self.clusters.entry(cluster).or_default();
         engine.merge(&core.engine);
         if let Some((b, s)) = core.engine_pending {
-            let p = engine.point(b);
-            p.scheduled = p.scheduled.max(s.scheduled);
-            p.executed = p.executed.max(s.executed);
-            p.cancelled = p.cancelled.max(s.cancelled);
-            p.high_water = p.high_water.max(s.high_water as u64);
+            engine.point(b).sample(&s);
         }
     }
 
@@ -575,19 +533,9 @@ impl ObsSummary {
                 out.push(ObsLine::Server(ServerLine {
                     bucket,
                     server,
-                    calls: p.calls,
                     p50_us: lat.percentile(50.0).unwrap_or(0.0) as u64,
                     p99_us: lat.percentile(99.0).unwrap_or(0.0) as u64,
-                    retry_wasted_us: p.retry_wasted_us,
-                    timeouts: p.timeouts,
-                    queue_peak: p.queue_peak,
-                    cpu_pct: p.cpu_pct,
-                    disk_pct: p.disk_pct,
-                    journal_lag: p.journal_lag,
-                    scrub_files: p.scrub_files,
-                    scrub_bytes: p.scrub_bytes,
-                    offlined: p.offlined,
-                    rejected: p.rejected,
+                    counts: p.counts,
                     kinds: p
                         .by_kind
                         .iter()
@@ -616,15 +564,11 @@ impl ObsSummary {
             }
         }
         for (&cluster, series) in &self.clusters {
-            for (bucket, p) in series.iter() {
+            for (bucket, &point) in series.iter() {
                 out.push(ObsLine::Cluster(ClusterLine {
                     bucket,
                     cluster,
-                    calls: p.calls,
-                    scheduled: p.scheduled,
-                    executed: p.executed,
-                    cancelled: p.cancelled,
-                    high_water: p.high_water,
+                    point,
                 }));
             }
         }
@@ -654,32 +598,12 @@ pub struct ServerLine {
     pub bucket: u64,
     /// Server id.
     pub server: u32,
-    /// Calls completed.
-    pub calls: u64,
     /// Median end-to-end latency, µs.
     pub p50_us: u64,
     /// 99th-percentile end-to-end latency, µs.
     pub p99_us: u64,
-    /// Retry-wasted µs.
-    pub retry_wasted_us: u64,
-    /// Genuine timer expiries.
-    pub timeouts: u64,
-    /// Deepest arrival queue.
-    pub queue_peak: u64,
-    /// Peak CPU utilization, percent.
-    pub cpu_pct: u64,
-    /// Peak disk utilization, percent.
-    pub disk_pct: u64,
-    /// Largest unsynced journal tail, bytes.
-    pub journal_lag: u64,
-    /// Scrubber cumulative files scanned.
-    pub scrub_files: u64,
-    /// Scrubber cumulative bytes scanned.
-    pub scrub_bytes: u64,
-    /// Volumes offlined this bucket.
-    pub offlined: u64,
-    /// Journal records rejected this bucket.
-    pub rejected: u64,
+    /// The bucket's counters and gauges, as sampled.
+    pub counts: ServerCounts,
     /// Per-kind latency digests `kind:calls:p50_us:p99_us`, comma-joined
     /// in kind order.
     pub kinds: String,
@@ -709,16 +633,8 @@ pub struct ClusterLine {
     pub bucket: u64,
     /// Cluster index.
     pub cluster: u32,
-    /// Calls completed by the cluster's workstations.
-    pub calls: u64,
-    /// Cumulative events scheduled.
-    pub scheduled: u64,
-    /// Cumulative events executed.
-    pub executed: u64,
-    /// Cumulative events cancelled.
-    pub cancelled: u64,
-    /// Calendar high-water mark.
-    pub high_water: u64,
+    /// The bucket's calendar sample, as merged.
+    pub point: ClusterPoint,
 }
 
 /// One line of the series export.
@@ -741,19 +657,20 @@ fn obs_fields<F: Field>(l: &mut ObsLine, f: &mut F) {
             f.tag("series", "server");
             f.u64("bucket", &mut s.bucket);
             f.u32("server", &mut s.server);
-            f.u64("calls", &mut s.calls);
+            let c = &mut s.counts;
+            f.u64("calls", &mut c.calls);
             f.u64("p50_us", &mut s.p50_us);
             f.u64("p99_us", &mut s.p99_us);
-            f.u64("retry_wasted_us", &mut s.retry_wasted_us);
-            f.u64("timeouts", &mut s.timeouts);
-            f.u64("queue_peak", &mut s.queue_peak);
-            f.u64("cpu_pct", &mut s.cpu_pct);
-            f.u64("disk_pct", &mut s.disk_pct);
-            f.u64("journal_lag", &mut s.journal_lag);
-            f.u64("scrub_files", &mut s.scrub_files);
-            f.u64("scrub_bytes", &mut s.scrub_bytes);
-            f.u64("offlined", &mut s.offlined);
-            f.u64("rejected", &mut s.rejected);
+            f.u64("retry_wasted_us", &mut c.retry_wasted_us);
+            f.u64("timeouts", &mut c.timeouts);
+            f.u64("queue_peak", &mut c.queue_peak);
+            f.u64("cpu_pct", &mut c.cpu_pct);
+            f.u64("disk_pct", &mut c.disk_pct);
+            f.u64("journal_lag", &mut c.journal_lag);
+            f.u64("scrub_files", &mut c.scrub_files);
+            f.u64("scrub_bytes", &mut c.scrub_bytes);
+            f.u64("offlined", &mut c.offlined);
+            f.u64("rejected", &mut c.rejected);
             f.text("kinds", &mut s.kinds);
         }
         ObsLine::Volume(v) => {
@@ -769,11 +686,12 @@ fn obs_fields<F: Field>(l: &mut ObsLine, f: &mut F) {
             f.tag("series", "cluster");
             f.u64("bucket", &mut c.bucket);
             f.u32("cluster", &mut c.cluster);
-            f.u64("calls", &mut c.calls);
-            f.u64("scheduled", &mut c.scheduled);
-            f.u64("executed", &mut c.executed);
-            f.u64("cancelled", &mut c.cancelled);
-            f.u64("high_water", &mut c.high_water);
+            let p = &mut c.point;
+            f.u64("calls", &mut p.calls);
+            f.u64("scheduled", &mut p.scheduled);
+            f.u64("executed", &mut p.executed);
+            f.u64("cancelled", &mut p.cancelled);
+            f.u64("high_water", &mut p.high_water);
         }
         ObsLine::Health(h) => {
             f.tag("series", "health");
@@ -844,45 +762,31 @@ pub fn render_console(lines: &[ObsLine]) -> String {
         "off",
         "rej"
     );
+    // One pass: server rows land directly, the other kinds in their own
+    // sections, appended in a fixed order below.
+    let (mut volumes, mut engine, mut health) = (String::new(), String::new(), String::new());
     for l in lines {
-        if let ObsLine::Server(s) = l {
-            let _ = writeln!(
+        let _ = match l {
+            ObsLine::Server(s) => writeln!(
                 out,
                 "{:>4} {:>4} {:>6} {:>9.1} {:>9.1} {:>4} {:>4} {:>5} {:>8} {:>9.1} {:>4} {:>7} {:>4} {:>4}",
                 s.bucket,
                 s.server,
-                s.calls,
+                s.counts.calls,
                 s.p50_us as f64 / 1000.0,
                 s.p99_us as f64 / 1000.0,
-                s.cpu_pct,
-                s.disk_pct,
-                s.queue_peak,
-                s.journal_lag,
-                s.retry_wasted_us as f64 / 1000.0,
-                s.timeouts,
-                s.scrub_files,
-                s.offlined,
-                s.rejected,
-            );
-        }
-    }
-    let volumes: Vec<&VolumeLine> = lines
-        .iter()
-        .filter_map(|l| match l {
-            ObsLine::Volume(v) => Some(v),
-            _ => None,
-        })
-        .collect();
-    if !volumes.is_empty() {
-        let _ = writeln!(out, "volumes:");
-        let _ = writeln!(
-            out,
-            "{:>4} {:>4} {:>6} {:>9} {:>9} {:>9}",
-            "min", "vol", "calls", "p50_ms", "p99_ms", "waste_ms"
-        );
-        for v in volumes {
-            let _ = writeln!(
-                out,
+                s.counts.cpu_pct,
+                s.counts.disk_pct,
+                s.counts.queue_peak,
+                s.counts.journal_lag,
+                s.counts.retry_wasted_us as f64 / 1000.0,
+                s.counts.timeouts,
+                s.counts.scrub_files,
+                s.counts.offlined,
+                s.counts.rejected,
+            ),
+            ObsLine::Volume(v) => writeln!(
+                volumes,
                 "{:>4} {:>4} {:>6} {:>9.1} {:>9.1} {:>9.1}",
                 v.bucket,
                 v.volume,
@@ -890,56 +794,51 @@ pub fn render_console(lines: &[ObsLine]) -> String {
                 v.p50_us as f64 / 1000.0,
                 v.p99_us as f64 / 1000.0,
                 v.retry_wasted_us as f64 / 1000.0,
-            );
-        }
+            ),
+            ObsLine::Cluster(ClusterLine { bucket, cluster, point: p }) => writeln!(
+                engine,
+                "{:>4} {:>4} {:>6} {:>9} {:>9} {:>9} {:>6}",
+                bucket, cluster, p.calls, p.scheduled, p.executed, p.cancelled, p.high_water,
+            ),
+            ObsLine::Health(h) => {
+                let vol = h.volume.map_or(String::new(), |v| format!(" vol {v}"));
+                writeln!(
+                    health,
+                    "  [min {:>3}] {} srv {}{}: value {} >= {} over window {}",
+                    h.bucket,
+                    h.rule.label(),
+                    h.server,
+                    vol,
+                    h.value,
+                    h.threshold,
+                    h.window,
+                )
+            }
+        };
     }
-    let clusters: Vec<&ClusterLine> = lines
-        .iter()
-        .filter_map(|l| match l {
-            ObsLine::Cluster(c) => Some(c),
-            _ => None,
-        })
-        .collect();
-    if !clusters.is_empty() {
+    if !volumes.is_empty() {
+        let _ = writeln!(out, "volumes:");
+        let _ = writeln!(
+            out,
+            "{:>4} {:>4} {:>6} {:>9} {:>9} {:>9}",
+            "min", "vol", "calls", "p50_ms", "p99_ms", "waste_ms"
+        );
+        out.push_str(&volumes);
+    }
+    if !engine.is_empty() {
         let _ = writeln!(out, "engine:");
         let _ = writeln!(
             out,
             "{:>4} {:>4} {:>6} {:>9} {:>9} {:>9} {:>6}",
             "min", "cls", "calls", "sched", "exec", "cancel", "hw"
         );
-        for c in clusters {
-            let _ = writeln!(
-                out,
-                "{:>4} {:>4} {:>6} {:>9} {:>9} {:>9} {:>6}",
-                c.bucket, c.cluster, c.calls, c.scheduled, c.executed, c.cancelled, c.high_water,
-            );
-        }
+        out.push_str(&engine);
     }
-    let health: Vec<&HealthEvent> = lines
-        .iter()
-        .filter_map(|l| match l {
-            ObsLine::Health(h) => Some(h),
-            _ => None,
-        })
-        .collect();
     if health.is_empty() {
         let _ = writeln!(out, "health: ok — no rule fired");
     } else {
         let _ = writeln!(out, "health:");
-        for h in &health {
-            let vol = h.volume.map_or(String::new(), |v| format!(" vol {v}"));
-            let _ = writeln!(
-                out,
-                "  [min {:>3}] {} srv {}{}: value {} >= {} over window {}",
-                h.bucket,
-                h.rule.label(),
-                h.server,
-                vol,
-                h.value,
-                h.threshold,
-                h.window,
-            );
-        }
+        out.push_str(&health);
     }
     out
 }
@@ -962,9 +861,9 @@ mod tests {
         for b in 0..SERIES_CAPACITY as u64 + 5 {
             s.point(b).calls += 1;
         }
-        assert_eq!(s.len(), SERIES_CAPACITY);
-        assert!(s.get(4).is_none(), "oldest buckets evicted");
-        assert!(s.get(5).is_some());
+        assert_eq!(s.points.len(), SERIES_CAPACITY);
+        assert!(!s.points.contains_key(&4), "oldest buckets evicted");
+        assert!(s.points.contains_key(&5));
     }
 
     /// Runs one sample hook and returns the event it logged, if any.
@@ -976,7 +875,7 @@ mod tests {
 
     #[test]
     fn breach_runs_fire_once_per_episode_at_the_window() {
-        let mut core = ObsCore::new();
+        let mut core = ObsCore::default();
         // window 2: one saturated bucket is silent, the second fires,
         // the third (same episode) stays silent.
         let t = SimTime::from_mins(3);
@@ -993,11 +892,11 @@ mod tests {
         assert!(fired(&mut core, |c| c.on_utilization(0, 1, 8, 99, t)).is_none());
         // Below-threshold observations only feed the gauge.
         assert!(fired(&mut core, |c| c.on_utilization(0, 0, 9, 50, t)).is_none());
-        let p = core.servers[&0].get(9).unwrap();
-        assert_eq!(p.cpu_pct, 50);
+        let p = &core.servers[&0].points[&9];
+        assert_eq!(p.counts.cpu_pct, 50);
         // CPU and disk filling the window in the same minute is one
         // verdict on that server-minute, not two.
-        let mut core = ObsCore::new();
+        let mut core = ObsCore::default();
         core.on_utilization(0, 0, 3, 99, t);
         core.on_utilization(0, 1, 3, 99, t);
         assert!(fired(&mut core, |c| c.on_utilization(0, 0, 4, 99, t)).is_some());
@@ -1011,7 +910,7 @@ mod tests {
 
     #[test]
     fn retry_rate_fires_at_the_crossing_and_coalesces_adjacent_buckets() {
-        let mut core = ObsCore::new();
+        let mut core = ObsCore::default();
         let t = SimTime::from_mins(2);
         let timeout = |core: &mut ObsCore, at| fired(core, |c| c.on_timeout(1, Some(7), at));
         assert!(timeout(&mut core, t).is_none(), "first expiry");
@@ -1054,7 +953,7 @@ mod tests {
 
     #[test]
     fn tail_latency_evaluates_the_closed_bucket() {
-        let mut core = ObsCore::new();
+        let mut core = ObsCore::default();
         // Bucket 2: p99 over 60s. Evaluated when bucket 3 opens.
         assert!(fired(&mut core, |c| c.on_complete(&call(0, 2, 70_000))).is_none());
         let ev = fired(&mut core, |c| c.on_complete(&call(0, 3, 10))).expect("closed bucket 2");
@@ -1067,7 +966,7 @@ mod tests {
 
     #[test]
     fn integrity_burn_fires_on_the_first_loss() {
-        let mut core = ObsCore::new();
+        let mut core = ObsCore::default();
         let t = SimTime::from_mins(9);
         let ev = fired(&mut core, |c| c.on_integrity(1, Some(4), t, 1, 0)).expect("offlining");
         assert_eq!(ev.rule, HealthRuleKind::IntegrityBurn);
@@ -1080,14 +979,14 @@ mod tests {
             fired(&mut core, |c| c.on_integrity(1, None, t, 0, 0)).is_none(),
             "no loss"
         );
-        let p = core.servers[&1].get(9).unwrap();
-        assert_eq!(p.offlined, 2);
+        let p = &core.servers[&1].points[&9];
+        assert_eq!(p.counts.offlined, 2);
     }
 
     #[test]
     fn merged_summary_is_commutative_across_cluster_order() {
-        let mut a = ObsCore::new();
-        let mut b = ObsCore::new();
+        let mut a = ObsCore::default();
+        let mut b = ObsCore::default();
         let t = SimTime::from_mins(1);
         a.on_complete(&call(0, 1, 500));
         b.on_complete(&call(0, 1, 900));
@@ -1101,14 +1000,14 @@ mod tests {
         ba.merge_cluster(1, &b);
         ba.merge_cluster(0, &a);
         assert_eq!(ab.render_jsonl(&[]), ba.render_jsonl(&[]));
-        let p = ab.servers[&0].get(1).unwrap();
-        assert_eq!(p.calls, 2);
-        assert_eq!(p.queue_peak, 5);
+        let p = &ab.servers[&0].points[&1];
+        assert_eq!(p.counts.calls, 2);
+        assert_eq!(p.counts.queue_peak, 5);
     }
 
     #[test]
     fn every_line_kind_round_trips_exactly() {
-        let mut core = ObsCore::new();
+        let mut core = ObsCore::default();
         core.on_complete(&call(0, 2, 70_000));
         core.on_complete(&call(0, 3, 10));
         core.on_timeout(0, None, SimTime::from_mins(2));

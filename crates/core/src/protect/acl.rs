@@ -131,12 +131,6 @@ impl AccessList {
         Self::upsert(&mut self.negative, who, rights);
     }
 
-    /// Removes all entries (positive and negative) for a principal.
-    pub fn drop_principal(&mut self, who: &str) {
-        Self::upsert(&mut self.positive, who, Rights::NONE);
-        Self::upsert(&mut self.negative, who, Rights::NONE);
-    }
-
     /// The positive rights entry for a principal, if any.
     pub fn positive_for(&self, who: &str) -> Option<Rights> {
         self.positive
@@ -300,15 +294,6 @@ mod tests {
         assert_eq!(acl.positive_for("u"), Some(Rights::WRITE));
         acl.grant("u", Rights::NONE);
         assert_eq!(acl.positive_for("u"), None);
-        assert!(acl.is_empty());
-    }
-
-    #[test]
-    fn drop_principal_clears_both_sides() {
-        let mut acl = AccessList::new();
-        acl.grant("u", Rights::READ);
-        acl.deny("u", Rights::WRITE);
-        acl.drop_principal("u");
         assert!(acl.is_empty());
     }
 

@@ -98,7 +98,6 @@ pub struct Server {
     /// carries every pending path for its workstation, otherwise exactly
     /// one.
     break_batching: bool,
-    next_volume_id: u32,
     online: bool,
     /// Incarnation counter, bumped on every crash. Venus compares this to
     /// the epoch it last saw to detect that the server lost its callback
@@ -166,7 +165,6 @@ impl Server {
             traversal,
             pending_breaks: Vec::new(),
             break_batching: false,
-            next_volume_id: id.0 * 10_000,
             online: true,
             epoch: 0,
             replay: HashMap::new(),
@@ -558,13 +556,6 @@ impl Server {
     /// replica together, charging replication time).
     pub fn location_mut(&mut self) -> &mut LocationDb {
         &mut self.location
-    }
-
-    /// Allocates a fresh volume id unique to this server.
-    pub fn alloc_volume_id(&mut self) -> VolumeId {
-        let id = VolumeId(self.next_volume_id);
-        self.next_volume_id += 1;
-        id
     }
 
     /// Installs a volume on this server. The disk checkpoints the image

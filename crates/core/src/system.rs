@@ -128,10 +128,12 @@ impl ItcSystem {
         let (topo, clients) = Topology::build(&config, &domain);
         let pserver = ProtectionServer::new(Arc::clone(&domain), config.clusters);
         let kernel = TimingKernel::new(config.costs.clone(), config.structure, config.encryption);
-        let mut core = EventCore::new(config.seed, config.costs.rpc_timeout, config.clusters);
-        for cluster in &mut core.clusters {
-            cluster.trace.set_enabled(config.tracing);
-        }
+        let core = EventCore::new(
+            config.seed,
+            config.costs.rpc_timeout,
+            config.clusters,
+            config.tracing,
+        );
         let mut sys = ItcSystem {
             topo,
             clients,

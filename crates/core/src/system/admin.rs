@@ -108,6 +108,37 @@ impl ItcSystem {
         id
     }
 
+    /// The custodian of the volume mounted at `mount`.
+    fn custodian(&self, mount: &str) -> Result<ServerId, SystemError> {
+        self.location_of(mount)
+            .ok_or_else(|| SystemError::Volume(format!("no volume at {mount}")))
+    }
+
+    /// The writable volume mounted at `mount` on `owner`.
+    fn writable_at(&self, owner: ServerId, mount: &str) -> Result<VolumeId, SystemError> {
+        self.topo.servers[owner.0 as usize]
+            .volumes()
+            .iter()
+            .find(|v| v.mount() == mount && !v.is_read_only())
+            .map(Volume::id)
+            .ok_or_else(|| SystemError::Volume(format!("no writable volume at {mount}")))
+    }
+
+    /// The longest-mounted writable volume covering `path`, on the path's
+    /// custodian.
+    fn writable_covering(&self, path: &str) -> Result<(ServerId, VolumeId), SystemError> {
+        let owner = self
+            .location_of(path)
+            .ok_or_else(|| SystemError::Volume(format!("no custodian for {path}")))?;
+        self.topo.servers[owner.0 as usize]
+            .volumes()
+            .iter()
+            .filter(|v| v.covers(path) && !v.is_read_only())
+            .max_by_key(|v| v.mount().len())
+            .map(|v| (owner, v.id()))
+            .ok_or_else(|| SystemError::Volume(format!("no volume hosts {path}")))
+    }
+
     /// Creates a volume mounted at `mount` on `server`, creating a stub
     /// directory at the mount point in the enclosing volume (the
     /// prototype's "location database ... represented by stub directories",
@@ -160,18 +191,11 @@ impl ItcSystem {
     /// the change" (Section 3.1); the returned time is when the move
     /// completed.
     pub fn move_volume(&mut self, mount: &str, to: ServerId) -> Result<SimTime, SystemError> {
-        let from = self
-            .location_of(mount)
-            .ok_or_else(|| SystemError::Volume(format!("no volume at {mount}")))?;
+        let from = self.custodian(mount)?;
         if from == to {
             return Ok(self.clock.now());
         }
-        let vid = self.topo.servers[from.0 as usize]
-            .volumes()
-            .iter()
-            .find(|v| v.mount() == mount && !v.is_read_only())
-            .map(Volume::id)
-            .ok_or_else(|| SystemError::Volume(format!("no writable volume at {mount}")))?;
+        let vid = self.writable_at(from, mount)?;
         let vol = self.topo.servers[from.0 as usize]
             .take_volume(vid)
             .expect("found above");
@@ -207,15 +231,8 @@ impl ItcSystem {
         mount: &str,
         sites: &[ServerId],
     ) -> Result<(), SystemError> {
-        let owner = self
-            .location_of(mount)
-            .ok_or_else(|| SystemError::Volume(format!("no volume at {mount}")))?;
-        let src_id = self.topo.servers[owner.0 as usize]
-            .volumes()
-            .iter()
-            .find(|v| v.mount() == mount && !v.is_read_only())
-            .map(Volume::id)
-            .ok_or_else(|| SystemError::Volume(format!("no writable volume at {mount}")))?;
+        let owner = self.custodian(mount)?;
+        let src_id = self.writable_at(owner, mount)?;
 
         for &site in sites {
             if site == owner {
@@ -274,20 +291,8 @@ impl ItcSystem {
             if prefix == "/vice" {
                 continue;
             }
-            let Some(owner) = self.location_of(&prefix) else {
-                return Err(SystemError::Volume(format!("no custodian for {prefix}")));
-            };
+            let (owner, vol) = self.writable_covering(&prefix)?;
             let srv = &mut self.topo.servers[owner.0 as usize];
-            // Find the hosting writable volume.
-            let Some(vol) = srv
-                .volumes()
-                .iter()
-                .filter(|v| v.covers(&prefix) && !v.is_read_only())
-                .max_by_key(|v| v.mount().len())
-                .map(Volume::id)
-            else {
-                return Err(SystemError::Volume(format!("no volume hosts {prefix}")));
-            };
             let v = srv.volume_mut(vol).expect("just found");
             let internal = v.internal_path(&prefix).expect("covers");
             if internal != "/" && !v.fs().exists(internal) {
@@ -317,17 +322,8 @@ impl ItcSystem {
         let (dir, _) = itc_unixfs::dirname_basename(vice_path)
             .map_err(|e| SystemError::Volume(e.to_string()))?;
         self.admin_mkdir_p(&dir)?;
-        let owner = self
-            .location_of(vice_path)
-            .ok_or_else(|| SystemError::Volume(format!("no custodian for {vice_path}")))?;
+        let (owner, vol_id) = self.writable_covering(vice_path)?;
         let srv = &mut self.topo.servers[owner.0 as usize];
-        let vol_id = srv
-            .volumes()
-            .iter()
-            .filter(|v| v.covers(vice_path) && !v.is_read_only())
-            .max_by_key(|v| v.mount().len())
-            .map(Volume::id)
-            .ok_or_else(|| SystemError::Volume(format!("no volume hosts {vice_path}")))?;
         let internal = srv
             .volume_mut(vol_id)
             .expect("just found")
@@ -348,34 +344,22 @@ impl ItcSystem {
 
     /// Sets a quota on the volume mounted at `mount`.
     pub fn set_volume_quota(&mut self, mount: &str, bytes: Option<u64>) -> Result<(), SystemError> {
-        let owner = self
-            .location_of(mount)
-            .ok_or_else(|| SystemError::Volume(format!("no volume at {mount}")))?;
-        let srv = &mut self.topo.servers[owner.0 as usize];
-        let vid = srv
-            .volumes()
-            .iter()
-            .find(|v| v.mount() == mount && !v.is_read_only())
-            .map(Volume::id)
-            .ok_or_else(|| SystemError::Volume(format!("no writable volume at {mount}")))?;
-        srv.admin_apply(vid, JournalOp::SetQuota { bytes })
+        let owner = self.custodian(mount)?;
+        let vid = self.writable_at(owner, mount)?;
+        self.topo.servers[owner.0 as usize]
+            .admin_apply(vid, JournalOp::SetQuota { bytes })
             .map_err(|e| SystemError::Volume(e.to_string()))?;
         Ok(())
     }
 
     /// Takes the volume at `mount` offline or online.
     pub fn set_volume_online(&mut self, mount: &str, online: bool) -> Result<(), SystemError> {
-        let owner = self
-            .location_of(mount)
-            .ok_or_else(|| SystemError::Volume(format!("no volume at {mount}")))?;
-        let srv = &mut self.topo.servers[owner.0 as usize];
-        let vid = srv
-            .volumes()
-            .iter()
-            .find(|v| v.mount() == mount && !v.is_read_only())
-            .map(Volume::id)
-            .ok_or_else(|| SystemError::Volume(format!("no writable volume at {mount}")))?;
-        srv.volume_mut(vid).expect("found").set_online(online);
+        let owner = self.custodian(mount)?;
+        let vid = self.writable_at(owner, mount)?;
+        self.topo.servers[owner.0 as usize]
+            .volume_mut(vid)
+            .expect("found")
+            .set_online(online);
         Ok(())
     }
 
@@ -627,37 +611,26 @@ impl ItcSystem {
     /// the anomaly flight recorder. Observation-only — virtual timing is
     /// bit-identical with tracing on or off.
     pub fn enable_tracing(&mut self) {
-        for cluster in &mut self.core.clusters {
-            cluster.trace.set_enabled(true);
-        }
+        self.core.tracing = true;
     }
 
     /// Turns tracing off. Resident spans, aggregates, and frozen dumps
     /// are kept for inspection.
     pub fn disable_tracing(&mut self) {
-        for cluster in &mut self.core.clusters {
-            cluster.trace.set_enabled(false);
-        }
+        self.core.tracing = false;
     }
 
-    /// Whether tracing is currently recording (the flag is identical
-    /// across clusters).
+    /// Whether tracing is currently recording.
     pub fn tracing_enabled(&self) -> bool {
-        self.core.clusters[0].trace.is_enabled()
+        self.core.tracing
     }
 
     /// Cluster 0's span ring and flight recorder (spans, per-trace lookup,
     /// frozen anomaly dumps). Single-cluster systems have exactly one;
-    /// multi-cluster callers wanting everything use
-    /// [`ItcSystem::cluster_trace_collector`] per cluster or the merged
-    /// renderings below.
+    /// multi-cluster callers wanting everything use the merged renderings
+    /// below.
     pub fn trace_collector(&self) -> &TraceCollector {
         &self.core.clusters[0].trace
-    }
-
-    /// One cluster's span ring and flight recorder.
-    pub fn cluster_trace_collector(&self, cluster: usize) -> &TraceCollector {
-        &self.core.clusters[cluster].trace
     }
 
     /// Lifetime tracing counters (traces minted, spans recorded/evicted,

@@ -35,6 +35,15 @@ pub(crate) struct AttemptParts {
 }
 
 impl SystemTransport<'_> {
+    /// Mints the trace identity of a call issued from `cluster`, or
+    /// [`TraceId::NONE`] while tracing is off.
+    pub(crate) fn mint_trace(&mut self, cluster: usize) -> TraceId {
+        if !self.tracing {
+            return TraceId::NONE;
+        }
+        self.cores.get_mut(cluster).trace.mint()
+    }
+
     /// Records one span of the in-flight call into the *caller's* cluster
     /// collector (where the whole chain of this call lives). `trace` is
     /// the identity the hop actually saw: the minted one client-side, the
@@ -193,8 +202,10 @@ impl SystemTransport<'_> {
     ) {
         let srv = Some(server.0);
         self.life_span(cluster, SpanClass::CallAbort, at, srv, Some(ws.0), None);
-        let recorder = &mut self.cores.get_mut(cluster).trace;
-        recorder.freeze(AnomalyReason::Unreachable, at, srv, None, TraceId::NONE);
+        if self.tracing {
+            let recorder = &mut self.cores.get_mut(cluster).trace;
+            recorder.freeze(AnomalyReason::Unreachable, at, srv, None, TraceId::NONE);
+        }
     }
 
     /// The in-flight call gave up (`Unreachable` or `TimedOut`): the
@@ -206,8 +217,10 @@ impl SystemTransport<'_> {
         at: SimTime,
     ) {
         self.call_span(call.trace, call, SpanClass::CallAbort, at, None);
-        let recorder = &mut self.cores.get_mut(call.cluster).trace;
-        recorder.freeze(why, at, Some(call.server.0), call.volume, call.trace);
+        if self.tracing {
+            let recorder = &mut self.cores.get_mut(call.cluster).trace;
+            recorder.freeze(why, at, Some(call.server.0), call.volume, call.trace);
+        }
     }
 
     /// A genuine retransmission-timer expiry (not a stood-down stale

@@ -753,9 +753,6 @@ impl ItcSystem {
             core,
             ..
         } = self;
-        // The flag is identical across clusters; copied out so the
-        // transport never needs cluster 0 just to branch on it.
-        let tracing = core.clusters[0].trace.is_enabled();
         WsOps {
             transport: SystemTransport {
                 servers: Parts::Whole(&mut topo.servers),
@@ -771,7 +768,7 @@ impl ItcSystem {
                 plan_gen: core.plan_gen,
                 scrub_interval: core.scrub_interval,
                 scrub_gen: core.scrub_gen,
-                tracing,
+                tracing: core.tracing,
             },
             venuses: Venuses::Whole(clients),
             node_to_ws: &topo.node_to_ws,

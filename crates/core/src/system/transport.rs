@@ -175,8 +175,8 @@ pub(crate) struct ClusterCore {
     /// already fired are simply skipped).
     pub break_ids: Vec<EventId>,
     /// The span ring and anomaly flight recorder for activity anchored at
-    /// this cluster. Disabled by default: minting returns
-    /// [`TraceId::NONE`] and recording is one branch.
+    /// this cluster. It holds no switch of its own: only the hooks of
+    /// `observe.rs`, behind [`EventCore::tracing`], mint or record into it.
     pub trace: TraceCollector,
     /// Latency-attribution aggregates over completed traced calls issued
     /// from this cluster.
@@ -213,7 +213,7 @@ impl ClusterCore {
             break_ids: Vec::new(),
             trace,
             attr: AttributionAgg::new(),
-            obs: ObsCore::new(),
+            obs: ObsCore::default(),
         }
     }
 }
@@ -235,18 +235,23 @@ pub(crate) struct EventCore {
     /// Bumped whenever scrubbing is enabled or disabled; scrub events from
     /// an earlier generation are recognized as stale and ignored.
     pub scrub_gen: u64,
+    /// The tracing switch: while off, no trace is minted and no span,
+    /// dump, attribution record or series sample is taken.
+    pub tracing: bool,
 }
 
 impl EventCore {
     /// Fresh machinery for a system seeded with `seed`, whose default
-    /// retry timeout is `rpc_timeout`, with one core per cluster.
-    pub fn new(seed: u64, rpc_timeout: SimTime, n_clusters: u32) -> EventCore {
+    /// retry timeout is `rpc_timeout`, with one core per cluster and
+    /// tracing set to `tracing`.
+    pub fn new(seed: u64, rpc_timeout: SimTime, n_clusters: u32, tracing: bool) -> EventCore {
         EventCore {
             clusters: (0..n_clusters).map(|c| ClusterCore::new(seed, c)).collect(),
             retry: RetryPolicy::standard(rpc_timeout),
             plan_gen: 0,
             scrub_interval: None,
             scrub_gen: 0,
+            tracing,
         }
     }
 
@@ -442,8 +447,8 @@ pub(crate) struct SystemTransport<'a> {
     pub scrub_interval: Option<SimTime>,
     /// Copy of the scrub generation (stable during a run).
     pub scrub_gen: u64,
-    /// Copy of the tracing flag (identical across clusters; kept here so
-    /// the branch never needs cluster 0, which a mask may exclude).
+    /// Copy of [`EventCore::tracing`] (stable during a run; tracing is
+    /// toggled only between runs).
     pub tracing: bool,
 }
 
@@ -869,11 +874,12 @@ impl ViceTransport for SystemTransport<'_> {
         // retry of this logical call carries the same token, so a mutation
         // whose *reply* was lost is answered from the server's replay
         // cache on retry instead of being applied twice.
-        let (token, trace) = {
+        let token = {
             let cl = self.cores.get_mut(cc);
             cl.next_token += 1;
-            (cl.next_token, cl.trace.mint())
+            cl.next_token
         };
+        let trace = self.mint_trace(cc);
         let msg = encode_request(req);
         let framed = frame_call(token, trace.0, &msg.head);
         let volume = self.traced_volume(sid, req.path());

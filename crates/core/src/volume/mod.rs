@@ -120,13 +120,6 @@ impl Volume {
         &self.mount
     }
 
-    /// Remounts the volume at a new root — "a complete subtree of files
-    /// whose root may be arbitrarily relocated in the Vice name space".
-    pub fn relocate(&mut self, new_mount: &str) {
-        assert!(new_mount.starts_with('/'));
-        self.mount = new_mount.trim_end_matches('/').to_string();
-    }
-
     /// True when this volume is a frozen clone or read-only replica.
     pub fn is_read_only(&self) -> bool {
         self.read_only
@@ -349,19 +342,6 @@ impl Volume {
             clone_serial: 0,
             merkle: self.merkle.clone(),
         }
-    }
-
-    /// Replaces this read-only volume's contents with a fresh clone of
-    /// `source` — the atomic "orderly release of new system software"
-    /// (Section 3.2). Panics if called on a read-write volume.
-    pub fn refresh_from(&mut self, source: &Volume) {
-        assert!(
-            self.read_only,
-            "refresh_from is only for read-only replicas"
-        );
-        self.fs = source.fs.clone();
-        self.acls = source.acls.clone();
-        self.merkle = source.merkle.clone();
     }
 
     // ----------------------------------------------------------------
@@ -754,9 +734,6 @@ mod tests {
         // Source keeps evolving; the clone is frozen.
         v.store("/rel.txt", 1, 7, b"v2".to_vec()).unwrap();
         assert_eq!(clone.fs().read("/rel.txt").unwrap(), b"v1");
-        // Refresh = atomic release of the new version.
-        clone.refresh_from(&v);
-        assert_eq!(clone.fs().read("/rel.txt").unwrap(), b"v2");
     }
 
     #[test]
@@ -772,16 +749,6 @@ mod tests {
         assert!(matches!(v.acl_for("/a"), Err(VolumeError::Offline)));
         v.set_online(true);
         assert_eq!(v.fs_read().unwrap().read("/a").unwrap(), b"x");
-    }
-
-    #[test]
-    fn relocation_moves_the_mount() {
-        let mut v = vol();
-        v.store("/a", 1, 5, b"x".to_vec()).unwrap();
-        v.relocate("/vice/usr/satyanarayanan");
-        assert!(v.covers("/vice/usr/satyanarayanan/a"));
-        assert!(!v.covers("/vice/usr/satya/a"));
-        assert_eq!(v.internal_path("/vice/usr/satyanarayanan/a").unwrap(), "/a");
     }
 
     #[test]

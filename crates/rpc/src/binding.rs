@@ -62,10 +62,6 @@ pub struct Binding {
     server_chan: SecureChannel,
 }
 
-/// Number of messages exchanged by the handshake (used by the timing
-/// kernel to charge connection setup).
-pub const HANDSHAKE_MESSAGES: u32 = 3;
-
 /// Runs the full mutual authentication handshake and returns an established
 /// binding.
 ///

@@ -12,7 +12,7 @@
 //! Tracing is **observation-only** by construction. Nothing in this
 //! module draws from a [`crate::SimRng`], schedules a calendar event, or
 //! advances a clock: a span records virtual timestamps the simulation
-//! already computed. Runs with tracing enabled and disabled are therefore
+//! already computed. Runs with tracing on and off are therefore
 //! bit-identical in every virtual-time observable — an invariant the
 //! golden-timings suite pins.
 //!
@@ -33,7 +33,7 @@ use std::fmt;
 ///
 /// Ids are minted sequentially starting at 1; 0 is reserved as "untraced"
 /// so a frame carrying trace id 0 marks a call issued while tracing was
-/// disabled. A collector owned by cluster `c` tags its ids with `c` in the
+/// off. A collector owned by cluster `c` tags its ids with `c` in the
 /// top 16 bits ([`TraceCollector::set_cluster`]), so ids stay globally
 /// unique across per-cluster collectors while cluster 0 — and therefore
 /// every single-cluster system — keeps the historical 1, 2, 3… sequence.
@@ -359,13 +359,11 @@ pub const DEFAULT_FREEZE_WINDOW: usize = 64;
 
 /// The bounded span ring plus the anomaly flight recorder.
 ///
-/// The collector starts disabled: [`TraceCollector::mint`] returns
-/// [`TraceId::NONE`] and [`TraceCollector::record`] is a single branch.
-/// That disabled path is the "near-zero cost" configuration — no spans
-/// are allocated, no ring is touched.
+/// The collector has no on/off state: its owner decides whether to mint,
+/// record or freeze at all. While the owner's switch is off nothing reaches
+/// the collector — no spans are allocated, no ring is touched.
 #[derive(Debug)]
 pub struct TraceCollector {
-    enabled: bool,
     capacity: usize,
     freeze_window: usize,
     ring: VecDeque<Span>,
@@ -387,13 +385,13 @@ impl Default for TraceCollector {
 }
 
 impl TraceCollector {
-    /// Creates a disabled collector with default bounds.
+    /// Creates a collector with default bounds.
     pub fn new() -> TraceCollector {
         TraceCollector::with_bounds(DEFAULT_SPAN_CAPACITY, DEFAULT_FREEZE_WINDOW)
     }
 
-    /// Creates a disabled collector with explicit ring capacity and
-    /// freeze-window size.
+    /// Creates a collector with explicit ring capacity and freeze-window
+    /// size.
     pub fn with_bounds(capacity: usize, freeze_window: usize) -> TraceCollector {
         assert!(capacity > 0, "span ring needs capacity");
         assert!(
@@ -401,7 +399,6 @@ impl TraceCollector {
             "freeze window must hold at least one span"
         );
         TraceCollector {
-            enabled: false,
             capacity,
             freeze_window,
             ring: VecDeque::new(),
@@ -414,17 +411,6 @@ impl TraceCollector {
         }
     }
 
-    /// Turns recording on or off. Disabling does not clear existing spans
-    /// or dumps.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether the collector is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Marks this collector as cluster `cluster`'s: subsequently minted
     /// ids carry the cluster in their top 16 bits. Cluster 0 (the only
     /// cluster of a single-cluster system) mints unchanged ids.
@@ -432,11 +418,8 @@ impl TraceCollector {
         self.trace_base = u64::from(cluster) << 48;
     }
 
-    /// Mints the next [`TraceId`], or [`TraceId::NONE`] when disabled.
+    /// Mints the next [`TraceId`].
     pub fn mint(&mut self) -> TraceId {
-        if !self.enabled {
-            return TraceId::NONE;
-        }
         self.next_trace += 1;
         self.next_seq = 0;
         self.stats.traces += 1;
@@ -451,11 +434,8 @@ impl TraceCollector {
     }
 
     /// Records one span into the ring, evicting the oldest beyond
-    /// capacity. A no-op while disabled.
+    /// capacity.
     pub fn record(&mut self, span: Span) {
-        if !self.enabled {
-            return;
-        }
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.stats.evicted += 1;
@@ -476,7 +456,7 @@ impl TraceCollector {
 
     /// Freezes the most recent `freeze_window` resident spans touching
     /// `server` or `volume` (or belonging to `trace`) into an anomaly
-    /// dump. A no-op while disabled.
+    /// dump.
     pub fn freeze(
         &mut self,
         reason: AnomalyReason,
@@ -485,9 +465,6 @@ impl TraceCollector {
         volume: Option<u32>,
         trace: TraceId,
     ) {
-        if !self.enabled {
-            return;
-        }
         let mut picked: Vec<Span> = self
             .ring
             .iter()
@@ -526,7 +503,7 @@ impl TraceCollector {
         percent: u8,
         at: SimTime,
     ) {
-        if !self.enabled || !self.seen_peaks.insert((server, resource_tag, bucket)) {
+        if !self.seen_peaks.insert((server, resource_tag, bucket)) {
             return;
         }
         // One sustained saturation episode can span a bucket edge: the
@@ -582,26 +559,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_mints_none_and_records_nothing() {
-        let mut c = TraceCollector::new();
-        assert_eq!(c.mint(), TraceId::NONE);
-        c.record(span(1, 0, SpanClass::AttemptSend, 0));
-        c.freeze(
-            AnomalyReason::TimedOut,
-            SimTime::ZERO,
-            Some(0),
-            None,
-            TraceId(1),
-        );
-        assert_eq!(c.spans().count(), 0);
-        assert!(c.dumps().is_empty());
-        assert_eq!(c.stats(), TraceStats::default());
-    }
-
-    #[test]
     fn ring_is_bounded_and_evicts_oldest() {
         let mut c = TraceCollector::with_bounds(3, 2);
-        c.set_enabled(true);
         for i in 0..5 {
             c.record(span(1, i, SpanClass::AttemptSend, 0));
         }
@@ -614,7 +573,6 @@ mod tests {
     #[test]
     fn freeze_picks_spans_touching_the_implicated_server() {
         let mut c = TraceCollector::with_bounds(16, 8);
-        c.set_enabled(true);
         c.record(span(1, 0, SpanClass::AttemptSend, 0));
         c.record(span(2, 0, SpanClass::AttemptSend, 1));
         c.record(span(2, 1, SpanClass::TimeoutFire, 1));
@@ -636,7 +594,6 @@ mod tests {
     #[test]
     fn peak_reports_fire_once_per_episode() {
         let mut c = TraceCollector::new();
-        c.set_enabled(true);
         c.record(span(1, 0, SpanClass::ServiceDispatch, 0));
         // Re-observations of the same bucket and the adjacent bucket of the
         // same episode stay silent; only the episode's first bucket fires.
@@ -654,7 +611,6 @@ mod tests {
     #[test]
     fn peak_spanning_a_bucket_edge_reports_once_but_a_gap_restarts() {
         let mut c = TraceCollector::new();
-        c.set_enabled(true);
         c.record(span(1, 0, SpanClass::ServiceDispatch, 0));
         // A three-bucket episode: each continuation bucket is suppressed
         // even though the middle report arrives via the previous-bucket
@@ -675,7 +631,6 @@ mod tests {
     #[test]
     fn mint_resets_hop_sequence() {
         let mut c = TraceCollector::new();
-        c.set_enabled(true);
         let t1 = c.mint();
         assert_eq!(t1, TraceId(1));
         assert_eq!(c.next_seq(), 0);

@@ -1,7 +1,7 @@
 //! The file system proper: an inode table plus the operations over it.
 
 use crate::error::FsError;
-use crate::inode::{FileType, Ino, Inode, InodeAttr, Mode, NodeData};
+use crate::inode::{Ino, Inode, InodeAttr, Mode, NodeData};
 use crate::path::{components, is_within, normalize};
 use crate::payload::Payload;
 use std::collections::HashMap;
@@ -64,11 +64,6 @@ impl FileSystem {
     /// Total bytes of regular-file data stored.
     pub fn data_bytes(&self) -> u64 {
         self.data_bytes
-    }
-
-    /// Number of inodes (files + directories + symlinks, including root).
-    pub fn inode_count(&self) -> usize {
-        self.inodes.len()
     }
 
     fn alloc_ino(&mut self) -> Ino {
@@ -581,99 +576,6 @@ impl FileSystem {
         }
         Ok(())
     }
-
-    // ------------------------------------------------------------------
-    // Subtree utilities (used by the volume layer)
-    // ------------------------------------------------------------------
-
-    /// Walks the subtree at `path`, calling `visit(path, attr)` for every
-    /// inode in it (including `path` itself), in depth-first name order.
-    pub fn walk<F: FnMut(&str, &InodeAttr)>(
-        &self,
-        path: &str,
-        visit: &mut F,
-    ) -> Result<(), FsError> {
-        let norm = normalize(path)?;
-        let r = self.resolve(&norm, true)?;
-        let node = self.node(r.ino);
-        visit(&norm, &node.attr);
-        if let Some(entries) = node.as_dir() {
-            for name in entries.keys() {
-                self.walk(&format!("{}{name}", slashed(&norm)), visit)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Total regular-file bytes under `path`.
-    pub fn subtree_bytes(&self, path: &str) -> Result<u64, FsError> {
-        let mut total = 0u64;
-        self.walk(path, &mut |_, attr| {
-            if attr.ftype == FileType::Regular {
-                total += attr.size;
-            }
-        })?;
-        Ok(total)
-    }
-
-    /// Number of inodes under `path` (inclusive).
-    pub fn subtree_count(&self, path: &str) -> Result<u64, FsError> {
-        let mut n = 0u64;
-        self.walk(path, &mut |_, _| n += 1)?;
-        Ok(n)
-    }
-
-    /// Copies the subtree rooted at `src` in `src_fs` to `dst` in `self`
-    /// (which must not exist). Used for volume moves and clones.
-    pub fn graft(
-        &mut self,
-        src_fs: &FileSystem,
-        src: &str,
-        dst: &str,
-        now: u64,
-    ) -> Result<(), FsError> {
-        let src_norm = normalize(src)?;
-        let r = src_fs.resolve(&src_norm, false)?;
-        let node = src_fs.node(r.ino);
-        match &node.data {
-            NodeData::Directory(entries) => {
-                self.mkdir(dst, node.attr.mode, node.attr.uid, now)?;
-                for name in entries.keys() {
-                    let s = format!("{}{name}", slashed(&src_norm));
-                    let d = format!("{}{name}", slashed(&normalize(dst)?));
-                    self.graft(src_fs, &s, &d, now)?;
-                }
-            }
-            NodeData::Regular(data) => {
-                self.create(dst, node.attr.mode, node.attr.uid, now, data.clone())?;
-                // Preserve the version so validation survives the move.
-                let ino = self.resolve(dst, false)?.ino;
-                let dst_node = self.node_mut(ino);
-                dst_node.attr.version = node.attr.version;
-                dst_node.attr.mtime = node.attr.mtime;
-            }
-            NodeData::Symlink(target) => {
-                self.symlink(dst, target, node.attr.uid, now)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes the subtree at `path` entirely.
-    pub fn remove_subtree(&mut self, path: &str, now: u64) -> Result<(), FsError> {
-        let norm = normalize(path)?;
-        let r = self.resolve(&norm, false)?;
-        if self.node(r.ino).as_dir().is_some() {
-            // Children go in name order; each removal leaves the next first.
-            while let Some(name) = self.node(r.ino).as_dir().and_then(|d| d.keys().next()) {
-                let child = format!("{}{name}", slashed(&norm));
-                self.remove_subtree(&child, now)?;
-            }
-            self.rmdir(&norm, now)
-        } else {
-            self.unlink(&norm, now)
-        }
-    }
 }
 
 /// Whether a failed walk names the path it stopped at ([`FileSystem::resolve`])
@@ -691,19 +593,20 @@ impl Named {
     }
 }
 
-fn slashed(p: &str) -> String {
-    if p == "/" {
-        "/".to_string()
-    } else {
-        format!("{p}/")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inode::FileType;
     use crate::path::{dirname_basename, join};
     use itc_sim::SimRng;
+
+    fn slashed(p: &str) -> String {
+        if p == "/" {
+            "/".to_string()
+        } else {
+            format!("{p}/")
+        }
+    }
 
     /// The resolver this file had before the borrowed walk: a reversed
     /// work-list of owned components and a `cur_path` rebuilt per directory.
@@ -1016,43 +919,6 @@ mod tests {
         fs.rename("/usr/satya/paper.tex", "/usr/satya/paper.tex", 9)
             .unwrap();
         assert!(fs.exists("/usr/satya/paper.tex"));
-    }
-
-    #[test]
-    fn walk_and_subtree_accounting() {
-        let fs = fixture();
-        let mut seen = Vec::new();
-        fs.walk("/usr", &mut |p, _| seen.push(p.to_string()))
-            .unwrap();
-        assert_eq!(seen, vec!["/usr", "/usr/satya", "/usr/satya/paper.tex"]);
-        assert_eq!(fs.subtree_count("/usr").unwrap(), 3);
-        assert_eq!(fs.subtree_bytes("/usr").unwrap(), 38);
-    }
-
-    #[test]
-    fn graft_copies_subtree_preserving_versions() {
-        let mut src = fixture();
-        src.write("/usr/satya/paper.tex", 100, 9, b"rev".to_vec())
-            .unwrap();
-        src.symlink("/usr/satya/link", "paper.tex", 100, 9).unwrap();
-        let v = src.stat("/usr/satya/paper.tex").unwrap().version;
-
-        let mut dst = FileSystem::new();
-        dst.graft(&src, "/usr/satya", "/satya", 50).unwrap();
-        assert_eq!(dst.read("/satya/paper.tex").unwrap(), b"rev");
-        assert_eq!(dst.stat("/satya/paper.tex").unwrap().version, v);
-        assert_eq!(dst.readlink("/satya/link").unwrap(), "paper.tex");
-    }
-
-    #[test]
-    fn remove_subtree_clears_everything() {
-        let mut fs = fixture();
-        fs.create("/usr/satya/b.txt", Mode::FILE_DEFAULT, 0, 4, vec![1, 2, 3])
-            .unwrap();
-        fs.remove_subtree("/usr", 9).unwrap();
-        assert!(!fs.exists("/usr"));
-        assert_eq!(fs.data_bytes(), 0);
-        assert_eq!(fs.inode_count(), 1); // just root
     }
 
     #[test]

@@ -33,21 +33,6 @@ impl Mode {
     pub const DIR_DEFAULT: Mode = Mode(0o755);
     /// rw-r--r--
     pub const FILE_DEFAULT: Mode = Mode(0o644);
-
-    /// Owner-read bit set?
-    pub fn owner_can_read(self) -> bool {
-        self.0 & 0o400 != 0
-    }
-
-    /// Owner-write bit set?
-    pub fn owner_can_write(self) -> bool {
-        self.0 & 0o200 != 0
-    }
-
-    /// Owner-execute bit set?
-    pub fn owner_can_exec(self) -> bool {
-        self.0 & 0o100 != 0
-    }
 }
 
 /// Externally visible attributes of a file — what `stat(2)` returns, and
@@ -176,15 +161,6 @@ impl Inode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_bits() {
-        assert!(Mode(0o644).owner_can_read());
-        assert!(Mode(0o644).owner_can_write());
-        assert!(!Mode(0o644).owner_can_exec());
-        assert!(Mode(0o755).owner_can_exec());
-        assert!(!Mode(0o000).owner_can_read());
-    }
 
     #[test]
     fn constructors_set_types() {

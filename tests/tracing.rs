@@ -17,7 +17,7 @@
 use itc_afs::core::config::SystemConfig;
 use itc_afs::core::proto::ServerId;
 use itc_afs::core::system::ItcSystem;
-use itc_afs::sim::{AnomalyReason, FaultPlan, SimTime, SpanClass, TraceId};
+use itc_afs::sim::{AnomalyReason, FaultPlan, SimTime, SpanClass, TraceId, TraceStats};
 use itc_workload::day::{run_day, DayConfig};
 use std::fmt::Write as _;
 
@@ -182,18 +182,10 @@ fn faulty_system(seed: u64, tracing: bool) -> ItcSystem {
     sys
 }
 
-// ---------------------------------------------------------------------
-// 2. Exact component decomposition
-// ---------------------------------------------------------------------
-
-/// Every completed call's components — retry waste, request network,
-/// CPU/disk queueing and service, reply network, injected fault delay —
-/// sum exactly (integer microseconds, no epsilon) to its end-to-end
-/// virtual latency.
-#[test]
-fn span_components_sum_exactly_to_end_to_end_latency() {
-    let mut sys = faulty_system(2026, true);
-    for round in 0..6usize {
+/// Rounds of cross-volume fetches, stats and stores by every workstation
+/// of a [`faulty_system`], outcomes ignored.
+fn faulty_rounds(sys: &mut ItcSystem, rounds: std::ops::Range<usize>) {
+    for round in rounds {
         for i in 0..4usize {
             let far = format!("/vice/usr/u{}/data", (i + 1) % 4);
             let _ = sys.ops().fetch(i, &far);
@@ -205,6 +197,47 @@ fn span_components_sum_exactly_to_end_to_end_latency() {
             );
         }
     }
+}
+
+/// The switch is the system's, not the collector's: with tracing off, a
+/// faulty run — retries, timeouts and calls aborting unbound against the
+/// crashed server — mints, records, freezes and attributes nothing, and
+/// switching it off mid-run leaves the counters where they stand.
+#[test]
+fn tracing_off_records_nothing_even_when_calls_abort() {
+    let mut on = faulty_system(2026, true);
+    faulty_rounds(&mut on, 0..6);
+    let dumps = on.render_anomaly_dumps();
+    assert!(
+        dumps.iter().any(|(name, _)| name.contains("-unreachable-")),
+        "the workload must abort calls unbound while server 1 is down"
+    );
+
+    let mut off = faulty_system(2026, false);
+    faulty_rounds(&mut off, 0..6);
+    assert_eq!(off.trace_stats(), TraceStats::default());
+    assert!(off.render_anomaly_dumps().is_empty());
+    assert_eq!(off.attribution().recent().count(), 0);
+
+    let before = on.trace_stats();
+    on.disable_tracing();
+    faulty_rounds(&mut on, 6..9);
+    assert_eq!(on.trace_stats(), before);
+    assert_eq!(on.render_anomaly_dumps(), dumps);
+}
+
+// ---------------------------------------------------------------------
+// 2. Exact component decomposition
+// ---------------------------------------------------------------------
+
+/// Every completed call's components — retry waste, request network,
+/// CPU/disk queueing and service, reply network, injected fault delay —
+/// sum exactly (integer microseconds, no epsilon) to its end-to-end
+/// virtual latency.
+#[test]
+fn span_components_sum_exactly_to_end_to_end_latency() {
+    let mut sys = faulty_system(2026, true);
+    faulty_rounds(&mut sys, 0..6);
 
     let attr = sys.attribution();
     let mut checked = 0u64;
