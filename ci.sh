@@ -3,6 +3,16 @@
 # dependencies). Run from the repository root.
 set -eu
 
+# The non-test lines of a Rust file, as `FILE:LINE:TEXT`: every line before
+# its first `#[cfg(test)]`, except that a `#[cfg(test)]` directly followed
+# by `mod x;` (an out-of-line test module, as system.rs declares near its
+# top) is skipped instead of ending the scan. Every gate below and the
+# line count read files through this one helper.
+nontest() {
+    awk -v f="$1" 't && /^[ \t]*mod [a-z_]+;$/ {t=0; next} t {exit}
+        /#\[cfg\(test\)\]/ {t=1; next} {print f ":" NR ":" $0}' "$1"
+}
+
 echo "== rustfmt =="
 cargo fmt --check
 
@@ -27,11 +37,8 @@ if grep -n 'return ViceReply::Error' crates/core/src/server/mod.rs \
 fi
 # File contents have one owner type (DESIGN.md §9): Vice's storage layers
 # take and hand back `Payload`, never an owned `Vec<u8>` of file bytes, and
-# copy none on the way (tests, after the first #[cfg(test)], may).
+# copy none on the way (tests may).
 echo "== one owner for file bytes (no copy, Vec<u8> contents or re-hash in Vice storage) =="
-nontest() {
-    awk -v f="$1" '/#\[cfg\(test\)\]/{exit} {print f ":" NR ":" $0}' "$1"
-}
 for f in crates/core/src/server/mod.rs crates/core/src/volume/mod.rs \
     crates/core/src/disk/mod.rs crates/core/src/disk/journal.rs crates/unixfs/src/fs.rs; do
     if nontest "$f" | grep -E 'to_vec\(\)|note_copy\(|data: Vec<u8>'; then
@@ -82,12 +89,9 @@ echo "== one front door (workstation ops defined only on WsOps) =="
 ws_ops='open_read|open_write|read|write|close|fetch|store|stat|readdir|mkdir|mkdir_p|unlink|rmdir'
 ws_ops="$ws_ops|rename|symlink|get_acl|set_acl|lock|unlock|flush_all|flush_workstation|advance_ws"
 ws_ops="$ws_ops|dirty_count|reconnect_backoff"
-# system.rs declares `#[cfg(test)] mod tests;` near its top: skip that
-# pair instead of stopping there, so its whole body is checked.
 for f in crates/core/src/system.rs crates/core/src/system/*.rs; do
     case "$f" in "$sched" | */tests.rs) continue ;; esac
-    if awk -v f="$f" '/#\[cfg\(test\)\]/{t=1; next} t&&/^mod [a-z_]+;$/{t=0; next} t{exit}
-        {print f ":" NR ":" $0}' "$f" | grep -E "pub fn ($ws_ops)[<(]"; then
+    if nontest "$f" | grep -E "pub fn ($ws_ops)[<(]"; then
         echo "ci.sh: a workstation op is defined outside WsOps (see the lines above) — call it through sys.ops()" >&2
         exit 1
     fi
@@ -158,10 +162,26 @@ if nontest crates/core/src/obs.rs | grep -E 'fn threshold_of|fn default_rules|\b
     echo "ci.sh: a second rule table or tracing switch grew back (see the lines above)" >&2
     exit 1
 fi
-# The trajectory: lines before the first #[cfg(test)] of every crates/*/src
-# file (tests.rs excluded), in total and for the call path's five files.
+# The operator has one CLI and the tracer one system-wide read (DESIGN.md
+# §11): `bench trace` is a subcommand, not a second bin; no accessor hands
+# out one cluster's collector and no scrub off-switch grows back; and the
+# RPC crate keeps no synchronous twin of the transport's event chain.
+echo "== one operator CLI, one trace view (no trace bin, cluster-0 collector or synchronous round trip) =="
+if [ -e crates/bench/src/bin/trace.rs ]; then
+    echo "ci.sh: crates/bench/src/bin/trace.rs is back — the tracer is \`bench trace\`" >&2
+    exit 1
+fi
+if find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do nontest "$f"; done \
+        | grep -E 'trace_collector|fn disable_scrub' \
+    || find crates/rpc/src -name '*.rs' | sort | while read -r f; do nontest "$f"; done \
+        | grep -F 'fn round_trip'; then
+    echo "ci.sh: a second way to read the tracer or to run a call grew back (see the lines above)" >&2
+    exit 1
+fi
+# The trajectory: the non-test lines of every crates/*/src file (tests.rs
+# excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
-    echo "$(awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f") $f"
+    echo "$(nontest "$f" | wc -l) $f"
 done | awk '{total += $1}
     $2 ~ /core\/src\/(server\/mod|venus\/mod|system\/(transport|lifecycle|observe))\.rs$/ {print}
     END {print total " non-test lines under crates/*/src"}'

@@ -1,7 +1,7 @@
-//! Argument parsing and file round-trips of the operator bins. What the
-//! bins print is pinned by the library tests (`tests/obs.rs`,
-//! `tests/tracing.rs`); these drive the real executables so the flags
-//! that select it are covered too.
+//! Argument parsing and file round-trips of the `bench` operator CLI. What
+//! it prints is pinned by the library tests (`tests/obs.rs`,
+//! `tests/tracing.rs`); these drive the real executable so the flags that
+//! select it are covered too.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -23,7 +23,6 @@ fn fresh_dir(name: &str) -> PathBuf {
 }
 
 const BENCH: &str = env!("CARGO_BIN_EXE_bench");
-const TRACE: &str = env!("CARGO_BIN_EXE_trace");
 
 #[test]
 fn bench_top_prints_the_console_golden() {
@@ -78,13 +77,23 @@ fn bad_arguments_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown scenario \"nope\""));
     assert_eq!(run(BENCH, &[]).status.code(), Some(2));
-    assert_eq!(run(TRACE, &["--seed", "x"]).status.code(), Some(2));
+    assert_eq!(run(BENCH, &["trace", "--seed", "x"]).status.code(), Some(2));
+}
+
+/// The demo's slowest call was issued from cluster 1: its span tree comes
+/// from that cluster's collector, not an empty lookup in cluster 0's.
+#[test]
+fn bench_trace_prints_the_slowest_calls_span_tree() {
+    let out = stdout_of(BENCH, &["trace"]);
+    assert!(out.contains("slowest completed call: trace "), "{out}");
+    assert!(!out.contains("no resident spans"), "{out}");
+    assert!(out.contains("attempt_send"), "{out}");
 }
 
 #[test]
 fn trace_export_writes_dumps_that_trace_re_renders() {
     let dir = fresh_dir("cli_trace_export");
-    let wrote = stdout_of(TRACE, &["--export", dir.to_str().unwrap()]);
+    let wrote = stdout_of(BENCH, &["trace", "--export", dir.to_str().unwrap()]);
     let dumps: Vec<&str> = wrote
         .lines()
         .filter_map(|l| l.strip_prefix("wrote "))
@@ -96,7 +105,7 @@ fn trace_export_writes_dumps_that_trace_re_renders() {
         dir.display()
     )));
     for dump in &dumps {
-        let rendered = stdout_of(TRACE, &[dump]);
+        let rendered = stdout_of(BENCH, &["trace", dump]);
         assert!(rendered.starts_with("anomaly "), "{dump}: {rendered}");
         assert!(rendered.contains("frozen spans)"), "{dump}: {rendered}");
     }
@@ -117,7 +126,7 @@ fn trace_export_writes_dumps_that_trace_re_renders() {
     ] {
         let file = dir.join(name);
         std::fs::write(&file, damaged).unwrap();
-        let out = run(TRACE, &[file.to_str().unwrap()]);
+        let out = run(BENCH, &["trace", file.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(1), "{out:?}");
         assert!(out.stdout.is_empty(), "{out:?}");
         let expected = format!("{}:{line}: unparseable record", file.display());

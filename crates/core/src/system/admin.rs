@@ -4,8 +4,8 @@
 //! file system interface.
 
 use crate::disk::{
-    CorruptionEvent, CorruptionOutcome, FlipRegion, IntegrityCounters, JournalOp, JournalStats,
-    SalvageReport, ScrubStats, SyncPolicy,
+    CorruptionOutcome, FlipRegion, IntegrityCounters, JournalOp, JournalStats, SalvageReport,
+    ScrubStats, SyncPolicy,
 };
 use crate::metrics::{merge_cache, merge_venus, ServerMetrics, SystemMetrics};
 use crate::monitor::TrafficMonitor;
@@ -14,8 +14,8 @@ use crate::proto::{Payload, ServerId};
 use crate::system::{ItcSystem, SystemError};
 use crate::trace::{dump_file_name, render_dump, AttributionAgg};
 use crate::volume::{Volume, VolumeId};
-use itc_rpc::{CallStats, RetryPolicy};
-use itc_sim::{EventStats, FaultPlan, FaultStats, SimTime, TraceCollector, TraceStats};
+use itc_rpc::CallStats;
+use itc_sim::{AnomalyDump, EventStats, FaultPlan, FaultStats, SimTime, Span, TraceId, TraceStats};
 
 impl ItcSystem {
     // ------------------------------------------------------------------
@@ -386,14 +386,6 @@ impl ItcSystem {
         self.core.fault_stats()
     }
 
-    /// Whether any fault plan is currently installed. Parallel drivers
-    /// consult this to widen their op masks to every cluster — crash and
-    /// break schedules make cross-cluster interactions unpredictable, so
-    /// faulted runs serialize (and stay bit-identical).
-    pub fn faults_installed(&self) -> bool {
-        self.core.any_faults()
-    }
-
     /// Whether the installed plan couples clusters (message faults,
     /// scripted outcomes, crashes, or restarts). Corruption-only plans do
     /// not — their flips land on the owning cluster's own calendar — so a
@@ -417,21 +409,9 @@ impl ItcSystem {
         self.core.enable_scrub(now, interval);
     }
 
-    /// Turns the background scrubber off; already-scheduled passes become
-    /// stale and are dropped when they fire.
-    pub fn disable_scrub(&mut self) {
-        self.core.disable_scrub();
-    }
-
     /// Running scrubber counters for one server.
     pub fn server_scrub_stats(&self, id: ServerId) -> ScrubStats {
         self.topo.servers[id.0 as usize].scrub_stats()
-    }
-
-    /// A server's corruption ledger: every injected flip with its region,
-    /// detection time, and resolution.
-    pub fn server_corruption_log(&self, id: ServerId) -> &[CorruptionEvent] {
-        self.topo.servers[id.0 as usize].corruption_log()
     }
 
     /// Corruption accounting summed across every server. The end-to-end
@@ -458,21 +438,6 @@ impl ItcSystem {
     /// cancelled, high-water queue depth), summed across every cluster.
     pub fn event_stats(&self) -> EventStats {
         self.core.event_stats()
-    }
-
-    /// Replaces the retry/backoff policy for subsequent calls.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.core.retry = policy;
-    }
-
-    /// The retry/backoff policy in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.core.retry
-    }
-
-    /// Consecutive failed exchanges workstation `ws` has had with `server`.
-    pub fn reconnect_failures(&self, ws: usize, server: ServerId) -> u32 {
-        self.clients[ws].reconnect_failures(server)
     }
 
     /// Crashes a server immediately: it goes offline and loses all
@@ -507,12 +472,6 @@ impl ItcSystem {
         self.topo.servers[id.0 as usize].salvage_reports()
     }
 
-    /// Volumes on `id` still awaiting a salvager pass (offline until it
-    /// runs).
-    pub fn server_salvage_pending(&self, id: ServerId) -> Vec<VolumeId> {
-        self.topo.servers[id.0 as usize].salvage_pending().to_vec()
-    }
-
     /// Journal counters for a server's disk.
     pub fn server_journal_stats(&self, id: ServerId) -> JournalStats {
         self.topo.servers[id.0 as usize].journal_stats()
@@ -524,18 +483,6 @@ impl ItcSystem {
     /// anti-model the crash-consistency suite measures against.
     pub fn set_journal_sync_policy(&mut self, id: ServerId, policy: SyncPolicy) {
         self.topo.servers[id.0 as usize].set_sync_policy(policy);
-    }
-
-    /// Per-incarnation request-queue high-water marks for a server:
-    /// `(epoch, high_water)` for every completed incarnation plus the
-    /// current one (last).
-    pub fn server_queue_history(&self, id: ServerId) -> Vec<(u64, usize)> {
-        self.topo.servers[id.0 as usize].queue_high_water_history()
-    }
-
-    /// A server's restart epoch (bumped by every crash).
-    pub fn server_epoch(&self, id: ServerId) -> u64 {
-        self.topo.servers[id.0 as usize].epoch()
     }
 
     /// Fires any calendar events due at the current virtual time. The
@@ -563,11 +510,6 @@ impl ItcSystem {
         if self.monitor.is_none() {
             self.monitor = Some(TrafficMonitor::new());
         }
-    }
-
-    /// The monitor, if enabled.
-    pub fn monitor(&self) -> Option<&TrafficMonitor> {
-        self.monitor.as_ref()
     }
 
     /// Fraction of monitored calls that crossed a bridge to a custodian in
@@ -625,12 +567,19 @@ impl ItcSystem {
         self.core.tracing
     }
 
-    /// Cluster 0's span ring and flight recorder (spans, per-trace lookup,
-    /// frozen anomaly dumps). Single-cluster systems have exactly one;
-    /// multi-cluster callers wanting everything use the merged renderings
-    /// below.
-    pub fn trace_collector(&self) -> &TraceCollector {
-        &self.core.clusters[0].trace
+    /// The resident spans of one trace, oldest first, read from the
+    /// collector of the cluster that minted it. Empty for an id no cluster
+    /// minted, or whose spans the ring has evicted.
+    pub fn spans_of(&self, trace: TraceId) -> Vec<&Span> {
+        self.core
+            .clusters
+            .get(trace.cluster())
+            .map_or_else(Vec::new, |c| c.trace.spans_of(trace))
+    }
+
+    /// Every frozen anomaly dump, in cluster order.
+    pub fn anomaly_dumps(&self) -> impl Iterator<Item = &AnomalyDump> {
+        self.core.clusters.iter().flat_map(|c| c.trace.dumps())
     }
 
     /// Lifetime tracing counters (traces minted, spans recorded/evicted,
@@ -679,10 +628,7 @@ impl ItcSystem {
     /// cluster order. Dumps contain only virtual-time observables, so the
     /// rendering is byte-identical across same-seed runs.
     pub fn render_anomaly_dumps(&self) -> Vec<(String, String)> {
-        self.core
-            .clusters
-            .iter()
-            .flat_map(|c| c.trace.dumps().iter())
+        self.anomaly_dumps()
             .map(|d| (dump_file_name(d), render_dump(d)))
             .collect()
     }

@@ -63,13 +63,6 @@ impl EventCore {
             );
         }
     }
-
-    /// Turns the background scrubber off; in-flight scrub events become
-    /// stale and are ignored when they fire.
-    pub(crate) fn disable_scrub(&mut self) {
-        self.scrub_gen += 1;
-        self.scrub_interval = None;
-    }
 }
 
 impl SystemTransport<'_> {

@@ -225,15 +225,15 @@ impl ClusterCore {
 pub(crate) struct EventCore {
     /// Per-cluster calendars and streams, indexed by cluster id.
     pub clusters: Vec<ClusterCore>,
-    /// The retry/backoff policy in force (shared; `Copy`).
+    /// The retry/backoff policy (shared; `Copy`).
     pub retry: RetryPolicy,
     /// Bumped each time a plan is installed; lifecycle events from an
     /// earlier plan are recognized as stale and ignored.
     pub plan_gen: u64,
     /// Background-scrubber pass interval; `None` while scrubbing is off.
     pub scrub_interval: Option<SimTime>,
-    /// Bumped whenever scrubbing is enabled or disabled; scrub events from
-    /// an earlier generation are recognized as stale and ignored.
+    /// Bumped whenever scrubbing is enabled; scrub events from an earlier
+    /// cadence are recognized as stale and ignored.
     pub scrub_gen: u64,
     /// The tracing switch: while off, no trace is minted and no span,
     /// dump, attribution record or series sample is taken.
@@ -253,11 +253,6 @@ impl EventCore {
             scrub_gen: 0,
             tracing,
         }
-    }
-
-    /// Whether any cluster currently has a fault shard installed.
-    pub fn any_faults(&self) -> bool {
-        self.clusters.iter().any(|c| c.faults.is_some())
     }
 
     /// Whether any installed shard couples clusters (message faults,
@@ -443,7 +438,7 @@ pub(crate) struct SystemTransport<'a> {
     /// installed only between runs).
     pub plan_gen: u64,
     /// Copy of the scrub interval (stable during a run; the scrubber is
-    /// toggled only between runs).
+    /// enabled only between runs).
     pub scrub_interval: Option<SimTime>,
     /// Copy of the scrub generation (stable during a run).
     pub scrub_gen: u64,

@@ -15,8 +15,8 @@
 //!   distributions, plus the per-kind disk-time ledger that the E3
 //!   disk-utilization decomposition in EXPERIMENTS.md is built from.
 //! * Deterministic JSONL rendering of anomaly dumps ([`render_dump`])
-//!   and the human-facing span-tree / attribution-table renderers the
-//!   `trace` bin uses.
+//!   and the human-facing span-tree / attribution-table renderers that
+//!   `bench trace` prints.
 //!
 //! Everything here is pure observation: no calendar events, no rng
 //! draws, no clock movement.
@@ -150,7 +150,7 @@ impl ComponentTotals {
 }
 
 /// Upper bound on retained per-call breakdowns. Aggregates keep running
-/// forever; the raw per-call ring is what the `trace` bin renders tables
+/// forever; the raw per-call ring is what `bench trace` renders tables
 /// from and is bounded like the span ring.
 pub const RECENT_BREAKDOWNS: usize = 4096;
 
@@ -416,7 +416,7 @@ pub fn render_dump(d: &AnomalyDump) -> String {
 }
 
 /// Parses a [`render_dump`] text back — the inverse the offline
-/// re-renderer (the `trace` bin) applies to exported files. `Err` is the
+/// re-renderer (`bench trace FILE.jsonl`) applies to exported files. `Err` is the
 /// 1-based number of the first line that is not what [`render_dump`]
 /// writes there: a line that does not parse, the end of the text when
 /// span lines (or the last newline) are missing.
@@ -447,7 +447,7 @@ pub fn dump_file_name(d: &AnomalyDump) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Human-facing renderers (the `trace` bin)
+// Human-facing renderers (`bench trace`)
 // ---------------------------------------------------------------------
 
 /// An optional id as the human-facing renderers print it.
@@ -500,7 +500,7 @@ pub fn render_span_tree(trace: TraceId, spans: &[&Span]) -> String {
 
 /// Renders the end-to-end integrity ledger next to the attribution
 /// tables: how every injected flip was resolved, plus the scrubber's
-/// cumulative progress. The `trace` bin prints this so the corruption
+/// cumulative progress. `bench trace` prints this so the corruption
 /// accounting is reachable from the operator tooling, not only from the
 /// disk subsystem's structs.
 pub fn render_integrity_ledger(

@@ -47,5 +47,5 @@ pub use frame::{frame_call, split_frame, take_frame, FRAME_HEADER_LEN};
 pub use net::{ClusterId, Network, NodeId};
 pub use retry::{CallStats, RetryPolicy};
 pub use stats::RpcStats;
-pub use timing::{CallSpec, RoundTrip, TimingKernel};
+pub use timing::{CallSpec, TimingKernel};
 pub use wire::{WireError, WireReader, WireWriter};

@@ -55,17 +55,6 @@ impl CallSpec {
     }
 }
 
-/// Outcome of a timed round trip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundTrip {
-    /// When the reply is fully decrypted at the client.
-    pub completed_at: SimTime,
-    /// When the request reached the server (before CPU queueing).
-    pub request_arrived: SimTime,
-    /// Total elapsed time as seen by the caller.
-    pub elapsed: SimTime,
-}
-
 /// The timing kernel: cost table plus the two structural knobs.
 #[derive(Debug, Clone)]
 pub struct TimingKernel {
@@ -171,33 +160,6 @@ impl TimingKernel {
             + c.crypt_cost(self.encryption, reply_bytes)
     }
 
-    /// Charges a full RPC round trip starting at `t0` from `from` to the
-    /// server at `to` whose CPU and disk are the given resources. This is
-    /// the three legs ([`Self::request_leg`], [`Self::service`],
-    /// [`Self::reply_leg`]) composed synchronously; the event-driven
-    /// transport schedules the same legs as separate events and arrives at
-    /// identical instants.
-    #[allow(clippy::too_many_arguments)] // mirrors the call's real shape
-    pub fn round_trip(
-        &self,
-        net: &Network,
-        from: NodeId,
-        to: NodeId,
-        cpu: &Resource,
-        disk: &Resource,
-        t0: SimTime,
-        spec: &CallSpec,
-    ) -> RoundTrip {
-        let arrived = self.request_leg(net, from, to, t0, spec.request_bytes);
-        let served = self.service(cpu, disk, arrived, spec);
-        let completed = self.reply_leg(net, from, to, served, spec.reply_bytes);
-        RoundTrip {
-            completed_at: completed,
-            request_arrived: arrived,
-            elapsed: completed - t0,
-        }
-    }
-
     /// Charges a one-way message (used for callback breaks, which need no
     /// reply before the server proceeds): returns its arrival time at `to`.
     pub fn one_way(
@@ -263,6 +225,25 @@ mod tests {
         TimingKernel::new(Costs::prototype_1985(), structure, EncryptionMode::Hardware)
     }
 
+    /// The completion instant of one call from `ws` to the server at `srv`
+    /// issued at `t0`: its three legs composed as the transport's events
+    /// chain them.
+    #[allow(clippy::too_many_arguments)] // a call's real shape
+    fn call(
+        k: &TimingKernel,
+        net: &Network,
+        ws: NodeId,
+        srv: NodeId,
+        cpu: &Resource,
+        disk: &Resource,
+        t0: SimTime,
+        spec: &CallSpec,
+    ) -> SimTime {
+        let arrived = k.request_leg(net, ws, srv, t0, spec.request_bytes);
+        let served = k.service(cpu, disk, arrived, spec);
+        k.reply_leg(net, srv, ws, served, spec.reply_bytes)
+    }
+
     #[test]
     fn cross_cluster_calls_are_slower() {
         let (net, ws, local, remote) = setup();
@@ -272,16 +253,15 @@ mod tests {
         let cpu_b = Resource::new("cpu-b");
         let disk_b = Resource::new("disk-b");
         let spec = CallSpec::control("validate", SimTime::from_millis(10));
-        let near = k.round_trip(&net, ws, local, &cpu_a, &disk_a, SimTime::ZERO, &spec);
-        let far = k.round_trip(&net, ws, remote, &cpu_b, &disk_b, SimTime::ZERO, &spec);
-        // Two extra hops each way.
+        let near = call(&k, &net, ws, local, &cpu_a, &disk_a, SimTime::ZERO, &spec);
+        let far = call(&k, &net, ws, remote, &cpu_b, &disk_b, SimTime::ZERO, &spec);
+        // Two extra hops each way (both issued at 0, so the completion
+        // instants are the elapsed times).
         let c = Costs::prototype_1985();
         assert_eq!(
-            far.elapsed - near.elapsed,
+            far - near,
             c.net_latency_per_hop * 4,
-            "near={} far={}",
-            near.elapsed,
-            far.elapsed
+            "near={near} far={far}"
         );
     }
 
@@ -295,16 +275,21 @@ mod tests {
         let proto = kernel(ServerStructure::ProcessPerClient);
         let cpu1 = Resource::new("cpu");
         let disk1 = Resource::new("disk");
-        let t_proto = proto
-            .round_trip(&net, ws, local, &cpu1, &disk1, SimTime::ZERO, &spec)
-            .elapsed;
+        let t_proto = call(&proto, &net, ws, local, &cpu1, &disk1, SimTime::ZERO, &spec);
 
         let revised = kernel(ServerStructure::SingleProcessLwp);
         let cpu2 = Resource::new("cpu");
         let disk2 = Resource::new("disk");
-        let t_rev = revised
-            .round_trip(&net, ws, local, &cpu2, &disk2, SimTime::ZERO, &spec)
-            .elapsed;
+        let t_rev = call(
+            &revised,
+            &net,
+            ws,
+            local,
+            &cpu2,
+            &disk2,
+            SimTime::ZERO,
+            &spec,
+        );
 
         let c = Costs::prototype_1985();
         assert_eq!(
@@ -334,14 +319,10 @@ mod tests {
 
         let cpu1 = Resource::new("cpu");
         let disk1 = Resource::new("disk");
-        let t_sw = sw
-            .round_trip(&net, ws, local, &cpu1, &disk1, SimTime::ZERO, &spec)
-            .elapsed;
+        let t_sw = call(&sw, &net, ws, local, &cpu1, &disk1, SimTime::ZERO, &spec);
         let cpu2 = Resource::new("cpu");
         let disk2 = Resource::new("disk");
-        let t_hw = hw
-            .round_trip(&net, ws, local, &cpu2, &disk2, SimTime::ZERO, &spec)
-            .elapsed;
+        let t_hw = call(&hw, &net, ws, local, &cpu2, &disk2, SimTime::ZERO, &spec);
         // 2 µs/byte over ~2 MiB of end-to-end crypto work is seconds of
         // added latency.
         assert!(t_sw > t_hw + SimTime::from_secs(2), "sw={t_sw} hw={t_hw}");
@@ -355,10 +336,10 @@ mod tests {
         let disk = Resource::new("disk");
         let spec = CallSpec::control("getstatus", SimTime::from_millis(100));
         // Two calls issued at the same instant: the second queues.
-        let r1 = k.round_trip(&net, ws, local, &cpu, &disk, SimTime::ZERO, &spec);
-        let r2 = k.round_trip(&net, ws, local, &cpu, &disk, SimTime::ZERO, &spec);
-        assert!(r2.completed_at > r1.completed_at);
-        let rep = cpu.report(r2.completed_at);
+        let r1 = call(&k, &net, ws, local, &cpu, &disk, SimTime::ZERO, &spec);
+        let r2 = call(&k, &net, ws, local, &cpu, &disk, SimTime::ZERO, &spec);
+        assert!(r2 > r1);
+        let rep = cpu.report(r2);
         assert!(rep.mean_queue_delay > SimTime::ZERO);
     }
 
@@ -369,7 +350,7 @@ mod tests {
         let cpu = Resource::new("cpu");
         let disk = Resource::new("disk");
         let control = CallSpec::control("validate", SimTime::ZERO);
-        k.round_trip(&net, ws, local, &cpu, &disk, SimTime::ZERO, &control);
+        call(&k, &net, ws, local, &cpu, &disk, SimTime::ZERO, &control);
         assert_eq!(disk.busy_total(), SimTime::ZERO);
         let fetch = CallSpec {
             kind: "fetch",
@@ -379,7 +360,16 @@ mod tests {
             disk_bytes: 60_000,
             lock_ipc: false,
         };
-        k.round_trip(&net, ws, local, &cpu, &disk, SimTime::from_secs(1), &fetch);
+        call(
+            &k,
+            &net,
+            ws,
+            local,
+            &cpu,
+            &disk,
+            SimTime::from_secs(1),
+            &fetch,
+        );
         assert_eq!(
             disk.busy_total(),
             Costs::prototype_1985().disk_transfer(60_000)

@@ -48,7 +48,7 @@ pub use fault::{FaultPlan, FaultStats, MessageFault, ScriptedFault};
 pub use resource::{Resource, UtilizationReport};
 pub use rng::SimRng;
 pub use sched::{EventClass, EventId, EventKey, EventStats, Firing, Scheduler};
-pub use stats::{Counter, Percentiles, RunningStats, TimeBuckets};
+pub use stats::{Counter, Percentiles, RunningStats};
 pub use trace::{
     AnomalyDump, AnomalyReason, HealthEvent, HealthRuleKind, Span, SpanClass, TraceCollector,
     TraceId, TraceStats,

@@ -1,7 +1,6 @@
-//! Statistics collected by experiments: counters, percentiles, running
-//! means, and time-bucketed series.
+//! Statistics collected by experiments: counters, percentiles and running
+//! means.
 
-use crate::clock::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -207,48 +206,6 @@ impl RunningStats {
     }
 }
 
-/// A value accumulated per fixed-width virtual-time bucket — used for
-/// plotting load over a simulated day.
-#[derive(Debug, Clone)]
-pub struct TimeBuckets {
-    width: SimTime,
-    buckets: Vec<f64>,
-}
-
-impl TimeBuckets {
-    /// Creates a series with the given bucket width.
-    pub fn new(width: SimTime) -> TimeBuckets {
-        assert!(width > SimTime::ZERO);
-        TimeBuckets {
-            width,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Adds `value` to the bucket containing instant `t`.
-    pub fn add(&mut self, t: SimTime, value: f64) {
-        let idx = (t.as_micros() / self.width.as_micros()) as usize;
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0.0);
-        }
-        self.buckets[idx] += value;
-    }
-
-    /// Iterates `(bucket_start, value)`.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (SimTime::from_micros(i as u64 * self.width.as_micros()), v))
-    }
-
-    /// The largest bucket value, with its start time; `None` when empty.
-    pub fn peak(&self) -> Option<(SimTime, f64)> {
-        self.iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN bucket"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,18 +251,5 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn time_buckets_accumulate_and_peak() {
-        let mut tb = TimeBuckets::new(SimTime::from_secs(60));
-        tb.add(SimTime::from_secs(10), 1.0);
-        tb.add(SimTime::from_secs(59), 1.0);
-        tb.add(SimTime::from_secs(200), 5.0);
-        let (at, v) = tb.peak().unwrap();
-        assert_eq!(at, SimTime::from_secs(180));
-        assert_eq!(v, 5.0);
-        let first = tb.iter().next().unwrap();
-        assert_eq!(first.1, 2.0);
     }
 }

@@ -48,6 +48,12 @@ impl TraceId {
     pub fn is_traced(self) -> bool {
         self.0 != 0
     }
+
+    /// The cluster whose collector minted this id (its top 16 bits, see
+    /// [`TraceCollector::set_cluster`]).
+    pub fn cluster(self) -> usize {
+        (self.0 >> 48) as usize
+    }
 }
 
 impl fmt::Display for TraceId {
@@ -414,6 +420,7 @@ impl TraceCollector {
     /// Marks this collector as cluster `cluster`'s: subsequently minted
     /// ids carry the cluster in their top 16 bits. Cluster 0 (the only
     /// cluster of a single-cluster system) mints unchanged ids.
+    /// [`TraceId::cluster`] reads the cluster back.
     pub fn set_cluster(&mut self, cluster: u32) {
         self.trace_base = u64::from(cluster) << 48;
     }

@@ -224,13 +224,13 @@ impl ScenarioReport {
 
         let mut queue_high_water = 0;
         for s in 0..sys.server_count() {
-            for (_, hw) in sys.server_queue_history(ServerId(s as u32)) {
+            for (_, hw) in sys.server(ServerId(s as u32)).queue_high_water_history() {
                 queue_high_water = queue_high_water.max(hw as u64);
             }
         }
 
         let mut anomalies: Vec<(String, u64)> = Vec::new();
-        for d in sys.trace_collector().dumps() {
+        for d in sys.anomaly_dumps() {
             let label = d.reason.label().to_string();
             match anomalies.iter_mut().find(|(l, _)| *l == label) {
                 Some((_, n)) => *n += 1,

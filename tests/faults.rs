@@ -133,17 +133,13 @@ fn exhausted_retries_surface_degraded_mode_for_mutations() {
     sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
     let before = sys.ops().stat(0, &file).unwrap().version;
 
-    // Two attempts allowed, both replies lost: the logical call fails and
-    // the mutation is reported as degraded (it WAS applied server-side —
-    // the replay cache remembers — but the client cannot know that).
-    let timeout = sys.retry_policy().timeout;
-    sys.set_retry_policy(RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::standard(timeout)
-    });
+    // Every attempt the retry policy allows loses its request: the logical
+    // call fails and the mutation is reported as degraded (the client
+    // cannot know whether it was applied server-side).
     let mut plan = FaultPlan::new(0xfa04);
-    plan.inject_once(0, ScriptedFault::DropRequest);
-    plan.inject_once(0, ScriptedFault::DropRequest);
+    for _ in 0..RetryPolicy::standard(SimTime::ZERO).max_attempts {
+        plan.inject_once(0, ScriptedFault::DropRequest);
+    }
     sys.install_faults(plan);
 
     let err = sys.ops().store(0, &file, b"v2".to_vec()).unwrap_err();
@@ -218,10 +214,10 @@ fn restart_recovers_promises_via_epoch_discovery() {
     sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
     assert_eq!(sys.ops().fetch(2, &file).unwrap(), b"v1");
 
-    let epoch_before = sys.server_epoch(ServerId(0));
+    let epoch_before = sys.server(ServerId(0)).epoch();
     sys.crash_server(ServerId(0));
     sys.restart_server(ServerId(0));
-    assert_eq!(sys.server_epoch(ServerId(0)), epoch_before + 1);
+    assert_eq!(sys.server(ServerId(0)).epoch(), epoch_before + 1);
 
     // The restarted server has forgotten b's promise, so a's store cannot
     // send b a break: b's cached copy is stale until b talks to server 0.

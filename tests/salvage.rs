@@ -217,7 +217,7 @@ fn acknowledged_stores_survive_a_scheduled_crash() {
 
     assert!(sys.server(ServerId(0)).is_online());
     assert!(
-        sys.server_salvage_pending(ServerId(0)).is_empty(),
+        sys.server(ServerId(0)).salvage_pending().is_empty(),
         "all volumes must have been salvaged"
     );
     let reports = sys.server_salvage_reports(ServerId(0)).to_vec();
@@ -343,14 +343,14 @@ fn queue_high_water_resets_per_incarnation() {
     let file = format!("{SHARED}/q");
     sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
 
-    let history = sys.server_queue_history(ServerId(0));
+    let history = sys.server(ServerId(0)).queue_high_water_history();
     assert_eq!(history.len(), 1, "one live incarnation: {history:?}");
     let (epoch0, hw0) = history[0];
     assert!(hw0 >= 1, "traffic must have queued: {history:?}");
 
     sys.crash_server(ServerId(0));
     sys.restart_server(ServerId(0));
-    let history = sys.server_queue_history(ServerId(0));
+    let history = sys.server(ServerId(0)).queue_high_water_history();
     assert_eq!(history.len(), 2, "archived + live: {history:?}");
     assert_eq!(history[0], (epoch0, hw0), "archive must be frozen");
     assert_eq!(
@@ -360,7 +360,7 @@ fn queue_high_water_resets_per_incarnation() {
     );
 
     sys.ops().store(0, &file, b"v2".to_vec()).unwrap();
-    let history = sys.server_queue_history(ServerId(0));
+    let history = sys.server(ServerId(0)).queue_high_water_history();
     assert!(history[1].1 >= 1, "live mark must track new traffic");
     assert_eq!(history[0], (epoch0, hw0), "archive still frozen");
 }

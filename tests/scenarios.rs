@@ -16,10 +16,11 @@ use itc_afs::core::system::ItcSystem;
 use itc_afs::core::trace::{parse_dump, parse_span_line, render_dump, render_span};
 use itc_afs::sim::{FaultPlan, SimTime};
 use itc_workload::scenario::{
-    callback_storm, classify_failure, login_storm, release_push, thundering_herd,
+    callback_storm, classify_failure, corruption_storm, login_storm, release_push, thundering_herd,
 };
 use itc_workload::{
-    CallbackStormConfig, LoginStormConfig, ReleasePushConfig, ThunderingHerdConfig,
+    CallbackStormConfig, CorruptionStormConfig, LoginStormConfig, ReleasePushConfig,
+    ThunderingHerdConfig,
 };
 
 // ---------------------------------------------------------------------
@@ -67,6 +68,20 @@ fn release_push_splits_load_and_freezes_peaks() {
     );
     assert!(r.servers.iter().all(|row| row.calls > 0));
     assert!(r.anomaly_count("utilization_peak") >= 1);
+}
+
+/// A report counts the anomalies it exports: on the two-cluster storms the
+/// per-reason counts add up to every cluster's dumps, and to the tracer's
+/// own system-wide counter.
+#[test]
+fn report_anomaly_counts_cover_every_cluster() {
+    let push = release_push::run(&ReleasePushConfig::small()).unwrap();
+    let storm = corruption_storm::run(&CorruptionStormConfig::small()).unwrap();
+    for (name, (sys, r)) in [("release push", push), ("corruption storm", storm)] {
+        let counted: u64 = r.anomalies.iter().map(|(_, n)| n).sum();
+        assert_eq!(counted, r.dumps.len() as u64, "{name}");
+        assert_eq!(counted, sys.trace_stats().anomalies, "{name}");
+    }
 }
 
 /// The callback-break storm: batching break notifications per recipient
@@ -223,7 +238,7 @@ fn storms_are_bit_reproducible() {
 // ---------------------------------------------------------------------
 
 /// Every span line of every frozen dump parses back through the offline
-/// re-renderer's `parse_span_line` (the function the `trace` bin applies
+/// re-renderer's `parse_span_line` (the function `bench trace` applies
 /// to exported files) and re-renders to the identical bytes; headers name
 /// the expected anomaly. The login-storm dump additionally makes the trip
 /// through the filesystem via `export_anomaly_dumps`.
@@ -368,7 +383,7 @@ fn replay_cache_never_serves_stale_across_epoch_bump() {
             }
         }
         assert!(
-            sys.server_epoch(ServerId(0)) >= 1,
+            sys.server(ServerId(0)).epoch() >= 1,
             "seed {seed}: the crash must bump the server epoch"
         );
         dup_total += sys.fault_stats().replies_duplicated;

@@ -41,11 +41,9 @@ fn authenticated_identity_governs_not_request_contents() {
     // invariant the system transport relies on).
     let k = derive_key("pw", "mallory");
     let mut b = binding::establish("mallory", NodeId(0), NodeId(1), k, k, (1, 2)).unwrap();
-    b.round_trip(b"i-am=root; Remove /vice/etc/passwd", |authenticated, _| {
-        assert_eq!(authenticated, "mallory");
-        Vec::new()
-    })
-    .unwrap();
+    let sealed = b.client_seal(b"i-am=root; Remove /vice/etc/passwd");
+    b.server_open(sealed).unwrap();
+    assert_eq!(b.server_user(), "mallory");
 }
 
 #[test]

@@ -316,7 +316,7 @@ fn trace_ids_propagate_through_server_side_spans() {
     assert!(last.trace.is_traced());
     assert_eq!(last.kind, "store");
 
-    let spans = sys.trace_collector().spans_of(last.trace);
+    let spans = sys.spans_of(last.trace);
     let classes: Vec<SpanClass> = spans.iter().map(|s| s.class).collect();
     assert_eq!(
         classes,
@@ -342,6 +342,54 @@ fn trace_ids_propagate_through_server_side_spans() {
     assert_eq!(arrive.queue_depth, Some(0), "idle server: empty queue");
     assert_eq!(spans[2].kind, Some("store"));
     assert_eq!(spans[4].at - spans[0].at, last.total() - last.retry_wasted);
+}
+
+/// Each cluster's collector mints its own ids (the cluster rides in the
+/// top bits), and a call's spans live in the collector of the cluster that
+/// issued it: `spans_of` finds the whole chain of every retained call,
+/// from either cluster, and nothing for an id no cluster minted.
+#[test]
+fn spans_of_reads_the_collector_of_the_cluster_that_minted_the_id() {
+    let cfg = SystemConfig {
+        tracing: true,
+        ..SystemConfig::prototype(2, 2)
+    };
+    let mut sys = ItcSystem::build(cfg);
+    for ws in 0..4usize {
+        let user = format!("u{ws}");
+        sys.add_user(&user, "pw").unwrap();
+        sys.create_user_volume(&user, ws as u32 / 2).unwrap();
+        sys.login(ws, &user, "pw").unwrap();
+        sys.ops()
+            .store(ws, &format!("/vice/usr/{user}/f"), vec![ws as u8; 1_000])
+            .unwrap();
+    }
+    for ws in 0..4usize {
+        let other = format!("/vice/usr/u{}/f", (ws + 2) % 4);
+        sys.ops().fetch(ws, &other).unwrap();
+    }
+
+    let attr = sys.attribution();
+    let mut clusters: Vec<usize> = attr.recent().map(|b| b.trace.cluster()).collect();
+    clusters.sort();
+    clusters.dedup();
+    assert_eq!(clusters, [0, 1], "calls were issued from both clusters");
+    for b in attr.recent() {
+        let classes: Vec<SpanClass> = sys.spans_of(b.trace).iter().map(|s| s.class).collect();
+        assert_eq!(
+            classes.first(),
+            Some(&SpanClass::AttemptSend),
+            "{}: {classes:?}",
+            b.trace
+        );
+        assert_eq!(
+            classes.last(),
+            Some(&SpanClass::ReplyArrive),
+            "{}: {classes:?}",
+            b.trace
+        );
+    }
+    assert!(sys.spans_of(TraceId((7 << 48) | 1)).is_empty());
 }
 
 // ---------------------------------------------------------------------
@@ -383,9 +431,8 @@ fn seeded_timeout_freezes_a_dump_naming_the_server() {
     assert!(cs.timeouts >= 1);
     assert_eq!(cs.failures, 1);
 
-    let recorded = sys.trace_collector().dumps();
-    let timed_out: Vec<_> = recorded
-        .iter()
+    let timed_out: Vec<_> = sys
+        .anomaly_dumps()
         .filter(|d| d.reason == AnomalyReason::TimedOut)
         .collect();
     assert_eq!(timed_out.len(), 1, "exactly one exhausted call");
@@ -440,9 +487,8 @@ fn offline_volume_reply_freezes_a_dump_naming_the_volume() {
         .fetch(0, "/vice/usr/eve/f.txt")
         .expect_err("volume is offline");
 
-    let dumps = sys.trace_collector().dumps();
-    let hit = dumps
-        .iter()
+    let hit = sys
+        .anomaly_dumps()
         .find(|d| d.reason == AnomalyReason::VolumeOffline)
         .expect("degraded reply freezes a dump");
     assert_eq!(hit.server, Some(0));
@@ -471,9 +517,7 @@ fn utilization_peak_trips_the_flight_recorder() {
     sys.ops().stat(0, "/vice/tmp/monster").unwrap();
 
     let peaks: Vec<_> = sys
-        .trace_collector()
-        .dumps()
-        .iter()
+        .anomaly_dumps()
         .filter(|d| matches!(d.reason, AnomalyReason::UtilizationPeak(p) if p >= 98))
         .collect();
     assert!(!peaks.is_empty(), "saturated minute should freeze a dump");
@@ -539,7 +583,7 @@ fn anomaly_export_is_byte_identical_across_same_seed_runs() {
 }
 
 /// `breakdown_of` finds a completed call by id, and the rendered span
-/// tree / attribution table (the `trace` bin's building blocks) mention
+/// tree / attribution table (`bench trace`'s building blocks) mention
 /// the call's hops and components.
 #[test]
 fn breakdown_lookup_and_renderers_cover_the_call() {
@@ -561,7 +605,7 @@ fn breakdown_lookup_and_renderers_cover_the_call() {
     assert_eq!(by_id.finished, last.finished);
     assert!(attr.breakdown_of(TraceId(u64::MAX)).is_none());
 
-    let spans = sys.trace_collector().spans_of(last.trace);
+    let spans = sys.spans_of(last.trace);
     let tree = itc_afs::core::trace::render_span_tree(last.trace, &spans);
     for label in [
         "attempt_send",
