@@ -178,6 +178,23 @@ if find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do 
     echo "ci.sh: a second way to read the tracer or to run a call grew back (see the lines above)" >&2
     exit 1
 fi
+# Nothing a run shares is mutable (DESIGN.md §13): the protection database
+# is plain data every call reads by reference, the time high-water is one
+# field per cluster, and a server's counters are plain fields behind its
+# `&mut`. No lock, atomic or interior mutability may grow back around them;
+# the parallel executor's pool is the one shared mutable thing.
+echo "== nothing a run shares is mutable (no lock, atomic or RefCell; no protection server) =="
+shared() { find "$@" -name '*.rs' ! -name tests.rs | sort | while read -r f; do nontest "$f"; done; }
+if [ -e crates/core/src/protect/pserver.rs ]; then
+    echo "ci.sh: crates/core/src/protect/pserver.rs is back — operators write ProtectionDomain directly" >&2
+    exit 1
+fi
+if shared crates/core/src crates/sim/src crates/rpc/src | grep -E 'RwLock|Atomic' \
+    || shared crates/core/src crates/rpc/src | grep -F 'RefCell' \
+    || shared crates/core/src | grep -v '^crates/core/src/system/parallel\.rs:' | grep -E 'Mutex|Condvar'; then
+    echo "ci.sh: shared mutable state grew back (see the lines above)" >&2
+    exit 1
+fi
 # The trajectory: the non-test lines of every crates/*/src file (tests.rs
 # excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do

@@ -108,12 +108,6 @@ impl SystemConfig {
             ..SystemConfig::prototype(clusters, workstations_per_cluster)
         }
     }
-
-    /// A small default topology used by examples and doctests: the
-    /// prototype design at the given scale.
-    pub fn small_campus(clusters: u32, workstations_per_cluster: u32) -> SystemConfig {
-        SystemConfig::prototype(clusters, workstations_per_cluster)
-    }
 }
 
 #[cfg(test)]

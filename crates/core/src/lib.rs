@@ -19,7 +19,7 @@
 //! The [`proto`] module defines the Vice-Virtue interface: the calls, their
 //! wire encodings, and the status/error types. [`system`] assembles
 //! clusters of servers and workstations into a runnable [`system::ItcSystem`]
-//! with a shared virtual clock, and [`config`] selects between the
+//! in virtual time, and [`config`] selects between the
 //! prototype's design choices and the revised implementation's (validation
 //! mode, pathname traversal site, server structure, cache policy,
 //! encryption) so each of the paper's ablations is a one-field change.
@@ -31,7 +31,7 @@
 //! use itc_core::system::ItcSystem;
 //!
 //! // Two clusters, one server each, two workstations per cluster.
-//! let mut sys = ItcSystem::build(SystemConfig::small_campus(2, 2));
+//! let mut sys = ItcSystem::build(SystemConfig::prototype(2, 2));
 //! sys.add_user("satya", "correct-horse").unwrap();
 //! let ws = sys.workstation_in_cluster(0);
 //! sys.login(ws, "satya", "correct-horse").unwrap();

@@ -9,8 +9,11 @@
 //! The domain also stores each user's authentication key (derived from his
 //! password), because Vice must hold the same key Venus derives in order to
 //! run the mutual handshake. "Information about users and groups is stored
-//! in a protection database which is replicated at each cluster server" —
-//! replication is modeled in [`crate::protect::pserver`].
+//! in a protection database which is replicated at each cluster server":
+//! the replicas are bit-identical at all times, so the system keeps one
+//! plain copy that every server reads by reference during a run, and
+//! charges each operator update to every site
+//! (`ItcSystem::add_user` and its siblings).
 
 use super::{AccessList, Rights};
 use itc_cryptbox::{derive_key, Key};

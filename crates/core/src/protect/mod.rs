@@ -1,4 +1,4 @@
-//! Protection: users, groups, access lists, and the protection server.
+//! Protection: users, groups, and access lists.
 //!
 //! Section 3.4 of the paper defines a protection domain of *Users* and
 //! *Groups*, where groups may recursively contain other groups (modeled on
@@ -17,8 +17,6 @@
 
 pub mod acl;
 pub mod domain;
-pub mod pserver;
 
 pub use acl::{AccessList, Rights};
 pub use domain::{Principal, ProtectionDomain};
-pub use pserver::ProtectionServer;

@@ -7,8 +7,8 @@
 //! protection on every call using the identity the RPC handshake
 //! authenticated, and serves whole-file fetch and store.
 //!
-//! The server never trusts anything a workstation claims: the `user`
-//! argument to [`Server::handle`] comes from the binding, not the request,
+//! The server never trusts anything a workstation claims: the caller's name
+//! handed to [`Server::handle`] comes from the binding, not the request,
 //! the request body is wire bytes until [`Server::serve`] decodes it, and
 //! every request is re-checked against the access lists by one gate
 //! (`authorize`) even if Venus already checked client-side.
@@ -31,7 +31,6 @@ use itc_rpc::{NodeId, RpcStats};
 use itc_sim::{Costs, Resource, SimTime, TraversalMode, ValidationMode};
 use itc_unixfs::{FileType, FsError};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::{Arc, RwLock};
 
 /// A request parked on the server's explicit queue, awaiting dispatch by
 /// the event scheduler. The body is still wire bytes: decoding happens at
@@ -73,6 +72,12 @@ pub struct CallCost {
     pub lock_ipc: bool,
 }
 
+/// Who is calling, as the server sees it: the name the RPC binding
+/// authenticated, and the protection database its rights are read from.
+/// The database is not the server's own: every replica is identical, so
+/// the system lends the one copy to every call (`crate::protect::domain`).
+pub type Caller<'a> = (&'a str, &'a ProtectionDomain);
+
 /// A Vice cluster server.
 #[derive(Debug)]
 pub struct Server {
@@ -82,7 +87,6 @@ pub struct Server {
     disk: Resource,
     volumes: Vec<Volume>,
     location: LocationDb,
-    domain: Arc<RwLock<ProtectionDomain>>,
     /// Outstanding callback promises. A `BTreeMap` of `BTreeSet`s, not
     /// hash collections: break fan-out feeds the event calendars, so every
     /// iteration here must be a function of the seed alone.
@@ -146,7 +150,6 @@ impl Server {
     pub fn new(
         id: ServerId,
         node: NodeId,
-        domain: Arc<RwLock<ProtectionDomain>>,
         validation: ValidationMode,
         traversal: TraversalMode,
     ) -> Server {
@@ -157,7 +160,6 @@ impl Server {
             disk: Resource::new(format!("server{}-disk", id.0)),
             volumes: Vec::new(),
             location: LocationDb::new(),
-            domain,
             callbacks: BTreeMap::new(),
             locks: LockTable::new(),
             stats: RpcStats::new(),
@@ -651,7 +653,7 @@ impl Server {
 
     /// Records statistics for a completed call (invoked by the system layer
     /// once timing is known).
-    pub fn record_call(&self, kind: &str, req_bytes: u64, reply_bytes: u64, elapsed: SimTime) {
+    pub fn record_call(&mut self, kind: &str, req_bytes: u64, reply_bytes: u64, elapsed: SimTime) {
         self.stats.record(kind, req_bytes, reply_bytes, elapsed);
     }
 
@@ -662,13 +664,13 @@ impl Server {
     /// Serves one dequeued request: decodes the wire body, answers a
     /// retried mutation from the replay cache instead of applying it twice
     /// (the exactly-once rule), otherwise runs [`Self::handle`] and
-    /// remembers a mutation's reply. `user` is the identity the request's
-    /// binding authenticated — never anything the request says — and `now`
-    /// is what the handler is shown as the current time. A replayed or
-    /// undecodable request charges nothing.
+    /// remembers a mutation's reply. `caller` names the identity the
+    /// request's binding authenticated — never anything the request says —
+    /// and `now` is what the handler is shown as the current time. A
+    /// replayed or undecodable request charges nothing.
     pub fn serve(
         &mut self,
-        user: &str,
+        caller: Caller<'_>,
         qr: QueuedRequest,
         now: SimTime,
         costs: &Costs,
@@ -681,25 +683,26 @@ impl Server {
             }
         };
         if !req.is_mutation() {
-            return self.handle(user, qr.from, &req, now, costs);
+            return self.handle(caller, qr.from, &req, now, costs);
         }
         if let Some(cached) = self.replay_lookup(qr.from, qr.token) {
             return (cached.clone(), CallCost::default());
         }
-        let (reply, cost) = self.handle(user, qr.from, &req, now, costs);
+        let (reply, cost) = self.handle(caller, qr.from, &req, now, costs);
         self.replay_record(qr.from, qr.token, reply.clone());
         (reply, cost)
     }
 
     /// Handles one authenticated request.
     ///
-    /// * `user` — identity from the RPC binding (never from the request).
+    /// * `caller` — identity from the RPC binding (never from the request),
+    ///   with the protection database its rights are read from.
     /// * `from` — the workstation's node id (for callback promises).
     /// * `now` — virtual time, used for mtimes.
     /// * `costs` — cost table for computing the CPU charge of this call.
     pub fn handle(
         &mut self,
-        user: &str,
+        caller: Caller<'_>,
         from: NodeId,
         req: &ViceRequest,
         now: SimTime,
@@ -707,7 +710,7 @@ impl Server {
     ) -> (ViceReply, CallCost) {
         let mut cost = CallCost::default();
         let reply = self
-            .dispatch(user, from, req, now, costs, &mut cost)
+            .dispatch(caller, from, req, now, costs, &mut cost)
             .unwrap_or_else(ViceReply::Error);
         (reply, cost)
     }
@@ -722,32 +725,12 @@ impl Server {
         }
     }
 
-    /// Checks the caller's rights on `acl`: the user, `anyuser` and every
-    /// group containing the user, evaluated over the list's entries under
-    /// the domain's read guard (see [`ProtectionDomain::rights_on`]).
-    fn check_rights(
-        &self,
-        user: &str,
-        acl: &AccessList,
-        needed: Rights,
-        path: &str,
-    ) -> Result<(), ViceError> {
-        let eff = self
-            .domain
-            .read()
-            .expect("protection domain lock")
-            .rights_on(user, acl);
-        if eff.covers(needed) {
-            Ok(())
-        } else {
-            Err(ViceError::PermissionDenied(path.to_string()))
-        }
-    }
-
     /// The authorisation gate — the only code that maps a Vice path into
     /// the serving volume, finds the access list protecting it and checks
-    /// the caller's rights against it. Returns the volume-internal path (a
-    /// slice of `path`) and the list that admitted the caller.
+    /// the caller's rights against it: the user, `anyuser` and every group
+    /// containing the user, evaluated over the list's entries (see
+    /// [`ProtectionDomain::rights_on`]). Returns the volume-internal path
+    /// (a slice of `path`) and the list that admitted the caller.
     ///
     /// Every request passes through here except two: `GetCustodian`
     /// (location is public, and answerable for paths this server does not
@@ -755,7 +738,7 @@ impl Server {
     /// `(user, node)` lock, so there is nothing to protect).
     fn authorize<'p>(
         &self,
-        user: &str,
+        (user, domain): Caller<'_>,
         vol_idx: usize,
         path: &'p str,
         needed: Rights,
@@ -767,7 +750,9 @@ impl Server {
         let acl = vol
             .acl_for(internal)
             .map_err(|e| Self::map_vol_err(path, e))?;
-        self.check_rights(user, acl, needed, path)?;
+        if !domain.rights_on(user, acl).covers(needed) {
+            return Err(ViceError::PermissionDenied(path.to_string()));
+        }
         Ok((internal, acl))
     }
 
@@ -881,13 +866,14 @@ impl Server {
     #[allow(clippy::too_many_lines)]
     fn dispatch(
         &mut self,
-        user: &str,
+        who: Caller<'_>,
         from: NodeId,
         req: &ViceRequest,
         now: SimTime,
         costs: &Costs,
         cost: &mut CallCost,
     ) -> Result<ViceReply, ViceError> {
+        let user = who.0;
         // Custodian location is answerable even for paths we do not host.
         if let ViceRequest::GetCustodian { path } = req {
             let (subtree, entry) = self
@@ -935,7 +921,7 @@ impl Server {
             ViceRequest::GetCustodian { .. } => unreachable!("handled above"),
 
             ViceRequest::Fetch { path } => {
-                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::READ)?.0;
                 let vol = &self.volumes[vol_idx];
                 let fs = vol.fs_read().map_err(|e| Self::map_vol_err(path, e))?;
                 // Do not follow a final symlink: Venus interprets links
@@ -1017,7 +1003,7 @@ impl Server {
                 } else {
                     Rights::INSERT
                 };
-                let internal = self.authorize(user, vol_idx, path, needed)?.0;
+                let internal = self.authorize(who, vol_idx, path, needed)?.0;
                 self.charge_traversal(costs, cost, path, 0);
                 cost.server_cpu += costs.srv_block_cpu(data.len() as u64);
                 cost.disk_bytes = data.len() as u64;
@@ -1036,7 +1022,7 @@ impl Server {
             }
 
             ViceRequest::Remove { path } => {
-                let internal = self.authorize(user, vol_idx, path, Rights::DELETE)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::DELETE)?.0;
                 let op = JournalOp::Remove {
                     path: internal.into(),
                     mtime: now.as_micros(),
@@ -1051,7 +1037,7 @@ impl Server {
                 // The prototype stored status in per-file .admin files:
                 // answering a status query touches the server disk.
                 cost.disk_bytes = 2_048;
-                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::READ)?.0;
                 if let Ok(r) = self.volumes[vol_idx].fs().probe(internal, false) {
                     self.charge_traversal(costs, cost, path, r.components_walked);
                 }
@@ -1060,7 +1046,7 @@ impl Server {
 
             ViceRequest::SetMode { path, mode } => {
                 let op = JournalOp::SetMode {
-                    path: self.authorize(user, vol_idx, path, Rights::WRITE)?.0.into(),
+                    path: self.authorize(who, vol_idx, path, Rights::WRITE)?.0.into(),
                     mode: *mode as u32,
                     mtime: now.as_micros(),
                 };
@@ -1079,7 +1065,7 @@ impl Server {
                 // Protection is re-checked on validation too: a revoked
                 // user must not keep using his cached copy by having the
                 // server confirm it is "current".
-                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::READ)?.0;
                 let status = Self::status_of(&self.volumes[vol_idx], internal)?;
                 // Both the identity and the version must match: a
                 // deleted-and-recreated file has a new fid, so a stale
@@ -1098,7 +1084,7 @@ impl Server {
                 if path == self.volumes[vol_idx].mount() {
                     return Err(ViceError::AlreadyExists(path.clone()));
                 }
-                let internal = self.authorize(user, vol_idx, path, Rights::INSERT)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::INSERT)?.0;
                 let op = JournalOp::Mkdir {
                     path: internal.to_string(),
                     uid: uid_of(user),
@@ -1110,7 +1096,7 @@ impl Server {
             }
 
             ViceRequest::RemoveDir { path } => {
-                let internal = self.authorize(user, vol_idx, path, Rights::DELETE)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::DELETE)?.0;
                 let op = JournalOp::Rmdir {
                     path: internal.into(),
                     mtime: now.as_micros(),
@@ -1129,8 +1115,8 @@ impl Server {
                     ));
                 }
                 let op = JournalOp::Rename {
-                    from: self.authorize(user, vol_idx, src, Rights::DELETE)?.0.into(),
-                    to: self.authorize(user, vol_idx, dst, Rights::INSERT)?.0.into(),
+                    from: self.authorize(who, vol_idx, src, Rights::DELETE)?.0.into(),
+                    to: self.authorize(who, vol_idx, dst, Rights::INSERT)?.0.into(),
                     mtime: now.as_micros(),
                 };
                 self.journal_apply(vol_idx, op)
@@ -1139,7 +1125,7 @@ impl Server {
             }
 
             ViceRequest::ListDir { path } => {
-                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::READ)?.0;
                 let vol = &self.volumes[vol_idx];
                 let fs = vol.fs_read().map_err(|e| Self::map_vol_err(path, e))?;
                 let entries = fs.readdir(internal).map_err(|e| map_fs_err(path, e))?;
@@ -1154,12 +1140,12 @@ impl Server {
             }
 
             ViceRequest::GetAcl { path } => {
-                let acl = self.authorize(user, vol_idx, path, Rights::LOOKUP)?.1;
+                let acl = self.authorize(who, vol_idx, path, Rights::LOOKUP)?.1;
                 Ok(ViceReply::Acl(acl.clone()))
             }
 
             ViceRequest::SetAcl { path, acl } => {
-                let internal = self.authorize(user, vol_idx, path, Rights::ADMINISTER)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::ADMINISTER)?.0;
                 let op = JournalOp::SetAcl {
                     path: internal.into(),
                     acl: acl.clone(),
@@ -1170,7 +1156,7 @@ impl Server {
             }
 
             ViceRequest::MakeSymlink { path, target } => {
-                let internal = self.authorize(user, vol_idx, path, Rights::INSERT)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::INSERT)?.0;
                 let op = JournalOp::Symlink {
                     path: internal.into(),
                     target: target.clone(),
@@ -1184,7 +1170,7 @@ impl Server {
 
             ViceRequest::ReadLink { path } => {
                 // The same right `Fetch` demands before returning a `Link`.
-                let internal = self.authorize(user, vol_idx, path, Rights::READ)?.0;
+                let internal = self.authorize(who, vol_idx, path, Rights::READ)?.0;
                 let vol = &self.volumes[vol_idx];
                 let fs = vol.fs_read().map_err(|e| Self::map_vol_err(path, e))?;
                 let target = fs.readlink(internal).map_err(|e| map_fs_err(path, e))?;
@@ -1193,7 +1179,7 @@ impl Server {
 
             ViceRequest::SetLock { path, exclusive } => {
                 cost.lock_ipc = true;
-                self.authorize(user, vol_idx, path, Rights::LOCK)?;
+                self.authorize(who, vol_idx, path, Rights::LOCK)?;
                 let kind = if *exclusive {
                     LockKind::Exclusive
                 } else {

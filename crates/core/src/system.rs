@@ -30,8 +30,13 @@
 //!
 //! Each workstation keeps its own local virtual time (operations at one
 //! workstation are strictly sequential); server CPUs and disks are shared
-//! FIFO resources, so concurrent clients contend there. The global
-//! [`Clock`] tracks the high-water mark for utilization windows. Callback
+//! FIFO resources, so concurrent clients contend there. The system's time,
+//! [`ItcSystem::now`], is the high-water mark utilization windows are
+//! measured against: the maximum of one high-water per cluster (written by
+//! the ops of that cluster's workstations, which always hold it in their
+//! mask) and one for operator actions. Max does not depend on the order
+//! the writes came in, so a parallel run reads the same value as the
+//! sequential one, with nothing shared to write. Callback
 //! breaks are scheduled as calendar events when the triggering store
 //! completes and applied functionally at the end of the operation; their
 //! network cost is charged, but a lagging workstation's local clock is not
@@ -49,15 +54,15 @@ mod transport;
 
 use crate::config::SystemConfig;
 use crate::monitor::TrafficMonitor;
-use crate::protect::{AccessList, ProtectionDomain, ProtectionServer, Rights};
+use crate::protect::domain::DomainError;
+use crate::protect::{AccessList, ProtectionDomain, Rights};
 use crate::proto::ServerId;
 use crate::server::Server;
 use crate::surrogate::Surrogate;
 use crate::venus::{Venus, VenusError};
 use itc_rpc::TimingKernel;
-use itc_sim::{Clock, SimTime};
+use itc_sim::SimTime;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
 
 use self::topology::Topology;
 use self::transport::EventCore;
@@ -100,16 +105,26 @@ impl From<VenusError> for SystemError {
     }
 }
 
+impl From<DomainError> for SystemError {
+    fn from(e: DomainError) -> Self {
+        SystemError::Domain(e.to_string())
+    }
+}
+
 /// The assembled system.
 #[derive(Debug)]
 pub struct ItcSystem {
     config: SystemConfig,
     topo: Topology,
     clients: Vec<Venus>,
-    clock: Arc<Clock>,
+    /// High-water of the operator actions' completion times; the clusters
+    /// keep their own (see "Time model").
+    operator_now: SimTime,
     kernel: TimingKernel,
-    domain: Arc<RwLock<ProtectionDomain>>,
-    pserver: ProtectionServer,
+    /// The protection database, replicated at every server in the paper
+    /// and kept once here: operator actions write it between runs, and
+    /// every call reads it by reference.
+    domain: ProtectionDomain,
     core: EventCore,
     next_volume: u32,
     surrogates: HashMap<WsId, Surrogate>,
@@ -124,9 +139,7 @@ impl ItcSystem {
     /// root volume mounted at `/vice` on server 0, and the standard
     /// `/vice/usr`, `/vice/unix/<arch>/{bin,lib}` skeleton.
     pub fn build(config: SystemConfig) -> ItcSystem {
-        let domain = Arc::new(RwLock::new(ProtectionDomain::new()));
-        let (topo, clients) = Topology::build(&config, &domain);
-        let pserver = ProtectionServer::new(Arc::clone(&domain), config.clusters);
+        let (topo, clients) = Topology::build(&config);
         let kernel = TimingKernel::new(config.costs.clone(), config.structure, config.encryption);
         let core = EventCore::new(
             config.seed,
@@ -137,10 +150,9 @@ impl ItcSystem {
         let mut sys = ItcSystem {
             topo,
             clients,
-            clock: Clock::new(),
+            operator_now: SimTime::ZERO,
             kernel,
-            domain,
-            pserver,
+            domain: ProtectionDomain::new(),
             core,
             config,
             next_volume: 1,
@@ -197,9 +209,11 @@ impl ItcSystem {
         (start..start + self.config.workstations_per_cluster as usize).collect()
     }
 
-    /// The global clock.
+    /// The system's time: the latest instant any cluster's workstations or
+    /// any operator action has reached.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        let clusters = self.core.clusters.iter().map(|c| c.now);
+        clusters.fold(self.operator_now, SimTime::max)
     }
 
     /// A workstation's local virtual time.

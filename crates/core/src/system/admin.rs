@@ -9,13 +9,16 @@ use crate::disk::{
 };
 use crate::metrics::{merge_cache, merge_venus, ServerMetrics, SystemMetrics};
 use crate::monitor::TrafficMonitor;
+use crate::obs::ObsSummary;
 use crate::protect::{AccessList, Rights};
 use crate::proto::{Payload, ServerId};
 use crate::system::{ItcSystem, SystemError};
 use crate::trace::{dump_file_name, render_dump, AttributionAgg};
 use crate::volume::{Volume, VolumeId};
 use itc_rpc::CallStats;
-use itc_sim::{AnomalyDump, EventStats, FaultPlan, FaultStats, SimTime, Span, TraceId, TraceStats};
+use itc_sim::{
+    AnomalyDump, EventStats, FaultPlan, FaultStats, HealthEvent, SimTime, Span, TraceId, TraceStats,
+};
 
 impl ItcSystem {
     // ------------------------------------------------------------------
@@ -25,37 +28,29 @@ impl ItcSystem {
     /// Registers a user, replicating the protection database to every
     /// server (charged to their CPUs).
     pub fn add_user(&mut self, name: &str, password: &str) -> Result<(), SystemError> {
-        self.pserver
-            .add_user(name, password)
-            .map_err(|e| SystemError::Domain(e.to_string()))?;
-        self.charge_protection_replication();
+        self.domain.add_user(name, password)?;
+        self.charge_protection_replication(self.now());
         Ok(())
     }
 
     /// Creates a group.
     pub fn add_group(&mut self, name: &str) -> Result<(), SystemError> {
-        self.pserver
-            .add_group(name)
-            .map_err(|e| SystemError::Domain(e.to_string()))?;
-        self.charge_protection_replication();
+        self.domain.add_group(name)?;
+        self.charge_protection_replication(self.now());
         Ok(())
     }
 
     /// Adds a member (user or group) to a group.
     pub fn add_member(&mut self, group: &str, member: &str) -> Result<(), SystemError> {
-        self.pserver
-            .add_member(group, member)
-            .map_err(|e| SystemError::Domain(e.to_string()))?;
-        self.charge_protection_replication();
+        self.domain.add_member(group, member)?;
+        self.charge_protection_replication(self.now());
         Ok(())
     }
 
     /// Removes a member from a group.
     pub fn remove_member(&mut self, group: &str, member: &str) -> Result<(), SystemError> {
-        self.pserver
-            .remove_member(group, member)
-            .map_err(|e| SystemError::Domain(e.to_string()))?;
-        self.charge_protection_replication();
+        self.domain.remove_member(group, member)?;
+        self.charge_protection_replication(self.now());
         Ok(())
     }
 
@@ -63,23 +58,14 @@ impl ItcSystem {
     /// group and waits for the update to reach every replica. Returns the
     /// virtual time at which the last replica applied it.
     pub fn revoke_via_groups(&mut self, user: &str) -> SimTime {
-        let start = self.clock.now();
-        let (_job, _removed) = self.pserver.revoke_all_memberships(user);
-        let done = self.charge_protection_replication_from(start);
-        self.clock.advance_to(done);
-        done
+        self.domain.remove_from_all_groups(user);
+        self.charge_protection_replication(self.now())
     }
 
     /// Charges one protection-database update message to every server,
-    /// starting now. Returns the completion time of the slowest replica.
-    fn charge_protection_replication(&mut self) -> SimTime {
-        let start = self.clock.now();
-        let done = self.charge_protection_replication_from(start);
-        self.clock.advance_to(done);
-        done
-    }
-
-    fn charge_protection_replication_from(&mut self, start: SimTime) -> SimTime {
+    /// starting at `start`, and raises the operator high-water mark to the
+    /// completion time of the slowest replica, which it returns.
+    fn charge_protection_replication(&mut self, start: SimTime) -> SimTime {
         let costs = self.kernel.costs().clone();
         // The protection server lives alongside server 0 and "coordinates
         // the updating of the database at all sites" — pushing to one
@@ -95,6 +81,7 @@ impl ItcSystem {
             // Acknowledgment returns before the next site is contacted.
             t = applied + lat;
         }
+        self.operator_now = self.operator_now.max(t);
         t
     }
 
@@ -193,7 +180,7 @@ impl ItcSystem {
     pub fn move_volume(&mut self, mount: &str, to: ServerId) -> Result<SimTime, SystemError> {
         let from = self.custodian(mount)?;
         if from == to {
-            return Ok(self.clock.now());
+            return Ok(self.now());
         }
         let vid = self.writable_at(from, mount)?;
         let vol = self.topo.servers[from.0 as usize]
@@ -204,7 +191,7 @@ impl ItcSystem {
         // location replica.
         let costs = self.kernel.costs().clone();
         let bytes = vol.used_bytes();
-        let start = self.clock.now();
+        let start = self.now();
         let hops = self.topo.network.hops(
             self.topo.servers[from.0 as usize].node(),
             self.topo.servers[to.0 as usize].node(),
@@ -217,9 +204,7 @@ impl ItcSystem {
         for s in &mut self.topo.servers {
             s.location_mut().reassign(mount, to);
         }
-        let repl_done = self.charge_protection_replication_from(done);
-        self.clock.advance_to(repl_done);
-        Ok(repl_done)
+        Ok(self.charge_protection_replication(done))
     }
 
     /// Clones the volume at `mount` and installs the read-only replica on
@@ -383,7 +368,11 @@ impl ItcSystem {
     /// Counters of faults the installed plan has injected so far, summed
     /// across every cluster's shard.
     pub fn fault_stats(&self) -> FaultStats {
-        self.core.fault_stats()
+        let mut total = FaultStats::default();
+        for f in self.core.clusters.iter().filter_map(|c| c.faults.as_ref()) {
+            total.merge(&f.stats());
+        }
+        total
     }
 
     /// Whether the installed plan couples clusters (message faults,
@@ -391,7 +380,8 @@ impl ItcSystem {
     /// not — their flips land on the owning cluster's own calendar — so a
     /// parallel run keeps its narrow per-cluster masks.
     pub fn faults_couple_clusters(&self) -> bool {
-        self.core.faults_couple_clusters()
+        let mut shards = self.core.clusters.iter().filter_map(|c| c.faults.as_ref());
+        shards.any(FaultPlan::couples_clusters)
     }
 
     // ------------------------------------------------------------------
@@ -405,8 +395,7 @@ impl ItcSystem {
     /// the clock — so foreground virtual timings are bit-identical with
     /// scrubbing on or off.
     pub fn enable_scrub(&mut self, interval: SimTime) {
-        let now = self.clock.now();
-        self.core.enable_scrub(now, interval);
+        self.core.enable_scrub(self.now(), interval);
     }
 
     /// Running scrubber counters for one server.
@@ -431,13 +420,21 @@ impl ItcSystem {
     /// Counters of what the RPC retry machinery did across all calls,
     /// summed across every cluster.
     pub fn call_stats(&self) -> CallStats {
-        self.core.call_stats()
+        let mut total = CallStats::default();
+        for c in &self.core.clusters {
+            total.absorb(c.call_stats);
+        }
+        total
     }
 
     /// Lifetime counters of the event calendars (scheduled, executed,
     /// cancelled, high-water queue depth), summed across every cluster.
     pub fn event_stats(&self) -> EventStats {
-        self.core.event_stats()
+        let mut total = EventStats::default();
+        for c in &self.core.clusters {
+            total.merge(&c.sched.stats());
+        }
+        total
     }
 
     /// Crashes a server immediately: it goes offline and loses all
@@ -453,7 +450,7 @@ impl ItcSystem {
     /// this returns. (Scheduled restarts from a fault plan instead run the
     /// salvager as timed calendar events; see the transport.)
     pub fn restart_server(&mut self, id: ServerId) {
-        let now = self.clock.now();
+        let now = self.now();
         let srv = &mut self.topo.servers[id.0 as usize];
         srv.restart();
         let reports = srv.salvage_all();
@@ -490,7 +487,7 @@ impl ItcSystem {
     /// only needed when a test advances time without traffic and wants to
     /// observe server state directly.
     pub fn run_fault_schedule(&mut self) {
-        let now = self.clock.now();
+        let now = self.now();
         let mut ops = self.ops();
         // One executor for lifecycle events: the transport's idle pump
         // handles crashes (torn-write draw), restarts (salvager
@@ -585,34 +582,57 @@ impl ItcSystem {
     /// Lifetime tracing counters (traces minted, spans recorded/evicted,
     /// anomalies frozen), summed across every cluster.
     pub fn trace_stats(&self) -> TraceStats {
-        self.core.trace_stats()
+        let mut total = TraceStats::default();
+        for c in &self.core.clusters {
+            total.merge(&c.trace.stats());
+        }
+        total
     }
 
     /// The latency-attribution aggregates over completed traced calls,
-    /// merged across every cluster in cluster order.
+    /// merged across every cluster in cluster order (deterministic, and the
+    /// identity for single-cluster systems).
     pub fn attribution(&self) -> AttributionAgg {
-        self.core.attribution()
+        let mut total = AttributionAgg::new();
+        for c in &self.core.clusters {
+            total.merge(&c.attr);
+        }
+        total
     }
 
-    /// The observability time series, merged across every cluster. Empty
-    /// unless tracing was enabled (sampling rides the tracing switch).
-    pub fn obs_summary(&self) -> crate::obs::ObsSummary {
-        self.core.obs_summary()
+    /// The observability time series, merged across every cluster in
+    /// cluster order. Empty unless tracing was enabled (sampling rides the
+    /// tracing switch). Per-bucket folds are commutative, so the result is
+    /// identical whichever execution mode filled the cores.
+    pub fn obs_summary(&self) -> ObsSummary {
+        let mut total = ObsSummary::default();
+        for (cluster, c) in self.core.clusters.iter().enumerate() {
+            total.merge_cluster(cluster as u32, &c.obs);
+        }
+        total
     }
 
     /// The typed health events the SLO engine recorded, merged across
-    /// clusters, deduplicated, and sorted into a stable timeline.
-    pub fn health_events(&self) -> Vec<itc_sim::HealthEvent> {
-        self.core.health_events()
+    /// clusters, deduplicated on `(rule, server, bucket)` keeping the first
+    /// in cluster order (the sort is stable), then sorted on `(at, bucket,
+    /// rule, server)` into a stable timeline.
+    pub fn health_events(&self) -> Vec<HealthEvent> {
+        let clusters = self.core.clusters.iter();
+        let mut out: Vec<HealthEvent> = clusters
+            .flat_map(|c| c.obs.health_events())
+            .copied()
+            .collect();
+        out.sort_by_key(|ev| (ev.rule, ev.server, ev.bucket));
+        out.dedup_by_key(|ev| (ev.rule, ev.server, ev.bucket));
+        out.sort_by_key(|ev| (ev.at, ev.bucket, ev.rule, ev.server));
+        out
     }
 
     /// The deterministic JSONL series export: every sampled series bucket
     /// plus every health event, one flat line each, byte-identical across
     /// same-seed runs and across sequential vs. parallel execution.
     pub fn render_series_export(&self) -> String {
-        self.core
-            .obs_summary()
-            .render_jsonl(&self.core.health_events())
+        self.obs_summary().render_jsonl(&self.health_events())
     }
 
     /// Writes the series export under `dir` (created if absent) as
@@ -656,7 +676,7 @@ impl ItcSystem {
     /// Snapshot of all measurements, with utilization computed over
     /// `[0, now]`.
     pub fn metrics(&self) -> SystemMetrics {
-        let at = self.clock.now();
+        let at = self.now();
         let mut call_mix = itc_sim::Counter::new();
         let servers = self
             .topo
@@ -685,10 +705,8 @@ impl ItcSystem {
             call_mix,
             cache,
             venus,
-            attribution: self
-                .tracing_enabled()
-                .then(|| self.core.attribution().summary()),
-            events: self.core.event_stats(),
+            attribution: self.tracing_enabled().then(|| self.attribution().summary()),
+            events: self.event_stats(),
         }
     }
 }

@@ -1,20 +1,20 @@
 //! Observation of the call path and of the lifecycle events beside it:
 //! every span, gauge, attribution record and flight-recorder freeze the
-//! transport emits, one function per protocol or lifecycle event, plus the
-//! cross-cluster merges of what they collected.
+//! transport emits, one function per protocol or lifecycle event. What
+//! they collect is merged across clusters by the `ItcSystem` readers in
+//! `admin.rs`.
 //!
 //! Nothing here draws rng, schedules an event, charges a resource or moves
 //! a clock — latency components are read from the same arithmetic that
 //! schedules the event chain — so a run is bit-identical with tracing on
 //! or off, and while it is off every hook is one branch.
 
-use super::transport::{CallInFlight, EventCore, SystemTransport};
-use crate::obs::ObsSummary;
+use super::transport::{CallInFlight, SystemTransport};
 use crate::proto::{ServerId, ViceError, ViceReply, VolumeId};
-use crate::trace::{AttributionAgg, CallBreakdown};
+use crate::trace::CallBreakdown;
 use itc_rpc::{CallSpec, NodeId};
 use itc_sim::resource::BUCKET_WIDTH;
-use itc_sim::{AnomalyReason, HealthEvent, SimTime, Span, SpanClass, TraceId, TraceStats};
+use itc_sim::{AnomalyReason, SimTime, Span, SpanClass, TraceId};
 
 /// Latency components of one attempt. The attempt that completes keeps its
 /// values; everything before it is the call's retry-wasted time.
@@ -377,54 +377,5 @@ impl SystemTransport<'_> {
         };
         cl.trace
             .freeze(reason, at, Some(call.server.0), call.volume, call.trace);
-    }
-}
-
-impl EventCore {
-    /// Trace-collector counters summed across every cluster.
-    pub(crate) fn trace_stats(&self) -> TraceStats {
-        let mut total = TraceStats::default();
-        for c in &self.clusters {
-            total.merge(&c.trace.stats());
-        }
-        total
-    }
-
-    /// Attribution aggregates merged across every cluster, in cluster
-    /// order (deterministic, and the identity for single-cluster systems).
-    pub(crate) fn attribution(&self) -> AttributionAgg {
-        let mut total = AttributionAgg::new();
-        for c in &self.clusters {
-            total.merge(&c.attr);
-        }
-        total
-    }
-
-    /// Observability series merged across every cluster, in cluster order.
-    /// Per-bucket folds are commutative, so the result is identical
-    /// whichever execution mode filled the cores.
-    pub(crate) fn obs_summary(&self) -> ObsSummary {
-        let mut total = ObsSummary::default();
-        for (cluster, c) in self.clusters.iter().enumerate() {
-            total.merge_cluster(cluster as u32, &c.obs);
-        }
-        total
-    }
-
-    /// Health events merged across every cluster, deduplicated on
-    /// `(rule, server, bucket)` keeping the first in cluster order (the
-    /// sort is stable), then sorted on `(at, bucket, rule, server)` for a
-    /// stable timeline.
-    pub(crate) fn health_events(&self) -> Vec<HealthEvent> {
-        let mut out: Vec<HealthEvent> = self
-            .clusters
-            .iter()
-            .flat_map(|c| c.obs.health_events())
-            .copied()
-            .collect();
-        out.sort_by_key(|ev| (ev.rule, ev.server, ev.bucket));
-        out.dedup_by_key(|ev| (ev.rule, ev.server, ev.bucket));
-        out.sort_by_key(|ev| (ev.at, ev.bucket, ev.rule, ev.server));
-        out
     }
 }

@@ -45,9 +45,11 @@
 //! globally minimal key is always admissible once earlier-keyed executing
 //! ops drain, so the schedule is deadlock-free; and because conflicting
 //! ops execute in key order while disjoint ops commute (their state is
-//! disjoint by construction, and the shared [`Clock`] only takes
-//! `fetch_max` writes), a parallel run is **bit-identical** to the
-//! sequential reference.
+//! disjoint by construction — even the time high-water mark is one per
+//! cluster — and what they share, the network, the timing kernel and the
+//! protection database, is read-only during a run), a parallel run is
+//! **bit-identical** to the sequential reference. The pool below is the
+//! one thing the workers share mutably.
 //!
 //! Masks are *promises*, enforced at runtime: executing an op against a
 //! cluster outside its mask panics (the `Parts` tripwire) instead of
@@ -79,8 +81,6 @@
 //! When every scope is one cluster the horizon is unbounded and a run is
 //! exactly `clusters` claims: each worker simulates a whole cluster with
 //! no synchronisation, which is the paper's locality argument (§2.2).
-//!
-//! [`Clock`]: itc_sim::Clock
 
 use crate::protect::AccessList;
 use crate::proto::{EntryKind, ServerId, VStatus, ViceError};
@@ -233,8 +233,9 @@ pub struct WsOps<'a> {
 
 impl WsOps<'_> {
     /// Runs one workstation operation: flushes due deferred writes,
-    /// applies `f` with the event-driven transport, advances the global
-    /// clock, and delivers any callback breaks the exchange scheduled.
+    /// applies `f` with the event-driven transport, raises the
+    /// workstation's cluster high-water mark, and delivers any callback
+    /// breaks the exchange scheduled.
     pub(crate) fn with_venus<R>(
         &mut self,
         ws: WsId,
@@ -247,9 +248,16 @@ impl WsOps<'_> {
             .flush_due(&mut self.transport)
             .and_then(|_| f(venus, &mut self.transport));
         let now = venus.now();
-        self.transport.clock.advance_to(now);
+        self.advance_high_water(ws, now);
         self.deliver_pending_breaks();
         result.map_err(SystemError::Venus)
+    }
+
+    /// Raises the high-water mark of `ws`'s cluster — always in the op's
+    /// mask — to `t`.
+    fn advance_high_water(&mut self, ws: WsId, t: SimTime) {
+        let cluster = self.transport.net.cluster_of(self.ws_nodes[ws]).0 as usize;
+        self.transport.cores.get_mut(cluster).advance_to(t);
     }
 
     /// Applies every callback break the last exchange produced — both
@@ -316,7 +324,7 @@ impl WsOps<'_> {
         {
             Ok(ready) => {
                 venus.advance_to(ready);
-                self.transport.clock.advance_to(ready);
+                self.advance_high_water(ws, ready);
                 Ok(())
             }
             Err(e) => {
@@ -329,7 +337,7 @@ impl WsOps<'_> {
     /// Advances a workstation's local time (think time).
     pub fn advance_ws(&mut self, ws: WsId, to: SimTime) {
         self.venuses.get_mut(ws).advance_to(to);
-        self.transport.clock.advance_to(to);
+        self.advance_high_water(ws, to);
     }
 
     /// A workstation's local virtual time.
@@ -746,7 +754,6 @@ impl ItcSystem {
         let ItcSystem {
             topo,
             clients,
-            clock,
             kernel,
             domain,
             monitor,
@@ -761,7 +768,6 @@ impl ItcSystem {
                 home: &topo.home,
                 server_nodes: &topo.server_nodes,
                 kernel,
-                clock,
                 monitor: monitor.as_mut(),
                 domain,
                 retry: core.retry,

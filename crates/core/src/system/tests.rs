@@ -23,6 +23,30 @@ fn build_creates_topology_and_skeleton() {
 }
 
 #[test]
+fn now_is_the_high_water_of_every_cluster_and_the_operator() {
+    let mut s = ItcSystem::build(SystemConfig::prototype(3, 2));
+    let (ws0, ws2) = (s.workstation_in_cluster(0), s.workstation_in_cluster(2));
+    let late = s.now() + SimTime::from_secs(90);
+    s.ops().advance_ws(ws2, late);
+    s.ops().advance_ws(ws0, late - SimTime::from_secs(30));
+    // The latest workstation activity is on cluster 2, and only cluster 2
+    // recorded it.
+    assert_eq!(s.now(), late);
+    let marks: Vec<SimTime> = s.core.clusters.iter().map(|c| c.now).collect();
+    assert_eq!(marks[2], late);
+    assert!(marks[0] < late && marks[1] < late, "{marks:?}");
+
+    // An operator action ending later moves the system's time to its
+    // completion: the replication charge starts at `late` and returns once
+    // the last replica applied the update.
+    s.add_user("newcomer", "pw").unwrap();
+    assert!(s.operator_now > late);
+    assert_eq!(s.now(), s.operator_now);
+    assert_eq!(s.core.clusters[2].now, late, "operator time is its own");
+    assert_eq!(s.revoke_via_groups("newcomer"), s.now());
+}
+
+#[test]
 fn store_then_fetch_round_trips() {
     let mut s = sys();
     s.login(0, "satya", "pw-satya").unwrap();
@@ -276,7 +300,7 @@ fn revocation_via_negative_rights_vs_groups() {
     let before = s.now();
     let done = s.revoke_via_groups("howard");
     assert!(done >= before);
-    assert!(!s.pserver.cps("howard").contains(&"team".to_string()));
+    assert!(!s.domain.cps("howard").contains(&"team".to_string()));
 }
 
 #[test]

@@ -8,14 +8,12 @@
 //! the transport can borrow the topology mutably while a Venus is active.
 
 use crate::config::SystemConfig;
-use crate::protect::ProtectionDomain;
 use crate::proto::ServerId;
 use crate::server::Server;
 use crate::system::WsId;
 use crate::venus::{Venus, WorkstationType};
 use itc_rpc::{Network, NodeId};
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
 
 /// The wired-up hardware of the campus: network, servers, and the node
 /// identity maps.
@@ -48,10 +46,7 @@ impl Topology {
     /// of workstations per cluster, alternating Sun and Vax. Returns the
     /// topology and the Venus instances (one per workstation, in
     /// [`WsId`] order).
-    pub fn build(
-        config: &SystemConfig,
-        domain: &Arc<RwLock<ProtectionDomain>>,
-    ) -> (Topology, Vec<Venus>) {
+    pub fn build(config: &SystemConfig) -> (Topology, Vec<Venus>) {
         let mut network = Network::new();
         let mut servers = Vec::new();
         let mut server_nodes = Vec::new();
@@ -64,13 +59,7 @@ impl Topology {
             let cluster = network.add_cluster();
             let srv_node = network.add_node(cluster);
             let sid = ServerId(c);
-            let mut server = Server::new(
-                sid,
-                srv_node,
-                Arc::clone(domain),
-                config.validation,
-                config.traversal,
-            );
+            let mut server = Server::new(sid, srv_node, config.validation, config.traversal);
             server.set_break_batching(config.callback_break_batching);
             servers.push(server);
             server_nodes.push(srv_node);

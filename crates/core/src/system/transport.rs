@@ -14,8 +14,8 @@
 //!
 //! Since the parallel-simulation refactor there is no single global
 //! calendar: every cluster owns a [`ClusterCore`] — its own scheduler, rng
-//! streams, fault shard, bindings, trace collector, and counters. Events
-//! are routed to the cluster that owns their state:
+//! streams, fault shard, bindings, trace collector, counters and time
+//! high-water. Events are routed to the cluster that owns their state:
 //!
 //! * client-side events (`AttemptSend`, `TimeoutFire`, `ReplyArrive`) live
 //!   on the **calling workstation's** cluster;
@@ -74,11 +74,10 @@ use itc_rpc::{
     frame_call, take_frame, CallSpec, CallStats, Network, NodeId, RetryPolicy, TimingKernel,
 };
 use itc_sim::{
-    AnomalyReason, Clock, EventId, EventKey, EventStats, FaultPlan, FaultStats, Firing,
-    MessageFault, Scheduler, SimRng, SimTime, SpanClass, TraceCollector, TraceId,
+    AnomalyReason, EventId, EventKey, FaultPlan, Firing, MessageFault, Scheduler, SimRng, SimTime,
+    SpanClass, TraceCollector, TraceId,
 };
 use std::collections::BTreeMap;
-use std::sync::RwLock;
 
 /// A callback break that has been popped from a calendar but not yet
 /// applied to its target workstation's cache.
@@ -185,6 +184,9 @@ pub(crate) struct ClusterCore {
     /// anchored at this cluster. Sampled only while tracing is enabled;
     /// observation-only, like the collector.
     pub obs: ObsCore,
+    /// The latest instant this cluster's workstations have reached: one
+    /// term of the system's high-water mark ([`super::ItcSystem::now`]).
+    pub now: SimTime,
 }
 
 impl ClusterCore {
@@ -214,7 +216,13 @@ impl ClusterCore {
             trace,
             attr: AttributionAgg::new(),
             obs: ObsCore::default(),
+            now: SimTime::ZERO,
         }
+    }
+
+    /// Raises this cluster's high-water mark to `t`; it never moves back.
+    pub fn advance_to(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
     }
 }
 
@@ -253,45 +261,6 @@ impl EventCore {
             scrub_gen: 0,
             tracing,
         }
-    }
-
-    /// Whether any installed shard couples clusters (message faults,
-    /// scripted outcomes, crashes, or restarts). Corruption-only plans do
-    /// not: their flips are cluster-local, so parallel runs keep narrow
-    /// visibility masks.
-    pub fn faults_couple_clusters(&self) -> bool {
-        self.clusters
-            .iter()
-            .any(|c| c.faults.as_ref().is_some_and(|f| f.couples_clusters()))
-    }
-
-    /// Scheduler counters summed across every cluster calendar.
-    pub fn event_stats(&self) -> EventStats {
-        let mut total = EventStats::default();
-        for c in &self.clusters {
-            total.merge(&c.sched.stats());
-        }
-        total
-    }
-
-    /// Retry-machinery counters summed across every cluster.
-    pub fn call_stats(&self) -> CallStats {
-        let mut total = CallStats::default();
-        for c in &self.clusters {
-            total.absorb(c.call_stats);
-        }
-        total
-    }
-
-    /// Fault-injection counters summed across every installed shard.
-    pub fn fault_stats(&self) -> FaultStats {
-        let mut total = FaultStats::default();
-        for c in &self.clusters {
-            if let Some(f) = &c.faults {
-                total.merge(&f.stats());
-            }
-        }
-        total
     }
 }
 
@@ -427,11 +396,11 @@ pub(crate) struct SystemTransport<'a> {
     /// servers outside the mask, e.g. for hop counting in `nearest`).
     pub server_nodes: &'a [NodeId],
     pub kernel: &'a TimingKernel,
-    pub clock: &'a Clock,
     /// The traffic monitor, if sampling (sequential-only: parallel runs
     /// assert it off).
     pub monitor: Option<&'a mut TrafficMonitor>,
-    pub domain: &'a RwLock<ProtectionDomain>,
+    /// The protection database (read-only, shared).
+    pub domain: &'a ProtectionDomain,
     /// Copy of the retry policy (shared and immutable during a run).
     pub retry: RetryPolicy,
     /// Copy of the fault-plan generation (stable during a run; plans are
@@ -506,12 +475,7 @@ impl SystemTransport<'_> {
         let sid = server.0 as usize;
         // Vice looks the user's key up in its protection database; an
         // unknown user cannot bind at all.
-        let server_key = self
-            .domain
-            .read()
-            .expect("protection domain lock")
-            .auth_key(user)
-            .map_err(|e| e.to_string())?;
+        let server_key = self.domain.auth_key(user).map_err(|e| e.to_string())?;
         let nonces = {
             let rng = &mut self.cores.get_mut(cc).rng;
             (rng.next_u64(), rng.next_u64())
@@ -522,11 +486,9 @@ impl SystemTransport<'_> {
         let ready = self
             .kernel
             .handshake(self.net, ws, srv_node, self.servers.get(sid).cpu(), at);
-        self.cores
-            .get_mut(cc)
-            .bindings
-            .insert((ws, server), binding);
-        self.clock.advance_to(ready);
+        let cl = self.cores.get_mut(cc);
+        cl.bindings.insert((ws, server), binding);
+        cl.advance_to(ready);
         Ok(ready)
     }
 
@@ -590,7 +552,7 @@ impl SystemTransport<'_> {
                 // retry timeout and reports it unreachable.
                 if !self.servers.get(sid).is_online() {
                     let done = at + self.retry.timeout;
-                    self.clock.advance_to(done);
+                    self.cores.get_mut(cc).advance_to(done);
                     self.call_aborted(call, AnomalyReason::Unreachable, done);
                     call.result = Some((ViceReply::Error(ViceError::Unreachable(server.0)), done));
                     return Ok(());
@@ -646,8 +608,9 @@ impl SystemTransport<'_> {
                 }
                 self.timeout_fired(call, at);
                 if call.attempt >= self.retry.max_attempts {
-                    self.cores.get_mut(cc).call_stats.failures += 1;
-                    self.clock.advance_to(at);
+                    let cl = self.cores.get_mut(cc);
+                    cl.call_stats.failures += 1;
+                    cl.advance_to(at);
                     self.call_aborted(call, AnomalyReason::TimedOut, at);
                     call.result = Some((ViceReply::Error(ViceError::TimedOut(server.0)), at));
                 } else {
@@ -697,10 +660,12 @@ impl SystemTransport<'_> {
                 // Identity comes from the binding the request arrived on,
                 // never the request.
                 let user = self.cores.get(cc).bindings[&(call.ws, server)].server_user();
-                let (reply, cost) =
-                    self.servers
-                        .get_mut(sid)
-                        .serve(user, qr, call.attempt_start, costs);
+                let (reply, cost) = self.servers.get_mut(sid).serve(
+                    (user, self.domain),
+                    qr,
+                    call.attempt_start,
+                    costs,
+                );
                 // A fetch-time digest check may have taken a volume offline
                 // mid-handle; surface its integrity anomaly now.
                 self.drain_integrity_anomalies(sid, at, server.0);
@@ -808,7 +773,7 @@ impl SystemTransport<'_> {
                     call.reply_wire,
                     call.elapsed,
                 );
-                self.clock.advance_to(at);
+                self.cores.get_mut(cc).advance_to(at);
 
                 // Callback-break messages this call generated enter the
                 // calendars of their *target* workstations' clusters;
@@ -858,7 +823,7 @@ impl ViceTransport for SystemTransport<'_> {
         // an Unreachable error so Venus can fail over to a replica.
         if !self.servers.get(sid).is_online() {
             let done = at + self.kernel.costs().rpc_timeout;
-            self.clock.advance_to(done);
+            self.cores.get_mut(cc).advance_to(done);
             self.unbound_call_aborted(cc, ws, server, done);
             return Ok((ViceReply::Error(ViceError::Unreachable(server.0)), done));
         }

@@ -10,23 +10,29 @@ use itc_core::server::{QueuedRequest, Server};
 use itc_core::volume::{Volume, VolumeId};
 use itc_rpc::NodeId;
 use itc_sim::{Costs, SimRng, SimTime, TraceId, TraversalMode, ValidationMode};
-use std::sync::{Arc, RwLock};
+use std::sync::OnceLock;
 
 const WS: NodeId = NodeId(10);
 const WS2: NodeId = NodeId(11);
 
-fn make_server(validation: ValidationMode) -> Server {
-    let mut domain = ProtectionDomain::new();
-    domain.add_user("alice", "pw").unwrap();
-    domain.add_user("mallory", "pw").unwrap();
-    domain.add_group("staff").unwrap();
-    domain.add_member("staff", "alice").unwrap();
-    let domain = Arc::new(RwLock::new(domain));
+/// The protection database every test server's callers are checked
+/// against (the system lends one copy to every server).
+fn domain() -> &'static ProtectionDomain {
+    static DOMAIN: OnceLock<ProtectionDomain> = OnceLock::new();
+    DOMAIN.get_or_init(|| {
+        let mut domain = ProtectionDomain::new();
+        domain.add_user("alice", "pw").unwrap();
+        domain.add_user("mallory", "pw").unwrap();
+        domain.add_group("staff").unwrap();
+        domain.add_member("staff", "alice").unwrap();
+        domain
+    })
+}
 
+fn make_server(validation: ValidationMode) -> Server {
     let mut srv = Server::new(
         ServerId(0),
         NodeId(0),
-        domain,
         validation,
         TraversalMode::ServerSide,
     );
@@ -42,7 +48,7 @@ fn make_server(validation: ValidationMode) -> Server {
 
 fn call(srv: &mut Server, user: &str, from: NodeId, req: ViceRequest) -> ViceReply {
     let costs = Costs::prototype_1985();
-    srv.handle(user, from, &req, SimTime::from_secs(1), &costs)
+    srv.handle((user, domain()), from, &req, SimTime::from_secs(1), &costs)
         .0
 }
 
@@ -405,18 +411,10 @@ fn readonly_replica_serves_reads_but_not_writes() {
     // Clone the volume and host only the clone on a second server.
     let clone = {
         // The protection database is replicated at each server: the
-        // replica knows the same users and groups.
-        let domain = Arc::new(RwLock::new(ProtectionDomain::new()));
-        {
-            let mut d = domain.write().expect("protection domain lock");
-            d.add_user("alice", "pw").unwrap();
-            d.add_group("staff").unwrap();
-            d.add_member("staff", "alice").unwrap();
-        }
+        // replica's callers are checked against the same users and groups.
         let mut replica_srv = Server::new(
             ServerId(1),
             NodeId(1),
-            domain,
             ValidationMode::CheckOnOpen,
             TraversalMode::ServerSide,
         );
@@ -508,7 +506,7 @@ fn server_side_traversal_charges_per_component() {
     let mut srv = make_server(ValidationMode::CheckOnOpen);
     let costs = Costs::prototype_1985();
     let (_, shallow) = srv.handle(
-        "alice",
+        ("alice", domain()),
         WS,
         &ViceRequest::Fetch {
             path: "/vice/t/hello.txt".into(),
@@ -542,7 +540,7 @@ fn server_side_traversal_charges_per_component() {
         },
     );
     let (_, deep) = srv.handle(
-        "alice",
+        ("alice", domain()),
         WS,
         &ViceRequest::Fetch {
             path: "/vice/t/a/b/deep.txt".into(),
@@ -740,7 +738,13 @@ fn every_request_kind_meets_the_gate() {
     let promises = srv.callback_promises();
     for ((req, expected), kind) in rows.iter().zip(ViceRequest::KINDS) {
         assert_eq!(req.kind(), kind, "rows follow KINDS order");
-        let (reply, cost) = srv.handle("mallory", WS2, req, SimTime::from_secs(9), &costs);
+        let (reply, cost) = srv.handle(
+            ("mallory", domain()),
+            WS2,
+            req,
+            SimTime::from_secs(9),
+            &costs,
+        );
         match req {
             // The two ungated kinds: location is public, and a release can
             // only drop the caller's own lock.
@@ -797,7 +801,12 @@ fn serve(
         payload,
         arrived: SimTime::from_secs(1),
     };
-    let reply = srv.serve("alice", qr, SimTime::from_secs(1), &Costs::prototype_1985());
+    let reply = srv.serve(
+        ("alice", domain()),
+        qr,
+        SimTime::from_secs(1),
+        &Costs::prototype_1985(),
+    );
     // Write-ahead: the journal is forced before the reply may leave.
     srv.sync_journal();
     reply.0

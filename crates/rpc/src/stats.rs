@@ -6,21 +6,14 @@
 //! each call it serves; experiment E2 prints the same histogram.
 
 use itc_sim::{Counter, RunningStats, SimTime};
-use std::cell::RefCell;
 
+/// Call counters for one server.
 #[derive(Debug, Default)]
-struct Inner {
+pub struct RpcStats {
     calls: Counter,
     bytes_in: u64,
     bytes_out: u64,
     latency: RunningStats,
-}
-
-/// Call counters for one server (interior-mutable: servers are shared
-/// immutably inside the single-threaded simulation graph).
-#[derive(Debug, Default)]
-pub struct RpcStats {
-    inner: RefCell<Inner>,
 }
 
 impl RpcStats {
@@ -30,52 +23,51 @@ impl RpcStats {
     }
 
     /// Records one served call.
-    pub fn record(&self, kind: &str, request_bytes: u64, reply_bytes: u64, elapsed: SimTime) {
-        let mut i = self.inner.borrow_mut();
-        i.calls.bump(kind);
-        i.bytes_in += request_bytes;
-        i.bytes_out += reply_bytes;
-        i.latency.record(elapsed.as_secs_f64());
+    pub fn record(&mut self, kind: &str, request_bytes: u64, reply_bytes: u64, elapsed: SimTime) {
+        self.calls.bump(kind);
+        self.bytes_in += request_bytes;
+        self.bytes_out += reply_bytes;
+        self.latency.record(elapsed.as_secs_f64());
     }
 
     /// Total calls served.
     pub fn total_calls(&self) -> u64 {
-        self.inner.borrow().calls.total()
+        self.calls.total()
     }
 
     /// Calls of one kind.
     pub fn calls_of(&self, kind: &str) -> u64 {
-        self.inner.borrow().calls.get(kind)
+        self.calls.get(kind)
     }
 
     /// Fraction of calls of one kind.
     pub fn fraction(&self, kind: &str) -> f64 {
-        self.inner.borrow().calls.fraction(kind)
+        self.calls.fraction(kind)
     }
 
     /// Snapshot of the call histogram.
     pub fn histogram(&self) -> Counter {
-        self.inner.borrow().calls.clone()
+        self.calls.clone()
     }
 
     /// Total request bytes received.
     pub fn bytes_in(&self) -> u64 {
-        self.inner.borrow().bytes_in
+        self.bytes_in
     }
 
     /// Total reply bytes sent.
     pub fn bytes_out(&self) -> u64 {
-        self.inner.borrow().bytes_out
+        self.bytes_out
     }
 
     /// Mean caller-observed latency in seconds.
     pub fn mean_latency_secs(&self) -> f64 {
-        self.inner.borrow().latency.mean()
+        self.latency.mean()
     }
 
     /// Clears all statistics.
-    pub fn reset(&self) {
-        *self.inner.borrow_mut() = Inner::default();
+    pub fn reset(&mut self) {
+        *self = RpcStats::default();
     }
 }
 
@@ -85,7 +77,7 @@ mod tests {
 
     #[test]
     fn records_and_fractions() {
-        let s = RpcStats::new();
+        let mut s = RpcStats::new();
         for _ in 0..65 {
             s.record("validate", 128, 128, SimTime::from_millis(40));
         }

@@ -1,4 +1,4 @@
-//! The virtual clock and its time type.
+//! Virtual time.
 //!
 //! All simulated durations and instants are [`SimTime`] values: microseconds
 //! since the start of the run, stored as `u64`. Microsecond resolution is
@@ -8,8 +8,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// An instant or duration in virtual time, in microseconds.
 ///
@@ -146,49 +144,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// The shared virtual clock.
-///
-/// The clock only moves forward. Each workstation "process" in an experiment
-/// keeps its own local notion of time (its next-free instant); the shared
-/// clock tracks the global high-water mark, which is what utilization windows
-/// and experiment durations are measured against.
-///
-/// The high-water mark is an atomic so per-cluster simulation workers can
-/// publish their progress concurrently: `advance_to` is a `fetch_max`, whose
-/// result is independent of the order the workers arrive in — the final
-/// value is the maximum either way, which is exactly the monotone-max
-/// semantics the sequential executor had.
-#[derive(Debug, Default)]
-pub struct Clock {
-    now: AtomicU64,
-}
-
-impl Clock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Arc<Clock> {
-        Arc::new(Clock {
-            now: AtomicU64::new(0),
-        })
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        SimTime(self.now.load(Ordering::SeqCst))
-    }
-
-    /// Advances the clock to `t` if `t` is later than the current time.
-    /// Never moves backward (a `fetch_max`, safe under concurrent callers).
-    pub fn advance_to(&self, t: SimTime) {
-        self.now.fetch_max(t.0, Ordering::SeqCst);
-    }
-
-    /// Resets the clock to zero. Intended for reusing one topology across
-    /// repeated experiment trials.
-    pub fn reset(&self) {
-        self.now.store(0, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,18 +177,5 @@ mod tests {
         assert_eq!(SimTime::from_micros(12).to_string(), "12us");
         assert_eq!(SimTime::from_millis(12).to_string(), "12.000ms");
         assert_eq!(SimTime::from_secs(12).to_string(), "12.000s");
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let c = Clock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance_to(SimTime::from_secs(10));
-        assert_eq!(c.now(), SimTime::from_secs(10));
-        // Attempting to move backward is a no-op.
-        c.advance_to(SimTime::from_secs(5));
-        assert_eq!(c.now(), SimTime::from_secs(10));
-        c.reset();
-        assert_eq!(c.now(), SimTime::ZERO);
     }
 }

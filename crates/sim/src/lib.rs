@@ -7,8 +7,9 @@
 //! transfer) runs for real; only *time* is simulated. Three ideas carry the
 //! whole design:
 //!
-//! * [`Clock`] — a shared virtual clock in microseconds. Nodes advance it as
-//!   work is "performed"; nothing ever sleeps.
+//! * [`SimTime`] — virtual time in microseconds. Work advances the local
+//!   time of whoever performs it; nothing ever sleeps, and nothing in a run
+//!   shares a mutable clock.
 //! * [`Resource`] — a FIFO service center (a server CPU, a disk, a network
 //!   link). A request arriving at time `t` with service demand `s` begins at
 //!   `max(t, earliest_available)` and completes `s` later. This single-queue
@@ -42,7 +43,7 @@ pub mod sched;
 pub mod stats;
 pub mod trace;
 
-pub use clock::{Clock, SimTime};
+pub use clock::SimTime;
 pub use costs::{Costs, ServerStructure, TraversalMode, ValidationMode};
 pub use fault::{FaultPlan, FaultStats, MessageFault, ScriptedFault};
 pub use resource::{Resource, UtilizationReport};

@@ -34,7 +34,7 @@
 //! the future: retry bookkeeping (a timeout that started counting when the
 //! request departed) may be scheduled at an instant that is already past the
 //! head of the queue. Monotonicity of observable state is the business of
-//! [`crate::Clock`] and [`crate::Resource`], both of which only move forward.
+//! [`crate::Resource`], which only moves forward.
 
 use crate::clock::SimTime;
 use crate::rng::SimRng;

@@ -17,7 +17,7 @@ use itc_afs::core::system::ItcSystem;
 use itc_afs::core::venus::Space;
 
 fn main() {
-    let mut sys = ItcSystem::build(SystemConfig::small_campus(1, 4));
+    let mut sys = ItcSystem::build(SystemConfig::prototype(1, 4));
     sys.add_user("student", "pw").unwrap();
 
     // The operator installs per-architecture system binaries in Vice.

@@ -34,7 +34,7 @@ fn work_session(sys: &mut ItcSystem, ws: WsId, label: &str) -> SimTime {
 }
 
 fn main() {
-    let mut sys = ItcSystem::build(SystemConfig::small_campus(2, 2));
+    let mut sys = ItcSystem::build(SystemConfig::prototype(2, 2));
     sys.add_user("prof", "tenure").unwrap();
     // Her volume is custodied by the server in her office's cluster.
     sys.create_user_volume("prof", 0).unwrap();

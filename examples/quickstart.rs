@@ -11,7 +11,7 @@ use itc_afs::core::system::ItcSystem;
 fn main() {
     // Two clusters, one Vice server each, two workstations per cluster —
     // a miniature of Figure 2-2.
-    let mut sys = ItcSystem::build(SystemConfig::small_campus(2, 2));
+    let mut sys = ItcSystem::build(SystemConfig::prototype(2, 2));
     sys.add_user("satya", "correct-horse").unwrap();
     let ws = sys.workstation_in_cluster(0);
 

@@ -17,7 +17,7 @@ use itc_afs::core::system::ItcSystem;
 fn main() {
     // Three clusters; the master copy of the system software lives on
     // server 0.
-    let mut sys = ItcSystem::build(SystemConfig::small_campus(3, 2));
+    let mut sys = ItcSystem::build(SystemConfig::prototype(3, 2));
     sys.add_user("ops", "pw").unwrap();
     sys.admin_install_file("/vice/unix/sun/bin/emacs", b"emacs 17.64".to_vec())
         .unwrap();

@@ -47,7 +47,7 @@ fn main() {
     let _ = hs;
 
     // --- Layer 3: the full system ----------------------------------------
-    let mut sys = ItcSystem::build(SystemConfig::small_campus(1, 3));
+    let mut sys = ItcSystem::build(SystemConfig::prototype(1, 3));
     sys.add_user("alice", "users-password").unwrap();
     sys.add_user("mallory", "1337").unwrap();
     sys.add_group("team").unwrap();

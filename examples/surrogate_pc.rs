@@ -15,7 +15,7 @@ use itc_afs::core::config::SystemConfig;
 use itc_afs::core::system::ItcSystem;
 
 fn main() {
-    let mut sys = ItcSystem::build(SystemConfig::small_campus(1, 2));
+    let mut sys = ItcSystem::build(SystemConfig::prototype(1, 2));
     sys.add_user("lab", "pw").unwrap();
     sys.create_user_volume("lab", 0).unwrap();
     sys.admin_install_file("/vice/usr/lab/dataset.csv", vec![b','; 120_000])

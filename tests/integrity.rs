@@ -12,8 +12,6 @@
 //! the passes charge only their own attribution ledger kind — foreground
 //! virtual timings stay bit-identical.
 
-use std::sync::{Arc, RwLock};
-
 use itc_afs::core::disk::{CorruptionOutcome, Disk, FlipRegion, JournalOp, SyncPolicy};
 use itc_afs::core::protect::{AccessList, ProtectionDomain, Rights};
 use itc_afs::core::proto::payload::{bytes_digested, payload_digest, reset_bytes_digested};
@@ -417,13 +415,12 @@ fn a_flip_lands_in_exactly_one_holder_of_the_shared_buffer() {
     assert_eq!(flips, 48, "the sweep covered every byte of the file");
 }
 
-/// One server with an empty protection domain, for tests that drive
-/// `Server` directly.
+/// One server, for tests that drive `Server` directly (their callers are
+/// checked against an empty protection domain).
 fn lone_server() -> Server {
     Server::new(
         ServerId(0),
         NodeId(0),
-        Arc::new(RwLock::new(ProtectionDomain::new())),
         ValidationMode::Callback,
         TraversalMode::ServerSide,
     )
@@ -461,7 +458,7 @@ fn fetch_after_salvage_from_damaged_checkpoint_is_caught() {
 
     let costs = Costs::default();
     let (reply, _) = srv.handle(
-        "u",
+        ("u", &ProtectionDomain::new()),
         NodeId(9),
         &ViceRequest::Fetch {
             path: "/vice/proj/f.c".into(),
@@ -563,7 +560,7 @@ fn rot_under_warm_digest_memos_is_still_caught() {
         srv.salvage_volume(vid).expect("salvages");
         assert_eq!(live_read(&srv), damaged);
         let (reply, _) = srv.handle(
-            "u",
+            ("u", &ProtectionDomain::new()),
             NodeId(9),
             &ViceRequest::Fetch {
                 path: format!("/vice/proj{path}"),

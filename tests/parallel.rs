@@ -574,3 +574,54 @@ fn a_cluster_is_claimed_once_and_a_serialized_day_is_one_claim() {
     let stats = sys.executor_stats();
     assert_eq!((stats.claims, stats.ops, stats.waits), (1, report.ops, 0));
 }
+
+#[test]
+fn a_user_added_between_parallel_runs_logs_in_and_is_authorised() {
+    // The protection database is plain data every worker reads by
+    // reference: what the operator writes between two runs is what both
+    // clusters read in the next one.
+    let mut sys = ItcSystem::build(SystemConfig::revised(2, 2));
+    sys.add_group("team").expect("group");
+    let mut acl = AccessList::new();
+    acl.grant("team", Rights::ALL);
+    for c in 0..2 {
+        let (name, mount) = (format!("team.c{c}"), format!("/vice/team{c}"));
+        sys.create_volume(&name, &mount, ServerId(c), acl.clone())
+            .expect("volume");
+    }
+    // One op per cluster (workstations 0 and 2): log in as `newcomer`,
+    // then store into the home cluster's team volume.
+    let run = |sys: &mut ItcSystem| {
+        let counts = Arc::new(Mutex::new(OpCounts::default()));
+        let drivers = [0, 2]
+            .into_iter()
+            .map(|ws| {
+                let home = ws / 2;
+                let mut d = ScriptDriver::new(ws, sys.ws_time(ws), Arc::clone(&counts));
+                d.push(ClusterMask::of(home), move |ops| {
+                    ops.login(ws, "newcomer", "pw")?;
+                    ops.store(ws, &format!("/vice/team{home}/n{ws}"), vec![7; 100])
+                });
+                (ws, Box::new(d) as Box<dyn WsDriver>)
+            })
+            .collect();
+        let outcome = sys.run_drivers(drivers, RunMode::Parallel(2));
+        let counts = *counts.lock().unwrap();
+        (outcome, counts)
+    };
+    let (first, _) = run(&mut sys);
+    assert!(
+        matches!(first, Err(SystemError::AuthFailed(_))),
+        "an unknown user logged in: {first:?}"
+    );
+
+    sys.add_user("newcomer", "pw").expect("user");
+    sys.add_member("team", "newcomer").expect("member");
+    let (second, counts) = run(&mut sys);
+    assert_eq!(second.expect("second run"), 2);
+    assert_eq!((counts.ops, counts.failed), (2, 0), "{counts:?}");
+    assert_eq!(
+        sys.ops().fetch(0, "/vice/team1/n2").expect("fetch"),
+        [7; 100]
+    );
+}

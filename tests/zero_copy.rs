@@ -298,7 +298,6 @@ fn a_warm_vice_call_stays_within_its_allocation_budget() {
     let mut srv = Server::new(
         ServerId(0),
         NodeId(0),
-        std::sync::Arc::new(std::sync::RwLock::new(domain)),
         ValidationMode::Callback,
         TraversalMode::ClientSide,
     );
@@ -322,7 +321,7 @@ fn a_warm_vice_call_stays_within_its_allocation_budget() {
         let mut call = |at| {
             let now = SimTime::from_secs(at);
             let (allocs, (reply, _)) =
-                allocations_in(|| srv.handle("user03", NodeId(13), req, now, &costs));
+                allocations_in(|| srv.handle(("user03", &domain), NodeId(13), req, now, &costs));
             assert!(!matches!(reply, ViceReply::Error(_)), "{reply:?}");
             allocs
         };
