@@ -180,9 +180,9 @@ if find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do 
 fi
 # Nothing a run shares is mutable (DESIGN.md §13): the protection database
 # is plain data every call reads by reference, the time high-water is one
-# field per cluster, and a server's counters are plain fields behind its
-# `&mut`. No lock, atomic or interior mutability may grow back around them;
-# the parallel executor's pool is the one shared mutable thing.
+# field per cluster, and a server's counters and resources are plain fields
+# behind its `&mut`. No lock, atomic or interior mutability may grow back
+# around them; the parallel executor's pool is the one shared mutable thing.
 echo "== nothing a run shares is mutable (no lock, atomic or RefCell; no protection server) =="
 shared() { find "$@" -name '*.rs' ! -name tests.rs | sort | while read -r f; do nontest "$f"; done; }
 if [ -e crates/core/src/protect/pserver.rs ]; then
@@ -190,9 +190,31 @@ if [ -e crates/core/src/protect/pserver.rs ]; then
     exit 1
 fi
 if shared crates/core/src crates/sim/src crates/rpc/src | grep -E 'RwLock|Atomic' \
-    || shared crates/core/src crates/rpc/src | grep -F 'RefCell' \
+    || shared crates/core/src crates/sim/src crates/rpc/src | grep -F 'RefCell' \
     || shared crates/core/src | grep -v '^crates/core/src/system/parallel\.rs:' | grep -E 'Mutex|Condvar'; then
     echo "ci.sh: shared mutable state grew back (see the lines above)" >&2
+    exit 1
+fi
+# A run borrows its shards and one read-only campus (DESIGN.md §13): the
+# location database is one field of `Campus`, never a server's own, and a
+# view holds its shards, the monitor and one `&Campus` — no copied setting,
+# no home map (a home server is the server of the workstation's cluster).
+echo "== shards and one campus (one location database; views copy no campus field) =="
+fields() { # the field names of struct $2 in file $1, space-separated
+    nontest "$1" | cut -d: -f3- | awk -v s="struct $2<" 'index($0, s) {p=1; next} p && /^}/ {exit} p' \
+        | sed -nE 's/^ *(pub(\([a-z]+\))? )?([a-z_]+):.*/\3/p' | tr '\n' ' '
+}
+if nontest crates/core/src/server/mod.rs | grep -E '\b[a-z_]+: LocationDb,|LocationDb::new\(\)|fn location(_mut)?\('; then
+    echo "ci.sh: Server holds a location database again — it is Campus::location, lent to each call" >&2
+    exit 1
+fi
+if [ "$(shared crates/core/src | grep -cE '\b[a-z_]+: LocationDb,')" -ne 1 ] \
+    || [ "$(fields crates/core/src/system/transport.rs SystemTransport)" != "servers cores monitor campus " ] \
+    || [ "$(fields crates/core/src/system/parallel.rs WsOps)" != "transport venuses " ]; then
+    shared crates/core/src | grep -E '\b[a-z_]+: LocationDb,'
+    echo "SystemTransport: $(fields crates/core/src/system/transport.rs SystemTransport)" >&2
+    echo "WsOps: $(fields crates/core/src/system/parallel.rs WsOps)" >&2
+    echo "ci.sh: a second location database, or a view field beside its shards and &Campus (see above)" >&2
     exit 1
 fi
 # The trajectory: the non-test lines of every crates/*/src file (tests.rs

@@ -13,9 +13,10 @@
 //!
 //! The database "changes relatively slowly" — reassignment of subtrees is a
 //! human-initiated, expensive operation that must update every replica.
-//! [`LocationDb::version`] tracks mutations so experiment E14 can report
-//! database size, and the system layer charges a full replica-update fan-out
-//! per change.
+//! The replicas are identical, so the system keeps one copy beside the
+//! protection database and lends it to every call; a volume move is charged
+//! as one update message to every server. [`LocationDb::version`] tracks
+//! mutations for experiment E14.
 
 use crate::proto::ServerId;
 use std::collections::BTreeMap;

@@ -71,19 +71,12 @@ impl std::error::Error for DomainError {}
 #[derive(Debug, Clone, Default)]
 pub struct ProtectionDomain {
     principals: BTreeMap<String, Principal>,
-    /// Version, bumped on every mutation — replicas compare this.
-    version: u64,
 }
 
 impl ProtectionDomain {
     /// An empty domain.
     pub fn new() -> ProtectionDomain {
         ProtectionDomain::default()
-    }
-
-    /// Current version (bumped by every mutation).
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Registers a user with a password. The stored key is derived exactly
@@ -98,7 +91,6 @@ impl ProtectionDomain {
                 auth_key: derive_key(password, name),
             },
         );
-        self.version += 1;
         Ok(())
     }
 
@@ -113,7 +105,6 @@ impl ProtectionDomain {
                 members: BTreeSet::new(),
             },
         );
-        self.version += 1;
         Ok(())
     }
 
@@ -129,7 +120,6 @@ impl ProtectionDomain {
         match self.principals.get_mut(group) {
             Some(Principal::Group { members }) => {
                 members.insert(member.to_string());
-                self.version += 1;
                 Ok(())
             }
             Some(_) => Err(DomainError::NotAGroup(group.to_string())),
@@ -142,7 +132,6 @@ impl ProtectionDomain {
         match self.principals.get_mut(group) {
             Some(Principal::Group { members }) => {
                 members.remove(member);
-                self.version += 1;
                 Ok(())
             }
             Some(_) => Err(DomainError::NotAGroup(group.to_string())),
@@ -151,8 +140,8 @@ impl ProtectionDomain {
     }
 
     /// Removes `member` from **every** group that directly contains it —
-    /// the paper's "slow revocation" path, which the protection server must
-    /// propagate to every replica.
+    /// the paper's "slow revocation" path, whose update must reach every
+    /// replica.
     pub fn remove_from_all_groups(&mut self, member: &str) -> usize {
         let mut removed = 0;
         for p in self.principals.values_mut() {
@@ -161,9 +150,6 @@ impl ProtectionDomain {
                     removed += 1;
                 }
             }
-        }
-        if removed > 0 {
-            self.version += 1;
         }
         removed
     }
@@ -177,23 +163,9 @@ impl ProtectionDomain {
         }
     }
 
-    /// True when `name` names a user.
-    pub fn is_user(&self, name: &str) -> bool {
-        matches!(self.principals.get(name), Some(Principal::User { .. }))
-    }
-
     /// True when `name` names any principal.
     pub fn exists(&self, name: &str) -> bool {
         self.principals.contains_key(name)
-    }
-
-    /// Direct members of a group.
-    pub fn members_of(&self, group: &str) -> Result<Vec<String>, DomainError> {
-        match self.principals.get(group) {
-            Some(Principal::Group { members }) => Ok(members.iter().cloned().collect()),
-            Some(_) => Err(DomainError::NotAGroup(group.to_string())),
-            None => Err(DomainError::Unknown(group.to_string())),
-        }
     }
 
     /// True when `group` is a group that contains `member` directly or
@@ -340,25 +312,5 @@ mod tests {
         assert_eq!(d.remove_from_all_groups("satya"), 2);
         assert_eq!(d.cps("satya"), vec!["satya".to_string()]);
         assert_eq!(d.remove_from_all_groups("satya"), 0);
-    }
-
-    #[test]
-    fn version_bumps_on_mutation() {
-        let mut d = ProtectionDomain::new();
-        let v0 = d.version();
-        d.add_user("u", "p").unwrap();
-        assert!(d.version() > v0);
-        let v1 = d.version();
-        d.add_group("g").unwrap();
-        d.add_member("g", "u").unwrap();
-        assert!(d.version() > v1);
-    }
-
-    #[test]
-    fn members_listing() {
-        let d = campus();
-        let m = d.members_of("itc").unwrap();
-        assert_eq!(m, vec!["howard".to_string(), "satya".to_string()]);
-        assert!(d.members_of("satya").is_err());
     }
 }

@@ -11,7 +11,17 @@
 //! handed to [`Server::handle`] comes from the binding, not the request,
 //! the request body is wire bytes until [`Server::serve`] decodes it, and
 //! every request is re-checked against the access lists by one gate
-//! (`authorize`) even if Venus already checked client-side.
+//! (`authorize`) even if Venus already checked client-side. A name a
+//! request carries must already be normal (`itc_unixfs::normalize`): one
+//! object, one spelling, so promises and locks keyed by name cannot be
+//! split by an alias.
+//!
+//! A server is one cluster's shard of a run: its volumes, disk, CPU,
+//! promises, locks and counters are its own, written through the `&mut`
+//! the shard gives. What every server reads — the protection and location
+//! databases, which the paper replicates at each site — is not: the system
+//! keeps one copy of each and lends it to every call as part of the
+//! [`Caller`].
 
 mod locks;
 
@@ -29,7 +39,8 @@ use crate::proto::{
 use crate::volume::{Volume, VolumeError, VolumeId};
 use itc_rpc::{NodeId, RpcStats};
 use itc_sim::{Costs, Resource, SimTime, TraversalMode, ValidationMode};
-use itc_unixfs::{FileType, FsError};
+use itc_unixfs::{normalize, FileType, FsError};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// A request parked on the server's explicit queue, awaiting dispatch by
@@ -73,10 +84,12 @@ pub struct CallCost {
 }
 
 /// Who is calling, as the server sees it: the name the RPC binding
-/// authenticated, and the protection database its rights are read from.
-/// The database is not the server's own: every replica is identical, so
-/// the system lends the one copy to every call (`crate::protect::domain`).
-pub type Caller<'a> = (&'a str, &'a ProtectionDomain);
+/// authenticated, the protection database its rights are read from, and
+/// the location database custodianship is read from. Neither database is
+/// the server's own: the paper replicates both at every server, the
+/// replicas are identical, so the system keeps one copy of each and lends
+/// it to every call.
+pub type Caller<'a> = (&'a str, &'a ProtectionDomain, &'a LocationDb);
 
 /// A Vice cluster server.
 #[derive(Debug)]
@@ -86,7 +99,6 @@ pub struct Server {
     cpu: Resource,
     disk: Resource,
     volumes: Vec<Volume>,
-    location: LocationDb,
     /// Outstanding callback promises. A `BTreeMap` of `BTreeSet`s, not
     /// hash collections: break fan-out feeds the event calendars, so every
     /// iteration here must be a function of the seed alone.
@@ -159,7 +171,6 @@ impl Server {
             cpu: Resource::new(format!("server{}-cpu", id.0)),
             disk: Resource::new(format!("server{}-disk", id.0)),
             volumes: Vec::new(),
-            location: LocationDb::new(),
             callbacks: BTreeMap::new(),
             locks: LockTable::new(),
             stats: RpcStats::new(),
@@ -288,28 +299,35 @@ impl Server {
         self.storage.salvage_work(vid)
     }
 
-    /// Salvages one volume: rebuilds it from its checkpoint plus the
-    /// surviving committed journal records, verifies invariants, and swaps
-    /// the rebuilt (online) image in. Returns the report, or `None` if the
-    /// disk holds no checkpoint for `vid`.
-    pub fn salvage_volume(&mut self, vid: VolumeId) -> Option<SalvageReport> {
+    /// Salvages one volume at `at`: rebuilds it from its checkpoint plus
+    /// the surviving committed journal records, verifies invariants, and
+    /// swaps the rebuilt (online) image in. A pass whose trailer
+    /// verification rejected journal records has caught the flipped bytes
+    /// behind them (the damaged suffix never replays): every latent journal
+    /// flip is marked [`CorruptionOutcome::RejectedAtSalvage`] at `at`.
+    /// Returns the report, or `None` if the disk holds no checkpoint for
+    /// `vid`.
+    pub fn salvage_volume(&mut self, vid: VolumeId, at: SimTime) -> Option<SalvageReport> {
         self.salvage_pending.retain(|&v| v != vid);
         let (vol, report) = self.storage.salvage(vid)?;
         if let Some(slot) = self.volumes.iter_mut().find(|v| v.id() == vid) {
             *slot = vol;
         }
+        if report.records_rejected > 0 {
+            self.mark_corruptions_detected(at, CorruptionOutcome::RejectedAtSalvage, |r| {
+                matches!(r, FlipRegion::Journal { .. })
+            });
+        }
         self.salvage_reports.push(report.clone());
         Some(report)
     }
 
-    /// Salvages every pending volume immediately (the operator-driven
-    /// path; the event calendar drives per-volume passes with timing).
-    pub fn salvage_all(&mut self) -> Vec<SalvageReport> {
-        let pending = std::mem::take(&mut self.salvage_pending);
-        pending
-            .into_iter()
-            .filter_map(|vid| self.salvage_volume(vid))
-            .collect()
+    /// Salvages every pending volume at `at` (the operator-driven path;
+    /// the event calendar drives per-volume passes with timing).
+    pub fn salvage_all(&mut self, at: SimTime) {
+        for vid in std::mem::take(&mut self.salvage_pending) {
+            self.salvage_volume(vid, at);
+        }
     }
 
     /// Reports of completed salvage passes, oldest first.
@@ -534,7 +552,7 @@ impl Server {
         self.node
     }
 
-    /// The server's CPU resource (shared with the timing kernel).
+    /// The server's CPU resource.
     pub fn cpu(&self) -> &Resource {
         &self.cpu
     }
@@ -544,20 +562,15 @@ impl Server {
         &self.disk
     }
 
+    /// The CPU and disk, to charge (the timing kernel queues calls on
+    /// them; operator actions and salvage passes charge them directly).
+    pub fn resources_mut(&mut self) -> (&mut Resource, &mut Resource) {
+        (&mut self.cpu, &mut self.disk)
+    }
+
     /// Call statistics.
     pub fn stats(&self) -> &RpcStats {
         &self.stats
-    }
-
-    /// The server's replica of the location database.
-    pub fn location(&self) -> &LocationDb {
-        &self.location
-    }
-
-    /// Mutable location database (the system layer updates every server's
-    /// replica together, charging replication time).
-    pub fn location_mut(&mut self) -> &mut LocationDb {
-        &mut self.location
     }
 
     /// Installs a volume on this server. The disk checkpoints the image
@@ -696,7 +709,7 @@ impl Server {
     /// Handles one authenticated request.
     ///
     /// * `caller` — identity from the RPC binding (never from the request),
-    ///   with the protection database its rights are read from.
+    ///   with the protection and location databases the call reads.
     /// * `from` — the workstation's node id (for callback promises).
     /// * `now` — virtual time, used for mtimes.
     /// * `costs` — cost table for computing the CPU charge of this call.
@@ -738,7 +751,7 @@ impl Server {
     /// `(user, node)` lock, so there is nothing to protect).
     fn authorize<'p>(
         &self,
-        (user, domain): Caller<'_>,
+        (user, domain, _): Caller<'_>,
         vol_idx: usize,
         path: &'p str,
         needed: Rights,
@@ -873,11 +886,23 @@ impl Server {
         costs: &Costs,
         cost: &mut CallCost,
     ) -> Result<ViceReply, ViceError> {
-        let user = who.0;
+        let (user, _, location) = who;
+        // One spelling per object: promises and locks are keyed by the
+        // names a request carries, so every name must already be the one
+        // `normalize` returns — an alias (`//`, `.`, `..`) would reach the
+        // same inode under a second key. Refused before any state is read.
+        let renamed_to = match req {
+            ViceRequest::Rename { to, .. } => Some(to.as_str()),
+            _ => None,
+        };
+        for name in [Some(req.path()), renamed_to].into_iter().flatten() {
+            if !matches!(normalize(name), Ok(Cow::Borrowed(_))) {
+                return Err(ViceError::BadRequest(format!("not a normal path: {name}")));
+            }
+        }
         // Custodian location is answerable even for paths we do not host.
         if let ViceRequest::GetCustodian { path } = req {
-            let (subtree, entry) = self
-                .location
+            let (subtree, entry) = location
                 .lookup(path)
                 .ok_or_else(|| ViceError::NoSuchFile(path.clone()))?;
             return Ok(ViceReply::Custodian {
@@ -898,13 +923,13 @@ impl Server {
         // specifies.
         let vol_idx = self
             .volume_for(path, want_write)
-            .ok_or_else(|| ViceError::NotCustodian(self.location.custodian_of(path)))?;
+            .ok_or_else(|| ViceError::NotCustodian(location.custodian_of(path)))?;
 
         // The location database is authoritative: if it assigns a *deeper*
         // subtree than the volume we would serve from, that subtree lives
         // elsewhere (e.g. a user volume that moved away) and the enclosing
         // volume's stub directory must not shadow it.
-        if let Some((subtree, entry)) = self.location.lookup(path) {
+        if let Some((subtree, entry)) = location.lookup(path) {
             let our_mount_len = self.volumes[vol_idx].mount().len();
             if subtree.len() > our_mount_len
                 && entry.custodian != self.id

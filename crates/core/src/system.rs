@@ -1,6 +1,8 @@
 //! Assembly of the full system, decomposed into layers:
 //!
-//! * `topology` — clusters, the bridged network, servers, and node wiring;
+//! * `topology` — the campus (network, timing kernel, the protection and
+//!   location databases, node wiring, run settings) built beside the
+//!   per-cluster servers and Venus instances;
 //! * `transport` — the event-driven RPC transport: every Vice call is a
 //!   chain of scheduler events (request departs → arrives → queues → is
 //!   served → reply departs → arrives, or its retry timer fires) over
@@ -25,6 +27,20 @@
 //! runs the Venus logic (which may issue authenticated RPCs through the
 //! simulated network), advances virtual time, and afterwards delivers any
 //! callback breaks the touched server generated.
+//!
+//! ## Shards and the campus
+//!
+//! A run's state is two things. The per-cluster **shards** are what its
+//! ops write: each cluster's [`Server`], its event core and its slice of
+//! the Venus instances. The **campus** is one plain value they only read,
+//! lent to every view by `&`: the network, the timing kernel, the
+//! protection and location databases (the paper replicates both at every
+//! server; the replicas are identical, so each is kept once), the node
+//! maps, and the settings that change only between runs (retry policy,
+//! fault-plan and scrub generations, the tracing switch). Operator actions
+//! write the campus between runs; a view — sequential or a parallel
+//! worker's — holds its shards, the monitor and one reference to it, and
+//! copies none of its fields.
 //!
 //! ## Time model
 //!
@@ -55,17 +71,16 @@ mod transport;
 use crate::config::SystemConfig;
 use crate::monitor::TrafficMonitor;
 use crate::protect::domain::DomainError;
-use crate::protect::{AccessList, ProtectionDomain, Rights};
+use crate::protect::{AccessList, Rights};
 use crate::proto::ServerId;
 use crate::server::Server;
 use crate::surrogate::Surrogate;
 use crate::venus::{Venus, VenusError};
-use itc_rpc::TimingKernel;
 use itc_sim::SimTime;
 use std::collections::HashMap;
 
-use self::topology::Topology;
-use self::transport::EventCore;
+use self::topology::Campus;
+use self::transport::ClusterCore;
 
 /// Index of a workstation within the system.
 pub type WsId = usize;
@@ -115,17 +130,17 @@ impl From<DomainError> for SystemError {
 #[derive(Debug)]
 pub struct ItcSystem {
     config: SystemConfig,
-    topo: Topology,
+    /// What a run only reads (see "Shards and the campus").
+    campus: Campus,
+    /// One Vice server per cluster, indexed by server id (== cluster id).
+    servers: Vec<Server>,
+    /// One event core per cluster, indexed by cluster id.
+    cores: Vec<ClusterCore>,
+    /// One Venus per workstation, indexed by [`WsId`], cluster by cluster.
     clients: Vec<Venus>,
     /// High-water of the operator actions' completion times; the clusters
     /// keep their own (see "Time model").
     operator_now: SimTime,
-    kernel: TimingKernel,
-    /// The protection database, replicated at every server in the paper
-    /// and kept once here: operator actions write it between runs, and
-    /// every call reads it by reference.
-    domain: ProtectionDomain,
-    core: EventCore,
     next_volume: u32,
     surrogates: HashMap<WsId, Surrogate>,
     monitor: Option<TrafficMonitor>,
@@ -139,21 +154,16 @@ impl ItcSystem {
     /// root volume mounted at `/vice` on server 0, and the standard
     /// `/vice/usr`, `/vice/unix/<arch>/{bin,lib}` skeleton.
     pub fn build(config: SystemConfig) -> ItcSystem {
-        let (topo, clients) = Topology::build(&config);
-        let kernel = TimingKernel::new(config.costs.clone(), config.structure, config.encryption);
-        let core = EventCore::new(
-            config.seed,
-            config.costs.rpc_timeout,
-            config.clusters,
-            config.tracing,
-        );
+        let (campus, servers, clients) = Campus::build(&config);
+        let cores = (0..config.clusters)
+            .map(|c| ClusterCore::new(config.seed, c))
+            .collect();
         let mut sys = ItcSystem {
-            topo,
+            campus,
+            servers,
+            cores,
             clients,
             operator_now: SimTime::ZERO,
-            kernel,
-            domain: ProtectionDomain::new(),
-            core,
             config,
             next_volume: 1,
             surrogates: HashMap::new(),
@@ -195,7 +205,7 @@ impl ItcSystem {
 
     /// Number of servers (== clusters).
     pub fn server_count(&self) -> usize {
-        self.topo.servers.len()
+        self.servers.len()
     }
 
     /// The first workstation of the given cluster.
@@ -212,7 +222,7 @@ impl ItcSystem {
     /// The system's time: the latest instant any cluster's workstations or
     /// any operator action has reached.
     pub fn now(&self) -> SimTime {
-        let clusters = self.core.clusters.iter().map(|c| c.now);
+        let clusters = self.cores.iter().map(|c| c.now);
         clusters.fold(self.operator_now, SimTime::max)
     }
 
@@ -233,15 +243,11 @@ impl ItcSystem {
 
     /// Direct read access to a server.
     pub fn server(&self, id: ServerId) -> &Server {
-        self.topo.server(id)
+        &self.servers[id.0 as usize]
     }
 
     /// Total calls of a kind served across all servers.
     pub fn total_server_calls_of(&self, kind: &str) -> u64 {
-        self.topo
-            .servers
-            .iter()
-            .map(|s| s.stats().calls_of(kind))
-            .sum()
+        self.servers.iter().map(|s| s.stats().calls_of(kind)).sum()
     }
 }

@@ -4,8 +4,7 @@
 //! file system interface.
 
 use crate::disk::{
-    CorruptionOutcome, FlipRegion, IntegrityCounters, JournalOp, JournalStats, SalvageReport,
-    ScrubStats, SyncPolicy,
+    IntegrityCounters, JournalOp, JournalStats, SalvageReport, ScrubStats, SyncPolicy,
 };
 use crate::metrics::{merge_cache, merge_venus, ServerMetrics, SystemMetrics};
 use crate::monitor::TrafficMonitor;
@@ -28,28 +27,28 @@ impl ItcSystem {
     /// Registers a user, replicating the protection database to every
     /// server (charged to their CPUs).
     pub fn add_user(&mut self, name: &str, password: &str) -> Result<(), SystemError> {
-        self.domain.add_user(name, password)?;
+        self.campus.domain.add_user(name, password)?;
         self.charge_protection_replication(self.now());
         Ok(())
     }
 
     /// Creates a group.
     pub fn add_group(&mut self, name: &str) -> Result<(), SystemError> {
-        self.domain.add_group(name)?;
+        self.campus.domain.add_group(name)?;
         self.charge_protection_replication(self.now());
         Ok(())
     }
 
     /// Adds a member (user or group) to a group.
     pub fn add_member(&mut self, group: &str, member: &str) -> Result<(), SystemError> {
-        self.domain.add_member(group, member)?;
+        self.campus.domain.add_member(group, member)?;
         self.charge_protection_replication(self.now());
         Ok(())
     }
 
     /// Removes a member from a group.
     pub fn remove_member(&mut self, group: &str, member: &str) -> Result<(), SystemError> {
-        self.domain.remove_member(group, member)?;
+        self.campus.domain.remove_member(group, member)?;
         self.charge_protection_replication(self.now());
         Ok(())
     }
@@ -58,7 +57,7 @@ impl ItcSystem {
     /// group and waits for the update to reach every replica. Returns the
     /// virtual time at which the last replica applied it.
     pub fn revoke_via_groups(&mut self, user: &str) -> SimTime {
-        self.domain.remove_from_all_groups(user);
+        self.campus.domain.remove_from_all_groups(user);
         self.charge_protection_replication(self.now())
     }
 
@@ -66,18 +65,18 @@ impl ItcSystem {
     /// starting at `start`, and raises the operator high-water mark to the
     /// completion time of the slowest replica, which it returns.
     fn charge_protection_replication(&mut self, start: SimTime) -> SimTime {
-        let costs = self.kernel.costs().clone();
+        let costs = self.campus.kernel.costs();
         // The protection server lives alongside server 0 and "coordinates
         // the updating of the database at all sites" — pushing to one
         // replica at a time and waiting for each acknowledgment, which is
         // why Section 3.4 calls this path "unacceptably slow in
         // emergencies" and why negative rights exist.
-        let origin = self.topo.servers[0].node();
+        let origin = self.campus.server_nodes[0];
         let mut t = start;
-        for s in &self.topo.servers {
-            let lat = costs.net_latency(self.topo.network.hops(origin, s.node()));
+        for s in &mut self.servers {
+            let lat = costs.net_latency(self.campus.net.hops(origin, s.node()));
             let arrive = t + lat + costs.net_transfer(256);
-            let applied = s.cpu().acquire(arrive, costs.srv_cpu_per_call);
+            let applied = s.resources_mut().0.acquire(arrive, costs.srv_cpu_per_call);
             // Acknowledgment returns before the next site is contacted.
             t = applied + lat;
         }
@@ -103,7 +102,7 @@ impl ItcSystem {
 
     /// The writable volume mounted at `mount` on `owner`.
     fn writable_at(&self, owner: ServerId, mount: &str) -> Result<VolumeId, SystemError> {
-        self.topo.servers[owner.0 as usize]
+        self.servers[owner.0 as usize]
             .volumes()
             .iter()
             .find(|v| v.mount() == mount && !v.is_read_only())
@@ -117,7 +116,7 @@ impl ItcSystem {
         let owner = self
             .location_of(path)
             .ok_or_else(|| SystemError::Volume(format!("no custodian for {path}")))?;
-        self.topo.servers[owner.0 as usize]
+        self.servers[owner.0 as usize]
             .volumes()
             .iter()
             .filter(|v| v.covers(path) && !v.is_read_only())
@@ -129,8 +128,8 @@ impl ItcSystem {
     /// Creates a volume mounted at `mount` on `server`, creating a stub
     /// directory at the mount point in the enclosing volume (the
     /// prototype's "location database ... represented by stub directories",
-    /// Section 3.5.2) and registering the custodianship in every server's
-    /// location database replica.
+    /// Section 3.5.2) and registering the custodianship in the location
+    /// database.
     pub fn create_volume(
         &mut self,
         name: &str,
@@ -138,7 +137,7 @@ impl ItcSystem {
         server: ServerId,
         root_acl: AccessList,
     ) -> Result<VolumeId, SystemError> {
-        if server.0 as usize >= self.topo.servers.len() {
+        if server.0 as usize >= self.servers.len() {
             return Err(SystemError::BadId(format!("server {}", server.0)));
         }
         // Stub directory in the enclosing volume (if any).
@@ -147,10 +146,8 @@ impl ItcSystem {
         }
         let id = self.alloc_volume_id();
         let vol = Volume::new(id, name, mount, root_acl);
-        self.topo.servers[server.0 as usize].add_volume(vol);
-        for s in &mut self.topo.servers {
-            s.location_mut().assign(mount, server);
-        }
+        self.servers[server.0 as usize].add_volume(vol);
+        self.campus.location.assign(mount, server);
         Ok(id)
     }
 
@@ -174,7 +171,7 @@ impl ItcSystem {
     }
 
     /// Moves the volume mounted at `mount` to another server, updating
-    /// every location-database replica. The files are "unavailable during
+    /// the location database (charged as an update to every replica). The files are "unavailable during
     /// the change" (Section 3.1); the returned time is when the move
     /// completed.
     pub fn move_volume(&mut self, mount: &str, to: ServerId) -> Result<SimTime, SystemError> {
@@ -183,32 +180,32 @@ impl ItcSystem {
             return Ok(self.now());
         }
         let vid = self.writable_at(from, mount)?;
-        let vol = self.topo.servers[from.0 as usize]
+        let vol = self.servers[from.0 as usize]
             .take_volume(vid)
             .expect("found above");
 
         // Time: ship the volume's bytes across the network and update every
         // location replica.
-        let costs = self.kernel.costs().clone();
+        let costs = self.campus.kernel.costs();
         let bytes = vol.used_bytes();
         let start = self.now();
-        let hops = self.topo.network.hops(
-            self.topo.servers[from.0 as usize].node(),
-            self.topo.servers[to.0 as usize].node(),
+        let hops = self.campus.net.hops(
+            self.campus.server_nodes[from.0 as usize],
+            self.campus.server_nodes[to.0 as usize],
         );
         let shipped = start + costs.net_latency(hops) + costs.net_transfer(bytes);
-        let done = self.topo.servers[to.0 as usize]
-            .disk()
+        let dst = &mut self.servers[to.0 as usize];
+        let done = dst
+            .resources_mut()
+            .1
             .acquire(shipped, costs.disk_transfer(bytes));
-        self.topo.servers[to.0 as usize].add_volume(vol);
-        for s in &mut self.topo.servers {
-            s.location_mut().reassign(mount, to);
-        }
+        dst.add_volume(vol);
+        self.campus.location.reassign(mount, to);
         Ok(self.charge_protection_replication(done))
     }
 
     /// Clones the volume at `mount` and installs the read-only replica on
-    /// each of `sites`, registering them in every location replica — the
+    /// each of `sites`, registering them in the location database — the
     /// Section 3.2 mechanism for system binaries. Re-running it refreshes
     /// existing replicas atomically (the "orderly release").
     pub fn replicate_readonly(
@@ -224,7 +221,7 @@ impl ItcSystem {
                 continue;
             }
             let clone_id = self.alloc_volume_id();
-            let src_server = &mut self.topo.servers[owner.0 as usize];
+            let src_server = &mut self.servers[owner.0 as usize];
             let clone = src_server
                 .volume_mut(src_id)
                 .expect("source volume")
@@ -234,7 +231,7 @@ impl ItcSystem {
             src_server.recheckpoint(src_id);
 
             // Replace an existing replica of this mount, else install.
-            let dst = &mut self.topo.servers[site.0 as usize];
+            let dst = &mut self.servers[site.0 as usize];
             let existing = dst
                 .volumes()
                 .iter()
@@ -244,16 +241,14 @@ impl ItcSystem {
                 dst.take_volume(old);
             }
             dst.add_volume(clone);
-            for s in &mut self.topo.servers {
-                s.location_mut().add_replica(mount, site);
-            }
+            self.campus.location.add_replica(mount, site);
         }
         Ok(())
     }
 
-    /// The custodian of `path` per the (replicated) location database.
+    /// The custodian of `path` per the location database.
     pub fn location_of(&self, path: &str) -> Option<ServerId> {
-        self.topo.servers[0].location().custodian_of(path)
+        self.campus.location.custodian_of(path)
     }
 
     // ------------------------------------------------------------------
@@ -277,7 +272,7 @@ impl ItcSystem {
                 continue;
             }
             let (owner, vol) = self.writable_covering(&prefix)?;
-            let srv = &mut self.topo.servers[owner.0 as usize];
+            let srv = &mut self.servers[owner.0 as usize];
             let v = srv.volume_mut(vol).expect("just found");
             let internal = v.internal_path(&prefix).expect("covers");
             if internal != "/" && !v.fs().exists(internal) {
@@ -308,7 +303,7 @@ impl ItcSystem {
             .map_err(|e| SystemError::Volume(e.to_string()))?;
         self.admin_mkdir_p(&dir)?;
         let (owner, vol_id) = self.writable_covering(vice_path)?;
-        let srv = &mut self.topo.servers[owner.0 as usize];
+        let srv = &mut self.servers[owner.0 as usize];
         let internal = srv
             .volume_mut(vol_id)
             .expect("just found")
@@ -331,7 +326,7 @@ impl ItcSystem {
     pub fn set_volume_quota(&mut self, mount: &str, bytes: Option<u64>) -> Result<(), SystemError> {
         let owner = self.custodian(mount)?;
         let vid = self.writable_at(owner, mount)?;
-        self.topo.servers[owner.0 as usize]
+        self.servers[owner.0 as usize]
             .admin_apply(vid, JournalOp::SetQuota { bytes })
             .map_err(|e| SystemError::Volume(e.to_string()))?;
         Ok(())
@@ -341,7 +336,7 @@ impl ItcSystem {
     pub fn set_volume_online(&mut self, mount: &str, online: bool) -> Result<(), SystemError> {
         let owner = self.custodian(mount)?;
         let vid = self.writable_at(owner, mount)?;
-        self.topo.servers[owner.0 as usize]
+        self.servers[owner.0 as usize]
             .volume_mut(vid)
             .expect("found")
             .set_online(online);
@@ -355,21 +350,14 @@ impl ItcSystem {
     /// Takes an entire server machine down or up (the availability goal:
     /// "temporary loss of service to small groups of users" only).
     pub fn set_server_online(&mut self, id: ServerId, online: bool) {
-        self.topo.servers[id.0 as usize].set_online(online);
-    }
-
-    /// Installs a deterministic fault plan. Message faults apply to every
-    /// subsequent Vice call; scheduled crashes/restarts enter the event
-    /// calendar and fire as virtual time passes them.
-    pub fn install_faults(&mut self, plan: FaultPlan) {
-        self.core.install_faults(plan);
+        self.servers[id.0 as usize].set_online(online);
     }
 
     /// Counters of faults the installed plan has injected so far, summed
     /// across every cluster's shard.
     pub fn fault_stats(&self) -> FaultStats {
         let mut total = FaultStats::default();
-        for f in self.core.clusters.iter().filter_map(|c| c.faults.as_ref()) {
+        for f in self.cores.iter().filter_map(|c| c.faults.as_ref()) {
             total.merge(&f.stats());
         }
         total
@@ -380,7 +368,7 @@ impl ItcSystem {
     /// not — their flips land on the owning cluster's own calendar — so a
     /// parallel run keeps its narrow per-cluster masks.
     pub fn faults_couple_clusters(&self) -> bool {
-        let mut shards = self.core.clusters.iter().filter_map(|c| c.faults.as_ref());
+        let mut shards = self.cores.iter().filter_map(|c| c.faults.as_ref());
         shards.any(FaultPlan::couples_clusters)
     }
 
@@ -388,19 +376,9 @@ impl ItcSystem {
     // Data integrity: scrubbing and corruption accounting
     // ------------------------------------------------------------------
 
-    /// Turns the background scrubber on: every server walks one volume of
-    /// its rotation every `interval`, starting one interval from now. The
-    /// passes are perfectly preemptible — their disk time is charged to
-    /// the scrub attribution ledger only, never to the disk resource or
-    /// the clock — so foreground virtual timings are bit-identical with
-    /// scrubbing on or off.
-    pub fn enable_scrub(&mut self, interval: SimTime) {
-        self.core.enable_scrub(self.now(), interval);
-    }
-
     /// Running scrubber counters for one server.
     pub fn server_scrub_stats(&self, id: ServerId) -> ScrubStats {
-        self.topo.servers[id.0 as usize].scrub_stats()
+        self.servers[id.0 as usize].scrub_stats()
     }
 
     /// Corruption accounting summed across every server. The end-to-end
@@ -409,7 +387,7 @@ impl ItcSystem {
     /// trailer or digest verifier and repaired, rejected, or offlined.
     pub fn integrity_counters(&self) -> IntegrityCounters {
         let mut total = IntegrityCounters::default();
-        for s in &self.topo.servers {
+        for s in &self.servers {
             for ev in s.corruption_log() {
                 total.absorb(ev);
             }
@@ -421,7 +399,7 @@ impl ItcSystem {
     /// summed across every cluster.
     pub fn call_stats(&self) -> CallStats {
         let mut total = CallStats::default();
-        for c in &self.core.clusters {
+        for c in &self.cores {
             total.absorb(c.call_stats);
         }
         total
@@ -431,7 +409,7 @@ impl ItcSystem {
     /// cancelled, high-water queue depth), summed across every cluster.
     pub fn event_stats(&self) -> EventStats {
         let mut total = EventStats::default();
-        for c in &self.core.clusters {
+        for c in &self.cores {
             total.merge(&c.sched.stats());
         }
         total
@@ -441,7 +419,7 @@ impl ItcSystem {
     /// in-memory state (callback promises, replay cache, locks), exactly
     /// what a reboot of the real machine would lose.
     pub fn crash_server(&mut self, id: ServerId) {
-        self.topo.servers[id.0 as usize].crash();
+        self.servers[id.0 as usize].crash();
     }
 
     /// Brings a crashed server back up, empty-handed: clients rediscover
@@ -451,27 +429,20 @@ impl ItcSystem {
     /// salvager as timed calendar events; see the transport.)
     pub fn restart_server(&mut self, id: ServerId) {
         let now = self.now();
-        let srv = &mut self.topo.servers[id.0 as usize];
+        let srv = &mut self.servers[id.0 as usize];
         srv.restart();
-        let reports = srv.salvage_all();
-        if reports.iter().any(|r| r.records_rejected > 0) {
-            // Trailer verification rejected a damaged journal suffix: the
-            // flips behind it are now detected.
-            srv.mark_corruptions_detected(now, CorruptionOutcome::RejectedAtSalvage, |r| {
-                matches!(r, FlipRegion::Journal { .. })
-            });
-        }
+        srv.salvage_all(now);
     }
 
     /// Salvage reports accumulated by a server since construction, in the
     /// order the passes ran.
     pub fn server_salvage_reports(&self, id: ServerId) -> &[SalvageReport] {
-        self.topo.servers[id.0 as usize].salvage_reports()
+        self.servers[id.0 as usize].salvage_reports()
     }
 
     /// Journal counters for a server's disk.
     pub fn server_journal_stats(&self, id: ServerId) -> JournalStats {
-        self.topo.servers[id.0 as usize].journal_stats()
+        self.servers[id.0 as usize].journal_stats()
     }
 
     /// Switches a server's journal sync discipline. `WriteAhead` (the
@@ -479,7 +450,7 @@ impl ItcSystem {
     /// forces, so a crash can tear off acknowledged mutations — the
     /// anti-model the crash-consistency suite measures against.
     pub fn set_journal_sync_policy(&mut self, id: ServerId, policy: SyncPolicy) {
-        self.topo.servers[id.0 as usize].set_sync_policy(policy);
+        self.servers[id.0 as usize].set_sync_policy(policy);
     }
 
     /// Fires any calendar events due at the current virtual time. The
@@ -513,10 +484,7 @@ impl ItcSystem {
     /// another cluster.
     pub fn cross_cluster_fraction(&self) -> f64 {
         match &self.monitor {
-            Some(m) => {
-                let loc = self.topo.servers[0].location();
-                m.cross_cluster_fraction(|s| loc.custodian_of(s))
-            }
+            Some(m) => m.cross_cluster_fraction(|s| self.campus.location.custodian_of(s)),
             None => 0.0,
         }
     }
@@ -527,7 +495,7 @@ impl ItcSystem {
     pub fn rebalancing_recommendations(&self) -> Vec<crate::monitor::MoveRecommendation> {
         match &self.monitor {
             Some(m) => {
-                let loc = self.topo.servers[0].location();
+                let loc = &self.campus.location;
                 m.recommendations(|s| loc.custodian_of(s), |s| s != "/vice")
             }
             None => Vec::new(),
@@ -550,40 +518,39 @@ impl ItcSystem {
     /// the anomaly flight recorder. Observation-only — virtual timing is
     /// bit-identical with tracing on or off.
     pub fn enable_tracing(&mut self) {
-        self.core.tracing = true;
+        self.campus.tracing = true;
     }
 
     /// Turns tracing off. Resident spans, aggregates, and frozen dumps
     /// are kept for inspection.
     pub fn disable_tracing(&mut self) {
-        self.core.tracing = false;
+        self.campus.tracing = false;
     }
 
     /// Whether tracing is currently recording.
     pub fn tracing_enabled(&self) -> bool {
-        self.core.tracing
+        self.campus.tracing
     }
 
     /// The resident spans of one trace, oldest first, read from the
     /// collector of the cluster that minted it. Empty for an id no cluster
     /// minted, or whose spans the ring has evicted.
     pub fn spans_of(&self, trace: TraceId) -> Vec<&Span> {
-        self.core
-            .clusters
+        self.cores
             .get(trace.cluster())
             .map_or_else(Vec::new, |c| c.trace.spans_of(trace))
     }
 
     /// Every frozen anomaly dump, in cluster order.
     pub fn anomaly_dumps(&self) -> impl Iterator<Item = &AnomalyDump> {
-        self.core.clusters.iter().flat_map(|c| c.trace.dumps())
+        self.cores.iter().flat_map(|c| c.trace.dumps())
     }
 
     /// Lifetime tracing counters (traces minted, spans recorded/evicted,
     /// anomalies frozen), summed across every cluster.
     pub fn trace_stats(&self) -> TraceStats {
         let mut total = TraceStats::default();
-        for c in &self.core.clusters {
+        for c in &self.cores {
             total.merge(&c.trace.stats());
         }
         total
@@ -594,7 +561,7 @@ impl ItcSystem {
     /// identity for single-cluster systems).
     pub fn attribution(&self) -> AttributionAgg {
         let mut total = AttributionAgg::new();
-        for c in &self.core.clusters {
+        for c in &self.cores {
             total.merge(&c.attr);
         }
         total
@@ -606,7 +573,7 @@ impl ItcSystem {
     /// identical whichever execution mode filled the cores.
     pub fn obs_summary(&self) -> ObsSummary {
         let mut total = ObsSummary::default();
-        for (cluster, c) in self.core.clusters.iter().enumerate() {
+        for (cluster, c) in self.cores.iter().enumerate() {
             total.merge_cluster(cluster as u32, &c.obs);
         }
         total
@@ -617,7 +584,7 @@ impl ItcSystem {
     /// in cluster order (the sort is stable), then sorted on `(at, bucket,
     /// rule, server)` into a stable timeline.
     pub fn health_events(&self) -> Vec<HealthEvent> {
-        let clusters = self.core.clusters.iter();
+        let clusters = self.cores.iter();
         let mut out: Vec<HealthEvent> = clusters
             .flat_map(|c| c.obs.health_events())
             .copied()
@@ -679,7 +646,6 @@ impl ItcSystem {
         let at = self.now();
         let mut call_mix = itc_sim::Counter::new();
         let servers = self
-            .topo
             .servers
             .iter()
             .map(|s| {

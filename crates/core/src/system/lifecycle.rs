@@ -7,24 +7,24 @@
 //! (`BreakDeliver` on the **target workstation's**) and fire from the same
 //! merged pop order as call events, whether or not a call is in flight.
 
-use super::transport::{EventCore, NetEvent, PendingBreak, SystemTransport};
+use super::transport::{NetEvent, PendingBreak, SystemTransport};
+use super::ItcSystem;
 use crate::disk::{CorruptionOutcome, FlipRegion, ScrubFinding};
 use crate::proto::VolumeId;
 use itc_sim::{EventClass, FaultPlan, SimTime, SpanClass};
 
-impl EventCore {
-    /// Installs a fault plan: the plan is split into per-cluster shards
+impl ItcSystem {
+    /// Installs a deterministic fault plan, split into per-cluster shards
     /// (each server's faults land on its own cluster, with independent
-    /// per-shard rng streams), each shard's crash/restart schedule is
-    /// entered into its cluster's calendar (crashes sort before restarts
-    /// at the same instant), and its message faults govern every
-    /// subsequent call served there.
-    pub(crate) fn install_faults(&mut self, plan: FaultPlan) {
-        self.plan_gen += 1;
-        let gen = self.plan_gen;
-        let shards = plan.split(self.clusters.len(), |server| server as usize);
-        for (cluster, shard) in shards.into_iter().enumerate() {
-            let cl = &mut self.clusters[cluster];
+    /// per-shard rng streams). Each shard's crash/restart schedule enters
+    /// its cluster's calendar (crashes sort before restarts at the same
+    /// instant) and fires as virtual time passes it; its message faults
+    /// govern every subsequent call served there.
+    pub fn install_faults(&mut self, plan: FaultPlan) {
+        self.campus.plan_gen += 1;
+        let gen = self.campus.plan_gen;
+        let shards = plan.split(self.cores.len(), |server| server as usize);
+        for (cl, shard) in self.cores.iter_mut().zip(shards) {
             for (server, at) in shard.crash_schedule() {
                 cl.sched
                     .schedule_class(at, EventClass::Crash, NetEvent::Crash { server, gen });
@@ -46,15 +46,19 @@ impl EventCore {
         }
     }
 
-    /// Turns the background scrubber on: every cluster's server gets a
-    /// low-priority scrub pass every `interval`, the first one landing at
-    /// `now + interval`. Idempotent in effect — re-enabling bumps the
-    /// generation so stale passes from the previous cadence are dropped.
-    pub(crate) fn enable_scrub(&mut self, now: SimTime, interval: SimTime) {
-        self.scrub_gen += 1;
-        self.scrub_interval = Some(interval);
-        let gen = self.scrub_gen;
-        for (cluster, cl) in self.clusters.iter_mut().enumerate() {
+    /// Turns the background scrubber on: every server walks one volume of
+    /// its rotation every `interval`, starting one interval from now. The
+    /// passes are perfectly preemptible — their disk time is charged to
+    /// the scrub attribution ledger only, never to the disk resource or
+    /// the clock — so foreground virtual timings are bit-identical with
+    /// scrubbing on or off. Re-enabling bumps the generation so stale
+    /// passes from the previous cadence are dropped.
+    pub fn enable_scrub(&mut self, interval: SimTime) {
+        let now = self.now();
+        self.campus.scrub_gen += 1;
+        self.campus.scrub_interval = Some(interval);
+        let gen = self.campus.scrub_gen;
+        for (cluster, cl) in self.cores.iter_mut().enumerate() {
             let server = cluster as u32;
             cl.sched.schedule_class_untied(
                 now + interval,
@@ -70,7 +74,7 @@ impl SystemTransport<'_> {
     /// Events of a superseded fault plan or scrub generation are dropped.
     pub(crate) fn system_event(&mut self, cluster: usize, at: SimTime, ev: NetEvent) {
         match ev {
-            NetEvent::Crash { server, gen } if gen == self.plan_gen => {
+            NetEvent::Crash { server, gen } if gen == self.campus.plan_gen => {
                 let sid = server as usize;
                 // The torn-write model: the crash catches up to `unsynced`
                 // journal bytes mid-write. The draw is skipped entirely
@@ -86,7 +90,7 @@ impl SystemTransport<'_> {
                 self.servers.get_mut(sid).crash_with_torn(torn);
                 self.life_span(cluster, SpanClass::Crash, at, Some(server), None, None);
             }
-            NetEvent::Restart { server, gen } if gen == self.plan_gen => {
+            NetEvent::Restart { server, gen } if gen == self.campus.plan_gen => {
                 let srv = self.servers.get_mut(server as usize);
                 srv.restart();
                 // Volumes stay offline until a salvager pass replays the
@@ -97,8 +101,8 @@ impl SystemTransport<'_> {
                 for volume in srv.salvage_pending().to_vec() {
                     let srv = self.servers.get_mut(server as usize);
                     let (records, bytes) = srv.salvage_work(volume);
-                    let pass = self.kernel.costs().salvage_time(bytes, records);
-                    let done = srv.disk().acquire(at, pass);
+                    let pass = self.campus.kernel.costs().salvage_time(bytes, records);
+                    let done = srv.resources_mut().1.acquire(at, pass);
                     self.salvage_scheduled(cluster, pass);
                     let ev = NetEvent::Salvage {
                         server,
@@ -121,18 +125,11 @@ impl SystemTransport<'_> {
                 // A stale pass — superseded plan, or the server crashed
                 // again before the salvager finished — is simply dropped;
                 // the next restart schedules fresh passes.
-                if gen != self.plan_gen || !srv.is_online() || srv.epoch() != epoch {
+                if gen != self.campus.plan_gen || !srv.is_online() || srv.epoch() != epoch {
                     return;
                 }
-                let rejected = srv.salvage_volume(volume).map_or(0, |r| r.records_rejected);
-                if rejected > 0 {
-                    // The salvager's trailer verification caught flipped
-                    // journal bytes: those corruption events are now
-                    // detected (the damaged suffix never replays).
-                    srv.mark_corruptions_detected(at, CorruptionOutcome::RejectedAtSalvage, |r| {
-                        matches!(r, FlipRegion::Journal { .. })
-                    });
-                }
+                let salvaged = srv.salvage_volume(volume, at);
+                let rejected = salvaged.map_or(0, |r| r.records_rejected);
                 self.salvage_done(cluster, at, server, volume, rejected);
             }
             NetEvent::BreakDeliver { to_ws, paths } => {
@@ -141,7 +138,7 @@ impl SystemTransport<'_> {
                 let pending = &mut self.cores.get_mut(cluster).pending;
                 pending.extend(paths.into_iter().map(|path| PendingBreak { to_ws, path }));
             }
-            NetEvent::Corrupt { server, gen } if gen == self.plan_gen => {
+            NetEvent::Corrupt { server, gen } if gen == self.campus.plan_gen => {
                 let sid = server as usize;
                 // The flip lands somewhere in the server's durable address
                 // space (journal bytes, checkpoint file contents, Merkle
@@ -160,8 +157,9 @@ impl SystemTransport<'_> {
                 }
                 self.life_span(cluster, SpanClass::Corrupt, at, Some(server), None, None);
             }
-            NetEvent::Scrub { server, gen } if gen == self.scrub_gen => {
+            NetEvent::Scrub { server, gen } if gen == self.campus.scrub_gen => {
                 let interval = self
+                    .campus
                     .scrub_interval
                     .expect("scrub event live while scrubbing disabled");
                 if self.servers.get(server as usize).is_online() {

@@ -38,7 +38,7 @@ impl SystemTransport<'_> {
     /// Mints the trace identity of a call issued from `cluster`, or
     /// [`TraceId::NONE`] while tracing is off.
     pub(crate) fn mint_trace(&mut self, cluster: usize) -> TraceId {
-        if !self.tracing {
+        if !self.campus.tracing {
             return TraceId::NONE;
         }
         self.cores.get_mut(cluster).trace.mint()
@@ -56,7 +56,7 @@ impl SystemTransport<'_> {
         at: SimTime,
         queue_depth: Option<u32>,
     ) {
-        if !self.tracing {
+        if !self.campus.tracing {
             return;
         }
         let collector = &mut self.cores.get_mut(call.cluster).trace;
@@ -86,7 +86,7 @@ impl SystemTransport<'_> {
         client: Option<u32>,
         volume: Option<u32>,
     ) {
-        if !self.tracing {
+        if !self.campus.tracing {
             return;
         }
         self.cores.get_mut(cluster).trace.record(Span {
@@ -103,7 +103,7 @@ impl SystemTransport<'_> {
     /// the disk outside any call; the attribution ledger keeps it separate
     /// so disk busy time decomposes fully.
     pub(crate) fn salvage_scheduled(&mut self, cluster: usize, pass: SimTime) {
-        if self.tracing {
+        if self.campus.tracing {
             self.cores.get_mut(cluster).attr.add_salvage_disk(pass);
         }
     }
@@ -120,7 +120,7 @@ impl SystemTransport<'_> {
     ) {
         let vol = Some(volume.0);
         self.life_span(cluster, SpanClass::Salvage, at, Some(server), None, vol);
-        if self.tracing && rejected > 0 {
+        if self.campus.tracing && rejected > 0 {
             let obs = &mut self.cores.get_mut(cluster).obs;
             obs.on_integrity(server, vol, at, 0, rejected);
         }
@@ -139,8 +139,8 @@ impl SystemTransport<'_> {
         volume: VolumeId,
         scanned: u64,
     ) {
-        if self.tracing {
-            let pass = self.kernel.costs().disk_transfer(scanned);
+        if self.campus.tracing {
+            let pass = self.campus.kernel.costs().disk_transfer(scanned);
             let st = self.servers.get(server as usize).scrub_stats();
             let cl = self.cores.get_mut(cluster);
             cl.attr.add_scrub_disk(pass);
@@ -161,7 +161,7 @@ impl SystemTransport<'_> {
         server: u32,
         events: &[(VolumeId, String)],
     ) {
-        if !self.tracing {
+        if !self.campus.tracing {
             return;
         }
         let cl = self.cores.get_mut(cluster);
@@ -184,7 +184,7 @@ impl SystemTransport<'_> {
     /// The volume covering `path` on server `sid`, resolved for span and
     /// series attribution only while tracing.
     pub(crate) fn traced_volume(&self, sid: usize, path: &str) -> Option<u32> {
-        if !self.tracing {
+        if !self.campus.tracing {
             return None;
         }
         self.servers.get(sid).volume_covering(path).map(|v| v.0)
@@ -202,7 +202,7 @@ impl SystemTransport<'_> {
     ) {
         let srv = Some(server.0);
         self.life_span(cluster, SpanClass::CallAbort, at, srv, Some(ws.0), None);
-        if self.tracing {
+        if self.campus.tracing {
             let recorder = &mut self.cores.get_mut(cluster).trace;
             recorder.freeze(AnomalyReason::Unreachable, at, srv, None, TraceId::NONE);
         }
@@ -217,7 +217,7 @@ impl SystemTransport<'_> {
         at: SimTime,
     ) {
         self.call_span(call.trace, call, SpanClass::CallAbort, at, None);
-        if self.tracing {
+        if self.campus.tracing {
             let recorder = &mut self.cores.get_mut(call.cluster).trace;
             recorder.freeze(why, at, Some(call.server.0), call.volume, call.trace);
         }
@@ -228,7 +228,7 @@ impl SystemTransport<'_> {
     /// retry-rate rule.
     pub(crate) fn timeout_fired(&mut self, call: &CallInFlight<'_>, at: SimTime) {
         self.call_span(call.trace, call, SpanClass::TimeoutFire, at, None);
-        if self.tracing {
+        if self.campus.tracing {
             let obs = &mut self.cores.get_mut(call.cluster).obs;
             obs.on_timeout(call.server.0, call.volume, at);
         }
@@ -245,7 +245,7 @@ impl SystemTransport<'_> {
     ) {
         self.call_span(wire_trace, call, SpanClass::RequestArrive, at, Some(depth));
         call.parts.req_net = at - call.attempt_start;
-        if self.tracing {
+        if self.campus.tracing {
             let obs = &mut self.cores.get_mut(call.server.0 as usize).obs;
             obs.on_queue_depth(call.server.0, at, u64::from(depth));
         }
@@ -254,7 +254,7 @@ impl SystemTransport<'_> {
     /// Journal-lag gauge: the server's unsynced tail as it stands right
     /// after the handler ran, before the write-ahead force.
     pub(crate) fn request_served(&mut self, call: &CallInFlight<'_>, at: SimTime) {
-        if self.tracing {
+        if self.campus.tracing {
             let sid = call.server.0 as usize;
             let lag = self.servers.get(sid).unsynced_journal_bytes();
             let obs = &mut self.cores.get_mut(sid).obs;
@@ -272,18 +272,18 @@ impl SystemTransport<'_> {
         at: SimTime,
         spec: &CallSpec,
     ) {
-        if !self.tracing {
+        if !self.campus.tracing {
             return;
         }
         let srv = self.servers.get(call.server.0 as usize);
         let cpu_start = at.max(srv.cpu().available_at());
-        let demand = self.kernel.service_demand(spec);
+        let demand = self.campus.kernel.service_demand(spec);
         call.parts.queue_cpu = cpu_start - at;
         call.parts.service_cpu = demand;
         let cpu_done = cpu_start + demand;
         if spec.disk_bytes > 0 {
             call.parts.queue_disk = cpu_done.max(srv.disk().available_at()) - cpu_done;
-            call.parts.service_disk = self.kernel.costs().disk_transfer(spec.disk_bytes);
+            call.parts.service_disk = self.campus.kernel.costs().disk_transfer(spec.disk_bytes);
         } else {
             call.parts.queue_disk = SimTime::ZERO;
             call.parts.service_disk = SimTime::ZERO;
@@ -305,7 +305,7 @@ impl SystemTransport<'_> {
     ) {
         self.call_span(call.trace, call, SpanClass::ReplyDepart, at, None);
         call.parts.reply_net = completed - at;
-        if !self.tracing {
+        if !self.campus.tracing {
             return;
         }
         let (server, sid) = (call.server.0, call.server.0 as usize);
@@ -344,7 +344,7 @@ impl SystemTransport<'_> {
         at: SimTime,
     ) {
         self.call_span(call.trace, call, SpanClass::ReplyArrive, at, None);
-        if !self.tracing {
+        if !self.campus.tracing {
             return;
         }
         let breakdown = CallBreakdown {

@@ -35,11 +35,9 @@ impl ItcSystem {
     /// Drops a workstation's bindings — per-user connections, which live
     /// on the workstation's own cluster.
     fn drop_bindings(&mut self, ws: WsId) {
-        let node = self.topo.ws_nodes[ws];
-        let cc = self.topo.network.cluster_of(node).0 as usize;
-        self.core.clusters[cc]
-            .bindings
-            .retain(|(n, _), _| *n != node);
+        let node = self.campus.ws_nodes[ws];
+        let cc = self.campus.net.cluster_of(node).0 as usize;
+        self.cores[cc].bindings.retain(|(n, _), _| *n != node);
     }
 
     /// Classifies a path at a workstation without performing any I/O

@@ -11,7 +11,9 @@
 //! a method of [`WsOps`], a view over the clusters in a mask, and is
 //! defined nowhere else. [`ItcSystem::ops`] and sequential runs build the
 //! view over the whole system; a parallel worker builds it over exactly
-//! the shards its batch claimed.
+//! the shards its batch claimed. Either way the view holds shards — each
+//! cluster's server, event core and Venus slice — plus the monitor and
+//! one `&` to the campus (`topology.rs`), the read-only rest of the run.
 //!
 //! ## The model: op-atomic conservative PDES
 //!
@@ -46,10 +48,9 @@
 //! ops drain, so the schedule is deadlock-free; and because conflicting
 //! ops execute in key order while disjoint ops commute (their state is
 //! disjoint by construction — even the time high-water mark is one per
-//! cluster — and what they share, the network, the timing kernel and the
-//! protection database, is read-only during a run), a parallel run is
-//! **bit-identical** to the sequential reference. The pool below is the
-//! one thing the workers share mutably.
+//! cluster — and what they share, the campus, is read-only during a run),
+//! a parallel run is **bit-identical** to the sequential reference. The
+//! pool below is the one thing the workers share mutably.
 //!
 //! Masks are *promises*, enforced at runtime: executing an op against a
 //! cluster outside its mask panics (the `Parts` tripwire) instead of
@@ -87,12 +88,10 @@ use crate::proto::{EntryKind, ServerId, VStatus, ViceError};
 use crate::server::Server;
 use crate::system::transport::{ClusterCore, NetEvent, Parts, PendingBreak, SystemTransport};
 use crate::system::{ItcSystem, SystemError, WsId};
-use crate::venus::{Venus, VenusError};
-use itc_rpc::NodeId;
+use crate::venus::{Venus, VenusError, ViceTransport};
 use itc_sim::SimTime;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 
 /// A set of clusters, as a bitmask (the engine supports up to 64
@@ -227,8 +226,6 @@ impl Venuses<'_> {
 pub struct WsOps<'a> {
     pub(super) transport: SystemTransport<'a>,
     venuses: Venuses<'a>,
-    node_to_ws: &'a BTreeMap<NodeId, WsId>,
-    ws_nodes: &'a [NodeId],
 }
 
 impl WsOps<'_> {
@@ -256,7 +253,8 @@ impl WsOps<'_> {
     /// Raises the high-water mark of `ws`'s cluster — always in the op's
     /// mask — to `t`.
     fn advance_high_water(&mut self, ws: WsId, t: SimTime) {
-        let cluster = self.transport.net.cluster_of(self.ws_nodes[ws]).0 as usize;
+        let campus = self.transport.campus;
+        let cluster = campus.net.cluster_of(campus.ws_nodes[ws]).0 as usize;
         self.transport.cores.get_mut(cluster).advance_to(t);
     }
 
@@ -268,6 +266,7 @@ impl WsOps<'_> {
     /// forward. A break escaping the op's mask trips the panic (it would
     /// have been a cross-thread race).
     pub(super) fn deliver_pending_breaks(&mut self) {
+        let node_to_ws = &self.transport.campus.node_to_ws;
         for cluster in 0..self.transport.cores.len() {
             if !self.transport.cores.has(cluster) {
                 continue;
@@ -296,7 +295,7 @@ impl WsOps<'_> {
                 }
             }
             for b in breaks {
-                if let Some(&ws) = self.node_to_ws.get(&b.to_ws) {
+                if let Some(&ws) = node_to_ws.get(&b.to_ws) {
                     self.venuses.get_mut(ws).on_callback_break(&b.path);
                 }
             }
@@ -314,8 +313,8 @@ impl WsOps<'_> {
     /// Touches only the workstation's own cluster.
     pub fn login(&mut self, ws: WsId, user: &str, password: &str) -> Result<(), SystemError> {
         let key = itc_cryptbox::derive_key(password, user);
-        let node = self.ws_nodes[ws];
-        let home = self.transport.home[&node];
+        let node = self.transport.campus.ws_nodes[ws];
+        let home = self.transport.home_server(node);
         let venus = self.venuses.get_mut(ws);
         venus.set_session(user, key);
         match self
@@ -728,7 +727,7 @@ impl ItcSystem {
         mode: RunMode,
     ) -> Result<u64, SystemError> {
         assert!(
-            self.core.clusters.len() <= 64,
+            self.cores.len() <= 64,
             "ClusterMask supports at most 64 clusters"
         );
         match mode {
@@ -751,34 +750,14 @@ impl ItcSystem {
     /// server and Venus behind one [`WsOps`] — as tests, experiments and
     /// sequential driver runs use it: `sys.ops().fetch(ws, path)`.
     pub fn ops(&mut self) -> WsOps<'_> {
-        let ItcSystem {
-            topo,
-            clients,
-            kernel,
-            domain,
-            monitor,
-            core,
-            ..
-        } = self;
         WsOps {
             transport: SystemTransport {
-                servers: Parts::Whole(&mut topo.servers),
-                cores: Parts::Whole(&mut core.clusters),
-                net: &topo.network,
-                home: &topo.home,
-                server_nodes: &topo.server_nodes,
-                kernel,
-                monitor: monitor.as_mut(),
-                domain,
-                retry: core.retry,
-                plan_gen: core.plan_gen,
-                scrub_interval: core.scrub_interval,
-                scrub_gen: core.scrub_gen,
-                tracing: core.tracing,
+                servers: Parts::Whole(&mut self.servers),
+                cores: Parts::Whole(&mut self.cores),
+                monitor: self.monitor.as_mut(),
+                campus: &self.campus,
             },
-            venuses: Venuses::Whole(clients),
-            node_to_ws: &topo.node_to_ws,
-            ws_nodes: &topo.ws_nodes,
+            venuses: Venuses::Whole(&mut self.clients),
         }
     }
 
@@ -792,22 +771,11 @@ impl ItcSystem {
             "parallel runs do not support traffic monitoring"
         );
         let per = self.config.workstations_per_cluster as usize;
-        // Split the whole view: each cluster's server, event core and
-        // Venus instances become one independently claimable shard.
-        let WsOps {
-            transport: whole,
-            venuses: Venuses::Whole(clients),
-            node_to_ws,
-            ws_nodes,
-        } = self.ops()
-        else {
-            unreachable!("the whole view holds whole parts")
-        };
-        let (Parts::Whole(servers), Parts::Whole(cores)) = (whole.servers, whole.cores) else {
-            unreachable!("the whole view holds whole parts")
-        };
-        let mut rest = clients;
-        let shards: Vec<_> = (servers.iter_mut().zip(cores))
+        // Each cluster's server, event core and Venus instances become one
+        // independently claimable shard; the campus is lent to every worker.
+        let campus = &self.campus;
+        let mut rest = self.clients.as_mut_slice();
+        let shards: Vec<_> = (self.servers.iter_mut().zip(&mut self.cores))
             .map(|(server, core)| {
                 let mine = per.min(rest.len());
                 let venuses;
@@ -865,11 +833,9 @@ impl ItcSystem {
                             servers: Parts::Split(servers),
                             cores: Parts::Split(cores),
                             monitor: None,
-                            ..whole
+                            campus,
                         },
                         venuses: Venuses::Split { per, clusters },
-                        node_to_ws,
-                        ws_nodes,
                     };
                     drain(
                         &mut ws_ops,

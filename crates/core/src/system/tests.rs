@@ -32,7 +32,7 @@ fn now_is_the_high_water_of_every_cluster_and_the_operator() {
     // The latest workstation activity is on cluster 2, and only cluster 2
     // recorded it.
     assert_eq!(s.now(), late);
-    let marks: Vec<SimTime> = s.core.clusters.iter().map(|c| c.now).collect();
+    let marks: Vec<SimTime> = s.cores.iter().map(|c| c.now).collect();
     assert_eq!(marks[2], late);
     assert!(marks[0] < late && marks[1] < late, "{marks:?}");
 
@@ -42,7 +42,7 @@ fn now_is_the_high_water_of_every_cluster_and_the_operator() {
     s.add_user("newcomer", "pw").unwrap();
     assert!(s.operator_now > late);
     assert_eq!(s.now(), s.operator_now);
-    assert_eq!(s.core.clusters[2].now, late, "operator time is its own");
+    assert_eq!(s.cores[2].now, late, "operator time is its own");
     assert_eq!(s.revoke_via_groups("newcomer"), s.now());
 }
 
@@ -300,7 +300,7 @@ fn revocation_via_negative_rights_vs_groups() {
     let before = s.now();
     let done = s.revoke_via_groups("howard");
     assert!(done >= before);
-    assert!(!s.domain.cps("howard").contains(&"team".to_string()));
+    assert!(!s.campus.domain.cps("howard").contains(&"team".to_string()));
 }
 
 #[test]
@@ -445,7 +445,7 @@ fn event_pipeline_runs_every_call() {
         .unwrap();
     let st = s.event_stats();
     assert!(st.executed > 0, "calls must flow through the scheduler");
-    let queued: u64 = s.core.clusters.iter().map(|c| c.sched.len() as u64).sum();
+    let queued: u64 = s.cores.iter().map(|c| c.sched.len() as u64).sum();
     assert_eq!(st.scheduled, st.executed + st.cancelled + queued);
     // Every server request passed through the explicit queue and was
     // drained back out in event order.

@@ -31,6 +31,10 @@
 //! ([`Parts::Whole`]); a parallel worker holds exactly the clusters in its
 //! operation's declared mask ([`Parts::Split`]), and touching any other
 //! cluster is a hard panic (the mask tripwire), not silent corruption.
+//! Servers and cores are the shards a transport writes; everything it only
+//! reads — the network, the timing kernel, the protection and location
+//! databases, the node maps and the run settings — it reads through its
+//! one `&Campus` (`topology.rs`), never from a copy.
 //!
 //! ## Equivalence with the synchronous transport
 //!
@@ -58,9 +62,9 @@
 //! synchronous model, and still is.
 
 use super::observe::AttemptParts;
+use super::topology::Campus;
 use crate::monitor::TrafficMonitor;
 use crate::obs::ObsCore;
-use crate::protect::ProtectionDomain;
 use crate::proto::{
     decode_reply, encode_reply, encode_request, Payload, ServerId, ViceError, ViceReply,
     ViceRequest,
@@ -70,9 +74,7 @@ use crate::trace::AttributionAgg;
 use crate::venus::ViceTransport;
 use itc_cryptbox::Key;
 use itc_rpc::binding::{establish, Binding};
-use itc_rpc::{
-    frame_call, take_frame, CallSpec, CallStats, Network, NodeId, RetryPolicy, TimingKernel,
-};
+use itc_rpc::{frame_call, take_frame, CallSpec, CallStats, NodeId};
 use itc_sim::{
     AnomalyReason, EventId, EventKey, FaultPlan, Firing, MessageFault, Scheduler, SimRng, SimTime,
     SpanClass, TraceCollector, TraceId,
@@ -175,7 +177,7 @@ pub(crate) struct ClusterCore {
     pub break_ids: Vec<EventId>,
     /// The span ring and anomaly flight recorder for activity anchored at
     /// this cluster. It holds no switch of its own: only the hooks of
-    /// `observe.rs`, behind [`EventCore::tracing`], mint or record into it.
+    /// `observe.rs`, behind [`Campus::tracing`], mint or record into it.
     pub trace: TraceCollector,
     /// Latency-attribution aggregates over completed traced calls issued
     /// from this cluster.
@@ -195,7 +197,7 @@ impl ClusterCore {
     /// streams were, so single-cluster runs reproduce the pre-refactor
     /// calendars bit for bit; other clusters get independent streams
     /// derived by a golden-ratio step.
-    fn new(seed: u64, cluster: u32) -> ClusterCore {
+    pub fn new(seed: u64, cluster: u32) -> ClusterCore {
         let base = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(cluster)));
         let mut trace = TraceCollector::new();
         trace.set_cluster(cluster);
@@ -223,44 +225,6 @@ impl ClusterCore {
     /// Raises this cluster's high-water mark to `t`; it never moves back.
     pub fn advance_to(&mut self, t: SimTime) {
         self.now = self.now.max(t);
-    }
-}
-
-/// The event machinery of the whole system: one [`ClusterCore`] per
-/// cluster plus the (cluster-independent) retry policy and fault-plan
-/// generation counter.
-#[derive(Debug)]
-pub(crate) struct EventCore {
-    /// Per-cluster calendars and streams, indexed by cluster id.
-    pub clusters: Vec<ClusterCore>,
-    /// The retry/backoff policy (shared; `Copy`).
-    pub retry: RetryPolicy,
-    /// Bumped each time a plan is installed; lifecycle events from an
-    /// earlier plan are recognized as stale and ignored.
-    pub plan_gen: u64,
-    /// Background-scrubber pass interval; `None` while scrubbing is off.
-    pub scrub_interval: Option<SimTime>,
-    /// Bumped whenever scrubbing is enabled; scrub events from an earlier
-    /// cadence are recognized as stale and ignored.
-    pub scrub_gen: u64,
-    /// The tracing switch: while off, no trace is minted and no span,
-    /// dump, attribution record or series sample is taken.
-    pub tracing: bool,
-}
-
-impl EventCore {
-    /// Fresh machinery for a system seeded with `seed`, whose default
-    /// retry timeout is `rpc_timeout`, with one core per cluster and
-    /// tracing set to `tracing`.
-    pub fn new(seed: u64, rpc_timeout: SimTime, n_clusters: u32, tracing: bool) -> EventCore {
-        EventCore {
-            clusters: (0..n_clusters).map(|c| ClusterCore::new(seed, c)).collect(),
-            retry: RetryPolicy::standard(rpc_timeout),
-            plan_gen: 0,
-            scrub_interval: None,
-            scrub_gen: 0,
-            tracing,
-        }
     }
 }
 
@@ -379,41 +343,21 @@ pub(crate) struct CallInFlight<'r> {
 
 /// The transport an executor hands to Venus: real bindings over the
 /// simulated network, with every leg of every call routed through the
-/// per-cluster event calendars. Sequential execution holds every cluster
-/// and server ([`Parts::Whole`]); a parallel worker holds exactly its
-/// operation's mask.
+/// per-cluster event calendars. It holds the shards it may write —
+/// every cluster's server and event core sequentially ([`Parts::Whole`]),
+/// exactly its operation's mask in a parallel worker — the monitor, and
+/// one reference to the campus it only reads.
 pub(crate) struct SystemTransport<'a> {
     /// The Vice servers this executor may touch, indexed by server id
     /// (== cluster id).
     pub servers: Parts<'a, Server>,
     /// The per-cluster event cores this executor may touch.
     pub cores: Parts<'a, ClusterCore>,
-    /// The bridged network graph (read-only, shared).
-    pub net: &'a Network,
-    /// Workstation-node → home-server map (read-only, shared).
-    pub home: &'a BTreeMap<NodeId, ServerId>,
-    /// Every server's node id (read-only, shared — readable even for
-    /// servers outside the mask, e.g. for hop counting in `nearest`).
-    pub server_nodes: &'a [NodeId],
-    pub kernel: &'a TimingKernel,
     /// The traffic monitor, if sampling (sequential-only: parallel runs
     /// assert it off).
     pub monitor: Option<&'a mut TrafficMonitor>,
-    /// The protection database (read-only, shared).
-    pub domain: &'a ProtectionDomain,
-    /// Copy of the retry policy (shared and immutable during a run).
-    pub retry: RetryPolicy,
-    /// Copy of the fault-plan generation (stable during a run; plans are
-    /// installed only between runs).
-    pub plan_gen: u64,
-    /// Copy of the scrub interval (stable during a run; the scrubber is
-    /// enabled only between runs).
-    pub scrub_interval: Option<SimTime>,
-    /// Copy of the scrub generation (stable during a run).
-    pub scrub_gen: u64,
-    /// Copy of [`EventCore::tracing`] (stable during a run; tracing is
-    /// toggled only between runs).
-    pub tracing: bool,
+    /// Everything the run only reads.
+    pub campus: &'a Campus,
 }
 
 impl SystemTransport<'_> {
@@ -468,24 +412,24 @@ impl SystemTransport<'_> {
         server: ServerId,
         at: SimTime,
     ) -> Result<SimTime, String> {
-        let cc = self.net.cluster_of(ws).0 as usize;
+        let campus = self.campus;
+        let cc = campus.net.cluster_of(ws).0 as usize;
         if self.cores.get(cc).bindings.contains_key(&(ws, server)) {
             return Ok(at);
         }
         let sid = server.0 as usize;
         // Vice looks the user's key up in its protection database; an
         // unknown user cannot bind at all.
-        let server_key = self.domain.auth_key(user).map_err(|e| e.to_string())?;
+        let server_key = campus.domain.auth_key(user).map_err(|e| e.to_string())?;
         let nonces = {
             let rng = &mut self.cores.get_mut(cc).rng;
             (rng.next_u64(), rng.next_u64())
         };
-        let srv_node = self.server_nodes[sid];
+        let srv_node = campus.server_nodes[sid];
         let binding = establish(user, ws, srv_node, client_key, server_key, nonces)
             .map_err(|e| e.to_string())?;
-        let ready = self
-            .kernel
-            .handshake(self.net, ws, srv_node, self.servers.get(sid).cpu(), at);
+        let cpu = self.servers.get_mut(sid).resources_mut().0;
+        let ready = campus.kernel.handshake(&campus.net, ws, srv_node, cpu, at);
         let cl = self.cores.get_mut(cc);
         cl.bindings.insert((ws, server), binding);
         cl.advance_to(ready);
@@ -529,6 +473,7 @@ impl SystemTransport<'_> {
         let server = call.server;
         let sid = server.0 as usize;
         let cc = call.cluster;
+        let campus = self.campus;
         // The chain leg that just fired is no longer cancellable.
         if call.chain == Some((from_cluster, id)) {
             call.chain = None;
@@ -551,7 +496,7 @@ impl SystemTransport<'_> {
                 // calendar; if the server is down the client burns the
                 // retry timeout and reports it unreachable.
                 if !self.servers.get(sid).is_online() {
-                    let done = at + self.retry.timeout;
+                    let done = at + campus.retry.timeout;
                     self.cores.get_mut(cc).advance_to(done);
                     self.call_aborted(call, AnomalyReason::Unreachable, done);
                     call.result = Some((ViceReply::Error(ViceError::Unreachable(server.0)), done));
@@ -565,7 +510,7 @@ impl SystemTransport<'_> {
                     .cores
                     .get_mut(cc)
                     .sched
-                    .schedule(at + self.retry.timeout, NetEvent::TimeoutFire);
+                    .schedule(at + campus.retry.timeout, NetEvent::TimeoutFire);
                 call.timeout_id = Some(tid);
                 let fate = match self.cores.get_mut(sid).faults.as_mut() {
                     Some(f) => f.request_fault(server.0),
@@ -584,10 +529,10 @@ impl SystemTransport<'_> {
                             call.extra += d;
                         }
                         call.sealed_req = Some(sealed);
-                        let arrived = self.kernel.request_leg(
-                            self.net,
+                        let arrived = campus.kernel.request_leg(
+                            &campus.net,
                             call.ws,
-                            self.server_nodes[sid],
+                            campus.server_nodes[sid],
                             at,
                             call.req_wire,
                         );
@@ -607,15 +552,15 @@ impl SystemTransport<'_> {
                     return Ok(());
                 }
                 self.timeout_fired(call, at);
-                if call.attempt >= self.retry.max_attempts {
+                if call.attempt >= campus.retry.max_attempts {
                     let cl = self.cores.get_mut(cc);
                     cl.call_stats.failures += 1;
                     cl.advance_to(at);
                     self.call_aborted(call, AnomalyReason::TimedOut, at);
                     call.result = Some((ViceReply::Error(ViceError::TimedOut(server.0)), at));
                 } else {
-                    let retry = self.retry;
-                    let wait = retry.backoff(call.attempt, &mut self.cores.get_mut(cc).retry_rng);
+                    let rng = &mut self.cores.get_mut(cc).retry_rng;
+                    let wait = campus.retry.backoff(call.attempt, rng);
                     self.cores
                         .get_mut(cc)
                         .sched
@@ -656,12 +601,12 @@ impl SystemTransport<'_> {
                 self.call_span(qr.trace, call, SpanClass::ServiceDispatch, at, None);
                 // Handlers see the attempt's start time, as the synchronous
                 // transport always showed them.
-                let costs = self.kernel.costs();
+                let costs = campus.kernel.costs();
                 // Identity comes from the binding the request arrived on,
                 // never the request.
                 let user = self.cores.get(cc).bindings[&(call.ws, server)].server_user();
                 let (reply, cost) = self.servers.get_mut(sid).serve(
-                    (user, self.domain),
+                    (user, &campus.domain, &campus.location),
                     qr,
                     call.attempt_start,
                     costs,
@@ -709,17 +654,17 @@ impl SystemTransport<'_> {
                             lock_ipc: cost.lock_ipc,
                         };
                         self.service_charging(call, at, &spec);
-                        let srv = self.servers.get(sid);
-                        let served = self.kernel.service(srv.cpu(), srv.disk(), at, &spec);
+                        let (cpu, disk) = self.servers.get_mut(sid).resources_mut();
+                        let served = campus.kernel.service(cpu, disk, at, &spec);
                         self.chain(call, sid, served, NetEvent::ReplyDepart);
                     }
                 }
             }
 
             NetEvent::ReplyDepart => {
-                let completed = self.kernel.reply_leg(
-                    self.net,
-                    self.server_nodes[sid],
+                let completed = campus.kernel.reply_leg(
+                    &campus.net,
+                    campus.server_nodes[sid],
                     call.ws,
                     at,
                     call.reply_wire,
@@ -754,17 +699,9 @@ impl SystemTransport<'_> {
                 // the covering custodianship subtree and caller's cluster.
                 // The interned lookup hands back the subtree's shared key,
                 // so recording is a refcount bump, not a String allocation.
-                // (Monitoring is sequential-only, so indexing server 0 here
-                // can never trip a mask.)
                 if let Some(m) = self.monitor.as_deref_mut() {
-                    if let Some((subtree, _)) = self
-                        .servers
-                        .get(0)
-                        .location()
-                        .lookup_interned(call.req.path())
-                    {
-                        let origin = self.net.cluster_of(call.ws);
-                        m.record_interned(&subtree, origin.0);
+                    if let Some((subtree, _)) = campus.location.lookup_interned(call.req.path()) {
+                        m.record_interned(&subtree, campus.net.cluster_of(call.ws).0);
                     }
                 }
                 self.servers.get_mut(sid).record_call(
@@ -778,13 +715,15 @@ impl SystemTransport<'_> {
                 // Callback-break messages this call generated enter the
                 // calendars of their *target* workstations' clusters;
                 // delivery is applied by the system after the operation.
-                let from_node = self.server_nodes[sid];
+                let from_node = campus.server_nodes[sid];
                 for (to_ws, paths) in self.servers.get_mut(sid).drain_breaks() {
                     // One base message plus a small increment for every
                     // extra path a batched message carries.
                     let bytes = 160 + 24 * (paths.len() as u64 - 1);
-                    let arrival = self.kernel.one_way(self.net, from_node, to_ws, at, bytes);
-                    let cl = self.cores.get_mut(self.net.cluster_of(to_ws).0 as usize);
+                    let arrival = campus
+                        .kernel
+                        .one_way(&campus.net, from_node, to_ws, at, bytes);
+                    let cl = self.cores.get_mut(campus.net.cluster_of(to_ws).0 as usize);
                     let bid = cl
                         .sched
                         .schedule(arrival, NetEvent::BreakDeliver { to_ws, paths });
@@ -815,14 +754,14 @@ impl ViceTransport for SystemTransport<'_> {
         if sid >= self.servers.len() {
             return Err(format!("unknown server {}", server.0));
         }
-        let cc = self.net.cluster_of(ws).0 as usize;
+        let cc = self.campus.net.cluster_of(ws).0 as usize;
         // Scheduled crashes/restarts that have come due take effect before
         // anything else sees the server.
         self.pump_idle(at);
         // A down server: the client burns the RPC timeout and synthesizes
         // an Unreachable error so Venus can fail over to a replica.
         if !self.servers.get(sid).is_online() {
-            let done = at + self.kernel.costs().rpc_timeout;
+            let done = at + self.campus.kernel.costs().rpc_timeout;
             self.cores.get_mut(cc).advance_to(done);
             self.unbound_call_aborted(cc, ws, server, done);
             return Ok((ViceReply::Error(ViceError::Unreachable(server.0)), done));
@@ -895,13 +834,16 @@ impl ViceTransport for SystemTransport<'_> {
     }
 
     fn nearest(&self, ws: NodeId, candidates: &[ServerId]) -> ServerId {
+        let campus = self.campus;
         *candidates
             .iter()
-            .min_by_key(|s| (self.net.hops(ws, self.server_nodes[s.0 as usize]), s.0))
+            .min_by_key(|s| (campus.net.hops(ws, campus.server_nodes[s.0 as usize]), s.0))
             .expect("candidates non-empty")
     }
 
+    /// The server of the workstation's own cluster: server id equals
+    /// cluster id.
     fn home_server(&self, ws: NodeId) -> ServerId {
-        self.home[&ws]
+        ServerId(self.campus.net.cluster_of(ws).0)
     }
 }

@@ -2,6 +2,7 @@
 //! the server must be correct against arbitrary (including hostile)
 //! request streams, not just the ones a well-behaved Venus sends.
 
+use itc_core::location::LocationDb;
 use itc_core::protect::{AccessList, ProtectionDomain, Rights};
 use itc_core::proto::{
     decode_request, encode_request, Payload, ServerId, ViceError, ViceReply, ViceRequest,
@@ -29,6 +30,22 @@ fn domain() -> &'static ProtectionDomain {
     })
 }
 
+/// The location database every test server reads (the system lends one
+/// copy to every server): `/vice/t` is server 0's with a read-only replica
+/// on server 1, `/vice/elsewhere` is server 3's, and `/vice/t/moved` — a
+/// subtree of `/vice/t` whose volume moved away — is server 5's.
+fn location() -> &'static LocationDb {
+    static LOCATION: OnceLock<LocationDb> = OnceLock::new();
+    LOCATION.get_or_init(|| {
+        let mut location = LocationDb::new();
+        location.assign("/vice/t", ServerId(0));
+        location.add_replica("/vice/t", ServerId(1));
+        location.assign("/vice/elsewhere", ServerId(3));
+        location.assign("/vice/t/moved", ServerId(5));
+        location
+    })
+}
+
 fn make_server(validation: ValidationMode) -> Server {
     let mut srv = Server::new(
         ServerId(0),
@@ -42,13 +59,13 @@ fn make_server(validation: ValidationMode) -> Server {
     let mut vol = Volume::new(VolumeId(1), "test", "/vice/t", acl);
     vol.store("/hello.txt", 1, 0, b"hello".to_vec()).unwrap();
     srv.add_volume(vol);
-    srv.location_mut().assign("/vice/t", ServerId(0));
     srv
 }
 
 fn call(srv: &mut Server, user: &str, from: NodeId, req: ViceRequest) -> ViceReply {
     let costs = Costs::prototype_1985();
-    srv.handle((user, domain()), from, &req, SimTime::from_secs(1), &costs)
+    let caller = (user, domain(), location());
+    srv.handle(caller, from, &req, SimTime::from_secs(1), &costs)
         .0
 }
 
@@ -100,8 +117,8 @@ fn fetch_checks_rights_and_returns_data_with_status() {
 
 #[test]
 fn uncovered_paths_answer_with_custodian_hint() {
+    // The location database says /vice/elsewhere is server 3's.
     let mut srv = make_server(ValidationMode::CheckOnOpen);
-    srv.location_mut().assign("/vice/elsewhere", ServerId(3));
     match call(
         &mut srv,
         "alice",
@@ -132,7 +149,6 @@ fn location_db_overrides_an_enclosing_volume() {
     // The server hosts /vice/t, but the location database says a deeper
     // subtree /vice/t/moved now belongs to server 5 (the volume moved).
     let mut srv = make_server(ValidationMode::CheckOnOpen);
-    srv.location_mut().assign("/vice/t/moved", ServerId(5));
     assert!(matches!(
         call(
             &mut srv,
@@ -424,10 +440,6 @@ fn readonly_replica_serves_reads_but_not_writes() {
             .unwrap()
             .clone_readonly(VolumeId(100));
         replica_srv.add_volume(clone);
-        replica_srv.location_mut().assign("/vice/t", ServerId(0));
-        replica_srv
-            .location_mut()
-            .add_replica("/vice/t", ServerId(1));
         replica_srv
     };
     let mut replica_srv = clone;
@@ -506,7 +518,7 @@ fn server_side_traversal_charges_per_component() {
     let mut srv = make_server(ValidationMode::CheckOnOpen);
     let costs = Costs::prototype_1985();
     let (_, shallow) = srv.handle(
-        ("alice", domain()),
+        ("alice", domain(), location()),
         WS,
         &ViceRequest::Fetch {
             path: "/vice/t/hello.txt".into(),
@@ -540,7 +552,7 @@ fn server_side_traversal_charges_per_component() {
         },
     );
     let (_, deep) = srv.handle(
-        ("alice", domain()),
+        ("alice", domain(), location()),
         WS,
         &ViceRequest::Fetch {
             path: "/vice/t/a/b/deep.txt".into(),
@@ -739,7 +751,7 @@ fn every_request_kind_meets_the_gate() {
     for ((req, expected), kind) in rows.iter().zip(ViceRequest::KINDS) {
         assert_eq!(req.kind(), kind, "rows follow KINDS order");
         let (reply, cost) = srv.handle(
-            ("mallory", domain()),
+            ("mallory", domain(), location()),
             WS2,
             req,
             SimTime::from_secs(9),
@@ -802,7 +814,7 @@ fn serve(
         arrived: SimTime::from_secs(1),
     };
     let reply = srv.serve(
-        ("alice", domain()),
+        ("alice", domain(), location()),
         qr,
         SimTime::from_secs(1),
         &Costs::prototype_1985(),
@@ -846,7 +858,7 @@ fn serve_applies_a_retried_mutation_exactly_once() {
     // salvage the same token is applied afresh.
     srv.crash();
     srv.restart();
-    srv.salvage_all();
+    srv.salvage_all(SimTime::from_secs(1));
     let again = serve_req(&mut srv, WS, 7, &store);
     assert_eq!(version_of(&again), version_of(&other) + 1);
 
@@ -896,4 +908,127 @@ fn serve_answers_hostile_bytes_with_a_typed_reply() {
     assert!(rejected > 900, "only {rejected} bodies were rejected");
     // A rejected body is never remembered.
     assert!(srv.replay_entries() <= total - rejected);
+}
+
+/// Four spellings of `/vice/t/hello.txt` that lexical normalisation maps
+/// onto it (`nx` does not exist; `d` does, in [`make_aliased_server`]).
+const ALIASES: [&str; 4] = [
+    "/vice/t//hello.txt",
+    "/vice/t/./hello.txt",
+    "/vice/t/d/../hello.txt",
+    "/vice/t/nx/../hello.txt",
+];
+
+/// A callback-mode server with a directory `/vice/t/d`, on which `WS2`
+/// holds a promise for `/vice/t/hello.txt`.
+fn make_aliased_server() -> Server {
+    let mut srv = make_server(ValidationMode::Callback);
+    let mkdir = ViceRequest::MakeDir {
+        path: "/vice/t/d".into(),
+    };
+    assert!(!matches!(
+        call(&mut srv, "alice", WS, mkdir),
+        ViceReply::Error(_)
+    ));
+    let fetch = ViceRequest::Fetch {
+        path: "/vice/t/hello.txt".into(),
+    };
+    assert!(matches!(
+        call(&mut srv, "alice", WS2, fetch),
+        ViceReply::Data { .. }
+    ));
+    srv.drain_breaks();
+    srv
+}
+
+fn version_at(srv: &mut Server, path: &str) -> u64 {
+    let req = ViceRequest::GetStatus { path: path.into() };
+    version_of(&call(srv, "alice", WS2, req))
+}
+
+#[test]
+fn a_store_through_an_alias_is_refused_and_strands_no_promise() {
+    // Promises are keyed by the name a request carries: a store accepted
+    // under an alias would change the file WS2 holds a promise on without
+    // breaking it.
+    let mut srv = make_aliased_server();
+    let before = version_at(&mut srv, "/vice/t/hello.txt");
+    for alias in ALIASES {
+        let store = ViceRequest::Store {
+            path: alias.into(),
+            data: b"v2".to_vec().into(),
+        };
+        let reply = call(&mut srv, "alice", WS, store);
+        assert!(
+            matches!(reply, ViceReply::Error(ViceError::BadRequest(_))),
+            "{alias}: {reply:?}"
+        );
+        assert_eq!(version_at(&mut srv, "/vice/t/hello.txt"), before, "{alias}");
+        assert!(srv.drain_breaks().is_empty(), "{alias}");
+    }
+    // WS2's promise is still live, and the canonical name still breaks it.
+    let store = ViceRequest::Store {
+        path: "/vice/t/hello.txt".into(),
+        data: b"v2".to_vec().into(),
+    };
+    assert!(matches!(
+        call(&mut srv, "alice", WS, store),
+        ViceReply::Status(_)
+    ));
+    let breaks = srv.drain_breaks();
+    assert_eq!(breaks, [(WS2, vec!["/vice/t/hello.txt".to_string()])]);
+}
+
+#[test]
+fn an_exclusive_lock_through_an_alias_is_not_granted_beside_the_canonical_one() {
+    let mut srv = make_aliased_server();
+    let lock = |path: &str| ViceRequest::SetLock {
+        path: path.into(),
+        exclusive: true,
+    };
+    assert_eq!(
+        call(&mut srv, "alice", WS, lock("/vice/t/hello.txt")),
+        ViceReply::Ok
+    );
+    for alias in ALIASES {
+        let reply = call(&mut srv, "alice", WS2, lock(alias));
+        assert!(
+            matches!(reply, ViceReply::Error(ViceError::BadRequest(_))),
+            "{alias}: {reply:?}"
+        );
+    }
+    // The canonical name still conflicts, as it should.
+    assert!(matches!(
+        call(&mut srv, "alice", WS2, lock("/vice/t/hello.txt")),
+        ViceReply::Error(ViceError::LockConflict(_))
+    ));
+}
+
+#[test]
+fn every_name_a_request_carries_is_refused_unless_normal() {
+    // The gate runs before any state is read, so it covers the two ungated
+    // kinds and the second name of a rename too.
+    let mut srv = make_aliased_server();
+    for alias in ALIASES {
+        let requests = [
+            ViceRequest::GetCustodian { path: alias.into() },
+            ViceRequest::ReleaseLock { path: alias.into() },
+            ViceRequest::Rename {
+                from: "/vice/t/hello.txt".into(),
+                to: alias.into(),
+            },
+            ViceRequest::Rename {
+                from: alias.into(),
+                to: "/vice/t/renamed.txt".into(),
+            },
+        ];
+        for req in requests {
+            let reply = call(&mut srv, "alice", WS, req.clone());
+            assert!(
+                matches!(reply, ViceReply::Error(ViceError::BadRequest(_))),
+                "{req:?}: {reply:?}"
+            );
+        }
+    }
+    assert_eq!(version_at(&mut srv, "/vice/t/hello.txt"), 1);
 }

@@ -130,8 +130,8 @@ impl TimingKernel {
     /// the instant the reply is ready to depart.
     pub fn service(
         &self,
-        cpu: &Resource,
-        disk: &Resource,
+        cpu: &mut Resource,
+        disk: &mut Resource,
         arrived: SimTime,
         spec: &CallSpec,
     ) -> SimTime {
@@ -183,7 +183,7 @@ impl TimingKernel {
         net: &Network,
         from: NodeId,
         to: NodeId,
-        cpu: &Resource,
+        cpu: &mut Resource,
         t0: SimTime,
     ) -> SimTime {
         let c = &self.costs;
@@ -234,8 +234,8 @@ mod tests {
         net: &Network,
         ws: NodeId,
         srv: NodeId,
-        cpu: &Resource,
-        disk: &Resource,
+        cpu: &mut Resource,
+        disk: &mut Resource,
         t0: SimTime,
         spec: &CallSpec,
     ) -> SimTime {
@@ -248,13 +248,31 @@ mod tests {
     fn cross_cluster_calls_are_slower() {
         let (net, ws, local, remote) = setup();
         let k = kernel(ServerStructure::SingleProcessLwp);
-        let cpu_a = Resource::new("cpu-a");
-        let disk_a = Resource::new("disk-a");
-        let cpu_b = Resource::new("cpu-b");
-        let disk_b = Resource::new("disk-b");
+        let mut cpu_a = Resource::new("cpu-a");
+        let mut disk_a = Resource::new("disk-a");
+        let mut cpu_b = Resource::new("cpu-b");
+        let mut disk_b = Resource::new("disk-b");
         let spec = CallSpec::control("validate", SimTime::from_millis(10));
-        let near = call(&k, &net, ws, local, &cpu_a, &disk_a, SimTime::ZERO, &spec);
-        let far = call(&k, &net, ws, remote, &cpu_b, &disk_b, SimTime::ZERO, &spec);
+        let near = call(
+            &k,
+            &net,
+            ws,
+            local,
+            &mut cpu_a,
+            &mut disk_a,
+            SimTime::ZERO,
+            &spec,
+        );
+        let far = call(
+            &k,
+            &net,
+            ws,
+            remote,
+            &mut cpu_b,
+            &mut disk_b,
+            SimTime::ZERO,
+            &spec,
+        );
         // Two extra hops each way (both issued at 0, so the completion
         // instants are the elapsed times).
         let c = Costs::prototype_1985();
@@ -273,20 +291,29 @@ mod tests {
             ..CallSpec::control("lock", SimTime::ZERO)
         };
         let proto = kernel(ServerStructure::ProcessPerClient);
-        let cpu1 = Resource::new("cpu");
-        let disk1 = Resource::new("disk");
-        let t_proto = call(&proto, &net, ws, local, &cpu1, &disk1, SimTime::ZERO, &spec);
+        let mut cpu1 = Resource::new("cpu");
+        let mut disk1 = Resource::new("disk");
+        let t_proto = call(
+            &proto,
+            &net,
+            ws,
+            local,
+            &mut cpu1,
+            &mut disk1,
+            SimTime::ZERO,
+            &spec,
+        );
 
         let revised = kernel(ServerStructure::SingleProcessLwp);
-        let cpu2 = Resource::new("cpu");
-        let disk2 = Resource::new("disk");
+        let mut cpu2 = Resource::new("cpu");
+        let mut disk2 = Resource::new("disk");
         let t_rev = call(
             &revised,
             &net,
             ws,
             local,
-            &cpu2,
-            &disk2,
+            &mut cpu2,
+            &mut disk2,
             SimTime::ZERO,
             &spec,
         );
@@ -317,12 +344,30 @@ mod tests {
         );
         let hw = kernel(ServerStructure::SingleProcessLwp);
 
-        let cpu1 = Resource::new("cpu");
-        let disk1 = Resource::new("disk");
-        let t_sw = call(&sw, &net, ws, local, &cpu1, &disk1, SimTime::ZERO, &spec);
-        let cpu2 = Resource::new("cpu");
-        let disk2 = Resource::new("disk");
-        let t_hw = call(&hw, &net, ws, local, &cpu2, &disk2, SimTime::ZERO, &spec);
+        let mut cpu1 = Resource::new("cpu");
+        let mut disk1 = Resource::new("disk");
+        let t_sw = call(
+            &sw,
+            &net,
+            ws,
+            local,
+            &mut cpu1,
+            &mut disk1,
+            SimTime::ZERO,
+            &spec,
+        );
+        let mut cpu2 = Resource::new("cpu");
+        let mut disk2 = Resource::new("disk");
+        let t_hw = call(
+            &hw,
+            &net,
+            ws,
+            local,
+            &mut cpu2,
+            &mut disk2,
+            SimTime::ZERO,
+            &spec,
+        );
         // 2 µs/byte over ~2 MiB of end-to-end crypto work is seconds of
         // added latency.
         assert!(t_sw > t_hw + SimTime::from_secs(2), "sw={t_sw} hw={t_hw}");
@@ -332,12 +377,30 @@ mod tests {
     fn concurrent_clients_queue_on_server_cpu() {
         let (net, ws, local, _) = setup();
         let k = kernel(ServerStructure::SingleProcessLwp);
-        let cpu = Resource::new("cpu");
-        let disk = Resource::new("disk");
+        let mut cpu = Resource::new("cpu");
+        let mut disk = Resource::new("disk");
         let spec = CallSpec::control("getstatus", SimTime::from_millis(100));
         // Two calls issued at the same instant: the second queues.
-        let r1 = call(&k, &net, ws, local, &cpu, &disk, SimTime::ZERO, &spec);
-        let r2 = call(&k, &net, ws, local, &cpu, &disk, SimTime::ZERO, &spec);
+        let r1 = call(
+            &k,
+            &net,
+            ws,
+            local,
+            &mut cpu,
+            &mut disk,
+            SimTime::ZERO,
+            &spec,
+        );
+        let r2 = call(
+            &k,
+            &net,
+            ws,
+            local,
+            &mut cpu,
+            &mut disk,
+            SimTime::ZERO,
+            &spec,
+        );
         assert!(r2 > r1);
         let rep = cpu.report(r2);
         assert!(rep.mean_queue_delay > SimTime::ZERO);
@@ -347,10 +410,19 @@ mod tests {
     fn disk_charged_only_when_data_moves() {
         let (net, ws, local, _) = setup();
         let k = kernel(ServerStructure::SingleProcessLwp);
-        let cpu = Resource::new("cpu");
-        let disk = Resource::new("disk");
+        let mut cpu = Resource::new("cpu");
+        let mut disk = Resource::new("disk");
         let control = CallSpec::control("validate", SimTime::ZERO);
-        call(&k, &net, ws, local, &cpu, &disk, SimTime::ZERO, &control);
+        call(
+            &k,
+            &net,
+            ws,
+            local,
+            &mut cpu,
+            &mut disk,
+            SimTime::ZERO,
+            &control,
+        );
         assert_eq!(disk.busy_total(), SimTime::ZERO);
         let fetch = CallSpec {
             kind: "fetch",
@@ -365,8 +437,8 @@ mod tests {
             &net,
             ws,
             local,
-            &cpu,
-            &disk,
+            &mut cpu,
+            &mut disk,
             SimTime::from_secs(1),
             &fetch,
         );
@@ -380,10 +452,10 @@ mod tests {
     fn handshake_takes_three_message_times() {
         let (net, ws, local, remote) = setup();
         let k = kernel(ServerStructure::SingleProcessLwp);
-        let cpu = Resource::new("cpu");
-        let near = k.handshake(&net, ws, local, &cpu, SimTime::ZERO);
-        let cpu2 = Resource::new("cpu");
-        let far = k.handshake(&net, ws, remote, &cpu2, SimTime::ZERO);
+        let mut cpu = Resource::new("cpu");
+        let near = k.handshake(&net, ws, local, &mut cpu, SimTime::ZERO);
+        let mut cpu2 = Resource::new("cpu");
+        let far = k.handshake(&net, ws, remote, &mut cpu2, SimTime::ZERO);
         // Three crossings, two hops each.
         let c = Costs::prototype_1985();
         assert_eq!(far - near, c.net_latency_per_hop * 6);

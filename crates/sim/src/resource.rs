@@ -12,7 +12,6 @@
 //! utilizations are much higher, sometimes peaking at 98%".
 
 use crate::clock::SimTime;
-use std::cell::RefCell;
 
 /// Width of a utilization bucket: one virtual minute.
 pub const BUCKET_WIDTH: SimTime = SimTime(60_000_000);
@@ -36,7 +35,7 @@ struct Inner {
 #[derive(Debug)]
 pub struct Resource {
     name: String,
-    inner: RefCell<Inner>,
+    inner: Inner,
 }
 
 /// Summary of a resource's activity over an observation window.
@@ -64,7 +63,7 @@ impl Resource {
     pub fn new(name: impl Into<String>) -> Resource {
         Resource {
             name: name.into(),
-            inner: RefCell::new(Inner::default()),
+            inner: Inner::default(),
         }
     }
 
@@ -79,8 +78,8 @@ impl Resource {
     /// service are recorded for the utilization report. A zero-service
     /// request completes immediately at `max(arrival, available_at)` without
     /// holding the resource.
-    pub fn acquire(&self, arrival: SimTime, service: SimTime) -> SimTime {
-        let mut inner = self.inner.borrow_mut();
+    pub fn acquire(&mut self, arrival: SimTime, service: SimTime) -> SimTime {
+        let inner = &mut self.inner;
         let start = arrival.max(inner.available_at);
         let end = start + service;
         inner.available_at = end;
@@ -96,8 +95,8 @@ impl Resource {
     /// Charges service time without queueing semantics — used for resources
     /// we track for utilization but do not model contention on (e.g. the
     /// workstation's own CPU, which has exactly one user).
-    pub fn charge(&self, start: SimTime, service: SimTime) -> SimTime {
-        let mut inner = self.inner.borrow_mut();
+    pub fn charge(&mut self, start: SimTime, service: SimTime) -> SimTime {
+        let inner = &mut self.inner;
         let end = start + service;
         inner.busy_total += service;
         inner.requests += 1;
@@ -128,22 +127,22 @@ impl Resource {
 
     /// The earliest time the next request could begin service.
     pub fn available_at(&self) -> SimTime {
-        self.inner.borrow().available_at
+        self.inner.available_at
     }
 
     /// Total service time performed so far.
     pub fn busy_total(&self) -> SimTime {
-        self.inner.borrow().busy_total
+        self.inner.busy_total
     }
 
     /// Number of requests served so far.
     pub fn requests(&self) -> u64 {
-        self.inner.borrow().requests
+        self.inner.requests
     }
 
     /// Produces the utilization report for the window `[0, window_end]`.
     pub fn report(&self, window_end: SimTime) -> UtilizationReport {
-        let inner = self.inner.borrow();
+        let inner = &self.inner;
         let window = window_end.as_micros().max(1);
         let w = BUCKET_WIDTH.as_micros();
         let mut peak = 0u64;
@@ -176,7 +175,7 @@ impl Resource {
     /// recorder watches. Work charged later into the same bucket is not
     /// yet visible; the probe reflects what has been performed so far.
     pub fn bucket_utilization(&self, at: SimTime) -> f64 {
-        let inner = self.inner.borrow();
+        let inner = &self.inner;
         let w = BUCKET_WIDTH.as_micros();
         let idx = (at.as_micros() / w) as usize;
         inner.buckets.get(idx).copied().unwrap_or(0) as f64 / w as f64
@@ -186,7 +185,7 @@ impl Resource {
     /// `(bucket_start, utilization)` pair per [`BUCKET_WIDTH`] bucket.
     /// Used to plot load over a simulated day.
     pub fn utilization_series(&self, window_end: SimTime) -> Vec<(SimTime, f64)> {
-        let inner = self.inner.borrow();
+        let inner = &self.inner;
         let w = BUCKET_WIDTH.as_micros();
         let n_buckets = (window_end.as_micros().div_ceil(w)) as usize;
         (0..n_buckets)
@@ -199,8 +198,8 @@ impl Resource {
 
     /// Clears all recorded activity, returning the resource to idle at time
     /// zero. Used when one topology is reused across experiment trials.
-    pub fn reset(&self) {
-        *self.inner.borrow_mut() = Inner::default();
+    pub fn reset(&mut self) {
+        self.inner = Inner::default();
     }
 }
 
@@ -210,7 +209,7 @@ mod tests {
 
     #[test]
     fn fifo_queueing_delays_later_arrivals() {
-        let r = Resource::new("cpu");
+        let mut r = Resource::new("cpu");
         let e1 = r.acquire(SimTime::from_secs(0), SimTime::from_secs(3));
         assert_eq!(e1, SimTime::from_secs(3));
         // Arrives at t=1 but must wait until t=3.
@@ -229,7 +228,7 @@ mod tests {
 
     #[test]
     fn zero_service_does_not_occupy() {
-        let r = Resource::new("cpu");
+        let mut r = Resource::new("cpu");
         r.acquire(SimTime::ZERO, SimTime::ZERO);
         assert_eq!(r.available_at(), SimTime::ZERO);
         assert_eq!(r.busy_total(), SimTime::ZERO);
@@ -237,7 +236,7 @@ mod tests {
 
     #[test]
     fn buckets_split_across_boundaries() {
-        let r = Resource::new("cpu");
+        let mut r = Resource::new("cpu");
         // 30s of service starting 45s in: 15s in bucket 0, 15s in bucket 1.
         r.acquire(SimTime::from_secs(45), SimTime::from_secs(30));
         let rep = r.report(SimTime::from_mins(2));
@@ -248,7 +247,7 @@ mod tests {
 
     #[test]
     fn peak_identifies_busiest_minute() {
-        let r = Resource::new("cpu");
+        let mut r = Resource::new("cpu");
         // Bucket 0: 6s busy. Bucket 2: 54s busy.
         r.acquire(SimTime::from_secs(0), SimTime::from_secs(6));
         r.acquire(SimTime::from_secs(120), SimTime::from_secs(54));
@@ -259,7 +258,7 @@ mod tests {
 
     #[test]
     fn charge_overlapping_intervals_accumulate() {
-        let r = Resource::new("ws-cpu");
+        let mut r = Resource::new("ws-cpu");
         r.charge(SimTime::from_secs(0), SimTime::from_secs(10));
         r.charge(SimTime::from_secs(5), SimTime::from_secs(10));
         assert_eq!(r.busy_total(), SimTime::from_secs(20));
@@ -268,7 +267,7 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let r = Resource::new("cpu");
+        let mut r = Resource::new("cpu");
         r.acquire(SimTime::ZERO, SimTime::from_secs(5));
         r.reset();
         assert_eq!(r.busy_total(), SimTime::ZERO);

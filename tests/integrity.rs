@@ -13,6 +13,7 @@
 //! virtual timings stay bit-identical.
 
 use itc_afs::core::disk::{CorruptionOutcome, Disk, FlipRegion, JournalOp, SyncPolicy};
+use itc_afs::core::location::LocationDb;
 use itc_afs::core::protect::{AccessList, ProtectionDomain, Rights};
 use itc_afs::core::proto::payload::{bytes_digested, payload_digest, reset_bytes_digested};
 use itc_afs::core::proto::{Payload, ServerId, ViceError, ViceReply, ViceRequest};
@@ -453,12 +454,14 @@ fn fetch_after_salvage_from_damaged_checkpoint_is_caught() {
     // cannot heal it — the damage survives into the live volume.
     srv.crash_with_torn(0);
     srv.restart();
-    let report = srv.salvage_volume(vid).expect("salvages");
+    let report = srv
+        .salvage_volume(vid, SimTime::from_secs(1))
+        .expect("salvages");
     assert_eq!(report.records_rejected, 0, "journal is undamaged");
 
     let costs = Costs::default();
     let (reply, _) = srv.handle(
-        ("u", &ProtectionDomain::new()),
+        ("u", &ProtectionDomain::new(), &LocationDb::new()),
         NodeId(9),
         &ViceRequest::Fetch {
             path: "/vice/proj/f.c".into(),
@@ -557,10 +560,11 @@ fn rot_under_warm_digest_memos_is_still_caught() {
         // the leaf, whatever memo they carry.
         srv.crash_with_torn(0);
         srv.restart();
-        srv.salvage_volume(vid).expect("salvages");
+        srv.salvage_volume(vid, SimTime::from_secs(1))
+            .expect("salvages");
         assert_eq!(live_read(&srv), damaged);
         let (reply, _) = srv.handle(
-            ("u", &ProtectionDomain::new()),
+            ("u", &ProtectionDomain::new(), &LocationDb::new()),
             NodeId(9),
             &ViceRequest::Fetch {
                 path: format!("/vice/proj{path}"),

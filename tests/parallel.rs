@@ -8,7 +8,7 @@
 use itc_afs::core::config::SystemConfig;
 use itc_afs::core::protect::{AccessList, Rights};
 use itc_afs::core::proto::ServerId;
-use itc_afs::core::system::parallel::{ClusterMask, ExecutorStats, RunMode, WsDriver};
+use itc_afs::core::system::parallel::{ClusterMask, ExecutorStats, RunMode, WsDriver, WsOps};
 use itc_afs::core::system::{ItcSystem, SystemError};
 use itc_afs::sim::{FaultPlan, SimRng, SimTime};
 use itc_afs::workload::scenario::{login_storm, OpCounts};
@@ -624,4 +624,72 @@ fn a_user_added_between_parallel_runs_logs_in_and_is_authorised() {
         sys.ops().fetch(0, "/vice/team1/n2").expect("fetch"),
         [7; 100]
     );
+}
+
+/// Two `mode` runs around a volume move on a 2-cluster system: each
+/// cluster's workstation (0 and 2) logs in and stores into the user
+/// volume at its first custodian, server 0; the operator moves the volume
+/// to server 1; then each fetches the file the other stored and stores a
+/// new one. Returns the per-server `(fetch, store)` calls of the second
+/// run, the workstations' op counts, and the fingerprint.
+fn volume_moved_between_runs(mode: RunMode) -> ([(u64, u64); 2], OpCounts, String) {
+    let mut sys = ItcSystem::build(SystemConfig::revised(2, 2));
+    sys.add_user("ann", "pw").expect("user");
+    sys.create_user_volume("ann", 0).expect("volume");
+    let counts = Arc::new(Mutex::new(OpCounts::default()));
+    let run = |sys: &mut ItcSystem, op: fn(&mut WsOps<'_>, usize) -> Result<(), SystemError>| {
+        let drivers = [0, 2]
+            .into_iter()
+            .map(|ws| {
+                let mut d = ScriptDriver::new(ws, sys.ws_time(ws), Arc::clone(&counts));
+                // A call may reach either server: the custodian, or the one
+                // a stale location hint names first.
+                d.push(ClusterMask::all(2), move |ops| op(ops, ws));
+                (ws, Box::new(d) as Box<dyn WsDriver>)
+            })
+            .collect();
+        sys.run_drivers(drivers, mode).expect("run");
+    };
+    run(&mut sys, |ops, ws| {
+        ops.login(ws, "ann", "pw")?;
+        ops.store(ws, &format!("/vice/usr/ann/w{ws}"), vec![ws as u8; 300])
+    });
+
+    sys.move_volume("/vice/usr/ann", ServerId(1)).expect("move");
+    assert_eq!(sys.location_of("/vice/usr/ann/w0"), Some(ServerId(1)));
+    let calls = |sys: &ItcSystem| {
+        [0, 1].map(|s| {
+            let stats = sys.server(ServerId(s)).stats();
+            (stats.calls_of("fetch"), stats.calls_of("store"))
+        })
+    };
+    let before = calls(&sys);
+    run(&mut sys, |ops, ws| {
+        let other = 2 - ws;
+        let data = ops.fetch(ws, &format!("/vice/usr/ann/w{other}"))?;
+        assert_eq!(
+            data, [other as u8; 300],
+            "workstation {ws} fetched stale bytes"
+        );
+        ops.store(ws, &format!("/vice/usr/ann/late{ws}"), vec![9; 300])
+    });
+    let after = calls(&sys);
+    let second = [0, 1].map(|s| (after[s].0 - before[s].0, after[s].1 - before[s].1));
+    let counts = *counts.lock().unwrap();
+    (second, counts, fingerprint(&sys))
+}
+
+#[test]
+fn a_volume_moved_between_parallel_runs_is_served_by_its_new_custodian() {
+    // The location database is plain data every worker reads by reference:
+    // the move the operator makes between two runs is what both clusters
+    // read in the next one.
+    let (second, counts, par) = volume_moved_between_runs(RunMode::Parallel(2));
+    assert_eq!((counts.ops, counts.failed), (4, 0), "{counts:?}");
+    // Both stores land at the new custodian, which serves fetches too.
+    let [(_, old_stores), (new_fetches, new_stores)] = second;
+    assert_eq!((old_stores, new_stores), (0, 2));
+    assert!(new_fetches >= 2, "{second:?}");
+    let (_, _, seq) = volume_moved_between_runs(RunMode::Sequential);
+    assert_eq!(par, seq);
 }

@@ -21,6 +21,7 @@
 //! one buffer.
 
 use itc_afs::core::config::SystemConfig;
+use itc_afs::core::location::LocationDb;
 use itc_afs::core::protect::{AccessList, ProtectionDomain, Rights};
 use itc_afs::core::proto::payload::{
     bytes_copied, bytes_digested, reset_bytes_copied, reset_bytes_digested,
@@ -307,7 +308,9 @@ fn a_warm_vice_call_stays_within_its_allocation_budget() {
     vol.mkdir_inherit("/p3", 1, 0).unwrap();
     vol.store("/p3/own", 1, 0, vec![0x33; 1024]).unwrap();
     srv.add_volume(vol);
-    srv.location_mut().assign("/vice/storm0", ServerId(0));
+    let mut location = LocationDb::new();
+    location.assign("/vice/storm0", ServerId(0));
+    let caller = ("user03", &domain, &location);
 
     let costs = Costs::prototype_1985();
     let path = || "/vice/storm0/p3/own".to_string();
@@ -321,7 +324,7 @@ fn a_warm_vice_call_stays_within_its_allocation_budget() {
         let mut call = |at| {
             let now = SimTime::from_secs(at);
             let (allocs, (reply, _)) =
-                allocations_in(|| srv.handle(("user03", &domain), NodeId(13), req, now, &costs));
+                allocations_in(|| srv.handle(caller, NodeId(13), req, now, &costs));
             assert!(!matches!(reply, ViceReply::Error(_)), "{reply:?}");
             allocs
         };
