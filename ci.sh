@@ -217,6 +217,18 @@ if [ "$(shared crates/core/src | grep -cE '\b[a-z_]+: LocationDb,')" -ne 1 ] \
     echo "ci.sh: a second location database, or a view field beside its shards and &Campus (see above)" >&2
     exit 1
 fi
+# A server serves the one call in flight (DESIGN.md §8): an executor pumps
+# one call to completion, so the opened request rides the call from arrival
+# to dispatch — no server request queue, whose depth could only read 0 —
+# and a workstation's retry carries its newest token, so the replay cache
+# keeps one entry per workstation, not a FIFO window.
+echo "== one call in flight (no server request queue, queue observable or replay FIFO) =="
+if nontest crates/core/src/server/mod.rs \
+        | grep -E 'VecDeque<QueuedRequest>|fn (en|de)queue_request|queue_high_water|REPLAY_CAP|replay_order' \
+    || shared crates/*/src | grep -E 'queue_depth|queue_peak|queue_high_water'; then
+    echo "ci.sh: a server request queue, a queue observable or a replay FIFO grew back (see the lines above)" >&2
+    exit 1
+fi
 # The trajectory: the non-test lines of every crates/*/src file (tests.rs
 # excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do

@@ -65,8 +65,6 @@ pub struct ServerCounts {
     pub retry_wasted_us: u64,
     /// Genuine retransmission-timer expiries charged to this server.
     pub timeouts: u64,
-    /// Deepest request queue observed on arrival.
-    pub queue_peak: u64,
     /// Highest CPU one-minute utilization probed, percent.
     pub cpu_pct: u64,
     /// Highest disk one-minute utilization probed, percent.
@@ -88,7 +86,6 @@ impl MergePoint for ServerCounts {
         self.calls += other.calls;
         self.retry_wasted_us += other.retry_wasted_us;
         self.timeouts += other.timeouts;
-        self.queue_peak = self.queue_peak.max(other.queue_peak);
         self.cpu_pct = self.cpu_pct.max(other.cpu_pct);
         self.disk_pct = self.disk_pct.max(other.disk_pct);
         self.journal_lag = self.journal_lag.max(other.journal_lag);
@@ -313,17 +310,6 @@ impl ObsCore {
                 window,
             });
         }
-    }
-
-    /// Samples a request-queue depth observed at arrival.
-    pub fn on_queue_depth(&mut self, server: u32, at: SimTime, depth: u64) {
-        let p = &mut self
-            .servers
-            .entry(server)
-            .or_default()
-            .point(bucket_of(at))
-            .counts;
-        p.queue_peak = p.queue_peak.max(depth);
     }
 
     /// Samples the unsynced journal tail observed just before a sync.
@@ -663,7 +649,6 @@ fn obs_fields<F: Field>(l: &mut ObsLine, f: &mut F) {
             f.u64("p99_us", &mut s.p99_us);
             f.u64("retry_wasted_us", &mut c.retry_wasted_us);
             f.u64("timeouts", &mut c.timeouts);
-            f.u64("queue_peak", &mut c.queue_peak);
             f.u64("cpu_pct", &mut c.cpu_pct);
             f.u64("disk_pct", &mut c.disk_pct);
             f.u64("journal_lag", &mut c.journal_lag);
@@ -746,7 +731,7 @@ pub fn render_console(lines: &[ObsLine]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>4} {:>4} {:>6} {:>9} {:>9} {:>4} {:>4} {:>5} {:>8} {:>9} {:>4} {:>7} {:>4} {:>4}",
+        "{:>4} {:>4} {:>6} {:>9} {:>9} {:>4} {:>4} {:>8} {:>9} {:>4} {:>7} {:>4} {:>4}",
         "min",
         "srv",
         "calls",
@@ -754,7 +739,6 @@ pub fn render_console(lines: &[ObsLine]) -> String {
         "p99_ms",
         "cpu%",
         "dsk%",
-        "queue",
         "lag_b",
         "waste_ms",
         "t/o",
@@ -769,7 +753,7 @@ pub fn render_console(lines: &[ObsLine]) -> String {
         let _ = match l {
             ObsLine::Server(s) => writeln!(
                 out,
-                "{:>4} {:>4} {:>6} {:>9.1} {:>9.1} {:>4} {:>4} {:>5} {:>8} {:>9.1} {:>4} {:>7} {:>4} {:>4}",
+                "{:>4} {:>4} {:>6} {:>9.1} {:>9.1} {:>4} {:>4} {:>8} {:>9.1} {:>4} {:>7} {:>4} {:>4}",
                 s.bucket,
                 s.server,
                 s.counts.calls,
@@ -777,7 +761,6 @@ pub fn render_console(lines: &[ObsLine]) -> String {
                 s.p99_us as f64 / 1000.0,
                 s.counts.cpu_pct,
                 s.counts.disk_pct,
-                s.counts.queue_peak,
                 s.counts.journal_lag,
                 s.counts.retry_wasted_us as f64 / 1000.0,
                 s.counts.timeouts,
@@ -990,8 +973,8 @@ mod tests {
         let t = SimTime::from_mins(1);
         a.on_complete(&call(0, 1, 500));
         b.on_complete(&call(0, 1, 900));
-        a.on_queue_depth(0, t, 3);
-        b.on_queue_depth(0, t, 5);
+        a.on_journal_lag(0, t, 3);
+        b.on_journal_lag(0, t, 5);
 
         let mut ab = ObsSummary::default();
         ab.merge_cluster(0, &a);
@@ -1002,7 +985,7 @@ mod tests {
         assert_eq!(ab.render_jsonl(&[]), ba.render_jsonl(&[]));
         let p = &ab.servers[&0].points[&1];
         assert_eq!(p.counts.calls, 2);
-        assert_eq!(p.counts.queue_peak, 5);
+        assert_eq!(p.counts.journal_lag, 5);
     }
 
     #[test]

@@ -41,12 +41,12 @@ use itc_rpc::{NodeId, RpcStats};
 use itc_sim::{Costs, Resource, SimTime, TraversalMode, ValidationMode};
 use itc_unixfs::{normalize, FileType, FsError};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A request parked on the server's explicit queue, awaiting dispatch by
-/// the event scheduler. The body is still wire bytes: decoding happens at
+/// A request the server has opened and un-framed, riding the call from
+/// arrival to dispatch. The body is still wire bytes: decoding happens at
 /// service time, exactly where a real server would parse the datagram it
-/// dequeued. The caller's identity is not here: the dispatcher reads it
+/// received. The caller's identity is not here: the dispatcher reads it
 /// from the binding the request arrived on (see [`Server::serve`]).
 #[derive(Debug)]
 pub struct QueuedRequest {
@@ -62,15 +62,7 @@ pub struct QueuedRequest {
     /// The request's out-of-band bulk payload, shared by refcount with the
     /// client's copy (a `Store`'s file bytes ride here, uncopied).
     pub payload: Option<Payload>,
-    /// When the request arrived at this server.
-    pub arrived: SimTime,
 }
-
-/// Upper bound on remembered mutation replies. Retries of one logical call
-/// are immediate (within the same pumped exchange), so a FIFO window this
-/// deep can never evict an entry a live retry still needs; without a bound
-/// the cache grows by one entry per mutation forever.
-const REPLAY_CAP: usize = 1024;
 
 /// Cost components of one handled call, consumed by the timing kernel.
 #[derive(Debug, Clone, Copy, Default)]
@@ -119,23 +111,12 @@ pub struct Server {
     /// the epoch it last saw to detect that the server lost its callback
     /// state while the workstation wasn't looking.
     epoch: u64,
-    /// Replies to recently applied mutations, keyed by the caller's
-    /// workstation and idempotency token. A retried mutation whose reply
-    /// was lost is answered from here instead of being applied twice.
-    replay: HashMap<(NodeId, u64), ViceReply>,
-    /// Insertion order of `replay` keys; the oldest entry is dropped once
-    /// the cache exceeds `REPLAY_CAP`.
-    replay_order: VecDeque<(NodeId, u64)>,
-    /// Requests that have arrived but not yet been dispatched. The event
-    /// scheduler enqueues on request arrival and dequeues on service
-    /// dispatch, so queue depth is an observable of the simulation.
-    queue: VecDeque<QueuedRequest>,
-    /// Largest queue depth observed in the current incarnation.
-    queue_high_water: usize,
-    /// High-water marks of finished incarnations, as `(epoch, high_water)`
-    /// — the stat is reset per incarnation so experiments never mix
-    /// pre-crash and post-crash load.
-    queue_history: Vec<(u64, usize)>,
+    /// The reply to each workstation's last applied mutation, with its
+    /// idempotency token. A workstation has at most one call in flight,
+    /// so a retry always carries its newest token: a retried mutation
+    /// whose reply was lost is answered from here instead of being
+    /// applied twice, and no older entry could ever be asked for.
+    replay: BTreeMap<NodeId, (u64, ViceReply)>,
     /// The durable storage under the volumes: checkpoints plus the
     /// write-ahead journal.
     storage: Disk,
@@ -180,11 +161,7 @@ impl Server {
             break_batching: false,
             online: true,
             epoch: 0,
-            replay: HashMap::new(),
-            replay_order: VecDeque::new(),
-            queue: VecDeque::new(),
-            queue_high_water: 0,
-            queue_history: Vec::new(),
+            replay: BTreeMap::new(),
             storage: Disk::new(SyncPolicy::WriteAhead),
             salvage_pending: Vec::new(),
             salvage_reports: Vec::new(),
@@ -193,40 +170,6 @@ impl Server {
             corruption_log: Vec::new(),
             integrity_events: Vec::new(),
         }
-    }
-
-    /// Parks an arrived request on the explicit queue until the event
-    /// scheduler dispatches it.
-    pub fn enqueue_request(&mut self, req: QueuedRequest) {
-        self.queue.push_back(req);
-        self.queue_high_water = self.queue_high_water.max(self.queue.len());
-    }
-
-    /// Takes the oldest queued request for service.
-    pub fn dequeue_request(&mut self) -> Option<QueuedRequest> {
-        self.queue.pop_front()
-    }
-
-    /// Requests currently awaiting dispatch.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Largest request-queue depth observed in the current incarnation
-    /// (reset on every crash).
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
-    }
-
-    /// High-water marks of all incarnations, `(epoch, high_water)` pairs:
-    /// finished incarnations first, then the live one. Experiments read
-    /// this instead of [`Self::queue_high_water`] when crashes are in play,
-    /// so load measured before a crash is never attributed to the
-    /// incarnation after it.
-    pub fn queue_high_water_history(&self) -> Vec<(u64, usize)> {
-        let mut out = self.queue_history.clone();
-        out.push((self.epoch, self.queue_high_water));
-        out
     }
 
     /// Whether the machine is up (the availability goal of Section 2.2:
@@ -254,18 +197,12 @@ impl Server {
     /// next contact and revalidate their caches. Returns the journal bytes
     /// discarded.
     pub fn crash_with_torn(&mut self, torn: u64) -> u64 {
-        // Close out this incarnation's queue statistics before the epoch
-        // bump: the next incarnation starts its own high-water mark.
-        self.queue_history.push((self.epoch, self.queue_high_water));
-        self.queue_high_water = 0;
         self.online = false;
         self.epoch += 1;
         self.callbacks.clear();
         self.replay.clear();
-        self.replay_order.clear();
         self.locks = LockTable::new();
         self.pending_breaks.clear();
-        self.queue.clear();
         let discarded = self.storage.crash_truncate(torn);
         for v in &mut self.volumes {
             v.set_online(false);
@@ -517,24 +454,20 @@ impl Server {
         std::mem::take(&mut self.integrity_events)
     }
 
-    /// Looks up a remembered reply for a retried mutation.
+    /// Looks up a remembered reply for a retried mutation: the reply to
+    /// `from`'s last mutation, if it carried `token`.
     pub fn replay_lookup(&self, from: NodeId, token: u64) -> Option<&ViceReply> {
-        self.replay.get(&(from, token))
+        self.replay
+            .get(&from)
+            .filter(|(t, _)| *t == token)
+            .map(|(_, reply)| reply)
     }
 
-    /// Remembers the reply to an applied mutation for future replays. The
-    /// cache is bounded: once it holds `REPLAY_CAP` entries the oldest is
-    /// evicted, FIFO. (An entry only protects against retries of its own
-    /// logical call, which happen immediately; anything old enough to be
-    /// evicted can no longer be retried.)
+    /// Remembers the reply to an applied mutation for future replays,
+    /// replacing the workstation's previous one (which no retry can reach
+    /// any more: the workstation has moved on to a newer call).
     pub fn replay_record(&mut self, from: NodeId, token: u64, reply: ViceReply) {
-        if self.replay.insert((from, token), reply).is_none() {
-            self.replay_order.push_back((from, token));
-        }
-        while self.replay.len() > REPLAY_CAP {
-            let oldest = self.replay_order.pop_front().expect("order tracks map");
-            self.replay.remove(&oldest);
-        }
+        self.replay.insert(from, (token, reply));
     }
 
     /// Number of remembered mutation replies (for tests).
@@ -674,7 +607,7 @@ impl Server {
     // Request handling
     // ------------------------------------------------------------------
 
-    /// Serves one dequeued request: decodes the wire body, answers a
+    /// Serves one arrived request: decodes the wire body, answers a
     /// retried mutation from the replay cache instead of applying it twice
     /// (the exactly-once rule), otherwise runs [`Self::handle`] and
     /// remembers a mutation's reply. `caller` names the identity the

@@ -54,7 +54,6 @@ impl SystemTransport<'_> {
         call: &CallInFlight<'_>,
         class: SpanClass,
         at: SimTime,
-        queue_depth: Option<u32>,
     ) {
         if !self.campus.tracing {
             return;
@@ -69,7 +68,6 @@ impl SystemTransport<'_> {
             server: Some(call.server.0),
             client: Some(call.ws.0),
             volume: call.volume,
-            queue_depth,
             attempt: call.attempt,
             kind: Some(call.req.kind()),
         });
@@ -216,7 +214,7 @@ impl SystemTransport<'_> {
         why: AnomalyReason,
         at: SimTime,
     ) {
-        self.call_span(call.trace, call, SpanClass::CallAbort, at, None);
+        self.call_span(call.trace, call, SpanClass::CallAbort, at);
         if self.campus.tracing {
             let recorder = &mut self.cores.get_mut(call.cluster).trace;
             recorder.freeze(why, at, Some(call.server.0), call.volume, call.trace);
@@ -227,28 +225,22 @@ impl SystemTransport<'_> {
     /// timer): counted against the unresponsive server, feeding the
     /// retry-rate rule.
     pub(crate) fn timeout_fired(&mut self, call: &CallInFlight<'_>, at: SimTime) {
-        self.call_span(call.trace, call, SpanClass::TimeoutFire, at, None);
+        self.call_span(call.trace, call, SpanClass::TimeoutFire, at);
         if self.campus.tracing {
             let obs = &mut self.cores.get_mut(call.cluster).obs;
             obs.on_timeout(call.server.0, call.volume, at);
         }
     }
 
-    /// The request reached the server carrying `wire_trace`, finding
-    /// `depth` requests queued ahead of it (observed before it joins).
+    /// The request reached the server carrying `wire_trace`.
     pub(crate) fn request_arrived(
         &mut self,
         call: &mut CallInFlight<'_>,
         wire_trace: TraceId,
         at: SimTime,
-        depth: u32,
     ) {
-        self.call_span(wire_trace, call, SpanClass::RequestArrive, at, Some(depth));
+        self.call_span(wire_trace, call, SpanClass::RequestArrive, at);
         call.parts.req_net = at - call.attempt_start;
-        if self.campus.tracing {
-            let obs = &mut self.cores.get_mut(call.server.0 as usize).obs;
-            obs.on_queue_depth(call.server.0, at, u64::from(depth));
-        }
     }
 
     /// Journal-lag gauge: the server's unsynced tail as it stands right
@@ -303,7 +295,7 @@ impl SystemTransport<'_> {
         at: SimTime,
         completed: SimTime,
     ) {
-        self.call_span(call.trace, call, SpanClass::ReplyDepart, at, None);
+        self.call_span(call.trace, call, SpanClass::ReplyDepart, at);
         call.parts.reply_net = completed - at;
         if !self.campus.tracing {
             return;
@@ -343,7 +335,7 @@ impl SystemTransport<'_> {
         reply: &ViceReply,
         at: SimTime,
     ) {
-        self.call_span(call.trace, call, SpanClass::ReplyArrive, at, None);
+        self.call_span(call.trace, call, SpanClass::ReplyArrive, at);
         if !self.campus.tracing {
             return;
         }

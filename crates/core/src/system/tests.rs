@@ -447,8 +447,4 @@ fn event_pipeline_runs_every_call() {
     assert!(st.executed > 0, "calls must flow through the scheduler");
     let queued: u64 = s.cores.iter().map(|c| c.sched.len() as u64).sum();
     assert_eq!(st.scheduled, st.executed + st.cancelled + queued);
-    // Every server request passed through the explicit queue and was
-    // drained back out in event order.
-    assert!(s.server(ServerId(0)).queue_high_water() >= 1);
-    assert_eq!(s.server(ServerId(0)).queue_depth(), 0);
 }

@@ -2,13 +2,16 @@
 //!
 //! A Vice call used to be one synchronous function that computed every
 //! timestamp inline. Here it is a chain of scheduler events — the request
-//! departs, arrives, queues at the server, is served, and the reply departs
-//! and arrives — drained in virtual-time order. This file is that call
-//! life-cycle and the per-cluster cores it runs on, nothing else: what the
-//! server does with a dequeued request is `Server::serve`, everything else
-//! on the calendars (crashes, salvage, scrub, break delivery) is
-//! `lifecycle.rs`, and every span, gauge and attribution record is one
-//! call per event into `observe.rs`.
+//! departs, arrives, is served (queueing only for the server's CPU and
+//! disk, the FIFO [`Resource`](itc_sim::Resource)s), and the reply departs
+//! and arrives — drained in virtual-time order. An executor pumps one call
+//! to completion, so the opened request rides the call from arrival to
+//! dispatch, as its sealed bytes ride it between the legs. This file is
+//! that call life-cycle and the per-cluster cores it runs on, nothing
+//! else: what the server does with an arrived request is `Server::serve`,
+//! everything else on the calendars (crashes, salvage, scrub, break
+//! delivery) is `lifecycle.rs`, and every span, gauge and attribution
+//! record is one call per event into `observe.rs`.
 //!
 //! ## Per-cluster decomposition
 //!
@@ -101,10 +104,11 @@ pub(crate) enum NetEvent {
     AttemptSend,
     /// The client's retransmission timer for the current attempt expires.
     TimeoutFire,
-    /// The request reaches the server and joins its explicit queue.
+    /// The request reaches the server, which opens and un-frames it onto
+    /// the call.
     RequestArrive,
-    /// The server dequeues, decodes, and executes the request, charging
-    /// its CPU (and disk, if data moves).
+    /// The server decodes and executes the request, charging its CPU (and
+    /// disk, if data moves).
     ServiceDispatch,
     /// The sealed reply leaves the server.
     ReplyDepart,
@@ -328,6 +332,8 @@ pub(crate) struct CallInFlight<'r> {
     chain: Option<(usize, EventId)>,
     /// Sealed request in flight between send and arrival.
     sealed_req: Option<Vec<u8>>,
+    /// The opened request between arrival and dispatch.
+    arrived_req: Option<QueuedRequest>,
     /// Sealed reply in flight between service and arrival.
     sealed_reply: Option<Vec<u8>>,
     /// Reply size on the wire.
@@ -491,7 +497,7 @@ impl SystemTransport<'_> {
                 call.attempt_start = at;
                 call.extra = SimTime::ZERO;
                 call.duplicate = false;
-                self.call_span(call.trace, call, SpanClass::AttemptSend, at, None);
+                self.call_span(call.trace, call, SpanClass::AttemptSend, at);
                 // Lifecycle events due by now have already fired from the
                 // calendar; if the server is down the client burns the
                 // retry timeout and reports it unreachable.
@@ -572,33 +578,26 @@ impl SystemTransport<'_> {
                 let sealed = call.sealed_req.take().expect("request leg carries bytes");
                 let binding = self.binding(call);
                 // The sealed buffer is decrypted in place and, past the frame
-                // header, becomes the queued request body: no copy.
+                // header, becomes the request body: no copy.
                 let opened = binding.server_open(sealed).map_err(|e| e.to_string())?;
                 let (token, wire_trace, body) = take_frame(opened).expect("framed by call()");
-                // The span names the trace id that actually rode the wire;
-                // queue depth is observed before this request joins.
-                let depth = self.servers.get(sid).queue_depth() as u32;
-                self.request_arrived(call, TraceId(wire_trace), at, depth);
-                self.servers.get_mut(sid).enqueue_request(QueuedRequest {
+                // The span names the trace id that actually rode the wire.
+                self.request_arrived(call, TraceId(wire_trace), at);
+                call.arrived_req = Some(QueuedRequest {
                     from: call.ws,
                     token,
                     trace: TraceId(wire_trace),
                     body,
                     payload: call.req_payload.clone(),
-                    arrived: at,
                 });
                 self.chain(call, sid, at, NetEvent::ServiceDispatch);
             }
 
             NetEvent::ServiceDispatch => {
-                let qr = self
-                    .servers
-                    .get_mut(sid)
-                    .dequeue_request()
-                    .expect("enqueued on arrival");
+                let qr = call.arrived_req.take().expect("opened on arrival");
                 // The server-side span carries the identity the frame
                 // delivered, proving propagation end to end.
-                self.call_span(qr.trace, call, SpanClass::ServiceDispatch, at, None);
+                self.call_span(qr.trace, call, SpanClass::ServiceDispatch, at);
                 // Handlers see the attempt's start time, as the synchronous
                 // transport always showed them.
                 let costs = campus.kernel.costs();
@@ -806,6 +805,7 @@ impl ViceTransport for SystemTransport<'_> {
             timeout_id: None,
             chain: None,
             sealed_req: None,
+            arrived_req: None,
             sealed_reply: None,
             reply_wire: 0,
             elapsed: SimTime::ZERO,

@@ -354,7 +354,6 @@ fn span_fields<F: Field>(s: &mut Span, f: &mut F) {
     f.opt_u32("server", &mut s.server);
     f.opt_u32("client", &mut s.client);
     f.opt_u32("volume", &mut s.volume);
-    f.opt_u32("queue_depth", &mut s.queue_depth);
     f.u32("attempt", &mut s.attempt);
     // Interned against the call-kind list, so a re-read span aliases the
     // same `&'static str` the tracer recorded.
@@ -480,13 +479,7 @@ pub fn render_span_tree(trace: TraceId, spans: &[&Span]) -> String {
             attempt = s.attempt;
             let _ = writeln!(out, "├─ attempt {attempt}");
         }
-        let mut extras = String::new();
-        if let Some(d) = s.queue_depth {
-            let _ = write!(extras, "  queue_depth={d}");
-        }
-        if let Some(v) = s.volume {
-            let _ = write!(extras, "  volume={v}");
-        }
+        let extras = s.volume.map_or(String::new(), |v| format!("  volume={v}"));
         let _ = writeln!(
             out,
             "│   +{:>12}  {}{}",
@@ -671,14 +664,13 @@ pub(crate) mod tests {
             server: Some(1),
             client: Some(5),
             volume: None,
-            queue_depth: Some(0),
             attempt: 2,
             kind: Some("store"),
         };
         assert_eq!(
             render_span(&s),
             "{\"trace\":7,\"seq\":3,\"class\":\"request_arrive\",\"at_us\":1234,\
-             \"server\":1,\"client\":5,\"volume\":null,\"queue_depth\":0,\
+             \"server\":1,\"client\":5,\"volume\":null,\
              \"attempt\":2,\"kind\":\"store\"}"
         );
         let d = AnomalyDump {
@@ -728,7 +720,6 @@ pub(crate) mod tests {
             server: Some(0),
             client: Some(1),
             volume: None,
-            queue_depth: None,
             attempt: 1,
             kind: Some("validate"),
         };

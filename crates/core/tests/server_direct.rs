@@ -573,7 +573,8 @@ fn replay_cache_stays_bounded_under_duplicate_storm() {
     // A client that never acks (or a fleet of them) must not grow the
     // server's at-most-once replay cache without bound: 10k distinct
     // mutation tokens from two workstations, each recorded twice (the
-    // duplicate is the retry the cache exists to absorb).
+    // duplicate is the retry the cache exists to absorb). The cache keeps
+    // one entry per workstation.
     let mut srv = make_server(ValidationMode::CheckOnOpen);
     let reply = ViceReply::Ok;
     for token in 0..10_000u64 {
@@ -581,14 +582,14 @@ fn replay_cache_stays_bounded_under_duplicate_storm() {
         srv.replay_record(from, token, reply.clone());
         srv.replay_record(from, token, reply.clone()); // duplicate record
         assert!(
-            srv.replay_entries() <= 1024,
+            srv.replay_entries() <= 2,
             "replay cache grew past its cap at token {token}: {}",
             srv.replay_entries()
         );
     }
-    assert_eq!(srv.replay_entries(), 1024);
-    // Eviction is oldest-first: the most recent tokens still answer,
-    // the storm's earliest are gone.
+    assert_eq!(srv.replay_entries(), 2);
+    // Each workstation's newest token still answers; every older one,
+    // the storm's earliest included, is gone.
     assert!(srv.replay_lookup(WS2, 9_999).is_some());
     assert!(srv.replay_lookup(WS, 9_998).is_some());
     assert!(srv.replay_lookup(WS, 0).is_none());
@@ -811,7 +812,6 @@ fn serve(
         trace: TraceId::NONE,
         body,
         payload,
-        arrived: SimTime::from_secs(1),
     };
     let reply = srv.serve(
         ("alice", domain(), location()),

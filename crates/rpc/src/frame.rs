@@ -55,6 +55,74 @@ pub fn take_frame(mut framed: Vec<u8>) -> Option<(u64, u64, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itc_sim::SimRng;
+
+    /// The frame `buf` holds, read byte by byte without the code under
+    /// test: `None` below the header length.
+    fn oracle(buf: &[u8]) -> Option<(u64, u64, &[u8])> {
+        let word = |at: usize| {
+            buf[at..at + 8]
+                .iter()
+                .fold(0, |w, &b| w << 8 | u64::from(b))
+        };
+        (buf.len() >= FRAME_HEADER_LEN).then(|| (word(0), word(8), &buf[FRAME_HEADER_LEN..]))
+    }
+
+    /// Both splitters agree with the oracle on `buf`, and the owning one
+    /// hands back the buffer it was given, allocation and all.
+    fn check(buf: &[u8]) {
+        let want = oracle(buf);
+        assert_eq!(split_frame(buf), want, "split_frame on {buf:?}");
+        let owned = buf.to_vec();
+        let (at, cap) = (owned.as_ptr(), owned.capacity());
+        let taken = take_frame(owned);
+        let got = taken.as_ref().map(|(t, r, body)| (*t, *r, &body[..]));
+        assert_eq!(got, want, "take_frame on {buf:?}");
+        if let Some((_, _, body)) = &taken {
+            assert_eq!(
+                (body.as_ptr(), body.capacity()),
+                (at, cap),
+                "take_frame reallocated"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_frames_split_exactly_or_not_at_all() {
+        let mut rng = SimRng::seeded(0xf4a3e);
+        let mut random = |len: Option<u64>| {
+            let len = len.unwrap_or_else(|| rng.range(0, 300));
+            let mut b = vec![0u8; len as usize];
+            rng.fill_bytes(&mut b);
+            b
+        };
+        // Every length up to four headers, then 1,000 seeded buffers.
+        for len in 0..=64 {
+            check(&random(Some(len)));
+        }
+        for _ in 0..1_000 {
+            check(&random(None));
+        }
+        // Truncations, extensions, byte substitutions and spliced-in bytes
+        // of one valid frame.
+        let valid = frame_call(0x0123_4567_89ab_cdef, 0xfeed_f00d, b"request-head");
+        for cut in 0..=valid.len() {
+            check(&valid[..cut]);
+        }
+        for extra in 1..=32 {
+            check(&[&valid[..], &random(Some(extra))].concat());
+        }
+        for at in 0..valid.len() {
+            for bit in 0..8 {
+                let mut b = valid.clone();
+                b[at] ^= 1 << bit;
+                check(&b);
+            }
+            let mut b = valid.clone();
+            b.splice(at..at, random(Some(1 + at as u64 % 3)));
+            check(&b);
+        }
+    }
 
     #[test]
     fn frame_round_trips() {

@@ -69,9 +69,9 @@ pub enum SpanClass {
     /// The client (re)sent the framed request.
     #[default]
     AttemptSend,
-    /// The request reached the server and joined its queue.
+    /// The request reached the server and was opened.
     RequestArrive,
-    /// The server dequeued and executed the request.
+    /// The server executed the request.
     ServiceDispatch,
     /// The sealed reply left the server.
     ReplyDepart,
@@ -166,9 +166,6 @@ pub struct Span {
     pub client: Option<u32>,
     /// The volume involved, if known.
     pub volume: Option<u32>,
-    /// Server request-queue depth observed on arrival (before this
-    /// request joined the queue).
-    pub queue_depth: Option<u32>,
     /// Attempt number of the call (1-based; 0 for lifecycle events).
     pub attempt: u32,
     /// Call kind label ("fetch", "validate", ...), if known at this hop.
@@ -559,7 +556,6 @@ mod tests {
             server: Some(server),
             client: Some(9),
             volume: None,
-            queue_depth: None,
             attempt: 1,
             kind: Some("fetch"),
         }

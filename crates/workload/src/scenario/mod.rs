@@ -22,7 +22,7 @@
 //!   holder sets and schedules inside the core are sorted, so no
 //!   `HashMap`/`HashSet` iteration order can leak into the calendar.
 //! * Reports quantify outcomes only through virtual-time observables
-//!   (latency attribution, queue high-water marks, anomaly dumps), so
+//!   (latency attribution, CPU and disk queueing, anomaly dumps), so
 //!   acceptance bounds in tests cannot flake on wall-clock noise.
 //!
 //! Each scenario comes in a `small()` variant sized for CI (a few hundred
@@ -42,7 +42,7 @@ pub use release_push::ReleasePushConfig;
 pub use thundering_herd::ThunderingHerdConfig;
 
 use crate::driver::ScriptDriver;
-use itc_core::proto::{ServerId, ViceError};
+use itc_core::proto::ViceError;
 use itc_core::system::parallel::{RunMode, WsDriver};
 use itc_core::system::{ItcSystem, SystemError};
 use itc_core::trace::AttributionRow;
@@ -169,8 +169,6 @@ pub struct ScenarioReport {
     pub max_s: f64,
     /// Worst single-call CPU queueing delay, seconds.
     pub max_queue_cpu_s: f64,
-    /// Largest explicit request-queue depth any server incarnation saw.
-    pub queue_high_water: u64,
     /// Anomaly dump counts by reason label, sorted by label.
     pub anomalies: Vec<(String, u64)>,
     /// The rendered flight-recorder dumps, `(file_name, jsonl)` in
@@ -222,13 +220,6 @@ impl ScenarioReport {
         }
         let mut percentile = |q| totals.percentile(q).unwrap_or(0.0);
 
-        let mut queue_high_water = 0;
-        for s in 0..sys.server_count() {
-            for (_, hw) in sys.server(ServerId(s as u32)).queue_high_water_history() {
-                queue_high_water = queue_high_water.max(hw as u64);
-            }
-        }
-
         let mut anomalies: Vec<(String, u64)> = Vec::new();
         for d in sys.anomaly_dumps() {
             let label = d.reason.label().to_string();
@@ -254,7 +245,6 @@ impl ScenarioReport {
             p99_s: percentile(99.0),
             max_s: percentile(100.0),
             max_queue_cpu_s,
-            queue_high_water,
             anomalies,
             dumps: sys.render_anomaly_dumps(),
             servers: summary.servers,
@@ -290,7 +280,6 @@ impl ScenarioReport {
         f.secs_us("p99_us", &mut self.p99_s);
         f.secs_us("max_us", &mut self.max_s);
         f.secs_us("max_queue_cpu_us", &mut self.max_queue_cpu_s);
-        f.u64("queue_high_water", &mut self.queue_high_water);
         f.u64("finished_us", &mut self.finished_us);
     }
 
@@ -345,14 +334,8 @@ impl ScenarioReport {
             self.timeouts,
         ));
         out.push_str(&format!(
-            "latency p50 {:.3}s p90 {:.3}s p99 {:.3}s max {:.3}s | worst cpu queue {:.3}s | \
-             queue high-water {}\n",
-            self.p50_s,
-            self.p90_s,
-            self.p99_s,
-            self.max_s,
-            self.max_queue_cpu_s,
-            self.queue_high_water
+            "latency p50 {:.3}s p90 {:.3}s p99 {:.3}s max {:.3}s | worst cpu queue {:.3}s\n",
+            self.p50_s, self.p90_s, self.p99_s, self.max_s, self.max_queue_cpu_s,
         ));
         out.push_str("| key       | calls | queueing s | service s | network s | wasted s | p50 s | p90 s |\n");
         out.push_str("|-----------|-------|------------|-----------|-----------|----------|-------|-------|\n");

@@ -7,11 +7,10 @@
 //! counters, and the `Display` text of every error. The same seed must
 //! produce a bit-identical fingerprint on every run; a different seed must
 //! produce a different event interleaving while preserving the structural
-//! invariants (event accounting balances, queues drain, successful reads
-//! return the stored bytes).
+//! invariants (event accounting balances, successful reads return the
+//! stored bytes).
 
 use itc_afs::core::config::SystemConfig;
-use itc_afs::core::proto::ServerId;
 use itc_afs::core::system::ItcSystem;
 use itc_afs::sim::{FaultPlan, SimTime};
 use std::fmt::Write as _;
@@ -122,13 +121,6 @@ fn run_fingerprint(seed: u64) -> String {
         es.scheduled >= es.executed + es.cancelled,
         "event accounting must balance"
     );
-    for c in 0..CLUSTERS {
-        assert_eq!(
-            sys.server(ServerId(c)).queue_depth(),
-            0,
-            "server {c} queue must drain between operations"
-        );
-    }
     assert!(cs.attempts >= sys.metrics().total_calls());
 
     fp

@@ -10,7 +10,8 @@
 //! the file system consistent — bit-identically for a given seed.
 
 use itc_afs::core::config::SystemConfig;
-use itc_afs::core::proto::ServerId;
+use itc_afs::core::protect::{AccessList, Rights};
+use itc_afs::core::proto::{EntryKind, ServerId};
 use itc_afs::core::system::ItcSystem;
 use itc_afs::rpc::{CallStats, RetryPolicy};
 use itc_afs::sim::{FaultPlan, FaultStats, ScriptedFault, SimTime, ValidationMode};
@@ -51,37 +52,83 @@ fn two_cluster_system() -> ItcSystem {
 // Message loss and the idempotent retry path
 // ----------------------------------------------------------------------
 
+/// Every kind of mutation Venus sends, each exactly once across a lost
+/// reply. The server applies the call, its reply is dropped, and the retry
+/// carries the same idempotency token, so the server answers from its
+/// replay cache instead of applying the mutation again. Caches are warm
+/// and a store's file is opened before the fault is staged, so each op is
+/// one Vice call and the dropped reply is the mutation's own. The names
+/// live in `a`'s own volume, where `a` may also administer access lists.
 #[test]
 fn lost_store_reply_is_retried_without_double_apply() {
+    const KINDS: [&str; 7] = [
+        "store", "mkdir", "rmdir", "unlink", "rename", "symlink", "set_acl",
+    ];
+    const HOME: &str = "/vice/usr/a";
+    let (file, dir) = (format!("{HOME}/f"), format!("{HOME}/d"));
+    let (made, moved) = (format!("{HOME}/new"), format!("{HOME}/g"));
+    let mut acl = AccessList::new();
+    acl.grant("a", Rights::ALL);
     for mode in [ValidationMode::CheckOnOpen, ValidationMode::Callback] {
-        let mut sys = small_system(mode);
-        let file = format!("{SHARED}/f");
-        sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
-        let before = sys.ops().stat(0, &file).unwrap().version;
+        for kind in KINDS {
+            let case = format!("{kind} in {mode:?}");
+            let mut sys = small_system(mode);
+            sys.create_user_volume("a", 0).unwrap();
+            sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
+            sys.ops().mkdir(0, &dir).unwrap();
+            sys.ops().fetch(0, &file).unwrap();
+            sys.ops().readdir(0, HOME).unwrap();
+            let handle = sys.ops().open_write(0, &file).unwrap();
+            let version = sys.ops().stat(0, &file).unwrap().version;
+            let server = sys.server(ServerId(0));
+            let (calls, records) = (server.stats().total_calls(), server.journal_stats().records);
+            let retries = sys.call_stats().retries;
 
-        // The server applies the next Store, but its reply is lost. The
-        // retry carries the same idempotency token, so the server answers
-        // from its replay cache instead of bumping the version again.
-        let mut plan = FaultPlan::new(0xfa01);
-        plan.inject_once(0, ScriptedFault::DropReply);
-        sys.install_faults(plan);
+            let mut plan = FaultPlan::new(0xfa01);
+            plan.inject_once(0, ScriptedFault::DropReply);
+            sys.install_faults(plan);
+            let mut ops = sys.ops();
+            let result = match kind {
+                "store" => ops
+                    .write(0, handle, b"v2-new-contents".to_vec())
+                    .and_then(|()| ops.close(0, handle)),
+                "mkdir" => ops.mkdir(0, &made),
+                "rmdir" => ops.rmdir(0, &dir),
+                "unlink" => ops.unlink(0, &file),
+                "rename" => ops.rename(0, &file, &moved),
+                "symlink" => ops.symlink(0, &made, &file),
+                _ => ops.set_acl(0, &dir, acl.clone()),
+            };
+            assert!(result.is_ok(), "{case}: {result:?}");
+            assert_eq!(sys.fault_stats().replies_dropped, 1, "{case}");
+            assert_eq!(sys.call_stats().retries, retries + 1, "{case}");
+            let server = sys.server(ServerId(0));
+            assert_eq!(server.stats().total_calls(), calls + 1, "{case}: one call");
+            assert_eq!(
+                server.journal_stats().records,
+                records + 1,
+                "{case}: one record"
+            );
 
-        sys.ops()
-            .store(0, &file, b"v2-new-contents".to_vec())
-            .unwrap();
-
-        assert_eq!(sys.ops().fetch(1, &file).unwrap(), b"v2-new-contents");
-        let after = sys.ops().stat(0, &file).unwrap().version;
-        assert_eq!(
-            after,
-            before + 1,
-            "retried store double-applied in {mode:?}: version went {before} -> {after}"
-        );
-        assert_eq!(sys.fault_stats().replies_dropped, 1);
-        let stats = sys.call_stats();
-        assert!(stats.retries >= 1, "no retry recorded in {mode:?}");
-        assert!(stats.timeouts >= 1, "no timeout recorded in {mode:?}");
-        assert_eq!(stats.failures, 0);
+            // What one application leaves, read from the other workstation
+            // (the new access list admits only `a`, so from `a`'s).
+            let mut ops = sys.ops();
+            match kind {
+                "store" => {
+                    assert_eq!(ops.fetch(1, &file).unwrap(), b"v2-new-contents");
+                    assert_eq!(ops.stat(1, &file).unwrap().version, version + 1, "{case}");
+                }
+                "mkdir" => assert_eq!(ops.stat(1, &made).unwrap().kind, EntryKind::Dir),
+                "rmdir" => assert!(ops.stat(1, &dir).is_err(), "{case}"),
+                "unlink" => assert!(ops.stat(1, &file).is_err(), "{case}"),
+                "rename" => {
+                    assert!(ops.stat(1, &file).is_err(), "{case}");
+                    assert_eq!(ops.fetch(1, &moved).unwrap(), b"v1");
+                }
+                "symlink" => assert_eq!(ops.stat(1, &made).unwrap().kind, EntryKind::Symlink),
+                _ => assert_eq!(ops.get_acl(0, &dir).unwrap(), acl, "{case}"),
+            }
+        }
     }
 }
 

@@ -332,40 +332,6 @@ fn lazy_sync_loses_acknowledged_tail_yet_salvages_clean() {
 }
 
 // ----------------------------------------------------------------------
-// Queue high-water marks are per incarnation
-// ----------------------------------------------------------------------
-
-/// The request-queue high-water mark restarts from zero with each server
-/// incarnation; completed incarnations are archived as `(epoch, mark)`.
-#[test]
-fn queue_high_water_resets_per_incarnation() {
-    let mut sys = two_cluster_system(0x5a_4f);
-    let file = format!("{SHARED}/q");
-    sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
-
-    let history = sys.server(ServerId(0)).queue_high_water_history();
-    assert_eq!(history.len(), 1, "one live incarnation: {history:?}");
-    let (epoch0, hw0) = history[0];
-    assert!(hw0 >= 1, "traffic must have queued: {history:?}");
-
-    sys.crash_server(ServerId(0));
-    sys.restart_server(ServerId(0));
-    let history = sys.server(ServerId(0)).queue_high_water_history();
-    assert_eq!(history.len(), 2, "archived + live: {history:?}");
-    assert_eq!(history[0], (epoch0, hw0), "archive must be frozen");
-    assert_eq!(
-        history[1],
-        (epoch0 + 1, 0),
-        "new incarnation starts at zero"
-    );
-
-    sys.ops().store(0, &file, b"v2".to_vec()).unwrap();
-    let history = sys.server(ServerId(0)).queue_high_water_history();
-    assert!(history[1].1 >= 1, "live mark must track new traffic");
-    assert_eq!(history[0], (epoch0, hw0), "archive still frozen");
-}
-
-// ----------------------------------------------------------------------
 // Bit-reproducibility of the crash/salvage path
 // ----------------------------------------------------------------------
 

@@ -182,7 +182,7 @@ fn scenario_login_storm_small() {
          \"unreachable\":0,\"timed_out\":0,\"offline\":0,\"calls\":160,\"attempts\":160,\
          \"retries\":0,\"timeouts\":0,\"p50_us\":10339000,\"p90_us\":17987809,\
          \"p99_us\":20270809,\"max_us\":20543209,\"max_queue_cpu_us\":19381934,\
-         \"queue_high_water\":1,\"finished_us\":242800595}"
+         \"finished_us\":242800595}"
     );
     assert_eq!(
         lines.next().unwrap(),
