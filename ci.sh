@@ -197,24 +197,40 @@ if shared crates/core/src crates/sim/src crates/rpc/src | grep -E 'RwLock|Atomic
 fi
 # A run borrows its shards and one read-only campus (DESIGN.md §13): the
 # location database is one field of `Campus`, never a server's own, and a
-# view holds its shards, the monitor and one `&Campus` — no copied setting,
-# no home map (a home server is the server of the workstation's cluster).
+# view holds its shards and one `&Campus` — no copied setting, no home map
+# (a home server is the server of the workstation's cluster), no monitor.
 echo "== shards and one campus (one location database; views copy no campus field) =="
+body() { # the lines of struct $2's body in file $1
+    nontest "$1" | cut -d: -f3- \
+        | awk -v s="struct $2" 'index($0, s "<") || index($0, s " {") {p=1; next} p && /^}/ {exit} p'
+}
 fields() { # the field names of struct $2 in file $1, space-separated
-    nontest "$1" | cut -d: -f3- | awk -v s="struct $2<" 'index($0, s) {p=1; next} p && /^}/ {exit} p' \
-        | sed -nE 's/^ *(pub(\([a-z]+\))? )?([a-z_]+):.*/\3/p' | tr '\n' ' '
+    body "$1" "$2" | sed -nE 's/^ *(pub(\([a-z]+\))? )?([a-z_]+):.*/\3/p' | tr '\n' ' '
 }
 if nontest crates/core/src/server/mod.rs | grep -E '\b[a-z_]+: LocationDb,|LocationDb::new\(\)|fn location(_mut)?\('; then
     echo "ci.sh: Server holds a location database again — it is Campus::location, lent to each call" >&2
     exit 1
 fi
 if [ "$(shared crates/core/src | grep -cE '\b[a-z_]+: LocationDb,')" -ne 1 ] \
-    || [ "$(fields crates/core/src/system/transport.rs SystemTransport)" != "servers cores monitor campus " ] \
+    || [ "$(fields crates/core/src/system/transport.rs SystemTransport)" != "servers cores campus " ] \
     || [ "$(fields crates/core/src/system/parallel.rs WsOps)" != "transport venuses " ]; then
     shared crates/core/src | grep -E '\b[a-z_]+: LocationDb,'
     echo "SystemTransport: $(fields crates/core/src/system/transport.rs SystemTransport)" >&2
     echo "WsOps: $(fields crates/core/src/system/parallel.rs WsOps)" >&2
     echo "ci.sh: a second location database, or a view field beside its shards and &Campus (see above)" >&2
+    exit 1
+fi
+# One shape of shard (DESIGN.md §13): what an op writes lives in its
+# cluster's shard — traffic counts in each `ClusterCore`, Venus slices as
+# one more `Parts`, a callback break as one `ClusterCore::breaks` record
+# from schedule to delivery — so no whole-system monitor, Venus twin of
+# `Parts`, second break form or event-claiming `Scheduler::take` grows back.
+echo "== one shape of shard (no system-wide monitor, Venuses twin, second break form or Scheduler::take) =="
+if shared crates/core/src | grep -E 'enum Venuses|PendingBreak|break_ids|do not support traffic monitoring' \
+    || body crates/core/src/system.rs ItcSystem | grep -F 'TrafficMonitor' \
+    || body crates/core/src/system/transport.rs SystemTransport | grep -F 'TrafficMonitor' \
+    || nontest crates/sim/src/sched.rs | grep -F 'fn take('; then
+    echo "ci.sh: per-op state grew back outside its cluster's shard (see the lines above)" >&2
     exit 1
 fi
 # A server serves the one call in flight (DESIGN.md §8): an executor pumps

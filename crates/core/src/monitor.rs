@@ -11,13 +11,14 @@
 //! reassignment."
 //!
 //! [`TrafficMonitor`] records which cluster each Vice call originated from,
-//! per custodianship subtree; [`TrafficMonitor::recommendations`] proposes
+//! per custodianship subtree (each cluster's event core keeps one, and
+//! readers merge them); [`TrafficMonitor::recommendations`] proposes
 //! moving any subtree whose traffic majority comes from a different
 //! cluster than its custodian. The operator (the experiment driver)
 //! applies them with [`crate::system::ItcSystem::move_volume`].
 
 use crate::proto::ServerId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A recommended volume reassignment.
@@ -35,12 +36,14 @@ pub struct MoveRecommendation {
     pub total_calls: u64,
 }
 
-/// Per-subtree, per-origin-cluster call counts. Subtree keys are interned
-/// `Arc<str>`s shared with the location database, so the per-call record
-/// on the transport hot path is a refcount bump, not a `String` clone.
+/// Per-subtree, per-origin-cluster call counts. Each cluster's event core
+/// keeps one, written only by the calls its own workstations issue, and
+/// readers merge them: counts sum, so the merged view is the same in any
+/// order. Subtree keys are interned `Arc<str>`s shared with the location
+/// database, so recording a call is a refcount bump, not a `String` clone.
 #[derive(Debug, Default)]
 pub struct TrafficMonitor {
-    counts: HashMap<(Arc<str>, u32), u64>,
+    counts: BTreeMap<(Arc<str>, u32), u64>,
 }
 
 impl TrafficMonitor {
@@ -50,22 +53,20 @@ impl TrafficMonitor {
     }
 
     /// Records one call against `subtree` from a workstation in
-    /// `origin_cluster`. Allocates a key for a subtree not seen before;
-    /// the transport uses [`TrafficMonitor::record_interned`] instead.
-    pub fn record(&mut self, subtree: &str, origin_cluster: u32) {
+    /// `origin_cluster`. An interned key (the transport's) allocates
+    /// nothing; a `&str` allocates its key.
+    pub fn record(&mut self, subtree: impl Into<Arc<str>>, origin_cluster: u32) {
         *self
             .counts
-            .entry((Arc::from(subtree), origin_cluster))
+            .entry((subtree.into(), origin_cluster))
             .or_insert(0) += 1;
     }
 
-    /// Records one call using an already-interned subtree key (shared with
-    /// the location database): no allocation on the hot path.
-    pub fn record_interned(&mut self, subtree: &Arc<str>, origin_cluster: u32) {
-        *self
-            .counts
-            .entry((Arc::clone(subtree), origin_cluster))
-            .or_insert(0) += 1;
+    /// Adds every count of `other` to this monitor.
+    pub fn merge(&mut self, other: &TrafficMonitor) {
+        for (key, &n) in &other.counts {
+            *self.counts.entry(key.clone()).or_insert(0) += n;
+        }
     }
 
     /// Total observations.
@@ -103,11 +104,9 @@ impl TrafficMonitor {
         custodian_of: impl Fn(&str) -> Option<ServerId>,
         movable: impl Fn(&str) -> bool,
     ) -> Vec<MoveRecommendation> {
-        // Group by subtree. A BTreeMap keeps the traversal (and therefore
-        // every tie-break below) independent of HashMap iteration order —
-        // the recommendation list must be deterministic run to run.
-        let mut per_subtree: std::collections::BTreeMap<&str, Vec<(u32, u64)>> =
-            std::collections::BTreeMap::new();
+        // Group by subtree, in key order, so every tie-break below is
+        // deterministic run to run.
+        let mut per_subtree: BTreeMap<&str, Vec<(u32, u64)>> = BTreeMap::new();
         for ((subtree, origin), &n) in &self.counts {
             per_subtree
                 .entry(subtree.as_ref())

@@ -31,15 +31,16 @@
 //! ## Shards and the campus
 //!
 //! A run's state is two things. The per-cluster **shards** are what its
-//! ops write: each cluster's [`Server`], its event core and its slice of
-//! the Venus instances. The **campus** is one plain value they only read,
+//! ops write: each cluster's [`Server`], its event core (with the callback
+//! breaks bound for its workstations and the traffic counts of their
+//! calls) and its slice of the Venus instances. The **campus** is one plain value they only read,
 //! lent to every view by `&`: the network, the timing kernel, the
 //! protection and location databases (the paper replicates both at every
 //! server; the replicas are identical, so each is kept once), the node
 //! maps, and the settings that change only between runs (retry policy,
-//! fault-plan and scrub generations, the tracing switch). Operator actions
-//! write the campus between runs; a view — sequential or a parallel
-//! worker's — holds its shards, the monitor and one reference to it, and
+//! fault-plan and scrub generations, the tracing and monitoring switches).
+//! Operator actions write the campus between runs; a view — sequential or
+//! a parallel worker's — holds its shards and one reference to it, and
 //! copies none of its fields.
 //!
 //! ## Time model
@@ -54,7 +55,8 @@
 //! the writes came in, so a parallel run reads the same value as the
 //! sequential one, with nothing shared to write. Callback
 //! breaks are scheduled as calendar events when the triggering store
-//! completes and applied functionally at the end of the operation; their
+//! completes and applied functionally at the end of the operation, in any
+//! order (invalidations commute); their
 //! network cost is charged, but a lagging workstation's local clock is not
 //! dragged forward (breaks are asynchronous notifications).
 
@@ -69,7 +71,6 @@ mod topology;
 mod transport;
 
 use crate::config::SystemConfig;
-use crate::monitor::TrafficMonitor;
 use crate::protect::domain::DomainError;
 use crate::protect::{AccessList, Rights};
 use crate::proto::ServerId;
@@ -136,14 +137,13 @@ pub struct ItcSystem {
     servers: Vec<Server>,
     /// One event core per cluster, indexed by cluster id.
     cores: Vec<ClusterCore>,
-    /// One Venus per workstation, indexed by [`WsId`], cluster by cluster.
-    clients: Vec<Venus>,
+    /// One Venus per workstation, per cluster (see [`Campus::venus_slot`]).
+    clients: Vec<Vec<Venus>>,
     /// High-water of the operator actions' completion times; the clusters
     /// keep their own (see "Time model").
     operator_now: SimTime,
     next_volume: u32,
     surrogates: HashMap<WsId, Surrogate>,
-    monitor: Option<TrafficMonitor>,
     /// What the last `run_drivers` did (observation only).
     executor: parallel::ExecutorStats,
 }
@@ -167,7 +167,6 @@ impl ItcSystem {
             config,
             next_volume: 1,
             surrogates: HashMap::new(),
-            monitor: None,
             executor: parallel::ExecutorStats::default(),
         };
 
@@ -200,7 +199,7 @@ impl ItcSystem {
 
     /// Number of workstations.
     pub fn workstation_count(&self) -> usize {
-        self.clients.len()
+        self.campus.ws_nodes.len()
     }
 
     /// Number of servers (== clusters).
@@ -228,17 +227,19 @@ impl ItcSystem {
 
     /// A workstation's local virtual time.
     pub fn ws_time(&self, ws: WsId) -> SimTime {
-        self.clients[ws].now()
+        self.venus(ws).now()
     }
 
     /// Direct read access to a workstation's Venus (for metrics/tests).
     pub fn venus(&self, ws: WsId) -> &Venus {
-        &self.clients[ws]
+        let (cluster, i) = self.campus.venus_slot(ws);
+        &self.clients[cluster][i]
     }
 
     /// Mutable Venus access (e.g. installing user symlinks in examples).
     pub fn venus_mut(&mut self, ws: WsId) -> &mut Venus {
-        &mut self.clients[ws]
+        let (cluster, i) = self.campus.venus_slot(ws);
+        &mut self.clients[cluster][i]
     }
 
     /// Direct read access to a server.

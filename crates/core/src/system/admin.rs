@@ -473,39 +473,43 @@ impl ItcSystem {
     // Monitoring and rebalancing (Section 3.6)
     // ------------------------------------------------------------------
 
-    /// Starts recording per-subtree, per-origin-cluster traffic.
+    /// Starts recording per-subtree, per-origin-cluster traffic, each
+    /// cluster's calls in its own core (so parallel runs monitor too).
     pub fn enable_monitoring(&mut self) {
-        if self.monitor.is_none() {
-            self.monitor = Some(TrafficMonitor::new());
+        self.campus.monitoring = true;
+    }
+
+    /// Every cluster's traffic counts, merged (counts sum, so the order
+    /// does not matter).
+    fn traffic(&self) -> TrafficMonitor {
+        let mut all = TrafficMonitor::new();
+        for core in &self.cores {
+            all.merge(&core.traffic);
         }
+        all
     }
 
     /// Fraction of monitored calls that crossed a bridge to a custodian in
     /// another cluster.
     pub fn cross_cluster_fraction(&self) -> f64 {
-        match &self.monitor {
-            Some(m) => m.cross_cluster_fraction(|s| self.campus.location.custodian_of(s)),
-            None => 0.0,
-        }
+        let loc = &self.campus.location;
+        self.traffic()
+            .cross_cluster_fraction(|s| loc.custodian_of(s))
     }
 
     /// Volume-move recommendations from the monitor (the paper insists "a
     /// human operator will initiate the actual reassignment" — callers
     /// apply them with [`ItcSystem::move_volume`]).
     pub fn rebalancing_recommendations(&self) -> Vec<crate::monitor::MoveRecommendation> {
-        match &self.monitor {
-            Some(m) => {
-                let loc = &self.campus.location;
-                m.recommendations(|s| loc.custodian_of(s), |s| s != "/vice")
-            }
-            None => Vec::new(),
-        }
+        let loc = &self.campus.location;
+        self.traffic()
+            .recommendations(|s| loc.custodian_of(s), |s| s != "/vice")
     }
 
     /// Clears monitor observations (new measurement epoch).
     pub fn reset_monitoring(&mut self) {
-        if let Some(m) = self.monitor.as_mut() {
-            m.reset();
+        for core in &mut self.cores {
+            core.traffic.reset();
         }
     }
 
@@ -661,7 +665,7 @@ impl ItcSystem {
             .collect();
         let mut cache = crate::venus::CacheStats::default();
         let mut venus = crate::venus::VenusStats::default();
-        for c in &self.clients {
+        for c in self.clients.iter().flatten() {
             merge_cache(&mut cache, c.cache().stats());
             merge_venus(&mut venus, c.stats());
         }

@@ -1,13 +1,15 @@
 //! Everything on the calendars that is not a Vice call: fault-plan
 //! installation, scheduled crashes and restarts, salvager passes, silent
 //! corruption, the background scrubber with its repair-else-offline rule,
-//! and matured callback breaks.
+//! and the arrival span of a callback break.
 //!
 //! Lifecycle events live on the **server's** cluster calendar
 //! (`BreakDeliver` on the **target workstation's**) and fire from the same
-//! merged pop order as call events, whether or not a call is in flight.
+//! merged pop order as call events, whether or not a call is in flight. A
+//! break's paths are not carried by its event: they wait in the target
+//! cluster's `ClusterCore::breaks` until the op ends, fired or not.
 
-use super::transport::{NetEvent, PendingBreak, SystemTransport};
+use super::transport::{NetEvent, SystemTransport};
 use super::ItcSystem;
 use crate::disk::{CorruptionOutcome, FlipRegion, ScrubFinding};
 use crate::proto::VolumeId;
@@ -132,11 +134,9 @@ impl SystemTransport<'_> {
                 let rejected = salvaged.map_or(0, |r| r.records_rejected);
                 self.salvage_done(cluster, at, server, volume, rejected);
             }
-            NetEvent::BreakDeliver { to_ws, paths } => {
+            NetEvent::BreakDeliver { to_ws } => {
                 let client = Some(to_ws.0);
                 self.life_span(cluster, SpanClass::BreakDeliver, at, None, client, None);
-                let pending = &mut self.cores.get_mut(cluster).pending;
-                pending.extend(paths.into_iter().map(|path| PendingBreak { to_ws, path }));
             }
             NetEvent::Corrupt { server, gen } if gen == self.campus.plan_gen => {
                 let sid = server as usize;

@@ -23,12 +23,12 @@ impl ItcSystem {
     /// first (an orderly logout must not strand the user's edits). The
     /// cache stays — it belongs to the machine.
     pub fn logout(&mut self, ws: WsId) {
-        if self.clients[ws].dirty_count() > 0 {
+        if self.venus(ws).dirty_count() > 0 {
             // Best effort: a failure here (e.g. quota) leaves the entries
             // dirty, exactly as a real Venus would.
             let _ = self.ops().flush_all(ws);
         }
-        self.clients[ws].clear_session();
+        self.venus_mut(ws).clear_session();
         self.drop_bindings(ws);
     }
 
@@ -43,7 +43,7 @@ impl ItcSystem {
     /// Classifies a path at a workstation without performing any I/O
     /// (exposes the Figure 3-2 name-space logic for examples/tests).
     pub fn classify(&self, ws: WsId, path: &str) -> Result<Space, SystemError> {
-        self.clients[ws]
+        self.venus(ws)
             .namespace()
             .classify(path, true)
             .map_err(|e| SystemError::Venus(VenusError::Local(e)))
@@ -54,8 +54,8 @@ impl ItcSystem {
     /// store-on-close this is always zero — the paper's point.)
     pub fn crash_workstation(&mut self, ws: WsId) -> usize {
         self.drop_bindings(ws);
-        let lost = self.clients[ws].crash();
-        self.clients[ws].clear_session();
+        let lost = self.venus_mut(ws).crash();
+        self.venus_mut(ws).clear_session();
         lost
     }
 
@@ -66,7 +66,7 @@ impl ItcSystem {
     /// Enables the surrogate server on a host workstation. The host must
     /// be logged in; it authenticates to Vice on the PCs' behalf.
     pub fn enable_surrogate(&mut self, host: WsId) -> Result<(), SystemError> {
-        if self.clients[host].current_user().is_none() {
+        if self.venus(host).current_user().is_none() {
             return Err(SystemError::BadId(format!(
                 "workstation {host} has no session to lend to PCs"
             )));

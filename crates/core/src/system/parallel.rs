@@ -12,8 +12,10 @@
 //! defined nowhere else. [`ItcSystem::ops`] and sequential runs build the
 //! view over the whole system; a parallel worker builds it over exactly
 //! the shards its batch claimed. Either way the view holds shards — each
-//! cluster's server, event core and Venus slice — plus the monitor and
-//! one `&` to the campus (`topology.rs`), the read-only rest of the run.
+//! cluster's server, event core (its calendar, pending breaks and traffic
+//! counts among the rest) and Venus slice, all as `Parts` — plus one `&`
+//! to the campus (`topology.rs`), the read-only rest of the run. So a
+//! parallel run does everything a sequential one does, monitoring too.
 //!
 //! ## The model: op-atomic conservative PDES
 //!
@@ -86,7 +88,7 @@
 use crate::protect::AccessList;
 use crate::proto::{EntryKind, ServerId, VStatus, ViceError};
 use crate::server::Server;
-use crate::system::transport::{ClusterCore, NetEvent, Parts, PendingBreak, SystemTransport};
+use crate::system::transport::{ClusterCore, Parts, SystemTransport};
 use crate::system::{ItcSystem, SystemError, WsId};
 use crate::venus::{Venus, VenusError, ViceTransport};
 use itc_sim::SimTime;
@@ -192,43 +194,21 @@ pub trait WsDriver: Send {
     fn step(&mut self, ops: &mut WsOps<'_>) -> Result<(), SystemError>;
 }
 
-/// The Venus instances an op may reach — the workstation-side twin of
-/// [`Parts`], with the same tripwire.
-enum Venuses<'a> {
-    /// Every workstation, indexed by workstation id (sequential execution).
-    Whole(&'a mut [Venus]),
-    /// Per-cluster slices of `per` workstations each, absent outside the
-    /// op's mask (parallel execution).
-    Split {
-        per: usize,
-        clusters: Vec<Option<&'a mut [Venus]>>,
-    },
-}
-
-impl Venuses<'_> {
-    fn get_mut(&mut self, ws: WsId) -> &mut Venus {
-        match self {
-            Venuses::Whole(all) => &mut all[ws],
-            Venuses::Split { per, clusters } => {
-                let cluster = ws / *per;
-                let slice = clusters[cluster].as_deref_mut().unwrap_or_else(|| {
-                    panic!("op touched cluster {cluster} outside its declared mask")
-                });
-                &mut slice[ws % *per]
-            }
-        }
-    }
-}
-
 /// The workstation operation surface (see "One door" in the module docs):
-/// the transport and the Venus instances of the clusters in its mask.
+/// the transport and the Venus slices of the clusters in its mask.
 /// Touching anything outside the mask panics.
 pub struct WsOps<'a> {
     pub(super) transport: SystemTransport<'a>,
-    venuses: Venuses<'a>,
+    venuses: Parts<'a, Vec<Venus>>,
 }
 
-impl WsOps<'_> {
+impl<'a> WsOps<'a> {
+    /// Workstation `ws`'s Venus, and the transport beside it.
+    fn venus(&mut self, ws: WsId) -> (&mut Venus, &mut SystemTransport<'a>) {
+        let (cluster, i) = self.transport.campus.venus_slot(ws);
+        (&mut self.venuses.get_mut(cluster)[i], &mut self.transport)
+    }
+
     /// Runs one workstation operation: flushes due deferred writes,
     /// applies `f` with the event-driven transport, raises the
     /// workstation's cluster high-water mark, and delivers any callback
@@ -238,12 +218,10 @@ impl WsOps<'_> {
         ws: WsId,
         f: impl FnOnce(&mut Venus, &mut SystemTransport<'_>) -> Result<R, VenusError>,
     ) -> Result<R, SystemError> {
-        let venus = self.venuses.get_mut(ws);
+        let (venus, transport) = self.venus(ws);
         // Deferred writes whose deadline has passed flush before the
         // next operation proceeds.
-        let result = venus
-            .flush_due(&mut self.transport)
-            .and_then(|_| f(venus, &mut self.transport));
+        let result = venus.flush_due(transport).and_then(|_| f(venus, transport));
         let now = venus.now();
         self.advance_high_water(ws, now);
         self.deliver_pending_breaks();
@@ -258,45 +236,27 @@ impl WsOps<'_> {
         self.transport.cores.get_mut(cluster).advance_to(t);
     }
 
-    /// Applies every callback break the last exchange produced — both
-    /// those popped from the calendar mid-pump and those still queued —
-    /// to the target workstations' caches. Delivery is functional and
-    /// immediate: the network cost was charged when the break was
-    /// scheduled, but a lagging workstation's clock is not dragged
-    /// forward. A break escaping the op's mask trips the panic (it would
-    /// have been a cross-thread race).
+    /// Applies every callback break bound for a cluster in view to its
+    /// target's cache, in send order (invalidations commute, so any order
+    /// gives the same caches), cancelling its `BreakDeliver` event — which
+    /// counts as cancelled only if it has not fired. Delivery is immediate:
+    /// the network cost was charged when the break was scheduled, but a
+    /// lagging workstation's clock is not dragged forward.
     pub(super) fn deliver_pending_breaks(&mut self) {
-        let node_to_ws = &self.transport.campus.node_to_ws;
+        let campus = self.transport.campus;
         for cluster in 0..self.transport.cores.len() {
             if !self.transport.cores.has(cluster) {
                 continue;
             }
-            let cl = self.transport.cores.get_mut(cluster);
-            let mut breaks = std::mem::take(&mut cl.pending);
-            // Claim the still-queued BreakDeliver events by recorded id
-            // (O(1) tombstone each, counted as cancellations — they are
-            // being rerouted out of the calendar, not executed there).
-            // Ids that already fired mid-pump return `None` and were
-            // captured in `pending` above; sorting the claimed batch by
-            // (time, id) reproduces the order the calendar would have
-            // popped them in.
-            let mut claimed = Vec::new();
-            for id in std::mem::take(&mut cl.break_ids) {
-                if let Some(f) = cl.sched.take(id) {
-                    claimed.push((f.at, f.id, f.ev));
-                }
-            }
-            claimed.sort_by_key(|&(at, id, _)| (at, id));
-            for (_, _, ev) in claimed {
-                if let NetEvent::BreakDeliver { to_ws, paths } = ev {
-                    for path in paths {
-                        breaks.push(PendingBreak { to_ws, path });
+            let ClusterCore { sched, breaks, .. } = self.transport.cores.get_mut(cluster);
+            for (id, to_ws, paths) in breaks.drain(..) {
+                sched.cancel(id);
+                if let Some(&ws) = campus.node_to_ws.get(&to_ws) {
+                    let (c, i) = campus.venus_slot(ws);
+                    let venus = &mut self.venuses.get_mut(c)[i];
+                    for path in &paths {
+                        venus.on_callback_break(path);
                     }
-                }
-            }
-            for b in breaks {
-                if let Some(&ws) = node_to_ws.get(&b.to_ws) {
-                    self.venuses.get_mut(ws).on_callback_break(&b.path);
                 }
             }
         }
@@ -315,12 +275,9 @@ impl WsOps<'_> {
         let key = itc_cryptbox::derive_key(password, user);
         let node = self.transport.campus.ws_nodes[ws];
         let home = self.transport.home_server(node);
-        let venus = self.venuses.get_mut(ws);
+        let (venus, transport) = self.venus(ws);
         venus.set_session(user, key);
-        match self
-            .transport
-            .ensure_binding(node, user, key, home, venus.now())
-        {
+        match transport.ensure_binding(node, user, key, home, venus.now()) {
             Ok(ready) => {
                 venus.advance_to(ready);
                 self.advance_high_water(ws, ready);
@@ -335,13 +292,13 @@ impl WsOps<'_> {
 
     /// Advances a workstation's local time (think time).
     pub fn advance_ws(&mut self, ws: WsId, to: SimTime) {
-        self.venuses.get_mut(ws).advance_to(to);
+        self.venus(ws).0.advance_to(to);
         self.advance_high_water(ws, to);
     }
 
     /// A workstation's local virtual time.
     pub fn ws_time(&mut self, ws: WsId) -> SimTime {
-        self.venuses.get_mut(ws).now()
+        self.venus(ws).0.now()
     }
 
     /// Whole-file read.
@@ -445,8 +402,8 @@ impl WsOps<'_> {
 
     /// Reads through a handle (no server traffic).
     pub fn read(&mut self, ws: WsId, handle: u64) -> Result<Vec<u8>, SystemError> {
-        self.venuses
-            .get_mut(ws)
+        self.venus(ws)
+            .0
             .read(handle)
             .map(<[u8]>::to_vec)
             .map_err(SystemError::Venus)
@@ -454,8 +411,8 @@ impl WsOps<'_> {
 
     /// Writes through a handle (no server traffic until close).
     pub fn write(&mut self, ws: WsId, handle: u64, data: Vec<u8>) -> Result<(), SystemError> {
-        self.venuses
-            .get_mut(ws)
+        self.venus(ws)
+            .0
             .write(handle, data)
             .map_err(SystemError::Venus)
     }
@@ -476,7 +433,7 @@ impl WsOps<'_> {
     /// drivers consult this between revalidation probes so a whole
     /// cluster's clients do not re-arrive as one thundering herd.
     pub fn reconnect_backoff(&mut self, ws: WsId, server: ServerId) -> SimTime {
-        self.venuses.get_mut(ws).reconnect_backoff(server)
+        self.venus(ws).0.reconnect_backoff(server)
     }
 }
 
@@ -544,7 +501,7 @@ impl DriverSlot {
 /// One cluster's share of the mutable world — its server, event core and
 /// Venus instances, by reference, so a claim moves three pointers: the
 /// piece a batch claims for each cluster in its mask.
-type Shard<'a> = (&'a mut Server, &'a mut ClusterCore, &'a mut [Venus]);
+type Shard<'a> = (&'a mut Server, &'a mut ClusterCore, &'a mut Vec<Venus>);
 
 /// A batch a worker has claimed: the shards of one mask, the drivers that
 /// will run against them, and how far they may run.
@@ -718,9 +675,6 @@ impl ItcSystem {
     /// parallel. The parallel schedule is bit-identical to the sequential
     /// one (see the module docs for why). Returns the number of ops
     /// executed.
-    ///
-    /// Parallel runs require traffic monitoring to be off (the monitor is
-    /// a single shared structure with no per-cluster decomposition).
     pub fn run_drivers(
         &mut self,
         mut drivers: Vec<(WsId, Box<dyn WsDriver>)>,
@@ -754,10 +708,9 @@ impl ItcSystem {
             transport: SystemTransport {
                 servers: Parts::Whole(&mut self.servers),
                 cores: Parts::Whole(&mut self.cores),
-                monitor: self.monitor.as_mut(),
                 campus: &self.campus,
             },
-            venuses: Venuses::Whole(&mut self.clients),
+            venuses: Parts::Whole(&mut self.clients),
         }
     }
 
@@ -766,22 +719,12 @@ impl ItcSystem {
         drivers: Vec<(WsId, Box<dyn WsDriver>)>,
         threads: usize,
     ) -> Result<u64, SystemError> {
-        assert!(
-            self.monitor.is_none(),
-            "parallel runs do not support traffic monitoring"
-        );
-        let per = self.config.workstations_per_cluster as usize;
         // Each cluster's server, event core and Venus instances become one
         // independently claimable shard; the campus is lent to every worker.
         let campus = &self.campus;
-        let mut rest = self.clients.as_mut_slice();
         let shards: Vec<_> = (self.servers.iter_mut().zip(&mut self.cores))
-            .map(|(server, core)| {
-                let mine = per.min(rest.len());
-                let venuses;
-                (venuses, rest) = std::mem::take(&mut rest).split_at_mut(mine);
-                Some((server, core, venuses))
-            })
+            .zip(&mut self.clients)
+            .map(|((server, core), venuses)| Some((server, core, venuses)))
             .collect();
         // No more than one op per cluster can ever execute at once.
         let workers = threads.clamp(1, shards.len().max(1));
@@ -832,10 +775,9 @@ impl ItcSystem {
                         transport: SystemTransport {
                             servers: Parts::Split(servers),
                             cores: Parts::Split(cores),
-                            monitor: None,
                             campus,
                         },
-                        venuses: Venuses::Split { per, clusters },
+                        venuses: Parts::Split(clusters),
                     };
                     drain(
                         &mut ws_ops,

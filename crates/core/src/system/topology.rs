@@ -2,7 +2,8 @@
 //! shards it sits beside.
 //!
 //! A run's state splits in two. The **shards** are what ops write, one per
-//! cluster: its [`Server`], its event core (`transport::ClusterCore`) and
+//! cluster: its [`Server`], its event core (`transport::ClusterCore`, which
+//! also keeps the cluster's pending callback breaks and traffic counts) and
 //! its slice of the Venus instances. The **campus** ([`Campus`]) is one
 //! plain value every view borrows by `&`: the bridged network, the timing
 //! kernel, the protection and location databases (replicated at every
@@ -59,6 +60,9 @@ pub(crate) struct Campus {
     /// The tracing switch: while off, no trace is minted and no span,
     /// dump, attribution record or series sample is taken.
     pub tracing: bool,
+    /// The traffic-monitoring switch: while on, each call is counted in
+    /// its caller's cluster core (Section 3.6).
+    pub monitoring: bool,
 }
 
 impl Campus {
@@ -66,12 +70,12 @@ impl Campus {
     /// calls for: one cluster server per cluster and the configured number
     /// of workstations per cluster, alternating Sun and Vax. Returns the
     /// campus, the servers (in [`ServerId`] order) and the Venus instances
-    /// (in [`WsId`] order).
-    pub fn build(config: &SystemConfig) -> (Campus, Vec<Server>, Vec<Venus>) {
+    /// cluster by cluster (see [`Campus::venus_slot`]).
+    pub fn build(config: &SystemConfig) -> (Campus, Vec<Server>, Vec<Vec<Venus>>) {
         let mut net = Network::new();
         let mut servers = Vec::new();
         let mut server_nodes = Vec::new();
-        let mut clients = Vec::new();
+        let mut clients: Vec<Vec<Venus>> = Vec::new();
         let mut ws_nodes = Vec::new();
         let mut node_to_ws = BTreeMap::new();
 
@@ -83,6 +87,7 @@ impl Campus {
             server.set_break_batching(config.callback_break_batching);
             servers.push(server);
             server_nodes.push(srv_node);
+            clients.push(Vec::new());
             for w in 0..config.workstations_per_cluster {
                 let node = net.add_node(cluster);
                 let ws_type = if (c + w) % 2 == 0 {
@@ -108,9 +113,9 @@ impl Campus {
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                         .wrapping_add(u64::from(node.0)),
                 );
-                node_to_ws.insert(node, clients.len());
+                node_to_ws.insert(node, ws_nodes.len());
                 ws_nodes.push(node);
-                clients.push(venus);
+                clients[c as usize].push(venus);
             }
         }
 
@@ -127,7 +132,16 @@ impl Campus {
             scrub_interval: None,
             scrub_gen: 0,
             tracing: config.tracing,
+            monitoring: false,
         };
         (campus, servers, clients)
+    }
+
+    /// Where workstation `ws`'s Venus lives: `(cluster, index)` into the
+    /// per-cluster slices. Every cluster has the same number of
+    /// workstations, numbered cluster by cluster.
+    pub fn venus_slot(&self, ws: WsId) -> (usize, usize) {
+        let per = self.ws_nodes.len() / self.server_nodes.len();
+        (ws / per, ws % per)
     }
 }

@@ -17,15 +17,17 @@
 //!
 //! Since the parallel-simulation refactor there is no single global
 //! calendar: every cluster owns a [`ClusterCore`] — its own scheduler, rng
-//! streams, fault shard, bindings, trace collector, counters and time
-//! high-water. Events are routed to the cluster that owns their state:
+//! streams, fault shard, bindings, trace collector, counters, traffic
+//! counts, pending callback breaks and time high-water. Events are routed
+//! to the cluster that owns their state:
 //!
 //! * client-side events (`AttemptSend`, `TimeoutFire`, `ReplyArrive`) live
 //!   on the **calling workstation's** cluster;
 //! * server-side events (`RequestArrive`, `ServiceDispatch`,
 //!   `ReplyDepart`, and the lifecycle events) live on the **server's**
 //!   cluster;
-//! * `BreakDeliver` lives on the **target workstation's** cluster.
+//! * `BreakDeliver` lives on the **target workstation's** cluster, beside
+//!   its record in that cluster's [`ClusterCore::breaks`].
 //!
 //! The executor merge-pops the participating calendars by
 //! `(time, class, cluster, ...)` — a total order that is a function of the
@@ -84,16 +86,6 @@ use itc_sim::{
 };
 use std::collections::BTreeMap;
 
-/// A callback break that has been popped from a calendar but not yet
-/// applied to its target workstation's cache.
-#[derive(Debug)]
-pub(crate) struct PendingBreak {
-    /// Node of the workstation whose cached copy is stale.
-    pub to_ws: NodeId,
-    /// The invalidated Vice path.
-    pub path: String,
-}
-
 /// Everything a network exchange can schedule. Call-chain events carry no
 /// call identifier: each executor keeps exactly one logical call in
 /// flight, pumping its calendars until that call resolves.
@@ -114,15 +106,12 @@ pub(crate) enum NetEvent {
     ReplyDepart,
     /// The reply reaches the client, which opens and decodes it.
     ReplyArrive,
-    /// A callback break message reaches its target workstation. Without
-    /// break batching every message carries exactly one path; with it, one
-    /// message carries every path the triggering mutation invalidated for
-    /// this workstation.
+    /// A callback break message reaches its target workstation. Its paths
+    /// wait in the target cluster's [`ClusterCore::breaks`], applied at op
+    /// end whether or not this event has fired by then.
     BreakDeliver {
         /// The target workstation's node.
         to_ws: NodeId,
-        /// The invalidated Vice paths.
-        paths: Vec<String>,
     },
     /// A scheduled server crash from fault plan generation `gen`.
     Crash { server: u32, gen: u64 },
@@ -150,7 +139,8 @@ pub(crate) enum NetEvent {
 }
 
 /// One cluster's share of the event machinery: its calendar, rng streams,
-/// fault shard, the authenticated bindings of its workstations, and its
+/// fault shard, the authenticated bindings of its workstations, the
+/// callback breaks bound for them, their traffic counts, and its
 /// observability state. Owning all of this per cluster is what lets
 /// operations with disjoint cluster masks run on different threads without
 /// sharing a single mutable core.
@@ -173,12 +163,13 @@ pub(crate) struct ClusterCore {
     pub call_stats: CallStats,
     /// Idempotency-token allocator for calls issued from this cluster.
     pub next_token: u64,
-    /// Callback breaks popped mid-pump, awaiting delivery at op end.
-    pub pending: Vec<PendingBreak>,
-    /// Calendar ids of scheduled `BreakDeliver` events, so op-end delivery
-    /// can claim the still-queued ones in O(1) each (ids of events that
-    /// already fired are simply skipped).
-    pub break_ids: Vec<EventId>,
+    /// Callback breaks bound for this cluster's workstations, one record
+    /// per message from schedule to delivery: its `BreakDeliver` event,
+    /// target node and invalidated paths (one, unless breaks are batched).
+    pub breaks: Vec<(EventId, NodeId, Vec<String>)>,
+    /// Calls this cluster's workstations issued, per subtree, while
+    /// [`Campus::monitoring`] is on (Section 3.6).
+    pub traffic: TrafficMonitor,
     /// The span ring and anomaly flight recorder for activity anchored at
     /// this cluster. It holds no switch of its own: only the hooks of
     /// `observe.rs`, behind [`Campus::tracing`], mint or record into it.
@@ -217,8 +208,8 @@ impl ClusterCore {
             faults: None,
             call_stats: CallStats::default(),
             next_token: 0,
-            pending: Vec::new(),
-            break_ids: Vec::new(),
+            breaks: Vec::new(),
+            traffic: TrafficMonitor::new(),
             trace,
             attr: AttributionAgg::new(),
             obs: ObsCore::default(),
@@ -351,17 +342,14 @@ pub(crate) struct CallInFlight<'r> {
 /// simulated network, with every leg of every call routed through the
 /// per-cluster event calendars. It holds the shards it may write —
 /// every cluster's server and event core sequentially ([`Parts::Whole`]),
-/// exactly its operation's mask in a parallel worker — the monitor, and
-/// one reference to the campus it only reads.
+/// exactly its operation's mask in a parallel worker — and one reference
+/// to the campus it only reads.
 pub(crate) struct SystemTransport<'a> {
     /// The Vice servers this executor may touch, indexed by server id
     /// (== cluster id).
     pub servers: Parts<'a, Server>,
     /// The per-cluster event cores this executor may touch.
     pub cores: Parts<'a, ClusterCore>,
-    /// The traffic monitor, if sampling (sequential-only: parallel runs
-    /// assert it off).
-    pub monitor: Option<&'a mut TrafficMonitor>,
     /// Everything the run only reads.
     pub campus: &'a Campus,
 }
@@ -695,12 +683,12 @@ impl SystemTransport<'_> {
                 self.reply_arrived(call, &reply, at);
 
                 // Traffic monitoring (Section 3.6): attribute the call to
-                // the covering custodianship subtree and caller's cluster.
-                // The interned lookup hands back the subtree's shared key,
-                // so recording is a refcount bump, not a String allocation.
-                if let Some(m) = self.monitor.as_deref_mut() {
+                // the covering custodianship subtree, on the caller's
+                // cluster. The interned lookup hands back the subtree's
+                // shared key, so recording allocates nothing.
+                if campus.monitoring {
                     if let Some((subtree, _)) = campus.location.lookup_interned(call.req.path()) {
-                        m.record_interned(&subtree, campus.net.cluster_of(call.ws).0);
+                        self.cores.get_mut(cc).traffic.record(subtree, cc as u32);
                     }
                 }
                 self.servers.get_mut(sid).record_call(
@@ -712,8 +700,9 @@ impl SystemTransport<'_> {
                 self.cores.get_mut(cc).advance_to(at);
 
                 // Callback-break messages this call generated enter the
-                // calendars of their *target* workstations' clusters;
-                // delivery is applied by the system after the operation.
+                // calendars of their *target* workstations' clusters, and
+                // their records those clusters' `breaks`; the op applies
+                // them when it ends.
                 let from_node = campus.server_nodes[sid];
                 for (to_ws, paths) in self.servers.get_mut(sid).drain_breaks() {
                     // One base message plus a small increment for every
@@ -723,10 +712,8 @@ impl SystemTransport<'_> {
                         .kernel
                         .one_way(&campus.net, from_node, to_ws, at, bytes);
                     let cl = self.cores.get_mut(campus.net.cluster_of(to_ws).0 as usize);
-                    let bid = cl
-                        .sched
-                        .schedule(arrival, NetEvent::BreakDeliver { to_ws, paths });
-                    cl.break_ids.push(bid);
+                    let id = cl.sched.schedule(arrival, NetEvent::BreakDeliver { to_ws });
+                    cl.breaks.push((id, to_ws, paths));
                 }
                 call.result = Some((reply, at));
             }

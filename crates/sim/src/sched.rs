@@ -23,9 +23,9 @@
 //!
 //! Since the parallel-simulation refactor the calendar is an *indexed*
 //! heap: the binary heap holds only ordering keys, payloads live in a slab
-//! keyed by [`EventId`]. Cancelling an event ([`Scheduler::cancel`] /
-//! [`Scheduler::take`]) is an O(1) removal from the slab; the orphaned heap
-//! key is lazily skipped when it reaches the front. This replaces the old
+//! keyed by [`EventId`]. Cancelling an event ([`Scheduler::cancel`]) is an
+//! O(1) removal from the slab; the orphaned heap key is lazily skipped when
+//! it reaches the front. This replaces the old
 //! `drain_where`, which rebuilt the whole heap (O(n) churn per cancelled
 //! timeout) — the drop shows up in [`EventStats::cancelled`] replacing the
 //! rebuild counter.
@@ -75,8 +75,8 @@ pub struct EventStats {
     pub scheduled: u64,
     /// Events popped and handed to the owner for execution.
     pub executed: u64,
-    /// Events logically cancelled ([`Scheduler::cancel`] or
-    /// [`Scheduler::take`]) — O(1) tombstones, never a heap rebuild.
+    /// Events logically cancelled ([`Scheduler::cancel`]) — O(1)
+    /// tombstones, never a heap rebuild.
     pub cancelled: u64,
     /// Largest number of live (scheduled, not yet fired or cancelled)
     /// events observed.
@@ -259,16 +259,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Cancels event `id` and hands its payload (and due time) back to the
-    /// caller — used by owners that must route a pending event (e.g. a
-    /// queued callback delivery) to a different executor. O(1), like
-    /// [`Scheduler::cancel`].
-    pub fn take(&mut self, id: EventId) -> Option<Firing<E>> {
-        let (at, ev) = self.live.remove(&id)?;
-        self.stats.cancelled += 1;
-        Some(Firing { at, id, ev })
-    }
-
     /// Number of live queued events.
     pub fn len(&self) -> usize {
         self.live.len()
@@ -344,19 +334,6 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.cancelled, 1);
         assert_eq!(st.executed, 1, "cancelled events are not executed");
-    }
-
-    #[test]
-    fn take_returns_the_payload_and_due_time() {
-        let mut s: Scheduler<(&str, u32)> = Scheduler::seeded(1);
-        let brk = s.schedule(SimTime::from_secs(3), ("brk", 3));
-        s.schedule(SimTime::from_secs(2), ("other", 0));
-        let f = s.take(brk).expect("pending event");
-        assert_eq!(f.at, SimTime::from_secs(3));
-        assert_eq!(f.ev, ("brk", 3));
-        assert!(s.take(brk).is_none(), "already taken");
-        assert_eq!(s.pop().unwrap().ev.0, "other");
-        assert_eq!(s.stats().cancelled, 1);
     }
 
     #[test]

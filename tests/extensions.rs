@@ -134,6 +134,46 @@ fn deferred_writes_coalesce_and_flush_on_deadline() {
 }
 
 #[test]
+fn a_break_that_fires_mid_op_still_reaches_the_cache() {
+    // Workstation 0's deferred store flushes at the start of its next op,
+    // whose own fetch pumps the calendar past the break's arrival: the
+    // `BreakDeliver` events fire mid-op, and their paths are applied to
+    // workstation 1's cache when the op ends.
+    let mut sys = ItcSystem::build(SystemConfig {
+        write_policy: WritePolicy::Delayed(SimTime::from_secs(5)),
+        ..SystemConfig::revised(1, 2)
+    });
+    sys.add_user("w", "pw").unwrap();
+    sys.create_user_volume("w", 0).unwrap();
+    sys.admin_install_file("/vice/usr/w/doc", b"old".to_vec())
+        .unwrap();
+    sys.admin_install_file("/vice/usr/w/other", b"x".to_vec())
+        .unwrap();
+    sys.login(0, "w", "pw").unwrap();
+    sys.add_user("r", "pw").unwrap();
+    sys.login(1, "r", "pw").unwrap();
+    assert_eq!(sys.ops().fetch(1, "/vice/usr/w/doc").unwrap(), b"old");
+
+    sys.ops()
+        .store(0, "/vice/usr/w/doc", b"new".to_vec())
+        .unwrap();
+    let later = sys.ws_time(0) + SimTime::from_secs(10);
+    sys.ops().advance_ws(0, later);
+    let (es, calls) = (sys.event_stats(), sys.metrics().total_calls());
+    sys.ops().fetch(0, "/vice/usr/w/other").unwrap();
+    let (after, calls) = (sys.event_stats(), sys.metrics().total_calls() - calls);
+    assert_eq!(sys.total_server_calls_of("store"), 1, "the flush stored");
+    // A fault-free call schedules six events (its retransmission timer
+    // among them), executes five and cancels the timer; the rest are
+    // breaks, for the file and its parent listing.
+    assert_eq!(after.scheduled - es.scheduled - 6 * calls, 2);
+    assert_eq!(after.executed - es.executed - 5 * calls, 2, "fired mid-op");
+    assert_eq!(after.cancelled - es.cancelled, calls);
+
+    assert_eq!(sys.ops().fetch(1, "/vice/usr/w/doc").unwrap(), b"new");
+}
+
+#[test]
 fn explicit_flush_commits_early() {
     let mut sys = delayed_system(3_600);
     sys.ops()

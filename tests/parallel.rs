@@ -693,3 +693,34 @@ fn a_volume_moved_between_parallel_runs_is_served_by_its_new_custodian() {
     let (_, _, seq) = volume_moved_between_runs(RunMode::Sequential);
     assert_eq!(par, seq);
 }
+
+#[test]
+fn parallel_runs_monitor_bit_identically() {
+    // Each cluster's core counts the calls its own workstations issue, and
+    // the readers merge the counts: every executor reads the same view.
+    let day = DayConfig {
+        duration: SimTime::from_mins(3),
+        ..DayConfig::short()
+    };
+    let run = |mode| {
+        let mut sys = ItcSystem::build(SystemConfig::prototype(4, 2));
+        sys.enable_monitoring();
+        let report = run_day_drivers(&mut sys, &day, mode).expect("day runs");
+        let recs = sys.rebalancing_recommendations();
+        (
+            sys.cross_cluster_fraction(),
+            recs,
+            report.ops,
+            fingerprint(&sys),
+        )
+    };
+    let seq = run(RunMode::Sequential);
+    assert!(
+        seq.0 > 0.0,
+        "no cross-cluster traffic was monitored: {seq:?}"
+    );
+    for threads in [2, 4] {
+        let par = run(RunMode::Parallel(threads));
+        assert_eq!(seq, par, "divergence at {threads} threads");
+    }
+}
