@@ -245,6 +245,21 @@ if nontest crates/core/src/server/mod.rs \
     echo "ci.sh: a server request queue, a queue observable or a replay FIFO grew back (see the lines above)" >&2
     exit 1
 fi
+# Each value has one source (DESIGN.md §13): the campus is uniform, so node
+# ids are arithmetic (`Network::uniform`) and no node map is stored; the
+# system's time is computed from the Venus clocks, so no cluster keeps a
+# high-water; servers and workstations are built from the one
+# `SystemConfig`; and tracing is switched only by `enable_tracing`.
+echo "== one source per value (no node map, clock high-water, second constructor or tracing field) =="
+if shared crates/core/src \
+        | grep -E 'server_nodes|ws_nodes|node_to_ws|advance_high_water|fn with_write_policy|fn set_break_batching' \
+    || body crates/core/src/system/transport.rs ClusterCore | grep -E '^ *(pub(\([a-z]+\))? )?now:' \
+    || body crates/core/src/config.rs SystemConfig | grep -w 'tracing' \
+    || nontest crates/rpc/src/net.rs | grep -E 'fn add_(node|cluster)\b' \
+    || grep -n 'too_many_arguments' crates/core/src/venus/mod.rs; then
+    echo "ci.sh: a value grew a second source (see the lines above)" >&2
+    exit 1
+fi
 # The trajectory: the non-test lines of every crates/*/src file (tests.rs
 # excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do

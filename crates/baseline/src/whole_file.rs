@@ -47,11 +47,6 @@ impl WholeFileFs {
             .expect("preload install");
     }
 
-    /// The underlying system (for metric extraction).
-    pub fn system(&self) -> &ItcSystem {
-        &self.sys
-    }
-
     /// Total server CPU busy time across the system.
     pub fn server_cpu_busy(&self) -> SimTime {
         let m = self.sys.metrics();

@@ -203,10 +203,10 @@ fn demo_scenario(seed: u64) -> ItcSystem {
 
     let cfg = SystemConfig {
         seed,
-        tracing: true,
         ..SystemConfig::prototype(2, 2)
     };
     let mut sys = ItcSystem::build(cfg);
+    sys.enable_tracing();
     for i in 0..4usize {
         let user = format!("u{i}");
         sys.add_user(&user, "pw").expect("fresh system");

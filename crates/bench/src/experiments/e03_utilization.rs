@@ -10,9 +10,9 @@
 
 use super::common::{day_config, proto_config};
 use crate::report::{pct, Report, Scale};
-use itc_core::config::SystemConfig;
+use itc_core::ItcSystem;
 use itc_sim::SimTime;
-use itc_workload::day::run_day;
+use itc_workload::day::run_day_on;
 use itc_workload::DayConfig;
 
 /// Runs a surge-bearing day and reports mean and peak utilizations, plus
@@ -31,11 +31,9 @@ pub fn run(scale: Scale) -> Report {
         surge_multiplier: 4.0,
         ..day_config(scale)
     };
-    let cfg = SystemConfig {
-        tracing: true,
-        ..proto_config(scale)
-    };
-    let (sys, day) = run_day(cfg, &day_cfg).expect("day runs");
+    let mut sys = ItcSystem::build(proto_config(scale));
+    sys.enable_tracing();
+    let day = run_day_on(&mut sys, &day_cfg).expect("day runs");
     let m = &day.metrics;
 
     let mut r = Report::new(

@@ -64,11 +64,6 @@ pub struct SystemConfig {
     pub costs: Costs,
     /// Seed for all randomness (nonces, workloads forked from it).
     pub seed: u64,
-    /// Causal request tracing (spans, latency attribution, the anomaly
-    /// flight recorder). Observation-only: enabling it changes no virtual
-    /// timing, rng draw, or event ordering; off by default so the common
-    /// path pays one branch per hop.
-    pub tracing: bool,
     /// Batch callback breaks per recipient workstation: when a mutation
     /// invalidates several promises held by the same workstation (the file
     /// and its parent directory, say), send one break message carrying all
@@ -93,7 +88,6 @@ impl SystemConfig {
             write_policy: WritePolicy::StoreOnClose,
             costs: Costs::prototype_1985(),
             seed: 1985,
-            tracing: false,
             callback_break_batching: false,
         }
     }

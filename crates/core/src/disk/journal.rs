@@ -401,11 +401,6 @@ impl Journal {
         self.flips.push((offset, mask));
     }
 
-    /// The injected flips, in injection order.
-    pub fn flips(&self) -> &[(u64, u8)] {
-        &self.flips
-    }
-
     /// The record whose framed extent covers durable byte `offset`.
     pub fn record_covering(&self, offset: u64) -> Option<&Record> {
         self.records

@@ -27,6 +27,7 @@ mod locks;
 
 pub use locks::{LockKind, LockTable};
 
+use crate::config::SystemConfig;
 use crate::disk::{
     CorruptionEvent, CorruptionOutcome, Disk, FlipRegion, JournalOp, JournalStats, SalvageReport,
     ScrubScan, ScrubStats, SyncPolicy,
@@ -139,13 +140,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Creates a server with no volumes.
-    pub fn new(
-        id: ServerId,
-        node: NodeId,
-        validation: ValidationMode,
-        traversal: TraversalMode,
-    ) -> Server {
+    /// Creates a server with no volumes, its validation, traversal and
+    /// break-batching settings taken from `config`.
+    pub fn new(id: ServerId, node: NodeId, config: &SystemConfig) -> Server {
         Server {
             id,
             node,
@@ -155,10 +152,10 @@ impl Server {
             callbacks: BTreeMap::new(),
             locks: LockTable::new(),
             stats: RpcStats::new(),
-            validation,
-            traversal,
+            validation: config.validation,
+            traversal: config.traversal,
             pending_breaks: Vec::new(),
-            break_batching: false,
+            break_batching: config.callback_break_batching,
             online: true,
             epoch: 0,
             replay: BTreeMap::new(),
@@ -586,11 +583,6 @@ impl Server {
         std::mem::take(&mut self.pending_breaks)
     }
 
-    /// Enables or disables per-recipient break batching.
-    pub fn set_break_batching(&mut self, on: bool) {
-        self.break_batching = on;
-    }
-
     /// Number of callback promises currently outstanding (server state the
     /// check-on-open design avoids, at the price of validation traffic).
     pub fn callback_promises(&self) -> usize {
@@ -599,8 +591,8 @@ impl Server {
 
     /// Records statistics for a completed call (invoked by the system layer
     /// once timing is known).
-    pub fn record_call(&mut self, kind: &str, req_bytes: u64, reply_bytes: u64, elapsed: SimTime) {
-        self.stats.record(kind, req_bytes, reply_bytes, elapsed);
+    pub fn record_call(&mut self, kind: &str, elapsed: SimTime) {
+        self.stats.record(kind, elapsed);
     }
 
     // ------------------------------------------------------------------

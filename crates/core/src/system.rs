@@ -36,9 +36,12 @@
 //! calls) and its slice of the Venus instances. The **campus** is one plain value they only read,
 //! lent to every view by `&`: the network, the timing kernel, the
 //! protection and location databases (the paper replicates both at every
-//! server; the replicas are identical, so each is kept once), the node
-//! maps, and the settings that change only between runs (retry policy,
-//! fault-plan and scrub generations, the tracing and monitoring switches).
+//! server; the replicas are identical, so each is kept once), and the
+//! settings that change only between runs (retry policy, fault-plan and
+//! scrub generations, the tracing and monitoring switches). Nothing is
+//! stored that the run determines: node ids are arithmetic over the
+//! uniform campus, and every server and Venus is built from the one
+//! [`SystemConfig`].
 //! Operator actions write the campus between runs; a view — sequential or
 //! a parallel worker's — holds its shards and one reference to it, and
 //! copies none of its fields.
@@ -49,11 +52,10 @@
 //! workstation are strictly sequential); server CPUs and disks are shared
 //! FIFO resources, so concurrent clients contend there. The system's time,
 //! [`ItcSystem::now`], is the high-water mark utilization windows are
-//! measured against: the maximum of one high-water per cluster (written by
-//! the ops of that cluster's workstations, which always hold it in their
-//! mask) and one for operator actions. Max does not depend on the order
-//! the writes came in, so a parallel run reads the same value as the
-//! sequential one, with nothing shared to write. Callback
+//! measured against: the latest of every workstation's clock and the
+//! operator actions' high-water. It is computed when asked (by operator
+//! actions and readers, never per op), so no op writes it, and a parallel
+//! run reads the same value as the sequential one. Callback
 //! breaks are scheduled as calendar events when the triggering store
 //! completes and applied functionally at the end of the operation, in any
 //! order (invalidations commute); their
@@ -139,8 +141,8 @@ pub struct ItcSystem {
     cores: Vec<ClusterCore>,
     /// One Venus per workstation, per cluster (see [`Campus::venus_slot`]).
     clients: Vec<Vec<Venus>>,
-    /// High-water of the operator actions' completion times; the clusters
-    /// keep their own (see "Time model").
+    /// High-water of the operator actions' completion times; each
+    /// workstation keeps its own clock (see "Time model").
     operator_now: SimTime,
     next_volume: u32,
     surrogates: HashMap<WsId, Surrogate>,
@@ -199,7 +201,7 @@ impl ItcSystem {
 
     /// Number of workstations.
     pub fn workstation_count(&self) -> usize {
-        self.campus.ws_nodes.len()
+        self.clients.iter().map(Vec::len).sum()
     }
 
     /// Number of servers (== clusters).
@@ -218,11 +220,12 @@ impl ItcSystem {
         (start..start + self.config.workstations_per_cluster as usize).collect()
     }
 
-    /// The system's time: the latest instant any cluster's workstations or
-    /// any operator action has reached.
+    /// The system's time: the latest instant any workstation or any
+    /// operator action has reached. O(workstations): operator actions and
+    /// readers call it, never an op.
     pub fn now(&self) -> SimTime {
-        let clusters = self.cores.iter().map(|c| c.now);
-        clusters.fold(self.operator_now, SimTime::max)
+        let clocks = self.clients.iter().flatten().map(Venus::now);
+        clocks.fold(self.operator_now, SimTime::max)
     }
 
     /// A workstation's local virtual time.

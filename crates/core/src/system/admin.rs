@@ -71,7 +71,7 @@ impl ItcSystem {
         // replica at a time and waiting for each acknowledgment, which is
         // why Section 3.4 calls this path "unacceptably slow in
         // emergencies" and why negative rights exist.
-        let origin = self.campus.server_nodes[0];
+        let origin = self.campus.net.server_node(0);
         let mut t = start;
         for s in &mut self.servers {
             let lat = costs.net_latency(self.campus.net.hops(origin, s.node()));
@@ -189,10 +189,8 @@ impl ItcSystem {
         let costs = self.campus.kernel.costs();
         let bytes = vol.used_bytes();
         let start = self.now();
-        let hops = self.campus.net.hops(
-            self.campus.server_nodes[from.0 as usize],
-            self.campus.server_nodes[to.0 as usize],
-        );
+        let net = self.campus.net;
+        let hops = net.hops(net.server_node(from.0), net.server_node(to.0));
         let shipped = start + costs.net_latency(hops) + costs.net_transfer(bytes);
         let dst = &mut self.servers[to.0 as usize];
         let done = dst

@@ -35,7 +35,7 @@ impl ItcSystem {
     /// Drops a workstation's bindings — per-user connections, which live
     /// on the workstation's own cluster.
     fn drop_bindings(&mut self, ws: WsId) {
-        let node = self.campus.ws_nodes[ws];
+        let node = self.campus.net.ws_node(ws);
         let cc = self.campus.net.cluster_of(node).0 as usize;
         self.cores[cc].bindings.retain(|(n, _), _| *n != node);
     }

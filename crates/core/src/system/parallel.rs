@@ -49,8 +49,9 @@
 //! globally minimal key is always admissible once earlier-keyed executing
 //! ops drain, so the schedule is deadlock-free; and because conflicting
 //! ops execute in key order while disjoint ops commute (their state is
-//! disjoint by construction — even the time high-water mark is one per
-//! cluster — and what they share, the campus, is read-only during a run),
+//! disjoint by construction — the system's time is computed from the
+//! Venus clocks, not kept — and what they share, the campus, is read-only
+//! during a run),
 //! a parallel run is **bit-identical** to the sequential reference. The
 //! pool below is the one thing the workers share mutably.
 //!
@@ -210,9 +211,8 @@ impl<'a> WsOps<'a> {
     }
 
     /// Runs one workstation operation: flushes due deferred writes,
-    /// applies `f` with the event-driven transport, raises the
-    /// workstation's cluster high-water mark, and delivers any callback
-    /// breaks the exchange scheduled.
+    /// applies `f` with the event-driven transport, and delivers any
+    /// callback breaks the exchange scheduled.
     pub(crate) fn with_venus<R>(
         &mut self,
         ws: WsId,
@@ -222,18 +222,8 @@ impl<'a> WsOps<'a> {
         // Deferred writes whose deadline has passed flush before the
         // next operation proceeds.
         let result = venus.flush_due(transport).and_then(|_| f(venus, transport));
-        let now = venus.now();
-        self.advance_high_water(ws, now);
         self.deliver_pending_breaks();
         result.map_err(SystemError::Venus)
-    }
-
-    /// Raises the high-water mark of `ws`'s cluster — always in the op's
-    /// mask — to `t`.
-    fn advance_high_water(&mut self, ws: WsId, t: SimTime) {
-        let campus = self.transport.campus;
-        let cluster = campus.net.cluster_of(campus.ws_nodes[ws]).0 as usize;
-        self.transport.cores.get_mut(cluster).advance_to(t);
     }
 
     /// Applies every callback break bound for a cluster in view to its
@@ -251,7 +241,7 @@ impl<'a> WsOps<'a> {
             let ClusterCore { sched, breaks, .. } = self.transport.cores.get_mut(cluster);
             for (id, to_ws, paths) in breaks.drain(..) {
                 sched.cancel(id);
-                if let Some(&ws) = campus.node_to_ws.get(&to_ws) {
+                if let Some(ws) = campus.net.ws_of(to_ws) {
                     let (c, i) = campus.venus_slot(ws);
                     let venus = &mut self.venuses.get_mut(c)[i];
                     for path in &paths {
@@ -273,14 +263,13 @@ impl<'a> WsOps<'a> {
     /// Touches only the workstation's own cluster.
     pub fn login(&mut self, ws: WsId, user: &str, password: &str) -> Result<(), SystemError> {
         let key = itc_cryptbox::derive_key(password, user);
-        let node = self.transport.campus.ws_nodes[ws];
+        let node = self.transport.campus.net.ws_node(ws);
         let home = self.transport.home_server(node);
         let (venus, transport) = self.venus(ws);
         venus.set_session(user, key);
         match transport.ensure_binding(node, user, key, home, venus.now()) {
             Ok(ready) => {
                 venus.advance_to(ready);
-                self.advance_high_water(ws, ready);
                 Ok(())
             }
             Err(e) => {
@@ -293,7 +282,6 @@ impl<'a> WsOps<'a> {
     /// Advances a workstation's local time (think time).
     pub fn advance_ws(&mut self, ws: WsId, to: SimTime) {
         self.venus(ws).0.advance_to(to);
-        self.advance_high_water(ws, to);
     }
 
     /// A workstation's local virtual time.

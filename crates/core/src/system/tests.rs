@@ -23,18 +23,20 @@ fn build_creates_topology_and_skeleton() {
 }
 
 #[test]
-fn now_is_the_high_water_of_every_cluster_and_the_operator() {
+fn now_is_the_latest_workstation_clock_or_operator_action() {
     let mut s = ItcSystem::build(SystemConfig::prototype(3, 2));
     let (ws0, ws2) = (s.workstation_in_cluster(0), s.workstation_in_cluster(2));
     let late = s.now() + SimTime::from_secs(90);
     s.ops().advance_ws(ws2, late);
     s.ops().advance_ws(ws0, late - SimTime::from_secs(30));
-    // The latest workstation activity is on cluster 2, and only cluster 2
-    // recorded it.
+    // The latest workstation activity is on cluster 2, and only its
+    // workstation reached it.
     assert_eq!(s.now(), late);
-    let marks: Vec<SimTime> = s.cores.iter().map(|c| c.now).collect();
-    assert_eq!(marks[2], late);
-    assert!(marks[0] < late && marks[1] < late, "{marks:?}");
+    assert_eq!(s.ws_time(ws2), late);
+    assert_eq!(s.ws_time(ws0), late - SimTime::from_secs(30));
+    for ws in (0..s.workstation_count()).filter(|&ws| ws != ws2) {
+        assert!(s.ws_time(ws) < late, "workstation {ws}");
+    }
 
     // An operator action ending later moves the system's time to its
     // completion: the replication charge starts at `late` and returns once
@@ -42,8 +44,22 @@ fn now_is_the_high_water_of_every_cluster_and_the_operator() {
     s.add_user("newcomer", "pw").unwrap();
     assert!(s.operator_now > late);
     assert_eq!(s.now(), s.operator_now);
-    assert_eq!(s.cores[2].now, late, "operator time is its own");
+    assert_eq!(s.ws_time(ws2), late, "operator time is its own");
     assert_eq!(s.revoke_via_groups("newcomer"), s.now());
+}
+
+/// Node ids seed reconnect jitter and order bindings, promises and replay
+/// entries, so the layout — each cluster's server, then its workstations —
+/// is pinned: changing it must fail here, not drift silently.
+#[test]
+fn node_ids_are_laid_out_server_then_workstations_cluster_by_cluster() {
+    let s = ItcSystem::build(SystemConfig::prototype(3, 2));
+    let servers: Vec<u32> = (0..3).map(|c| s.server(ServerId(c)).node().0).collect();
+    assert_eq!(servers, [0, 3, 6]);
+    let workstations: Vec<u32> = (0..s.workstation_count())
+        .map(|ws| s.venus(ws).node().0)
+        .collect();
+    assert_eq!(workstations, [1, 2, 4, 5, 7, 8]);
 }
 
 #[test]

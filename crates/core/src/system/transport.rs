@@ -18,8 +18,9 @@
 //! Since the parallel-simulation refactor there is no single global
 //! calendar: every cluster owns a [`ClusterCore`] — its own scheduler, rng
 //! streams, fault shard, bindings, trace collector, counters, traffic
-//! counts, pending callback breaks and time high-water. Events are routed
-//! to the cluster that owns their state:
+//! counts and pending callback breaks. It keeps no clock: the system's
+//! time is computed from the Venus clocks. Events are routed to the
+//! cluster that owns their state:
 //!
 //! * client-side events (`AttemptSend`, `TimeoutFire`, `ReplyArrive`) live
 //!   on the **calling workstation's** cluster;
@@ -37,9 +38,9 @@
 //! operation's declared mask ([`Parts::Split`]), and touching any other
 //! cluster is a hard panic (the mask tripwire), not silent corruption.
 //! Servers and cores are the shards a transport writes; everything it only
-//! reads — the network, the timing kernel, the protection and location
-//! databases, the node maps and the run settings — it reads through its
-//! one `&Campus` (`topology.rs`), never from a copy.
+//! reads — the network (which computes every node id), the timing
+//! kernel, the protection and location databases and the run settings —
+//! it reads through its one `&Campus` (`topology.rs`), never from a copy.
 //!
 //! ## Equivalence with the synchronous transport
 //!
@@ -181,9 +182,6 @@ pub(crate) struct ClusterCore {
     /// anchored at this cluster. Sampled only while tracing is enabled;
     /// observation-only, like the collector.
     pub obs: ObsCore,
-    /// The latest instant this cluster's workstations have reached: one
-    /// term of the system's high-water mark ([`super::ItcSystem::now`]).
-    pub now: SimTime,
 }
 
 impl ClusterCore {
@@ -213,13 +211,7 @@ impl ClusterCore {
             trace,
             attr: AttributionAgg::new(),
             obs: ObsCore::default(),
-            now: SimTime::ZERO,
         }
-    }
-
-    /// Raises this cluster's high-water mark to `t`; it never moves back.
-    pub fn advance_to(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
     }
 }
 
@@ -411,7 +403,6 @@ impl SystemTransport<'_> {
         if self.cores.get(cc).bindings.contains_key(&(ws, server)) {
             return Ok(at);
         }
-        let sid = server.0 as usize;
         // Vice looks the user's key up in its protection database; an
         // unknown user cannot bind at all.
         let server_key = campus.domain.auth_key(user).map_err(|e| e.to_string())?;
@@ -419,14 +410,15 @@ impl SystemTransport<'_> {
             let rng = &mut self.cores.get_mut(cc).rng;
             (rng.next_u64(), rng.next_u64())
         };
-        let srv_node = campus.server_nodes[sid];
+        let srv_node = campus.net.server_node(server.0);
         let binding = establish(user, ws, srv_node, client_key, server_key, nonces)
             .map_err(|e| e.to_string())?;
-        let cpu = self.servers.get_mut(sid).resources_mut().0;
+        let cpu = self.servers.get_mut(server.0 as usize).resources_mut().0;
         let ready = campus.kernel.handshake(&campus.net, ws, srv_node, cpu, at);
-        let cl = self.cores.get_mut(cc);
-        cl.bindings.insert((ws, server), binding);
-        cl.advance_to(ready);
+        self.cores
+            .get_mut(cc)
+            .bindings
+            .insert((ws, server), binding);
         Ok(ready)
     }
 
@@ -491,7 +483,6 @@ impl SystemTransport<'_> {
                 // retry timeout and reports it unreachable.
                 if !self.servers.get(sid).is_online() {
                     let done = at + campus.retry.timeout;
-                    self.cores.get_mut(cc).advance_to(done);
                     self.call_aborted(call, AnomalyReason::Unreachable, done);
                     call.result = Some((ViceReply::Error(ViceError::Unreachable(server.0)), done));
                     return Ok(());
@@ -526,7 +517,7 @@ impl SystemTransport<'_> {
                         let arrived = campus.kernel.request_leg(
                             &campus.net,
                             call.ws,
-                            campus.server_nodes[sid],
+                            campus.net.server_node(server.0),
                             at,
                             call.req_wire,
                         );
@@ -547,9 +538,7 @@ impl SystemTransport<'_> {
                 }
                 self.timeout_fired(call, at);
                 if call.attempt >= campus.retry.max_attempts {
-                    let cl = self.cores.get_mut(cc);
-                    cl.call_stats.failures += 1;
-                    cl.advance_to(at);
+                    self.cores.get_mut(cc).call_stats.failures += 1;
                     self.call_aborted(call, AnomalyReason::TimedOut, at);
                     call.result = Some((ViceReply::Error(ViceError::TimedOut(server.0)), at));
                 } else {
@@ -651,7 +640,7 @@ impl SystemTransport<'_> {
             NetEvent::ReplyDepart => {
                 let completed = campus.kernel.reply_leg(
                     &campus.net,
-                    campus.server_nodes[sid],
+                    campus.net.server_node(server.0),
                     call.ws,
                     at,
                     call.reply_wire,
@@ -691,19 +680,15 @@ impl SystemTransport<'_> {
                         self.cores.get_mut(cc).traffic.record(subtree, cc as u32);
                     }
                 }
-                self.servers.get_mut(sid).record_call(
-                    call.req.kind(),
-                    call.req_wire,
-                    call.reply_wire,
-                    call.elapsed,
-                );
-                self.cores.get_mut(cc).advance_to(at);
+                self.servers
+                    .get_mut(sid)
+                    .record_call(call.req.kind(), call.elapsed);
 
                 // Callback-break messages this call generated enter the
                 // calendars of their *target* workstations' clusters, and
                 // their records those clusters' `breaks`; the op applies
                 // them when it ends.
-                let from_node = campus.server_nodes[sid];
+                let from_node = campus.net.server_node(server.0);
                 for (to_ws, paths) in self.servers.get_mut(sid).drain_breaks() {
                     // One base message plus a small increment for every
                     // extra path a batched message carries.
@@ -747,8 +732,7 @@ impl ViceTransport for SystemTransport<'_> {
         // A down server: the client burns the RPC timeout and synthesizes
         // an Unreachable error so Venus can fail over to a replica.
         if !self.servers.get(sid).is_online() {
-            let done = at + self.campus.kernel.costs().rpc_timeout;
-            self.cores.get_mut(cc).advance_to(done);
+            let done = at + self.campus.retry.timeout;
             self.unbound_call_aborted(cc, ws, server, done);
             return Ok((ViceReply::Error(ViceError::Unreachable(server.0)), done));
         }
@@ -824,7 +808,7 @@ impl ViceTransport for SystemTransport<'_> {
         let campus = self.campus;
         *candidates
             .iter()
-            .min_by_key(|s| (campus.net.hops(ws, campus.server_nodes[s.0 as usize]), s.0))
+            .min_by_key(|s| (campus.net.hops(ws, campus.net.server_node(s.0)), s.0))
             .expect("candidates non-empty")
     }
 

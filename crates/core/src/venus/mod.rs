@@ -35,7 +35,7 @@ pub mod namespace;
 pub use cache::{Cache, CacheEntry, CacheStats};
 pub use namespace::{Namespace, Space, WorkstationType, VICE_MOUNT};
 
-use crate::config::{CachePolicy, WritePolicy};
+use crate::config::{SystemConfig, WritePolicy};
 use crate::location::subtree_covers;
 use crate::protect::AccessList;
 use crate::proto::{
@@ -203,74 +203,45 @@ pub struct Venus {
     /// [`Venus::reconnect_backoff`].
     reconnect_failures: HashMap<ServerId, u32>,
     /// Private jitter stream for reconnect backoff. Deliberately NOT forked
-    /// from any shared stream: it is seeded arithmetically (see the
-    /// topology builder), so merely having it changes no existing run.
+    /// from any shared stream: it is seeded arithmetically (see
+    /// [`Venus::new`]), so merely having it changes no existing run.
     reconnect_rng: SimRng,
 }
 
 const CUSTODIAN_RETRIES: u32 = 3;
 
 impl Venus {
-    /// Creates a Venus instance for a workstation.
-    pub fn new(
-        node: NodeId,
-        ws_type: WorkstationType,
-        policy: CachePolicy,
-        validation: ValidationMode,
-        traversal: TraversalMode,
-        costs: Costs,
-    ) -> Venus {
-        Venus::with_write_policy(
-            node,
-            ws_type,
-            policy,
-            validation,
-            traversal,
-            costs,
-            WritePolicy::StoreOnClose,
-        )
-    }
-
-    /// Creates a Venus with an explicit write-back policy (the E16
-    /// ablation; [`Venus::new`] defaults to store-on-close as the paper
-    /// chose).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_write_policy(
-        node: NodeId,
-        ws_type: WorkstationType,
-        policy: CachePolicy,
-        validation: ValidationMode,
-        traversal: TraversalMode,
-        costs: Costs,
-        write_policy: WritePolicy,
-    ) -> Venus {
+    /// Creates a Venus instance for a workstation, its cache, validation,
+    /// traversal, cost and write-back settings taken from `config`.
+    ///
+    /// The reconnect-jitter stream is seeded arithmetically from the
+    /// system seed and this workstation's node id: distinct workstations
+    /// desynchronize their retry storms differently but reproducibly, and
+    /// no shared stream is drawn from, so having it shifts no run.
+    pub fn new(node: NodeId, ws_type: WorkstationType, config: &SystemConfig) -> Venus {
+        let jitter_seed = config
+            .seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(u64::from(node.0));
         Venus {
             node,
             namespace: Namespace::standard(ws_type),
-            cache: Cache::new(policy),
+            cache: Cache::new(config.cache),
             hints: BTreeMap::new(),
             session: None,
             open_files: HashMap::new(),
             next_handle: 1,
             now: SimTime::ZERO,
-            validation,
-            traversal,
-            costs,
+            validation: config.validation,
+            traversal: config.traversal,
+            costs: config.costs.clone(),
             stats: VenusStats::default(),
-            write_policy,
+            write_policy: config.write_policy,
             dirty: BTreeMap::new(),
             server_epochs: HashMap::new(),
             reconnect_failures: HashMap::new(),
-            reconnect_rng: SimRng::seeded(0),
+            reconnect_rng: SimRng::seeded(jitter_seed),
         }
-    }
-
-    /// Seeds the private reconnect-jitter stream. Called once at topology
-    /// build with a seed derived arithmetically from the system seed and
-    /// this workstation's node id, so distinct workstations desynchronize
-    /// their retry storms differently but reproducibly.
-    pub fn seed_reconnect_jitter(&mut self, seed: u64) {
-        self.reconnect_rng = SimRng::seeded(seed);
     }
 
     /// Consecutive failed exchanges with `server` (0 = healthy).

@@ -141,11 +141,6 @@ impl Volume {
         self.quota_bytes = bytes;
     }
 
-    /// The configured quota.
-    pub fn quota(&self) -> Option<u64> {
-        self.quota_bytes
-    }
-
     /// Bytes of file data currently stored.
     pub fn used_bytes(&self) -> u64 {
         self.fs.data_bytes()

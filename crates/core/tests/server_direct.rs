@@ -2,6 +2,7 @@
 //! the server must be correct against arbitrary (including hostile)
 //! request streams, not just the ones a well-behaved Venus sends.
 
+use itc_core::config::SystemConfig;
 use itc_core::location::LocationDb;
 use itc_core::protect::{AccessList, ProtectionDomain, Rights};
 use itc_core::proto::{
@@ -10,7 +11,7 @@ use itc_core::proto::{
 use itc_core::server::{QueuedRequest, Server};
 use itc_core::volume::{Volume, VolumeId};
 use itc_rpc::NodeId;
-use itc_sim::{Costs, SimRng, SimTime, TraceId, TraversalMode, ValidationMode};
+use itc_sim::{Costs, SimRng, SimTime, TraceId, ValidationMode};
 use std::sync::OnceLock;
 
 const WS: NodeId = NodeId(10);
@@ -47,12 +48,11 @@ fn location() -> &'static LocationDb {
 }
 
 fn make_server(validation: ValidationMode) -> Server {
-    let mut srv = Server::new(
-        ServerId(0),
-        NodeId(0),
+    let config = SystemConfig {
         validation,
-        TraversalMode::ServerSide,
-    );
+        ..SystemConfig::prototype(1, 1)
+    };
+    let mut srv = Server::new(ServerId(0), NodeId(0), &config);
     let mut acl = AccessList::new();
     acl.grant("staff", Rights::ALL);
     acl.grant("anyuser", Rights::READ_ONLY);
@@ -428,12 +428,7 @@ fn readonly_replica_serves_reads_but_not_writes() {
     let clone = {
         // The protection database is replicated at each server: the
         // replica's callers are checked against the same users and groups.
-        let mut replica_srv = Server::new(
-            ServerId(1),
-            NodeId(1),
-            ValidationMode::CheckOnOpen,
-            TraversalMode::ServerSide,
-        );
+        let mut replica_srv = Server::new(ServerId(1), NodeId(1), &SystemConfig::prototype(1, 1));
         let vol_id = srv.volumes()[0].id();
         let clone = srv
             .volume_mut(vol_id)

@@ -2,12 +2,12 @@
 //! protocol logic (hint management, NotCustodian retries, validation
 //! decisions, symlink following) independent of any real server.
 
-use itc_core::config::CachePolicy;
+use itc_core::config::{CachePolicy, SystemConfig};
 use itc_core::proto::{EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest};
 use itc_core::venus::{Venus, ViceTransport, WorkstationType};
 use itc_cryptbox::derive_key;
 use itc_rpc::NodeId;
-use itc_sim::{Costs, SimTime, TraversalMode, ValidationMode};
+use itc_sim::{SimTime, TraversalMode, ValidationMode};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
@@ -58,14 +58,12 @@ impl ViceTransport for FakeTransport {
 }
 
 fn venus(validation: ValidationMode) -> Venus {
-    let mut v = Venus::new(
-        NodeId(9),
-        WorkstationType::Sun,
-        CachePolicy::CountLru(50),
+    let config = SystemConfig {
+        cache: CachePolicy::CountLru(50),
         validation,
-        TraversalMode::ServerSide,
-        Costs::prototype_1985(),
-    );
+        ..SystemConfig::prototype(1, 1)
+    };
+    let mut v = Venus::new(NodeId(9), WorkstationType::Sun, &config);
     v.set_session("u", derive_key("pw", "u"));
     v
 }
@@ -320,14 +318,11 @@ fn writes_through_read_only_handles_are_rejected() {
 
 #[test]
 fn not_logged_in_blocks_vice_but_not_local() {
-    let mut v = Venus::new(
-        NodeId(1),
-        WorkstationType::Sun,
-        CachePolicy::CountLru(10),
-        ValidationMode::CheckOnOpen,
-        TraversalMode::ServerSide,
-        Costs::prototype_1985(),
-    );
+    let config = SystemConfig {
+        cache: CachePolicy::CountLru(10),
+        ..SystemConfig::prototype(1, 1)
+    };
+    let mut v = Venus::new(NodeId(1), WorkstationType::Sun, &config);
     let mut t = FakeTransport::new(vec![]);
     assert!(v.fetch_file(&mut t, "/vice/usr/u/f").is_err());
     // Local files still work without a session.
@@ -339,14 +334,13 @@ fn not_logged_in_blocks_vice_but_not_local() {
 
 #[test]
 fn client_side_traversal_fetches_and_caches_directories() {
-    let mut v = Venus::new(
-        NodeId(9),
-        WorkstationType::Sun,
-        CachePolicy::CountLru(50),
-        ValidationMode::Callback,
-        TraversalMode::ClientSide,
-        Costs::prototype_1985(),
-    );
+    let config = SystemConfig {
+        cache: CachePolicy::CountLru(50),
+        validation: ValidationMode::Callback,
+        traversal: TraversalMode::ClientSide,
+        ..SystemConfig::prototype(1, 1)
+    };
+    let mut v = Venus::new(NodeId(9), WorkstationType::Sun, &config);
     v.set_session("u", derive_key("pw", "u"));
     let dir_status = |p: &str, fid| VStatus {
         kind: EntryKind::Dir,

@@ -7,6 +7,12 @@
 //! only determines *cost*: a message between nodes in the same cluster
 //! crosses zero bridges; between clusters it crosses two (cluster → backbone
 //! → cluster).
+//!
+//! The campus is uniform — every cluster is one server followed by the same
+//! number of workstations — so a node's id, its cluster and its workstation
+//! index are arithmetic, and the network stores nothing per node. Cluster
+//! `c` holds node `c·(per+1)` (its server) then the next `per` nodes (its
+//! workstations, numbered across the campus cluster by cluster).
 
 /// Identifies a cluster (one LAN segment plus its bridge).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -16,43 +22,51 @@ pub struct ClusterId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
-/// The cluster/backbone topology: which cluster each node lives on.
-#[derive(Debug, Default, Clone)]
+/// The uniform cluster/backbone topology: one server and `per_cluster`
+/// workstations per cluster, laid out cluster by cluster.
+#[derive(Debug, Clone, Copy)]
 pub struct Network {
-    node_cluster: Vec<ClusterId>,
-    clusters: u32,
+    per_cluster: u32,
 }
 
 impl Network {
-    /// Creates an empty network.
-    pub fn new() -> Network {
-        Network::default()
+    /// A campus whose clusters each hold one server and `per_cluster`
+    /// workstations.
+    pub fn uniform(per_cluster: u32) -> Network {
+        Network { per_cluster }
     }
 
-    /// Adds a cluster segment, returning its id.
-    pub fn add_cluster(&mut self) -> ClusterId {
-        let id = ClusterId(self.clusters);
-        self.clusters += 1;
-        id
+    /// Workstations per cluster.
+    pub fn per_cluster(&self) -> u32 {
+        self.per_cluster
     }
 
-    /// Attaches a node to a cluster, returning its id.
-    ///
-    /// # Panics
-    /// Panics if the cluster does not exist.
-    pub fn add_node(&mut self, cluster: ClusterId) -> NodeId {
-        assert!(cluster.0 < self.clusters, "unknown cluster {cluster:?}");
-        let id = NodeId(self.node_cluster.len() as u32);
-        self.node_cluster.push(cluster);
-        id
+    /// Nodes per cluster: its server and its workstations.
+    fn stride(&self) -> u32 {
+        self.per_cluster + 1
+    }
+
+    /// The node of cluster `cluster`'s server.
+    pub fn server_node(&self, cluster: u32) -> NodeId {
+        NodeId(cluster * self.stride())
+    }
+
+    /// The node of workstation `ws` (workstations are numbered cluster by
+    /// cluster, each cluster's after its server).
+    pub fn ws_node(&self, ws: usize) -> NodeId {
+        let ws = ws as u32;
+        NodeId(ws + ws / self.per_cluster + 1)
+    }
+
+    /// The workstation at `node`, or `None` for a server node.
+    pub fn ws_of(&self, node: NodeId) -> Option<usize> {
+        let slot = node.0 % self.stride();
+        (slot != 0).then(|| (node.0 / self.stride() * self.per_cluster + slot - 1) as usize)
     }
 
     /// The cluster a node is attached to.
-    ///
-    /// # Panics
-    /// Panics if the node does not exist.
     pub fn cluster_of(&self, node: NodeId) -> ClusterId {
-        self.node_cluster[node.0 as usize]
+        ClusterId(node.0 / self.stride())
     }
 
     /// Number of bridges a message from `a` to `b` crosses: 0 within a
@@ -73,23 +87,31 @@ mod tests {
 
     #[test]
     fn topology_hops() {
-        let mut net = Network::new();
-        let c0 = net.add_cluster();
-        let c1 = net.add_cluster();
-        let ws0 = net.add_node(c0);
-        let srv0 = net.add_node(c0);
-        let srv1 = net.add_node(c1);
+        let net = Network::uniform(1);
+        let srv0 = net.server_node(0);
+        let ws0 = net.ws_node(0);
+        let srv1 = net.server_node(1);
         assert_eq!(net.hops(ws0, srv0), 0);
         assert_eq!(net.hops(ws0, srv1), 2);
         assert_eq!(net.hops(srv1, ws0), 2);
         assert_eq!(net.hops(ws0, ws0), 0);
-        assert_eq!(net.cluster_of(srv1), c1);
+        assert_eq!(net.cluster_of(srv1), ClusterId(1));
     }
 
     #[test]
-    #[should_panic(expected = "unknown cluster")]
-    fn unknown_cluster_rejected() {
-        let mut net = Network::new();
-        net.add_node(ClusterId(0));
+    fn workstation_and_node_ids_round_trip() {
+        for per in 1..5 {
+            let net = Network::uniform(per);
+            for w in 0..4 * per as usize {
+                let node = net.ws_node(w);
+                assert_eq!(net.ws_of(node), Some(w));
+                assert_eq!(net.cluster_of(node), ClusterId(w as u32 / per));
+            }
+            for c in 0..4 {
+                let node = net.server_node(c);
+                assert_eq!(net.ws_of(node), None);
+                assert_eq!(net.cluster_of(node), ClusterId(c));
+            }
+        }
     }
 }

@@ -11,8 +11,6 @@ use itc_sim::{Counter, RunningStats, SimTime};
 #[derive(Debug, Default)]
 pub struct RpcStats {
     calls: Counter,
-    bytes_in: u64,
-    bytes_out: u64,
     latency: RunningStats,
 }
 
@@ -23,10 +21,8 @@ impl RpcStats {
     }
 
     /// Records one served call.
-    pub fn record(&mut self, kind: &str, request_bytes: u64, reply_bytes: u64, elapsed: SimTime) {
+    pub fn record(&mut self, kind: &str, elapsed: SimTime) {
         self.calls.bump(kind);
-        self.bytes_in += request_bytes;
-        self.bytes_out += reply_bytes;
         self.latency.record(elapsed.as_secs_f64());
     }
 
@@ -50,16 +46,6 @@ impl RpcStats {
         self.calls.clone()
     }
 
-    /// Total request bytes received.
-    pub fn bytes_in(&self) -> u64 {
-        self.bytes_in
-    }
-
-    /// Total reply bytes sent.
-    pub fn bytes_out(&self) -> u64 {
-        self.bytes_out
-    }
-
     /// Mean caller-observed latency in seconds.
     pub fn mean_latency_secs(&self) -> f64 {
         self.latency.mean()
@@ -79,27 +65,23 @@ mod tests {
     fn records_and_fractions() {
         let mut s = RpcStats::new();
         for _ in 0..65 {
-            s.record("validate", 128, 128, SimTime::from_millis(40));
+            s.record("validate", SimTime::from_millis(40));
         }
         for _ in 0..27 {
-            s.record("getstatus", 128, 256, SimTime::from_millis(50));
+            s.record("getstatus", SimTime::from_millis(50));
         }
         for _ in 0..4 {
-            s.record("fetch", 128, 10_000, SimTime::from_millis(300));
+            s.record("fetch", SimTime::from_millis(300));
         }
         for _ in 0..2 {
-            s.record("store", 10_000, 128, SimTime::from_millis(300));
+            s.record("store", SimTime::from_millis(300));
         }
         for _ in 0..2 {
-            s.record("other", 128, 128, SimTime::from_millis(10));
+            s.record("other", SimTime::from_millis(10));
         }
         assert_eq!(s.total_calls(), 100);
         assert!((s.fraction("validate") - 0.65).abs() < 1e-12);
         assert_eq!(s.calls_of("fetch"), 4);
-        assert_eq!(
-            s.bytes_in(),
-            65 * 128 + 27 * 128 + 4 * 128 + 2 * 10_000 + 2 * 128
-        );
         assert!(s.mean_latency_secs() > 0.0);
         s.reset();
         assert_eq!(s.total_calls(), 0);

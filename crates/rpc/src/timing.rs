@@ -82,16 +82,6 @@ impl TimingKernel {
         &self.costs
     }
 
-    /// The configured server structure.
-    pub fn structure(&self) -> ServerStructure {
-        self.structure
-    }
-
-    /// The configured encryption mode.
-    pub fn encryption(&self) -> EncryptionMode {
-        self.encryption
-    }
-
     /// The request leg of a call: the client seals and sends at `t0`, the
     /// network carries the bytes, and the result is the instant the request
     /// arrives at the server (before any CPU queueing).
@@ -212,13 +202,8 @@ mod tests {
     use itc_sim::costs::EncryptionMode;
 
     fn setup() -> (Network, NodeId, NodeId, NodeId) {
-        let mut net = Network::new();
-        let c0 = net.add_cluster();
-        let c1 = net.add_cluster();
-        let ws = net.add_node(c0);
-        let local_srv = net.add_node(c0);
-        let remote_srv = net.add_node(c1);
-        (net, ws, local_srv, remote_srv)
+        let net = Network::uniform(1);
+        (net, net.ws_node(0), net.server_node(0), net.server_node(1))
     }
 
     fn kernel(structure: ServerStructure) -> TimingKernel {

@@ -69,10 +69,10 @@ impl CallbackStormConfig {
 /// Runs the callback-break storm; returns the system and the report.
 pub fn run(cfg: &CallbackStormConfig) -> Result<(ItcSystem, ScenarioReport), SystemError> {
     let mut sc = SystemConfig::revised(1, cfg.workstations);
-    sc.tracing = true;
     sc.seed = cfg.seed;
     sc.callback_break_batching = cfg.batching;
     let mut sys = ItcSystem::build(sc);
+    sys.enable_tracing();
 
     let n = cfg.workstations as usize;
     let shared = "/vice/usr/writer/shared.dat";

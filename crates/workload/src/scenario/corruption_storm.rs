@@ -77,9 +77,9 @@ impl CorruptionStormConfig {
 /// run leaves behind (the acceptance gate asserts `latent == 0`).
 pub fn run(cfg: &CorruptionStormConfig) -> Result<(ItcSystem, ScenarioReport), SystemError> {
     let mut sc = SystemConfig::revised(2, cfg.workstations);
-    sc.tracing = true;
     sc.seed = cfg.seed;
     let mut sys = ItcSystem::build(sc);
+    sys.enable_tracing();
 
     let n = 2 * cfg.workstations as usize;
 

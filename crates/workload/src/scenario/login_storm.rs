@@ -87,9 +87,9 @@ pub fn run_mode(
     mode: RunMode,
 ) -> Result<(ItcSystem, ScenarioReport), SystemError> {
     let mut sc = SystemConfig::prototype(cfg.clusters, cfg.ws_per_cluster);
-    sc.tracing = true;
     sc.seed = cfg.seed;
     let mut sys = ItcSystem::build(sc);
+    sys.enable_tracing();
 
     let n = (cfg.clusters * cfg.ws_per_cluster) as usize;
     let per_cluster = cfg.ws_per_cluster as usize;

@@ -62,9 +62,9 @@ impl ReleasePushConfig {
 /// Runs the release push; returns the system and the report.
 pub fn run(cfg: &ReleasePushConfig) -> Result<(ItcSystem, ScenarioReport), SystemError> {
     let mut sc = SystemConfig::prototype(cfg.clusters, cfg.ws_per_cluster);
-    sc.tracing = true;
     sc.seed = cfg.seed;
     let mut sys = ItcSystem::build(sc);
+    sys.enable_tracing();
 
     let n = (cfg.clusters * cfg.ws_per_cluster) as usize;
     let sites: Vec<ServerId> = (0..cfg.clusters).map(ServerId).collect();

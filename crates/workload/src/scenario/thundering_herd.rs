@@ -79,9 +79,9 @@ impl ThunderingHerdConfig {
 /// Runs the thundering herd; returns the system and the report.
 pub fn run(cfg: &ThunderingHerdConfig) -> Result<(ItcSystem, ScenarioReport), SystemError> {
     let mut sc = SystemConfig::revised(1, cfg.workstations);
-    sc.tracing = true;
     sc.seed = cfg.seed;
     let mut sys = ItcSystem::build(sc);
+    sys.enable_tracing();
 
     let n = cfg.workstations as usize;
     let server = ServerId(0);

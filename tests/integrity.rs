@@ -23,7 +23,7 @@ use itc_afs::core::system::ItcSystem;
 use itc_afs::core::volume::{Volume, VolumeId};
 use itc_afs::core::SystemConfig;
 use itc_afs::rpc::NodeId;
-use itc_afs::sim::{Costs, FaultPlan, Percentiles, SimRng, SimTime, TraversalMode, ValidationMode};
+use itc_afs::sim::{Costs, FaultPlan, Percentiles, SimRng, SimTime, ValidationMode};
 use itc_workload::day::{run_day, run_day_drivers, run_day_on, DayConfig};
 use itc_workload::scenario::corruption_storm::{self, CorruptionStormConfig};
 
@@ -419,12 +419,11 @@ fn a_flip_lands_in_exactly_one_holder_of_the_shared_buffer() {
 /// One server, for tests that drive `Server` directly (their callers are
 /// checked against an empty protection domain).
 fn lone_server() -> Server {
-    Server::new(
-        ServerId(0),
-        NodeId(0),
-        ValidationMode::Callback,
-        TraversalMode::ServerSide,
-    )
+    let config = SystemConfig {
+        validation: ValidationMode::Callback,
+        ..SystemConfig::prototype(1, 1)
+    };
+    Server::new(ServerId(0), NodeId(0), &config)
 }
 
 /// The last line of defense: when a volume is salvaged from a checkpoint
@@ -719,13 +718,14 @@ fn scrub_never_moves_foreground_virtual_time() {
 #[test]
 fn scrub_disk_time_has_its_own_ledger_kind() {
     let day = DayConfig::short();
-    let mut cfg = SystemConfig::prototype(1, 1);
-    cfg.tracing = true;
+    let cfg = SystemConfig::prototype(1, 1);
 
     let mut plain_sys = ItcSystem::build(cfg.clone());
+    plain_sys.enable_tracing();
     let _ = run_day_on(&mut plain_sys, &day).unwrap();
 
     let mut sys = ItcSystem::build(cfg);
+    sys.enable_tracing();
     sys.enable_scrub(SimTime::from_secs(60));
     let _ = run_day_on(&mut sys, &day).unwrap();
 

@@ -28,9 +28,8 @@ use itc_workload::{CallbackStormConfig, CorruptionStormConfig, LoginStormConfig}
 #[test]
 fn fault_free_day_raises_no_health_events() {
     let day = DayConfig::short();
-    let mut cfg = SystemConfig::prototype(2, 2);
-    cfg.tracing = true;
-    let mut sys = ItcSystem::build(cfg);
+    let mut sys = ItcSystem::build(SystemConfig::prototype(2, 2));
+    sys.enable_tracing();
     sys.enable_scrub(SimTime::from_secs(90));
     let report = run_day_on(&mut sys, &day).expect("day runs");
     assert!(report.ops > 0);

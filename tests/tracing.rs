@@ -18,7 +18,7 @@ use itc_afs::core::config::SystemConfig;
 use itc_afs::core::proto::ServerId;
 use itc_afs::core::system::ItcSystem;
 use itc_afs::sim::{AnomalyReason, FaultPlan, SimTime, SpanClass, TraceId, TraceStats};
-use itc_workload::day::{run_day, DayConfig};
+use itc_workload::day::{run_day_on, DayConfig};
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------
@@ -29,11 +29,9 @@ use std::fmt::Write as _;
 /// capture from `tests/golden_timings.rs` must hold bit-identically.
 #[test]
 fn golden_short_day_is_bit_identical_with_tracing_enabled() {
-    let cfg = SystemConfig {
-        tracing: true,
-        ..SystemConfig::prototype(1, 1)
-    };
-    let (sys, report) = run_day(cfg, &DayConfig::short()).unwrap();
+    let mut sys = ItcSystem::build(SystemConfig::prototype(1, 1));
+    sys.enable_tracing();
+    let report = run_day_on(&mut sys, &DayConfig::short()).unwrap();
     let m = &report.metrics;
 
     assert_eq!(report.ops, 86);
@@ -64,11 +62,8 @@ fn golden_short_day_is_bit_identical_with_tracing_enabled() {
 /// timestamps are unchanged to the microsecond.
 #[test]
 fn golden_scripted_ops_are_bit_identical_with_tracing_enabled() {
-    let cfg = SystemConfig {
-        tracing: true,
-        ..SystemConfig::prototype(2, 2)
-    };
-    let mut sys = ItcSystem::build(cfg);
+    let mut sys = ItcSystem::build(SystemConfig::prototype(2, 2));
+    sys.enable_tracing();
     sys.add_user("satya", "pw").unwrap();
     sys.create_user_volume("satya", 1).unwrap();
     sys.login(0, "satya", "pw").unwrap();
@@ -158,10 +153,12 @@ fn faulty_fingerprint(tracing: bool) -> String {
 fn faulty_system(seed: u64, tracing: bool) -> ItcSystem {
     let cfg = SystemConfig {
         seed,
-        tracing,
         ..SystemConfig::prototype(2, 2)
     };
     let mut sys = ItcSystem::build(cfg);
+    if tracing {
+        sys.enable_tracing();
+    }
     for i in 0..4usize {
         let user = format!("u{i}");
         sys.add_user(&user, "pw").unwrap();
@@ -295,11 +292,8 @@ fn span_components_sum_exactly_to_end_to_end_latency() {
 /// the same id, in causal order.
 #[test]
 fn trace_ids_propagate_through_server_side_spans() {
-    let cfg = SystemConfig {
-        tracing: true,
-        ..SystemConfig::prototype(1, 1)
-    };
-    let mut sys = ItcSystem::build(cfg);
+    let mut sys = ItcSystem::build(SystemConfig::prototype(1, 1));
+    sys.enable_tracing();
     sys.add_user("eve", "pw").unwrap();
     sys.create_user_volume("eve", 0).unwrap();
     sys.login(0, "eve", "pw").unwrap();
@@ -349,11 +343,8 @@ fn trace_ids_propagate_through_server_side_spans() {
 /// from either cluster, and nothing for an id no cluster minted.
 #[test]
 fn spans_of_reads_the_collector_of_the_cluster_that_minted_the_id() {
-    let cfg = SystemConfig {
-        tracing: true,
-        ..SystemConfig::prototype(2, 2)
-    };
-    let mut sys = ItcSystem::build(cfg);
+    let mut sys = ItcSystem::build(SystemConfig::prototype(2, 2));
+    sys.enable_tracing();
     for ws in 0..4usize {
         let user = format!("u{ws}");
         sys.add_user(&user, "pw").unwrap();
@@ -401,10 +392,10 @@ fn spans_of_reads_the_collector_of_the_cluster_that_minted_the_id() {
 fn timeout_scenario(seed: u64) -> (ItcSystem, Vec<(String, String)>) {
     let cfg = SystemConfig {
         seed,
-        tracing: true,
         ..SystemConfig::prototype(1, 1)
     };
     let mut sys = ItcSystem::build(cfg);
+    sys.enable_tracing();
     sys.add_user("eve", "pw").unwrap();
     sys.create_user_volume("eve", 0).unwrap();
     sys.login(0, "eve", "pw").unwrap();
@@ -468,11 +459,8 @@ fn seeded_timeout_freezes_a_dump_naming_the_server() {
 
 #[test]
 fn offline_volume_reply_freezes_a_dump_naming_the_volume() {
-    let cfg = SystemConfig {
-        tracing: true,
-        ..SystemConfig::prototype(1, 1)
-    };
-    let mut sys = ItcSystem::build(cfg);
+    let mut sys = ItcSystem::build(SystemConfig::prototype(1, 1));
+    sys.enable_tracing();
     sys.add_user("eve", "pw").unwrap();
     let vol = sys.create_user_volume("eve", 0).unwrap();
     sys.login(0, "eve", "pw").unwrap();
@@ -501,11 +489,11 @@ fn offline_volume_reply_freezes_a_dump_naming_the_volume() {
 #[test]
 fn utilization_peak_trips_the_flight_recorder() {
     let cfg = SystemConfig {
-        tracing: true,
         encryption: itc_afs::sim::costs::EncryptionMode::Software,
         ..SystemConfig::prototype(1, 1)
     };
     let mut sys = ItcSystem::build(cfg);
+    sys.enable_tracing();
     sys.add_user("u0", "pw").unwrap();
     sys.login(0, "u0", "pw").unwrap();
     // 8 MB at 20 µs/byte of software crypt ≈ 160 s of CPU in a single
@@ -586,11 +574,8 @@ fn anomaly_export_is_byte_identical_across_same_seed_runs() {
 /// the call's hops and components.
 #[test]
 fn breakdown_lookup_and_renderers_cover_the_call() {
-    let cfg = SystemConfig {
-        tracing: true,
-        ..SystemConfig::prototype(1, 1)
-    };
-    let mut sys = ItcSystem::build(cfg);
+    let mut sys = ItcSystem::build(SystemConfig::prototype(1, 1));
+    sys.enable_tracing();
     sys.add_user("eve", "pw").unwrap();
     sys.create_user_volume("eve", 0).unwrap();
     sys.login(0, "eve", "pw").unwrap();

@@ -31,7 +31,7 @@ use itc_afs::core::server::Server;
 use itc_afs::core::system::ItcSystem;
 use itc_afs::core::volume::Volume;
 use itc_afs::rpc::NodeId;
-use itc_afs::sim::{Costs, SimTime, TraversalMode, ValidationMode};
+use itc_afs::sim::{Costs, SimTime};
 use itc_afs::unixfs::{FileSystem, Mode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -296,12 +296,8 @@ fn a_warm_vice_call_stays_within_its_allocation_budget() {
     for u in 0..40 {
         domain.add_user(&format!("user{u:02}"), "pw").unwrap();
     }
-    let mut srv = Server::new(
-        ServerId(0),
-        NodeId(0),
-        ValidationMode::Callback,
-        TraversalMode::ClientSide,
-    );
+    // The revised column: callback validation, client-side traversal.
+    let mut srv = Server::new(ServerId(0), NodeId(0), &SystemConfig::revised(1, 1));
     let mut acl = AccessList::new();
     acl.grant("anyuser", Rights::ALL);
     let mut vol = Volume::new(VolumeId(1), "storm.c0", "/vice/storm0", acl);
