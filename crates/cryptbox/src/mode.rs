@@ -1,15 +1,15 @@
-//! CBC encryption with PKCS#7 padding, authenticated by a CBC-MAC computed
-//! under a derived MAC key (encrypt-then-MAC).
+//! Counter-mode XTEA with PKCS#7 padding, authenticated by a PMAC1 tag
+//! (Black & Rogaway, 2002) under a derived MAC key (encrypt-then-MAC).
 //!
-//! Wire format produced by [`seal`]:
-//! `IV (8 bytes) || ciphertext (8n bytes) || MAC (8 bytes)`.
+//! Wire format produced by [`seal`] (v2; v1's layout and lengths):
+//! `IV (8 bytes) || ciphertext (8n bytes) || tag (8 bytes)`.
 //!
 //! The MAC key is derived from the data key by a fixed XOR mask so callers
 //! manage only one [`Key`]. Replay protection is the responsibility of the
 //! channel layer ([`crate::channel`]), which binds a sequence number into
 //! the plaintext.
 
-use crate::xtea::{encrypt1, encrypt2, encrypt_decrypt, Key, Schedule};
+use crate::xtea::{encrypt1, encrypt_each, Key, Schedule};
 
 /// Errors returned by [`open`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,19 +36,30 @@ impl std::error::Error for SealError {}
 
 const MAC_MASK: Key = Key([0xA5A5_A5A5, 0x5A5A_5A5A, 0x0F0F_0F0F, 0xF0F0_F0F0]);
 
-/// The expanded data key and MAC key of one [`Key`]. A channel endpoint
-/// builds them once; [`seal`] and [`open`] build them per call.
-#[derive(Debug, Clone)]
+/// The expanded data and MAC keys of one [`Key`], and PMAC's `L`. A channel
+/// endpoint builds them once; [`seal`] and [`open`] build them per call.
+#[derive(Clone)]
 pub(crate) struct Keys {
     data: Schedule,
     mac: Schedule,
+    l: u64,
+}
+
+impl std::fmt::Debug for Keys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // `L` is key material too: never print it.
+        write!(f, "Keys({:?}, {:?}, ..)", self.data, self.mac)
+    }
 }
 
 impl Keys {
     pub(crate) fn new(key: Key) -> Keys {
+        let mac = Schedule::new(key.xor(MAC_MASK));
+        let l = encrypt1(&mac, 0);
         Keys {
             data: Schedule::new(key),
-            mac: Schedule::new(key.xor(MAC_MASK)),
+            mac,
+            l,
         }
     }
 }
@@ -57,65 +68,70 @@ fn load(block: &[u8]) -> u64 {
     u64::from_be_bytes(block.try_into().expect("block is 8 bytes"))
 }
 
+/// XORs the keystream `E_data(iv + i)` into block *i* of `body`.
+fn ctr(keys: &Keys, iv: u64, body: &mut [u8]) {
+    let counter = |i: usize| iv.wrapping_add(i as u64);
+    encrypt_each(&keys.data, body.len() / 8, counter, |i, k| {
+        let block = &mut body[8 * i..8 * i + 8];
+        block.copy_from_slice(&(load(block) ^ k).to_be_bytes());
+    });
+}
+
+/// The PMAC1 tag of `msg` (two blocks or more): offsets `Δ_i = Δ_(i-1) ^
+/// L·x^ntz(i)` in GF(2^64) modulo x^64 + x^4 + x^3 + x + 1, and `L·x^-1`
+/// for the last block.
+fn pmac(keys: &Keys, msg: &[u8]) -> u64 {
+    let double = |x: u64| (x << 1) ^ ((x >> 63) * 0x1b);
+    let n = msg.len() / 8 - 1;
+    let (mut offset, mut sum) = (0, 0);
+    let whiten = |i: usize| {
+        offset ^= (0..(i + 1).trailing_zeros()).fold(keys.l, |l, _| double(l));
+        load(&msg[8 * i..8 * i + 8]) ^ offset
+    };
+    encrypt_each(&keys.mac, n, whiten, |_, y| sum ^= y);
+    let l_half = (keys.l >> 1) ^ ((keys.l & 1) * 0x8000_0000_0000_000d);
+    encrypt1(&keys.mac, sum ^ load(&msg[8 * n..]) ^ l_half)
+}
+
 /// Seals the concatenation of `parts` into one exact-size buffer,
-/// `IV || ciphertext || MAC`, in one pass: the MAC lane absorbs block
-/// *j*-1 of `IV || ciphertext` while the cipher lane produces block *j*.
-/// The CBC-MAC is length-prefixed so messages of different lengths with a
-/// common prefix cannot share a tag; its length block pairs with the IV.
+/// `IV || ciphertext || tag`, with `IV = E_data(seed)`.
 pub(crate) fn seal_parts(keys: &Keys, iv_seed: u64, parts: &[&[u8]]) -> Vec<u8> {
     // PKCS#7 pad to a whole number of blocks (always adds at least 1 byte).
     let len: usize = parts.iter().map(|p| p.len()).sum();
     let pad = 8 - len % 8;
     let mut out = Vec::with_capacity(8 + len + pad + 8);
-    out.extend_from_slice(&[0; 8]);
+    // Derive the IV by encrypting the seed, so equal seeds under different
+    // keys give different IVs.
+    let iv = encrypt1(&keys.data, iv_seed);
+    out.extend_from_slice(&iv.to_be_bytes());
     for part in parts {
         out.extend_from_slice(part);
     }
     out.extend(std::iter::repeat_n(pad as u8, pad));
-
-    // Derive the IV by encrypting the seed, so equal seeds under different
-    // keys give different IVs.
-    let (iv, mut mac) = encrypt2(&keys.data, iv_seed, &keys.mac, out.len() as u64);
-    let mut prev = iv;
-    for chunk in out.chunks_exact_mut(8).skip(1) {
-        let (ct, absorbed) = encrypt2(&keys.data, load(chunk) ^ prev, &keys.mac, mac ^ prev);
-        chunk.copy_from_slice(&ct.to_be_bytes());
-        (prev, mac) = (ct, absorbed);
-    }
-    out[..8].copy_from_slice(&iv.to_be_bytes());
-    let tag = encrypt1(&keys.mac, mac ^ prev);
+    ctr(keys, iv, &mut out[8..]);
+    let tag = pmac(keys, &out);
     out.extend_from_slice(&tag.to_be_bytes());
     out
 }
 
-/// Verifies and decrypts `sealed` in place, in one pass: CBC decryptions do
-/// not depend on each other, so block *j* is decrypted beside the MAC
-/// step that absorbs block *j*-1. On `Ok(n)` the plaintext is
+/// Verifies and decrypts `sealed` in place. On `Ok(n)` the plaintext is
 /// `sealed[8..8 + n]`.
 ///
-/// Verify-then-release: the buffer holds unauthenticated plaintext until
-/// the tag has been compared, so this is crate-private and every caller
-/// owns `sealed` and drops it on `Err`.
+/// Verify, then decrypt: a forged message is left as it arrived. A wrong
+/// padding shows only after decryption, so this is crate-private and every
+/// caller owns `sealed` and drops it on `Err`.
 pub(crate) fn open_in_place(keys: &Keys, sealed: &mut [u8]) -> Result<usize, SealError> {
-    // IV + at least one ciphertext block + MAC.
+    // IV + at least one ciphertext block + tag.
     if sealed.len() < 24 || !sealed.len().is_multiple_of(8) {
         return Err(SealError::Malformed);
     }
     let (body, tag) = sealed.split_at_mut(sealed.len() - 8);
-    let mut mac = encrypt1(&keys.mac, body.len() as u64);
-    let (iv, ct) = body.split_at_mut(8);
-    let mut prev = load(iv);
-    for chunk in ct.chunks_exact_mut(8) {
-        let block = load(chunk);
-        let (absorbed, plain) = encrypt_decrypt(&keys.mac, mac ^ prev, &keys.data, block);
-        chunk.copy_from_slice(&(plain ^ prev).to_be_bytes());
-        (prev, mac) = (block, absorbed);
-    }
-    // Constant-time-ish comparison is irrelevant in a simulation, but
-    // compare the whole tag regardless.
-    if encrypt1(&keys.mac, mac ^ prev) != load(tag) {
+    // Constant-time comparison is irrelevant in a simulation.
+    if pmac(keys, body) != load(tag) {
         return Err(SealError::Tampered);
     }
+    let (iv, ct) = body.split_at_mut(8);
+    ctr(keys, load(iv), ct);
 
     // Verify PKCS#7 padding.
     let pad = ct[ct.len() - 1] as usize;
@@ -144,6 +160,7 @@ pub fn open(key: Key, sealed: &[u8]) -> Result<Vec<u8>, SealError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::xtea::LANES;
 
     const KEY: Key = Key([11, 22, 33, 44]);
 
@@ -162,9 +179,11 @@ mod tests {
     }
 
     /// The textbook serial construction, kept whole as the reference the
-    /// lock-step kernel is compared against: XTEA from the published
-    /// description, CBC to the end, then CBC-MAC over the result; on open,
-    /// the MAC chain, then the decrypts. It shares no code with the crate.
+    /// lane-parallel kernel is compared against: XTEA from the published
+    /// description, one block at a time; CTR over the padded plaintext;
+    /// then PMAC1 over `IV || ciphertext` with its offsets as the paper
+    /// defines them, `γ_i · L` for the Gray code `γ_i`, by multiplication
+    /// in GF(2^64). It shares no code with the crate.
     mod reference {
         use super::super::{Key, SealError, MAC_MASK};
 
@@ -174,64 +193,78 @@ mod tests {
             ((v << 4) ^ (v >> 5)).wrapping_add(v)
         }
 
-        fn encrypt_bytes8(key: Key, bytes: &mut [u8; 8]) {
+        fn encrypt(key: Key, block: u64) -> u64 {
             let k = key.0;
-            let mut v0 = u32::from_be_bytes(bytes[..4].try_into().unwrap());
-            let mut v1 = u32::from_be_bytes(bytes[4..].try_into().unwrap());
+            let (mut v0, mut v1) = ((block >> 32) as u32, block as u32);
             let mut sum = 0u32;
             for _ in 0..32 {
                 v0 = v0.wrapping_add(mix(v1) ^ sum.wrapping_add(k[(sum & 3) as usize]));
                 sum = sum.wrapping_add(DELTA);
                 v1 = v1.wrapping_add(mix(v0) ^ sum.wrapping_add(k[((sum >> 11) & 3) as usize]));
             }
-            bytes[..4].copy_from_slice(&v0.to_be_bytes());
-            bytes[4..].copy_from_slice(&v1.to_be_bytes());
+            (u64::from(v0) << 32) | u64::from(v1)
         }
 
-        fn decrypt_bytes8(key: Key, bytes: &mut [u8; 8]) {
-            let k = key.0;
-            let mut v0 = u32::from_be_bytes(bytes[..4].try_into().unwrap());
-            let mut v1 = u32::from_be_bytes(bytes[4..].try_into().unwrap());
-            let mut sum = DELTA.wrapping_mul(32);
-            for _ in 0..32 {
-                v1 = v1.wrapping_sub(mix(v0) ^ sum.wrapping_add(k[((sum >> 11) & 3) as usize]));
-                sum = sum.wrapping_sub(DELTA);
-                v0 = v0.wrapping_sub(mix(v1) ^ sum.wrapping_add(k[(sum & 3) as usize]));
-            }
-            bytes[..4].copy_from_slice(&v0.to_be_bytes());
-            bytes[4..].copy_from_slice(&v1.to_be_bytes());
-        }
-
-        fn cbc_mac(key: Key, data: &[u8]) -> [u8; 8] {
-            let mut state = (data.len() as u64).to_be_bytes();
-            encrypt_bytes8(key, &mut state);
-            for chunk in data.chunks_exact(8) {
-                for i in 0..8 {
-                    state[i] ^= chunk[i];
+        /// `a · b` in GF(2^64) modulo x^64 + x^4 + x^3 + x + 1.
+        fn gf_mul(mut a: u64, mut b: u64) -> u64 {
+            let mut product = 0;
+            while b != 0 {
+                if b & 1 == 1 {
+                    product ^= a;
                 }
-                encrypt_bytes8(key, &mut state);
+                let carry = a >> 63;
+                a <<= 1;
+                if carry == 1 {
+                    a ^= 0x1b;
+                }
+                b >>= 1;
             }
-            state
+            product
+        }
+
+        /// The inverse of x: x · (x^63 + x^3 + x^2 + 1) = 1 in the field.
+        const X_INVERSE: u64 = 0x8000_0000_0000_000d;
+
+        fn blocks(bytes: &[u8]) -> Vec<u64> {
+            bytes
+                .chunks_exact(8)
+                .map(|b| u64::from_be_bytes(b.try_into().unwrap()))
+                .collect()
+        }
+
+        /// PMAC1 of `msg` (whole blocks, at least one) under the MAC key.
+        pub fn tag(key: Key, msg: &[u8]) -> [u8; 8] {
+            let mac = key.xor(MAC_MASK);
+            let l = encrypt(mac, 0);
+            let m = blocks(msg);
+            let mut sigma = 0;
+            for (i, &block) in m[..m.len() - 1].iter().enumerate() {
+                let i = i as u64 + 1;
+                sigma ^= encrypt(mac, block ^ gf_mul(i ^ (i >> 1), l));
+            }
+            sigma ^= m[m.len() - 1] ^ gf_mul(l, X_INVERSE);
+            encrypt(mac, sigma).to_be_bytes()
+        }
+
+        /// XORs `E(iv + i)` into block *i* of `buf`.
+        pub fn ctr(key: Key, iv: u64, buf: &mut [u8]) {
+            for (i, chunk) in buf.chunks_exact_mut(8).enumerate() {
+                let pad = encrypt(key, iv.wrapping_add(i as u64)).to_be_bytes();
+                for (b, p) in chunk.iter_mut().zip(pad) {
+                    *b ^= p;
+                }
+            }
         }
 
         pub fn seal(key: Key, iv_seed: u64, plaintext: &[u8]) -> Vec<u8> {
-            let mut iv = iv_seed.to_be_bytes();
-            encrypt_bytes8(key, &mut iv);
+            let iv = encrypt(key, iv_seed);
             let pad = 8 - (plaintext.len() % 8);
             let mut buf = plaintext.to_vec();
             buf.extend(std::iter::repeat_n(pad as u8, pad));
-            let mut prev = iv;
-            for chunk in buf.chunks_exact_mut(8) {
-                for i in 0..8 {
-                    chunk[i] ^= prev[i];
-                }
-                let block: &mut [u8; 8] = chunk.try_into().unwrap();
-                encrypt_bytes8(key, block);
-                prev = *block;
-            }
-            let mut out = iv.to_vec();
+            ctr(key, iv, &mut buf);
+            let mut out = iv.to_be_bytes().to_vec();
             out.extend_from_slice(&buf);
-            let tag = cbc_mac(key.xor(MAC_MASK), &out);
+            let tag = tag(key, &out);
             out.extend_from_slice(&tag);
             out
         }
@@ -240,22 +273,13 @@ mod tests {
             if sealed.len() < 24 || !sealed.len().is_multiple_of(8) {
                 return Err(SealError::Malformed);
             }
-            let (body, tag) = sealed.split_at(sealed.len() - 8);
-            if tag != cbc_mac(key.xor(MAC_MASK), body) {
+            let (body, t) = sealed.split_at(sealed.len() - 8);
+            if t != tag(key, body) {
                 return Err(SealError::Tampered);
             }
             let (iv, ct) = body.split_at(8);
-            let mut prev: [u8; 8] = iv.try_into().unwrap();
             let mut buf = ct.to_vec();
-            for chunk in buf.chunks_exact_mut(8) {
-                let saved: [u8; 8] = (&*chunk).try_into().unwrap();
-                let block: &mut [u8; 8] = chunk.try_into().unwrap();
-                decrypt_bytes8(key, block);
-                for i in 0..8 {
-                    block[i] ^= prev[i];
-                }
-                prev = saved;
-            }
+            ctr(key, u64::from_be_bytes(iv.try_into().unwrap()), &mut buf);
             let pad = *buf.last().unwrap() as usize;
             if pad == 0 || pad > 8 || !buf[buf.len() - pad..].iter().all(|&b| b as usize == pad) {
                 return Err(SealError::BadPadding);
@@ -265,8 +289,9 @@ mod tests {
         }
     }
 
-    /// The lock-step `seal` is the serial one, byte for byte, and `open`
-    /// inverts both: every length 0..=600 under 8 IV seeds and 4 keys.
+    /// The lane-parallel `seal` is the serial one, byte for byte, and
+    /// `open` inverts both: every length 0..=600 under 8 IV seeds and 4
+    /// keys.
     #[test]
     fn seal_is_byte_identical_to_the_serial_reference() {
         let mut st = 0x6f72_6163_6c65_3031u64;
@@ -285,6 +310,19 @@ mod tests {
                     msg
                 );
             }
+        }
+    }
+
+    /// The counter wraps modulo 2^64 as the reference's does, inside a
+    /// pass and across two.
+    #[test]
+    fn the_counter_wraps_as_the_reference_does() {
+        for iv in [u64::MAX - 3, u64::MAX - LANES as u64 - 1] {
+            let mut ours = [0x42u8; 8 * 2 * LANES];
+            let mut theirs = ours;
+            ctr(&Keys::new(KEY), iv, &mut ours);
+            reference::ctr(KEY, iv, &mut theirs);
+            assert_eq!(ours, theirs, "{iv:x}");
         }
     }
 
@@ -310,18 +348,44 @@ mod tests {
     /// in-place open agree on `BadPadding` (the MAC alone does not catch it).
     #[test]
     fn bad_padding_under_a_valid_tag_matches_the_reference() {
-        let keys = Keys::new(KEY);
         for last in [0u8, 9, 0xff, 3] {
-            // Seal 8 bytes ending in `last` with the padding block cut off:
-            // re-seal by hand as `IV || one block || tag`.
-            let mut sealed = seal(KEY, 5, &[1, 2, 3, 4, 5, 2, 3, last]);
+            // Seal 8 bytes ending in `last` with the padding block cut off,
+            // and tag `IV || one block` again with the reference.
+            let mut sealed = reference::seal(KEY, 5, &[1, 2, 3, 4, 5, 2, 3, last]);
             sealed.truncate(16);
-            let mac = encrypt1(&keys.mac, 16);
-            let mac = encrypt1(&keys.mac, mac ^ load(&sealed[..8]));
-            let tag = encrypt1(&keys.mac, mac ^ load(&sealed[8..16]));
-            sealed.extend_from_slice(&tag.to_be_bytes());
+            let tag = reference::tag(KEY, &sealed);
+            sealed.extend_from_slice(&tag);
             assert_eq!(open(KEY, &sealed), Err(SealError::BadPadding), "{last}");
             assert_eq!(reference::open(KEY, &sealed), Err(SealError::BadPadding));
+        }
+    }
+
+    /// For every plaintext length the sealed length is v1's,
+    /// `8 + 8·(len/8 + 1) + 8`, so the wire lengths and every virtual time
+    /// derived from them are those of the CBC format v2 replaced.
+    #[test]
+    fn sealed_length_is_the_v1_formula() {
+        for len in 0..=300 {
+            let sealed = seal(KEY, len as u64, &vec![7; len]);
+            assert_eq!(sealed.len(), 8 + 8 * (len / 8 + 1) + 8, "len={len}");
+        }
+    }
+
+    /// Verify, then decrypt: a forged message is refused before any byte
+    /// of it is touched.
+    #[test]
+    fn a_tampered_message_is_left_byte_identical() {
+        let keys = Keys::new(KEY);
+        let mut st = 0x6f72_6163_6c65_3033u64;
+        for len in [0usize, 7, 8, 58, 300] {
+            let sealed = seal(KEY, 9, &rand_bytes(&mut st, len));
+            for pos in 0..sealed.len() {
+                let mut bad = sealed.clone();
+                bad[pos] ^= 0x80;
+                let arrived = bad.clone();
+                assert_eq!(open_in_place(&keys, &mut bad), Err(SealError::Tampered));
+                assert_eq!(bad, arrived, "len {len} pos {pos}");
+            }
         }
     }
 
@@ -329,14 +393,14 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// A literal captured from the serial code before the kernel replaced it,
-    /// so the kernel and the reference cannot drift together.
+    /// A literal captured from the serial reference, so the kernel and the
+    /// reference cannot drift together.
     #[test]
     fn sealed_bytes_are_pinned() {
         assert_eq!(
             hex(&seal(KEY, 7, b"the location database changes slowly")),
-            "9c52dec322947e3ce29581bc25989f7f114fe13b5be673d150d5f1994f5b3af8\
-             3cc015ab7fc4dac2384874453550b2c188339779ea1e2421"
+            "9c52dec322947e3c8da28554e837286f333a2ad5cb617245948ccba296b1742e\
+             8ef0035ba14d9bd311e98cc004a3057c7e891efdd53401f4"
         );
     }
 

@@ -91,54 +91,82 @@ fn mix(v: u32) -> u32 {
     ((v << 4) ^ (v >> 5)).wrapping_add(v)
 }
 
-fn split(block: u64) -> [u32; 2] {
-    [(block >> 32) as u32, block as u32]
-}
+/// Blocks one full-width pass encrypts.
+pub(crate) const LANES: usize = 16;
 
-fn join([v0, v1]: [u32; 2]) -> u64 {
-    u64::from(v0) << 32 | u64::from(v1)
-}
-
-/// The one XTEA loop: 32 cycles advancing two independent blocks (big-endian
-/// `u64`s), lane `a` encrypting under `ka` and lane `b` encrypting or
-/// decrypting under `kb`. A block operation is a chain of 64 dependent
-/// half-cycles; two chains that do not feed each other overlap in the
-/// processor almost for free, which is what lets [`crate::mode`] run the
-/// CBC chain beside the CBC-MAC chain.
+/// The one XTEA loop: 32 cycles over `N` blocks' high/low halves under one
+/// schedule. `N` is a constant, so the chains run side by side in vector
+/// registers (a loop over a run-time lane count stayed scalar).
 #[inline(always)]
-fn two_lanes<const B_DECRYPTS: bool>(ka: &Schedule, a: u64, kb: &Schedule, b: u64) -> (u64, u64) {
-    let [mut a0, mut a1] = split(a);
-    let [mut b0, mut b1] = split(b);
-    for i in 0..CYCLES {
-        let [ra0, ra1] = ka.0[i];
-        a0 = a0.wrapping_add(mix(a1) ^ ra0);
-        a1 = a1.wrapping_add(mix(a0) ^ ra1);
-        if B_DECRYPTS {
-            let [rb0, rb1] = kb.0[CYCLES - 1 - i];
-            b1 = b1.wrapping_sub(mix(b0) ^ rb1);
-            b0 = b0.wrapping_sub(mix(b1) ^ rb0);
-        } else {
-            let [rb0, rb1] = kb.0[i];
-            b0 = b0.wrapping_add(mix(b1) ^ rb0);
-            b1 = b1.wrapping_add(mix(b0) ^ rb1);
+fn kernel<const N: usize>(k: &Schedule, v0: &mut [u32; N], v1: &mut [u32; N]) {
+    for &[r0, r1] in &k.0 {
+        for l in 0..N {
+            v0[l] = v0[l].wrapping_add(mix(v1[l]) ^ r0);
+        }
+        for l in 0..N {
+            v1[l] = v1[l].wrapping_add(mix(v0[l]) ^ r1);
         }
     }
-    (join([a0, a1]), join([b0, b1]))
 }
 
-/// Encrypts `a` under `ka` and `b` under `kb` in lock-step.
+/// The kernel for the baseline target. Out of line, because inlined into
+/// [`encrypt_each`] the four-lane instance compiles to four scalar chains.
+#[inline(never)]
+fn portable<const N: usize>(k: &Schedule, v0: &mut [u32; N], v1: &mut [u32; N]) {
+    kernel(k, v0, v1)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2(k: &Schedule, v0: &mut [u32; LANES], v1: &mut [u32; LANES]) {
+    kernel(k, v0, v1)
+}
+
+/// The full-width kernel, compiled for AVX2 where the processor has it.
+fn wide(k: &Schedule, v0: &mut [u32; LANES], v1: &mut [u32; LANES]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `avx2` enables only the AVX2 target feature, which this
+        // processor was just found to support.
+        return unsafe { avx2(k, v0, v1) };
+    }
+    portable(k, v0, v1)
+}
+
+/// Encrypts `input(0..n)` under `k` into `output`, in order, [`LANES`] per
+/// pass; a pass of up to four is narrow, costing what one block does.
+pub(crate) fn encrypt_each(
+    k: &Schedule,
+    n: usize,
+    mut input: impl FnMut(usize) -> u64,
+    mut output: impl FnMut(usize, u64),
+) {
+    for first in (0..n).step_by(LANES) {
+        let (lanes, mut v0, mut v1) = (LANES.min(n - first), [0; LANES], [0; LANES]);
+        for i in 0..lanes {
+            let b = input(first + i);
+            (v0[i], v1[i]) = ((b >> 32) as u32, b as u32);
+        }
+        match (v0.first_chunk_mut::<4>(), v1.first_chunk_mut::<4>()) {
+            (Some(n0), Some(n1)) if lanes <= 4 => portable(k, n0, n1),
+            _ => wide(k, &mut v0, &mut v1),
+        }
+        for i in 0..lanes {
+            output(first + i, u64::from(v0[i]) << 32 | u64::from(v1[i]));
+        }
+    }
+}
+
+/// Encrypts `a` under `ka` and `b` under `kb`.
 pub(crate) fn encrypt2(ka: &Schedule, a: u64, kb: &Schedule, b: u64) -> (u64, u64) {
-    two_lanes::<false>(ka, a, kb, b)
+    (encrypt1(ka, a), encrypt1(kb, b))
 }
 
-/// Encrypts `a` under `ka` while decrypting `b` under `kb`.
-pub(crate) fn encrypt_decrypt(ka: &Schedule, a: u64, kb: &Schedule, b: u64) -> (u64, u64) {
-    two_lanes::<true>(ka, a, kb, b)
-}
-
-/// Encrypts one block alone (the second lane idles).
+/// Encrypts one block alone.
 pub(crate) fn encrypt1(k: &Schedule, block: u64) -> u64 {
-    encrypt2(k, block, k, 0).0
+    let mut out = 0;
+    encrypt_each(k, 1, |_| block, |_, b| out = b);
+    out
 }
 
 #[cfg(test)]
@@ -147,72 +175,89 @@ mod tests {
 
     const KEY: Key = Key([0x0123_4567, 0x89ab_cdef, 0xfedc_ba98, 0x7654_3210]);
 
-    /// Decrypts one block alone (the first lane idles).
-    fn decrypt1(k: &Schedule, block: u64) -> u64 {
-        encrypt_decrypt(k, 0, k, block).1
-    }
-
-    #[test]
-    fn round_trips() {
-        let k = Schedule::new(KEY);
-        let original = join([0xdead_beef, 0x0bad_f00d]);
-        let block = encrypt1(&k, original);
-        assert_ne!(block, original, "encryption must change the block");
-        assert_eq!(decrypt1(&k, block), original);
-    }
-
-    #[test]
-    fn wrong_key_does_not_decrypt() {
-        let block = encrypt1(&Schedule::new(KEY), join([1, 2]));
-        let wrong = Schedule::new(Key([0, 0, 0, 1]));
-        assert_ne!(decrypt1(&wrong, block), join([1, 2]));
-    }
+    /// Published XTEA test vectors (Needham/Wheeler reference
+    /// implementation, 32 cycles) as `(key, plaintext, ciphertext)`.
+    const VECTORS: [(Key, u64, u64); 2] = [
+        (
+            Key([0x0001_0203, 0x0405_0607, 0x0809_0a0b, 0x0c0d_0e0f]),
+            0x4142_4344_4546_4748, // "ABCDEFGH"
+            0x497d_f3d0_7261_2cb5,
+        ),
+        (Key([0; 4]), 0, 0xdee9_d4d8_f713_1ed9),
+    ];
 
     #[test]
     fn known_answer_vectors() {
-        // Published XTEA test vectors (Needham/Wheeler reference
-        // implementation, 32 cycles): this implementation must agree with
-        // every other correct XTEA.
-        let key = Schedule::new(Key([0x0001_0203, 0x0405_0607, 0x0809_0a0b, 0x0c0d_0e0f]));
-        let block = encrypt1(&key, join([0x4142_4344u32, 0x4546_4748])); // "ABCDEFGH"
-        assert_eq!(split(block), [0x497d_f3d0, 0x7261_2cb5]);
-        assert_eq!(split(decrypt1(&key, block)), [0x4142_4344, 0x4546_4748]);
-
-        let zero_key = Schedule::new(Key([0; 4]));
-        let zero = encrypt1(&zero_key, join([0u32, 0u32]));
-        assert_eq!(split(zero), [0xdee9_d4d8, 0xf713_1ed9]);
-        assert_eq!(split(decrypt1(&zero_key, zero)), [0, 0]);
+        // This implementation must agree with every other correct XTEA.
+        for (key, plain, cipher) in VECTORS {
+            assert_eq!(encrypt1(&Schedule::new(key), plain), cipher);
+        }
     }
 
-    /// The two-lane kernel itself against the same published vectors: each
-    /// vector in either lane beside the other, and encrypting one while
-    /// decrypting the other.
     #[test]
-    fn two_lane_kernel_matches_the_known_answers() {
-        let ka = Schedule::new(Key([0x0001_0203, 0x0405_0607, 0x0809_0a0b, 0x0c0d_0e0f]));
-        let (pa, ca) = (0x4142_4344_4546_4748u64, 0x497d_f3d0_7261_2cb5u64);
-        let kz = Schedule::new(Key([0; 4]));
-        let (pz, cz) = (0u64, 0xdee9_d4d8_f713_1ed9u64);
-        assert_eq!(encrypt2(&ka, pa, &kz, pz), (ca, cz));
-        assert_eq!(encrypt2(&kz, pz, &ka, pa), (cz, ca));
-        assert_eq!(encrypt_decrypt(&ka, pa, &kz, cz), (ca, pz));
-        assert_eq!(encrypt_decrypt(&kz, pz, &ka, ca), (cz, pa));
-        assert_eq!(encrypt1(&ka, pa), ca);
-        assert_eq!(decrypt1(&kz, cz), pz);
+    fn wrong_key_gives_another_block() {
+        let block = 0xdead_beef_0bad_f00d;
+        let right = encrypt1(&Schedule::new(KEY), block);
+        assert_ne!(right, block, "encryption must change the block");
+        assert_ne!(encrypt1(&Schedule::new(Key([0, 0, 0, 1])), block), right);
+    }
+
+    /// `blocks` through one compiled instance of the kernel, `N` lanes wide.
+    fn through<const N: usize>(
+        run: fn(&Schedule, &mut [u32; N], &mut [u32; N]),
+        k: &Schedule,
+        blocks: &[u64],
+    ) -> Vec<u64> {
+        let (mut v0, mut v1) = ([0; N], [0; N]);
+        for (i, &b) in blocks.iter().enumerate() {
+            (v0[i], v1[i]) = ((b >> 32) as u32, b as u32);
+        }
+        run(k, &mut v0, &mut v1);
+        let out = |i: usize| u64::from(v0[i]) << 32 | u64::from(v1[i]);
+        (0..blocks.len()).map(out).collect()
+    }
+
+    /// Every compiled instance of the kernel against the published vectors:
+    /// each vector in every lane of every partial pass, beside neighbours
+    /// that must come out as `encrypt1` gives them. The portable instance
+    /// is called directly, so it is covered on every host; `wide` runs the
+    /// AVX2 instance wherever the processor has it.
+    #[test]
+    fn every_kernel_instance_matches_the_known_answers_in_every_lane() {
+        for (key, plain, cipher) in VECTORS {
+            let k = Schedule::new(key);
+            let filler: [u64; LANES] = std::array::from_fn(|i| 0x0101_0101 * i as u64 + 7);
+            let expected: Vec<u64> = filler.iter().map(|&b| encrypt1(&k, b)).collect();
+            for n in 1..=LANES {
+                for at in 0..n {
+                    let mut want = expected[..n].to_vec();
+                    want[at] = cipher;
+                    let mut blocks = filler[..n].to_vec();
+                    blocks[at] = plain;
+                    assert_eq!(
+                        through::<LANES>(portable, &k, &blocks),
+                        want,
+                        "portable: {at} of {n}"
+                    );
+                    assert_eq!(through(wide, &k, &blocks), want, "wide: {at} of {n}");
+                    if n <= 4 {
+                        assert_eq!(
+                            through::<4>(portable, &k, &blocks),
+                            want,
+                            "narrow: {at} of {n}"
+                        );
+                    }
+                    let mut got = vec![0; n];
+                    encrypt_each(&k, n, |i| blocks[i], |i, b| got[i] = b);
+                    assert_eq!(got, want, "encrypt_each: {at} of {n}");
+                }
+            }
+        }
     }
 
     #[test]
     fn schedule_debug_does_not_leak_material() {
         assert_eq!(format!("{:?}", Schedule::new(KEY)), "Schedule(..)");
-    }
-
-    #[test]
-    fn byte_interface_round_trips() {
-        let k = Schedule::new(KEY);
-        let orig = *b"ITC-1985";
-        let b = encrypt1(&k, u64::from_be_bytes(orig)).to_be_bytes();
-        assert_ne!(b, orig);
-        assert_eq!(decrypt1(&k, u64::from_be_bytes(b)).to_be_bytes(), orig);
     }
 
     #[test]
