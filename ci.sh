@@ -277,6 +277,20 @@ if shared crates/core/src \
     echo "ci.sh: a value grew a second source (see the lines above)" >&2
     exit 1
 fi
+# One retry rule (DESIGN.md §8): the client half of a Vice call — count an
+# attempt, arm or stand down its timer, count a lost leg, back off, give
+# up — is `itc_rpc::retry::CallMachine`, which the transport only drives.
+# No settable retry policy may come back, and no retry decision or
+# `CallStats` bump may grow back under crates/core/src (`obs.rs` keeps its
+# own `timeouts` series counter, so `timeouts +=` is not a pattern).
+echo "== one retry rule (no retry policy, attempt limit, backoff or CallStats bump outside itc_rpc::retry) =="
+if shared crates/*/src | grep -F 'struct RetryPolicy' \
+    || body crates/core/src/system/topology.rs Campus | grep -E '^ *(pub(\([a-z]+\))? )?retry:' \
+    || shared crates/core/src \
+        | grep -E 'max_attempts|\.backoff\(|\b(attempts|retries|failures|duplicates_ignored) \+='; then
+    echo "ci.sh: a retry decision grew back outside itc_rpc::retry (see the lines above)" >&2
+    exit 1
+fi
 # The trajectory: the non-test lines of every crates/*/src file (tests.rs
 # excluded), in total and for the call path's five files.
 find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do

@@ -65,6 +65,11 @@ pub struct QueuedRequest {
     pub payload: Option<Payload>,
 }
 
+/// One remembered mutation: its idempotency token, its request head with
+/// the authenticated user's name appended, the head's length, and the
+/// reply.
+type Replayed = (u64, Vec<u8>, usize, ViceReply);
+
 /// Cost components of one handled call, consumed by the timing kernel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CallCost {
@@ -112,13 +117,14 @@ pub struct Server {
     /// the epoch it last saw to detect that the server lost its callback
     /// state while the workstation wasn't looking.
     epoch: u64,
-    /// Each workstation's last applied mutation: its idempotency token,
-    /// its request head with the authenticated user's name appended, the
-    /// head's length, and the reply. A workstation has at most one call in
-    /// flight, so a retry always carries its newest token: a retried
-    /// mutation whose reply was lost is answered from here instead of
-    /// being applied twice, and no older entry could ever be asked for.
-    replay: BTreeMap<NodeId, (u64, Vec<u8>, usize, ViceReply)>,
+    /// Each user's last applied mutation at each workstation, keyed by the
+    /// workstation's node and a slot per user seen there. A workstation
+    /// has at most one call in flight, so a retry always carries its
+    /// user's newest token: a retried mutation whose reply was lost is
+    /// answered from here instead of being applied twice, no older entry
+    /// could ever be asked for, and another user's call from the same
+    /// workstation leaves the entry alone.
+    replay: BTreeMap<(NodeId, u32), Replayed>,
     /// The durable storage under the volumes: checkpoints plus the
     /// write-ahead journal.
     storage: Disk,
@@ -452,24 +458,41 @@ impl Server {
         std::mem::take(&mut self.integrity_events)
     }
 
+    /// The replay slot of `user` at workstation `from`: the user's own if
+    /// the cache holds one, else the next free slot at that node.
+    fn replay_slot(&self, from: NodeId, user: &str) -> (NodeId, u32) {
+        let mut free = 0;
+        for (&(_, slot), (_, call, head, _)) in self.replay.range((from, 0)..=(from, u32::MAX)) {
+            if &call[*head..] == user.as_bytes() {
+                return (from, slot);
+            }
+            free = slot + 1;
+        }
+        (from, free)
+    }
+
     /// The remembered reply to `qr`, if it retries `user`'s last mutation
     /// from that workstation: the same token and the same request head.
     pub fn replay_lookup(&self, user: &str, qr: &QueuedRequest) -> Option<&ViceReply> {
-        let (token, call, head, reply) = self.replay.get(&qr.from)?;
-        let (body, name) = call.split_at(*head);
-        (*token == qr.token && body == qr.body && name == user.as_bytes()).then_some(reply)
+        let (token, call, head, reply) = self.replay.get(&self.replay_slot(qr.from, user))?;
+        (*token == qr.token && call[..*head] == qr.body).then_some(reply)
     }
 
-    /// Remembers `reply` to `user`'s mutation `qr`, replacing the
-    /// workstation's previous one (which no retry can reach any more: the
-    /// workstation has moved on to a newer call). A head opened off the
-    /// wire keeps the allocation of its sealed envelope, so appending the
-    /// name allocates nothing.
+    /// Remembers `reply` to `user`'s mutation `qr`, replacing that user's
+    /// previous one at the workstation (which no retry can reach any more:
+    /// the workstation has moved on to a newer call) — unless that entry
+    /// holds the same token, which a reused token leaves for its genuine
+    /// retry. A head opened off the wire keeps the allocation of its sealed
+    /// envelope, so appending the name allocates nothing.
     pub fn replay_record(&mut self, user: &str, qr: QueuedRequest, reply: ViceReply) {
+        let slot = self.replay_slot(qr.from, user);
+        if self.replay.get(&slot).is_some_and(|e| e.0 == qr.token) {
+            return;
+        }
         let mut call = qr.body;
         let head = call.len();
         call.extend_from_slice(user.as_bytes());
-        self.replay.insert(qr.from, (qr.token, call, head, reply));
+        self.replay.insert(slot, (qr.token, call, head, reply));
     }
 
     /// Number of remembered mutation replies (for tests).
@@ -634,11 +657,7 @@ impl Server {
             return (cached.clone(), CallCost::default());
         }
         let (reply, cost) = self.handle(caller, qr.from, &req, now, costs);
-        // A reused token that did not match leaves the entry it names for
-        // that call's genuine retry.
-        if self.replay.get(&qr.from).is_none_or(|e| e.0 != qr.token) {
-            self.replay_record(caller.0, qr, reply.clone());
-        }
+        self.replay_record(caller.0, qr, reply.clone());
         (reply, cost)
     }
 

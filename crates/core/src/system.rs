@@ -37,8 +37,8 @@
 //! lent to every view by `&`: the network, the timing kernel, the
 //! protection and location databases (the paper replicates both at every
 //! server; the replicas are identical, so each is kept once), and the
-//! settings that change only between runs (retry policy, fault-plan and
-//! scrub generations, the tracing and monitoring switches). Nothing is
+//! settings that change only between runs (fault-plan and scrub
+//! generations, the tracing and monitoring switches). Nothing is
 //! stored that the run determines: node ids are arithmetic over the
 //! uniform campus, and every server and Venus is built from the one
 //! [`SystemConfig`].

@@ -68,7 +68,7 @@ impl SystemTransport<'_> {
             server: Some(call.server.0),
             client: Some(call.ws.0),
             volume: call.volume,
-            attempt: call.attempt,
+            attempt: call.retry.attempt(),
             kind: Some(call.req.kind()),
         });
     }
@@ -240,7 +240,7 @@ impl SystemTransport<'_> {
         at: SimTime,
     ) {
         self.call_span(wire_trace, call, SpanClass::RequestArrive, at);
-        call.parts.req_net = at - call.attempt_start;
+        call.parts.req_net = at - call.retry.attempt_start();
     }
 
     /// Journal-lag gauge: the server's unsynced tail as it stands right
@@ -345,17 +345,17 @@ impl SystemTransport<'_> {
             server: call.server.0,
             volume: call.volume,
             client: call.ws.0,
-            attempts: call.attempt,
+            attempts: call.retry.attempt(),
             started: call.started,
             finished: at,
-            retry_wasted: call.attempt_start - call.started,
+            retry_wasted: call.retry.attempt_start() - call.started,
             req_net: call.parts.req_net,
             queue_cpu: call.parts.queue_cpu,
             service_cpu: call.parts.service_cpu,
             queue_disk: call.parts.queue_disk,
             service_disk: call.parts.service_disk,
             reply_net: call.parts.reply_net,
-            fault_delay: call.extra,
+            fault_delay: call.retry.extra(),
         };
         let cl = self.cores.get_mut(call.cluster);
         cl.obs.on_complete(&breakdown);

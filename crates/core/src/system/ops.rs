@@ -29,15 +29,7 @@ impl ItcSystem {
             let _ = self.ops().flush_all(ws);
         }
         self.venus_mut(ws).clear_session();
-        self.drop_bindings(ws);
-    }
-
-    /// Drops a workstation's bindings — per-user connections, which live
-    /// on the workstation's own cluster.
-    fn drop_bindings(&mut self, ws: WsId) {
-        let node = self.campus.net.ws_node(ws);
-        let cc = self.campus.net.cluster_of(node).0 as usize;
-        self.cores[cc].bindings.retain(|(n, _), _| *n != node);
+        self.ops().drop_bindings(ws);
     }
 
     /// Classifies a path at a workstation without performing any I/O
@@ -53,7 +45,7 @@ impl ItcSystem {
     /// cache is wiped. Returns the number of lost updates. (Under
     /// store-on-close this is always zero — the paper's point.)
     pub fn crash_workstation(&mut self, ws: WsId) -> usize {
-        self.drop_bindings(ws);
+        self.ops().drop_bindings(ws);
         let lost = self.venus_mut(ws).crash();
         self.venus_mut(ws).clear_session();
         lost

@@ -260,11 +260,15 @@ impl<'a> WsOps<'a> {
     /// password exactly as the real Venus would and verifies it against
     /// Vice by establishing the first authenticated binding to the home
     /// server. A wrong password fails here, during the mutual handshake.
-    /// Touches only the workstation's own cluster.
+    /// The workstation's bindings are per-user connections, so any left
+    /// by an earlier session are dropped first, as logout drops them:
+    /// the new user must bind under their own key. Touches only the
+    /// workstation's own cluster.
     pub fn login(&mut self, ws: WsId, user: &str, password: &str) -> Result<(), SystemError> {
         let key = itc_cryptbox::derive_key(password, user);
         let node = self.transport.campus.net.ws_node(ws);
         let home = self.transport.home_server(node);
+        self.drop_bindings(ws);
         let (venus, transport) = self.venus(ws);
         venus.set_session(user, key);
         match transport.ensure_binding(node, user, key, home, venus.now()) {
@@ -276,6 +280,19 @@ impl<'a> WsOps<'a> {
                 venus.clear_session();
                 Err(SystemError::AuthFailed(e))
             }
+        }
+    }
+
+    /// Drops a workstation's bindings — per-user connections, which live
+    /// on the workstation's own cluster — by their key range, not a scan
+    /// of the cluster's bindings.
+    pub(crate) fn drop_bindings(&mut self, ws: WsId) {
+        let node = self.transport.campus.net.ws_node(ws);
+        let cc = self.transport.campus.net.cluster_of(node).0 as usize;
+        let bindings = &mut self.transport.cores.get_mut(cc).bindings;
+        let of_node = (node, ServerId(0))..=(node, ServerId(u32::MAX));
+        while let Some(&key) = bindings.range(of_node.clone()).next().map(|(k, _)| k) {
+            bindings.remove(&key);
         }
     }
 

@@ -21,7 +21,7 @@ use crate::proto::ServerId;
 use crate::server::Server;
 use crate::system::WsId;
 use crate::venus::{Venus, WorkstationType};
-use itc_rpc::{Network, RetryPolicy, TimingKernel};
+use itc_rpc::{Network, TimingKernel};
 use itc_sim::SimTime;
 
 /// What every view of a run reads and none writes (see the module docs).
@@ -38,8 +38,6 @@ pub(crate) struct Campus {
     pub domain: ProtectionDomain,
     /// The location database, kept once like the protection database.
     pub location: LocationDb,
-    /// The retry/backoff policy.
-    pub retry: RetryPolicy,
     /// Bumped each time a fault plan is installed; lifecycle events from
     /// an earlier plan are recognized as stale and ignored.
     pub plan_gen: u64,
@@ -88,7 +86,6 @@ impl Campus {
             kernel: TimingKernel::new(config.costs.clone(), config.structure, config.encryption),
             domain: ProtectionDomain::new(),
             location: LocationDb::new(),
-            retry: RetryPolicy::standard(config.costs.rpc_timeout),
             plan_gen: 0,
             scrub_interval: None,
             scrub_gen: 0,

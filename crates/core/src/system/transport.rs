@@ -8,10 +8,12 @@
 //! to completion, so the opened request rides the call from arrival to
 //! dispatch, as its sealed bytes ride it between the legs. This file is
 //! that call life-cycle and the per-cluster cores it runs on, nothing
-//! else: what the server does with an arrived request is `Server::serve`,
-//! everything else on the calendars (crashes, salvage, scrub, break
-//! delivery) is `lifecycle.rs`, and every span, gauge and attribution
-//! record is one call per event into `observe.rs`.
+//! else: when to arm a timer, retry, back off or give up is decided by the
+//! call's [`CallMachine`] (`itc_rpc::retry`), which this file drives; what
+//! the server does with an arrived request is `Server::serve`; everything
+//! else on the calendars (crashes, salvage, scrub, break delivery) is
+//! `lifecycle.rs`; and every span, gauge and attribution record is one
+//! call per event into `observe.rs`.
 //!
 //! ## Per-cluster decomposition
 //!
@@ -57,15 +59,6 @@
 //!   sent, never mid-chain — a crash firing while a request is in flight
 //!   does not retroactively kill the exchange, exactly as the polled
 //!   implementation behaved.
-//!
-//! ## Retransmission timers are armed, then cancelled
-//!
-//! Every attempt arms its retransmission timer when it is sent; the reply's
-//! arrival *cancels* the now-losing timer (an O(1) tombstone in the
-//! scheduler) instead of scheduling one only on the loss paths. A timer
-//! that beats a slow reply to the front of the calendar finds its chain leg
-//! still in flight and stands down — delivery was trusted in the
-//! synchronous model, and still is.
 
 use super::observe::AttemptParts;
 use super::topology::Campus;
@@ -80,12 +73,14 @@ use crate::trace::AttributionAgg;
 use crate::venus::ViceTransport;
 use itc_cryptbox::Key;
 use itc_rpc::binding::{establish, Binding};
-use itc_rpc::{frame_call, take_frame, CallSpec, CallStats, NodeId};
+use itc_rpc::retry::{Input, Step};
+use itc_rpc::{frame_call, take_frame, CallMachine, CallSpec, CallStats, NodeId};
 use itc_sim::{
     AnomalyReason, EventId, EventKey, FaultPlan, Firing, MessageFault, Scheduler, SimRng, SimTime,
     SpanClass, TraceCollector, TraceId,
 };
 use std::collections::BTreeMap;
+use std::mem;
 
 /// Everything a network exchange can schedule. Call-chain events carry no
 /// call identifier: each executor keeps exactly one logical call in
@@ -297,37 +292,31 @@ pub(crate) struct CallInFlight<'r> {
     /// The request's bulk payload, shared (not copied) across every retry
     /// attempt of this call.
     req_payload: Option<Payload>,
-    /// The reply's bulk payload, riding alongside the sealed reply head.
-    reply_payload: Option<Payload>,
     /// Request size on the wire (encoded length + sealing overhead).
     req_wire: u64,
-    /// Attempt counter (1-based once the first send fires).
-    pub(crate) attempt: u32,
-    /// When the current attempt was sent.
-    pub(crate) attempt_start: SimTime,
-    /// Fault-injected delay accumulated by the current attempt.
-    pub(crate) extra: SimTime,
-    /// The current attempt's retransmission timer, armed at send and
-    /// cancelled (an O(1) tombstone) when the reply arrives first.
-    timeout_id: Option<EventId>,
-    /// The single in-flight chain leg `(cluster, event id)` between send
-    /// and resolution — what a winning timeout would find still queued.
-    chain: Option<(usize, EventId)>,
-    /// Sealed request in flight between send and arrival.
-    sealed_req: Option<Vec<u8>>,
-    /// The opened request between arrival and dispatch.
-    arrived_req: Option<QueuedRequest>,
-    /// Sealed reply in flight between service and arrival.
-    sealed_reply: Option<Vec<u8>>,
-    /// Reply size on the wire.
-    reply_wire: u64,
-    /// Caller-visible latency of the successful attempt (excludes
-    /// fault-injected delay, matching what the server observes).
-    elapsed: SimTime,
-    /// Whether the reply was duplicated by the network.
-    duplicate: bool,
-    /// Set when the call resolves; ends the pump.
-    result: Option<(ViceReply, SimTime)>,
+    /// The call's retry rule and phase: attempt number, the attempt's
+    /// start and the delay the network injected into it.
+    pub(crate) retry: CallMachine,
+    /// The leg in flight.
+    leg: Leg,
+}
+
+/// What rides the call between its events: the bytes of the one leg in
+/// flight and the attempt's retransmission timer, armed at send. The
+/// reply's arrival cancels the timer (an O(1) tombstone, a no-op if it
+/// already stood down).
+#[derive(Default)]
+enum Leg {
+    /// Nothing on the wire: before a send, in backoff, or after a lost leg.
+    #[default]
+    Idle,
+    /// The sealed request, on its way to the server.
+    Request(EventId, Vec<u8>),
+    /// The opened request, awaiting dispatch.
+    Arrived(EventId, QueuedRequest),
+    /// The sealed reply head, its size on the wire and the bulk payload
+    /// riding beside it, from service to arrival.
+    Reply(EventId, Vec<u8>, u64, Option<Payload>),
 }
 
 /// The transport an executor hands to Venus: real bindings over the
@@ -440,63 +429,50 @@ impl SystemTransport<'_> {
             .expect("bound before the first attempt")
     }
 
-    /// Schedules the call's next chain leg on `cluster`'s calendar — the
-    /// one event a winning timeout would find still in flight.
-    fn chain(&mut self, call: &mut CallInFlight<'_>, cluster: usize, at: SimTime, ev: NetEvent) {
-        let leg = self.cores.get_mut(cluster).sched.schedule(at, ev);
-        call.chain = Some((cluster, leg));
+    /// Schedules `ev` on `cluster`'s calendar.
+    fn schedule(&mut self, cluster: usize, at: SimTime, ev: NetEvent) -> EventId {
+        self.cores.get_mut(cluster).sched.schedule(at, ev)
     }
 
-    /// Executes one calendar event against the in-flight call.
+    /// Feeds one input to the call's retry machine, with the counters and
+    /// jitter stream of the caller's cluster.
+    fn retry(&mut self, call: &mut CallInFlight<'_>, input: Input) -> Step {
+        let cl = self.cores.get_mut(call.cluster);
+        let (stats, rng) = (&mut cl.call_stats, &mut cl.retry_rng);
+        call.retry.step(input, stats, rng)
+    }
+
+    /// Executes one calendar event against the in-flight call; returns the
+    /// call's outcome once it resolves.
     fn dispatch(
         &mut self,
         call: &mut CallInFlight<'_>,
         from_cluster: usize,
         at: SimTime,
-        id: EventId,
         ev: NetEvent,
-    ) -> Result<(), String> {
+    ) -> Result<Option<(ViceReply, SimTime)>, String> {
         let server = call.server;
         let sid = server.0 as usize;
         let cc = call.cluster;
         let campus = self.campus;
-        // The chain leg that just fired is no longer cancellable.
-        if call.chain == Some((from_cluster, id)) {
-            call.chain = None;
-        }
         match ev {
             NetEvent::AttemptSend => {
-                call.attempt += 1;
-                {
-                    let stats = &mut self.cores.get_mut(cc).call_stats;
-                    stats.attempts += 1;
-                    if call.attempt > 1 {
-                        stats.retries += 1;
-                    }
-                }
-                call.attempt_start = at;
-                call.extra = SimTime::ZERO;
-                call.duplicate = false;
-                self.call_span(call.trace, call, SpanClass::AttemptSend, at);
                 // Lifecycle events due by now have already fired from the
                 // calendar; if the server is down the client burns the
                 // retry timeout and reports it unreachable.
-                if !self.servers.get(sid).is_online() {
-                    let done = at + campus.retry.timeout;
-                    self.call_aborted(call, AnomalyReason::Unreachable, done);
-                    call.result = Some((ViceReply::Error(ViceError::Unreachable(server.0)), done));
-                    return Ok(());
-                }
-                // Arm this attempt's retransmission timer. On the loss
-                // paths it fires at exactly the instant the old transport
-                // scheduled it; on the success path the reply's arrival
-                // cancels it.
-                let tid = self
-                    .cores
-                    .get_mut(cc)
-                    .sched
-                    .schedule(at + campus.retry.timeout, NetEvent::TimeoutFire);
-                call.timeout_id = Some(tid);
+                let online = self.servers.get(sid).is_online();
+                let step = self.retry(call, Input::Send { at, online });
+                self.call_span(call.trace, call, SpanClass::AttemptSend, at);
+                let deadline = match step {
+                    Step::Arm(deadline) => deadline,
+                    Step::Abort(done) => {
+                        self.call_aborted(call, AnomalyReason::Unreachable, done);
+                        let err = ViceError::Unreachable(server.0);
+                        return Ok(Some((ViceReply::Error(err), done)));
+                    }
+                    step => unreachable!("{step:?} after a send"),
+                };
+                let timer = self.schedule(cc, deadline, NetEvent::TimeoutFire);
                 let fate = match self.cores.get_mut(sid).faults.as_mut() {
                     Some(f) => f.request_fault(server.0),
                     None => MessageFault::Deliver,
@@ -504,55 +480,37 @@ impl SystemTransport<'_> {
                 // The client always seals (its sequence number advances);
                 // the network decides the fate of the sealed bytes.
                 let sealed = self.binding(call).client_seal(&call.framed);
-                match fate {
-                    MessageFault::Drop => {
-                        // The armed timer fires; nothing else to schedule.
-                        self.cores.get_mut(cc).call_stats.timeouts += 1;
-                    }
-                    fate => {
-                        if let MessageFault::Delay(d) = fate {
-                            call.extra += d;
-                        }
-                        call.sealed_req = Some(sealed);
-                        let arrived = campus.kernel.request_leg(
-                            &campus.net,
-                            call.ws,
-                            campus.net.server_node(server.0),
-                            at,
-                            call.req_wire,
-                        );
-                        self.chain(call, sid, arrived, NetEvent::RequestArrive);
-                    }
+                if self.retry(call, Input::Request(fate)) == Step::Carry {
+                    let arrived = campus.kernel.request_leg(
+                        &campus.net,
+                        call.ws,
+                        campus.net.server_node(server.0),
+                        at,
+                        call.req_wire,
+                    );
+                    self.schedule(sid, arrived, NetEvent::RequestArrive);
+                    call.leg = Leg::Request(timer, sealed);
                 }
             }
 
-            NetEvent::TimeoutFire => {
-                call.timeout_id = None;
-                if call.chain.is_some() {
-                    // The request was delivered and its chain leg is still
-                    // in flight: the reply is merely slower than the
-                    // timer. The synchronous model trusted delivery, so
-                    // the stale timer stands down (normally the reply's
-                    // arrival cancels it before it ever fires).
-                    return Ok(());
+            NetEvent::TimeoutFire => match self.retry(call, Input::Timer(at)) {
+                Step::StandDown => {}
+                Step::Retry(resend) => {
+                    self.timeout_fired(call, at);
+                    self.schedule(cc, resend, NetEvent::AttemptSend);
                 }
-                self.timeout_fired(call, at);
-                if call.attempt >= campus.retry.max_attempts {
-                    self.cores.get_mut(cc).call_stats.failures += 1;
+                Step::GiveUp => {
+                    self.timeout_fired(call, at);
                     self.call_aborted(call, AnomalyReason::TimedOut, at);
-                    call.result = Some((ViceReply::Error(ViceError::TimedOut(server.0)), at));
-                } else {
-                    let rng = &mut self.cores.get_mut(cc).retry_rng;
-                    let wait = campus.retry.backoff(call.attempt, rng);
-                    self.cores
-                        .get_mut(cc)
-                        .sched
-                        .schedule(at + wait, NetEvent::AttemptSend);
+                    return Ok(Some((ViceReply::Error(ViceError::TimedOut(server.0)), at)));
                 }
-            }
+                step => unreachable!("{step:?} from a timer"),
+            },
 
             NetEvent::RequestArrive => {
-                let sealed = call.sealed_req.take().expect("request leg carries bytes");
+                let Leg::Request(timer, sealed) = mem::take(&mut call.leg) else {
+                    unreachable!("the request leg carries its bytes")
+                };
                 let binding = self.binding(call);
                 // The sealed buffer is decrypted in place and, past the frame
                 // header, becomes the request body: no copy.
@@ -560,18 +518,21 @@ impl SystemTransport<'_> {
                 let (token, wire_trace, body) = take_frame(opened).expect("framed by call()");
                 // The span names the trace id that actually rode the wire.
                 self.request_arrived(call, TraceId(wire_trace), at);
-                call.arrived_req = Some(QueuedRequest {
+                let qr = QueuedRequest {
                     from: call.ws,
                     token,
                     trace: TraceId(wire_trace),
                     body,
                     payload: call.req_payload.clone(),
-                });
-                self.chain(call, sid, at, NetEvent::ServiceDispatch);
+                };
+                call.leg = Leg::Arrived(timer, qr);
+                self.schedule(sid, at, NetEvent::ServiceDispatch);
             }
 
             NetEvent::ServiceDispatch => {
-                let qr = call.arrived_req.take().expect("opened on arrival");
+                let Leg::Arrived(timer, qr) = mem::take(&mut call.leg) else {
+                    unreachable!("the request was opened on arrival")
+                };
                 // The server-side span carries the identity the frame
                 // delivered, proving propagation end to end.
                 self.call_span(qr.trace, call, SpanClass::ServiceDispatch, at);
@@ -584,7 +545,7 @@ impl SystemTransport<'_> {
                 let (reply, cost) = self.servers.get_mut(sid).serve(
                     (user, &campus.domain, &campus.location),
                     qr,
-                    call.attempt_start,
+                    call.retry.attempt_start(),
                     costs,
                 );
                 // A fetch-time digest check may have taken a volume offline
@@ -598,77 +559,66 @@ impl SystemTransport<'_> {
                 // call's cost; it adds no time and no calendar events.
                 self.servers.get_mut(sid).sync_journal();
                 let msg = encode_reply(&reply);
-                call.reply_wire = msg.wire_len() as u64 + 40;
-                call.reply_payload = msg.payload;
-                let sealed_reply = self.binding(call).server_seal(&msg.head);
+                let reply_wire = msg.wire_len() as u64 + 40;
+                let sealed = self.binding(call).server_seal(&msg.head);
                 let fate = match self.cores.get_mut(sid).faults.as_mut() {
                     Some(f) => f.reply_fault(server.0),
                     None => MessageFault::Deliver,
                 };
-                match fate {
-                    MessageFault::Drop => {
-                        // The server did the work (and remembered the
-                        // reply); the client never hears back, and no
-                        // CPU/disk time is charged for the aborted leg. The
-                        // timer armed at send fires at attempt_start +
-                        // timeout, exactly where the old transport
-                        // scheduled it from here.
-                        self.cores.get_mut(cc).call_stats.timeouts += 1;
-                    }
-                    fate => {
-                        if let MessageFault::Delay(d) = fate {
-                            call.extra += d;
-                        }
-                        call.duplicate = fate == MessageFault::Duplicate;
-                        call.sealed_reply = Some(sealed_reply);
-                        let spec = CallSpec {
-                            kind: call.req.kind(),
-                            request_bytes: call.req_wire,
-                            reply_bytes: call.reply_wire,
-                            server_cpu: cost.server_cpu,
-                            disk_bytes: cost.disk_bytes,
-                            lock_ipc: cost.lock_ipc,
-                        };
-                        self.service_charging(call, at, &spec);
-                        let (cpu, disk) = self.servers.get_mut(sid).resources_mut();
-                        let served = campus.kernel.service(cpu, disk, at, &spec);
-                        self.chain(call, sid, served, NetEvent::ReplyDepart);
-                    }
+                // A lost reply: the server did the work (and remembered the
+                // reply); the client never hears back, no CPU/disk time is
+                // charged for the aborted leg, and the timer armed at send
+                // fires.
+                if self.retry(call, Input::Reply(fate)) == Step::Carry {
+                    let spec = CallSpec {
+                        kind: call.req.kind(),
+                        request_bytes: call.req_wire,
+                        reply_bytes: reply_wire,
+                        server_cpu: cost.server_cpu,
+                        disk_bytes: cost.disk_bytes,
+                        lock_ipc: cost.lock_ipc,
+                    };
+                    self.service_charging(call, at, &spec);
+                    let (cpu, disk) = self.servers.get_mut(sid).resources_mut();
+                    let served = campus.kernel.service(cpu, disk, at, &spec);
+                    self.schedule(sid, served, NetEvent::ReplyDepart);
+                    call.leg = Leg::Reply(timer, sealed, reply_wire, msg.payload);
                 }
             }
 
             NetEvent::ReplyDepart => {
+                let Leg::Reply(.., reply_wire, _) = call.leg else {
+                    unreachable!("the reply leg carries its size")
+                };
                 let completed = campus.kernel.reply_leg(
                     &campus.net,
                     campus.net.server_node(server.0),
                     call.ws,
                     at,
-                    call.reply_wire,
+                    reply_wire,
                 );
-                call.elapsed = completed - call.attempt_start;
                 self.reply_departed(call, at, completed);
-                self.chain(call, cc, completed + call.extra, NetEvent::ReplyArrive);
+                self.schedule(cc, completed + call.retry.extra(), NetEvent::ReplyArrive);
             }
 
             NetEvent::ReplyArrive => {
+                let Leg::Reply(timer, sealed, _, payload) = mem::take(&mut call.leg) else {
+                    unreachable!("the reply leg carries its bytes")
+                };
                 // The retransmission timer lost the race: tombstone it
                 // instead of letting it fire and be ignored.
-                if let Some(tid) = call.timeout_id.take() {
-                    self.cores.get_mut(cc).sched.cancel(tid);
-                }
-                let sealed = call.sealed_reply.take().expect("reply leg carries bytes");
-                let binding = self.binding(call);
+                self.cores.get_mut(cc).sched.cancel(timer);
                 // Opening consumes the sealed buffer, so only a duplicated
                 // delivery keeps a second copy of it.
-                let second = call.duplicate.then(|| sealed.clone());
+                let second = call.retry.duplicate().then(|| sealed.clone());
+                let binding = self.binding(call);
                 let reply_clear = binding.client_open(sealed).map_err(|e| e.to_string())?;
                 // Second copy of the same sealed reply: the channel's
                 // sequence check discards it.
-                if second.is_some_and(|copy| binding.client_open(copy).is_err()) {
-                    self.cores.get_mut(cc).call_stats.duplicates_ignored += 1;
-                }
-                let reply = decode_reply(&reply_clear, call.reply_payload.take())
-                    .map_err(|e| e.to_string())?;
+                let duplicate_refused =
+                    second.is_some_and(|copy| binding.client_open(copy).is_err());
+                self.retry(call, Input::Opened { duplicate_refused });
+                let reply = decode_reply(&reply_clear, payload).map_err(|e| e.to_string())?;
                 self.reply_arrived(call, &reply, at);
 
                 // Traffic monitoring (Section 3.6): attribute the call to
@@ -680,9 +630,12 @@ impl SystemTransport<'_> {
                         self.cores.get_mut(cc).traffic.record(subtree, cc as u32);
                     }
                 }
+                // Caller-visible latency of the attempt: it excludes the
+                // fault-injected delay, matching what the server observes.
+                let elapsed = at - call.retry.extra() - call.retry.attempt_start();
                 self.servers
                     .get_mut(sid)
-                    .record_call(call.req.kind(), call.elapsed);
+                    .record_call(call.req.kind(), elapsed);
 
                 // Callback-break messages this call generated enter the
                 // calendars of their *target* workstations' clusters, and
@@ -700,14 +653,14 @@ impl SystemTransport<'_> {
                     let id = cl.sched.schedule(arrival, NetEvent::BreakDeliver { to_ws });
                     cl.breaks.push((id, to_ws, paths));
                 }
-                call.result = Some((reply, at));
+                return Ok(Some((reply, at)));
             }
 
             // Not a call event: crashes, salvage, scrub and break delivery
             // interleave with the chain on the same calendars.
             lifecycle => self.system_event(from_cluster, at, lifecycle),
         }
-        Ok(())
+        Ok(None)
     }
 }
 
@@ -732,7 +685,7 @@ impl ViceTransport for SystemTransport<'_> {
         // A down server: the client burns the RPC timeout and synthesizes
         // an Unreachable error so Venus can fail over to a replica.
         if !self.servers.get(sid).is_online() {
-            let done = at + self.campus.retry.timeout;
+            let done = at + self.campus.kernel.costs().rpc_timeout;
             self.unbound_call_aborted(cc, ws, server, done);
             return Ok((ViceReply::Error(ViceError::Unreachable(server.0)), done));
         }
@@ -769,31 +722,18 @@ impl ViceTransport for SystemTransport<'_> {
             req_wire: msg.wire_len() as u64 + 40,
             framed,
             req_payload: msg.payload,
-            reply_payload: None,
-            attempt: 0,
-            attempt_start: at,
-            extra: SimTime::ZERO,
-            timeout_id: None,
-            chain: None,
-            sealed_req: None,
-            arrived_req: None,
-            sealed_reply: None,
-            reply_wire: 0,
-            elapsed: SimTime::ZERO,
-            duplicate: false,
-            result: None,
+            retry: CallMachine::new(self.campus.kernel.costs().rpc_timeout),
+            leg: Leg::Idle,
         };
-        self.cores
-            .get_mut(cc)
-            .sched
-            .schedule(at, NetEvent::AttemptSend);
-        while call.result.is_none() {
+        self.schedule(cc, at, NetEvent::AttemptSend);
+        loop {
             let (cluster, f) = self
                 .pop_next_due(SimTime::from_micros(u64::MAX))
                 .expect("an in-flight call keeps the calendars non-empty");
-            self.dispatch(&mut call, cluster, f.at, f.id, f.ev)?;
+            if let Some(outcome) = self.dispatch(&mut call, cluster, f.at, f.ev)? {
+                return Ok(outcome);
+            }
         }
-        Ok(call.result.take().expect("pump exited on resolution"))
     }
 
     fn epoch_of(&self, server: ServerId) -> u64 {

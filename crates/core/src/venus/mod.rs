@@ -42,7 +42,7 @@ use crate::proto::{
     parent_of, EntryKind, Payload, ServerId, VStatus, ViceError, ViceReply, ViceRequest,
 };
 use itc_cryptbox::Key;
-use itc_rpc::NodeId;
+use itc_rpc::{retry, NodeId};
 use itc_sim::{Costs, SimRng, SimTime, TraversalMode, ValidationMode};
 use itc_unixfs::{normalize, FileSystem, FsError, Mode};
 use std::collections::{BTreeMap, HashMap};
@@ -262,10 +262,8 @@ impl Venus {
         if failures == 0 {
             return SimTime::ZERO;
         }
-        let base_us = 500_000u64 << (failures.min(7) - 1) as u64;
-        // ±25% jitter: uniform in [0.75, 1.25) of the base.
-        let jittered = (base_us as f64 * (0.75 + 0.5 * self.reconnect_rng.unit())) as u64;
-        SimTime::from_micros(jittered)
+        let (base, cap) = (SimTime::from_millis(500), SimTime::from_secs(32));
+        retry::backoff(base, cap, failures, &mut self.reconnect_rng)
     }
 
     /// The workstation's network node.

@@ -569,7 +569,7 @@ fn replay_cache_stays_bounded_under_duplicate_storm() {
     // server's at-most-once replay cache without bound: 10k distinct
     // mutation tokens from two workstations, each recorded twice (the
     // duplicate is the retry the cache exists to absorb). The cache keeps
-    // one entry per workstation.
+    // one entry per user at each workstation.
     let mut srv = make_server(ValidationMode::CheckOnOpen);
     let reply = ViceReply::Ok;
     let request = |from, token: u64| QueuedRequest {
@@ -941,6 +941,43 @@ fn a_reused_token_from_another_user_goes_through_the_gate() {
         ),
         ViceReply::Data { .. }
     ));
+}
+
+/// Each user at a workstation keeps their own replay entry: another
+/// user's fresh call from the same node — even one the gate refuses —
+/// does not evict it, so alice's genuine retry is still answered from the
+/// cache rather than applied twice.
+#[test]
+fn another_users_fresh_token_does_not_evict_a_pending_retry() {
+    let mut srv = make_server(ValidationMode::CheckOnOpen);
+    let journal = srv.journal_stats().records;
+    let store = encode_request(&ViceRequest::Store {
+        path: "/vice/t/hello.txt".into(),
+        data: b"v2".to_vec().into(),
+    });
+    let first = serve_as(
+        &mut srv,
+        "alice",
+        WS,
+        7,
+        store.head.clone(),
+        store.payload.clone(),
+    );
+    assert_eq!(version_of(&first), 2);
+
+    let remove = encode_request(&ViceRequest::Remove {
+        path: "/vice/t/hello.txt".into(),
+    });
+    let refused = serve_as(&mut srv, "mallory", WS, 8, remove.head, None);
+    assert!(
+        matches!(refused, ViceReply::Error(ViceError::PermissionDenied(_))),
+        "{refused:?}"
+    );
+
+    let retried = serve_as(&mut srv, "alice", WS, 7, store.head, store.payload);
+    assert_eq!(retried, first);
+    assert_eq!(srv.journal_stats().records, journal + 1);
+    assert_eq!(srv.replay_entries(), 2);
 }
 
 #[test]

@@ -23,11 +23,12 @@
 //!   (the bottleneck resource identified in Section 5.2), disk, and the
 //!   reply path. The server-structure ablation (process-per-client vs
 //!   single-process LWP, Section 3.5.2) lives here.
-//! * [`retry`] — per-call timeout, bounded exponential backoff with seeded
-//!   jitter, and the call-level counters the fault experiments assert on.
-//!   The paper's RPC package retransmitted over an unreliable datagram
-//!   network; the reproduction retries whole calls and keeps them safe with
-//!   idempotency tokens replayed from a server-side cache.
+//! * [`retry`] — the client half of a call as one pure state machine,
+//!   [`CallMachine`]: timeout, bounded exponential backoff with seeded
+//!   jitter, and the counters the fault experiments assert on. The paper's
+//!   RPC package retransmitted over an unreliable datagram network; the
+//!   reproduction retries whole calls and keeps them safe with idempotency
+//!   tokens replayed from a server-side cache.
 //! * [`stats`] — per-server call histograms, reproducing the Section 5.2
 //!   call-mix measurement.
 //! * [`frame`] — the fixed 16-byte call-frame header (idempotency token +
@@ -45,7 +46,7 @@ pub mod wire;
 pub use binding::{establish, Binding, BindingError};
 pub use frame::{frame_call, split_frame, take_frame, FRAME_HEADER_LEN};
 pub use net::{ClusterId, Network, NodeId};
-pub use retry::{CallStats, RetryPolicy};
+pub use retry::{CallMachine, CallStats};
 pub use stats::RpcStats;
 pub use timing::{CallSpec, TimingKernel};
 pub use wire::{WireError, WireReader, WireWriter};

@@ -13,7 +13,8 @@ use itc_afs::core::config::SystemConfig;
 use itc_afs::core::protect::{AccessList, Rights};
 use itc_afs::core::proto::{EntryKind, ServerId};
 use itc_afs::core::system::ItcSystem;
-use itc_afs::rpc::{CallStats, RetryPolicy};
+use itc_afs::rpc::retry::MAX_ATTEMPTS;
+use itc_afs::rpc::CallStats;
 use itc_afs::sim::{FaultPlan, FaultStats, ScriptedFault, SimTime, ValidationMode};
 
 const SHARED: &str = "/vice/usr/shared";
@@ -180,11 +181,11 @@ fn exhausted_retries_surface_degraded_mode_for_mutations() {
     sys.ops().store(0, &file, b"v1".to_vec()).unwrap();
     let before = sys.ops().stat(0, &file).unwrap().version;
 
-    // Every attempt the retry policy allows loses its request: the logical
+    // Every attempt the retry rule allows loses its request: the logical
     // call fails and the mutation is reported as degraded (the client
     // cannot know whether it was applied server-side).
     let mut plan = FaultPlan::new(0xfa04);
-    for _ in 0..RetryPolicy::standard(SimTime::ZERO).max_attempts {
+    for _ in 0..MAX_ATTEMPTS {
         plan.inject_once(0, ScriptedFault::DropRequest);
     }
     sys.install_faults(plan);

@@ -28,6 +28,43 @@ fn wrong_password_never_reaches_file_operations() {
     assert_eq!(sys.metrics().total_calls(), 0);
 }
 
+/// A second login at a workstation, with no logout between, binds under
+/// the new user's own key: a wrong password fails, and the new user never
+/// rides the first user's binding into a volume only the first may write.
+#[test]
+fn a_second_login_does_not_inherit_the_first_users_binding() {
+    let mut sys = ItcSystem::build(SystemConfig::prototype(1, 1));
+    sys.add_user("alice", "right").unwrap();
+    sys.add_user("mallory", "hers").unwrap();
+    let mut acl = AccessList::new();
+    acl.grant("alice", Rights::ALL);
+    sys.create_volume("alice", "/vice/alice", ServerId(0), acl)
+        .unwrap();
+    sys.login(0, "alice", "right").unwrap();
+    sys.ops()
+        .store(0, "/vice/alice/diary", b"mine".to_vec())
+        .unwrap();
+
+    assert!(matches!(
+        sys.login(0, "mallory", "WRONG"),
+        Err(SystemError::AuthFailed(_))
+    ));
+    assert!(sys
+        .ops()
+        .store(0, "/vice/alice/diary", b"defaced".to_vec())
+        .is_err());
+
+    sys.login(0, "mallory", "hers").unwrap();
+    assert!(matches!(
+        sys.ops().store(0, "/vice/alice/diary", b"defaced".to_vec()),
+        Err(SystemError::Venus(VenusError::Vice(
+            ViceError::PermissionDenied(_)
+        )))
+    ));
+    sys.login(0, "alice", "right").unwrap();
+    assert_eq!(sys.ops().fetch(0, "/vice/alice/diary").unwrap(), b"mine");
+}
+
 #[test]
 fn unknown_users_cannot_bind() {
     let mut sys = ItcSystem::build(SystemConfig::prototype(1, 1));
